@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, SchemaError
+from .errors import ConfigError, DegenerateInputError, SchemaError
 from .sensor import N_ELECTRODES, ElectrodeLayout
 
 AXES = ("x", "y", "z")
@@ -38,14 +38,20 @@ class LinearModel:
         object.__setattr__(self, "scale", s)
 
     def to_json(self, path) -> None:
+        """Write {"S", "layout"}: the scale factors and the layout whose
+        electrode orientations they multiply."""
         with open(path, "w") as fh:
-            json.dump({"S": self.scale.tolist()}, fh)
+            json.dump({"S": self.scale.tolist(), "layout": self.layout.to_dict()}, fh)
 
     @classmethod
-    def from_json(cls, path, layout: ElectrodeLayout) -> "LinearModel":
+    def from_json(cls, path) -> "LinearModel":
         with open(path) as fh:
             data = json.load(fh)
-        return cls(scale=np.array(data["S"], dtype=float), layout=layout)
+        try:
+            scale, layout = data["S"], data["layout"]
+        except KeyError as exc:
+            raise ConfigError(f"linear model {path} missing field {exc.args[0]!r}") from exc
+        return cls(scale=np.array(scale, dtype=float), layout=ElectrodeLayout.from_dict(layout))
 
 
 def electrode_features(layout: ElectrodeLayout, e: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ config error, 3 data-integrity error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,8 +22,8 @@ from . import __version__
 from .baselines import LinearModel, linear_fit, linear_predict
 from .dataset import (
     SampleRecord,
-    featurize_flat,
-    featurize_voxel,
+    featurization_record,
+    featurizer,
     filter_by_sources,
     load_manifest_splits,
     make_dataset,
@@ -58,25 +59,25 @@ from .net import (
     save_checkpoint,
     train,
 )
-from .net.checkpoint import KIND_MLP, KIND_VOXEL
+from .net.losses import KNOWN_SOURCES, SOURCE_BALL_FT, SOURCE_PLANAR, SOURCE_RIGID_FT
 from .sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
 from .synthetic import (
-    SOURCE_BALL_FT,
-    SOURCE_PLANAR,
-    SOURCE_RIGID_FT,
+    DEFAULT_BOX_HALF_EXTENTS_M,
+    DEFAULT_DT_S,
     SensorForwardModel,
     box_inertia,
     make_ft_samples,
     make_planar_trials,
 )
-from .voxel import GridSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-ALL_SOURCES = (SOURCE_RIGID_FT, SOURCE_BALL_FT, SOURCE_PLANAR)
+# the SensorForwardModel fields a config's "sensor" block may set
+SENSOR_CONFIG_KEYS = ("gain", "decay_length", "normal_sensitivity", "shear_sensitivity",
+                      "directional_shear_sensitivity", "noise_scale")
 
 
 def _normalize_source(name: str) -> str:
@@ -87,8 +88,8 @@ def resolve_sources(flag: str) -> set[str]:
     """Parse the --sources flag: one of the source names or 'mixed'."""
     name = _normalize_source(flag)
     if name == "mixed":
-        return set(ALL_SOURCES)
-    if name in ALL_SOURCES:
+        return set(KNOWN_SOURCES)
+    if name in KNOWN_SOURCES:
         return {name}
     raise ConfigError(
         f"unknown source {flag!r}; expected one of rigid-ft, ball-ft, planar-pushing, mixed"
@@ -128,7 +129,7 @@ def _load_json(path, what: str) -> dict:
 
 def _push_params_from_config(config: dict) -> tuple[PushParams, tuple[float, float]]:
     params_cfg = dict(config.get("params", {}))
-    half_extents = tuple(config.get("box_half_extents", (0.1, 0.075)))
+    half_extents = tuple(config.get("box_half_extents", DEFAULT_BOX_HALF_EXTENTS_M))
     if "m" not in params_cfg:
         raise ConfigError("config missing field 'm' (object mass) in params")
     if "inertia" not in params_cfg:
@@ -156,18 +157,8 @@ def _layout_and_geometry(config: dict):
 def _sensor_model_from_config(config: dict) -> tuple[SensorForwardModel, SurfaceGeometry]:
     layout, geometry = _layout_and_geometry(config)
     sensor_cfg = config.get("sensor", {})
-    model = SensorForwardModel(
-        layout=layout,
-        gain=float(sensor_cfg.get("gain", 10.0)),
-        decay_length=float(sensor_cfg.get("decay_length", 0.006)),
-        normal_sensitivity=float(sensor_cfg.get("normal_sensitivity", 1.0)),
-        shear_sensitivity=float(sensor_cfg.get("shear_sensitivity", 0.6)),
-        directional_shear_sensitivity=float(
-            sensor_cfg.get("directional_shear_sensitivity", 0.8)
-        ),
-        noise_scale=float(sensor_cfg.get("noise_scale", 0.0)),
-    )
-    return model, geometry
+    settings = {k: float(sensor_cfg[k]) for k in SENSOR_CONFIG_KEYS if k in sensor_cfg}
+    return SensorForwardModel(layout=layout, **settings), geometry
 
 
 def cmd_simulate(args) -> int:
@@ -193,7 +184,7 @@ def cmd_simulate(args) -> int:
             seed=seed,
             params=params,
             half_extents=half_extents,
-            dt=float(planar_cfg.get("dt", 1e-3)),
+            dt=float(planar_cfg.get("dt", DEFAULT_DT_S)),
             magnitude_range=tuple(planar_cfg.get("magnitude_range", (0.1, 2.0))),
         )
         records.extend(planar_records)
@@ -204,15 +195,7 @@ def cmd_simulate(args) -> int:
             path = episodes_dir / f"{episode.trial_id}.jsonl"
             write_text_atomic(path, "\n".join(lines) + "\n")
             outputs.append(str(path.relative_to(out_dir)))
-        params_blob = {
-            "m": params.m,
-            "inertia": params.inertia,
-            "mu_s": params.mu_s,
-            "n": params.n,
-            "k": params.k,
-            "g": params.g,
-            "box_half_extents": list(half_extents),
-        }
+        params_blob = {**dataclasses.asdict(params), "box_half_extents": list(half_extents)}
         write_json_atomic(out_dir / "params.json", params_blob)
         outputs.append("params.json")
 
@@ -336,14 +319,9 @@ MODEL_LINEAR = "linear"
 
 
 def _train_configs(config: dict, seed: int):
-    net_cfg = NetworkConfig.from_dict({**{
-        "conv3d_channels": [8, 16],
-        "conv2d_channels": 32,
-        "fc_widths": [128, 64],
-    }, **config.get("network", {}), "seed": seed})
+    net_cfg = NetworkConfig.from_dict({**config.get("network", {}), "seed": seed})
     train_cfg = TrainingConfig.from_dict({**config.get("training", {}), "seed": seed})
-    loss_dict = dict(config.get("loss", {}))
-    loss_cfg = LossConfig.from_dict(loss_dict)
+    loss_cfg = LossConfig.from_dict(config.get("loss", {}))
     return net_cfg, train_cfg, loss_cfg
 
 
@@ -366,9 +344,7 @@ def cmd_train(args) -> int:
     net_cfg, train_cfg, loss_cfg = _train_configs(config, seed)
     use_alpha = not args.no_alpha
     if not use_alpha:
-        loss_cfg = LossConfig(
-            beta=0.0, psi=loss_cfg.psi, magnitude_floor=loss_cfg.magnitude_floor, mode=loss_cfg.mode
-        )
+        loss_cfg = dataclasses.replace(loss_cfg, beta=0.0)
 
     layout, geometry = _layout_and_geometry(config)
 
@@ -387,31 +363,19 @@ def cmd_train(args) -> int:
         print(f"train: fitted linear model S={model.scale.tolist()} -> {out_dir}")
         return EXIT_OK
 
+    voxel = args.model == MODEL_VOXEL and not args.no_voxel
+    featurization = featurization_record(voxel, layout, geometry, config.get("grid"))
     if args.model == MODEL_MLP_BASELINE:
         widths = tuple(config.get("mlp", {}).get("hidden_widths", (64, 64)))
         model = build_mlp_net(22, widths, seed=seed, layer_norm=False)
-        loss_cfg = LossConfig(
-            beta=0.0, psi=loss_cfg.psi, magnitude_floor=loss_cfg.magnitude_floor, mode="plain_l2"
-        )
-        featurize = featurize_flat
-        kind, net_for_ckpt, widths_for_ckpt, layer_norm = KIND_MLP, None, widths, False
-        voxel_flag = False
+        loss_cfg = dataclasses.replace(loss_cfg, beta=0.0, mode="plain_l2")
     elif args.no_voxel:
         widths = tuple(config.get("no_voxel_widths", (64, 64, 64, 64))) + net_cfg.fc_widths
         model = build_mlp_net(22, widths, seed=seed, layer_norm=True)
-        featurize = featurize_flat
-        kind, net_for_ckpt, widths_for_ckpt, layer_norm = KIND_MLP, None, widths, True
-        voxel_flag = False
     else:
-        grid_spec = (
-            GridSpec.from_config(config["grid"]) if "grid" in config
-            else GridSpec.for_geometry(geometry)
-        )
-        model = build_voxel_net(net_cfg, input_shape=(2,) + grid_spec.dims)
-        featurize = lambda recs: featurize_voxel(recs, layout, grid_spec)
-        kind, net_for_ckpt, widths_for_ckpt, layer_norm = KIND_VOXEL, net_cfg, None, True
-        voxel_flag = True
+        model = build_voxel_net(net_cfg, input_shape=(2, *featurization["grid"]["dims"]))
 
+    featurize = featurizer(featurization)
     train_samples = featurize(train_records)
     val_samples = featurize(val_records)
     report = train(model, train_samples, val_samples, loss_cfg, train_cfg,
@@ -421,14 +385,11 @@ def cmd_train(args) -> int:
     save_checkpoint(
         ckpt_path,
         model,
-        kind=kind,
-        net_config=net_for_ckpt,
-        hidden_widths=widths_for_ckpt,
-        layer_norm=layer_norm,
+        featurization=featurization,
         loss_config=loss_cfg,
         metadata={
             "sources": sorted(sources),
-            "ablation": {"voxel": voxel_flag, "alpha": use_alpha},
+            "ablation": {"voxel": voxel, "alpha": use_alpha},
             "model": args.model,
             "best_epoch": report.best_epoch,
             "best_val_loss": report.best_val_loss,
@@ -461,25 +422,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _predict_records(records, model_kind, model_path, config: dict):
-    layout, geometry = _layout_and_geometry(config)
-    f_true = np.stack([r.f_3d for r in records])
+def _predict_records(records, model_kind, model_path):
+    """Predictions for the records, with features built only from what the
+    model file records about its own inputs."""
     if model_kind == "oracle":
-        return f_true, {"kind": "oracle"}
+        return np.stack([r.f_3d for r in records]), {"kind": "oracle"}
     if model_kind == "linear":
-        model = LinearModel.from_json(model_path, layout)
+        model = LinearModel.from_json(model_path)
         preds = np.stack([linear_predict(model, r.e) for r in records])
         return preds, {"kind": "linear", "S": model.scale.tolist()}
     # checkpoint
     model, meta = load_checkpoint(model_path)
-    if model.input_kind == "voxel":
-        grid_spec = (
-            GridSpec.from_config(config["grid"]) if "grid" in config
-            else GridSpec.for_geometry(geometry)
-        )
-        samples = featurize_voxel(records, layout, grid_spec)
-    else:
-        samples = featurize_flat(records)
+    samples = featurizer(meta["featurization"])(records)
     preds = []
     for start in range(0, len(records), 512):
         preds.append(model.forward(samples.inputs[start : start + 512]))
@@ -488,7 +442,6 @@ def _predict_records(records, model_kind, model_path, config: dict):
 
 def cmd_eval(args) -> int:
     t0 = time.monotonic()
-    config = _load_json(args.config, "config") if args.config else {}
     splits, _ = load_manifest_splits(args.manifest)
     if args.split not in splits:
         raise ConfigError(f"unknown split {args.split!r}")
@@ -497,12 +450,10 @@ def cmd_eval(args) -> int:
         records = filter_by_sources(records, resolve_sources(args.sources))
     if not records:
         raise DataIntegrityError(f"no samples in split {args.split!r} for {args.sources}")
-    if args.model_kind == "checkpoint" and args.model is None:
-        raise ConfigError("--model is required for --model-kind checkpoint")
-    if args.model_kind == "linear" and args.model is None:
-        raise ConfigError("--model is required for --model-kind linear")
+    if args.model_kind != "oracle" and args.model is None:
+        raise ConfigError(f"--model is required for --model-kind {args.model_kind}")
 
-    preds, model_info = _predict_records(records, args.model_kind, args.model, config)
+    preds, model_info = _predict_records(records, args.model_kind, args.model)
     f_true = np.stack([r.f_3d for r in records])
     tags = [r.source_tag for r in records]
     rows, excluded = evaluate_pairs(f_true, preds, tags)
@@ -632,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ev.add_argument("--split", default="test", help="dataset split to evaluate")
     p_ev.add_argument("--sources", default="mixed", help="restrict to a source, or mixed")
-    p_ev.add_argument("--config", default=None, help="eval config JSON (grid spec override)")
     p_ev.add_argument("--out", required=True, help="output directory")
     p_ev.set_defaults(func=cmd_eval)
     return parser

@@ -9,14 +9,15 @@ retained ("force samples").
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataIntegrityError, SchemaError
+from .errors import ConfigError, DataIntegrityError, SchemaError
 from .net.training import ArraySamples
-from .sensor import ElectrodeLayout
+from .sensor import ElectrodeLayout, SurfaceGeometry
 from .voxel import GridSpec, encode
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -214,6 +215,44 @@ def load_manifest_splits(manifest_path) -> tuple[dict[str, list[SampleRecord]], 
 
 def filter_by_sources(records: list[SampleRecord], sources: set[str]) -> list[SampleRecord]:
     return [r for r in records if r.source_tag in sources]
+
+
+FEATURIZE_VOXEL = "voxel"
+FEATURIZE_FLAT = "flat"
+
+
+def featurization_record(
+    voxel: bool,
+    layout: ElectrodeLayout,
+    geometry: SurfaceGeometry,
+    grid: dict | None = None,
+) -> dict:
+    """The JSON record of how a model's inputs are built.
+
+    Flat models read (e, s_c) alone: {"kind": "flat"}. Voxel nets also need
+    the resolved grid (the `grid` config if given, else the grid covering
+    `geometry`) and the electrode layout whose cells the values fill.
+    Geometry reaches the inputs only through those two, so it is not stored.
+    """
+    if not voxel:
+        return {"kind": FEATURIZE_FLAT}
+    spec = GridSpec.from_config(grid) if grid is not None else GridSpec.for_geometry(geometry)
+    return {"kind": FEATURIZE_VOXEL, "grid": spec.to_config(), "layout": layout.to_dict()}
+
+
+def featurizer(record: dict) -> Callable[[list[SampleRecord]], ArraySamples]:
+    """The featurize call a featurization record describes."""
+    try:
+        kind = record["kind"]
+        if kind == FEATURIZE_FLAT:
+            return featurize_flat
+        if kind == FEATURIZE_VOXEL:
+            layout = ElectrodeLayout.from_dict(record["layout"])
+            spec = GridSpec.from_config(record["grid"])
+            return lambda records: featurize_voxel(records, layout, spec)
+    except KeyError as exc:
+        raise ConfigError(f"featurization record missing field {exc.args[0]!r}") from exc
+    raise ConfigError(f"unknown featurization kind {kind!r}")
 
 
 def featurize_voxel(

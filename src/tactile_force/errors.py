@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes: configuration/usage problems
 exit 2, data-integrity problems exit 3, numerical failures exit 4.
 """
 
+import dataclasses
+
 
 class TactileForceError(Exception):
     """Base class for all package errors."""
@@ -39,3 +41,12 @@ class DataIntegrityError(TactileForceError):
 
 class NumericalError(TactileForceError):
     """Numerical failure: non-finite state, gradient, or loss."""
+
+
+def config_from_dict(cls, d: dict):
+    """The config dataclass `cls` from a dict: absent fields take the class
+    defaults, and an unknown key is an error, not a silently ignored setting."""
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"{cls.__name__}: unknown key(s) {unknown}")
+    return cls(**d)

@@ -1,5 +1,11 @@
 """Model checkpoints: a single .npz holding parameter tensors plus a JSON
-metadata blob (model kind, configs, training stats, ablation flags)."""
+metadata blob.
+
+The blob is self-describing: the model's build record ("kind" and "args",
+enough to rebuild the layers), the featurization record that built its
+inputs, the loss config, and free-form training metadata (training stats,
+ablation flags, sources).
+"""
 
 from __future__ import annotations
 
@@ -10,33 +16,21 @@ import numpy as np
 
 from ..errors import ConfigError
 from .losses import LossConfig
-from .network import Model, NetworkConfig, build_mlp_net, build_voxel_net
-
-KIND_VOXEL = "voxel_net"
-KIND_MLP = "mlp_net"
+from .network import KIND_MLP, KIND_VOXEL, Model, NetworkConfig, build_mlp_net, build_voxel_net
 
 
 def save_checkpoint(
     path,
     model: Model,
     *,
-    kind: str,
-    net_config: NetworkConfig | None = None,
-    hidden_widths: tuple[int, ...] | None = None,
-    layer_norm: bool = True,
+    featurization: dict,
     loss_config: LossConfig | None = None,
     metadata: dict | None = None,
 ) -> None:
-    """Write the model parameters and enough metadata to rebuild it."""
-    if kind not in (KIND_VOXEL, KIND_MLP):
-        raise ConfigError(f"unknown checkpoint kind {kind!r}")
+    """Write the model parameters, its build record and its featurization."""
     meta = {
-        "kind": kind,
-        "input_kind": model.input_kind,
-        "input_shape": list(model.input_shape),
-        "net_config": net_config.to_dict() if net_config else None,
-        "hidden_widths": list(hidden_widths) if hidden_widths else None,
-        "layer_norm": layer_norm,
+        **model.build,
+        "featurization": featurization,
         "loss_config": loss_config.to_dict() if loss_config else None,
         "metadata": metadata or {},
     }
@@ -49,22 +43,25 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
-    """Rebuild the model from a checkpoint; returns (model, metadata dict)."""
+    """Rebuild the model from a checkpoint; returns (model, metadata dict).
+
+    The metadata's "featurization" entry describes the model's inputs. A
+    checkpoint without a build or featurization record cannot be scored
+    safely and is rejected with a ConfigError naming the missing field.
+    """
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         n_params = sum(1 for k in data.files if k.startswith("param_"))
         state = [data[f"param_{i:04d}"] for i in range(n_params)]
-    if meta["kind"] == KIND_VOXEL:
-        model = build_voxel_net(
-            NetworkConfig.from_dict(meta["net_config"]), tuple(meta["input_shape"])
-        )
-    elif meta["kind"] == KIND_MLP:
-        model = build_mlp_net(
-            input_dim=meta["input_shape"][0],
-            hidden_widths=tuple(meta["hidden_widths"]),
-            layer_norm=meta.get("layer_norm", True),
-        )
+    for field in ("kind", "args", "featurization"):
+        if field not in meta:
+            raise ConfigError(f"checkpoint {path} missing field {field!r}")
+    kind, args = meta["kind"], meta["args"]
+    if kind == KIND_VOXEL:
+        model = build_voxel_net(NetworkConfig.from_dict(args["config"]), tuple(args["input_shape"]))
+    elif kind == KIND_MLP:
+        model = build_mlp_net(**args)
     else:
-        raise ConfigError(f"unknown checkpoint kind {meta['kind']!r}")
+        raise ConfigError(f"unknown checkpoint kind {kind!r}")
     model.set_state(state)
     return model, meta

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, SchemaError
+from ..errors import ConfigError, SchemaError, config_from_dict
 
 MAGNITUDE_FLOOR_N = 0.01  # samples with weaker ground truth are excluded
 
@@ -68,14 +68,7 @@ class LossConfig:
             "mode": self.mode,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossConfig":
-        return cls(
-            beta=float(d.get("beta", 1.0)),
-            psi=np.array(d["psi"]) if "psi" in d else _default_psi(),
-            magnitude_floor=float(d.get("magnitude_floor", MAGNITUDE_FLOOR_N)),
-            mode=d.get("mode", LOSS_MODE_CASE),
-        )
+    from_dict = classmethod(config_from_dict)
 
 
 def loss_scaled_3d(f_3d: np.ndarray, f_p: np.ndarray) -> float:

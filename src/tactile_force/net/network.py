@@ -15,31 +15,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, NumericalError
+from ..errors import ConfigError, NumericalError, config_from_dict
 from .layers import CollapseDepth, Conv2d, Conv3d, Dense, Flatten, Layer, LayerNorm, Parameter, ReLU
 
 OUTPUT_DIM = 3
+KERNEL = 2  # kernel and stride of every convolution: windows never overlap
+
+KIND_VOXEL = "voxel_net"
+KIND_MLP = "mlp_net"
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Voxel network hyperparameters.
-
-    Kernel and stride are 2 for every convolutional layer; channel counts and
-    fully connected widths are the tunable knobs.
-    """
+    """Voxel network hyperparameters: channel counts and fully connected
+    widths (every convolution has kernel = stride = KERNEL)."""
 
     conv3d_channels: tuple[int, ...] = (8, 16)
     conv2d_channels: int = 32
     fc_widths: tuple[int, ...] = (128, 64)
-    kernel: int = 2
-    stride: int = 2
     layer_norm_eps: float = 1e-5
     seed: int = 0
 
     def __post_init__(self):
-        if self.kernel != 2 or self.stride != 2:
-            raise ConfigError("convolution kernel and stride are fixed at 2")
         if not self.conv3d_channels:
             raise ConfigError("at least one 3-D convolution layer is required")
         object.__setattr__(self, "conv3d_channels", tuple(int(c) for c in self.conv3d_channels))
@@ -50,36 +47,24 @@ class NetworkConfig:
             "conv3d_channels": list(self.conv3d_channels),
             "conv2d_channels": self.conv2d_channels,
             "fc_widths": list(self.fc_widths),
-            "kernel": self.kernel,
-            "stride": self.stride,
             "layer_norm_eps": self.layer_norm_eps,
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkConfig":
-        return cls(
-            conv3d_channels=tuple(d["conv3d_channels"]),
-            conv2d_channels=int(d["conv2d_channels"]),
-            fc_widths=tuple(d["fc_widths"]),
-            kernel=int(d.get("kernel", 2)),
-            stride=int(d.get("stride", 2)),
-            layer_norm_eps=float(d.get("layer_norm_eps", 1e-5)),
-            seed=int(d.get("seed", 0)),
-        )
+    from_dict = classmethod(config_from_dict)
 
 
 class Model:
     """Sequential container over layers with a shared parameter list.
 
-    `input_kind` records which featurization the model consumes: "voxel" for
-    (batch, 2, nx, ny, nz) grids, "flat" for (batch, d) vectors.
+    `build` is the JSON-able record that rebuilds the model: its kind
+    ("voxel_net" or "mlp_net") and the arguments build_voxel_net or
+    build_mlp_net was called with.
     """
 
-    def __init__(self, layers: list[Layer], input_kind: str, input_shape: tuple[int, ...]):
+    def __init__(self, layers: list[Layer], build: dict):
         self.layers = layers
-        self.input_kind = input_kind
-        self.input_shape = tuple(input_shape)
+        self.build = build
 
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.parameters()]
@@ -133,8 +118,8 @@ def build_voxel_net(
     c, sx, sy, sz = input_shape
     layers: list[Layer] = []
     for i, out_ch in enumerate(config.conv3d_channels):
-        layers.append(Conv3d(c, out_ch, config.kernel, config.stride, rng, name=f"conv3d_{i}"))
-        sx, sy, sz = (_conv_out(d, config.kernel, config.stride) for d in (sx, sy, sz))
+        layers.append(Conv3d(c, out_ch, KERNEL, KERNEL, rng, name=f"conv3d_{i}"))
+        sx, sy, sz = (_conv_out(d, KERNEL, KERNEL) for d in (sx, sy, sz))
         if min(sx, sy, sz) < 1:
             raise ConfigError(f"conv3d_{i} output collapses below 1 voxel for input {input_shape}")
         c = out_ch
@@ -142,8 +127,8 @@ def build_voxel_net(
         layers.append(ReLU(name=f"relu_conv3d_{i}"))
     layers.append(CollapseDepth())
     c, sz = c * sz, 1
-    k2d = min(config.kernel, sx, sy)  # clamp for degenerate small test grids
-    s2d = config.stride if k2d == config.kernel else 1
+    k2d = min(KERNEL, sx, sy)  # clamp for degenerate small test grids
+    s2d = KERNEL if k2d == KERNEL else 1
     layers.append(Conv2d(c, config.conv2d_channels, k2d, s2d, rng, name="conv2d"))
     sx, sy = _conv_out(sx, k2d, s2d), _conv_out(sy, k2d, s2d)
     c = config.conv2d_channels
@@ -157,7 +142,8 @@ def build_voxel_net(
         layers.append(ReLU(name=f"relu_fc_{i}"))
         dim = width
     layers.append(Dense(dim, OUTPUT_DIM, rng, name="fc_out"))
-    return Model(layers, input_kind="voxel", input_shape=input_shape)
+    args = {"config": config.to_dict(), "input_shape": list(input_shape)}
+    return Model(layers, {"kind": KIND_VOXEL, "args": args})
 
 
 def build_mlp_net(
@@ -180,4 +166,6 @@ def build_mlp_net(
         layers.append(ReLU(name=f"relu_fc_{i}"))
         dim = int(width)
     layers.append(Dense(dim, OUTPUT_DIM, rng, name="fc_out"))
-    return Model(layers, input_kind="flat", input_shape=(input_dim,))
+    args = dict(input_dim=input_dim, hidden_widths=[int(w) for w in hidden_widths], seed=seed,
+                layer_norm=layer_norm, layer_norm_eps=layer_norm_eps)
+    return Model(layers, {"kind": KIND_MLP, "args": args})

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, NumericalError
+from ..errors import ConfigError, NumericalError, config_from_dict
 from .losses import LossConfig, batch_loss_and_grad
 from .network import Model
 
@@ -44,9 +44,7 @@ class TrainingConfig:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainingConfig":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
+    from_dict = classmethod(config_from_dict)
 
 
 class LearningRateSchedule:

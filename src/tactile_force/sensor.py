@@ -248,19 +248,23 @@ class ElectrodeLayout:
         object.__setattr__(self, "normals", nrm)
 
     @classmethod
-    def from_json(cls, path) -> "ElectrodeLayout":
-        with open(path) as fh:
-            data = json.load(fh)
+    def from_dict(cls, data: dict) -> "ElectrodeLayout":
         try:
             return cls(positions=np.array(data["positions"]), normals=np.array(data["normals"]))
         except KeyError as exc:
-            raise SchemaError(f"layout file missing field {exc.args[0]!r}") from exc
+            raise SchemaError(f"layout missing field {exc.args[0]!r}") from exc
+
+    def to_dict(self) -> dict:
+        return {"positions": self.positions.tolist(), "normals": self.normals.tolist()}
+
+    @classmethod
+    def from_json(cls, path) -> "ElectrodeLayout":
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(
-                {"positions": self.positions.tolist(), "normals": self.normals.tolist()}, fh
-            )
+            json.dump(self.to_dict(), fh)
 
 
 # Synthetic default layout (real electrode coordinates are proprietary): five

@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import SampleRecord
 from .errors import NumericalError, SchemaError
 from .mechanics import (
-    Frame,
-    FrameTransform,
     ParticleGrid,
     PlanarMotion,
     PushParams,
@@ -33,11 +31,11 @@ from .mechanics import (
     friction_wrench,
     rot2,
 )
+from .net.losses import SOURCE_PLANAR
 from .sensor import (
     ContactDetection,
     ContactState,
     ElectrodeLayout,
-    SensorSample,
     SurfaceGeometry,
     detect_contact,
     surface_point_and_normal,
@@ -50,10 +48,6 @@ DEFAULT_DT_S = 1e-3
 # Static pressure synthesized from the force magnitude; 400 units/N keeps
 # pushes in the 0.1-2 N range comfortably above the contact threshold of 10.
 PRESSURE_UNITS_PER_NEWTON = 400.0
-
-SOURCE_RIGID_FT = "rigid_ft"
-SOURCE_BALL_FT = "ball_ft"
-SOURCE_PLANAR = "planar_pushing"
 
 
 def box_inertia(m: float, half_extents) -> float:
@@ -93,8 +87,6 @@ class PushEpisode:
 
     Planar arrays are expressed in the CM-centered world-aligned frame;
     contact_points are offsets from the CM (already rotated by the pose).
-    The sensor stream pairs each step with the synthesized tactile reading
-    and the sensor-frame contact state.
     """
 
     trial_id: str
@@ -111,7 +103,6 @@ class PushEpisode:
     applied_forces: np.ndarray
     static_flags: np.ndarray
     sensor_to_object: np.ndarray = None  # R such that f_3d = R @ [f_c, 0]
-    sensor_stream: list[tuple[SensorSample, ContactState]] = field(default_factory=list)
 
     @property
     def n_steps(self) -> int:
@@ -459,26 +450,16 @@ def make_planar_trials(
         episode = dataclasses.replace(episode, sensor_to_object=sensor_to_object)
 
         pressure_history: list[float] = []
-        stream: list[tuple[SensorSample, ContactState]] = []
         for i in range(episode.n_steps):
             f_c = episode.applied_forces[i]
             f_3d = sensor_to_object @ np.array([f_c[0], f_c[1], 0.0])
             magnitude = float(np.linalg.norm(f_3d))
-            p_dc = PRESSURE_UNITS_PER_NEWTON * magnitude
-            pressure_history.append(p_dc)
-            pushing = magnitude > 0.0
-            state = (
-                ContactState(s_c=contact.s_c, s_n=contact.s_n, in_contact=True)
-                if pushing
-                else ContactState.none()
-            )
-            e = sensor_forward(model, state, f_3d, rng=rng) if pushing else np.zeros(19)
-            sample = SensorSample(
-                e=e, p_dc=p_dc, p_ac=np.zeros(22), t_dc=0.0, t_ac=0.0, t=float(episode.times[i])
-            )
-            stream.append((sample, state))
+            pressure_history.append(PRESSURE_UNITS_PER_NEWTON * magnitude)
             detected = detect_contact(pressure_history)
-            if detected is ContactDetection.CONTACT and pushing:
+            if magnitude == 0.0:
+                continue
+            e = sensor_forward(model, contact, f_3d, rng=rng)
+            if detected is ContactDetection.CONTACT:
                 records.append(
                     SampleRecord(
                         trial_id=trial_id,
@@ -498,13 +479,6 @@ def make_planar_trials(
                         },
                     )
                 )
-        episode.sensor_stream.extend(stream)
         episodes.append(episode)
     return episodes, records
 
-
-def episode_force_transform(episode: PushEpisode) -> FrameTransform:
-    """Object-to-sensor transform for an episode's ground-truth forces."""
-    if episode.sensor_to_object is None:
-        raise SchemaError("episode carries no sensor orientation")
-    return FrameTransform(episode.sensor_to_object, Frame.OBJECT, Frame.SENSOR)

@@ -126,17 +126,3 @@ def encode(
         grid[(CHANNEL_CONTACT,) + voxel_index(np.asarray(s_c, dtype=float), spec)] = 1.0
     return grid
 
-
-def encode_batch(
-    e_batch: np.ndarray,
-    s_c_batch: np.ndarray,
-    layout: ElectrodeLayout,
-    spec: GridSpec,
-) -> np.ndarray:
-    """Encode many (e, s_c) pairs into a (batch, 2, nx, ny, nz) array."""
-    e_batch = np.asarray(e_batch, dtype=float)
-    s_c_batch = np.asarray(s_c_batch, dtype=float)
-    out = np.zeros((e_batch.shape[0], N_CHANNELS) + spec.dims)
-    for i in range(e_batch.shape[0]):
-        out[i] = encode(e_batch[i], s_c_batch[i], layout, spec)
-    return out

@@ -1,5 +1,7 @@
 """Tests for the per-axis linear electrode model."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from tactile_force.baselines import (
     linear_fit,
     linear_predict,
 )
-from tactile_force.errors import DegenerateInputError, SchemaError
+from tactile_force.errors import ConfigError, DegenerateInputError, SchemaError
 from tactile_force.sensor import default_electrode_layout
 
 
@@ -94,5 +96,13 @@ class TestLinearFit:
         model = LinearModel(scale=np.array([1.0, -2.0, 0.5]), layout=layout)
         path = tmp_path / "linear.json"
         model.to_json(path)
-        loaded = LinearModel.from_json(path, layout)
+        loaded = LinearModel.from_json(path)
         np.testing.assert_array_equal(loaded.scale, model.scale)
+        np.testing.assert_array_equal(loaded.layout.positions, layout.positions)
+        np.testing.assert_array_equal(loaded.layout.normals, layout.normals)
+
+    def test_json_without_layout_rejected(self, layout, tmp_path):
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps({"S": [1.0, 1.0, 1.0]}))
+        with pytest.raises(ConfigError, match="'layout'"):
+            LinearModel.from_json(path)

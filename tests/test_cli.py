@@ -7,8 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tactile_force.baselines import LinearModel, linear_predict
 from tactile_force.cli import main
-from tactile_force.metrics import summarize
+from tactile_force.dataset import featurize_voxel, load_manifest_splits
+from tactile_force.metrics import evaluate_pairs, summarize
+from tactile_force.net import load_checkpoint
+from tactile_force.sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
+from tactile_force.voxel import GridSpec
 
 
 def run(args):
@@ -292,3 +297,134 @@ class TestTrainEval:
         for metric in ("direction_pct", "magnitude_pct", "magnitude_l1"):
             recomputed = summarize([float(r[metric]) for r in rows]).to_dict()
             assert summary["overall"][metric] == recomputed
+
+
+def exit_code(args):
+    """The CLI's exit code, counting argparse's usage exit."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+def per_sample_rows(eval_dir):
+    with open(eval_dir / "per_sample.csv") as fh:
+        return [
+            (float(r["direction_pct"]), float(r["magnitude_pct"]),
+             float(r["magnitude_l1"]), r["source_tag"])
+            for r in csv.DictReader(fh)
+        ]
+
+
+def scored_rows(records, preds):
+    rows, _ = evaluate_pairs(
+        np.stack([r.f_3d for r in records]), preds, [r.source_tag for r in records]
+    )
+    return [(r.direction_pct, r.magnitude_pct, r.magnitude_l1, r.source_tag) for r in rows]
+
+
+class TestSelfDescribingModels:
+    """Eval featurizes from the model file alone, never from a config."""
+
+    def train(self, sim_dir, tmp_path, name, config, *extra):
+        path = write_config(tmp_path / f"{name}.json", {**TINY_TRAIN_CONFIG, **config})
+        out = tmp_path / name
+        assert run(
+            ["train", "--manifest", sim_dir / "dataset_manifest.json", "--out", out,
+             "--config", path, "--seed", "3", *extra]
+        ) == 0
+        return out
+
+    def evaluate(self, sim_dir, tmp_path, model, *extra):
+        out = tmp_path / f"eval_{model.parent.name}"
+        code = exit_code(
+            ["eval", "--manifest", sim_dir / "dataset_manifest.json", "--model", model,
+             "--out", out, *extra]
+        )
+        return code, out
+
+    def test_other_grid_dims_need_no_config_at_eval(self, sim_dir, tmp_path):
+        spec = GridSpec.for_geometry(SurfaceGeometry(), dims=(13, 13, 9))
+        model_dir = self.train(sim_dir, tmp_path, "dims", {"grid": spec.to_config()})
+        code, eval_dir = self.evaluate(sim_dir, tmp_path, model_dir / "checkpoint.npz")
+        assert code == 0
+        summary = json.loads((eval_dir / "summary.json").read_text())
+        assert summary["model"]["kind"] == "voxel_net"
+        assert summary["model"]["ablation"] == {"voxel": True, "alpha": True}
+
+    def test_eval_scores_features_on_the_trained_grid(self, sim_dir, tmp_path):
+        geometry = SurfaceGeometry()
+        default = GridSpec.for_geometry(geometry)
+        margin = default.cell_size / 2  # same dims, other bounds
+        spec = GridSpec(default.dims, default.bounds_min - margin, default.bounds_max + margin)
+        model_dir = self.train(sim_dir, tmp_path, "bounds", {"grid": spec.to_config()})
+        code, eval_dir = self.evaluate(sim_dir, tmp_path, model_dir / "checkpoint.npz")
+        assert code == 0
+
+        records = load_manifest_splits(sim_dir / "dataset_manifest.json")[0]["test"]
+        layout = default_electrode_layout(geometry)
+        model, _ = load_checkpoint(model_dir / "checkpoint.npz")
+        preds = model.forward(featurize_voxel(records, layout, spec).inputs)
+        assert per_sample_rows(eval_dir) == scored_rows(records, preds)
+        # the bounds matter: the default grid gives other predictions
+        assert not np.array_equal(
+            preds, model.forward(featurize_voxel(records, layout, default).inputs)
+        )
+
+    def test_eval_uses_the_trained_layout_file(self, sim_dir, tmp_path):
+        default = default_electrode_layout()
+        layout = ElectrodeLayout(positions=default.positions[::-1], normals=default.normals[::-1])
+        layout_path = tmp_path / "reversed_layout.json"
+        layout.to_json(layout_path)
+        layout = ElectrodeLayout.from_json(layout_path)  # contiguous, as eval reads it
+        config = {"layout_file": str(layout_path)}
+        voxel_dir = self.train(sim_dir, tmp_path, "voxel", config)
+        linear_dir = self.train(sim_dir, tmp_path, "linear", config, "--model", "linear")
+        layout_path.unlink()  # eval must not need the file
+
+        records = load_manifest_splits(sim_dir / "dataset_manifest.json")[0]["test"]
+        code, eval_dir = self.evaluate(sim_dir, tmp_path, voxel_dir / "checkpoint.npz")
+        assert code == 0
+        model, _ = load_checkpoint(voxel_dir / "checkpoint.npz")
+        spec = GridSpec.for_geometry(SurfaceGeometry())
+        preds = model.forward(featurize_voxel(records, layout, spec).inputs)
+        assert per_sample_rows(eval_dir) == scored_rows(records, preds)
+
+        code, eval_dir = self.evaluate(
+            sim_dir, tmp_path, linear_dir / "linear_model.json", "--model-kind", "linear"
+        )
+        assert code == 0
+        scale = json.loads((linear_dir / "linear_model.json").read_text())["S"]
+        linear = LinearModel(scale=np.array(scale), layout=layout)
+        preds = np.stack([linear_predict(linear, r.e) for r in records])
+        assert per_sample_rows(eval_dir) == scored_rows(records, preds)
+
+    def test_eval_config_flag_exits_2(self, sim_dir, tmp_path):
+        config = write_config(tmp_path / "c.json", TINY_TRAIN_CONFIG)
+        code = exit_code(
+            ["eval", "--manifest", sim_dir / "dataset_manifest.json", "--model-kind", "oracle",
+             "--config", config, "--out", tmp_path / "e"]
+        )
+        assert code == 2
+
+    def test_checkpoint_without_featurization_exits_2(self, sim_dir, tmp_path, capsys):
+        model_dir = self.train(sim_dir, tmp_path, "mlp", {}, "--model", "mlp-baseline")
+        path = model_dir / "checkpoint.npz"
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        del meta["featurization"]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        code, _ = self.evaluate(sim_dir, tmp_path, path)
+        assert code == 2
+        assert "'featurization'" in capsys.readouterr().err
+
+    def test_linear_model_without_layout_exits_2(self, sim_dir, tmp_path, capsys):
+        model_dir = self.train(sim_dir, tmp_path, "linear", {}, "--model", "linear")
+        path = model_dir / "linear_model.json"
+        path.write_text(json.dumps({"S": json.loads(path.read_text())["S"]}))
+        code, _ = self.evaluate(sim_dir, tmp_path, path, "--model-kind", "linear")
+        assert code == 2
+        assert "'layout'" in capsys.readouterr().err

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from tactile_force.dataset import featurization_record
 from tactile_force.errors import ConfigError, SchemaError
 from tactile_force.net import (
     LossConfig,
     NetworkConfig,
+    TrainingConfig,
     batch_loss_and_grad,
     build_mlp_net,
     build_voxel_net,
@@ -14,6 +16,8 @@ from tactile_force.net import (
     save_checkpoint,
 )
 from tactile_force.net.checkpoint import KIND_MLP, KIND_VOXEL
+from tactile_force.sensor import SurfaceGeometry, default_electrode_layout
+from tactile_force.voxel import GridSpec
 
 
 def tiny_net(seed=0):
@@ -109,10 +113,17 @@ class TestBackward:
 
 class TestConfig:
     def test_kernel_stride_fixed_at_two(self):
-        with pytest.raises(ConfigError):
-            NetworkConfig(kernel=3)
-        with pytest.raises(ConfigError):
-            NetworkConfig(stride=1)
+        # kernel = stride = 2 by construction, so neither is a setting
+        with pytest.raises(ConfigError, match="kernel"):
+            NetworkConfig.from_dict({"kernel": 3, "conv2d_channels": 16})
+        with pytest.raises(ConfigError, match="stride"):
+            NetworkConfig.from_dict({"stride": 1})
+
+    @pytest.mark.parametrize("cls", [NetworkConfig, TrainingConfig, LossConfig])
+    def test_from_dict_takes_dataclass_defaults_and_rejects_unknown_keys(self, cls):
+        assert cls.from_dict({}).to_dict() == cls().to_dict()
+        with pytest.raises(ConfigError, match="bogus"):
+            cls.from_dict({"bogus": 1})
 
     def test_config_roundtrip(self):
         cfg = NetworkConfig(conv3d_channels=(4, 8), conv2d_channels=16, fc_widths=(32,), seed=9)
@@ -131,14 +142,21 @@ class TestCheckpoint:
         x = rng.normal(size=(2, 2, 4, 4, 4))
         expected = net.forward(x)
         path = tmp_path / "ckpt.npz"
+        geometry = SurfaceGeometry()
+        featurization = featurization_record(
+            True, default_electrode_layout(geometry), geometry,
+            GridSpec.for_geometry(geometry, dims=(4, 4, 4)).to_config(),
+        )
         save_checkpoint(
-            path, net, kind=KIND_VOXEL, net_config=cfg,
+            path, net, featurization=featurization,
             loss_config=LossConfig(), metadata={"best_epoch": 3},
         )
         loaded, meta = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.forward(x), expected)
         assert meta["metadata"]["best_epoch"] == 3
         assert meta["kind"] == KIND_VOXEL
+        assert meta["featurization"] == featurization
+        assert loaded.build == net.build
 
     def test_mlp_roundtrip(self, tmp_path):
         net = build_mlp_net(22, (8, 4), seed=1, layer_norm=False)
@@ -146,6 +164,9 @@ class TestCheckpoint:
         x = rng.normal(size=(3, 22))
         expected = net.forward(x)
         path = tmp_path / "mlp.npz"
-        save_checkpoint(path, net, kind=KIND_MLP, hidden_widths=(8, 4), layer_norm=False)
-        loaded, _ = load_checkpoint(path)
+        save_checkpoint(path, net, featurization={"kind": "flat"})
+        loaded, meta = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.forward(x), expected)
+        assert meta["kind"] == KIND_MLP
+        assert meta["featurization"] == {"kind": "flat"}
+        assert loaded.build == net.build
