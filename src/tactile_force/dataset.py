@@ -15,10 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataIntegrityError, SchemaError
+from .errors import (
+    ConfigError, DataIntegrityError, LayoutCollisionError, OutOfBoundsError, SchemaError,
+)
 from .net.training import ArraySamples
-from .sensor import ElectrodeLayout, SurfaceGeometry
-from .voxel import GridSpec, encode
+from .sensor import N_ELECTRODES, ElectrodeLayout, SurfaceGeometry
+from .voxel import (
+    CHANNEL_CONTACT, CHANNEL_ELECTRODES, N_CHANNELS, GridSpec, cell_indices, electrode_cells,
+    outside,
+)
 
 SPLIT_NAMES = ("train", "val", "test")
 
@@ -233,10 +238,16 @@ def featurization_record(
     the resolved grid (the `grid` config if given, else the grid covering
     `geometry`) and the electrode layout whose cells the values fill.
     Geometry reaches the inputs only through those two, so it is not stored.
+    A grid that puts an electrode out of bounds, or two in one cell, is a
+    ConfigError.
     """
     if not voxel:
         return {"kind": FEATURIZE_FLAT}
     spec = GridSpec.from_config(grid) if grid is not None else GridSpec.for_geometry(geometry)
+    try:
+        electrode_cells(layout, spec)
+    except (OutOfBoundsError, LayoutCollisionError) as exc:
+        raise ConfigError(f"grid does not fit the electrode layout: {exc}") from exc
     return {"kind": FEATURIZE_VOXEL, "grid": spec.to_config(), "layout": layout.to_dict()}
 
 
@@ -258,9 +269,37 @@ def featurizer(record: dict) -> Callable[[list[SampleRecord]], ArraySamples]:
 def featurize_voxel(
     records: list[SampleRecord], layout: ElectrodeLayout, spec: GridSpec
 ) -> ArraySamples:
-    """Encode records into voxel-grid model inputs plus loss context arrays."""
-    inputs = np.stack([encode(r.e, r.s_c, layout, spec) for r in records])
+    """Encode records into voxel-grid model inputs plus loss context arrays.
+
+    One scatter of every record's electrode values and contact cell into a
+    preallocated array; the result equals stacking `voxel.encode` of each
+    record. A record whose e or s_c has the wrong shape, or whose contact
+    point is not finite or lies outside the grid, is an error naming its
+    trial.
+    """
+    cells = electrode_cells(layout, spec)
+    e = _stack_field(records, "e", (N_ELECTRODES,))
+    s_c = _stack_field(records, "s_c", (3,))
+    bad = np.flatnonzero(outside(s_c, spec))
+    if bad.size:
+        r = records[bad[0]]
+        raise OutOfBoundsError(
+            f"trial {r.trial_id!r}: contact point {r.s_c.tolist()} is not a finite point "
+            f"within the grid bounds"
+        )
+    n = len(records)
+    inputs = np.zeros((n, N_CHANNELS) + spec.dims)
+    inputs[(slice(None), CHANNEL_ELECTRODES) + cells] = e
+    inputs[(np.arange(n), CHANNEL_CONTACT) + tuple(cell_indices(s_c, spec).T)] = 1.0
     return _with_context(records, inputs)
+
+
+def _stack_field(records: list[SampleRecord], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    arrays = [getattr(r, name) for r in records]
+    for r, a in zip(records, arrays):
+        if a.shape != shape:
+            raise SchemaError(f"trial {r.trial_id!r}: {name} has shape {a.shape}, expected {shape}")
+    return np.stack(arrays)
 
 
 def featurize_flat(records: list[SampleRecord]) -> ArraySamples:

@@ -2,10 +2,10 @@
 
 Every layer caches what its backward pass needs during forward, accumulates
 parameter gradients into Parameter.grad, and returns the gradient with
-respect to its input. All math is float64 numpy; convolutions are "valid"
-(no padding) and are implemented as a sum over kernel offsets of strided
-views, which keeps the arithmetic exact and vectorized for the small kernels
-used here.
+respect to its input; SparseConv3d, a first layer, returns None instead.
+All math is float64 numpy; convolutions are "valid" (no padding) and are
+implemented as a sum over kernel offsets of strided views, which keeps the
+arithmetic exact and vectorized for the small kernels used here.
 """
 
 from __future__ import annotations
@@ -129,7 +129,8 @@ class _ConvNd(Layer):
             slice(d, d + s * n, s) for d, n in zip(offset, out_spatial)
         )
 
-    def forward(self, x):
+    def _out_spatial(self, x) -> tuple[int, ...]:
+        """Output spatial dims for input x, after checking its shape."""
         if x.ndim != 2 + self.ndim or x.shape[1] != self.in_channels:
             raise SchemaError(
                 f"layer {self.name}: expected (batch, {self.in_channels}, "
@@ -141,6 +142,10 @@ class _ConvNd(Layer):
             raise SchemaError(
                 f"layer {self.name}: spatial dims {x.shape[2:]} too small for kernel {k}"
             )
+        return out_spatial
+
+    def forward(self, x):
+        out_spatial = self._out_spatial(x)
         b = x.shape[0]
         offsets = self._offsets()
         patches = np.empty((b, self.in_channels, len(offsets)) + out_spatial)
@@ -187,6 +192,62 @@ class Conv3d(_ConvNd):
 
     def __init__(self, in_channels, out_channels, kernel, stride, rng, name="conv3d"):
         super().__init__(in_channels, out_channels, kernel, stride, rng, name)
+
+
+class SparseConv3d(Conv3d):
+    """Valid 3-D convolution with kernel = stride, computed from the non-zero
+    cells of its input; for a network's first layer only.
+
+    Windows do not overlap, so each non-zero cell feeds exactly one output
+    window through one weight column (c, dx, dy, dz): forward scatter-adds
+    value * weight[:, column] into that window, and the weight gradient
+    gathers grad_out at the window times the value. Cells in the last,
+    uncovered slice of an axis fall in no window and are dropped, as in the
+    dense convolution. The result is exact for any input, dense or sparse.
+    backward returns None: the input is data, so no input gradient is
+    computed.
+    """
+
+    def __init__(self, in_channels, out_channels, kernel, rng, name="conv3d"):
+        super().__init__(in_channels, out_channels, kernel, kernel, rng, name)
+        self._cells = None
+
+    def forward(self, x):
+        out_spatial = self._out_spatial(x)
+        b, k = x.shape[0], self.kernel
+        covered = x[(slice(None), slice(None)) + tuple(slice(k * o) for o in out_spatial)]
+        cells = np.unravel_index(np.flatnonzero(covered != 0), covered.shape)
+        values = covered[cells]
+        sample, c, *pos = cells
+        window = np.ravel_multi_index([p // k for p in pos], out_spatial)
+        column = np.ravel_multi_index([c] + [p % k for p in pos], (self.in_channels,) + (k,) * 3)
+        self._cells = (sample, window, column, values)
+        n_windows = int(np.prod(out_spatial))
+        # flat output index of (sample, out channel, window), one per cell and channel
+        target = (sample[:, None] * self.out_channels + np.arange(self.out_channels)) * n_windows
+        target += window[:, None]
+        contrib = values[:, None] * self._weight_matrix()[:, column].T
+        out = np.bincount(
+            target.ravel(), weights=contrib.ravel(), minlength=b * self.out_channels * n_windows
+        )
+        # bincount of no cells at all (an all-zero batch) comes back as int
+        out = out.astype(float, copy=False).reshape((b, self.out_channels) + out_spatial)
+        out += self.bias.value.reshape(1, -1, 1, 1, 1)
+        return out
+
+    def backward(self, grad_out):
+        b = grad_out.shape[0]
+        sample, window, column, values = self._cells
+        g2 = grad_out.reshape(b, self.out_channels, -1)
+        picked = g2[sample, :, window] * values[:, None]  # (cells, out_ch)
+        n_columns = self.in_channels * self.kernel**3
+        target = np.arange(self.out_channels) * n_columns + column[:, None]
+        dw = np.bincount(
+            target.ravel(), weights=picked.ravel(), minlength=self.out_channels * n_columns
+        )
+        self.weight.grad += dw.reshape(self.weight.value.shape)
+        self.bias.grad += g2.sum(axis=(0, 2))
+        return None
 
 
 class Conv2d(_ConvNd):

@@ -179,24 +179,54 @@ def batch_loss_and_grad(
 
     Samples whose ground-truth magnitude falls below the floor are excluded
     and counted. Returns (mean loss, gradient w.r.t. predictions, n_skipped);
-    the gradient rows of skipped samples are zero.
+    the gradient rows of skipped samples are zero. One vectorized pass over
+    the batch; per sample it computes what combined_loss does.
     """
     predictions = np.asarray(predictions, dtype=float)
     n = predictions.shape[0]
     if n == 0:
         raise SchemaError("empty batch")
-    grads = np.zeros_like(predictions)
-    losses = []
-    skipped = 0
-    for i in range(n):
-        if float(np.linalg.norm(f_3d[i])) < config.magnitude_floor:
-            skipped += 1
-            continue
-        loss, grad = _combined_loss_and_grad(
-            f_3d[i], predictions[i], s_n[i], r_wb[i], str(source_tags[i]), config
-        )
-        losses.append(loss)
-        grads[i] = grad
-    if not losses:
+    f_3d = np.asarray(f_3d, dtype=float)
+    norm = np.linalg.norm(f_3d, axis=1)
+    keep = ~(norm < config.magnitude_floor)
+    n_kept = int(np.count_nonzero(keep))
+    if n_kept == 0:
         raise SchemaError("every sample in the batch fell below the magnitude floor")
-    return float(np.mean(losses)), grads / len(losses), skipped
+    f, norm = f_3d[keep], norm[keep]
+    diff = predictions[keep] - f
+    if config.mode == LOSS_MODE_PLAIN:
+        losses, grads = np.einsum("ij,ij->i", diff, diff), 2.0 * diff
+    else:
+        tags = np.asarray(source_tags)[keep]
+        known = np.isin(tags, KNOWN_SOURCES)
+        if not known.all():
+            raise ConfigError(f"unknown source tag {str(tags[~known][0])!r}")
+        if np.any(norm == 0.0):
+            raise SchemaError("loss undefined for zero ground-truth force")
+        losses, grads = _case_loss_and_grad(
+            f, diff, norm, np.asarray(s_n, dtype=float)[keep],
+            np.asarray(r_wb, dtype=float)[keep], tags == SOURCE_PLANAR, config,
+        )
+    out = np.zeros_like(predictions)
+    out[keep] = grads / n_kept
+    return float(np.mean(losses)), out, n - n_kept
+
+
+def _case_loss_and_grad(f, diff, norm, s_n, r_wb, planar, config):
+    """Per-row weighted loss and gradient of the case-by-source mode, with
+    diff = prediction - ground truth and norm = |ground truth| > 0."""
+    # scaled 3-D loss |diff| / |f|; at an exact fit the norm kink, subgradient 0
+    dist = np.linalg.norm(diff, axis=1)
+    fit = dist < 1e-300
+    scaled = np.where(fit, 0.0, dist / norm)
+    scaled_grad = diff / (np.where(fit, 1.0, dist) * norm)[:, None]
+    scaled_grad[fit] = 0.0
+    # projected loss |psi^T R_wb diff|^2 / |f|
+    u = np.einsum("nij,nj->ni", r_wb, diff) @ config.psi
+    projected = np.einsum("ni,ni->n", u, u) / norm
+    projected_grad = 2.0 * np.einsum("nji,nj->ni", r_wb, u @ config.psi.T) / norm[:, None]
+    cos = np.clip(np.einsum("ni,ni->n", s_n, f) / norm, -1.0, 1.0)
+    weight = 2.0 ** (config.beta * (1.0 - np.arccos(cos) / math.pi))
+    losses = weight * np.where(planar, projected, scaled)
+    grads = weight[:, None] * np.where(planar[:, None], projected_grad, scaled_grad)
+    return losses, grads

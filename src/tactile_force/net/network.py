@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, NumericalError, config_from_dict
-from .layers import CollapseDepth, Conv2d, Conv3d, Dense, Flatten, Layer, LayerNorm, Parameter, ReLU
+from .layers import (
+    CollapseDepth, Conv2d, Conv3d, Dense, Flatten, Layer, LayerNorm, Parameter, ReLU, SparseConv3d,
+)
 
 OUTPUT_DIM = 3
 KERNEL = 2  # kernel and stride of every convolution: windows never overlap
@@ -81,13 +83,15 @@ class Model:
             raise NumericalError("non-finite network output")
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Accumulate every parameter's gradient. The input is data: its
+        gradient is not returned, and a voxel net's first layer does not
+        compute it (it returns None)."""
         grad = grad_out
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
-            if not np.all(np.isfinite(grad)):
+            if grad is not None and not np.all(np.isfinite(grad)):
                 raise NumericalError(f"non-finite gradient flowing out of layer {layer.name}")
-        return grad
 
     def get_state(self) -> list[np.ndarray]:
         return [p.value.copy() for p in self.parameters()]
@@ -118,7 +122,11 @@ def build_voxel_net(
     c, sx, sy, sz = input_shape
     layers: list[Layer] = []
     for i, out_ch in enumerate(config.conv3d_channels):
-        layers.append(Conv3d(c, out_ch, KERNEL, KERNEL, rng, name=f"conv3d_{i}"))
+        # the first layer reads the sparse voxel grid, whose gradient nothing needs
+        if i == 0:
+            layers.append(SparseConv3d(c, out_ch, KERNEL, rng, name="conv3d_0"))
+        else:
+            layers.append(Conv3d(c, out_ch, KERNEL, KERNEL, rng, name=f"conv3d_{i}"))
         sx, sy, sz = (_conv_out(d, KERNEL, KERNEL) for d in (sx, sy, sz))
         if min(sx, sy, sz) < 1:
             raise ConfigError(f"conv3d_{i} output collapses below 1 voxel for input {input_shape}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .mechanics import (
 )
 from .net.losses import SOURCE_PLANAR
 from .sensor import (
+    CONTACT_WINDOW,
     ContactDetection,
     ContactState,
     ElectrodeLayout,
@@ -449,7 +451,8 @@ def make_planar_trials(
         r_wb = sensor_to_object.T  # planar frame is world-aligned
         episode = dataclasses.replace(episode, sensor_to_object=sensor_to_object)
 
-        pressure_history: list[float] = []
+        # detection reads only the last CONTACT_WINDOW values
+        pressure_history: deque[float] = deque(maxlen=CONTACT_WINDOW)
         for i in range(episode.n_steps):
             f_c = episode.applied_forces[i]
             f_3d = sensor_to_object @ np.array([f_c[0], f_c[1], 0.0])

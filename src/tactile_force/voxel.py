@@ -82,16 +82,46 @@ class GridSpec:
         }
 
 
+def outside(points: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """True for each point of a (..., 3) array that is not within the grid
+    bounds; a non-finite point is never within them."""
+    p = np.asarray(points, dtype=float)
+    return ~np.all((p >= spec.bounds_min) & (p <= spec.bounds_max), axis=-1)
+
+
+def cell_indices(points: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Floor-based cell indices, shape (..., 3), of in-bounds points; the max
+    corner maps to the last cell."""
+    idx = np.floor((np.asarray(points, dtype=float) - spec.bounds_min) / spec.cell_size)
+    return np.minimum(idx.astype(int), np.array(spec.dims) - 1)
+
+
 def voxel_index(point: np.ndarray, spec: GridSpec) -> tuple[int, int, int]:
     """Floor-based cell index of a point; the max corner maps to the last cell."""
     p = np.asarray(point, dtype=float)
     if p.shape != (3,):
         raise SchemaError(f"point must be a 3-vector, got shape {p.shape}")
-    if np.any(p < spec.bounds_min) or np.any(p > spec.bounds_max):
+    if outside(p, spec):
         raise OutOfBoundsError(f"point {p.tolist()} outside grid bounds")
-    idx = np.floor((p - spec.bounds_min) / spec.cell_size).astype(int)
-    idx = np.minimum(idx, np.array(spec.dims) - 1)
-    return int(idx[0]), int(idx[1]), int(idx[2])
+    return tuple(int(i) for i in cell_indices(p, spec))
+
+
+def electrode_cells(layout: ElectrodeLayout, spec: GridSpec) -> tuple[np.ndarray, ...]:
+    """The cell of every electrode as index arrays (x, y, z) in electrode
+    order. Raises if an electrode falls outside the bounds or two electrodes
+    share a cell."""
+    seen: dict[tuple[int, int, int], int] = {}
+    for i, pos in enumerate(layout.positions):
+        try:
+            idx = voxel_index(pos, spec)
+        except OutOfBoundsError as exc:
+            raise OutOfBoundsError(f"electrode {i} at {pos.tolist()} outside bounds") from exc
+        if idx in seen:
+            raise LayoutCollisionError(
+                f"electrodes {seen[idx]} and {i} both bin to voxel {idx}"
+            )
+        seen[idx] = i
+    return tuple(np.array(axis) for axis in zip(*seen))
 
 
 def encode(
@@ -110,19 +140,7 @@ def encode(
     if e.shape != (N_ELECTRODES,):
         raise SchemaError(f"expected {N_ELECTRODES} electrode values, got shape {e.shape}")
     grid = np.zeros((N_CHANNELS,) + spec.dims)
-    seen: dict[tuple[int, int, int], int] = {}
-    for i, pos in enumerate(layout.positions):
-        try:
-            idx = voxel_index(pos, spec)
-        except OutOfBoundsError as exc:
-            raise OutOfBoundsError(f"electrode {i} at {pos.tolist()} outside bounds") from exc
-        if idx in seen:
-            raise LayoutCollisionError(
-                f"electrodes {seen[idx]} and {i} both bin to voxel {idx}"
-            )
-        seen[idx] = i
-        grid[(CHANNEL_ELECTRODES,) + idx] = e[i]
+    grid[(CHANNEL_ELECTRODES,) + electrode_cells(layout, spec)] = e
     if s_c is not None:
         grid[(CHANNEL_CONTACT,) + voxel_index(np.asarray(s_c, dtype=float), spec)] = 1.0
     return grid
-

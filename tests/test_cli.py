@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -428,3 +429,33 @@ class TestSelfDescribingModels:
         code, _ = self.evaluate(sim_dir, tmp_path, path, "--model-kind", "linear")
         assert code == 2
         assert "'layout'" in capsys.readouterr().err
+
+
+class TestFeaturizationErrors:
+    def train(self, sim_dir, tmp_path, config):
+        path = write_config(tmp_path / "train.json", {**TINY_TRAIN_CONFIG, **config})
+        return exit_code(
+            ["train", "--manifest", sim_dir / "dataset_manifest.json", "--out", tmp_path / "m",
+             "--config", path]
+        )
+
+    def test_grid_too_coarse_for_layout_exits_2(self, sim_dir, tmp_path, capsys):
+        default = GridSpec.for_geometry(SurfaceGeometry())
+        center = (default.bounds_min + default.bounds_max) / 2
+        half = 3 * (default.bounds_max - default.bounds_min) / 2  # 3x wider cells
+        coarse = GridSpec(default.dims, center - half, center + half)
+        assert self.train(sim_dir, tmp_path, {"grid": coarse.to_config()}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert re.search(r"electrodes \d+ and \d+ both bin to voxel \(\d+, \d+, \d+\)", err)
+
+    def test_non_finite_contact_point_exits_3_naming_trial(self, sim_dir, tmp_path, capsys):
+        manifest = json.loads((sim_dir / "dataset_manifest.json").read_text())
+        samples = sim_dir / manifest["samples_file"]
+        records = [json.loads(line) for line in samples.read_text().splitlines()]
+        trial = manifest["splits"]["train"][0]
+        bad = next(r for r in records if r["trial_id"] == trial)
+        bad["s_c"] = [float("nan"), 0.0, 0.0]
+        samples.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert self.train(sim_dir, tmp_path, {}) == 3
+        assert f"'{trial}'" in capsys.readouterr().err

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tactile_force.errors import ConfigError, SchemaError
 from tactile_force.net.losses import (
+    KNOWN_SOURCES,
     LossConfig,
+    _combined_loss_and_grad,
     alpha_weight,
     batch_loss_and_grad,
     combined_loss,
@@ -216,3 +220,74 @@ class TestCombinedLoss:
     def test_psi_validation(self):
         with pytest.raises(ConfigError):
             LossConfig(psi=np.ones((3, 2)))
+
+
+def loop_batch_loss(pred, f3d, s_n, r_wb, tags, config):
+    """The per-sample reference for batch_loss_and_grad: a loop over samples."""
+    grads = np.zeros_like(pred)
+    losses, skipped = [], 0
+    for i in range(len(pred)):
+        if float(np.linalg.norm(f3d[i])) < config.magnitude_floor:
+            skipped += 1
+            continue
+        loss, grads[i] = _combined_loss_and_grad(
+            f3d[i], pred[i], s_n[i], r_wb[i], str(tags[i]), config
+        )
+        losses.append(loss)
+    if not losses:
+        raise SchemaError("every sample in the batch fell below the magnitude floor")
+    return float(np.mean(losses)), grads / len(losses), skipped
+
+
+@st.composite
+def loss_batches(draw):
+    """Batches over all three sources, with samples below the magnitude floor
+    and exact fits, for the case-by-source mode (beta 0 and 1) and plain_l2."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = np.array([draw(st.sampled_from([0.003, 0.5, 1.0, 5.0])) for _ in range(n)])
+    f3d = rng.normal(size=(n, 3)) * scale[:, None]
+    pred = rng.normal(size=(n, 3))
+    fit = np.array([draw(st.booleans()) for _ in range(n)])
+    pred[fit] = f3d[fit]
+    s_n = rng.normal(size=(n, 3))
+    s_n /= np.linalg.norm(s_n, axis=1, keepdims=True)
+    r_wb = np.stack([random_rotation(rng) for _ in range(n)])
+    tags = np.array([draw(st.sampled_from(KNOWN_SOURCES)) for _ in range(n)])
+    config = LossConfig(beta=draw(st.sampled_from([0.0, 1.0])),
+                        mode=draw(st.sampled_from(["case_by_source", "plain_l2"])))
+    return pred, f3d, s_n, r_wb, tags, config
+
+
+class TestBatchLossMatchesPerSampleLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(loss_batches())
+    def test_loss_gradient_and_skipped_count(self, batch):
+        try:
+            expected = loop_batch_loss(*batch)
+        except SchemaError:
+            with pytest.raises(SchemaError, match="magnitude floor"):
+                batch_loss_and_grad(*batch)
+            return
+        loss, grads, skipped = batch_loss_and_grad(*batch)
+        assert skipped == expected[2]
+        assert abs(loss - expected[0]) <= 1e-12
+        np.testing.assert_allclose(grads, expected[1], rtol=0, atol=1e-12)
+
+    def test_unknown_tag_named_unless_skipped(self):
+        f3d = np.array([[1.0, 0.0, 0.0], [0.001, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        args = (np.zeros((3, 3)), f3d, np.tile([0.0, 0.0, 1.0], (3, 1)), np.stack([np.eye(3)] * 3))
+        with pytest.raises(ConfigError, match="'mystery'"):
+            batch_loss_and_grad(*args, np.array(["rigid_ft", "ball_ft", "mystery"]), LossConfig())
+        # a sample below the floor is skipped before its tag is read
+        _, _, skipped = batch_loss_and_grad(
+            *args, np.array(["rigid_ft", "mystery", "ball_ft"]), LossConfig())
+        assert skipped == 1
+
+    def test_all_below_floor_raises(self):
+        f3d = np.full((4, 3), 1e-3)
+        with pytest.raises(SchemaError, match="magnitude floor"):
+            batch_loss_and_grad(
+                np.zeros((4, 3)), f3d, np.tile([0.0, 0.0, 1.0], (4, 1)),
+                np.stack([np.eye(3)] * 4), np.array(["rigid_ft"] * 4), LossConfig(),
+            )

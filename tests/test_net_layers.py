@@ -1,8 +1,11 @@
 """Finite-difference gradient checks for every layer type, plus a
-hand-unrolled convolution oracle."""
+hand-unrolled convolution oracle that the dense and the sparse first-layer
+convolution are both held to."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tactile_force.errors import SchemaError
 from tactile_force.net.layers import (
@@ -13,6 +16,7 @@ from tactile_force.net.layers import (
     Flatten,
     LayerNorm,
     ReLU,
+    SparseConv3d,
 )
 
 FD_STEP = 1e-6
@@ -53,6 +57,30 @@ def fd_layer_check(layer, x, seed=7, n_checks=40):
         probe(p.value, p.grad)
     probe(x, grad_x)
     return worst
+
+
+def loop_conv3d(x, w, b):
+    """Valid kernel = stride = 2 convolution by explicit loops."""
+    n, c, *dims = x.shape
+    out = np.zeros((n, w.shape[0]) + tuple(d // 2 for d in dims))
+    for bi, o, px, py, pz in np.ndindex(out.shape):
+        acc = b[o]
+        for i, dx, dy, dz in np.ndindex(c, 2, 2, 2):
+            acc += w[o, i, dx, dy, dz] * x[bi, i, 2 * px + dx, 2 * py + dy, 2 * pz + dz]
+        out[bi, o, px, py, pz] = acc
+    return out
+
+
+def loop_conv3d_weight_grad(x, grad_out):
+    """d loss / d weight of loop_conv3d, by explicit loops."""
+    c = x.shape[1]
+    dw = np.zeros((grad_out.shape[1], c, 2, 2, 2))
+    for bi, o, px, py, pz in np.ndindex(grad_out.shape):
+        for i, dx, dy, dz in np.ndindex(c, 2, 2, 2):
+            dw[o, i, dx, dy, dz] += (
+                grad_out[bi, o, px, py, pz] * x[bi, i, 2 * px + dx, 2 * py + dy, 2 * pz + dz]
+            )
+    return dw
 
 
 class TestGradients:
@@ -134,32 +162,64 @@ class TestConvForward:
         layer = Conv3d(2, 3, 2, 2, rng)
         x = rng.normal(size=(2, 2, 5, 4, 4))
         out = layer.forward(x)
-        w, b = layer.weight.value, layer.bias.value
-        expected = np.zeros_like(out)
-        for bi in range(2):
-            for o in range(3):
-                for px in range(2):
-                    for py in range(2):
-                        for pz in range(2):
-                            acc = b[o]
-                            for i in range(2):
-                                for dx in range(2):
-                                    for dy in range(2):
-                                        for dz in range(2):
-                                            acc += (
-                                                w[o, i, dx, dy, dz]
-                                                * x[bi, i, 2 * px + dx, 2 * py + dy, 2 * pz + dz]
-                                            )
-                            expected[bi, o, px, py, pz] = acc
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        np.testing.assert_allclose(
+            out, loop_conv3d(x, layer.weight.value, layer.bias.value), atol=1e-12
+        )
 
     def test_shape_errors_name_layer(self):
         rng = np.random.default_rng(12)
-        layer = Conv3d(2, 3, 2, 2, rng, name="conv3d_0")
-        with pytest.raises(SchemaError, match="conv3d_0"):
-            layer.forward(rng.normal(size=(1, 3, 4, 4, 4)))
-        with pytest.raises(SchemaError, match="too small"):
-            layer.forward(rng.normal(size=(1, 2, 1, 4, 4)))
+        for layer in (Conv3d(2, 3, 2, 2, rng, name="conv3d_0"),
+                      SparseConv3d(2, 3, 2, rng, name="conv3d_0")):
+            with pytest.raises(SchemaError, match="conv3d_0"):
+                layer.forward(rng.normal(size=(1, 3, 4, 4, 4)))
+            with pytest.raises(SchemaError, match="too small"):
+                layer.forward(rng.normal(size=(1, 2, 1, 4, 4)))
+
+
+@st.composite
+def voxel_batches(draw):
+    """Random inputs for the first convolution: sparse grids with several
+    non-zeros in one window, values in the uncovered last slice of an odd
+    axis and all-zero samples, and dense normal grids."""
+    n = draw(st.integers(1, 3))
+    c = draw(st.integers(1, 2))
+    dims = tuple(draw(st.integers(2, 5)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+    x = rng.normal(size=(n, c) + dims) * (rng.random((n, c) + dims) < density)
+    if draw(st.booleans()):  # a full window of non-zeros
+        x[0, :, :2, :2, :2] = rng.normal(size=(c, 2, 2, 2))
+    for axis, d in enumerate(dims):
+        if d % 2 and draw(st.booleans()):  # a value in the dropped last slice
+            cell = [rng.integers(0, m) for m in dims]
+            cell[axis] = d - 1
+            x[(rng.integers(0, n), rng.integers(0, c)) + tuple(cell)] = rng.normal()
+    x[rng.random(n) < draw(st.sampled_from([0.0, 0.5]))] = 0.0  # all-zero samples
+    return x, draw(st.integers(1, 3)), rng
+
+
+class TestSparseConv3d:
+    @settings(max_examples=60, deadline=None)
+    @given(voxel_batches())
+    def test_matches_dense_conv_and_loop_oracle(self, batch):
+        x, out_ch, rng = batch
+        seed = int(rng.integers(2**32))
+        dense = Conv3d(x.shape[1], out_ch, 2, 2, np.random.default_rng(seed))
+        sparse = SparseConv3d(x.shape[1], out_ch, 2, np.random.default_rng(seed))
+        sparse.bias.value = dense.bias.value = rng.normal(size=out_ch)
+        np.testing.assert_array_equal(sparse.weight.value, dense.weight.value)
+
+        out = sparse.forward(x)
+        grad_out = rng.normal(size=out.shape)
+        assert sparse.backward(grad_out) is None
+        np.testing.assert_allclose(out, dense.forward(x), rtol=0, atol=1e-12)
+        dense.backward(grad_out)
+        np.testing.assert_allclose(out, loop_conv3d(x, sparse.weight.value, sparse.bias.value),
+                                   rtol=0, atol=1e-12)
+        for grad in (dense.weight.grad, loop_conv3d_weight_grad(x, grad_out)):
+            np.testing.assert_allclose(sparse.weight.grad, grad, rtol=0, atol=1e-12)
+        for grad in (dense.bias.grad, grad_out.sum(axis=(0, 2, 3, 4))):
+            np.testing.assert_allclose(sparse.bias.grad, grad, rtol=0, atol=1e-12)
 
 
 class TestLayerNormBehavior:

@@ -16,7 +16,7 @@ from tactile_force.net import (
     save_checkpoint,
 )
 from tactile_force.net.checkpoint import KIND_MLP, KIND_VOXEL
-from tactile_force.sensor import SurfaceGeometry, default_electrode_layout
+from tactile_force.sensor import ElectrodeLayout, SurfaceGeometry
 from tactile_force.voxel import GridSpec
 
 
@@ -143,10 +143,13 @@ class TestCheckpoint:
         expected = net.forward(x)
         path = tmp_path / "ckpt.npz"
         geometry = SurfaceGeometry()
-        featurization = featurization_record(
-            True, default_electrode_layout(geometry), geometry,
-            GridSpec.for_geometry(geometry, dims=(4, 4, 4)).to_config(),
+        spec = GridSpec.for_geometry(geometry, dims=(4, 4, 4))
+        # the default layout does not fit 4x4x4 cells: one electrode per cell
+        layout = ElectrodeLayout(
+            positions=[spec.cell_center(np.unravel_index(i, spec.dims)) for i in range(19)],
+            normals=np.tile([0.0, 0.0, 1.0], (19, 1)),
         )
+        featurization = featurization_record(True, layout, geometry, spec.to_config())
         save_checkpoint(
             path, net, featurization=featurization,
             loss_config=LossConfig(), metadata={"best_epoch": 3},

@@ -17,7 +17,14 @@ from tactile_force.mechanics import (
     PushParams,
     infer_force_with_friction,
 )
-from tactile_force.sensor import ContactState, SurfaceGeometry, default_electrode_layout
+from tactile_force import synthetic
+from tactile_force.sensor import (
+    CONTACT_WINDOW,
+    ContactState,
+    SurfaceGeometry,
+    default_electrode_layout,
+    detect_contact,
+)
 from tactile_force.synthetic import (
     SensorForwardModel,
     box_inertia,
@@ -246,6 +253,18 @@ class TestGenerators:
             back = r.r_wb @ r.f_3d
             np.testing.assert_allclose(back[2], 0.0, atol=1e-9)
             np.testing.assert_allclose(back[:2], f_c, atol=1e-9)
+
+    def test_planar_contact_detection_reads_only_its_window(self, forward_model, monkeypatch):
+        lengths = []
+
+        def spy(history, *args, **kwargs):
+            lengths.append(len(history))
+            return detect_contact(history, *args, **kwargs)
+
+        monkeypatch.setattr(synthetic, "detect_contact", spy)
+        make_planar_trials(forward_model, SurfaceGeometry(), n_trials=1, steps=200, seed=11)
+        assert len(lengths) == 200
+        assert max(lengths) == CONTACT_WINDOW  # not the whole, growing history
 
     def test_random_rotation_is_proper(self):
         rng = np.random.default_rng(13)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tactile_force.dataset import SampleRecord, featurize_voxel
 from tactile_force.errors import LayoutCollisionError, OutOfBoundsError, SchemaError
 from tactile_force.sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
 from tactile_force.voxel import (
@@ -48,6 +51,13 @@ class TestVoxelIndex:
 
     def test_default_dims(self, spec):
         assert spec.dims == (15, 15, 7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, spec, bad):
+        point = spec.cell_center((1, 1, 1))
+        point[1] = bad
+        with pytest.raises(OutOfBoundsError):
+            voxel_index(point, spec)
 
 
 class TestEncode:
@@ -154,3 +164,41 @@ class TestGridSpec:
                 bounds_min=np.array([0.0, 0.0, 0.0]),
                 bounds_max=np.array([1.0, -1.0, 1.0]),
             )
+
+
+def record(trial_id, e, s_c):
+    return SampleRecord(trial_id=trial_id, source_tag="rigid_ft", e=e, s_c=s_c,
+                        s_n=[0.0, 0.0, 1.0], f_3d=[0.0, 0.0, 1.0], r_wb=np.eye(3))
+
+
+class TestFeaturizeVoxel:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           dims=st.sampled_from([(15, 15, 7), (13, 13, 9)]))
+    def test_equals_stacked_encode(self, seed, n, dims):
+        geometry = SurfaceGeometry()
+        layout = default_electrode_layout(geometry)
+        spec = GridSpec.for_geometry(geometry, dims=dims)
+        rng = np.random.default_rng(seed)
+        corners = [spec.bounds_max, spec.bounds_min, spec.cell_center((1, 2, 3)) - spec.cell_size / 2]
+        points = rng.uniform(spec.bounds_min, spec.bounds_max, size=(n, 3))
+        points[: len(corners)] = corners[:n]
+        records = [record(f"t{i}", rng.normal(size=19), p) for i, p in enumerate(points)]
+        expected = np.stack([encode(r.e, r.s_c, layout, spec) for r in records])
+        inputs = featurize_voxel(records, layout, spec).inputs
+        assert inputs.dtype == expected.dtype and inputs.shape == expected.shape
+        assert inputs.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0])
+    def test_bad_contact_point_names_trial(self, layout, spec, bad):
+        s_c = spec.cell_center((2, 2, 2))
+        s_c[2] = bad
+        records = [record("ok", np.zeros(19), spec.cell_center((1, 1, 1))),
+                   record("trial_7", np.zeros(19), s_c)]
+        with pytest.raises(OutOfBoundsError, match="'trial_7'"):
+            featurize_voxel(records, layout, spec)
+
+    def test_wrong_electrode_count_names_trial(self, layout, spec):
+        records = [record("short", np.zeros(18), spec.cell_center((1, 1, 1)))]
+        with pytest.raises(SchemaError, match="'short'"):
+            featurize_voxel(records, layout, spec)
