@@ -25,6 +25,7 @@ from .dataset import (
     featurization_record,
     featurizer,
     filter_by_sources,
+    load_json,
     load_manifest_splits,
     make_dataset,
     write_manifest,
@@ -117,16 +118,6 @@ def write_run_manifest(out_dir: Path, command: str, args_dict: dict, outputs: li
     write_json_atomic(out_dir / "run_manifest.json", manifest)
 
 
-def _load_json(path, what: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{what} file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
-
-
 def _push_params_from_config(config: dict) -> tuple[PushParams, tuple[float, float]]:
     params_cfg = dict(config.get("params", {}))
     half_extents = tuple(config.get("box_half_extents", DEFAULT_BOX_HALF_EXTENTS_M))
@@ -148,7 +139,7 @@ def _layout_and_geometry(config: dict):
         except SchemaError as exc:
             raise ConfigError(str(exc)) from exc
     if "layout_file" in config:
-        layout = ElectrodeLayout.from_json(config["layout_file"])
+        layout = ElectrodeLayout.from_dict(load_json(config["layout_file"], "layout"))
     else:
         layout = default_electrode_layout(geometry)
     return layout, geometry
@@ -163,7 +154,7 @@ def _sensor_model_from_config(config: dict) -> tuple[SensorForwardModel, Surface
 
 def cmd_simulate(args) -> int:
     t0 = time.monotonic()
-    config = _load_json(args.config, "config")
+    config = load_json(args.config, "config")
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -259,7 +250,7 @@ def _read_episode_rows(path) -> list[dict]:
 def cmd_infer(args) -> int:
     t0 = time.monotonic()
     rows = _read_episode_rows(args.episode)
-    params_cfg = _load_json(args.params, "params")
+    params_cfg = load_json(args.params, "params")
     half_extents = params_cfg.get("box_half_extents")
     if half_extents is None:
         raise ConfigError("params config missing field 'box_half_extents'")
@@ -327,7 +318,7 @@ def _train_configs(config: dict, seed: int):
 
 def cmd_train(args) -> int:
     t0 = time.monotonic()
-    config = _load_json(args.config, "config") if args.config else {}
+    config = load_json(args.config, "config") if args.config else {}
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     sources = resolve_sources(args.sources)
     out_dir = Path(args.out)

@@ -26,6 +26,8 @@ from .voxel import (
 )
 
 SPLIT_NAMES = ("train", "val", "test")
+# shape of each array field of a samples-file record; R_wb is a flat row-major 3x3
+RECORD_ARRAY_SHAPES = {"e": (N_ELECTRODES,), "s_c": (3,), "s_n": (3,), "f_3d": (3,), "R_wb": (9,)}
 
 
 @dataclass(frozen=True)
@@ -72,20 +74,48 @@ class SampleRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SampleRecord":
+        """A samples-file record; a missing or wrong-shape field is a SchemaError."""
         try:
+            trial_id = str(d["trial_id"])
+            arrays = {name: _array_field(d, name, trial_id) for name in RECORD_ARRAY_SHAPES}
             return cls(
-                trial_id=str(d["trial_id"]),
+                trial_id=trial_id,
                 source_tag=str(d["source_tag"]),
-                e=np.array(d["e"], dtype=float),
-                s_c=np.array(d["s_c"], dtype=float),
-                s_n=np.array(d["s_n"], dtype=float),
-                f_3d=np.array(d["f_3d"], dtype=float),
-                r_wb=np.array(d["R_wb"], dtype=float).reshape(3, 3),
+                e=arrays["e"],
+                s_c=arrays["s_c"],
+                s_n=arrays["s_n"],
+                f_3d=arrays["f_3d"],
+                r_wb=arrays["R_wb"].reshape(3, 3),
                 in_contact=bool(d.get("in_contact", True)),
                 motion=d.get("motion"),
             )
         except KeyError as exc:
             raise SchemaError(f"sample record missing field {exc.args[0]!r}") from exc
+
+
+def _array_field(d: dict, name: str, trial_id: str) -> np.ndarray:
+    shape = RECORD_ARRAY_SHAPES[name]
+    try:
+        array = np.array(d[name], dtype=float)
+    except (TypeError, ValueError) as exc:  # not numbers, or a ragged nesting
+        raise SchemaError(f"trial {trial_id!r}: field {name!r}: {exc}") from exc
+    if array.shape != shape:
+        raise SchemaError(
+            f"trial {trial_id!r}: field {name!r} has shape {array.shape}, expected {shape}"
+        )
+    return array
+
+
+def load_json(path, what: str) -> dict:
+    """A JSON file's content; a missing or non-JSON file is a ConfigError
+    naming it as `what`."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
 def write_samples_jsonl(records, path) -> None:
@@ -191,16 +221,21 @@ def write_manifest(splits: DatasetSplits, samples_file: str, path, seed: int) ->
 def load_manifest_splits(manifest_path) -> tuple[dict[str, list[SampleRecord]], dict]:
     """Load the samples file referenced by a manifest and group by split.
 
-    Raises DataIntegrityError if a trial id appears in more than one split.
+    Errors name the file: a missing or non-JSON manifest is a ConfigError, a
+    malformed one a SchemaError, and a missing samples file or a trial id in
+    more than one split a DataIntegrityError.
     """
     manifest_path = Path(manifest_path)
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = load_json(manifest_path, "manifest")
     try:
         split_ids = {name: list(manifest["splits"][name]) for name in SPLIT_NAMES}
         samples_file = manifest["samples_file"]
     except KeyError as exc:
-        raise SchemaError(f"manifest missing field {exc.args[0]!r}") from exc
+        raise SchemaError(f"manifest {manifest_path} missing field {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise SchemaError(
+            f"manifest {manifest_path}: 'splits' must map train/val/test to lists of trial ids"
+        ) from exc
     seen: dict[str, str] = {}
     for name, ids in split_ids.items():
         for tid in ids:
@@ -209,7 +244,13 @@ def load_manifest_splits(manifest_path) -> tuple[dict[str, list[SampleRecord]], 
                     f"trial {tid!r} assigned to both {seen[tid]} and {name}"
                 )
             seen[tid] = name
-    records = read_samples_jsonl(manifest_path.parent / samples_file)
+    samples_path = manifest_path.parent / samples_file
+    try:
+        records = read_samples_jsonl(samples_path)
+    except FileNotFoundError as exc:
+        raise DataIntegrityError(
+            f"manifest {manifest_path}: samples file not found: {samples_path}"
+        ) from exc
     splits = {name: [] for name in SPLIT_NAMES}
     for r in records:
         name = seen.get(r.trial_id)
@@ -238,14 +279,16 @@ def featurization_record(
     the resolved grid (the `grid` config if given, else the grid covering
     `geometry`) and the electrode layout whose cells the values fill.
     Geometry reaches the inputs only through those two, so it is not stored.
-    A grid that puts an electrode out of bounds, or two in one cell, is a
-    ConfigError.
+    A malformed grid, or one that puts an electrode out of bounds or two in
+    one cell, is a ConfigError.
     """
     if not voxel:
         return {"kind": FEATURIZE_FLAT}
-    spec = GridSpec.from_config(grid) if grid is not None else GridSpec.for_geometry(geometry)
     try:
+        spec = GridSpec.from_config(grid) if grid is not None else GridSpec.for_geometry(geometry)
         electrode_cells(layout, spec)
+    except SchemaError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
     except (OutOfBoundsError, LayoutCollisionError) as exc:
         raise ConfigError(f"grid does not fit the electrode layout: {exc}") from exc
     return {"kind": FEATURIZE_VOXEL, "grid": spec.to_config(), "layout": layout.to_dict()}

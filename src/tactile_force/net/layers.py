@@ -3,9 +3,9 @@
 Every layer caches what its backward pass needs during forward, accumulates
 parameter gradients into Parameter.grad, and returns the gradient with
 respect to its input; SparseConv3d, a first layer, returns None instead.
-All math is float64 numpy; convolutions are "valid" (no padding) and are
-implemented as a sum over kernel offsets of strided views, which keeps the
-arithmetic exact and vectorized for the small kernels used here.
+All math is float64 numpy. Convolutions are "valid" (no padding) with
+kernel = stride, so their windows never overlap: a dense convolution is a
+crop, a space-to-depth reshape and one matmul.
 """
 
 from __future__ import annotations
@@ -83,105 +83,85 @@ class Dense(Layer):
 
 
 class _ConvNd(Layer):
-    """Valid N-D convolution via patch extraction (im2col) and one matmul.
+    """Valid N-D convolution with kernel = stride, as one matmul.
 
-    The strided input patches are gathered into (batch, in_ch * k^ndim,
-    n_windows) once per forward and cached; forward and both backward
-    contractions then reduce to single BLAS calls.
+    Windows do not overlap, so the input cropped to the region they cover
+    reshapes (space-to-depth) into one row of in_ch * k^ndim values per
+    sample and window, ordered like the weight's (in_ch, dx, dy, ...) axes.
+    Forward multiplies the rows by the weight matrix and backward takes two
+    more matmuls. The input gradient is the inverse reshape written into
+    zeros, so the last, uncovered slice of an axis gets a zero gradient.
+    Subclasses set ndim.
     """
-
-    ndim = 3
 
     def __init__(
         self,
         in_channels: int,
         out_channels: int,
         kernel: int,
-        stride: int,
         rng: np.random.Generator,
-        name: str,
+        name: str | None = None,
     ):
-        self.name = name
+        self.name = name or f"conv{self.ndim}d"
         self.in_channels, self.out_channels = in_channels, out_channels
-        self.kernel, self.stride = kernel, stride
+        self.kernel = kernel
         fan_in = in_channels * kernel**self.ndim
         self.weight = Parameter(
-            f"{name}.weight",
+            f"{self.name}.weight",
             _fan_in_uniform(rng, (out_channels, in_channels) + (kernel,) * self.ndim, fan_in),
         )
-        self.bias = Parameter(f"{name}.bias", np.zeros(out_channels))
-        self._patches = None
-        self._in_spatial = None
+        self.bias = Parameter(f"{self.name}.bias", np.zeros(out_channels))
+        self._rows = None
+        self._in_shape = None
 
     def parameters(self):
         return [self.weight, self.bias]
 
-    def _offsets(self):
-        ranges = [range(self.kernel)] * self.ndim
-        out = [()]
-        for r in ranges:
-            out = [o + (d,) for o in out for d in r]
-        return out
-
-    def _window(self, offset, out_spatial):
-        s = self.stride
-        return tuple(
-            slice(d, d + s * n, s) for d, n in zip(offset, out_spatial)
-        )
-
-    def _out_spatial(self, x) -> tuple[int, ...]:
-        """Output spatial dims for input x, after checking its shape."""
+    def _crop(self, x):
+        """The region of x that the windows cover, as a view, and the output
+        spatial dims, after checking x's shape."""
         if x.ndim != 2 + self.ndim or x.shape[1] != self.in_channels:
             raise SchemaError(
                 f"layer {self.name}: expected (batch, {self.in_channels}, "
                 f"{self.ndim} spatial dims), got {x.shape}"
             )
-        k, s = self.kernel, self.stride
-        out_spatial = tuple((d - k) // s + 1 for d in x.shape[2:])
-        if any(d < 1 for d in out_spatial):
+        k = self.kernel
+        out_spatial = tuple(d // k for d in x.shape[2:])
+        if min(out_spatial) < 1:
             raise SchemaError(
                 f"layer {self.name}: spatial dims {x.shape[2:]} too small for kernel {k}"
             )
-        return out_spatial
+        covered = x[(slice(None), slice(None)) + tuple(slice(k * o) for o in out_spatial)]
+        return covered, out_spatial
 
-    def forward(self, x):
-        out_spatial = self._out_spatial(x)
-        b = x.shape[0]
-        offsets = self._offsets()
-        patches = np.empty((b, self.in_channels, len(offsets)) + out_spatial)
-        for j, off in enumerate(offsets):
-            patches[:, :, j] = x[(slice(None), slice(None)) + self._window(off, out_spatial)]
-        n_windows = int(np.prod(out_spatial))
-        self._patches = patches.reshape(b, self.in_channels * len(offsets), n_windows)
-        self._in_spatial = x.shape[2:]
-        w2 = self._weight_matrix()
-        out = np.tensordot(w2, self._patches, axes=([1], [1]))  # (out_ch, b, windows)
-        out = np.moveaxis(out, 0, 1).reshape((b, self.out_channels) + out_spatial)
-        return out + self.bias.value.reshape((1, -1) + (1,) * self.ndim)
+    def _space_to_depth(self, covered):
+        """A view of the covered input with axes (b, o_1, ..., o_ndim, in_ch,
+        k, ..., k): each window's values, ordered like the weight's axes."""
+        b, c, *dims = covered.shape
+        k = self.kernel
+        split = covered.reshape(b, c, *(n for d in dims for n in (d // k, k)))
+        return split.transpose(0, *range(2, split.ndim, 2), 1, *range(3, split.ndim, 2))
 
     def _weight_matrix(self):
-        # (out_ch, in_ch * k^ndim) with the offset axis ordered like _offsets()
-        return self.weight.value.reshape(self.out_channels, self.in_channels, -1).reshape(
-            self.out_channels, -1
-        )
+        # (out_ch, in_ch * k^ndim), columns ordered like the weight's (in_ch, dx, dy, ...)
+        return self.weight.value.reshape(self.out_channels, -1)
+
+    def forward(self, x):
+        covered, out_spatial = self._crop(x)
+        w = self._weight_matrix()
+        self._rows = self._space_to_depth(covered).reshape(-1, w.shape[1])
+        self._in_shape = x.shape
+        out = self._rows @ w.T + self.bias.value
+        return np.moveaxis(out.reshape((x.shape[0],) + out_spatial + (self.out_channels,)), -1, 1)
 
     def backward(self, grad_out):
-        b = grad_out.shape[0]
-        out_spatial = grad_out.shape[2:]
-        g2 = grad_out.reshape(b, self.out_channels, -1)
-        dw = np.tensordot(g2, self._patches, axes=([0, 2], [0, 2]))
-        self.weight.grad += dw.reshape(self.weight.value.shape)
-        self.bias.grad += g2.sum(axis=(0, 2))
-        dpatches = np.tensordot(self._weight_matrix(), g2, axes=([0], [1]))  # (ck, b, win)
-        offsets = self._offsets()
-        dpatches = np.moveaxis(dpatches, 1, 0).reshape(
-            (b, self.in_channels, len(offsets)) + tuple(out_spatial)
-        )
-        grad_x = np.zeros((b, self.in_channels) + self._in_spatial)
-        for j, off in enumerate(offsets):
-            grad_x[(slice(None), slice(None)) + self._window(off, out_spatial)] += dpatches[
-                :, :, j
-            ]
+        g = np.moveaxis(grad_out, 1, -1).reshape(-1, self.out_channels)  # (b * windows, out_ch)
+        self.weight.grad += (g.T @ self._rows).reshape(self.weight.value.shape)
+        self.bias.grad += g.sum(axis=0)
+        grad_x = np.zeros(self._in_shape)
+        # reshapes that only split axes, and transposes, are views: this writes into grad_x
+        windows = self._space_to_depth(self._crop(grad_x)[0])
+        windows[...] = (g @ self._weight_matrix()).reshape(windows.shape)
         return grad_x
 
 
@@ -189,9 +169,6 @@ class Conv3d(_ConvNd):
     """Valid 3-D convolution, weight shape (out_ch, in_ch, k, k, k)."""
 
     ndim = 3
-
-    def __init__(self, in_channels, out_channels, kernel, stride, rng, name="conv3d"):
-        super().__init__(in_channels, out_channels, kernel, stride, rng, name)
 
 
 class SparseConv3d(Conv3d):
@@ -208,14 +185,9 @@ class SparseConv3d(Conv3d):
     computed.
     """
 
-    def __init__(self, in_channels, out_channels, kernel, rng, name="conv3d"):
-        super().__init__(in_channels, out_channels, kernel, kernel, rng, name)
-        self._cells = None
-
     def forward(self, x):
-        out_spatial = self._out_spatial(x)
+        covered, out_spatial = self._crop(x)
         b, k = x.shape[0], self.kernel
-        covered = x[(slice(None), slice(None)) + tuple(slice(k * o) for o in out_spatial)]
         cells = np.unravel_index(np.flatnonzero(covered != 0), covered.shape)
         values = covered[cells]
         sample, c, *pos = cells
@@ -254,9 +226,6 @@ class Conv2d(_ConvNd):
     """Valid 2-D convolution, weight shape (out_ch, in_ch, k, k)."""
 
     ndim = 2
-
-    def __init__(self, in_channels, out_channels, kernel, stride, rng, name="conv2d"):
-        super().__init__(in_channels, out_channels, kernel, stride, rng, name)
 
 
 class LayerNorm(Layer):

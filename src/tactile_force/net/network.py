@@ -4,9 +4,9 @@ The voxel model follows the fixed pattern: a stack of 3-D convolutions, the
 depth axis folded into channels, one 2-D convolution, then fully connected
 layers down to the 3-vector force output, with layer norm and ReLU after
 every convolutional and fully connected layer except the output. All
-convolutions use kernel and stride 2; on inputs whose spatial extent has
-already shrunk below the kernel, the 2-D stage degrades to a 1x1
-convolution so reduced test configurations stay differentiable end to end.
+convolutions use kernel = stride = 2; on inputs whose spatial extent has
+already shrunk below the kernel, the 2-D stage uses kernel = stride = 1
+instead, so reduced test configurations stay differentiable end to end.
 """
 
 from __future__ import annotations
@@ -110,10 +110,6 @@ class Model:
             p.value = np.array(value, dtype=float)
 
 
-def _conv_out(size: int, kernel: int, stride: int) -> int:
-    return (size - kernel) // stride + 1
-
-
 def build_voxel_net(
     config: NetworkConfig, input_shape: tuple[int, int, int, int] = (2, 15, 15, 7)
 ) -> Model:
@@ -126,8 +122,8 @@ def build_voxel_net(
         if i == 0:
             layers.append(SparseConv3d(c, out_ch, KERNEL, rng, name="conv3d_0"))
         else:
-            layers.append(Conv3d(c, out_ch, KERNEL, KERNEL, rng, name=f"conv3d_{i}"))
-        sx, sy, sz = (_conv_out(d, KERNEL, KERNEL) for d in (sx, sy, sz))
+            layers.append(Conv3d(c, out_ch, KERNEL, rng, name=f"conv3d_{i}"))
+        sx, sy, sz = sx // KERNEL, sy // KERNEL, sz // KERNEL
         if min(sx, sy, sz) < 1:
             raise ConfigError(f"conv3d_{i} output collapses below 1 voxel for input {input_shape}")
         c = out_ch
@@ -136,9 +132,8 @@ def build_voxel_net(
     layers.append(CollapseDepth())
     c, sz = c * sz, 1
     k2d = min(KERNEL, sx, sy)  # clamp for degenerate small test grids
-    s2d = KERNEL if k2d == KERNEL else 1
-    layers.append(Conv2d(c, config.conv2d_channels, k2d, s2d, rng, name="conv2d"))
-    sx, sy = _conv_out(sx, k2d, s2d), _conv_out(sy, k2d, s2d)
+    layers.append(Conv2d(c, config.conv2d_channels, k2d, rng, name="conv2d"))
+    sx, sy = sx // k2d, sy // k2d
     c = config.conv2d_channels
     layers.append(LayerNorm((c, sx, sy), config.layer_norm_eps, name="ln_conv2d"))
     layers.append(ReLU(name="relu_conv2d"))

@@ -450,12 +450,89 @@ class TestFeaturizationErrors:
         assert re.search(r"electrodes \d+ and \d+ both bin to voxel \(\d+, \d+, \d+\)", err)
 
     def test_non_finite_contact_point_exits_3_naming_trial(self, sim_dir, tmp_path, capsys):
-        manifest = json.loads((sim_dir / "dataset_manifest.json").read_text())
-        samples = sim_dir / manifest["samples_file"]
-        records = [json.loads(line) for line in samples.read_text().splitlines()]
-        trial = manifest["splits"]["train"][0]
-        bad = next(r for r in records if r["trial_id"] == trial)
-        bad["s_c"] = [float("nan"), 0.0, 0.0]
-        samples.write_text("".join(json.dumps(r) + "\n" for r in records))
+        trial = tamper_train_record(sim_dir, "s_c", [float("nan"), 0.0, 0.0])
         assert self.train(sim_dir, tmp_path, {}) == 3
         assert f"'{trial}'" in capsys.readouterr().err
+
+    def test_grid_without_bounds_exits_2(self, sim_dir, tmp_path, capsys):
+        assert self.train(sim_dir, tmp_path, {"grid": {"dims": [15, 15, 7]}}) == 2
+        assert "'bounds'" in capsys.readouterr().err
+
+    def test_grid_with_two_dims_exits_2(self, sim_dir, tmp_path, capsys):
+        grid = GridSpec.for_geometry(SurfaceGeometry()).to_config()
+        grid["dims"] = [15, 15]
+        assert self.train(sim_dir, tmp_path, {"grid": grid}) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_unreadable_layout_file_exits_2_naming_it(self, sim_dir, tmp_path, capsys, content):
+        layout_path = tmp_path / "layout.json"
+        if content is not None:
+            layout_path.write_text(content)
+        assert self.train(sim_dir, tmp_path, {"layout_file": str(layout_path)}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: layout file")
+        assert str(layout_path) in err
+
+
+def tamper_train_record(sim_dir, field, value):
+    """Set one field of a train-split record in the samples file; returns
+    that record's trial id."""
+    manifest = json.loads((sim_dir / "dataset_manifest.json").read_text())
+    samples = sim_dir / manifest["samples_file"]
+    records = [json.loads(line) for line in samples.read_text().splitlines()]
+    trial = manifest["splits"]["train"][0]
+    bad = next(r for r in records if r["trial_id"] == trial)
+    bad[field] = value
+    samples.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return trial
+
+
+class TestDataFileErrors:
+    """Malformed data files end with exit 2 or 3 and a message naming the
+    trial or file, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "field, size", [("e", 18), ("s_c", 2), ("s_n", 2), ("f_3d", 2), ("R_wb", 8)]
+    )
+    def test_wrong_shape_record_field_exits_3_naming_trial(
+        self, sim_dir, tmp_path, capsys, field, size
+    ):
+        trial = tamper_train_record(sim_dir, field, [0.5] * size)
+        manifest = sim_dir / "dataset_manifest.json"
+        config = write_config(tmp_path / "train.json", TINY_TRAIN_CONFIG)
+        for args in (
+            ["train", "--manifest", manifest, "--out", tmp_path / "m", "--config", config,
+             "--model", "mlp-baseline"],
+            ["eval", "--manifest", manifest, "--model-kind", "oracle", "--out", tmp_path / "e"],
+        ):
+            assert exit_code(args) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error:")
+            assert f"'{trial}'" in err and f"'{field}'" in err
+
+    def train(self, manifest, tmp_path):
+        return exit_code(["train", "--manifest", manifest, "--out", tmp_path / "m"])
+
+    def test_missing_manifest_exits_2_naming_it(self, tmp_path, capsys):
+        manifest = tmp_path / "nowhere" / "dataset_manifest.json"
+        assert self.train(manifest, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(manifest) in err
+
+    def test_splits_not_a_mapping_exits_3_naming_manifest(self, sim_dir, tmp_path, capsys):
+        manifest = sim_dir / "dataset_manifest.json"
+        data = json.loads(manifest.read_text())
+        data["splits"] = list(data["splits"]["train"])
+        manifest.write_text(json.dumps(data))
+        assert self.train(manifest, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(manifest) in err
+
+    def test_missing_samples_file_exits_3_naming_it(self, sim_dir, tmp_path, capsys):
+        manifest = sim_dir / "dataset_manifest.json"
+        samples = sim_dir / json.loads(manifest.read_text())["samples_file"]
+        samples.unlink()
+        assert self.train(manifest, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(samples) in err

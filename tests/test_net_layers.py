@@ -59,28 +59,53 @@ def fd_layer_check(layer, x, seed=7, n_checks=40):
     return worst
 
 
-def loop_conv3d(x, w, b):
-    """Valid kernel = stride = 2 convolution by explicit loops."""
-    n, c, *dims = x.shape
-    out = np.zeros((n, w.shape[0]) + tuple(d // 2 for d in dims))
-    for bi, o, px, py, pz in np.ndindex(out.shape):
+def _window_cell(window, offset, k):
+    """Input cell index of kernel offset `offset` in output window `window`."""
+    return tuple(k * p + d for p, d in zip(window, offset))
+
+
+def loop_conv(x, w, b):
+    """Valid kernel = stride convolution of any rank by explicit loops; the
+    kernel size and rank are read off the weight (out_ch, in_ch, k, ..., k)."""
+    k, ndim = w.shape[-1], w.ndim - 2
+    out = np.zeros((x.shape[0], w.shape[0]) + tuple(d // k for d in x.shape[2:]))
+    for bi, o, *window in np.ndindex(out.shape):
         acc = b[o]
-        for i, dx, dy, dz in np.ndindex(c, 2, 2, 2):
-            acc += w[o, i, dx, dy, dz] * x[bi, i, 2 * px + dx, 2 * py + dy, 2 * pz + dz]
-        out[bi, o, px, py, pz] = acc
+        for i, *offset in np.ndindex((x.shape[1],) + (k,) * ndim):
+            acc += w[(o, i, *offset)] * x[(bi, i) + _window_cell(window, offset, k)]
+        out[(bi, o, *window)] = acc
     return out
 
 
-def loop_conv3d_weight_grad(x, grad_out):
-    """d loss / d weight of loop_conv3d, by explicit loops."""
-    c = x.shape[1]
-    dw = np.zeros((grad_out.shape[1], c, 2, 2, 2))
-    for bi, o, px, py, pz in np.ndindex(grad_out.shape):
-        for i, dx, dy, dz in np.ndindex(c, 2, 2, 2):
-            dw[o, i, dx, dy, dz] += (
-                grad_out[bi, o, px, py, pz] * x[bi, i, 2 * px + dx, 2 * py + dy, 2 * pz + dz]
+def loop_conv_weight_grad(x, w, grad_out):
+    """d loss / d weight of loop_conv, by explicit loops."""
+    k, ndim = w.shape[-1], w.ndim - 2
+    dw = np.zeros(w.shape)
+    for bi, o, *window in np.ndindex(grad_out.shape):
+        for i, *offset in np.ndindex((x.shape[1],) + (k,) * ndim):
+            dw[(o, i, *offset)] += (
+                grad_out[(bi, o, *window)] * x[(bi, i) + _window_cell(window, offset, k)]
             )
     return dw
+
+
+def loop_conv_input_grad(x, w, grad_out):
+    """d loss / d input of loop_conv, by explicit loops: cells that no
+    window covers keep a zero gradient."""
+    k, ndim = w.shape[-1], w.ndim - 2
+    dx = np.zeros(x.shape)
+    for bi, o, *window in np.ndindex(grad_out.shape):
+        for i, *offset in np.ndindex((x.shape[1],) + (k,) * ndim):
+            dx[(bi, i) + _window_cell(window, offset, k)] += (
+                grad_out[(bi, o, *window)] * w[(o, i, *offset)]
+            )
+    return dx
+
+
+def assert_uncovered_cells_have_zero_gradient(grad_x, k):
+    for axis, d in enumerate(grad_x.shape[2:], start=2):
+        if d % k:
+            assert not grad_x.take(range(d - d % k, d), axis=axis).any()
 
 
 class TestGradients:
@@ -91,22 +116,22 @@ class TestGradients:
 
     def test_conv3d(self):
         rng = np.random.default_rng(1)
-        layer = Conv3d(2, 3, 2, 2, rng)
+        layer = Conv3d(2, 3, 2, rng)
         assert fd_layer_check(layer, rng.normal(size=(4, 2, 7, 7, 5))) < FD_TOL
 
     def test_conv3d_odd_dims(self):
         rng = np.random.default_rng(2)
-        layer = Conv3d(3, 2, 2, 2, rng)
+        layer = Conv3d(3, 2, 2, rng)
         assert fd_layer_check(layer, rng.normal(size=(3, 3, 5, 6, 4))) < FD_TOL
 
     def test_conv2d(self):
         rng = np.random.default_rng(3)
-        layer = Conv2d(3, 4, 2, 2, rng)
+        layer = Conv2d(3, 4, 2, rng)
         assert fd_layer_check(layer, rng.normal(size=(4, 3, 6, 7))) < FD_TOL
 
     def test_conv2d_unit_kernel(self):
         rng = np.random.default_rng(4)
-        layer = Conv2d(3, 4, 1, 1, rng)
+        layer = Conv2d(3, 4, 1, rng)
         assert fd_layer_check(layer, rng.normal(size=(4, 3, 1, 1))) < FD_TOL
 
     def test_layer_norm(self):
@@ -136,7 +161,7 @@ class TestConvForward:
     def test_hand_unrolled_conv_oracle(self):
         """Single-channel conv on a 4x4x4 grid against explicit loops."""
         rng = np.random.default_rng(10)
-        layer = Conv3d(1, 1, 2, 2, rng)
+        layer = Conv3d(1, 1, 2, rng)
         x = np.zeros((1, 1, 4, 4, 4))
         x[0, 0, 1, 2, 3] = 2.5  # single active voxel
         out = layer.forward(x)
@@ -159,16 +184,16 @@ class TestConvForward:
 
     def test_dense_random_grid_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
-        layer = Conv3d(2, 3, 2, 2, rng)
+        layer = Conv3d(2, 3, 2, rng)
         x = rng.normal(size=(2, 2, 5, 4, 4))
         out = layer.forward(x)
         np.testing.assert_allclose(
-            out, loop_conv3d(x, layer.weight.value, layer.bias.value), atol=1e-12
+            out, loop_conv(x, layer.weight.value, layer.bias.value), atol=1e-12
         )
 
     def test_shape_errors_name_layer(self):
         rng = np.random.default_rng(12)
-        for layer in (Conv3d(2, 3, 2, 2, rng, name="conv3d_0"),
+        for layer in (Conv3d(2, 3, 2, rng, name="conv3d_0"),
                       SparseConv3d(2, 3, 2, rng, name="conv3d_0")):
             with pytest.raises(SchemaError, match="conv3d_0"):
                 layer.forward(rng.normal(size=(1, 3, 4, 4, 4)))
@@ -204,7 +229,7 @@ class TestSparseConv3d:
     def test_matches_dense_conv_and_loop_oracle(self, batch):
         x, out_ch, rng = batch
         seed = int(rng.integers(2**32))
-        dense = Conv3d(x.shape[1], out_ch, 2, 2, np.random.default_rng(seed))
+        dense = Conv3d(x.shape[1], out_ch, 2, np.random.default_rng(seed))
         sparse = SparseConv3d(x.shape[1], out_ch, 2, np.random.default_rng(seed))
         sparse.bias.value = dense.bias.value = rng.normal(size=out_ch)
         np.testing.assert_array_equal(sparse.weight.value, dense.weight.value)
@@ -213,13 +238,38 @@ class TestSparseConv3d:
         grad_out = rng.normal(size=out.shape)
         assert sparse.backward(grad_out) is None
         np.testing.assert_allclose(out, dense.forward(x), rtol=0, atol=1e-12)
-        dense.backward(grad_out)
-        np.testing.assert_allclose(out, loop_conv3d(x, sparse.weight.value, sparse.bias.value),
-                                   rtol=0, atol=1e-12)
-        for grad in (dense.weight.grad, loop_conv3d_weight_grad(x, grad_out)):
+        grad_x = dense.backward(grad_out)
+        w = sparse.weight.value
+        np.testing.assert_allclose(out, loop_conv(x, w, sparse.bias.value), rtol=0, atol=1e-12)
+        for grad in (dense.weight.grad, loop_conv_weight_grad(x, w, grad_out)):
             np.testing.assert_allclose(sparse.weight.grad, grad, rtol=0, atol=1e-12)
         for grad in (dense.bias.grad, grad_out.sum(axis=(0, 2, 3, 4))):
             np.testing.assert_allclose(sparse.bias.grad, grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad_x, loop_conv_input_grad(x, w, grad_out),
+                                   rtol=0, atol=1e-12)
+        assert_uncovered_cells_have_zero_gradient(grad_x, 2)
+
+
+class TestConv2d:
+    @pytest.mark.parametrize("kernel", [1, 2])
+    @pytest.mark.parametrize("dims", [(4, 6), (5, 3), (3, 4)])
+    def test_matches_loop_oracles(self, kernel, dims):
+        rng = np.random.default_rng(15)
+        layer = Conv2d(3, 4, kernel, rng)
+        layer.bias.value = rng.normal(size=4)
+        x = rng.normal(size=(2, 3) + dims)
+        out = layer.forward(x)
+        grad_out = rng.normal(size=out.shape)
+        grad_x = layer.backward(grad_out)
+        w = layer.weight.value
+        np.testing.assert_allclose(out, loop_conv(x, w, layer.bias.value), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(layer.weight.grad, loop_conv_weight_grad(x, w, grad_out),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(layer.bias.grad, grad_out.sum(axis=(0, 2, 3)),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad_x, loop_conv_input_grad(x, w, grad_out),
+                                   rtol=0, atol=1e-12)
+        assert_uncovered_cells_have_zero_gradient(grad_x, kernel)
 
 
 class TestLayerNormBehavior:

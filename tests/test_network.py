@@ -1,5 +1,7 @@
 """Tests of the assembled models: shapes, determinism, and batch invariance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,19 @@ class TestConfig:
 
 
 class TestCheckpoint:
+    def test_default_initial_parameters_are_pinned(self):
+        """Names, order and seed-0 values of the default voxel net's
+        parameters: a layer rewrite must keep the RNG draw order that
+        training from a seed, and the parameter order of stored
+        checkpoints, depend on."""
+        digest = hashlib.sha256()
+        for p in build_voxel_net(NetworkConfig(seed=0)).parameters():
+            digest.update(p.name.encode())
+            digest.update(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+        assert digest.hexdigest() == (
+            "fd9298f41aa4e065df7ea3fa102245f9d605744596b330a36d214047b81ba0fd"
+        )
+
     def test_voxel_roundtrip(self, tmp_path):
         cfg, net = tiny_net(seed=6)
         rng = np.random.default_rng(4)
