@@ -35,7 +35,6 @@ from .errors import (
     ConfigError,
     DataIntegrityError,
     DegenerateInputError,
-    FrameMismatchError,
     LayoutCollisionError,
     NumericalError,
     OutOfBoundsError,
@@ -45,8 +44,7 @@ from .mechanics import (
     ParticleGrid,
     PlanarMotion,
     PushParams,
-    SolveMethod,
-    infer_force_frictionless,
+    checked_array,
     infer_force_with_friction,
 )
 from .metrics import evaluate_pairs, summarize_rows
@@ -118,17 +116,24 @@ def write_run_manifest(out_dir: Path, command: str, args_dict: dict, outputs: li
     write_json_atomic(out_dir / "run_manifest.json", manifest)
 
 
-def _push_params_from_config(config: dict) -> tuple[PushParams, tuple[float, float]]:
+def _box_half_extents(value) -> tuple[float, float]:
+    hx, hy = checked_array("box_half_extents", value, (2,))
+    if not (hx > 0 and hy > 0):
+        raise SchemaError(f"field 'box_half_extents' must be positive, got {value!r}")
+    return float(hx), float(hy)
+
+
+def _push_params_from_config(config: dict, path) -> tuple[PushParams, tuple[float, float]]:
     params_cfg = dict(config.get("params", {}))
-    half_extents = tuple(config.get("box_half_extents", DEFAULT_BOX_HALF_EXTENTS_M))
-    if "m" not in params_cfg:
-        raise ConfigError("config missing field 'm' (object mass) in params")
-    if "inertia" not in params_cfg:
-        params_cfg["inertia"] = box_inertia(float(params_cfg["m"]), half_extents)
     try:
+        half_extents = _box_half_extents(config.get("box_half_extents", DEFAULT_BOX_HALF_EXTENTS_M))
+        if "inertia" not in params_cfg and "m" in params_cfg:
+            # a uniform box of the configured mass
+            m = checked_array("m", params_cfg["m"], ())
+            params_cfg["inertia"] = box_inertia(m, half_extents)
         return PushParams.from_config(params_cfg), half_extents
     except SchemaError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"config {path}: {exc}") from exc
 
 
 def _layout_and_geometry(config: dict):
@@ -139,7 +144,11 @@ def _layout_and_geometry(config: dict):
         except SchemaError as exc:
             raise ConfigError(str(exc)) from exc
     if "layout_file" in config:
-        layout = ElectrodeLayout.from_dict(load_json(config["layout_file"], "layout"))
+        path = config["layout_file"]
+        try:
+            layout = ElectrodeLayout.from_dict(load_json(path, "layout"))
+        except SchemaError as exc:
+            raise ConfigError(f"layout file {path}: {exc}") from exc
     else:
         layout = default_electrode_layout(geometry)
     return layout, geometry
@@ -166,7 +175,7 @@ def cmd_simulate(args) -> int:
     planar_cfg = sources_cfg.get(SOURCE_PLANAR, {})
     n_planar = int(planar_cfg.get("trials", 0))
     if n_planar > 0:
-        params, half_extents = _push_params_from_config(config)
+        params, half_extents = _push_params_from_config(config, args.config)
         episodes, planar_records = make_planar_trials(
             model,
             geometry,
@@ -247,41 +256,47 @@ def _read_episode_rows(path) -> list[dict]:
     return rows
 
 
+def _infer_params(path) -> tuple[PushParams, ParticleGrid]:
+    """Push params and friction particles from a params file (as written by
+    simulate); a bad or missing field is a ConfigError naming the file."""
+    config = load_json(path, "params")
+    if not isinstance(config, dict):
+        raise ConfigError(f"params file {path} must hold a JSON object")
+    try:
+        params = PushParams.from_config(config)
+        half_extents = _box_half_extents(config["box_half_extents"])
+        return params, ParticleGrid.uniform_rectangle(half_extents, params)
+    except KeyError as exc:
+        raise ConfigError(f"params file {path}: missing field {exc.args[0]!r}") from exc
+    except SchemaError as exc:
+        raise ConfigError(f"params file {path}: {exc}") from exc
+
+
+def _episode_step(path, i: int, row) -> tuple[PlanarMotion, np.ndarray]:
+    """Motion and contact point of episode row i; a bad row is a SchemaError
+    naming the file, the row and the field."""
+    try:
+        if not isinstance(row, dict):
+            raise SchemaError(f"expected a JSON object, got {type(row).__name__}")
+        motion = PlanarMotion(**{f.name: row[f.name] for f in dataclasses.fields(PlanarMotion)})
+        return motion, checked_array("contact_point", row["contact_point"], (2,))
+    except KeyError as exc:
+        raise SchemaError(f"episode file {path} row {i}: missing field {exc.args[0]!r}") from exc
+    except SchemaError as exc:
+        raise SchemaError(f"episode file {path} row {i}: {exc}") from exc
+
+
 def cmd_infer(args) -> int:
     t0 = time.monotonic()
     rows = _read_episode_rows(args.episode)
-    params_cfg = load_json(args.params, "params")
-    half_extents = params_cfg.get("box_half_extents")
-    if half_extents is None:
-        raise ConfigError("params config missing field 'box_half_extents'")
-    try:
-        params = PushParams.from_config(params_cfg)
-    except SchemaError as exc:
-        raise ConfigError(str(exc)) from exc
-    grid = ParticleGrid.uniform_rectangle(half_extents, params)
-    method = SolveMethod(args.method)
+    params, grid = _infer_params(args.params)
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["step,t,fx,fy,objective,static_friction"]
     for i, row in enumerate(rows):
-        try:
-            motion = PlanarMotion(
-                pose=np.array(row["pose"], dtype=float),
-                v=np.array(row["v"], dtype=float),
-                omega=float(row["omega"]),
-                v_dot=np.array(row["v_dot"], dtype=float),
-                omega_dot=float(row["omega_dot"]),
-            )
-            c = np.array(row["contact_point"], dtype=float)
-        except KeyError as exc:
-            raise SchemaError(
-                f"episode row {i} missing motion field {exc.args[0]!r}"
-            ) from exc
-        if args.frictionless:
-            result = infer_force_frictionless(motion, c, params, method)
-        else:
-            result = infer_force_with_friction(motion, c, grid, params, method)
+        motion, c = _episode_step(args.episode, i, row)
+        result = infer_force_with_friction(motion, c, grid, params)
         f = result.force.components
         lines.append(
             f"{i},{row.get('t', i)},{f[0]:.17g},{f[1]:.17g},"
@@ -291,12 +306,7 @@ def cmd_infer(args) -> int:
     write_run_manifest(
         out_path.parent,
         "infer",
-        {
-            "episode": str(args.episode),
-            "params": str(args.params),
-            "method": args.method,
-            "frictionless": bool(args.frictionless),
-        },
+        {"episode": str(args.episode), "params": str(args.params)},
         [out_path.name],
         t0,
     )
@@ -504,7 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf = sub.add_parser(
         "infer",
         help="least-squares force inference on an episode file",
-        description="Recover the contact force from each stored motion step.",
+        description=(
+            "Recover the contact force from each stored motion step, with the "
+            "support friction of the params file, in closed form."
+        ),
         epilog=(
             "Output CSV columns: step (row index), t (timestamp, s), "
             "fx, fy (inferred force, N, planar frame), objective (residual "
@@ -513,14 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_inf.add_argument("--episode", required=True, help="episode JSON-lines file")
-    p_inf.add_argument("--params", required=True, help="push params JSON")
     p_inf.add_argument(
-        "--method",
-        default="closed_form",
-        choices=[m.value for m in SolveMethod],
-        help="solver to use",
+        "--params",
+        required=True,
+        help='push params JSON; "mu_s": 0 gives a frictionless fit',
     )
-    p_inf.add_argument("--frictionless", action="store_true", help="ignore support friction")
     p_inf.add_argument("--out", required=True, help="output CSV path")
     p_inf.set_defaults(func=cmd_infer)
 
@@ -593,7 +603,6 @@ def main(argv=None) -> int:
         OutOfBoundsError,
         LayoutCollisionError,
         DegenerateInputError,
-        FrameMismatchError,
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -228,7 +228,7 @@ def load_manifest_splits(manifest_path) -> tuple[dict[str, list[SampleRecord]], 
     manifest_path = Path(manifest_path)
     manifest = load_json(manifest_path, "manifest")
     try:
-        split_ids = {name: list(manifest["splits"][name]) for name in SPLIT_NAMES}
+        split_ids = {name: manifest["splits"][name] for name in SPLIT_NAMES}
         samples_file = manifest["samples_file"]
     except KeyError as exc:
         raise SchemaError(f"manifest {manifest_path} missing field {exc.args[0]!r}") from exc
@@ -238,6 +238,10 @@ def load_manifest_splits(manifest_path) -> tuple[dict[str, list[SampleRecord]], 
         ) from exc
     seen: dict[str, str] = {}
     for name, ids in split_ids.items():
+        if not isinstance(ids, list) or not all(isinstance(tid, str) for tid in ids):
+            raise SchemaError(
+                f"manifest {manifest_path}: split {name!r} must be a list of trial ids, got {ids!r}"
+            )
         for tid in ids:
             if tid in seen:
                 raise DataIntegrityError(

@@ -31,10 +31,6 @@ class LayoutCollisionError(TactileForceError):
     """Two electrodes bin to the same voxel under the given grid."""
 
 
-class FrameMismatchError(TactileForceError):
-    """Vector frame tag does not match the transform endpoints."""
-
-
 class DataIntegrityError(TactileForceError):
     """Dataset violates an integrity constraint (e.g. trial split overlap)."""
 

@@ -5,25 +5,21 @@ Conventions. Planar quantities (velocities, accelerations, contact offsets,
 forces) are expressed in a CM-centered frame aligned with the world axes;
 the ParticleGrid stores body-fixed particle offsets and the friction
 operations rotate them by the current pose angle. The recovered contact
-force is tagged with the object frame and can be re-expressed in the sensor
-frame with a FrameTransform.
+force is tagged with the object frame.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FrameMismatchError, SchemaError
+from .errors import SchemaError
 
 STATIONARY_SPEED_TOL = 1e-9  # m/s; below this a particle contributes no friction
-
-DEFAULT_PARTICLE_COUNT = 80
-DEFAULT_LINEAR_LOSS_WEIGHT = 10.0
-DEFAULT_FRICTION_COEFF = 0.1
 
 
 class Frame(enum.Enum):
@@ -53,28 +49,6 @@ class ForceVector:
 
 
 @dataclass(frozen=True)
-class FrameTransform:
-    """Rotation taking vectors from `from_frame` to `to_frame`."""
-
-    rotation: np.ndarray
-    from_frame: Frame
-    to_frame: Frame
-
-    def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=float)
-        if rot.shape != (3, 3):
-            raise SchemaError(f"rotation must be 3x3, got {rot.shape}")
-        if not np.allclose(rot.T @ rot, np.eye(3), atol=1e-9):
-            raise SchemaError("rotation must be orthonormal")
-        if not math.isclose(float(np.linalg.det(rot)), 1.0, abs_tol=1e-9):
-            raise SchemaError("rotation must be proper (determinant +1)")
-        object.__setattr__(self, "rotation", rot)
-
-    def inverse(self) -> "FrameTransform":
-        return FrameTransform(self.rotation.T, self.to_frame, self.from_frame)
-
-
-@dataclass(frozen=True)
 class PushParams:
     """Pushed-object parameters.
 
@@ -85,9 +59,9 @@ class PushParams:
 
     m: float
     inertia: float
-    mu_s: float = DEFAULT_FRICTION_COEFF
-    n: int = DEFAULT_PARTICLE_COUNT
-    k: float = DEFAULT_LINEAR_LOSS_WEIGHT
+    mu_s: float = 0.1
+    n: int = 80
+    k: float = 10.0
     g: float = 9.81
 
     def __post_init__(self):
@@ -104,17 +78,37 @@ class PushParams:
 
     @classmethod
     def from_config(cls, config: dict) -> "PushParams":
-        try:
-            return cls(
-                m=float(config["m"]),
-                inertia=float(config["inertia"]),
-                mu_s=float(config.get("mu_s", DEFAULT_FRICTION_COEFF)),
-                n=int(config.get("n", DEFAULT_PARTICLE_COUNT)),
-                k=float(config.get("k", DEFAULT_LINEAR_LOSS_WEIGHT)),
-                g=float(config.get("g", 9.81)),
-            )
-        except KeyError as exc:
-            raise SchemaError(f"params config missing field {exc.args[0]!r}") from exc
+        """The params a config sets; absent fields take the class defaults and
+        other keys (such as a params file's box_half_extents) are ignored."""
+        values = {}
+        for f in dataclasses.fields(cls):
+            if f.name in config:
+                value = float(checked_array(f.name, config[f.name], ()))
+                if f.type == "int":
+                    if not value.is_integer():
+                        raise SchemaError(f"field {f.name!r} must be a whole number, got {value}")
+                    value = int(value)
+                values[f.name] = value
+        for name in ("m", "inertia"):
+            if name not in values:
+                raise SchemaError(f"params config missing field {name!r}")
+        return cls(**values)
+
+
+def checked_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """`value` as a float array of the given shape with finite entries; any
+    other value is a SchemaError naming the field."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape or not np.isfinite(arr).all():
+        what = f"{shape[0]} finite numbers" if shape else "a finite number"
+        raise SchemaError(f"field {name!r} must be {what}, got {value!r}")
+    return arr
+
+
+_MOTION_SHAPES = {"pose": (3,), "v": (2,), "omega": (), "v_dot": (2,), "omega_dot": ()}
 
 
 @dataclass(frozen=True)
@@ -128,17 +122,24 @@ class PlanarMotion:
     omega_dot: float = 0.0
 
     def __post_init__(self):
-        pose = np.asarray(self.pose, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        v_dot = np.asarray(self.v_dot, dtype=float)
-        if pose.shape != (3,) or v.shape != (2,) or v_dot.shape != (2,):
-            raise SchemaError("pose must be a 3-vector, v and v_dot 2-vectors")
-        values = np.concatenate([pose, v, [self.omega], v_dot, [self.omega_dot]])
-        if not np.all(np.isfinite(values)):
-            raise SchemaError("motion state contains non-finite values")
+        try:
+            pose, v, v_dot = (np.asarray(x, dtype=float) for x in (self.pose, self.v, self.v_dot))
+            omega, omega_dot = float(self.omega), float(self.omega_dot)
+            valid = (pose.shape == (3,) and v.shape == (2,) and v_dot.shape == (2,)
+                     and np.isfinite(np.concatenate([pose, v, [omega], v_dot, [omega_dot]])).all())
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            # name the first bad field; checking them one by one up front
+            # would slow every step of inference
+            for name, shape in _MOTION_SHAPES.items():
+                checked_array(name, getattr(self, name), shape)
+            raise SchemaError("motion state is invalid")
         object.__setattr__(self, "pose", pose)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "v_dot", v_dot)
+        object.__setattr__(self, "omega_dot", omega_dot)
 
     @property
     def theta(self) -> float:
@@ -158,12 +159,6 @@ def cross2(a: np.ndarray, b: np.ndarray) -> float:
 def rot2(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
-
-
-def point_velocity(motion: PlanarMotion, r: np.ndarray) -> np.ndarray:
-    """Velocity of a body point at offset r from the CM: v + omega * perp(r)."""
-    r = np.asarray(r, dtype=float)
-    return motion.v + motion.omega * perp(r)
 
 
 def _most_square_factors(n: int) -> tuple[int, int]:
@@ -251,22 +246,6 @@ def friction_wrench(
     return FrictionWrench(force=force, moment=moment, static=False)
 
 
-def friction_force(grid: ParticleGrid, motion: PlanarMotion, params: PushParams) -> ForceVector:
-    """Support friction force; see friction_wrench for the static flag."""
-    return ForceVector(friction_wrench(grid, motion, params).force, Frame.OBJECT)
-
-
-def friction_moment(grid: ParticleGrid, motion: PlanarMotion, params: PushParams) -> float:
-    """Support friction moment about the CM; see friction_wrench for the flag."""
-    return friction_wrench(grid, motion, params).moment
-
-
-class SolveMethod(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    ITERATIVE = "iterative"
-    GRID_ORACLE = "grid_oracle"
-
-
 @dataclass(frozen=True)
 class InferenceResult:
     """Inferred contact force with the objective value at the solution and
@@ -275,7 +254,6 @@ class InferenceResult:
     force: ForceVector
     objective: float
     static_friction: bool
-    method: SolveMethod
 
 
 def _objective(f: np.ndarray, c: np.ndarray, a: np.ndarray, b: float, k: float) -> float:
@@ -291,96 +269,20 @@ def _solve_closed_form(c: np.ndarray, a: np.ndarray, b: float, k: float) -> np.n
     return np.linalg.solve(mat, k * a + b * p)
 
 
-def _solve_iterative(
-    c: np.ndarray,
-    a: np.ndarray,
-    b: float,
-    k: float,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> np.ndarray:
-    """Gradient descent with Armijo backtracking on the force objective."""
-    p = perp(c)
-    f = np.array(a, dtype=float)  # warm start at the friction-corrected Newton target
-    obj = _objective(f, c, a, b, k)
-    grad_scale = max(1.0, k * float(np.linalg.norm(a)) + abs(b) * float(np.linalg.norm(p)))
-    step0 = 1.0 / (2.0 * (k + float(p @ p)))  # inverse of the largest curvature
-    for _ in range(max_iter):
-        grad = 2.0 * k * (f - a) + 2.0 * (cross2(c, f) - b) * p
-        gnorm2 = float(grad @ grad)
-        if math.sqrt(gnorm2) <= tol * grad_scale:
-            break
-        step = step0 * 4.0
-        while True:
-            trial = f - step * grad
-            trial_obj = _objective(trial, c, a, b, k)
-            if trial_obj <= obj - 0.5 * step * gnorm2 or step < 1e-20:
-                break
-            step *= 0.5
-        if step < 1e-20 or trial_obj >= obj:  # stalled at float precision
-            break
-        f, obj = trial, trial_obj
-    return f
+def force_targets(
+    motion: PlanarMotion, grid: ParticleGrid, params: PushParams
+) -> tuple[np.ndarray, float, bool]:
+    """Targets (a, b) of the force objective and the static-friction flag.
 
-
-def _solve_grid(
-    c: np.ndarray,
-    a: np.ndarray,
-    b: float,
-    k: float,
-    points_per_axis: int = 21,
-    rounds: int = 14,
-) -> np.ndarray:
-    """Coarse-to-fine scan of the objective over a force box.
-
-    Independent oracle: uses only objective evaluations, no normal-equations
-    algebra. The initial box is wide enough to contain the minimizer (the
-    minimizer cannot beat f = a without staying within the bound below).
+    The friction wrench (f_f, n_f) depends only on the observed motion, so
+    it shifts the Newton-Euler targets: a = m v_dot - f_f and
+    b = I omega_dot - n_f. With mu_s = 0 the wrench is zero and the targets
+    are those of a frictionless push.
     """
-    p = perp(c)
-    half_width = float(np.linalg.norm(a)) + (abs(b) + np.linalg.norm(p) * np.linalg.norm(a)) / math.sqrt(k) + 1.0
-    center = np.array(a, dtype=float)
-    for _ in range(rounds):
-        xs = np.linspace(center[0] - half_width, center[0] + half_width, points_per_axis)
-        ys = np.linspace(center[1] - half_width, center[1] + half_width, points_per_axis)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        lin = k * ((gx - a[0]) ** 2 + (gy - a[1]) ** 2)
-        ang = (c[0] * gy - c[1] * gx - b) ** 2
-        idx = np.unravel_index(np.argmin(lin + ang), gx.shape)
-        center = np.array([gx[idx], gy[idx]])
-        # keep a two-cell margin around the best cell while shrinking
-        half_width = 2.0 * (2.0 * half_width / (points_per_axis - 1))
-    return center
-
-
-_SOLVERS = {
-    SolveMethod.CLOSED_FORM: _solve_closed_form,
-    SolveMethod.ITERATIVE: _solve_iterative,
-    SolveMethod.GRID_ORACLE: _solve_grid,
-}
-
-
-def infer_force_frictionless(
-    motion: PlanarMotion,
-    c: np.ndarray,
-    params: PushParams,
-    method: SolveMethod = SolveMethod.CLOSED_FORM,
-) -> InferenceResult:
-    """Recover the contact force from motion alone, ignoring support friction.
-
-    Minimizes k ||f - m v_dot||^2 + (cross2(c, f) - I omega_dot)^2 over f;
-    c is the contact point relative to the CM, in the planar frame.
-    """
-    c = np.asarray(c, dtype=float)
-    a = params.m * motion.v_dot
-    b = params.inertia * motion.omega_dot
-    f = _SOLVERS[SolveMethod(method)](c, a, b, params.k)
-    return InferenceResult(
-        force=ForceVector(f, Frame.OBJECT),
-        objective=_objective(f, c, a, b, params.k),
-        static_friction=False,
-        method=SolveMethod(method),
-    )
+    wrench = friction_wrench(grid, motion, params)
+    a = params.m * motion.v_dot - wrench.force
+    b = params.inertia * motion.omega_dot - wrench.moment
+    return a, b, wrench.static
 
 
 def infer_force_with_friction(
@@ -388,56 +290,18 @@ def infer_force_with_friction(
     c: np.ndarray,
     grid: ParticleGrid,
     params: PushParams,
-    method: SolveMethod = SolveMethod.CLOSED_FORM,
 ) -> InferenceResult:
     """Recover the contact force including the support friction wrench.
 
-    Minimizes k ||f + f_f - m v_dot||^2 + (cross2(c, f) + n_f - I omega_dot)^2.
-    The friction wrench depends only on the observed motion, so it shifts the
-    frictionless targets by (-f_f, -n_f).
+    Minimizes k ||f + f_f - m v_dot||^2 + (cross2(c, f) + n_f - I omega_dot)^2
+    over f in closed form; c is the contact point relative to the CM, in the
+    planar frame.
     """
     c = np.asarray(c, dtype=float)
-    wrench = friction_wrench(grid, motion, params)
-    a = params.m * motion.v_dot - wrench.force
-    b = params.inertia * motion.omega_dot - wrench.moment
-    f = _SOLVERS[SolveMethod(method)](c, a, b, params.k)
+    a, b, static = force_targets(motion, grid, params)
+    f = _solve_closed_form(c, a, b, params.k)
     return InferenceResult(
         force=ForceVector(f, Frame.OBJECT),
         objective=_objective(f, c, a, b, params.k),
-        static_friction=wrench.static,
-        method=SolveMethod(method),
+        static_friction=static,
     )
-
-
-def force_objective(
-    f: np.ndarray,
-    motion: PlanarMotion,
-    c: np.ndarray,
-    params: PushParams,
-    grid: ParticleGrid | None = None,
-) -> float:
-    """Evaluate the inference objective at an arbitrary force (for checks)."""
-    c = np.asarray(c, dtype=float)
-    if grid is None:
-        a = params.m * motion.v_dot
-        b = params.inertia * motion.omega_dot
-    else:
-        wrench = friction_wrench(grid, motion, params)
-        a = params.m * motion.v_dot - wrench.force
-        b = params.inertia * motion.omega_dot - wrench.moment
-    return _objective(np.asarray(f, dtype=float), c, a, b, params.k)
-
-
-def to_sensor_frame(f_c: ForceVector, transform: FrameTransform) -> ForceVector:
-    """Embed a planar object-frame force in 3-D and rotate it into frame B."""
-    if f_c.frame is not Frame.OBJECT:
-        raise FrameMismatchError(f"expected an object-frame force, got {f_c.frame}")
-    if transform.from_frame is not Frame.OBJECT or transform.to_frame is not Frame.SENSOR:
-        raise FrameMismatchError(
-            f"transform maps {transform.from_frame} -> {transform.to_frame}, "
-            "expected object -> sensor"
-        )
-    if f_c.components.shape != (2,):
-        raise SchemaError("expected a planar 2-D force")
-    embedded = np.array([f_c.components[0], f_c.components[1], 0.0])
-    return ForceVector(transform.rotation @ embedded, Frame.SENSOR)

@@ -1,4 +1,4 @@
-"""Tactile sample schema, taring, sensor surface geometry, and contact detection.
+"""Sensor surface geometry, electrode layout, and contact detection.
 
 The sensor frame convention used throughout the package: origin at the base of
 the cylindrical core, z along the cylinder axis toward the rounded tip, x
@@ -18,8 +18,6 @@ import numpy as np
 from .errors import DegenerateInputError, SchemaError
 
 N_ELECTRODES = 19
-N_PRESSURE_AC = 22
-SAMPLE_DIM = N_ELECTRODES + 1 + N_PRESSURE_AC + 1 + 1  # 44
 
 # Pressure-gate defaults: in contact when p_dc stays above 10 units for the
 # last 10 timesteps.
@@ -28,68 +26,6 @@ CONTACT_WINDOW = 10
 
 DEFAULT_RADIUS_M = 0.007
 DEFAULT_HALF_CYLINDER_LENGTH_M = 0.015
-
-
-@dataclass(frozen=True)
-class SensorSample:
-    """One tared tactile reading.
-
-    Fields mirror the raw signal layout: 19 electrode impedances, static
-    pressure, a 22-deep high-frequency pressure buffer, fluid temperature and
-    temperature flow, plus a timestamp in seconds. The concatenation
-    [e, p_dc, p_ac, T_dc, T_ac] always has 44 components.
-    """
-
-    e: np.ndarray
-    p_dc: float
-    p_ac: np.ndarray
-    t_dc: float
-    t_ac: float
-    t: float = 0.0
-
-    def __post_init__(self):
-        e = np.asarray(self.e, dtype=float)
-        p_ac = np.asarray(self.p_ac, dtype=float)
-        if e.shape != (N_ELECTRODES,):
-            raise SchemaError(f"expected {N_ELECTRODES} electrode values, got shape {e.shape}")
-        if p_ac.shape != (N_PRESSURE_AC,):
-            raise SchemaError(f"expected {N_PRESSURE_AC} p_ac values, got shape {p_ac.shape}")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "p_ac", p_ac)
-
-    def as_vector(self) -> np.ndarray:
-        """Concatenate all signal fields into the canonical 44-vector."""
-        return np.concatenate([self.e, [self.p_dc], self.p_ac, [self.t_dc], [self.t_ac]])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, t: float = 0.0) -> "SensorSample":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (SAMPLE_DIM,):
-            raise SchemaError(f"expected a {SAMPLE_DIM}-vector, got shape {vec.shape}")
-        ne = N_ELECTRODES
-        return cls(
-            e=vec[:ne],
-            p_dc=float(vec[ne]),
-            p_ac=vec[ne + 1 : ne + 1 + N_PRESSURE_AC],
-            t_dc=float(vec[ne + 1 + N_PRESSURE_AC]),
-            t_ac=float(vec[ne + 2 + N_PRESSURE_AC]),
-            t=t,
-        )
-
-
-def tare(raw: np.ndarray, reference: np.ndarray, t: float = 0.0) -> SensorSample:
-    """Subtract a reference reading from a raw one, component-wise.
-
-    Both inputs are 44-vectors in the canonical signal order. Taring a
-    reading against itself yields an all-zero sample.
-    """
-    raw = np.asarray(raw, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    if raw.shape != (SAMPLE_DIM,) or reference.shape != (SAMPLE_DIM,):
-        raise SchemaError(
-            f"tare expects two {SAMPLE_DIM}-vectors, got shapes {raw.shape} and {reference.shape}"
-        )
-    return SensorSample.from_vector(raw - reference, t=t)
 
 
 @dataclass(frozen=True)
@@ -103,7 +39,6 @@ class SurfaceGeometry:
 
     r: float = DEFAULT_RADIUS_M
     half_cylinder_length: float = DEFAULT_HALF_CYLINDER_LENGTH_M
-    frame: str = "B"
 
     def __post_init__(self):
         if self.r <= 0:
@@ -149,17 +84,12 @@ class ContactState:
 
     s_c: np.ndarray
     s_n: np.ndarray
-    in_contact: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "s_c", np.asarray(self.s_c, dtype=float))
         object.__setattr__(self, "s_n", np.asarray(self.s_n, dtype=float))
         if self.s_c.shape != (3,) or self.s_n.shape != (3,):
             raise SchemaError("contact point and normal must be 3-vectors")
-
-    @classmethod
-    def none(cls) -> "ContactState":
-        return cls(s_c=np.zeros(3), s_n=np.array([1.0, 0.0, 0.0]), in_contact=False)
 
 
 def surface_point_and_normal(geometry: SurfaceGeometry, query: np.ndarray) -> ContactState:
@@ -253,6 +183,10 @@ class ElectrodeLayout:
             return cls(positions=np.array(data["positions"]), normals=np.array(data["normals"]))
         except KeyError as exc:
             raise SchemaError(f"layout missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(
+                f"layout must map positions and normals to {N_ELECTRODES}x3 numbers: {exc}"
+            ) from exc
 
     def to_dict(self) -> dict:
         return {"positions": self.positions.tolist(), "normals": self.normals.tolist()}

@@ -286,8 +286,6 @@ def sensor_forward(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Electrode readings for a contact and sensor-frame force."""
-    if not contact.in_contact:
-        raise SchemaError("sensor_forward requires an in-contact state")
     f = np.asarray(f_3d, dtype=float)
     n = contact.s_n
     offsets = model.layout.positions - contact.s_c[None, :]

@@ -8,15 +8,15 @@ import math
 import time
 
 import numpy as np
+from solver_oracles import _solve_grid, _solve_iterative
 from tactile_force.baselines import linear_fit, linear_predict
 from tactile_force.dataset import make_dataset, featurize_voxel, SampleRecord
 from tactile_force.mechanics import (
     ParticleGrid,
     PushParams,
-    SolveMethod,
+    force_targets,
+    friction_wrench,
     infer_force_with_friction,
-    friction_force,
-    friction_moment,
 )
 from tactile_force.metrics import direction_error_pct, magnitude_error_pct
 from tactile_force.net import (
@@ -109,17 +109,15 @@ class TestCriterion2SolverAgreement:
                 omega_dot=rng.normal(),
             )
             c = rng.uniform(-0.15, 0.15, size=2)
-            solved = {
-                m: infer_force_with_friction(motion, c, grid, params, m).force.components
-                for m in SolveMethod
-            }
+            closed = infer_force_with_friction(motion, c, grid, params).force.components
+            a, b, _ = force_targets(motion, grid, params)
             worst_iter = max(
                 worst_iter,
-                float(np.linalg.norm(solved[SolveMethod.CLOSED_FORM] - solved[SolveMethod.ITERATIVE])),
+                float(np.linalg.norm(closed - _solve_iterative(c, a, b, params.k))),
             )
             worst_grid = max(
                 worst_grid,
-                float(np.linalg.norm(solved[SolveMethod.CLOSED_FORM] - solved[SolveMethod.GRID_ORACLE])),
+                float(np.linalg.norm(closed - _solve_grid(c, a, b, params.k))),
             )
         elapsed = time.monotonic() - t0
         assert worst_iter < 1e-6, f"closed vs iterative disagreement {worst_iter}"
@@ -299,11 +297,11 @@ class TestCriterion6FrictionSymmetries:
         grid = ParticleGrid.uniform_rectangle((0.1, 0.075), params)  # 180deg symmetric
 
         rotation = PlanarMotion(pose=np.zeros(3), v=np.zeros(2), omega=2.0)
-        f_rot = friction_force(grid, rotation, params)
-        assert f_rot.norm < 1e-9
+        f_rot = float(np.linalg.norm(friction_wrench(grid, rotation, params).force))
+        assert f_rot < 1e-9
 
         translation = PlanarMotion(pose=np.zeros(3), v=np.array([0.4, -0.1]), omega=0.0)
-        n_trans = friction_moment(grid, translation, params)
+        n_trans = friction_wrench(grid, translation, params).moment
         assert abs(n_trans) < 1e-9
 
         rng = np.random.default_rng(606)
@@ -315,11 +313,11 @@ class TestCriterion6FrictionSymmetries:
                 v=rng.normal(size=2) * rng.choice([0.0, 0.01, 1.0]),
                 omega=rng.normal() * rng.choice([0.0, 0.1, 1.0]),
             )
-            worst = max(worst, friction_force(grid, motion, params).norm)
+            worst = max(worst, float(np.linalg.norm(friction_wrench(grid, motion, params).force)))
             assert worst <= limit + 1e-12
         report(
             "criterion 6 (friction-model symmetries)",
-            f"pure rotation |f_f| {f_rot.norm:.1e} < 1e-9, pure translation "
+            f"pure rotation |f_f| {f_rot:.1e} < 1e-9, pure translation "
             f"|n_f| {abs(n_trans):.1e} < 1e-9, max |f_f| {worst:.4f} <= mu*m*g "
             f"= {limit:.4f} over 10^4 states",
         )

@@ -10,7 +10,9 @@ import pytest
 
 from tactile_force.baselines import LinearModel, linear_predict
 from tactile_force.cli import main
+from solver_oracles import _solve_grid
 from tactile_force.dataset import featurize_voxel, load_manifest_splits
+from tactile_force.mechanics import ParticleGrid, PlanarMotion, PushParams, force_targets
 from tactile_force.metrics import evaluate_pairs, summarize
 from tactile_force.net import load_checkpoint
 from tactile_force.sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
@@ -89,6 +91,15 @@ class TestSimulate:
         assert code == 2
         assert "'m'" in capsys.readouterr().err
 
+    def test_non_numeric_mass_exits_2_naming_field(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "c.json",
+            {"params": {"m": "heavy"}, "sources": {"planar_pushing": {"trials": 1}}},
+        )
+        assert run(["simulate", "--config", config, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(config) in err and "'m'" in err
+
     def test_no_sources_exits_2(self, tmp_path):
         config = write_config(tmp_path / "c.json", {"params": {"m": 1.0}, "sources": {}})
         assert run(["simulate", "--config", config, "--out", tmp_path / "o"]) == 2
@@ -101,7 +112,7 @@ class TestInfer:
         assert run(
             [
                 "infer", "--episode", episode, "--params", sim_dir / "params.json",
-                "--method", "closed_form", "--out", out_csv,
+                "--out", out_csv,
             ]
         ) == 0
         truth = [json.loads(line) for line in episode.read_text().splitlines()]
@@ -112,45 +123,56 @@ class TestInfer:
             inferred = np.array([float(row["fx"]), float(row["fy"])])
             np.testing.assert_allclose(inferred, true_row["f_true"], atol=1e-3)
 
+    @staticmethod
+    def infer_and_grid_oracle(episode, params_path, out_csv):
+        """(fx, fy) rows that `infer` writes, and the grid-scan oracle's
+        minimizers of the same objectives."""
+        assert run(["infer", "--episode", episode, "--params", params_path,
+                    "--out", out_csv]) == 0
+        with open(out_csv) as fh:
+            inferred = [(float(r["fx"]), float(r["fy"])) for r in csv.DictReader(fh)]
+        config = json.loads(Path(params_path).read_text())
+        params = PushParams.from_config(config)
+        grid = ParticleGrid.uniform_rectangle(config["box_half_extents"], params)
+        oracle = []
+        for line in episode.read_text().splitlines():
+            row = json.loads(line)
+            motion = PlanarMotion(
+                **{k: row[k] for k in ("pose", "v", "omega", "v_dot", "omega_dot")}
+            )
+            a, b, _ = force_targets(motion, grid, params)
+            oracle.append(_solve_grid(np.array(row["contact_point"]), a, b, params.k))
+        return np.array(inferred), np.array(oracle)
+
     def test_grid_oracle_agrees_with_closed_form(self, sim_dir, tmp_path):
         episode = sorted((sim_dir / "episodes").glob("*.jsonl"))[0]
-        outputs = {}
-        for method in ("closed_form", "grid_oracle"):
-            out_csv = tmp_path / f"{method}.csv"
-            assert run(
-                [
-                    "infer", "--episode", episode, "--params", sim_dir / "params.json",
-                    "--method", method, "--out", out_csv,
-                ]
-            ) == 0
-            with open(out_csv) as fh:
-                outputs[method] = [
-                    (float(r["fx"]), float(r["fy"])) for r in csv.DictReader(fh)
-                ]
-        np.testing.assert_allclose(
-            outputs["closed_form"], outputs["grid_oracle"], atol=1e-3
+        inferred, oracle = self.infer_and_grid_oracle(
+            episode, sim_dir / "params.json", tmp_path / "inferred.csv"
         )
+        np.testing.assert_allclose(inferred, oracle, atol=1e-3)
 
-    def test_frictionless_flag_matches_zero_friction_params(self, sim_dir, tmp_path):
+    def test_zero_friction_params_match_frictionless_oracle(self, sim_dir, tmp_path):
         episode = sorted((sim_dir / "episodes").glob("*.jsonl"))[0]
         params = json.loads((sim_dir / "params.json").read_text())
         params["mu_s"] = 0.0
-        zero_mu = tmp_path / "zero_mu.json"
-        zero_mu.write_text(json.dumps(params))
-        out_flag = tmp_path / "flag.csv"
-        out_zero = tmp_path / "zero.csv"
-        assert run(
-            ["infer", "--episode", episode, "--params", sim_dir / "params.json",
-             "--frictionless", "--out", out_flag]
-        ) == 0
-        assert run(
-            ["infer", "--episode", episode, "--params", zero_mu, "--out", out_zero]
-        ) == 0
-        with open(out_flag) as fh:
-            flag_rows = [(r["fx"], r["fy"]) for r in csv.DictReader(fh)]
-        with open(out_zero) as fh:
-            zero_rows = [(r["fx"], r["fy"]) for r in csv.DictReader(fh)]
-        assert flag_rows == zero_rows
+        zero_mu = write_config(tmp_path / "zero_mu.json", params)
+        inferred, _ = self.infer_and_grid_oracle(episode, zero_mu, tmp_path / "zero.csv")
+        p = PushParams.from_config(params)
+        oracle = []
+        for line in episode.read_text().splitlines():
+            row = json.loads(line)
+            # Newton-Euler targets with no support friction
+            a = p.m * np.array(row["v_dot"])
+            b = p.inertia * row["omega_dot"]
+            oracle.append(_solve_grid(np.array(row["contact_point"]), a, b, p.k))
+        np.testing.assert_allclose(inferred, oracle, atol=1e-3)
+
+    @pytest.mark.parametrize("flag", [["--method", "closed_form"], ["--frictionless"]])
+    def test_removed_solver_flags_exit_2(self, sim_dir, tmp_path, flag):
+        episode = sorted((sim_dir / "episodes").glob("*.jsonl"))[0]
+        code = exit_code(["infer", "--episode", episode, "--params", sim_dir / "params.json",
+                          *flag, "--out", tmp_path / "x.csv"])
+        assert code == 2
 
     def test_missing_motion_field_exits_3(self, sim_dir, tmp_path):
         broken = tmp_path / "broken.jsonl"
@@ -164,6 +186,46 @@ class TestInfer:
              "--out", tmp_path / "x.csv"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "target, key, value, code",
+        [
+            ("row", "pose", "abc", 3),
+            ("row", "pose", [0.0, 0.0], 3),
+            ("row", "omega", None, 3),
+            ("row", "contact_point", [0.1], 3),
+            ("row", None, [1, 2, 3], 3),
+            ("params", "m", "heavy", 2),
+            ("params", "box_half_extents", [0.1], 2),
+            ("params", "box_half_extents", None, 2),
+            ("params", None, 5, 2),
+        ],
+    )
+    def test_bad_input_exits_2_or_3_naming_file_and_field(
+        self, sim_dir, tmp_path, capsys, target, key, value, code
+    ):
+        """A bad episode row is a data error naming the file, row and field;
+        a bad params file a config error naming the file and field."""
+        episode = sorted((sim_dir / "episodes").glob("*.jsonl"))[0]
+        rows = [json.loads(line) for line in episode.read_text().splitlines()]
+        params = json.loads((sim_dir / "params.json").read_text())
+        if target == "row":
+            rows[2] = value if key is None else {**rows[2], key: value}
+        else:
+            params = value if key is None else {**params, key: value}
+        bad_episode = tmp_path / "episode.jsonl"
+        bad_episode.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        bad_params = write_config(tmp_path / "params.json", params)
+        assert exit_code(["infer", "--episode", bad_episode, "--params", bad_params,
+                          "--out", tmp_path / "x.csv"]) == code
+        err = capsys.readouterr().err
+        if target == "row":
+            assert err.startswith("data error:") and str(bad_episode) in err
+            assert "row 2" in err
+        else:
+            assert err.startswith("config error:") and str(bad_params) in err
+        if key is not None:
+            assert f"'{key}'" in err
 
 
 TINY_TRAIN_CONFIG = {
@@ -464,7 +526,9 @@ class TestFeaturizationErrors:
         assert self.train(sim_dir, tmp_path, {"grid": grid}) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
-    @pytest.mark.parametrize("content", [None, "{not json"])
+    @pytest.mark.parametrize(
+        "content", [None, "{not json", '{"positions": [[0, 0, 0]]}', "[1, 2]"]
+    )
     def test_unreadable_layout_file_exits_2_naming_it(self, sim_dir, tmp_path, capsys, content):
         layout_path = tmp_path / "layout.json"
         if content is not None:
@@ -528,6 +592,17 @@ class TestDataFileErrors:
         assert self.train(manifest, tmp_path) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(manifest) in err
+
+    def test_split_not_a_list_exits_3_naming_manifest_and_split(
+        self, sim_dir, tmp_path, capsys
+    ):
+        manifest = sim_dir / "dataset_manifest.json"
+        data = json.loads(manifest.read_text())
+        data["splits"]["train"] = "abc"
+        manifest.write_text(json.dumps(data))
+        assert self.train(manifest, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(manifest) in err and "'train'" in err
 
     def test_missing_samples_file_exits_3_naming_it(self, sim_dir, tmp_path, capsys):
         manifest = sim_dir / "dataset_manifest.json"

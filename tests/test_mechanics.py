@@ -1,29 +1,23 @@
 """Tests for the particle-friction model and least-squares force recovery."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from tactile_force.errors import FrameMismatchError, SchemaError
+from solver_oracles import _solve_grid, _solve_iterative
+from tactile_force.errors import SchemaError
 from tactile_force.mechanics import (
-    ForceVector,
-    Frame,
-    FrameTransform,
     ParticleGrid,
     PlanarMotion,
     PushParams,
-    SolveMethod,
+    _objective,
     cross2,
-    force_objective,
-    friction_force,
-    friction_moment,
+    force_targets,
     friction_wrench,
-    infer_force_frictionless,
     infer_force_with_friction,
     perp,
-    point_velocity,
-    to_sensor_frame,
 )
 
 
@@ -55,19 +49,36 @@ def make_motion(v=(0.0, 0.0), omega=0.0, v_dot=(0.0, 0.0), omega_dot=0.0, theta=
     )
 
 
+def infer_frictionless(motion, c, params):
+    """Force inference with the support friction switched off (mu_s = 0)."""
+    params = dataclasses.replace(params, mu_s=0.0)
+    grid = ParticleGrid.uniform_rectangle((0.1, 0.075), params)
+    return infer_force_with_friction(motion, c, grid, params)
+
+
 class TestPointVelocity:
+    """friction_wrench opposes each particle's velocity v + omega * perp(r):
+    one particle with unit load and mu_s = 1 feels minus its unit velocity."""
+
+    @staticmethod
+    def unit_friction(motion, r):
+        params = PushParams(m=1.0, inertia=0.01, mu_s=1.0, n=1)
+        grid = ParticleGrid(particles=np.array([r], dtype=float), per_particle_normal_force=1.0)
+        return friction_wrench(grid, motion, params).force
+
     def test_pure_translation(self):
         motion = make_motion(v=(1.0, 0.0))
-        np.testing.assert_allclose(point_velocity(motion, [0.3, -0.7]), [1.0, 0.0])
+        np.testing.assert_allclose(self.unit_friction(motion, [0.3, -0.7]), [-1.0, 0.0])
 
     def test_unit_rotation(self):
         motion = make_motion(omega=1.0)
-        np.testing.assert_allclose(point_velocity(motion, [1.0, 0.0]), [0.0, 1.0])
+        np.testing.assert_allclose(self.unit_friction(motion, [1.0, 0.0]), [0.0, -1.0])
 
     def test_hand_evaluated_combination(self):
         motion = make_motion(v=(2.0, -1.0), omega=3.0)
+        velocity = np.array([2.0 - 0.6, -1.0 + 1.5])
         np.testing.assert_allclose(
-            point_velocity(motion, [0.5, 0.2]), [2.0 - 0.6, -1.0 + 1.5]
+            self.unit_friction(motion, [0.5, 0.2]), -velocity / np.linalg.norm(velocity)
         )
 
 
@@ -96,31 +107,47 @@ class TestParticleGrid:
         with pytest.raises(SchemaError):
             PushParams(m=1.0, inertia=0.01, k=0.0)
 
+    def test_from_config_takes_class_defaults_and_ignores_other_keys(self):
+        # a params file as simulate writes it carries the box half extents
+        params = PushParams(m=0.65, inertia=0.0034, mu_s=0.2, n=16, k=5.0, g=9.8)
+        blob = {**dataclasses.asdict(params), "box_half_extents": [0.1, 0.075]}
+        assert PushParams.from_config(blob) == params
+        assert PushParams.from_config({"m": 0.65, "inertia": 0.0034}) == PushParams(
+            m=0.65, inertia=0.0034
+        )
+        for bad in (
+            {"m": "heavy", "inertia": 0.01},
+            {"m": 1.0},
+            {"m": 1.0, "inertia": None},
+            {"m": 1.0, "inertia": 0.01, "n": 80.5},
+        ):
+            with pytest.raises(SchemaError):
+                PushParams.from_config(bad)
+
 
 class TestFriction:
     def test_pure_translation_force(self):
         params = PushParams(m=1.0, inertia=0.01, mu_s=0.1)
         grid = ParticleGrid.uniform_rectangle((0.1, 0.075), params)
-        f = friction_force(grid, make_motion(v=(1.0, 0.0)), params)
-        np.testing.assert_allclose(f.components, [-0.981, 0.0], atol=1e-12)
-        assert f.frame is Frame.OBJECT
+        f = friction_wrench(grid, make_motion(v=(1.0, 0.0)), params).force
+        np.testing.assert_allclose(f, [-0.981, 0.0], atol=1e-12)
 
     def test_pure_rotation_symmetric_grid_cancels(self):
         params = PushParams(m=1.0, inertia=0.01, mu_s=0.2, n=80)
         grid = ParticleGrid.uniform_rectangle((0.1, 0.075), params)  # 180deg symmetric
-        f = friction_force(grid, make_motion(omega=2.0), params)
-        np.testing.assert_allclose(f.components, [0.0, 0.0], atol=1e-9)
+        f = friction_wrench(grid, make_motion(omega=2.0), params).force
+        np.testing.assert_allclose(f, [0.0, 0.0], atol=1e-9)
 
     def test_pure_translation_symmetric_grid_zero_moment(self):
         params = PushParams(m=1.0, inertia=0.01, mu_s=0.2, n=80)
         grid = ParticleGrid.uniform_rectangle((0.1, 0.075), params)
-        assert abs(friction_moment(grid, make_motion(v=(0.3, -0.2)), params)) < 1e-9
+        assert abs(friction_wrench(grid, make_motion(v=(0.3, -0.2)), params).moment) < 1e-9
 
     def test_rotation_moment_opposes(self):
         params = PushParams(m=1.0, inertia=0.01, mu_s=0.1, n=16)
         grid = ParticleGrid.uniform_rectangle((0.1, 0.075), params)
-        assert friction_moment(grid, make_motion(omega=1.5), params) < 0.0
-        assert friction_moment(grid, make_motion(omega=-1.5), params) > 0.0
+        assert friction_wrench(grid, make_motion(omega=1.5), params).moment < 0.0
+        assert friction_wrench(grid, make_motion(omega=-1.5), params).moment > 0.0
 
     def test_four_particle_summation_oracle(self):
         params = PushParams(m=0.65, inertia=0.004, mu_s=0.1, n=4)
@@ -129,12 +156,9 @@ class TestFriction:
         expected_f, expected_n = four_particle_friction_oracle(
             grid.particles, motion, params
         )
-        np.testing.assert_allclose(
-            friction_force(grid, motion, params).components, expected_f, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            friction_moment(grid, motion, params), expected_n, atol=1e-12
-        )
+        wrench = friction_wrench(grid, motion, params)
+        np.testing.assert_allclose(wrench.force, expected_f, atol=1e-12)
+        np.testing.assert_allclose(wrench.moment, expected_n, atol=1e-12)
 
     def test_rotated_pose_matches_oracle(self):
         params = PushParams(m=0.65, inertia=0.004, mu_s=0.15, n=12)
@@ -143,12 +167,9 @@ class TestFriction:
         expected_f, expected_n = four_particle_friction_oracle(
             grid.particles, motion, params
         )
-        np.testing.assert_allclose(
-            friction_force(grid, motion, params).components, expected_f, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            friction_moment(grid, motion, params), expected_n, atol=1e-12
-        )
+        wrench = friction_wrench(grid, motion, params)
+        np.testing.assert_allclose(wrench.force, expected_f, atol=1e-12)
+        np.testing.assert_allclose(wrench.moment, expected_n, atol=1e-12)
 
     def test_static_regime_flag(self):
         params = PushParams(m=1.0, inertia=0.01, mu_s=0.1)
@@ -167,8 +188,8 @@ class TestFriction:
             motion = make_motion(
                 v=rng.normal(size=2), omega=rng.normal(), theta=rng.normal()
             )
-            f = friction_force(grid, motion, params)
-            assert f.norm <= limit + 1e-12
+            f = friction_wrench(grid, motion, params).force
+            assert np.linalg.norm(f) <= limit + 1e-12
 
     def test_doubling_particles_converges(self):
         # refinement shrinks the change between successive discretizations
@@ -190,34 +211,36 @@ class TestForceInference:
     def test_moment_term_vanishes_at_origin_contact(self):
         params = PushParams(m=1.0, inertia=0.01, k=10.0)
         motion = make_motion(v_dot=(1.0, 0.0))
-        result = infer_force_frictionless(motion, np.zeros(2), params)
+        result = infer_frictionless(motion, np.zeros(2), params)
         np.testing.assert_allclose(result.force.components, [1.0, 0.0], atol=1e-12)
 
     def test_zero_motion_zero_force(self):
         params = PushParams(m=1.0, inertia=0.01)
-        result = infer_force_frictionless(make_motion(), np.array([0.05, 0.02]), params)
+        result = infer_frictionless(make_motion(), np.array([0.05, 0.02]), params)
         np.testing.assert_allclose(result.force.components, [0.0, 0.0], atol=1e-12)
 
     def test_normal_equations_against_grid_oracle(self):
         params = PushParams(m=0.65, inertia=0.004, k=10.0)
         motion = make_motion(v_dot=(0.2, 0.0), omega_dot=1.5)
         c = np.array([0.0, 0.1])
-        closed = infer_force_frictionless(motion, c, params, SolveMethod.CLOSED_FORM)
-        oracle = infer_force_frictionless(motion, c, params, SolveMethod.GRID_ORACLE)
-        np.testing.assert_allclose(
-            closed.force.components, oracle.force.components, atol=1e-3
-        )
+        closed = infer_frictionless(motion, c, params)
+        a, b = params.m * motion.v_dot, params.inertia * motion.omega_dot
+        oracle = _solve_grid(c, a, b, params.k)
+        np.testing.assert_allclose(closed.force.components, oracle, atol=1e-3)
 
     def test_zero_friction_matches_frictionless(self):
         params = PushParams(m=0.65, inertia=0.004, mu_s=0.0, n=16)
         grid = ParticleGrid.uniform_rectangle((0.1, 0.075), params)
         motion = make_motion(v=(0.5, 0.2), omega=0.3, v_dot=(1.0, -0.4), omega_dot=2.0)
         c = np.array([0.08, -0.03])
+        a, b, static = force_targets(motion, grid, params)
+        np.testing.assert_array_equal(a, params.m * motion.v_dot)
+        assert b == params.inertia * motion.omega_dot and not static
         with_f = infer_force_with_friction(motion, c, grid, params)
-        without = infer_force_frictionless(motion, c, params)
-        np.testing.assert_allclose(
-            with_f.force.components, without.force.components, atol=1e-12
+        without = _solve_iterative(
+            c, params.m * motion.v_dot, params.inertia * motion.omega_dot, params.k
         )
+        np.testing.assert_allclose(with_f.force.components, without, atol=1e-6)
 
     def test_equilibrium_push_cancels_friction(self):
         # steady sliding: inferred force exactly balances kinetic friction
@@ -246,15 +269,10 @@ class TestForceInference:
                 theta=rng.normal(),
             )
             c = rng.uniform(-0.15, 0.15, size=2)
-            closed = infer_force_with_friction(motion, c, grid, params, SolveMethod.CLOSED_FORM)
-            iterative = infer_force_with_friction(motion, c, grid, params, SolveMethod.ITERATIVE)
-            oracle = infer_force_with_friction(motion, c, grid, params, SolveMethod.GRID_ORACLE)
-            np.testing.assert_allclose(
-                closed.force.components, iterative.force.components, atol=1e-6
-            )
-            np.testing.assert_allclose(
-                closed.force.components, oracle.force.components, atol=1e-3
-            )
+            closed = infer_force_with_friction(motion, c, grid, params).force.components
+            a, b, _ = force_targets(motion, grid, params)
+            np.testing.assert_allclose(closed, _solve_iterative(c, a, b, params.k), atol=1e-6)
+            np.testing.assert_allclose(closed, _solve_grid(c, a, b, params.k), atol=1e-3)
 
     def test_closed_form_is_local_minimum(self):
         rng = np.random.default_rng(9)
@@ -263,61 +281,15 @@ class TestForceInference:
         motion = make_motion(v=(0.3, 0.1), omega=0.5, v_dot=(0.4, -0.2), omega_dot=1.0)
         c = np.array([0.06, -0.02])
         result = infer_force_with_friction(motion, c, grid, params)
-        base = force_objective(result.force.components, motion, c, params, grid)
+        a, b, _ = force_targets(motion, grid, params)
+        f = result.force.components
+        base = _objective(f, c, a, b, params.k)
+        assert base == result.objective
         for _ in range(100):
             direction = rng.normal(size=2)
             direction /= np.linalg.norm(direction)
-            perturbed = force_objective(
-                result.force.components + 1e-3 * direction, motion, c, params, grid
-            )
+            perturbed = _objective(f + 1e-3 * direction, c, a, b, params.k)
             assert base <= perturbed + 1e-15
-
-
-class TestFrameTransform:
-    def test_identity(self):
-        transform = FrameTransform(np.eye(3), Frame.OBJECT, Frame.SENSOR)
-        f = ForceVector(np.array([1.5, -2.0]), Frame.OBJECT)
-        out = to_sensor_frame(f, transform)
-        np.testing.assert_allclose(out.components, [1.5, -2.0, 0.0])
-        assert out.frame is Frame.SENSOR
-
-    def test_quarter_turn_about_z(self):
-        rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        transform = FrameTransform(rot, Frame.OBJECT, Frame.SENSOR)
-        out = to_sensor_frame(ForceVector(np.array([1.0, 0.0]), Frame.OBJECT), transform)
-        np.testing.assert_allclose(out.components, [0.0, 1.0, 0.0], atol=1e-15)
-
-    def test_norm_preserved_under_random_rotation(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            q = rng.normal(size=4)
-            w, x, y, z = q / np.linalg.norm(q)
-            rot = np.array(
-                [
-                    [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-                    [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-                    [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-                ]
-            )
-            transform = FrameTransform(rot, Frame.OBJECT, Frame.SENSOR)
-            f = ForceVector(rng.normal(size=2), Frame.OBJECT)
-            out = to_sensor_frame(f, transform)
-            assert math.isclose(out.norm, f.norm, rel_tol=0, abs_tol=1e-12)
-
-    def test_frame_mismatch_rejected(self):
-        transform = FrameTransform(np.eye(3), Frame.SENSOR, Frame.WORLD)
-        f = ForceVector(np.array([1.0, 0.0]), Frame.OBJECT)
-        with pytest.raises(FrameMismatchError):
-            to_sensor_frame(f, transform)
-
-    def test_non_orthonormal_rotation_rejected(self):
-        with pytest.raises(SchemaError):
-            FrameTransform(np.eye(3) * 2.0, Frame.OBJECT, Frame.SENSOR)
-
-    def test_improper_rotation_rejected(self):
-        reflection = np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(SchemaError):
-            FrameTransform(reflection, Frame.OBJECT, Frame.SENSOR)
 
 
 class TestHelpers:

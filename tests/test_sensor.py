@@ -1,4 +1,4 @@
-"""Tests for the sample schema, taring, surface projection, and contact gate."""
+"""Tests for surface projection, the electrode layout, and the contact gate."""
 
 import math
 
@@ -7,15 +7,12 @@ import pytest
 
 from tactile_force.errors import DegenerateInputError, SchemaError
 from tactile_force.sensor import (
-    SAMPLE_DIM,
     ContactDetection,
     ElectrodeLayout,
-    SensorSample,
     SurfaceGeometry,
     default_electrode_layout,
     detect_contact,
     surface_point_and_normal,
-    tare,
 )
 
 
@@ -37,51 +34,6 @@ def sample_surface_points(geometry, n_phi=180, n_z=120, n_cap=120):
             )
             points.append(geometry.cap_center + geometry.r * d)
     return np.array(points)
-
-
-class TestTare:
-    def test_identity(self):
-        raw = np.linspace(0, 10, SAMPLE_DIM)
-        sample = tare(raw, raw)
-        assert np.all(sample.as_vector() == 0.0)
-
-    def test_single_electrode_offset(self):
-        ref = np.arange(SAMPLE_DIM, dtype=float)
-        raw = ref.copy()
-        raw[5] += 1.0
-        sample = tare(raw, ref)
-        assert sample.e[5] == 1.0
-        vec = sample.as_vector()
-        vec[5] = 0.0
-        assert np.all(vec == 0.0)
-
-    def test_matches_elementwise_subtraction_oracle(self):
-        rng = np.random.default_rng(11)
-        raw = rng.normal(size=SAMPLE_DIM)
-        ref = rng.normal(size=SAMPLE_DIM)
-        expected = np.array([raw[i] - ref[i] for i in range(SAMPLE_DIM)])  # loop oracle
-        np.testing.assert_allclose(tare(raw, ref).as_vector(), expected, rtol=0, atol=0)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(SchemaError):
-            tare(np.zeros(43), np.zeros(SAMPLE_DIM))
-        with pytest.raises(SchemaError):
-            tare(np.zeros(SAMPLE_DIM), np.zeros(45))
-
-    def test_roundtrip_against_zero_reference(self):
-        rng = np.random.default_rng(3)
-        raw = rng.normal(size=SAMPLE_DIM)
-        ref = rng.normal(size=SAMPLE_DIM)
-        once = tare(raw, ref)
-        again = tare(once.as_vector(), np.zeros(SAMPLE_DIM))
-        np.testing.assert_array_equal(once.as_vector(), again.as_vector())
-
-    def test_field_layout_has_44_components(self):
-        sample = SensorSample(
-            e=np.zeros(19), p_dc=0.0, p_ac=np.zeros(22), t_dc=0.0, t_ac=0.0
-        )
-        assert sample.as_vector().shape == (SAMPLE_DIM,)
-        assert SAMPLE_DIM == 44
 
 
 class TestSurfaceProjection:
