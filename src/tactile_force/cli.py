@@ -39,6 +39,7 @@ from .errors import (
     NumericalError,
     OutOfBoundsError,
     SchemaError,
+    check_config_value,
 )
 from .mechanics import (
     ParticleGrid,
@@ -123,8 +124,25 @@ def _box_half_extents(value) -> tuple[float, float]:
     return float(hx), float(hy)
 
 
+def _config_value(path, config: dict, dotted: str, default):
+    """The config's value at a dotted key path ("sources.rigid_ft.trials"), or
+    `default` where it is absent; a value whose type differs from the
+    default's, as config_from_dict checks it, or a section that is not an
+    object, is a ConfigError naming the file and the field."""
+    parent, _, key = dotted.rpartition(".")
+    block = _config_value(path, config, parent, {}) if parent else config
+    if not isinstance(block, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    value = block.get(key, default)
+    try:
+        check_config_value(dotted, value, default)
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
+    return value
+
+
 def _push_params_from_config(config: dict, path) -> tuple[PushParams, tuple[float, float]]:
-    params_cfg = dict(config.get("params", {}))
+    params_cfg = dict(_config_value(path, config, "params", {}))
     try:
         half_extents = _box_half_extents(config.get("box_half_extents", DEFAULT_BOX_HALF_EXTENTS_M))
         if "inertia" not in params_cfg and "m" in params_cfg:
@@ -136,13 +154,14 @@ def _push_params_from_config(config: dict, path) -> tuple[PushParams, tuple[floa
         raise ConfigError(f"config {path}: {exc}") from exc
 
 
-def _layout_and_geometry(config: dict):
+def _layout_and_geometry(config: dict, path):
+    section = _config_value(path, config, "geometry", {})
     geometry = SurfaceGeometry()
     if "geometry" in config:
         try:
-            geometry = SurfaceGeometry.from_config(config["geometry"])
-        except SchemaError as exc:
-            raise ConfigError(str(exc)) from exc
+            geometry = SurfaceGeometry.from_config(section)
+        except (SchemaError, ConfigError) as exc:
+            raise ConfigError(f"config {path}: {exc}") from exc
     if "layout_file" in config:
         path = config["layout_file"]
         try:
@@ -154,38 +173,47 @@ def _layout_and_geometry(config: dict):
     return layout, geometry
 
 
-def _sensor_model_from_config(config: dict) -> tuple[SensorForwardModel, SurfaceGeometry]:
-    layout, geometry = _layout_and_geometry(config)
-    sensor_cfg = config.get("sensor", {})
-    settings = {k: float(sensor_cfg[k]) for k in SENSOR_CONFIG_KEYS if k in sensor_cfg}
+def _sensor_model_from_config(config: dict, path) -> tuple[SensorForwardModel, SurfaceGeometry]:
+    layout, geometry = _layout_and_geometry(config, path)
+    sensor_cfg = _config_value(path, config, "sensor", {})
+    defaults = {f.name: f.default for f in dataclasses.fields(SensorForwardModel)}
+    settings = {
+        k: float(_config_value(path, config, f"sensor.{k}", defaults[k]))
+        for k in SENSOR_CONFIG_KEYS if k in sensor_cfg
+    }
     return SensorForwardModel(layout=layout, **settings), geometry
 
 
 def cmd_simulate(args) -> int:
     t0 = time.monotonic()
-    config = load_json(args.config, "config")
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    config_path = args.config
+    config = load_json(config_path, "config")
+
+    def setting(dotted, default):
+        return _config_value(config_path, config, dotted, default)
+
+    config_seed = setting("seed", 0)
+    seed = args.seed if args.seed is not None else config_seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model, geometry = _sensor_model_from_config(config)
-    sources_cfg = config.get("sources", {})
+    model, geometry = _sensor_model_from_config(config, config_path)
     records: list[SampleRecord] = []
     outputs: list[str] = []
 
-    planar_cfg = sources_cfg.get(SOURCE_PLANAR, {})
-    n_planar = int(planar_cfg.get("trials", 0))
+    planar = f"sources.{SOURCE_PLANAR}."
+    n_planar = setting(planar + "trials", 0)
     if n_planar > 0:
-        params, half_extents = _push_params_from_config(config, args.config)
+        params, half_extents = _push_params_from_config(config, config_path)
         episodes, planar_records = make_planar_trials(
             model,
             geometry,
             n_trials=n_planar,
-            steps=int(planar_cfg.get("steps", 400)),
+            steps=setting(planar + "steps", 400),
             seed=seed,
             params=params,
             half_extents=half_extents,
-            dt=float(planar_cfg.get("dt", DEFAULT_DT_S)),
-            magnitude_range=tuple(planar_cfg.get("magnitude_range", (0.1, 2.0))),
+            dt=float(setting(planar + "dt", DEFAULT_DT_S)),
+            magnitude_range=tuple(setting(planar + "magnitude_range", (0.1, 2.0))),
         )
         records.extend(planar_records)
         episodes_dir = out_dir / "episodes"
@@ -204,8 +232,8 @@ def cmd_simulate(args) -> int:
         SOURCE_BALL_FT: {"force_range": (0.1, 5.0), "cap_only": True, "cone_deg": 60.0},
     }
     for tag, defaults in ft_defaults.items():
-        cfg = sources_cfg.get(tag, {})
-        n_trials = int(cfg.get("trials", 0))
+        source = f"sources.{tag}."
+        n_trials = setting(source + "trials", 0)
         if n_trials > 0:
             records.extend(
                 make_ft_samples(
@@ -213,21 +241,20 @@ def cmd_simulate(args) -> int:
                     geometry,
                     source_tag=tag,
                     n_trials=n_trials,
-                    samples_per_trial=int(cfg.get("samples_per_trial", 50)),
+                    samples_per_trial=setting(source + "samples_per_trial", 50),
                     seed=seed + (1 if tag == SOURCE_RIGID_FT else 2),
-                    force_range=tuple(cfg.get("force_range", defaults["force_range"])),
-                    cone_angle_deg=float(cfg.get("cone_angle_deg", defaults["cone_deg"])),
-                    cap_only=bool(cfg.get("cap_only", defaults["cap_only"])),
+                    force_range=tuple(setting(source + "force_range", defaults["force_range"])),
+                    cone_angle_deg=float(setting(source + "cone_angle_deg", defaults["cone_deg"])),
+                    cap_only=setting(source + "cap_only", defaults["cap_only"]),
                 )
             )
 
     if not records:
         raise ConfigError("config requested no trials from any source")
-    split_cfg = config.get("split", {})
     splits = make_dataset(
         records,
-        train_frac=float(split_cfg.get("train", 0.8)),
-        val_frac=float(split_cfg.get("val", 0.1)),
+        train_frac=float(setting("split.train", 0.8)),
+        val_frac=float(setting("split.val", 0.1)),
         seed=seed,
     )
     samples_path = out_dir / "samples.jsonl"
@@ -320,16 +347,27 @@ MODEL_LINEAR = "linear"
 
 
 def _train_configs(config: dict, seed: int):
-    net_cfg = NetworkConfig.from_dict({**config.get("network", {}), "seed": seed})
-    train_cfg = TrainingConfig.from_dict({**config.get("training", {}), "seed": seed})
-    loss_cfg = LossConfig.from_dict(config.get("loss", {}))
-    return net_cfg, train_cfg, loss_cfg
+    """The network, training and loss configs of a train config's "network",
+    "training" and "loss" sections; a bad field is a ConfigError naming the
+    section and the field."""
+    configs = []
+    for section, cls, extra in (("network", NetworkConfig, {"seed": seed}),
+                                ("training", TrainingConfig, {"seed": seed}),
+                                ("loss", LossConfig, {})):
+        block = config.get(section, {})
+        check_config_value(section, block, {})
+        try:
+            configs.append(cls.from_dict({**block, **extra}))
+        except ConfigError as exc:
+            raise ConfigError(f"section {section!r}: {exc}") from exc
+    return configs
 
 
 def cmd_train(args) -> int:
     t0 = time.monotonic()
     config = load_json(args.config, "config") if args.config else {}
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    config_seed = _config_value(args.config, config, "seed", 0)
+    seed = args.seed if args.seed is not None else config_seed
     sources = resolve_sources(args.sources)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -342,12 +380,15 @@ def cmd_train(args) -> int:
     if not val_records:
         raise DataIntegrityError(f"no validation samples for sources {sorted(sources)}")
 
-    net_cfg, train_cfg, loss_cfg = _train_configs(config, seed)
+    try:
+        net_cfg, train_cfg, loss_cfg = _train_configs(config, seed)
+    except ConfigError as exc:
+        raise ConfigError(f"config {args.config}: {exc}") from exc
     use_alpha = not args.no_alpha
     if not use_alpha:
         loss_cfg = dataclasses.replace(loss_cfg, beta=0.0)
 
-    layout, geometry = _layout_and_geometry(config)
+    layout, geometry = _layout_and_geometry(config, args.config)
 
     if args.model == MODEL_LINEAR:
         e_train = np.stack([r.e for r in train_records])
@@ -367,11 +408,12 @@ def cmd_train(args) -> int:
     voxel = args.model == MODEL_VOXEL and not args.no_voxel
     featurization = featurization_record(voxel, layout, geometry, config.get("grid"))
     if args.model == MODEL_MLP_BASELINE:
-        widths = tuple(config.get("mlp", {}).get("hidden_widths", (64, 64)))
+        widths = tuple(_config_value(args.config, config, "mlp.hidden_widths", (64, 64)))
         model = build_mlp_net(22, widths, seed=seed, layer_norm=False)
         loss_cfg = dataclasses.replace(loss_cfg, beta=0.0, mode="plain_l2")
     elif args.no_voxel:
-        widths = tuple(config.get("no_voxel_widths", (64, 64, 64, 64))) + net_cfg.fc_widths
+        widths = tuple(_config_value(args.config, config, "no_voxel_widths", (64, 64, 64, 64)))
+        widths += net_cfg.fc_widths
         model = build_mlp_net(22, widths, seed=seed, layer_norm=True)
     else:
         model = build_voxel_net(net_cfg, input_shape=(2, *featurization["grid"]["dims"]))
@@ -394,6 +436,9 @@ def cmd_train(args) -> int:
             "model": args.model,
             "best_epoch": report.best_epoch,
             "best_val_loss": report.best_val_loss,
+            "skipped_train": report.skipped_train,
+            "skipped_val": report.skipped_val,
+            "iterations": report.iterations,
             "seed": seed,
         },
     )

@@ -3,6 +3,9 @@
 Every layer caches what its backward pass needs during forward, accumulates
 parameter gradients into Parameter.grad, and returns the gradient with
 respect to its input; SparseConv3d, a first layer, returns None instead.
+A layer owns its parameter arrays until a Model packs them into its flat
+value and gradient buffers; from then on each Parameter.value and .grad is
+a view of its slice there, so layers only ever write them in place.
 All math is float64 numpy. Convolutions are "valid" (no padding) with
 kernel = stride, so their windows never overlap: a dense convolution is a
 crop, a space-to-depth reshape and one matmul.
@@ -21,12 +24,11 @@ from ..errors import SchemaError
 class Parameter:
     name: str
     value: np.ndarray
-    grad: np.ndarray = field(default=None)
+    grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=float)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value)
 
 
 class Layer:
@@ -36,10 +38,6 @@ class Layer:
 
     def parameters(self) -> list[Parameter]:
         return []
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad.fill(0.0)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError

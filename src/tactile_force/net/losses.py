@@ -12,7 +12,7 @@ the surface normal, where D is the normalized angular distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,12 +61,7 @@ class LossConfig:
         object.__setattr__(self, "psi", psi)
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "psi": self.psi.tolist(),
-            "magnitude_floor": self.magnitude_floor,
-            "mode": self.mode,
-        }
+        return {**asdict(self), "psi": self.psi.tolist()}
 
     from_dict = classmethod(config_from_dict)
 

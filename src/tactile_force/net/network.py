@@ -11,7 +11,7 @@ instead, so reduced test configurations stay differentiable end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,19 +45,17 @@ class NetworkConfig:
         object.__setattr__(self, "fc_widths", tuple(int(w) for w in self.fc_widths))
 
     def to_dict(self) -> dict:
-        return {
-            "conv3d_channels": list(self.conv3d_channels),
-            "conv2d_channels": self.conv2d_channels,
-            "fc_widths": list(self.fc_widths),
-            "layer_norm_eps": self.layer_norm_eps,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "conv3d_channels": list(self.conv3d_channels),
+                "fc_widths": list(self.fc_widths)}
 
     from_dict = classmethod(config_from_dict)
 
 
 class Model:
-    """Sequential container over layers with a shared parameter list.
+    """Sequential container over layers whose parameters live in two flat
+    float64 buffers, `values` and `grads`: each Parameter's value and grad
+    are reshaped views of one slice, in parameters() order (the order of
+    checkpoints). Write a parameter in place; rebinding it detaches it.
 
     `build` is the JSON-able record that rebuilds the model: its kind
     ("voxel_net" or "mlp_net") and the arguments build_voxel_net or
@@ -67,13 +65,21 @@ class Model:
     def __init__(self, layers: list[Layer], build: dict):
         self.layers = layers
         self.build = build
+        params = self.parameters()
+        self.values = np.concatenate([p.value.ravel() for p in params])
+        self.grads = np.zeros_like(self.values)
+        start = 0
+        for p in params:
+            end = start + p.value.size
+            p.value = self.values[start:end].reshape(p.value.shape)
+            p.grad = self.grads[start:end].reshape(p.value.shape)
+            start = end
 
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.parameters()]
 
     def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
+        self.grads.fill(0.0)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=float)
@@ -93,10 +99,8 @@ class Model:
             if grad is not None and not np.all(np.isfinite(grad)):
                 raise NumericalError(f"non-finite gradient flowing out of layer {layer.name}")
 
-    def get_state(self) -> list[np.ndarray]:
-        return [p.value.copy() for p in self.parameters()]
-
     def set_state(self, state: list[np.ndarray]) -> None:
+        """Write one array per parameter, in parameters() order, in place."""
         params = self.parameters()
         if len(state) != len(params):
             raise ConfigError(
@@ -107,7 +111,7 @@ class Model:
                 raise ConfigError(
                     f"parameter {p.name}: shape {p.value.shape} != stored {value.shape}"
                 )
-            p.value = np.array(value, dtype=float)
+            p.value[...] = value
 
 
 def build_voxel_net(

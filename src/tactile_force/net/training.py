@@ -4,13 +4,16 @@ parameter keeping."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..errors import ConfigError, NumericalError, config_from_dict
 from .losses import LossConfig, batch_loss_and_grad
 from .network import Model
+
+# Adam's moment decay rates and denominator offset (Kingma & Ba)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -33,16 +36,7 @@ class TrainingConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
     def to_dict(self) -> dict:
-        return {
-            "max_epochs": self.max_epochs,
-            "batch_size": self.batch_size,
-            "base_lr": self.base_lr,
-            "lr_floor": self.lr_floor,
-            "warmup_epochs": self.warmup_epochs,
-            "warmup_doubling_iters": self.warmup_doubling_iters,
-            "decay_factor": self.decay_factor,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     from_dict = classmethod(config_from_dict)
 
@@ -78,23 +72,28 @@ class LearningRateSchedule:
 
 
 class AdamOptimizer:
-    """Adam over a model's parameter list (decay 0.9/0.999, eps 1e-8)."""
+    """Adam over a model's flat buffers. Each step runs in place in
+    preallocated arrays (parameter-sized temporaries would slow it), in the
+    per-tensor formula's operation order, which keeps it bit-equal to that."""
 
-    def __init__(self, model: Model, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, model: Model):
         self.model = model
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self._m = [np.zeros_like(p.value) for p in model.parameters()]
-        self._v = [np.zeros_like(p.value) for p in model.parameters()]
+        self.m, self.v = np.zeros_like(model.values), np.zeros_like(model.values)
+        self._a, self._b = np.empty_like(model.values), np.empty_like(model.values)
 
     def step(self, lr: float) -> None:
         self.t += 1
-        for i, p in enumerate(self.model.parameters()):
-            self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * p.grad
-            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * p.grad**2
-            m_hat = self._m[i] / (1 - self.beta1**self.t)
-            v_hat = self._v[i] / (1 - self.beta2**self.t)
-            p.value -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, m, v, a, b = self.model.grads, self.m, self.v, self._a, self._b
+        m *= BETA1
+        m += np.multiply(g, 1 - BETA1, out=a)
+        v *= BETA2
+        v += np.multiply(np.multiply(g, g, out=a), 1 - BETA2, out=a)
+        np.sqrt(np.divide(v, 1 - BETA2**self.t, out=a), out=a)
+        a += EPS
+        np.divide(m, 1 - BETA1**self.t, out=b)
+        b *= lr
+        self.model.values -= np.divide(b, a, out=b)
 
 
 @dataclass
@@ -137,7 +136,7 @@ def evaluate_loss(
     """Mean loss over a sample set, batched; returns (loss, n_skipped)."""
     total, count, skipped = 0.0, 0, 0
     for start in range(0, len(samples), batch_size):
-        batch = samples.take(np.arange(start, min(start + batch_size, len(samples))))
+        batch = samples.take(slice(start, start + batch_size))
         pred = model.forward(batch.inputs)
         loss, _, n_skip = batch_loss_and_grad(
             pred, batch.f_3d, batch.s_n, batch.r_wb, batch.source_tags, loss_config
@@ -162,7 +161,8 @@ def train(
     """Optimize the model, keeping the parameters with the best validation loss.
 
     The model is left holding the best-validation parameters. Raises
-    NumericalError if the validation loss goes non-finite.
+    NumericalError if the validation loss or, prefixed "epoch E iteration
+    I:" (from 0, I within the epoch), a training step goes non-finite.
     """
     if len(val_samples) == 0:
         raise ConfigError("validation set is empty")
@@ -172,19 +172,22 @@ def train(
     optimizer = AdamOptimizer(model)
     schedule = LearningRateSchedule(config)
     report = TrainReport()
-    best_state = model.get_state()
+    best = model.values.copy()
 
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(train_samples))
         epoch_loss, epoch_count = 0.0, 0
-        for start in range(0, len(order), config.batch_size):
+        for i, start in enumerate(range(0, len(order), config.batch_size)):
             batch = train_samples.take(order[start : start + config.batch_size])
             model.zero_grad()
-            pred = model.forward(batch.inputs)
-            loss, grad, n_skip = batch_loss_and_grad(
-                pred, batch.f_3d, batch.s_n, batch.r_wb, batch.source_tags, loss_config
-            )
-            model.backward(grad)
+            try:
+                pred = model.forward(batch.inputs)
+                loss, grad, n_skip = batch_loss_and_grad(
+                    pred, batch.f_3d, batch.s_n, batch.r_wb, batch.source_tags, loss_config
+                )
+                model.backward(grad)
+            except NumericalError as exc:
+                raise NumericalError(f"epoch {epoch} iteration {i}: {exc}") from exc
             optimizer.step(schedule.step(epoch))
             included = len(batch) - n_skip
             epoch_loss += loss * included
@@ -204,7 +207,7 @@ def train(
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
             report.best_epoch = epoch
-            best_state = model.get_state()
+            best = model.values.copy()
         if log_every and (epoch + 1) % log_every == 0:
             print(
                 f"epoch {epoch + 1}/{config.max_epochs} "
@@ -212,5 +215,5 @@ def train(
                 f"lr {schedule.rate:.2e}"
             )
 
-    model.set_state(best_state)
+    model.values[...] = best
     return report

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, SchemaError
+from .errors import DegenerateInputError, SchemaError, check_config_value
 
 N_ELECTRODES = 19
 
@@ -70,12 +70,12 @@ class SurfaceGeometry:
     @classmethod
     def from_config(cls, config: dict) -> "SurfaceGeometry":
         try:
-            return cls(
-                r=float(config["radius_m"]),
-                half_cylinder_length=float(config["half_cylinder_length_m"]),
-            )
+            r, length = config["radius_m"], config["half_cylinder_length_m"]
         except KeyError as exc:
             raise SchemaError(f"geometry config missing field {exc.args[0]!r}") from exc
+        check_config_value("geometry.radius_m", r, DEFAULT_RADIUS_M)
+        check_config_value("geometry.half_cylinder_length_m", length, DEFAULT_HALF_CYLINDER_LENGTH_M)
+        return cls(r=float(r), half_cylinder_length=float(length))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from tactile_force.dataset import featurize_voxel, load_manifest_splits
 from tactile_force.mechanics import ParticleGrid, PlanarMotion, PushParams, force_targets
 from tactile_force.metrics import evaluate_pairs, summarize
 from tactile_force.net import load_checkpoint
+from tactile_force.net.losses import MAGNITUDE_FLOOR_N
 from tactile_force.sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
 from tactile_force.voxel import GridSpec
 
@@ -256,6 +257,19 @@ class TestTrainEval:
         assert summary["model"]["ablation"] == {"voxel": True, "alpha": True}
         assert "direction_pct" in summary["overall"]
 
+        # the checkpoint keeps what training counted
+        metadata = load_checkpoint(model_dir / "checkpoint.npz")[1]["metadata"]
+        splits, _ = load_manifest_splits(manifest)
+        training = TINY_TRAIN_CONFIG["training"]
+        batches = -(-len(splits["train"]) // training["batch_size"])
+        below = {
+            name: sum(np.linalg.norm(r.f_3d) < MAGNITUDE_FLOOR_N for r in splits[name])
+            for name in ("train", "val")
+        }
+        assert metadata["iterations"] == training["max_epochs"] * batches
+        assert metadata["skipped_train"] == training["max_epochs"] * below["train"]
+        assert metadata["skipped_val"] == below["val"]
+
     def test_deterministic_checkpoint(self, sim_dir, tmp_path):
         config = write_config(tmp_path / "train.json", TINY_TRAIN_CONFIG)
         manifest = sim_dir / "dataset_manifest.json"
@@ -491,6 +505,48 @@ class TestSelfDescribingModels:
         code, _ = self.evaluate(sim_dir, tmp_path, path, "--model-kind", "linear")
         assert code == 2
         assert "'layout'" in capsys.readouterr().err
+
+
+def with_value(config: dict, dotted: str, value) -> dict:
+    """A copy of config with the value at a dotted key path replaced."""
+    head, _, rest = dotted.partition(".")
+    if not rest:
+        return {**config, head: value}
+    return {**config, head: with_value(config.get(head, {}), rest, value)}
+
+
+class TestConfigValueTypes:
+    @pytest.mark.parametrize("command, field, value", [
+        ("simulate", "sources.rigid_ft.trials", "x"),
+        ("simulate", "sources.planar_pushing.steps", 150.0),
+        ("simulate", "sensor.gain", "x"),
+        ("simulate", "geometry.radius_m", "x"),
+        ("simulate", "sources.ball_ft.cap_only", 1),
+        ("train", "training.batch_size", "x"),
+        ("train", "training.max_epochs", 1.5),
+        ("train", "network.fc_widths", ["x"]),
+        ("train", "loss.beta", "x"),
+        ("train", "loss.beta", True),
+        ("train", "seed", "x"),
+    ])
+    def test_wrong_type_exits_2_naming_file_and_field(
+        self, sim_dir, sim_config, tmp_path, capsys, command, field, value
+    ):
+        if command == "simulate":
+            if field.startswith("geometry"):
+                sim_config = {**sim_config, "geometry": {"half_cylinder_length_m": 0.015}}
+            config = write_config(tmp_path / "bad.json", with_value(sim_config, field, value))
+            args = ["simulate", "--config", config, "--out", tmp_path / "o"]
+        else:
+            config = write_config(tmp_path / "bad.json", with_value(TINY_TRAIN_CONFIG, field, value))
+            args = ["train", "--manifest", sim_dir / "dataset_manifest.json",
+                    "--out", tmp_path / "m", "--config", config]
+        capsys.readouterr()
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(config) in err
+        assert field.rpartition(".")[2] in err
+        assert not (tmp_path / "m" / "checkpoint.npz").exists()
 
 
 class TestFeaturizationErrors:

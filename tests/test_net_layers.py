@@ -31,7 +31,8 @@ def fd_layer_check(layer, x, seed=7, n_checks=40):
     def loss():
         return 0.5 * float(np.sum(head * layer.forward(x) ** 2))
 
-    layer.zero_grad()
+    for p in layer.parameters():
+        p.grad[...] = 0.0
     out = layer.forward(x)
     grad_x = layer.backward(head * out)
     worst = 0.0

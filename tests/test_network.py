@@ -1,6 +1,7 @@
 """Tests of the assembled models: shapes, determinism, and batch invariance."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -38,11 +39,11 @@ class TestForward:
         _, net = tiny_net()
         for p in net.parameters():
             if p.name.endswith(".gain"):
-                p.value = np.ones_like(p.value)
+                p.value[...] = 1.0
             else:
-                p.value = np.zeros_like(p.value)
+                p.value[...] = 0.0
         bias = np.array([0.3, -0.7, 1.1])
-        net.layers[-1].bias.value = bias.copy()
+        net.layers[-1].bias.value[...] = bias
         out = net.forward(np.zeros((2, 2, 4, 4, 4)))
         np.testing.assert_allclose(out, np.tile(bias, (2, 1)), atol=1e-12)
 
@@ -91,10 +92,10 @@ class TestBackward:
         target = np.array([0.5, -1.0, 2.0])
         for p in net.parameters():
             if p.name.endswith(".gain"):
-                p.value = np.ones_like(p.value)
+                p.value[...] = 1.0
             else:
-                p.value = np.zeros_like(p.value)
-        net.layers[-1].bias.value = target.copy()
+                p.value[...] = 0.0
+        net.layers[-1].bias.value[...] = target
         x = np.random.default_rng(3).normal(size=(2, 2, 4, 4, 4))
         config = LossConfig(beta=0.0)
         net.zero_grad()
@@ -126,6 +127,25 @@ class TestConfig:
         assert cls.from_dict({}).to_dict() == cls().to_dict()
         with pytest.raises(ConfigError, match="bogus"):
             cls.from_dict({"bogus": 1})
+
+    @pytest.mark.parametrize("cls, key, value, field", [
+        (TrainingConfig, "base_lr", 1, None),  # an int passes for a float
+        (TrainingConfig, "batch_size", 64.0, "batch_size"),
+        (TrainingConfig, "max_epochs", True, "max_epochs"),  # a bool is not a number
+        (LossConfig, "beta", False, "beta"),
+        (LossConfig, "mode", 3, "mode"),
+        (LossConfig, "psi", [[1, 0], [0, 1], [0, 0]], None),
+        (LossConfig, "psi", [[1, 0], [0, 1], [0, "a"]], "psi[2][1]"),
+        (NetworkConfig, "conv3d_channels", (4, 8), None),
+        (NetworkConfig, "fc_widths", 5, "fc_widths"),
+        (NetworkConfig, "fc_widths", [16, None], "fc_widths[1]"),
+    ])
+    def test_from_dict_checks_value_types_against_defaults(self, cls, key, value, field):
+        if field is None:
+            cls.from_dict({key: value})
+        else:
+            with pytest.raises(ConfigError, match=re.escape(f"field {field!r} must be")):
+                cls.from_dict({key: value})
 
     def test_config_roundtrip(self):
         cfg = NetworkConfig(conv3d_channels=(4, 8), conv2d_channels=16, fc_widths=(32,), seed=9)

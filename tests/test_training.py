@@ -1,18 +1,30 @@
-"""Learning-rate schedule, optimizer determinism, and a learnability smoke test."""
+"""Learning-rate schedule, optimizer determinism, the flat parameter buffer,
+and a learnability smoke test."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from tactile_force.errors import ConfigError, NumericalError
 from tactile_force.net import (
+    AdamOptimizer,
     LossConfig,
     LearningRateSchedule,
+    Model,
+    NetworkConfig,
+    Parameter,
     TrainingConfig,
     build_mlp_net,
+    build_voxel_net,
+    load_checkpoint,
+    save_checkpoint,
     train,
 )
+from tactile_force.net.layers import Layer
 from tactile_force.net.training import ArraySamples
 
 
@@ -120,6 +132,21 @@ class TestTrain:
                 LossConfig(), TrainingConfig(max_epochs=2, batch_size=8),
             )
 
+    def test_step_failure_names_epoch_and_iteration(self):
+        rng = np.random.default_rng(3)
+        forces = rng.normal(size=(20, 3)) + 2.0
+        samples = make_samples(forces, forces)
+        model = build_mlp_net(3, (4,), seed=0)
+        model.parameters()[0].value[:] = 1e308
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
+            train(
+                model, samples.take(np.arange(15)), samples.take(np.arange(15, 20)),
+                LossConfig(), TrainingConfig(max_epochs=2, batch_size=8),
+            )
+        assert str(info.value) == (
+            "epoch 0 iteration 0: non-finite gradient flowing out of layer ln_fc_0"
+        )
+
     def test_best_parameters_restored(self):
         rng = np.random.default_rng(4)
         forces = rng.normal(size=(60, 3)) + np.array([0.0, 0.0, 2.0])
@@ -141,3 +168,114 @@ class TestTrain:
             TrainingConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainingConfig(base_lr=-1.0)
+
+
+class ReferenceAdam:
+    """Per-tensor Adam (decay 0.9/0.999, eps 1e-8) over a list of arrays,
+    updated in place: the oracle the flat, in-place AdamOptimizer is held
+    to bit for bit."""
+
+    def __init__(self, values, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.values = values
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(v) for v in values]
+        self.v = [np.zeros_like(v) for v in values]
+
+    def step(self, grads, lr):
+        self.t += 1
+        for i, (value, g) in enumerate(zip(self.values, grads)):
+            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g**2
+            m_hat = self.m[i] / (1 - self.beta1**self.t)
+            v_hat = self.v[i] / (1 - self.beta2**self.t)
+            value -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+class Holder(Layer):
+    """A layer that only holds parameters."""
+
+    def __init__(self, params):
+        self.params = params
+
+    def parameters(self):
+        return self.params
+
+
+def assert_parameters_view_buffers(model):
+    """Every parameter's value and grad is the view of its own slice of the
+    model's buffers, in parameters() order: a write to the buffer shows
+    through each view, at its place."""
+    params = model.parameters()
+    assert all(
+        np.shares_memory(p.value, model.values) and np.shares_memory(p.grad, model.grads)
+        for p in params
+    )
+    saved = model.values.copy()
+    ramp = np.arange(model.values.size, dtype=float)
+    model.values[...], model.grads[...] = ramp, -ramp
+    np.testing.assert_array_equal(np.concatenate([p.value.ravel() for p in params]), ramp)
+    np.testing.assert_array_equal(np.concatenate([p.grad.ravel() for p in params]), -ramp)
+    model.values[...], model.grads[...] = saved, 0.0
+
+
+def tiny_training_run(model, inputs_dim, seed=0):
+    rng = np.random.default_rng(seed)
+    forces = rng.normal(size=(40, 3)) + np.array([0.0, 0.0, 2.0])
+    inputs = rng.normal(size=(40, inputs_dim))
+    samples = make_samples(inputs, forces)
+    return train(
+        model, samples.take(np.arange(30)), samples.take(np.arange(30, 40)), LossConfig(),
+        TrainingConfig(max_epochs=2, batch_size=8, base_lr=1e-2, seed=seed),
+    )
+
+
+class TestParameterBuffer:
+    def test_parameters_view_the_buffer_after_build_load_and_train(self, tmp_path):
+        voxel = build_voxel_net(
+            NetworkConfig(conv3d_channels=(2, 2), conv2d_channels=2, fc_widths=(4,)),
+            input_shape=(2, 4, 4, 4),
+        )
+        mlp = build_mlp_net(5, (8, 4), seed=2)
+        for model in (voxel, mlp):
+            assert model.values.size == sum(p.value.size for p in model.parameters())
+            assert_parameters_view_buffers(model)
+        path = tmp_path / "mlp.npz"
+        save_checkpoint(path, mlp, featurization={"kind": "flat"})
+        loaded, _ = load_checkpoint(path)
+        assert_parameters_view_buffers(loaded)
+        np.testing.assert_array_equal(loaded.values, mlp.values)
+        tiny_training_run(loaded, 5)
+        assert_parameters_view_buffers(loaded)
+
+    def test_loaded_model_moves_when_trained(self, tmp_path):
+        path = tmp_path / "mlp.npz"
+        save_checkpoint(path, build_mlp_net(5, (8,), seed=4), featurization={"kind": "flat"})
+        model, _ = load_checkpoint(path)
+        x = np.random.default_rng(9).normal(size=(3, 5))
+        before, out_before = model.values.copy(), model.forward(x)
+        tiny_training_run(model, 5, seed=1)
+        assert np.all(np.concatenate([p.value.ravel() for p in model.parameters()]) == model.values)
+        assert not np.array_equal(model.values, before)
+        assert not np.array_equal(model.forward(x), out_before)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shapes=st.lists(array_shapes(min_dims=1, max_dims=4, max_side=5), min_size=1, max_size=5),
+        rates=st.lists(st.floats(1e-8, 1.0), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flat_adam_is_bit_equal_to_per_tensor_reference(self, shapes, rates, seed):
+        rng = np.random.default_rng(seed)
+        params = [Parameter(f"p{i}", rng.normal(size=shape)) for i, shape in enumerate(shapes)]
+        model = Model([Holder(params)], build={})
+        reference = ReferenceAdam([p.value.copy() for p in params])
+        optimizer = AdamOptimizer(model)
+        for lr in rates:
+            grads = [rng.normal(size=s) * 10.0 ** rng.uniform(-6, 3) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad[...] = g
+            optimizer.step(lr)
+            reference.step(grads, lr)
+        for p, expected in zip(params, reference.values):
+            np.testing.assert_array_equal(p.value, expected)
