@@ -185,6 +185,9 @@ def _sensor_model_from_config(config: dict, path) -> tuple[SensorForwardModel, S
 
 
 def cmd_simulate(args) -> int:
+    """Simulate the configured sources into --out. Every config value is read
+    and type-checked before anything is simulated, and --out is created only
+    once the dataset is complete, so an error leaves no partial output."""
     t0 = time.monotonic()
     config_path = args.config
     config = load_json(config_path, "config")
@@ -194,19 +197,13 @@ def cmd_simulate(args) -> int:
 
     config_seed = setting("seed", 0)
     seed = args.seed if args.seed is not None else config_seed
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model, geometry = _sensor_model_from_config(config, config_path)
-    records: list[SampleRecord] = []
-    outputs: list[str] = []
 
     planar = f"sources.{SOURCE_PLANAR}."
     n_planar = setting(planar + "trials", 0)
     if n_planar > 0:
         params, half_extents = _push_params_from_config(config, config_path)
-        episodes, planar_records = make_planar_trials(
-            model,
-            geometry,
+        planar_args = dict(
             n_trials=n_planar,
             steps=setting(planar + "steps", 400),
             seed=seed,
@@ -215,7 +212,41 @@ def cmd_simulate(args) -> int:
             dt=float(setting(planar + "dt", DEFAULT_DT_S)),
             magnitude_range=tuple(setting(planar + "magnitude_range", (0.1, 2.0))),
         )
+    ft_defaults = {
+        SOURCE_RIGID_FT: {"force_range": (0.5, 10.0), "cap_only": False, "cone_deg": 30.0},
+        SOURCE_BALL_FT: {"force_range": (0.1, 5.0), "cap_only": True, "cone_deg": 60.0},
+    }
+    ft_args = {}
+    for tag, defaults in ft_defaults.items():
+        source = f"sources.{tag}."
+        n_trials = setting(source + "trials", 0)
+        if n_trials > 0:
+            ft_args[tag] = dict(
+                source_tag=tag,
+                n_trials=n_trials,
+                samples_per_trial=setting(source + "samples_per_trial", 50),
+                seed=seed + (1 if tag == SOURCE_RIGID_FT else 2),
+                force_range=tuple(setting(source + "force_range", defaults["force_range"])),
+                cone_angle_deg=float(setting(source + "cone_angle_deg", defaults["cone_deg"])),
+                cap_only=setting(source + "cap_only", defaults["cap_only"]),
+            )
+    train_frac = float(setting("split.train", 0.8))
+    val_frac = float(setting("split.val", 0.1))
+
+    records: list[SampleRecord] = []
+    if n_planar > 0:
+        episodes, planar_records = make_planar_trials(model, geometry, **planar_args)
         records.extend(planar_records)
+    for kwargs in ft_args.values():
+        records.extend(make_ft_samples(model, geometry, **kwargs))
+    if not records:
+        raise ConfigError("config requested no trials from any source")
+    splits = make_dataset(records, train_frac=train_frac, val_frac=val_frac, seed=seed)
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs: list[str] = []
+    if n_planar > 0:
         episodes_dir = out_dir / "episodes"
         episodes_dir.mkdir(exist_ok=True)
         for episode in episodes:
@@ -226,37 +257,6 @@ def cmd_simulate(args) -> int:
         params_blob = {**dataclasses.asdict(params), "box_half_extents": list(half_extents)}
         write_json_atomic(out_dir / "params.json", params_blob)
         outputs.append("params.json")
-
-    ft_defaults = {
-        SOURCE_RIGID_FT: {"force_range": (0.5, 10.0), "cap_only": False, "cone_deg": 30.0},
-        SOURCE_BALL_FT: {"force_range": (0.1, 5.0), "cap_only": True, "cone_deg": 60.0},
-    }
-    for tag, defaults in ft_defaults.items():
-        source = f"sources.{tag}."
-        n_trials = setting(source + "trials", 0)
-        if n_trials > 0:
-            records.extend(
-                make_ft_samples(
-                    model,
-                    geometry,
-                    source_tag=tag,
-                    n_trials=n_trials,
-                    samples_per_trial=setting(source + "samples_per_trial", 50),
-                    seed=seed + (1 if tag == SOURCE_RIGID_FT else 2),
-                    force_range=tuple(setting(source + "force_range", defaults["force_range"])),
-                    cone_angle_deg=float(setting(source + "cone_angle_deg", defaults["cone_deg"])),
-                    cap_only=setting(source + "cap_only", defaults["cap_only"]),
-                )
-            )
-
-    if not records:
-        raise ConfigError("config requested no trials from any source")
-    splits = make_dataset(
-        records,
-        train_frac=float(setting("split.train", 0.8)),
-        val_frac=float(setting("split.val", 0.1)),
-        seed=seed,
-    )
     samples_path = out_dir / "samples.jsonl"
     write_samples_jsonl(records, samples_path)
     write_manifest(splits, "samples.jsonl", out_dir / "dataset_manifest.json", seed)

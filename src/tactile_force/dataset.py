@@ -21,8 +21,8 @@ from .errors import (
 from .net.training import ArraySamples
 from .sensor import N_ELECTRODES, ElectrodeLayout, SurfaceGeometry
 from .voxel import (
-    CHANNEL_CONTACT, CHANNEL_ELECTRODES, N_CHANNELS, GridSpec, cell_indices, electrode_cells,
-    outside,
+    CHANNEL_CONTACT, CHANNEL_ELECTRODES, N_CHANNELS, GridSpec, VoxelCells, cell_indices,
+    electrode_cells, outside,
 )
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -318,11 +318,11 @@ def featurize_voxel(
 ) -> ArraySamples:
     """Encode records into voxel-grid model inputs plus loss context arrays.
 
-    One scatter of every record's electrode values and contact cell into a
-    preallocated array; the result equals stacking `voxel.encode` of each
-    record. A record whose e or s_c has the wrong shape, or whose contact
-    point is not finite or lies outside the grid, is an error naming its
-    trial.
+    Each sample's inputs are its 20 non-zero cells: the 19 electrode cells
+    in flat-index order, then the contact cell, which is in the later
+    channel; their dense array equals stacking `voxel.encode` of each record.
+    A record whose e or s_c has the wrong shape, or whose contact point is
+    not finite or lies outside the grid, is an error naming its trial.
     """
     cells = electrode_cells(layout, spec)
     e = _stack_field(records, "e", (N_ELECTRODES,))
@@ -334,10 +334,15 @@ def featurize_voxel(
             f"trial {r.trial_id!r}: contact point {r.s_c.tolist()} is not a finite point "
             f"within the grid bounds"
         )
-    n = len(records)
-    inputs = np.zeros((n, N_CHANNELS) + spec.dims)
-    inputs[(slice(None), CHANNEL_ELECTRODES) + cells] = e
-    inputs[(np.arange(n), CHANNEL_CONTACT) + tuple(cell_indices(s_c, spec).T)] = 1.0
+    grid = (N_CHANNELS,) + spec.dims
+    electrodes = np.ravel_multi_index((CHANNEL_ELECTRODES,) + cells, grid)
+    order = np.argsort(electrodes)
+    contact = np.ravel_multi_index((CHANNEL_CONTACT,) + tuple(cell_indices(s_c, spec).T), grid)
+    inputs = VoxelCells(
+        np.column_stack([np.broadcast_to(electrodes[order], (len(records), N_ELECTRODES)), contact]),
+        np.column_stack([e[:, order], np.ones(len(records))]),
+        grid,
+    )
     return _with_context(records, inputs)
 
 
@@ -355,7 +360,7 @@ def featurize_flat(records: list[SampleRecord]) -> ArraySamples:
     return _with_context(records, inputs)
 
 
-def _with_context(records: list[SampleRecord], inputs: np.ndarray) -> ArraySamples:
+def _with_context(records: list[SampleRecord], inputs: np.ndarray | VoxelCells) -> ArraySamples:
     return ArraySamples(
         inputs=inputs,
         f_3d=np.stack([r.f_3d for r in records]),

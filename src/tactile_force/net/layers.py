@@ -2,7 +2,8 @@
 
 Every layer caches what its backward pass needs during forward, accumulates
 parameter gradients into Parameter.grad, and returns the gradient with
-respect to its input; SparseConv3d, a first layer, returns None instead.
+respect to its input; SparseConv3d, a first layer that reads a VoxelCells
+cell list, returns None instead.
 A layer owns its parameter arrays until a Model packs them into its flat
 value and gradient buffers; from then on each Parameter.value and .grad is
 a view of its slice there, so layers only ever write them in place.
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import SchemaError
+from ..voxel import VoxelCells
 
 
 @dataclass
@@ -115,21 +117,26 @@ class _ConvNd(Layer):
     def parameters(self):
         return [self.weight, self.bias]
 
+    def _out_spatial(self, shape):
+        """The output spatial dims for an input of `shape`, after checking it."""
+        if len(shape) != 2 + self.ndim or shape[1] != self.in_channels:
+            raise SchemaError(
+                f"layer {self.name}: expected (batch, {self.in_channels}, "
+                f"{self.ndim} spatial dims), got {shape}"
+            )
+        k = self.kernel
+        out_spatial = tuple(d // k for d in shape[2:])
+        if min(out_spatial) < 1:
+            raise SchemaError(
+                f"layer {self.name}: spatial dims {shape[2:]} too small for kernel {k}"
+            )
+        return out_spatial
+
     def _crop(self, x):
         """The region of x that the windows cover, as a view, and the output
         spatial dims, after checking x's shape."""
-        if x.ndim != 2 + self.ndim or x.shape[1] != self.in_channels:
-            raise SchemaError(
-                f"layer {self.name}: expected (batch, {self.in_channels}, "
-                f"{self.ndim} spatial dims), got {x.shape}"
-            )
-        k = self.kernel
-        out_spatial = tuple(d // k for d in x.shape[2:])
-        if min(out_spatial) < 1:
-            raise SchemaError(
-                f"layer {self.name}: spatial dims {x.shape[2:]} too small for kernel {k}"
-            )
-        covered = x[(slice(None), slice(None)) + tuple(slice(k * o) for o in out_spatial)]
+        out_spatial = self._out_spatial(x.shape)
+        covered = x[(slice(None), slice(None)) + tuple(slice(self.kernel * o) for o in out_spatial)]
         return covered, out_spatial
 
     def _space_to_depth(self, covered):
@@ -170,11 +177,12 @@ class Conv3d(_ConvNd):
 
 
 class SparseConv3d(Conv3d):
-    """Valid 3-D convolution with kernel = stride, computed from the non-zero
-    cells of its input; for a network's first layer only.
+    """Valid 3-D convolution with kernel = stride, computed from the listed
+    cells of a VoxelCells input; for a network's first layer only. A dense
+    input is turned into its non-zero cells first.
 
-    Windows do not overlap, so each non-zero cell feeds exactly one output
-    window through one weight column (c, dx, dy, dz): forward scatter-adds
+    Windows do not overlap, so each cell feeds exactly one output window
+    through one weight column (c, dx, dy, dz): forward scatter-adds
     value * weight[:, column] into that window, and the weight gradient
     gathers grad_out at the window times the value. Cells in the last,
     uncovered slice of an axis fall in no window and are dropped, as in the
@@ -184,11 +192,14 @@ class SparseConv3d(Conv3d):
     """
 
     def forward(self, x):
-        covered, out_spatial = self._crop(x)
+        out_spatial = self._out_spatial(x.shape)
+        if not isinstance(x, VoxelCells):
+            x = VoxelCells.from_dense(x)
         b, k = x.shape[0], self.kernel
-        cells = np.unravel_index(np.flatnonzero(covered != 0), covered.shape)
-        values = covered[cells]
-        sample, c, *pos = cells
+        c, *pos = np.unravel_index(x.cells, x.grid)
+        covered = np.all([p < k * o for p, o in zip(pos, out_spatial)], axis=0)
+        sample = np.nonzero(covered)[0]
+        c, pos, values = c[covered], [p[covered] for p in pos], x.values[covered]
         window = np.ravel_multi_index([p // k for p in pos], out_spatial)
         column = np.ravel_multi_index([c] + [p % k for p in pos], (self.in_channels,) + (k,) * 3)
         self._cells = (sample, window, column, values)

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ConfigError, NumericalError, config_from_dict
+from ..voxel import VoxelCells
 from .layers import (
     CollapseDepth, Conv2d, Conv3d, Dense, Flatten, Layer, LayerNorm, Parameter, ReLU, SparseConv3d,
 )
@@ -81,8 +82,8 @@ class Model:
     def zero_grad(self) -> None:
         self.grads.fill(0.0)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(x, dtype=float)
+    def forward(self, x: np.ndarray | VoxelCells) -> np.ndarray:
+        out = x if isinstance(x, VoxelCells) else np.asarray(x, dtype=float)
         for layer in self.layers:
             out = layer.forward(out)
         if not np.all(np.isfinite(out)):

@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, NumericalError, config_from_dict
+from ..voxel import VoxelCells
 from .losses import LossConfig, batch_loss_and_grad
 from .network import Model
 
@@ -100,7 +101,7 @@ class AdamOptimizer:
 class ArraySamples:
     """Featurized samples ready for the model: inputs plus loss context."""
 
-    inputs: np.ndarray
+    inputs: np.ndarray | VoxelCells
     f_3d: np.ndarray
     s_n: np.ndarray
     r_wb: np.ndarray

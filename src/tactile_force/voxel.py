@@ -3,11 +3,13 @@
 Channel 0 scatters the 19 electrode values into the cells containing their
 positions; channel 1 is a one-hot marker for the cell containing the contact
 point (all zeros when not in contact). Data is stored channels-first:
-shape (2, nx, ny, nz).
+shape (2, nx, ny, nz). A batch of grids is stored as its cells, one
+VoxelCells row per sample, and becomes a dense array only on request.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,3 +146,79 @@ def encode(
     if s_c is not None:
         grid[(CHANNEL_CONTACT,) + voxel_index(np.asarray(s_c, dtype=float), spec)] = 1.0
     return grid
+
+
+class VoxelCells:
+    """A batch of voxel grids stored as their listed cells: row i of `cells`
+    holds flat indices into sample i's grid, of shape `grid`, and the same
+    row of `values` their values. Every other cell is zero, and a cell
+    listed twice holds the sum of its values.
+
+    It stands in for the dense (N,) + grid array. A slice or a 1-D index
+    array selects samples and gives a VoxelCells; `shape`, `ndim` and `size`
+    are the dense array's, `nbytes` counts the bytes held; np.asarray gives
+    the dense array, and any other key (a tuple or an integer) indexes it.
+    """
+
+    def __init__(self, cells: np.ndarray, values: np.ndarray, grid: tuple[int, ...]):
+        self.cells = np.asarray(cells, dtype=np.intp)
+        self.values = np.asarray(values, dtype=float)
+        self.grid = tuple(int(d) for d in grid)
+        if self.cells.ndim != 2 or self.values.shape != self.cells.shape:
+            raise SchemaError(
+                f"cells and values must be (samples, cells) arrays of one shape, "
+                f"got {self.cells.shape} and {self.values.shape}"
+            )
+        size = math.prod(self.grid)
+        if self.cells.size and not (0 <= self.cells.min() and self.cells.max() < size):
+            raise SchemaError(f"cell index outside a grid of {size} cells")
+
+    @classmethod
+    def from_dense(cls, x: np.ndarray) -> "VoxelCells":
+        """The non-zero cells of a dense (N,) + grid array, in flat-index order
+        per sample. Rows with fewer of them are padded with zero values at
+        cell 0. A zero is not stored, so -0.0 comes back as 0.0."""
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(x.shape[0], math.prod(x.shape[1:]))
+        rows, cols = np.nonzero(flat)
+        counts = np.bincount(rows, minlength=len(flat))
+        # position of each non-zero within its row
+        pos = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        cells = np.zeros((len(flat), counts.max(initial=0)), dtype=np.intp)
+        values = np.zeros(cells.shape)
+        cells[rows, pos] = cols
+        values[rows, pos] = flat[rows, cols]
+        return cls(cells, values, x.shape[1:])
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (len(self.cells),) + self.grid
+
+    @property
+    def ndim(self) -> int:
+        return 1 + len(self.grid)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def nbytes(self) -> int:
+        return self.cells.nbytes + self.values.nbytes
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return np.asarray(self[[key]])[0]
+        if isinstance(key, tuple):
+            return np.asarray(self)[key]
+        return VoxelCells(self.cells[key], self.values[key], self.grid)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        n, size = self.shape[0], math.prod(self.grid)
+        flat = (np.arange(n)[:, None] * size + self.cells).ravel()
+        dense = np.bincount(flat, weights=self.values.ravel(), minlength=n * size)
+        # bincount of no cells at all comes back as int
+        return dense.astype(float if dtype is None else dtype, copy=False).reshape(self.shape)

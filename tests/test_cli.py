@@ -101,9 +101,25 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(config) in err and "'m'" in err
 
+    def test_config_error_leaves_no_partial_output(self, tmp_path, capsys):
+        """A bad value of a source simulated after the planar trials is
+        reported before anything is simulated or written."""
+        config = write_config(
+            tmp_path / "c.json",
+            {"params": {"m": 0.65},
+             "sources": {"planar_pushing": {"trials": 2, "steps": 50},
+                         "rigid_ft": {"trials": "x"}}},
+        )
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "sources.rigid_ft.trials" in err
+        assert not out.exists()  # so no episodes/ and no params.json either
+
     def test_no_sources_exits_2(self, tmp_path):
         config = write_config(tmp_path / "c.json", {"params": {"m": 1.0}, "sources": {}})
         assert run(["simulate", "--config", config, "--out", tmp_path / "o"]) == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestInfer:

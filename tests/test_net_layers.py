@@ -1,6 +1,6 @@
 """Finite-difference gradient checks for every layer type, plus a
 hand-unrolled convolution oracle that the dense and the sparse first-layer
-convolution are both held to."""
+convolution are both held to, on dense grids and on cell lists."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from tactile_force.net.layers import (
     ReLU,
     SparseConv3d,
 )
+from tactile_force.voxel import VoxelCells
 
 FD_STEP = 1e-6
 FD_TOL = 1e-5
@@ -224,7 +225,72 @@ def voxel_batches(draw):
     return x, draw(st.integers(1, 3)), rng
 
 
+@st.composite
+def cell_lists(draw, ordered):
+    """Random VoxelCells inputs for the first convolution: the same number of
+    cells per sample, about one in five of them zero-valued, and cells in
+    the uncovered last slice of an odd axis weighted up. With `ordered`,
+    each sample's cells are distinct and in flat-index order, as
+    featurize_voxel lists them; otherwise they come in any order and may
+    repeat."""
+    c = draw(st.integers(1, 2))
+    grid = (c,) + tuple(draw(st.integers(2, 5)) for _ in range(3))
+    size = int(np.prod(grid))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(1, 3)), draw(st.integers(0, min(size, 12)))
+    _, *pos = np.unravel_index(np.arange(size), grid)
+    uncovered = np.any([p >= d - d % 2 for p, d in zip(pos, grid[1:])], axis=0)
+    weights = np.where(uncovered, 5.0, 1.0)
+    if ordered:
+        cells = np.sort([rng.choice(size, k, replace=False, p=weights / weights.sum())
+                         for _ in range(n)], axis=1)
+    else:
+        cells = rng.integers(0, size, (n, k))
+        if k > 1 and draw(st.booleans()):
+            cells[:, -1] = cells[:, 0]
+    values = rng.normal(size=(n, k)) * (rng.random((n, k)) < 0.8)
+    return VoxelCells(np.reshape(cells, (n, k)), values, grid), draw(st.integers(1, 3)), rng
+
+
 class TestSparseConv3d:
+    @settings(max_examples=60, deadline=None)
+    @given(cell_lists(ordered=False))
+    def test_cell_lists_match_dense_conv_and_loop_oracle(self, batch):
+        cells, out_ch, rng = batch
+        x = np.asarray(cells)
+        seed = int(rng.integers(2**32))
+        dense = Conv3d(x.shape[1], out_ch, 2, np.random.default_rng(seed))
+        sparse = SparseConv3d(x.shape[1], out_ch, 2, np.random.default_rng(seed))
+        sparse.bias.value = dense.bias.value = rng.normal(size=out_ch)
+
+        out = sparse.forward(cells)
+        grad_out = rng.normal(size=out.shape)
+        assert sparse.backward(grad_out) is None
+        dense.forward(x)
+        dense.backward(grad_out)
+        w, b = sparse.weight.value, sparse.bias.value
+        for expected in (dense.forward(x), loop_conv(x, w, b)):
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+        for grad in (dense.weight.grad, loop_conv_weight_grad(x, w, grad_out)):
+            np.testing.assert_allclose(sparse.weight.grad, grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sparse.bias.grad, dense.bias.grad, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cell_lists(ordered=True))
+    def test_cell_list_and_its_dense_array_are_bit_equal(self, batch):
+        cells, out_ch, rng = batch
+        seed = int(rng.integers(2**32))
+        layers = [SparseConv3d(cells.shape[1], out_ch, 2, np.random.default_rng(seed))
+                  for _ in range(2)]
+        outs = [layer.forward(x) for layer, x in zip(layers, (cells, np.asarray(cells)))]
+        grad_out = rng.normal(size=outs[0].shape)
+        for layer in layers:
+            layer.backward(grad_out)
+        a, b = layers
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert a.weight.grad.tobytes() == b.weight.grad.tobytes()
+        assert a.bias.grad.tobytes() == b.bias.grad.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(voxel_batches())
     def test_matches_dense_conv_and_loop_oracle(self, batch):
