@@ -195,17 +195,25 @@ def cmd_simulate(args) -> int:
     def setting(dotted, default):
         return _config_value(config_path, config, dotted, default)
 
+    def count(dotted, default, least):
+        value = setting(dotted, default)
+        if value < least:
+            raise ConfigError(
+                f"config {config_path}: field {dotted!r} must be at least {least}, got {value!r}"
+            )
+        return value
+
     config_seed = setting("seed", 0)
     seed = args.seed if args.seed is not None else config_seed
     model, geometry = _sensor_model_from_config(config, config_path)
 
     planar = f"sources.{SOURCE_PLANAR}."
-    n_planar = setting(planar + "trials", 0)
+    n_planar = count(planar + "trials", 0, 0)
     if n_planar > 0:
         params, half_extents = _push_params_from_config(config, config_path)
         planar_args = dict(
             n_trials=n_planar,
-            steps=setting(planar + "steps", 400),
+            steps=count(planar + "steps", 400, 1),
             seed=seed,
             params=params,
             half_extents=half_extents,
@@ -219,12 +227,12 @@ def cmd_simulate(args) -> int:
     ft_args = {}
     for tag, defaults in ft_defaults.items():
         source = f"sources.{tag}."
-        n_trials = setting(source + "trials", 0)
+        n_trials = count(source + "trials", 0, 0)
         if n_trials > 0:
             ft_args[tag] = dict(
                 source_tag=tag,
                 n_trials=n_trials,
-                samples_per_trial=setting(source + "samples_per_trial", 50),
+                samples_per_trial=count(source + "samples_per_trial", 50, 1),
                 seed=seed + (1 if tag == SOURCE_RIGID_FT else 2),
                 force_range=tuple(setting(source + "force_range", defaults["force_range"])),
                 cone_angle_deg=float(setting(source + "cone_angle_deg", defaults["cone_deg"])),

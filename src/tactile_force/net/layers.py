@@ -21,6 +21,8 @@ import numpy as np
 from ..errors import SchemaError
 from ..voxel import VoxelCells
 
+LAYER_NORM_EPS = 1e-5  # the default epsilon of every LayerNorm
+
 
 @dataclass
 class Parameter:
@@ -239,9 +241,16 @@ class Conv2d(_ConvNd):
 
 class LayerNorm(Layer):
     """Per-sample normalization over all feature axes, with elementwise
-    gain and offset of the feature shape."""
+    gain and offset of the feature shape.
 
-    def __init__(self, feature_shape: tuple[int, ...], eps: float = 1e-5, name: str = "ln"):
+    Forward allocates two full-size arrays: the centred input, scaled in
+    place into xhat, and the squared deviations, whose mean is the variance
+    in np.var's own operation order and which then take the output.
+    Backward allocates the input gradient, updated in place, and one
+    scratch array."""
+
+    def __init__(self, feature_shape: tuple[int, ...], eps: float = LAYER_NORM_EPS,
+                 name: str = "ln"):
         self.name = name
         self.feature_shape = tuple(feature_shape)
         self.eps = eps
@@ -259,24 +268,34 @@ class LayerNorm(Layer):
 
     def forward(self, x):
         self._check_input(x, self.feature_shape)
-        mu = x.mean(axis=self._axes, keepdims=True)
-        var = x.var(axis=self._axes, keepdims=True)
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        self._xhat = (x - mu) * self._inv_std
-        return self.gain.value * self._xhat + self.offset.value
+        axes = self._axes
+        xhat = x - x.mean(axis=axes, keepdims=True)
+        squares = np.square(xhat)
+        self._inv_std = 1.0 / np.sqrt(squares.mean(axis=axes, keepdims=True) + self.eps)
+        xhat *= self._inv_std
+        self._xhat = xhat
+        np.multiply(self.gain.value, xhat, out=squares)
+        squares += self.offset.value
+        return squares
 
     def backward(self, grad_out):
-        axes = self._axes
-        self.gain.grad += (grad_out * self._xhat).sum(axis=0)
+        axes, xhat = self._axes, self._xhat
+        scratch = grad_out * xhat
+        self.gain.grad += scratch.sum(axis=0)
         self.offset.grad += grad_out.sum(axis=0)
         g = grad_out * self.gain.value
         mean_g = g.mean(axis=axes, keepdims=True)
-        mean_gx = (g * self._xhat).mean(axis=axes, keepdims=True)
-        return (g - mean_g - self._xhat * mean_gx) * self._inv_std
+        mean_gx = np.multiply(g, xhat, out=scratch).mean(axis=axes, keepdims=True)
+        g -= mean_g
+        g -= np.multiply(xhat, mean_gx, out=scratch)
+        g *= self._inv_std
+        return g
 
 
 class ReLU(Layer):
-    """max(0, x); the subgradient at exactly zero is taken as zero."""
+    """max(0, x), with NaN mapped to 0; the subgradient at exactly zero is
+    taken as zero. A non-finite gradient arriving where the mask is off
+    stays non-finite (0 * inf is NaN), so it is not silently dropped."""
 
     def __init__(self, name: str = "relu"):
         self.name = name
@@ -284,10 +303,10 @@ class ReLU(Layer):
 
     def forward(self, x):
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.fmax(x, 0.0)
 
     def backward(self, grad_out):
-        return np.where(self._mask, grad_out, 0.0)
+        return grad_out * self._mask
 
 
 class CollapseDepth(Layer):

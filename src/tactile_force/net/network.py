@@ -18,7 +18,8 @@ import numpy as np
 from ..errors import ConfigError, NumericalError, config_from_dict
 from ..voxel import VoxelCells
 from .layers import (
-    CollapseDepth, Conv2d, Conv3d, Dense, Flatten, Layer, LayerNorm, Parameter, ReLU, SparseConv3d,
+    LAYER_NORM_EPS, CollapseDepth, Conv2d, Conv3d, Dense, Flatten, Layer, LayerNorm, Parameter,
+    ReLU, SparseConv3d,
 )
 
 OUTPUT_DIM = 3
@@ -36,7 +37,7 @@ class NetworkConfig:
     conv3d_channels: tuple[int, ...] = (8, 16)
     conv2d_channels: int = 32
     fc_widths: tuple[int, ...] = (128, 64)
-    layer_norm_eps: float = 1e-5
+    layer_norm_eps: float = LAYER_NORM_EPS
     seed: int = 0
 
     def __post_init__(self):
@@ -97,7 +98,8 @@ class Model:
         grad = grad_out
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
-            if grad is not None and not np.all(np.isfinite(grad)):
+            # min and max are NaN if any entry is, and read without writing a mask
+            if grad is not None and not (np.isfinite(grad.min()) and np.isfinite(grad.max())):
                 raise NumericalError(f"non-finite gradient flowing out of layer {layer.name}")
 
     def set_state(self, state: list[np.ndarray]) -> None:
@@ -159,7 +161,7 @@ def build_mlp_net(
     hidden_widths: tuple[int, ...],
     seed: int = 0,
     layer_norm: bool = True,
-    layer_norm_eps: float = 1e-5,
+    layer_norm_eps: float = LAYER_NORM_EPS,
 ) -> Model:
     """Plain fully connected force regressor on a flat feature vector."""
     if not hidden_widths:

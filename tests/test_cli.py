@@ -121,6 +121,20 @@ class TestSimulate:
         assert run(["simulate", "--config", config, "--out", tmp_path / "o"]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("sources, field", [
+        ({"rigid_ft": {"trials": 3, "samples_per_trial": 0}}, "sources.rigid_ft.samples_per_trial"),
+        ({"planar_pushing": {"trials": 3, "steps": 0}}, "sources.planar_pushing.steps"),
+        ({"rigid_ft": {"trials": -2}}, "sources.rigid_ft.trials"),
+    ])
+    def test_impossible_count_exits_2_naming_file_and_field(self, tmp_path, capsys, sources, field):
+        config = write_config(tmp_path / "c.json", {"params": {"m": 0.65}, "sources": sources})
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(config) in err and repr(field) in err
+        assert "must be at least" in err
+        assert not out.exists()
+
 
 class TestInfer:
     def test_roundtrip_against_stored_forces(self, sim_dir, tmp_path):

@@ -1,13 +1,16 @@
-"""Finite-difference gradient checks for every layer type, plus a
-hand-unrolled convolution oracle that the dense and the sparse first-layer
-convolution are both held to, on dense grids and on cell lists."""
+"""Finite-difference gradient checks for every layer type, a hand-unrolled
+convolution oracle that the dense and the sparse first-layer convolution
+are both held to, on dense grids and on cell lists, and the plain
+LayerNorm and ReLU that the in-place ones are held to bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tactile_force.errors import SchemaError
+from tactile_force.net import NetworkConfig, build_mlp_net, build_voxel_net
 from tactile_force.net.layers import (
     CollapseDepth,
     Conv2d,
@@ -365,3 +368,136 @@ class TestReLU:
         np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
         grad = layer.backward(np.ones_like(x))
         np.testing.assert_array_equal(grad, [[0.0, 0.0, 1.0]])
+
+
+class ReferenceLayerNorm(LayerNorm):
+    """LayerNorm written plainly, one fresh array per operation: the oracle
+    the in-place LayerNorm is held to bit for bit."""
+
+    def forward(self, x):
+        self._check_input(x, self.feature_shape)
+        mu = x.mean(axis=self._axes, keepdims=True)
+        var = x.var(axis=self._axes, keepdims=True)
+        self._inv_std = 1.0 / np.sqrt(var + self.eps)
+        self._xhat = (x - mu) * self._inv_std
+        return self.gain.value * self._xhat + self.offset.value
+
+    def backward(self, grad_out):
+        axes = self._axes
+        self.gain.grad += (grad_out * self._xhat).sum(axis=0)
+        self.offset.grad += grad_out.sum(axis=0)
+        g = grad_out * self.gain.value
+        mean_g = g.mean(axis=axes, keepdims=True)
+        mean_gx = (g * self._xhat).mean(axis=axes, keepdims=True)
+        return (g - mean_g - self._xhat * mean_gx) * self._inv_std
+
+
+class ReferenceReLU(ReLU):
+    """ReLU by np.where: the oracle ReLU is held to. Unlike ReLU, its
+    backward drops a non-finite gradient where the mask is off."""
+
+    def forward(self, x):
+        self._mask = x > 0
+        return np.where(self._mask, x, 0.0)
+
+    def backward(self, grad_out):
+        return np.where(self._mask, grad_out, 0.0)
+
+
+# batch 1-6, then 1-4 feature axes
+batch_shapes = st.tuples(
+    st.integers(1, 6), st.lists(st.integers(1, 4), min_size=1, max_size=4)
+).map(lambda t: (t[0], *t[1]))
+
+# normal values mixed with exact zeros of either sign, NaN and +-inf
+relu_values = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def layer_norm_cases(draw):
+    """A LayerNorm input of 1-4 feature axes and batch 1-6, either
+    C-contiguous or the channels-last view a convolution returns, with
+    random gain, offset, starting gradients and output gradient."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(batch_shapes)
+    feature_shape = shape[1:]
+    scale, shift = draw(st.sampled_from([1e-3, 1.0, 1e3])), rng.normal()
+    if draw(st.booleans()):
+        x = np.moveaxis(rng.normal(size=shape[:1] + shape[2:] + shape[1:2]), -1, 1)
+    else:
+        x = rng.normal(size=shape)
+    x *= scale  # in place, so the layout stays
+    x += shift
+    params = [rng.normal(size=feature_shape) for _ in range(4)]
+    return x, rng.normal(size=shape), params
+
+
+def norm_pair(feature_shape, params):
+    """A LayerNorm and a ReferenceLayerNorm with the same gain, offset and
+    starting gradients."""
+    pair = (LayerNorm(feature_shape), ReferenceLayerNorm(feature_shape))
+    for layer in pair:
+        for p, value, grad in zip(layer.parameters(), params[:2], params[2:]):
+            p.value[...], p.grad[...] = value, grad
+    return pair
+
+
+class TestInPlaceLayersMatchReference:
+    @settings(max_examples=80, deadline=None)
+    @given(layer_norm_cases())
+    def test_layer_norm_is_bit_equal_to_reference(self, case):
+        x, grad_out, params = case
+        layer, reference = norm_pair(x.shape[1:], params)
+        x_before, grad_before = x.copy(), grad_out.copy()
+        out, expected = layer.forward(x), reference.forward(x)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(layer.backward(grad_out), reference.backward(grad_out))
+        assert np.array_equal(layer.gain.grad, reference.gain.grad)
+        assert np.array_equal(layer.offset.grad, reference.offset.grad)
+        # neither pass writes into its argument
+        assert np.array_equal(x, x_before) and np.array_equal(grad_out, grad_before)
+
+    @settings(max_examples=80, deadline=None)
+    @given(arrays(np.float64, batch_shapes, elements=relu_values), st.booleans())
+    def test_relu_is_equal_to_reference_by_value(self, x, channels_last):
+        """Equal by value: fmax(-0.0, 0.0) is -0.0 where np.where gives 0.0,
+        and a masked-off gradient of either sign times 0 keeps its sign."""
+        if channels_last:
+            x = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, -1)), -1, 1)
+        layer, reference = ReLU(), ReferenceReLU()
+        grad_out = np.random.default_rng(x.size).normal(size=x.shape)
+        x_before = x.copy()
+        out, expected = layer.forward(x), reference.forward(x)
+        assert np.array_equal(out, expected) and not np.isnan(out).any()
+        assert np.array_equal(layer.backward(grad_out), reference.backward(grad_out))
+        assert np.array_equal(x, x_before, equal_nan=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_whole_net_is_bit_equal_with_reference_layers(self, n_conv3d, batch, seed):
+        """Layouts pass from layer to layer, and a reduction's summation
+        order follows its array's layout, so whole nets are compared too.
+        The grids reach a depth above one cell at CollapseDepth, whose
+        gradient then comes back transposed, into a LayerNorm whose input
+        was a channels-last convolution output."""
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in rng.integers(2**n_conv3d, 2 ** (n_conv3d + 1) + 4, 3))
+        config = NetworkConfig(conv3d_channels=(3, 4)[:n_conv3d], conv2d_channels=5,
+                               fc_widths=(6,), seed=seed % 100)
+        x = rng.normal(size=(batch, 2) + dims)
+        grad_out = rng.normal(size=(batch, 3))
+        mlp_x = rng.normal(size=(batch, 7))
+        for build, inputs in [(lambda: build_voxel_net(config, (2,) + dims), x),
+                              (lambda: build_mlp_net(7, (8, 5), seed=seed % 100), mlp_x)]:
+            model, reference = build(), build()
+            for layer in reference.layers:
+                if type(layer) is LayerNorm:
+                    layer.__class__ = ReferenceLayerNorm
+                elif type(layer) is ReLU:
+                    layer.__class__ = ReferenceReLU
+            model.values[...] = rng.normal(size=model.values.size)
+            reference.values[...] = model.values
+            assert np.array_equal(model.forward(inputs), reference.forward(inputs))
+            model.backward(grad_out)
+            reference.backward(grad_out)
+            assert np.array_equal(model.grads, reference.grads)

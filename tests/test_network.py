@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from tactile_force.dataset import featurization_record
-from tactile_force.errors import ConfigError, SchemaError
+from tactile_force.errors import ConfigError, NumericalError, SchemaError
 from tactile_force.net import (
+    Dense,
     LossConfig,
+    Model,
     NetworkConfig,
+    ReLU,
     TrainingConfig,
     batch_loss_and_grad,
     build_mlp_net,
@@ -112,6 +115,46 @@ class TestBackward:
         assert loss == 0.0
         total = np.sqrt(sum(float(np.sum(p.grad**2)) for p in net.parameters()))
         assert total < 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["voxel", "mlp"])
+    def test_one_non_finite_gradient_entry_names_its_layer(self, kind, bad):
+        """Whichever layer returns a gradient with one non-finite entry, at a
+        random place, backward stops there and names that layer."""
+        rng = np.random.default_rng(5)
+        build = {"voxel": lambda: tiny_net(seed=1)[1],
+                 "mlp": lambda: build_mlp_net(6, (5, 4), seed=1)}[kind]
+        x = rng.normal(size=(3, 2, 4, 4, 4) if kind == "voxel" else (3, 6))
+        first = 1 if kind == "voxel" else 0  # a voxel net's first layer returns no gradient
+        for i in range(first, len(build().layers)):
+            net = build()
+            layer = net.layers[i]
+            backward = layer.backward
+
+            def poisoned(grad_out, backward=backward):
+                grad = backward(grad_out).copy()
+                grad[np.unravel_index(rng.integers(grad.size), grad.shape)] = bad
+                return grad
+
+            layer.backward = poisoned
+            net.forward(x)
+            with pytest.raises(NumericalError) as info:
+                net.backward(rng.normal(size=(3, 3)))
+            assert str(info.value) == f"non-finite gradient flowing out of layer {layer.name}"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_where_relu_mask_is_off_names_that_relu(self, bad):
+        """A ReLU passes a non-finite gradient on even where its input was
+        not positive, so it is reported instead of zeroed."""
+        rng = np.random.default_rng(6)
+        net = Model([Dense(4, 3, rng, name="fc"), ReLU(name="relu_out")], {"kind": "test"})
+        net.values[...] = -1.0  # every output negative: the mask is off everywhere
+        assert not np.any(net.forward(np.abs(rng.normal(size=(2, 4)))))
+        grad_out = np.ones((2, 3))
+        grad_out[1, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as info:
+            net.backward(grad_out)
+        assert str(info.value) == "non-finite gradient flowing out of layer relu_out"
 
 
 class TestConfig:
