@@ -1,9 +1,11 @@
 """Command-line pipeline: simulate, infer, train, eval.
 
-Every command reads a config and a seed, writes its outputs atomically
-(temp file + rename), and drops a run manifest next to them so the run can
-be reproduced from the manifest alone. Exit codes: 0 success, 2 usage or
-config error, 3 data-integrity error, 4 numerical failure.
+Every command reads a config and a seed and writes its outputs atomically
+(temp file + rename). `main` times the command and drops a run manifest
+next to its outputs, holding every parsed flag with the seed as resolved,
+so the run can be reproduced from the manifest alone. Exit codes come from
+the error classes (`exit_code` in errors.py): 0 success, 2 usage or config
+error, 3 data-integrity error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ import numpy as np
 from . import __version__
 from .baselines import LinearModel, linear_fit, linear_predict
 from .dataset import (
+    DEFAULT_TRAIN_FRAC,
+    DEFAULT_VAL_FRAC,
+    FLAT_INPUT_WIDTH,
     SampleRecord,
     featurization_record,
     featurizer,
@@ -31,16 +36,7 @@ from .dataset import (
     write_manifest,
     write_samples_jsonl,
 )
-from .errors import (
-    ConfigError,
-    DataIntegrityError,
-    DegenerateInputError,
-    LayoutCollisionError,
-    NumericalError,
-    OutOfBoundsError,
-    SchemaError,
-    check_config_value,
-)
+from .errors import ConfigError, DataIntegrityError, SchemaError, TactileForceError, check_config_value
 from .mechanics import (
     ParticleGrid,
     PlanarMotion,
@@ -64,29 +60,21 @@ from .sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
 from .synthetic import (
     DEFAULT_BOX_HALF_EXTENTS_M,
     DEFAULT_DT_S,
+    DEFAULT_PUSH_MAGNITUDE_RANGE_N,
     SensorForwardModel,
     box_inertia,
     make_ft_samples,
     make_planar_trials,
 )
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-
 # the SensorForwardModel fields a config's "sensor" block may set
 SENSOR_CONFIG_KEYS = ("gain", "decay_length", "normal_sensitivity", "shear_sensitivity",
                       "directional_shear_sensitivity", "noise_scale")
 
 
-def _normalize_source(name: str) -> str:
-    return name.strip().lower().replace("-", "_")
-
-
 def resolve_sources(flag: str) -> set[str]:
     """Parse the --sources flag: one of the source names or 'mixed'."""
-    name = _normalize_source(flag)
+    name = flag.strip().lower().replace("-", "_")
     if name == "mixed":
         return set(KNOWN_SOURCES)
     if name in KNOWN_SOURCES:
@@ -106,24 +94,6 @@ def write_json_atomic(path: Path, obj) -> None:
     write_text_atomic(path, json.dumps(obj, indent=2) + "\n")
 
 
-def write_run_manifest(out_dir: Path, command: str, args_dict: dict, outputs: list[str], t0: float) -> None:
-    manifest = {
-        "command": command,
-        "arguments": args_dict,
-        "tool_version": __version__,
-        "outputs": outputs,
-        "duration_s": round(time.monotonic() - t0, 3),
-    }
-    write_json_atomic(out_dir / "run_manifest.json", manifest)
-
-
-def _box_half_extents(value) -> tuple[float, float]:
-    hx, hy = checked_array("box_half_extents", value, (2,))
-    if not (hx > 0 and hy > 0):
-        raise SchemaError(f"field 'box_half_extents' must be positive, got {value!r}")
-    return float(hx), float(hy)
-
-
 def _config_value(path, config: dict, dotted: str, default):
     """The config's value at a dotted key path ("sources.rigid_ft.trials"), or
     `default` where it is absent; a value whose type differs from the
@@ -141,17 +111,35 @@ def _config_value(path, config: dict, dotted: str, default):
     return value
 
 
-def _push_params_from_config(config: dict, path) -> tuple[PushParams, tuple[float, float]]:
-    params_cfg = dict(_config_value(path, config, "params", {}))
+def _resolve_seed(args, config: dict) -> int:
+    """--seed, else the config's seed, which is type-checked either way. It
+    is stored back in `args`, so the run manifest records the seed used."""
+    config_seed = _config_value(args.config, config, "seed", 0)
+    if args.seed is None:
+        args.seed = config_seed
+    return args.seed
+
+
+def _read_push_params(what: str, config) -> tuple[PushParams, tuple[float, float]]:
+    """Push params and box half extents from one object holding the
+    PushParams fields and "box_half_extents", as in the params file simulate
+    writes; an absent inertia is that of a uniform box of mass m. A bad or
+    missing field is a ConfigError naming `what` (the file) and the field."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"{what} must hold a JSON object")
     try:
-        half_extents = _box_half_extents(config.get("box_half_extents", DEFAULT_BOX_HALF_EXTENTS_M))
-        if "inertia" not in params_cfg and "m" in params_cfg:
-            # a uniform box of the configured mass
-            m = checked_array("m", params_cfg["m"], ())
-            params_cfg["inertia"] = box_inertia(m, half_extents)
-        return PushParams.from_config(params_cfg), half_extents
+        value = config["box_half_extents"]
+        hx, hy = checked_array("box_half_extents", value, (2,))
+        if not (hx > 0 and hy > 0):
+            raise SchemaError(f"field 'box_half_extents' must be positive, got {value!r}")
+        half_extents = (float(hx), float(hy))
+        if "inertia" not in config and "m" in config:
+            config = {**config, "inertia": box_inertia(checked_array("m", config["m"], ()), half_extents)}
+        return PushParams.from_config(config), half_extents
+    except KeyError as exc:
+        raise ConfigError(f"{what}: missing field {exc.args[0]!r}") from exc
     except SchemaError as exc:
-        raise ConfigError(f"config {path}: {exc}") from exc
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _layout_and_geometry(config: dict, path):
@@ -184,11 +172,10 @@ def _sensor_model_from_config(config: dict, path) -> tuple[SensorForwardModel, S
     return SensorForwardModel(layout=layout, **settings), geometry
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[Path, list[str]]:
     """Simulate the configured sources into --out. Every config value is read
     and type-checked before anything is simulated, and --out is created only
     once the dataset is complete, so an error leaves no partial output."""
-    t0 = time.monotonic()
     config_path = args.config
     config = load_json(config_path, "config")
 
@@ -203,14 +190,16 @@ def cmd_simulate(args) -> int:
             )
         return value
 
-    config_seed = setting("seed", 0)
-    seed = args.seed if args.seed is not None else config_seed
+    seed = _resolve_seed(args, config)
     model, geometry = _sensor_model_from_config(config, config_path)
 
     planar = f"sources.{SOURCE_PLANAR}."
     n_planar = count(planar + "trials", 0, 0)
     if n_planar > 0:
-        params, half_extents = _push_params_from_config(config, config_path)
+        params, half_extents = _read_push_params(f"config {config_path}", {
+            **setting("params", {}),
+            "box_half_extents": config.get("box_half_extents", DEFAULT_BOX_HALF_EXTENTS_M),
+        })
         planar_args = dict(
             n_trials=n_planar,
             steps=count(planar + "steps", 400, 1),
@@ -218,7 +207,7 @@ def cmd_simulate(args) -> int:
             params=params,
             half_extents=half_extents,
             dt=float(setting(planar + "dt", DEFAULT_DT_S)),
-            magnitude_range=tuple(setting(planar + "magnitude_range", (0.1, 2.0))),
+            magnitude_range=tuple(setting(planar + "magnitude_range", DEFAULT_PUSH_MAGNITUDE_RANGE_N)),
         )
     ft_defaults = {
         SOURCE_RIGID_FT: {"force_range": (0.5, 10.0), "cap_only": False, "cone_deg": 30.0},
@@ -238,8 +227,8 @@ def cmd_simulate(args) -> int:
                 cone_angle_deg=float(setting(source + "cone_angle_deg", defaults["cone_deg"])),
                 cap_only=setting(source + "cap_only", defaults["cap_only"]),
             )
-    train_frac = float(setting("split.train", 0.8))
-    val_frac = float(setting("split.val", 0.1))
+    train_frac = float(setting("split.train", DEFAULT_TRAIN_FRAC))
+    val_frac = float(setting("split.val", DEFAULT_VAL_FRAC))
 
     records: list[SampleRecord] = []
     if n_planar > 0:
@@ -247,6 +236,9 @@ def cmd_simulate(args) -> int:
         records.extend(planar_records)
     for kwargs in ft_args.values():
         records.extend(make_ft_samples(model, geometry, **kwargs))
+    if not records and n_planar > 0:  # only a push can run yet label no sample
+        raise ConfigError(f"config {config_path}: source {SOURCE_PLANAR!r} ran {n_planar} trials "
+                          f"of {planar_args['steps']} steps, and no step was labelled as a contact")
     if not records:
         raise ConfigError("config requested no trials from any source")
     splits = make_dataset(records, train_frac=train_frac, val_frac=val_frac, seed=seed)
@@ -269,9 +261,9 @@ def cmd_simulate(args) -> int:
     write_samples_jsonl(records, samples_path)
     write_manifest(splits, "samples.jsonl", out_dir / "dataset_manifest.json", seed)
     outputs.extend(["samples.jsonl", "dataset_manifest.json"])
-    write_run_manifest(out_dir, "simulate", {"config": str(args.config), "seed": seed}, outputs, t0)
-    print(f"simulate: wrote {len(records)} samples from {len(splits.trial_assignment['train']) + len(splits.trial_assignment['val']) + len(splits.trial_assignment['test'])} trials to {out_dir}")
-    return EXIT_OK
+    n_trials = sum(len(ids) for ids in splits.trial_assignment.values())
+    print(f"simulate: wrote {len(records)} samples from {n_trials} trials to {out_dir}")
+    return out_dir, outputs
 
 
 def _read_episode_rows(path) -> list[dict]:
@@ -291,22 +283,6 @@ def _read_episode_rows(path) -> list[dict]:
     return rows
 
 
-def _infer_params(path) -> tuple[PushParams, ParticleGrid]:
-    """Push params and friction particles from a params file (as written by
-    simulate); a bad or missing field is a ConfigError naming the file."""
-    config = load_json(path, "params")
-    if not isinstance(config, dict):
-        raise ConfigError(f"params file {path} must hold a JSON object")
-    try:
-        params = PushParams.from_config(config)
-        half_extents = _box_half_extents(config["box_half_extents"])
-        return params, ParticleGrid.uniform_rectangle(half_extents, params)
-    except KeyError as exc:
-        raise ConfigError(f"params file {path}: missing field {exc.args[0]!r}") from exc
-    except SchemaError as exc:
-        raise ConfigError(f"params file {path}: {exc}") from exc
-
-
 def _episode_step(path, i: int, row) -> tuple[PlanarMotion, np.ndarray]:
     """Motion and contact point of episode row i; a bad row is a SchemaError
     naming the file, the row and the field."""
@@ -321,13 +297,12 @@ def _episode_step(path, i: int, row) -> tuple[PlanarMotion, np.ndarray]:
         raise SchemaError(f"episode file {path} row {i}: {exc}") from exc
 
 
-def cmd_infer(args) -> int:
-    t0 = time.monotonic()
+def cmd_infer(args) -> tuple[Path, list[str]]:
     rows = _read_episode_rows(args.episode)
-    params, grid = _infer_params(args.params)
+    params, half_extents = _read_push_params(f"params file {args.params}",
+                                             load_json(args.params, "params"))
+    grid = ParticleGrid.uniform_rectangle(half_extents, params)
 
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["step,t,fx,fy,objective,static_friction"]
     for i, row in enumerate(rows):
         motion, c = _episode_step(args.episode, i, row)
@@ -337,16 +312,11 @@ def cmd_infer(args) -> int:
             f"{i},{row.get('t', i)},{f[0]:.17g},{f[1]:.17g},"
             f"{result.objective:.17g},{int(result.static_friction)}"
         )
+    out_path = Path(args.out)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_text_atomic(out_path, "\n".join(lines) + "\n")
-    write_run_manifest(
-        out_path.parent,
-        "infer",
-        {"episode": str(args.episode), "params": str(args.params)},
-        [out_path.name],
-        t0,
-    )
     print(f"infer: wrote {len(rows)} rows to {out_path}")
-    return EXIT_OK
+    return out_path.parent, [out_path.name]
 
 
 MODEL_VOXEL = "voxel"
@@ -371,14 +341,13 @@ def _train_configs(config: dict, seed: int):
     return configs
 
 
-def cmd_train(args) -> int:
-    t0 = time.monotonic()
+def cmd_train(args) -> tuple[Path, list[str]]:
+    """Train the chosen model into --out, which is created only once the
+    data, config, layout and features have been read and checked."""
     config = load_json(args.config, "config") if args.config else {}
-    config_seed = _config_value(args.config, config, "seed", 0)
-    seed = args.seed if args.seed is not None else config_seed
+    seed = _resolve_seed(args, config)
     sources = resolve_sources(args.sources)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     splits, _ = load_manifest_splits(args.manifest)
     train_records = filter_by_sources(splits["train"], sources)
@@ -402,27 +371,21 @@ def cmd_train(args) -> int:
         e_train = np.stack([r.e for r in train_records])
         f_train = np.stack([r.f_3d for r in train_records])
         model = linear_fit(e_train, f_train, layout)
+        out_dir.mkdir(parents=True, exist_ok=True)
         model.to_json(out_dir / "linear_model.json")
-        write_run_manifest(
-            out_dir,
-            "train",
-            {"manifest": str(args.manifest), "sources": args.sources, "model": args.model, "seed": seed},
-            ["linear_model.json"],
-            t0,
-        )
         print(f"train: fitted linear model S={model.scale.tolist()} -> {out_dir}")
-        return EXIT_OK
+        return out_dir, ["linear_model.json"]
 
     voxel = args.model == MODEL_VOXEL and not args.no_voxel
     featurization = featurization_record(voxel, layout, geometry, config.get("grid"))
     if args.model == MODEL_MLP_BASELINE:
         widths = tuple(_config_value(args.config, config, "mlp.hidden_widths", (64, 64)))
-        model = build_mlp_net(22, widths, seed=seed, layer_norm=False)
+        model = build_mlp_net(FLAT_INPUT_WIDTH, widths, seed=seed, layer_norm=False)
         loss_cfg = dataclasses.replace(loss_cfg, beta=0.0, mode="plain_l2")
     elif args.no_voxel:
         widths = tuple(_config_value(args.config, config, "no_voxel_widths", (64, 64, 64, 64)))
         widths += net_cfg.fc_widths
-        model = build_mlp_net(22, widths, seed=seed, layer_norm=True)
+        model = build_mlp_net(FLAT_INPUT_WIDTH, widths, seed=seed, layer_norm=True)
     else:
         model = build_voxel_net(net_cfg, input_shape=(2, *featurization["grid"]["dims"]))
 
@@ -432,6 +395,7 @@ def cmd_train(args) -> int:
     report = train(model, train_samples, val_samples, loss_cfg, train_cfg,
                    log_every=args.log_every)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.npz"
     save_checkpoint(
         ckpt_path,
@@ -454,26 +418,14 @@ def cmd_train(args) -> int:
     for i, (tr, va) in enumerate(zip(report.train_losses, report.val_losses)):
         curve_lines.append(f"{i},{tr:.9e},{va:.9e}")
     write_text_atomic(out_dir / "curves.csv", "\n".join(curve_lines) + "\n")
-    write_run_manifest(
-        out_dir,
-        "train",
-        {
-            "manifest": str(args.manifest),
-            "sources": args.sources,
-            "model": args.model,
-            "no_voxel": bool(args.no_voxel),
-            "no_alpha": bool(args.no_alpha),
-            "config": str(args.config) if args.config else None,
-            "seed": seed,
-        },
-        ["checkpoint.npz", "curves.csv"],
-        t0,
-    )
     print(
         f"train: best val loss {report.best_val_loss:.5f} at epoch {report.best_epoch} "
         f"-> {ckpt_path}"
     )
-    return EXIT_OK
+    return out_dir, ["checkpoint.npz", "curves.csv"]
+
+
+PREDICT_CHUNK = 512  # samples per forward pass at eval
 
 
 def _predict_records(records, model_kind, model_path):
@@ -488,14 +440,12 @@ def _predict_records(records, model_kind, model_path):
     # checkpoint
     model, meta = load_checkpoint(model_path)
     samples = featurizer(meta["featurization"])(records)
-    preds = []
-    for start in range(0, len(records), 512):
-        preds.append(model.forward(samples.inputs[start : start + 512]))
+    preds = [model.forward(samples.inputs[start : start + PREDICT_CHUNK])
+             for start in range(0, len(records), PREDICT_CHUNK)]
     return np.concatenate(preds, axis=0), {"kind": meta["kind"], **meta.get("metadata", {})}
 
 
-def cmd_eval(args) -> int:
-    t0 = time.monotonic()
+def cmd_eval(args) -> tuple[Path, list[str]]:
     splits, _ = load_manifest_splits(args.manifest)
     if args.split not in splits:
         raise ConfigError(f"unknown split {args.split!r}")
@@ -532,22 +482,9 @@ def cmd_eval(args) -> int:
         },
     }
     write_json_atomic(out_dir / "summary.json", summary)
-    write_run_manifest(
-        out_dir,
-        "eval",
-        {
-            "manifest": str(args.manifest),
-            "model": str(args.model) if args.model else None,
-            "model_kind": args.model_kind,
-            "split": args.split,
-            "sources": args.sources,
-        },
-        ["per_sample.csv", "summary.json"],
-        t0,
-    )
     med = summary["overall"]["direction_pct"]["median"]
     print(f"eval: {len(rows)} samples, median direction error {med:.3f}% -> {out_dir}")
-    return EXIT_OK
+    return out_dir, ["per_sample.csv", "summary.json"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -643,25 +580,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. Each `cmd_*` returns the directory it wrote into and
+    its outputs; main records the run there, and a package error becomes
+    its class's exit code and message prefix."""
+    args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (
-        SchemaError,
-        DataIntegrityError,
-        OutOfBoundsError,
-        LayoutCollisionError,
-        DegenerateInputError,
-    ) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        out_dir, outputs = args.func(args)
+    except TactileForceError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    manifest = {
+        "command": args.command,
+        "arguments": {k: v for k, v in vars(args).items() if k not in ("command", "func")},
+        "tool_version": __version__,
+        "outputs": outputs,
+        "duration_s": round(time.monotonic() - t0, 3),
+    }
+    write_json_atomic(out_dir / "run_manifest.json", manifest)
+    return 0
 
 
 if __name__ == "__main__":

@@ -26,6 +26,8 @@ from .voxel import (
 )
 
 SPLIT_NAMES = ("train", "val", "test")
+DEFAULT_TRAIN_FRAC = 0.8
+DEFAULT_VAL_FRAC = 0.1
 # shape of each array field of a samples-file record; R_wb is a flat row-major 3x3
 RECORD_ARRAY_SHAPES = {"e": (N_ELECTRODES,), "s_c": (3,), "s_n": (3,), "f_3d": (3,), "R_wb": (9,)}
 
@@ -148,8 +150,8 @@ class DatasetSplits:
 
 def make_dataset(
     records: list[SampleRecord],
-    train_frac: float = 0.8,
-    val_frac: float = 0.1,
+    train_frac: float = DEFAULT_TRAIN_FRAC,
+    val_frac: float = DEFAULT_VAL_FRAC,
     seed: int = 0,
 ) -> DatasetSplits:
     """Filter to force samples and split whole trials into train/val/test.
@@ -269,6 +271,7 @@ def filter_by_sources(records: list[SampleRecord], sources: set[str]) -> list[Sa
 
 FEATURIZE_VOXEL = "voxel"
 FEATURIZE_FLAT = "flat"
+FLAT_INPUT_WIDTH = N_ELECTRODES + 3  # (e, s_c)
 
 
 def featurization_record(
@@ -355,7 +358,7 @@ def _stack_field(records: list[SampleRecord], name: str, shape: tuple[int, ...])
 
 
 def featurize_flat(records: list[SampleRecord]) -> ArraySamples:
-    """Concatenate (e, s_c) into flat 22-dim model inputs."""
+    """Concatenate (e, s_c) into flat FLAT_INPUT_WIDTH-dim model inputs."""
     inputs = np.stack([np.concatenate([r.e, r.s_c]) for r in records])
     return _with_context(records, inputs)
 

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: configuration/usage problems
-exit 2, data-integrity problems exit 3, numerical failures exit 4.
+Each class carries the process exit code and the message prefix the CLI
+reports it with: configuration/usage problems exit 2, data-integrity
+problems (every class without its own code) exit 3, numerical failures
+exit 4.
 """
 
 import dataclasses
@@ -11,9 +13,15 @@ import numbers
 class TactileForceError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 3
+    prefix = "data error"
+
 
 class ConfigError(TactileForceError):
     """Invalid or incomplete configuration (missing field, bad value)."""
+
+    exit_code = 2
+    prefix = "config error"
 
 
 class SchemaError(TactileForceError):
@@ -38,6 +46,9 @@ class DataIntegrityError(TactileForceError):
 
 class NumericalError(TactileForceError):
     """Numerical failure: non-finite state, gradient, or loss."""
+
+    exit_code = 4
+    prefix = "numerical failure"
 
 
 # the value types a config field may take, tried in order against its default

@@ -5,13 +5,12 @@ Conventions. Planar quantities (velocities, accelerations, contact offsets,
 forces) are expressed in a CM-centered frame aligned with the world axes;
 the ParticleGrid stores body-fixed particle offsets and the friction
 operations rotate them by the current pose angle. The recovered contact
-force is tagged with the object frame.
+force is in that planar frame.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -22,30 +21,11 @@ from .errors import SchemaError
 STATIONARY_SPEED_TOL = 1e-9  # m/s; below this a particle contributes no friction
 
 
-class Frame(enum.Enum):
-    OBJECT = "object"
-    SENSOR = "sensor"
-    WORLD = "world"
-
-
 @dataclass(frozen=True)
 class ForceVector:
-    """A force with an explicit frame tag; 2-vectors live in planar frames."""
+    """A planar force: a float 2-vector in the CM-centered planar frame."""
 
     components: np.ndarray
-    frame: Frame
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=float)
-        if c.shape not in ((2,), (3,)):
-            raise SchemaError(f"force must be a 2- or 3-vector, got shape {c.shape}")
-        if c.shape == (2,) and self.frame is Frame.SENSOR:
-            raise SchemaError("2-D forces are only valid in planar frames (object/world)")
-        object.__setattr__(self, "components", c)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
 
 
 @dataclass(frozen=True)
@@ -264,9 +244,10 @@ def _objective(f: np.ndarray, c: np.ndarray, a: np.ndarray, b: float, k: float) 
 
 def _solve_closed_form(c: np.ndarray, a: np.ndarray, b: float, k: float) -> np.ndarray:
     # Normal equations of the quadratic: (k I + p p^T) f = k a + b p, p = perp(c).
+    # The matrix is a rank-one update of k I, so (Sherman-Morrison)
+    # f = a + (b - p.a) / (k + p.p) p.
     p = perp(c)
-    mat = k * np.eye(2) + np.outer(p, p)
-    return np.linalg.solve(mat, k * a + b * p)
+    return a + (b - float(p @ a)) / (k + float(p @ p)) * p
 
 
 def force_targets(
@@ -301,7 +282,7 @@ def infer_force_with_friction(
     a, b, static = force_targets(motion, grid, params)
     f = _solve_closed_form(c, a, b, params.k)
     return InferenceResult(
-        force=ForceVector(f, Frame.OBJECT),
+        force=ForceVector(f),
         objective=_objective(f, c, a, b, params.k),
         static_friction=static,
     )

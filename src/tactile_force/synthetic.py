@@ -46,6 +46,7 @@ from .sensor import (
 DEFAULT_BOX_MASS_KG = 0.65
 DEFAULT_BOX_HALF_EXTENTS_M = (0.1, 0.075)
 DEFAULT_DT_S = 1e-3
+DEFAULT_PUSH_MAGNITUDE_RANGE_N = (0.1, 2.0)
 
 # Static pressure synthesized from the force magnitude; 400 units/N keeps
 # pushes in the 0.1-2 N range comfortably above the contact threshold of 10.
@@ -271,7 +272,6 @@ class SensorForwardModel:
     directional_shear_sensitivity: float = 0.5
     anisotropic_shear_sensitivity: float = 2.5
     noise_scale: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.decay_length <= 0:
@@ -351,15 +351,13 @@ def make_ft_samples(
     force_range: tuple[float, float],
     cone_angle_deg: float = 60.0,
     cap_only: bool = False,
-    trial_prefix: str | None = None,
 ) -> list[SampleRecord]:
     """Force-torque style samples: random surface contacts with forces drawn
     within a cone of the inward normal, one sensor pose per trial."""
     rng = np.random.default_rng(seed)
-    prefix = trial_prefix or source_tag
     records: list[SampleRecord] = []
     for trial in range(n_trials):
-        trial_id = f"{prefix}_{trial:04d}"
+        trial_id = f"{source_tag}_{trial:04d}"
         r_wb = random_rotation(rng)  # one wrist pose per trial
         for _ in range(samples_per_trial):
             contact = _surface_contact(geometry, rng, cap_only=cap_only)
@@ -384,7 +382,7 @@ def make_ft_samples(
 def piecewise_force_schedule(
     rng: np.random.Generator,
     steps: int,
-    magnitude_range: tuple[float, float] = (0.1, 2.0),
+    magnitude_range: tuple[float, float] = DEFAULT_PUSH_MAGNITUDE_RANGE_N,
     direction_jitter_deg: float = 45.0,
     segment_steps: tuple[int, int] = (40, 120),
     idle_steps: int = 20,
@@ -413,8 +411,7 @@ def make_planar_trials(
     params: PushParams | None = None,
     half_extents=DEFAULT_BOX_HALF_EXTENTS_M,
     dt: float = DEFAULT_DT_S,
-    magnitude_range: tuple[float, float] = (0.1, 2.0),
-    trial_prefix: str = SOURCE_PLANAR,
+    magnitude_range: tuple[float, float] = DEFAULT_PUSH_MAGNITUDE_RANGE_N,
 ) -> tuple[list[PushEpisode], list[SampleRecord]]:
     """Simulate pushing trials and derive sensor samples from each step.
 
@@ -429,7 +426,7 @@ def make_planar_trials(
     records: list[SampleRecord] = []
     for trial in range(n_trials):
         rng = np.random.default_rng(master.integers(2**63))
-        trial_id = f"{trial_prefix}_{trial:04d}"
+        trial_id = f"{SOURCE_PLANAR}_{trial:04d}"
         if params is None:
             trial_params = PushParams(
                 m=DEFAULT_BOX_MASS_KG, inertia=box_inertia(DEFAULT_BOX_MASS_KG, half_extents)

@@ -1,10 +1,11 @@
 """Reference solvers for the force objective, kept as test oracles.
 
 `mechanics.infer_force_with_friction` minimizes the quadratic force
-objective in closed form. These two minimize the same objective by other
-means: gradient descent with backtracking, and a coarse-to-fine scan that
-uses only objective evaluations. Each takes the targets (a, b) from
-`mechanics.force_targets` and the contact point c and weight k.
+objective in closed form. These three minimize the same objective by other
+means: a LAPACK solve of its 2x2 normal equations, gradient descent with
+backtracking, and a coarse-to-fine scan that uses only objective
+evaluations. Each takes the targets (a, b) from `mechanics.force_targets`
+and the contact point c and weight k.
 """
 
 import math
@@ -12,6 +13,13 @@ import math
 import numpy as np
 
 from tactile_force.mechanics import _objective, cross2, perp
+
+
+def _solve_normal_equations(c: np.ndarray, a: np.ndarray, b: float, k: float) -> np.ndarray:
+    """The normal equations (k I + p p^T) f = k a + b p, p = perp(c), solved
+    as a general 2x2 system."""
+    p = perp(c)
+    return np.linalg.solve(k * np.eye(2) + np.outer(p, p), k * a + b * p)
 
 
 def _solve_iterative(

@@ -8,10 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tactile_force import __version__, cli
 from tactile_force.baselines import LinearModel, linear_predict
 from tactile_force.cli import main
 from solver_oracles import _solve_grid
 from tactile_force.dataset import featurize_voxel, load_manifest_splits
+from tactile_force.errors import (
+    ConfigError,
+    DataIntegrityError,
+    DegenerateInputError,
+    LayoutCollisionError,
+    NumericalError,
+    OutOfBoundsError,
+    SchemaError,
+    TactileForceError,
+)
 from tactile_force.mechanics import ParticleGrid, PlanarMotion, PushParams, force_targets
 from tactile_force.metrics import evaluate_pairs, summarize
 from tactile_force.net import load_checkpoint
@@ -135,6 +146,19 @@ class TestSimulate:
         assert "must be at least" in err
         assert not out.exists()
 
+    def test_push_too_short_to_label_exits_2_naming_file_source_and_steps(self, tmp_path, capsys):
+        """Trials that run but label no step are not reported as no trials."""
+        config = write_config(
+            tmp_path / "c.json",
+            {"params": {"m": 0.65}, "sources": {"planar_pushing": {"trials": 3, "steps": 40}}},
+        )
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(config) in err
+        assert "'planar_pushing'" in err and "40 steps" in err and "no step was labelled" in err
+        assert not out.exists()
+
 
 class TestInfer:
     def test_roundtrip_against_stored_forces(self, sim_dir, tmp_path):
@@ -181,6 +205,18 @@ class TestInfer:
             episode, sim_dir / "params.json", tmp_path / "inferred.csv"
         )
         np.testing.assert_allclose(inferred, oracle, atol=1e-3)
+
+    def test_params_file_without_inertia_takes_the_box_inertia(self, sim_dir, tmp_path):
+        """The params file is read as simulate reads its config: the box the
+        simulation config gave only a mass for infers the same forces."""
+        episode = sorted((sim_dir / "episodes").glob("*.jsonl"))[0]
+        params = json.loads((sim_dir / "params.json").read_text())
+        del params["inertia"]
+        no_inertia = write_config(tmp_path / "no_inertia.json", params)
+        for path, out in ((sim_dir / "params.json", "a.csv"), (no_inertia, "b.csv")):
+            assert run(["infer", "--episode", episode, "--params", path,
+                        "--out", tmp_path / out]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_zero_friction_params_match_frictionless_oracle(self, sim_dir, tmp_path):
         episode = sorted((sim_dir / "episodes").glob("*.jsonl"))[0]
@@ -248,7 +284,8 @@ class TestInfer:
         bad_episode.write_text("".join(json.dumps(r) + "\n" for r in rows))
         bad_params = write_config(tmp_path / "params.json", params)
         assert exit_code(["infer", "--episode", bad_episode, "--params", bad_params,
-                          "--out", tmp_path / "x.csv"]) == code
+                          "--out", tmp_path / "inferred" / "x.csv"]) == code
+        assert not (tmp_path / "inferred").exists()
         err = capsys.readouterr().err
         if target == "row":
             assert err.startswith("data error:") and str(bad_episode) in err
@@ -576,7 +613,7 @@ class TestConfigValueTypes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(config) in err
         assert field.rpartition(".")[2] in err
-        assert not (tmp_path / "m" / "checkpoint.npz").exists()
+        assert not (tmp_path / "m").exists() and not (tmp_path / "o").exists()
 
 
 class TestFeaturizationErrors:
@@ -697,3 +734,99 @@ class TestDataFileErrors:
         assert self.train(manifest, tmp_path) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(samples) in err
+
+
+def run_manifest(out_dir: Path) -> dict:
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    assert manifest["tool_version"] == __version__ and manifest["duration_s"] >= 0
+    for name in manifest["outputs"]:
+        assert (out_dir / name).exists()
+    return manifest
+
+
+class TestRunManifest:
+    """Every command's manifest holds every parsed flag, with the seed the
+    run used, so the run can be rebuilt from it."""
+
+    def test_simulate_records_the_config_seed(self, sim_dir, tmp_path):
+        manifest = run_manifest(sim_dir)
+        assert manifest["command"] == "simulate"
+        assert manifest["arguments"] == {
+            "config": str(tmp_path / "config.json"), "out": str(sim_dir), "seed": 7,
+        }
+        assert manifest["outputs"][-2:] == ["samples.jsonl", "dataset_manifest.json"]
+
+    def test_infer_records_its_flags(self, sim_dir, tmp_path):
+        episode = sorted((sim_dir / "episodes").glob("*.jsonl"))[0]
+        out = tmp_path / "inferred" / "x.csv"
+        assert run(["infer", "--episode", episode, "--params", sim_dir / "params.json",
+                    "--out", out]) == 0
+        manifest = run_manifest(out.parent)
+        assert manifest["command"] == "infer" and manifest["outputs"] == ["x.csv"]
+        assert manifest["arguments"] == {
+            "episode": str(episode), "params": str(sim_dir / "params.json"), "out": str(out),
+        }
+
+    @pytest.mark.parametrize("model, seed_flag, resolved, outputs", [
+        ("voxel", [], 5, ["checkpoint.npz", "curves.csv"]),
+        ("linear", ["--seed", "11"], 11, ["linear_model.json"]),
+    ])
+    def test_train_records_every_flag_and_the_resolved_seed(
+        self, sim_dir, tmp_path, model, seed_flag, resolved, outputs
+    ):
+        config = write_config(tmp_path / "train.json", {**TINY_TRAIN_CONFIG, "seed": 5})
+        manifest_path = sim_dir / "dataset_manifest.json"
+        out = tmp_path / "m"
+        assert run(["train", "--manifest", manifest_path, "--out", out, "--model", model,
+                    "--config", config, *seed_flag]) == 0
+        manifest = run_manifest(out)
+        assert manifest["command"] == "train" and manifest["outputs"] == outputs
+        assert manifest["arguments"] == {
+            "manifest": str(manifest_path), "out": str(out), "sources": "mixed", "model": model,
+            "no_voxel": False, "no_alpha": False, "config": str(config), "seed": resolved,
+            "log_every": 0,
+        }
+
+    def test_eval_records_every_flag(self, sim_dir, tmp_path):
+        manifest_path = sim_dir / "dataset_manifest.json"
+        out = tmp_path / "e"
+        assert run(["eval", "--manifest", manifest_path, "--model-kind", "oracle",
+                    "--split", "val", "--out", out]) == 0
+        manifest = run_manifest(out)
+        assert manifest["command"] == "eval"
+        assert manifest["outputs"] == ["per_sample.csv", "summary.json"]
+        assert manifest["arguments"] == {
+            "manifest": str(manifest_path), "model": None, "model_kind": "oracle",
+            "split": "val", "sources": "mixed", "out": str(out),
+        }
+
+
+# the exit code and message prefix of each package error
+ERROR_EXITS = {
+    ConfigError: (2, "config error"),
+    SchemaError: (3, "data error"),
+    DegenerateInputError: (3, "data error"),
+    OutOfBoundsError: (3, "data error"),
+    LayoutCollisionError: (3, "data error"),
+    DataIntegrityError: (3, "data error"),
+    NumericalError: (4, "numerical failure"),
+}
+
+
+def test_error_exits_cover_every_package_error():
+    assert set(ERROR_EXITS) == set(TactileForceError.__subclasses__())
+
+
+@pytest.mark.parametrize("error", list(ERROR_EXITS), ids=lambda cls: cls.__name__)
+def test_main_exits_with_the_error_class_code_and_prefix(tmp_path, capsys, monkeypatch, error):
+    def failing_command(args):
+        raise error("it broke")
+
+    monkeypatch.setattr(cli, "cmd_eval", failing_command)
+    code, prefix = ERROR_EXITS[error]
+    assert (error.exit_code, error.prefix) == (code, prefix)
+    out = tmp_path / "e"
+    assert run(["eval", "--manifest", tmp_path / "m.json", "--model-kind", "oracle",
+                "--out", out]) == code
+    assert capsys.readouterr().err == f"{prefix}: it broke\n"
+    assert not out.exists()

@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from solver_oracles import _solve_grid, _solve_iterative
+from solver_oracles import _solve_grid, _solve_iterative, _solve_normal_equations
 from tactile_force.errors import SchemaError
 from tactile_force.mechanics import (
     ParticleGrid,
     PlanarMotion,
     PushParams,
     _objective,
+    _solve_closed_form,
     cross2,
     force_targets,
     friction_wrench,
@@ -273,6 +276,20 @@ class TestForceInference:
             a, b, _ = force_targets(motion, grid, params)
             np.testing.assert_allclose(closed, _solve_iterative(c, a, b, params.k), atol=1e-6)
             np.testing.assert_allclose(closed, _solve_grid(c, a, b, params.k), atol=1e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           a=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+           b=st.floats(-1e3, 1e3), k=st.floats(1e-2, 1e4))
+    def test_closed_form_matches_lapack_solve(self, c, a, b, k):
+        """The rank-one formula solves the 2x2 normal equations as LAPACK
+        does, to 1e-12 of the size of the terms a and s p that make up f."""
+        c, a = np.array(c), np.array(a)
+        closed = _solve_closed_form(c, a, b, k)
+        reference = _solve_normal_equations(c, a, b, k)
+        p = perp(c)
+        scale = np.linalg.norm(a) + abs(b) * np.linalg.norm(p) / (k + p @ p)
+        assert np.linalg.norm(closed - reference) <= 1e-12 * scale
 
     def test_closed_form_is_local_minimum(self):
         rng = np.random.default_rng(9)
