@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -190,6 +191,14 @@ def cmd_simulate(args) -> tuple[Path, list[str]]:
             )
         return value
 
+    def positive(dotted, default):
+        value = float(setting(dotted, default))
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigError(
+                f"config {config_path}: field {dotted!r} must be a positive finite number, got {value!r}"
+            )
+        return value
+
     seed = _resolve_seed(args, config)
     model, geometry = _sensor_model_from_config(config, config_path)
 
@@ -206,7 +215,7 @@ def cmd_simulate(args) -> tuple[Path, list[str]]:
             seed=seed,
             params=params,
             half_extents=half_extents,
-            dt=float(setting(planar + "dt", DEFAULT_DT_S)),
+            dt=positive(planar + "dt", DEFAULT_DT_S),
             magnitude_range=tuple(setting(planar + "magnitude_range", DEFAULT_PUSH_MAGNITUDE_RANGE_N)),
         )
     ft_defaults = {
@@ -232,13 +241,12 @@ def cmd_simulate(args) -> tuple[Path, list[str]]:
 
     records: list[SampleRecord] = []
     if n_planar > 0:
-        episodes, planar_records = make_planar_trials(model, geometry, **planar_args)
-        records.extend(planar_records)
+        episodes, records = make_planar_trials(model, geometry, **planar_args)
+        if not records:  # only a push can run yet label no sample
+            raise ConfigError(f"config {config_path}: source {SOURCE_PLANAR!r} ran {n_planar} trials "
+                              f"of {planar_args['steps']} steps, and no step was labelled as a contact")
     for kwargs in ft_args.values():
         records.extend(make_ft_samples(model, geometry, **kwargs))
-    if not records and n_planar > 0:  # only a push can run yet label no sample
-        raise ConfigError(f"config {config_path}: source {SOURCE_PLANAR!r} ran {n_planar} trials "
-                          f"of {planar_args['steps']} steps, and no step was labelled as a contact")
     if not records:
         raise ConfigError("config requested no trials from any source")
     splits = make_dataset(records, train_frac=train_frac, val_frac=val_frac, seed=seed)
@@ -283,14 +291,15 @@ def _read_episode_rows(path) -> list[dict]:
     return rows
 
 
-def _episode_step(path, i: int, row) -> tuple[PlanarMotion, np.ndarray]:
-    """Motion and contact point of episode row i; a bad row is a SchemaError
-    naming the file, the row and the field."""
+def _episode_step(path, i: int, row) -> tuple[PlanarMotion, np.ndarray, float]:
+    """Motion, contact point and time of episode row i, the time defaulting
+    to i; a bad row is a SchemaError naming the file, the row and the field."""
     try:
         if not isinstance(row, dict):
             raise SchemaError(f"expected a JSON object, got {type(row).__name__}")
         motion = PlanarMotion(**{f.name: row[f.name] for f in dataclasses.fields(PlanarMotion)})
-        return motion, checked_array("contact_point", row["contact_point"], (2,))
+        t = float(checked_array("t", row["t"], ())) if "t" in row else i
+        return motion, checked_array("contact_point", row["contact_point"], (2,)), t
     except KeyError as exc:
         raise SchemaError(f"episode file {path} row {i}: missing field {exc.args[0]!r}") from exc
     except SchemaError as exc:
@@ -305,11 +314,11 @@ def cmd_infer(args) -> tuple[Path, list[str]]:
 
     lines = ["step,t,fx,fy,objective,static_friction"]
     for i, row in enumerate(rows):
-        motion, c = _episode_step(args.episode, i, row)
+        motion, c, t = _episode_step(args.episode, i, row)
         result = infer_force_with_friction(motion, c, grid, params)
         f = result.force.components
         lines.append(
-            f"{i},{row.get('t', i)},{f[0]:.17g},{f[1]:.17g},"
+            f"{i},{t},{f[0]:.17g},{f[1]:.17g},"
             f"{result.objective:.17g},{int(result.static_friction)}"
         )
     out_path = Path(args.out)

@@ -103,10 +103,13 @@ class PlanarMotion:
 
     def __post_init__(self):
         try:
-            pose, v, v_dot = (np.asarray(x, dtype=float) for x in (self.pose, self.v, self.v_dot))
+            pose = np.asarray(self.pose, dtype=float)
+            v = np.asarray(self.v, dtype=float)
+            v_dot = np.asarray(self.v_dot, dtype=float)
             omega, omega_dot = float(self.omega), float(self.omega_dot)
             valid = (pose.shape == (3,) and v.shape == (2,) and v_dot.shape == (2,)
-                     and np.isfinite(np.concatenate([pose, v, [omega], v_dot, [omega_dot]])).all())
+                     and all(map(math.isfinite, (*pose.tolist(), *v.tolist(), omega,
+                                                 *v_dot.tolist(), omega_dot))))
         except (TypeError, ValueError):
             valid = False
         if not valid:
@@ -126,21 +129,6 @@ class PlanarMotion:
         return float(self.pose[2])
 
 
-def perp(r: np.ndarray) -> np.ndarray:
-    """90-degree counterclockwise rotation: (x, y) -> (-y, x)."""
-    return np.array([-r[1], r[0]])
-
-
-def cross2(a: np.ndarray, b: np.ndarray) -> float:
-    """Scalar 2-D cross product a_x b_y - a_y b_x."""
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
-def rot2(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def _most_square_factors(n: int) -> tuple[int, int]:
     """Factor n = a * b with a <= b and b - a minimal."""
     a = int(math.isqrt(n))
@@ -152,18 +140,21 @@ def _most_square_factors(n: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class ParticleGrid:
     """Support-contact particles: body-frame offsets from the CM, each
-    carrying the same share m*g/n of the normal load."""
+    carrying the same share m*g/n of the normal load. `offsets` holds the
+    same offsets as complex numbers x + iy."""
 
     particles: np.ndarray
     per_particle_normal_force: float
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.particles, dtype=float)
-        if p.ndim != 2 or p.shape[1] != 2:
-            raise SchemaError(f"particles must be an (n, 2) array, got {p.shape}")
+        if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] == 0:
+            raise SchemaError(f"particles must be an (n, 2) array with n >= 1, got {p.shape}")
         if self.per_particle_normal_force <= 0:
             raise SchemaError("per-particle normal force must be positive")
         object.__setattr__(self, "particles", p)
+        object.__setattr__(self, "offsets", p[:, 0] + 1j * p[:, 1])
 
     @property
     def n(self) -> int:
@@ -208,22 +199,29 @@ def friction_wrench(
 ) -> FrictionWrench:
     """Coulomb friction force and moment summed over the particle grid.
 
-    Particle offsets are rotated by the pose angle into the planar frame.
-    Particles slower than the stationary tolerance contribute nothing; if all
-    are stationary the wrench is zero and flagged static.
+    With planar vectors as complex numbers, the offsets r rotate into the
+    planar frame as r e^{i theta}, a particle moves at v + i omega r, and its
+    unit velocity u adds -mu_s f_n u to the force and -mu_s f_n Im(conj(r) u),
+    the cross product r x u, to the moment. Particles slower than the
+    stationary tolerance contribute nothing; if all are stationary the
+    wrench is zero and flagged static.
     """
-    offsets = grid.particles @ rot2(motion.theta).T
-    vels = motion.v[None, :] + motion.omega * np.column_stack([-offsets[:, 1], offsets[:, 0]])
-    speeds = np.linalg.norm(vels, axis=1)
-    moving = speeds > STATIONARY_SPEED_TOL
-    if not np.any(moving):
-        return FrictionWrench(force=np.zeros(2), moment=0.0, static=True)
-    unit = vels[moving] / speeds[moving, None]
-    scale = params.mu_s * grid.per_particle_normal_force
-    force = -scale * unit.sum(axis=0)
-    r_m = offsets[moving]
-    moment = -scale * float(np.sum(r_m[:, 0] * unit[:, 1] - r_m[:, 1] * unit[:, 0]))
-    return FrictionWrench(force=force, moment=moment, static=False)
+    theta = motion.theta
+    r = grid.offsets * complex(math.cos(theta), math.sin(theta))
+    vel = r * complex(0.0, motion.omega)
+    vel += complex(*motion.v.tolist())
+    speed = np.abs(vel)
+    if not speed.min() > STATIONARY_SPEED_TOL:  # some particle at rest
+        moving = speed > STATIONARY_SPEED_TOL
+        if not moving.any():
+            return FrictionWrench(force=np.zeros(2), moment=0.0, static=True)
+        r, vel, speed = r[moving], vel[moving], speed[moving]
+    unit = vel / speed
+    scale = -params.mu_s * grid.per_particle_normal_force
+    total = complex(unit.sum())
+    moment = scale * np.vdot(r, unit).imag
+    return FrictionWrench(force=np.array((scale * total.real, scale * total.imag)),
+                          moment=float(moment), static=False)
 
 
 @dataclass(frozen=True)
@@ -236,18 +234,22 @@ class InferenceResult:
     static_friction: bool
 
 
-def _objective(f: np.ndarray, c: np.ndarray, a: np.ndarray, b: float, k: float) -> float:
-    residual_lin = f - a
-    residual_ang = cross2(c, f) - b
-    return k * float(residual_lin @ residual_lin) + residual_ang * residual_ang
+def _objective(f, c, a, b: float, k: float) -> float:
+    """k ||f - a||^2 + (c x f - b)^2 for 2-vectors f, c, a."""
+    (fx, fy), (cx, cy), (ax, ay) = f, c, a
+    rx, ry = fx - ax, fy - ay
+    residual_ang = cx * fy - cy * fx - b
+    return float(k * (rx * rx + ry * ry) + residual_ang * residual_ang)
 
 
-def _solve_closed_form(c: np.ndarray, a: np.ndarray, b: float, k: float) -> np.ndarray:
-    # Normal equations of the quadratic: (k I + p p^T) f = k a + b p, p = perp(c).
-    # The matrix is a rank-one update of k I, so (Sherman-Morrison)
-    # f = a + (b - p.a) / (k + p.p) p.
-    p = perp(c)
-    return a + (b - float(p @ a)) / (k + float(p @ p)) * p
+def _solve_closed_form(c, a, b: float, k: float) -> tuple[float, float]:
+    """The minimizer f of `_objective` for 2-vectors c, a."""
+    # Normal equations of the quadratic: (k I + p p^T) f = k a + b p, with
+    # p = perp(c) = (-c_y, c_x). The matrix is a rank-one update of k I, so
+    # (Sherman-Morrison) f = a + (b - p.a) / (k + p.p) p.
+    (cx, cy), (ax, ay) = c, a
+    s = (b - (cx * ay - cy * ax)) / (k + (cy * cy + cx * cx))
+    return ax - s * cy, ay + s * cx
 
 
 def force_targets(
@@ -261,7 +263,8 @@ def force_targets(
     are those of a frictionless push.
     """
     wrench = friction_wrench(grid, motion, params)
-    a = params.m * motion.v_dot - wrench.force
+    (ax, ay), (fx, fy) = motion.v_dot.tolist(), wrench.force.tolist()
+    a = np.array((params.m * ax - fx, params.m * ay - fy))
     b = params.inertia * motion.omega_dot - wrench.moment
     return a, b, wrench.static
 
@@ -274,15 +277,15 @@ def infer_force_with_friction(
 ) -> InferenceResult:
     """Recover the contact force including the support friction wrench.
 
-    Minimizes k ||f + f_f - m v_dot||^2 + (cross2(c, f) + n_f - I omega_dot)^2
+    Minimizes k ||f + f_f - m v_dot||^2 + (c x f + n_f - I omega_dot)^2
     over f in closed form; c is the contact point relative to the CM, in the
     planar frame.
     """
-    c = np.asarray(c, dtype=float)
     a, b, static = force_targets(motion, grid, params)
+    c, a = np.asarray(c, dtype=float).tolist(), a.tolist()
     f = _solve_closed_form(c, a, b, params.k)
     return InferenceResult(
-        force=ForceVector(f),
+        force=ForceVector(np.array(f)),
         objective=_objective(f, c, a, b, params.k),
         static_friction=static,
     )

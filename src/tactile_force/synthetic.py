@@ -28,9 +28,7 @@ from .mechanics import (
     ParticleGrid,
     PlanarMotion,
     PushParams,
-    cross2,
     friction_wrench,
-    rot2,
 )
 from .net.losses import SOURCE_PLANAR
 from .sensor import (
@@ -158,17 +156,18 @@ def simulate_push(
     velocity first, then the pose. When no force is applied and the friction
     step would overshoot (gain energy), the body is captured at rest instead.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise SchemaError(f"dt must be positive, got {dt}")
     applied_forces = np.asarray(applied_forces, dtype=float)
     if applied_forces.ndim != 2 or applied_forces.shape[1] != 2:
         raise SchemaError("applied_forces must be (steps, 2)")
     steps = applied_forces.shape[0]
-    contact_body = np.asarray(contact_body, dtype=float)
+    bx, by = np.asarray(contact_body, dtype=float).tolist()
     grid = ParticleGrid.uniform_rectangle(half_extents, params)
+    m, inertia = params.m, params.inertia
 
-    pose = np.array(initial_pose, dtype=float)
-    v = np.array(initial_v, dtype=float)
+    x, y, theta = map(float, initial_pose)
+    vx, vy = map(float, initial_v)
     omega = float(initial_omega)
 
     times = np.arange(steps) * dt
@@ -180,31 +179,29 @@ def simulate_push(
     contacts = np.zeros((steps, 2))
     statics = np.zeros(steps, dtype=bool)
 
-    for i in range(steps):
-        motion_now = PlanarMotion(pose=pose, v=v, omega=omega)
-        wrench = friction_wrench(grid, motion_now, params)
-        f_applied = applied_forces[i]
-        c_now = rot2(pose[2]) @ contact_body
-        v_dot = (f_applied + wrench.force) / params.m
-        omega_dot = (cross2(c_now, f_applied) + wrench.moment) / params.inertia
+    for i, (fx, fy) in enumerate(applied_forces.tolist()):
+        poses[i], vs[i], omegas[i] = (x, y, theta), (vx, vy), omega
+        wrench = friction_wrench(grid, PlanarMotion(pose=poses[i], v=vs[i], omega=omega), params)
+        wfx, wfy = wrench.force.tolist()
+        cos, sin = math.cos(theta), math.sin(theta)
+        cx, cy = cos * bx - sin * by, sin * bx + cos * by
+        ax, ay = (fx + wfx) / m, (fy + wfy) / m
+        alpha = (cx * fy - cy * fx + wrench.moment) / inertia
 
-        poses[i], vs[i], omegas[i] = pose, v, omega
-        v_dots[i], omega_dots[i] = v_dot, omega_dot
-        contacts[i] = c_now
+        v_dots[i], omega_dots[i] = (ax, ay), alpha
+        contacts[i] = cx, cy
         statics[i] = wrench.static
 
-        v_new = v + dt * v_dot
-        omega_new = omega + dt * omega_dot
-        if not np.all(np.isfinite(v_new)) or not math.isfinite(omega_new):
+        vx_new, vy_new, omega_new = vx + dt * ax, vy + dt * ay, omega + dt * alpha
+        if not (math.isfinite(vx_new) and math.isfinite(vy_new) and math.isfinite(omega_new)):
             raise NumericalError(f"integration diverged at step {i}")
-        if np.allclose(f_applied, 0.0):
-            ke_old = 0.5 * params.m * float(v @ v) + 0.5 * params.inertia * omega**2
-            ke_new = 0.5 * params.m * float(v_new @ v_new) + 0.5 * params.inertia * omega_new**2
+        if abs(fx) <= 1e-8 and abs(fy) <= 1e-8:
+            ke_old = 0.5 * m * (vx * vx + vy * vy) + 0.5 * inertia * omega**2
+            ke_new = 0.5 * m * (vx_new * vx_new + vy_new * vy_new) + 0.5 * inertia * omega_new**2
             if ke_new > ke_old:  # friction overshoot at near-rest: capture
-                v_new = np.zeros(2)
-                omega_new = 0.0
-        v, omega = v_new, omega_new
-        pose = pose + dt * np.array([v[0], v[1], omega])
+                vx_new = vy_new = omega_new = 0.0
+        vx, vy, omega = vx_new, vy_new, omega_new
+        x, y, theta = x + dt * vx, y + dt * vy, theta + dt * omega
 
     return PushEpisode(
         trial_id=trial_id,

@@ -136,6 +136,8 @@ class TestSimulate:
         ({"rigid_ft": {"trials": 3, "samples_per_trial": 0}}, "sources.rigid_ft.samples_per_trial"),
         ({"planar_pushing": {"trials": 3, "steps": 0}}, "sources.planar_pushing.steps"),
         ({"rigid_ft": {"trials": -2}}, "sources.rigid_ft.trials"),
+        ({"planar_pushing": {"trials": 3, "dt": -0.01}}, "sources.planar_pushing.dt"),
+        ({"planar_pushing": {"trials": 3, "dt": float("nan")}}, "sources.planar_pushing.dt"),
     ])
     def test_impossible_count_exits_2_naming_file_and_field(self, tmp_path, capsys, sources, field):
         config = write_config(tmp_path / "c.json", {"params": {"m": 0.65}, "sources": sources})
@@ -143,21 +145,24 @@ class TestSimulate:
         assert run(["simulate", "--config", config, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(config) in err and repr(field) in err
-        assert "must be at least" in err
+        assert ("must be a positive finite number" if field.endswith(".dt") else "must be at least") in err
         assert not out.exists()
 
     def test_push_too_short_to_label_exits_2_naming_file_source_and_steps(self, tmp_path, capsys):
-        """Trials that run but label no step are not reported as no trials."""
-        config = write_config(
-            tmp_path / "c.json",
-            {"params": {"m": 0.65}, "sources": {"planar_pushing": {"trials": 3, "steps": 40}}},
-        )
-        out = tmp_path / "o"
-        assert run(["simulate", "--config", config, "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and str(config) in err
-        assert "'planar_pushing'" in err and "40 steps" in err and "no step was labelled" in err
-        assert not out.exists()
+        """Trials that run but label no step are not reported as no trials,
+        nor dropped when another source yields samples."""
+        for others in ({}, {"rigid_ft": {"trials": 3, "samples_per_trial": 10}}):
+            config = write_config(
+                tmp_path / "c.json",
+                {"params": {"m": 0.65},
+                 "sources": {"planar_pushing": {"trials": 3, "steps": 40}, **others}},
+            )
+            out = tmp_path / "o"
+            assert run(["simulate", "--config", config, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and str(config) in err
+            assert "'planar_pushing'" in err and "40 steps" in err and "no step was labelled" in err
+            assert not out.exists()
 
 
 class TestInfer:
@@ -266,6 +271,8 @@ class TestInfer:
             ("params", "box_half_extents", [0.1], 2),
             ("params", "box_half_extents", None, 2),
             ("params", None, 5, 2),
+            ("row", "t", "1,2", 3),
+            ("row", "t", [3, 4], 3),
         ],
     )
     def test_bad_input_exits_2_or_3_naming_file_and_field(

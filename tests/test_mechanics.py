@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solver_oracles import _solve_grid, _solve_iterative, _solve_normal_equations
+from solver_oracles import (
+    _solve_grid,
+    _solve_iterative,
+    _solve_normal_equations,
+    cross2,
+    friction_wrench_reference,
+    perp,
+    rot2,
+)
 from tactile_force.errors import SchemaError
 from tactile_force.mechanics import (
     ParticleGrid,
@@ -16,11 +24,9 @@ from tactile_force.mechanics import (
     PushParams,
     _objective,
     _solve_closed_form,
-    cross2,
     force_targets,
     friction_wrench,
     infer_force_with_friction,
-    perp,
 )
 
 
@@ -208,6 +214,69 @@ class TestFriction:
         coarse_change = np.linalg.norm(wrench_at(80) - wrench_at(40))
         fine_change = np.linalg.norm(wrench_at(160) - wrench_at(80))
         assert fine_change < coarse_change
+
+
+@st.composite
+def grid_and_params(draw):
+    """Push params and a grid of 1-100 particles: a uniform_rectangle
+    lattice, or points drawn on a 1 mm lattice (repeats allowed) so that
+    distinct particles sit at least 1 mm apart."""
+    n = draw(st.integers(1, 100))
+    params = PushParams(m=draw(st.floats(0.1, 5.0)), inertia=0.01,
+                        mu_s=draw(st.floats(0.05, 1.0)), n=n)
+    if draw(st.booleans()):
+        half_extents = (draw(st.floats(0.01, 0.2)), draw(st.floats(0.01, 0.2)))
+        return ParticleGrid.uniform_rectangle(half_extents, params), params
+    cells = draw(st.lists(st.tuples(st.integers(-150, 150), st.integers(-150, 150)),
+                          min_size=n, max_size=n))
+    grid = ParticleGrid(particles=1e-3 * np.array(cells, dtype=float),
+                        per_particle_normal_force=params.m * params.g / n)
+    return grid, params
+
+
+class TestComplexKernel:
+    """The complex-offset friction_wrench against the rotation-matrix
+    reference, in the moving, all-static and partly static regimes."""
+
+    @staticmethod
+    def assert_matches_reference(grid, motion, params):
+        got = friction_wrench(grid, motion, params)
+        want = friction_wrench_reference(grid, motion, params)
+        tol = 1e-12 * params.mu_s * params.m * params.g
+        assert got.static == want.static
+        assert np.abs(got.force - want.force).max() <= tol
+        assert abs(got.moment - want.moment) <= tol
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(gp=grid_and_params(), theta=st.floats(-10.0, 10.0),
+           v=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), omega=st.floats(-10.0, 10.0))
+    def test_moving(self, gp, theta, v, omega):
+        grid, params = gp
+        self.assert_matches_reference(grid, make_motion(v=v, omega=omega, theta=theta), params)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gp=grid_and_params(), theta=st.floats(-10.0, 10.0),
+           v=st.tuples(st.floats(-6e-10, 6e-10), st.floats(-6e-10, 6e-10)))
+    def test_all_static(self, gp, theta, v):
+        """Every particle slower than the stationary tolerance."""
+        grid, params = gp
+        wrench = self.assert_matches_reference(grid, make_motion(v=v, theta=theta), params)
+        assert wrench.static and wrench.moment == 0.0
+        np.testing.assert_array_equal(wrench.force, [0.0, 0.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(gp=grid_and_params(), theta=st.floats(-10.0, 10.0), data=st.data(),
+           omega=st.floats(0.5, 10.0) | st.floats(-10.0, -0.5))
+    def test_partly_static(self, gp, theta, data, omega):
+        """The rotation centre sits on particle j: v = -omega perp(r_j), so
+        particle j (and any repeat of it) is at rest and the others move."""
+        grid, params = gp
+        j = data.draw(st.integers(0, grid.n - 1))
+        r_j = rot2(theta) @ grid.particles[j]
+        motion = make_motion(v=-omega * perp(r_j), omega=omega, theta=theta)
+        wrench = self.assert_matches_reference(grid, motion, params)
+        assert not wrench.static or np.all(grid.particles == grid.particles[j])
 
 
 class TestForceInference:

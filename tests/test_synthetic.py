@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from solver_oracles import push_step_reference
 from tactile_force.dataset import SampleRecord, make_dataset
 from tactile_force.errors import DataIntegrityError, NumericalError, SchemaError
 from tactile_force.mechanics import (
@@ -136,8 +137,30 @@ class TestSimulatePush:
             simulate_push(params, (0.1, 0.075), forces, np.zeros(2))
 
     def test_bad_dt_rejected(self):
-        with pytest.raises(SchemaError):
-            simulate_push(default_params(), (0.1, 0.075), np.zeros((5, 2)), np.zeros(2), dt=0.0)
+        for dt in (0.0, -1e-3, float("nan")):
+            with pytest.raises(SchemaError):
+                simulate_push(default_params(), (0.1, 0.075), np.zeros((5, 2)), np.zeros(2), dt=dt)
+
+    def test_matches_reference_integrator(self):
+        """From each stored state, the rotation-matrix reference step gives
+        the next stored pose and velocities, through pushes, coasting with
+        rest capture, and rest."""
+        rng = np.random.default_rng(17)
+        params = default_params(mu_s=0.2, n=48)
+        grid = ParticleGrid.uniform_rectangle((0.1, 0.075), params)
+        forces = piecewise_force_schedule(rng, 400)
+        forces[200:260] = 0.0  # a coast to rest mid-episode
+        contact, dt = np.array([-0.1, 0.03]), 2e-3
+        episode = simulate_push(params, (0.1, 0.075), forces, contact, dt=dt)
+        largest = 0.0
+        for i in range(episode.n_steps - 1):
+            pose, v, omega = push_step_reference(
+                grid, params, episode.poses[i], episode.v[i], episode.omega[i], forces[i], contact, dt
+            )
+            largest = max(largest, np.abs(pose - episode.poses[i + 1]).max(),
+                          np.abs(v - episode.v[i + 1]).max(), abs(omega - episode.omega[i + 1]))
+        assert largest <= 1e-14, f"largest difference from the reference step: {largest:.3g}"
+        assert episode.static_flags.any() and not episode.static_flags.all()
 
 
 class TestSensorForward:
