@@ -67,6 +67,7 @@ from .synthetic import (
     make_ft_samples,
     make_planar_trials,
 )
+from .voxel import N_CHANNELS
 
 # the SensorForwardModel fields a config's "sensor" block may set
 SENSOR_CONFIG_KEYS = ("gain", "decay_length", "normal_sensitivity", "shear_sensitivity",
@@ -396,7 +397,7 @@ def cmd_train(args) -> tuple[Path, list[str]]:
         widths += net_cfg.fc_widths
         model = build_mlp_net(FLAT_INPUT_WIDTH, widths, seed=seed, layer_norm=True)
     else:
-        model = build_voxel_net(net_cfg, input_shape=(2, *featurization["grid"]["dims"]))
+        model = build_voxel_net(net_cfg, input_shape=(N_CHANNELS, *featurization["grid"]["dims"]))
 
     featurize = featurizer(featurization)
     train_samples = featurize(train_records)

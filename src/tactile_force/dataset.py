@@ -21,7 +21,7 @@ from .errors import (
 from .net.training import ArraySamples
 from .sensor import N_ELECTRODES, ElectrodeLayout, SurfaceGeometry
 from .voxel import (
-    CHANNEL_CONTACT, CHANNEL_ELECTRODES, N_CHANNELS, GridSpec, VoxelCells, cell_indices,
+    CHANNEL_CONTACT, CHANNEL_ELECTRODES, N_CHANNELS, GridSpec, VoxelInputs, cell_indices,
     electrode_cells, outside,
 )
 
@@ -321,9 +321,9 @@ def featurize_voxel(
 ) -> ArraySamples:
     """Encode records into voxel-grid model inputs plus loss context arrays.
 
-    Each sample's inputs are its 20 non-zero cells: the 19 electrode cells
-    in flat-index order, then the contact cell, which is in the later
-    channel; their dense array equals stacking `voxel.encode` of each record.
+    Each sample's inputs are its 19 electrode values, in layout order, and
+    its contact cell; their dense array equals stacking `voxel.encode` of
+    each record.
     A record whose e or s_c has the wrong shape, or whose contact point is
     not finite or lies outside the grid, is an error naming its trial.
     """
@@ -339,14 +339,8 @@ def featurize_voxel(
         )
     grid = (N_CHANNELS,) + spec.dims
     electrodes = np.ravel_multi_index((CHANNEL_ELECTRODES,) + cells, grid)
-    order = np.argsort(electrodes)
     contact = np.ravel_multi_index((CHANNEL_CONTACT,) + tuple(cell_indices(s_c, spec).T), grid)
-    inputs = VoxelCells(
-        np.column_stack([np.broadcast_to(electrodes[order], (len(records), N_ELECTRODES)), contact]),
-        np.column_stack([e[:, order], np.ones(len(records))]),
-        grid,
-    )
-    return _with_context(records, inputs)
+    return _with_context(records, VoxelInputs(e, contact, electrodes, grid))
 
 
 def _stack_field(records: list[SampleRecord], name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -363,7 +357,7 @@ def featurize_flat(records: list[SampleRecord]) -> ArraySamples:
     return _with_context(records, inputs)
 
 
-def _with_context(records: list[SampleRecord], inputs: np.ndarray | VoxelCells) -> ArraySamples:
+def _with_context(records: list[SampleRecord], inputs: np.ndarray | VoxelInputs) -> ArraySamples:
     return ArraySamples(
         inputs=inputs,
         f_3d=np.stack([r.f_3d for r in records]),

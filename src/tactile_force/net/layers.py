@@ -2,8 +2,8 @@
 
 Every layer caches what its backward pass needs during forward, accumulates
 parameter gradients into Parameter.grad, and returns the gradient with
-respect to its input; SparseConv3d, a first layer that reads a VoxelCells
-cell list, returns None instead.
+respect to its input; VoxelConv3d, a first layer that reads a VoxelInputs
+batch, returns None for it instead.
 A layer owns its parameter arrays until a Model packs them into its flat
 value and gradient buffers; from then on each Parameter.value and .grad is
 a view of its slice there, so layers only ever write them in place.
@@ -14,12 +14,13 @@ crop, a space-to-depth reshape and one matmul.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import SchemaError
-from ..voxel import VoxelCells
+from ..voxel import VoxelInputs
 
 LAYER_NORM_EPS = 1e-5  # the default epsilon of every LayerNorm
 
@@ -178,58 +179,62 @@ class Conv3d(_ConvNd):
     ndim = 3
 
 
-class SparseConv3d(Conv3d):
-    """Valid 3-D convolution with kernel = stride, computed from the listed
-    cells of a VoxelCells input; for a network's first layer only. A dense
-    input is turned into its non-zero cells first.
+class VoxelConv3d(Conv3d):
+    """Valid 3-D convolution with kernel = stride that reads a VoxelInputs
+    batch as the electrode values and one contact cell it holds; for a
+    network's first layer only. A dense input takes the Conv3d path.
 
     Windows do not overlap, so each cell feeds exactly one output window
-    through one weight column (c, dx, dy, dz): forward scatter-adds
-    value * weight[:, column] into that window, and the weight gradient
-    gathers grad_out at the window times the value. Cells in the last,
-    uncovered slice of an axis fall in no window and are dropped, as in the
-    dense convolution. The result is exact for any input, dense or sparse.
-    backward returns None: the input is data, so no input gradient is
-    computed.
+    through one weight column (c, dx, dy, dz). The electrode cells are the
+    same for every sample, so their part is e @ A, with A holding each
+    electrode's weight column at its window; the contact part adds the
+    contact cell's column at its window. The weight gradient gathers
+    e.T @ grad_out at the electrode windows and grad_out at the contact
+    windows. Cells in the last, uncovered slice of an axis fall in no window
+    and are dropped, as in the dense convolution. backward returns None:
+    the input is data, so no input gradient is computed.
     """
 
-    def forward(self, x):
-        out_spatial = self._out_spatial(x.shape)
-        if not isinstance(x, VoxelCells):
-            x = VoxelCells.from_dense(x)
-        b, k = x.shape[0], self.kernel
-        c, *pos = np.unravel_index(x.cells, x.grid)
-        covered = np.all([p < k * o for p, o in zip(pos, out_spatial)], axis=0)
-        sample = np.nonzero(covered)[0]
-        c, pos, values = c[covered], [p[covered] for p in pos], x.values[covered]
+    def _windows(self, cells, grid, out_spatial):
+        """The positions in `cells`, flat indices into `grid`, of the cells a
+        window covers, and each one's window and weight column."""
+        k = self.kernel
+        c, *pos = np.unravel_index(cells, grid)
+        kept = np.flatnonzero(np.all([p < k * o for p, o in zip(pos, out_spatial)], axis=0))
+        pos = [p[kept] for p in pos]
         window = np.ravel_multi_index([p // k for p in pos], out_spatial)
-        column = np.ravel_multi_index([c] + [p % k for p in pos], (self.in_channels,) + (k,) * 3)
-        self._cells = (sample, window, column, values)
-        n_windows = int(np.prod(out_spatial))
-        # flat output index of (sample, out channel, window), one per cell and channel
-        target = (sample[:, None] * self.out_channels + np.arange(self.out_channels)) * n_windows
-        target += window[:, None]
-        contrib = values[:, None] * self._weight_matrix()[:, column].T
-        out = np.bincount(
-            target.ravel(), weights=contrib.ravel(), minlength=b * self.out_channels * n_windows
-        )
-        # bincount of no cells at all (an all-zero batch) comes back as int
-        out = out.astype(float, copy=False).reshape((b, self.out_channels) + out_spatial)
-        out += self.bias.value.reshape(1, -1, 1, 1, 1)
-        return out
+        column = np.ravel_multi_index([c[kept]] + [p % k for p in pos],
+                                      (self.in_channels,) + (k,) * self.ndim)
+        return kept, window, column
+
+    def forward(self, x):
+        if not isinstance(x, VoxelInputs):
+            self._cells = None
+            return super().forward(x)
+        out_spatial = self._out_spatial(x.shape)
+        b, w = len(x), self._weight_matrix()
+        electrode, e_window, e_column = self._windows(x.electrodes, x.grid, out_spatial)
+        sample, window, column = self._windows(x.contact, x.grid, out_spatial)
+        a = np.zeros((electrode.size, self.out_channels, math.prod(out_spatial)))
+        a[np.arange(electrode.size), :, e_window] = w[:, e_column].T
+        e = x.e[:, electrode]
+        out = (e @ a.reshape(electrode.size, -1)).reshape(b, self.out_channels, -1)
+        out += self.bias.value[:, None]
+        out[sample, :, window] += w[:, column].T  # one contact, so one window, per sample
+        self._cells = (e, e_window, e_column, sample, window, column)
+        return out.reshape((b, self.out_channels) + out_spatial)
 
     def backward(self, grad_out):
-        b = grad_out.shape[0]
-        sample, window, column, values = self._cells
-        g2 = grad_out.reshape(b, self.out_channels, -1)
-        picked = g2[sample, :, window] * values[:, None]  # (cells, out_ch)
-        n_columns = self.in_channels * self.kernel**3
-        target = np.arange(self.out_channels) * n_columns + column[:, None]
-        dw = np.bincount(
-            target.ravel(), weights=picked.ravel(), minlength=self.out_channels * n_columns
-        )
-        self.weight.grad += dw.reshape(self.weight.value.shape)
-        self.bias.grad += g2.sum(axis=(0, 2))
+        if self._cells is None:
+            return super().backward(grad_out)
+        e, e_window, e_column, sample, window, column = self._cells
+        g = grad_out.reshape(len(e), self.out_channels, -1)
+        at_electrodes = np.einsum("bj,boj->jo", e, g[:, :, e_window])  # e.T @ g, gathered
+        picked = np.concatenate([at_electrodes, g[sample, :, window]])
+        dw = np.zeros((self.in_channels * self.kernel**self.ndim, self.out_channels))
+        np.add.at(dw, np.concatenate([e_column, column]), picked)  # columns repeat
+        self.weight.grad += dw.T.reshape(self.weight.value.shape)
+        self.bias.grad += g.sum(axis=(0, 2))
         return None
 
 

@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ConfigError, NumericalError, config_from_dict
-from ..voxel import VoxelCells
+from ..voxel import DEFAULT_DIMS, N_CHANNELS, VoxelInputs
 from .layers import (
     LAYER_NORM_EPS, CollapseDepth, Conv2d, Conv3d, Dense, Flatten, Layer, LayerNorm, Parameter,
-    ReLU, SparseConv3d,
+    ReLU, VoxelConv3d,
 )
 
 OUTPUT_DIM = 3
@@ -83,18 +83,29 @@ class Model:
     def zero_grad(self) -> None:
         self.grads.fill(0.0)
 
-    def forward(self, x: np.ndarray | VoxelCells) -> np.ndarray:
-        out = x if isinstance(x, VoxelCells) else np.asarray(x, dtype=float)
+    def forward(self, x: np.ndarray | VoxelInputs) -> np.ndarray:
+        x = x if isinstance(x, VoxelInputs) else np.asarray(x, dtype=float)
+        out = x
         for layer in self.layers:
             out = layer.forward(out)
         if not np.all(np.isfinite(out)):
-            raise NumericalError("non-finite network output")
+            self._raise_non_finite(x)
         return out
+
+    def _raise_non_finite(self, x) -> None:
+        """Walk the layers again on x and name the first whose output is not
+        finite; it is not checked per layer on the way to a finite output."""
+        out = x
+        for layer in self.layers:
+            out = layer.forward(out)
+            if not np.all(np.isfinite(out)):
+                break
+        raise NumericalError(f"non-finite network output, first from layer {layer.name}")
 
     def backward(self, grad_out: np.ndarray) -> None:
         """Accumulate every parameter's gradient. The input is data: its
         gradient is not returned, and a voxel net's first layer does not
-        compute it (it returns None)."""
+        compute it for a VoxelInputs batch (it returns None)."""
         grad = grad_out
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
@@ -118,16 +129,16 @@ class Model:
 
 
 def build_voxel_net(
-    config: NetworkConfig, input_shape: tuple[int, int, int, int] = (2, 15, 15, 7)
+    config: NetworkConfig, input_shape: tuple[int, int, int, int] = (N_CHANNELS, *DEFAULT_DIMS)
 ) -> Model:
     """Assemble the voxel force network for a given input grid shape."""
     rng = np.random.default_rng(config.seed)
     c, sx, sy, sz = input_shape
     layers: list[Layer] = []
     for i, out_ch in enumerate(config.conv3d_channels):
-        # the first layer reads the sparse voxel grid, whose gradient nothing needs
+        # the first layer reads the voxel inputs, whose gradient nothing needs
         if i == 0:
-            layers.append(SparseConv3d(c, out_ch, KERNEL, rng, name="conv3d_0"))
+            layers.append(VoxelConv3d(c, out_ch, KERNEL, rng, name="conv3d_0"))
         else:
             layers.append(Conv3d(c, out_ch, KERNEL, rng, name=f"conv3d_{i}"))
         sx, sy, sz = sx // KERNEL, sy // KERNEL, sz // KERNEL

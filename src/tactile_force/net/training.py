@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, NumericalError, config_from_dict
-from ..voxel import VoxelCells
+from ..voxel import VoxelInputs
 from .losses import LossConfig, batch_loss_and_grad
 from .network import Model
 
@@ -101,7 +101,7 @@ class AdamOptimizer:
 class ArraySamples:
     """Featurized samples ready for the model: inputs plus loss context."""
 
-    inputs: np.ndarray | VoxelCells
+    inputs: np.ndarray | VoxelInputs
     f_3d: np.ndarray
     s_n: np.ndarray
     r_wb: np.ndarray

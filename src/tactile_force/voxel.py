@@ -3,8 +3,9 @@
 Channel 0 scatters the 19 electrode values into the cells containing their
 positions; channel 1 is a one-hot marker for the cell containing the contact
 point (all zeros when not in contact). Data is stored channels-first:
-shape (2, nx, ny, nz). A batch of grids is stored as its cells, one
-VoxelCells row per sample, and becomes a dense array only on request.
+shape (2, nx, ny, nz). A batch of grids is stored as what it holds, a
+VoxelInputs: each sample's 19 electrode values and its contact cell, with
+the electrode cells held once; it becomes a dense array only on request.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ N_CHANNELS = 2
 class GridSpec:
     """Voxel grid dimensions and the axis-aligned box they cover (meters)."""
 
-    dims: tuple[int, int, int] = DEFAULT_DIMS
-    bounds_min: np.ndarray = None
-    bounds_max: np.ndarray = None
+    dims: tuple[int, int, int]
+    bounds_min: np.ndarray
+    bounds_max: np.ndarray
 
     def __post_init__(self):
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
@@ -148,51 +149,44 @@ def encode(
     return grid
 
 
-class VoxelCells:
-    """A batch of voxel grids stored as their listed cells: row i of `cells`
-    holds flat indices into sample i's grid, of shape `grid`, and the same
-    row of `values` their values. Every other cell is zero, and a cell
-    listed twice holds the sum of its values.
+class VoxelInputs:
+    """A batch of voxel grids of shape `grid` as the two things they hold:
+    `e`, shape (N, 19), each sample's electrode values in layout order, and
+    `contact`, shape (N,), each sample's one-hot contact cell. Cells are
+    flat indices into the grid; the electrode cells, `electrodes`, are the
+    same for every sample and held once. Every other cell is zero.
 
     It stands in for the dense (N,) + grid array. A slice or a 1-D index
-    array selects samples and gives a VoxelCells; `shape`, `ndim` and `size`
-    are the dense array's, `nbytes` counts the bytes held; np.asarray gives
-    the dense array, and any other key (a tuple or an integer) indexes it.
+    array selects samples and gives a VoxelInputs; `shape`, `ndim` and
+    `size` are the dense array's, `nbytes` counts the bytes held; np.asarray
+    gives the dense array, and any other key (a tuple or an integer) indexes
+    it.
     """
 
-    def __init__(self, cells: np.ndarray, values: np.ndarray, grid: tuple[int, ...]):
-        self.cells = np.asarray(cells, dtype=np.intp)
-        self.values = np.asarray(values, dtype=float)
+    def __init__(self, e: np.ndarray, contact: np.ndarray, electrodes: np.ndarray,
+                 grid: tuple[int, ...]):
+        self.e = np.asarray(e, dtype=float)
+        self.contact = np.asarray(contact, dtype=np.intp)
+        self.electrodes = np.asarray(electrodes, dtype=np.intp)
         self.grid = tuple(int(d) for d in grid)
-        if self.cells.ndim != 2 or self.values.shape != self.cells.shape:
+        n = len(self.contact)
+        if self.electrodes.ndim != 1 or self.contact.ndim != 1 or self.e.shape != (
+                n, self.electrodes.size):
             raise SchemaError(
-                f"cells and values must be (samples, cells) arrays of one shape, "
-                f"got {self.cells.shape} and {self.values.shape}"
+                f"expected (samples, electrodes) values and (samples,) contact cells "
+                f"for {self.electrodes.size} electrode cells, got {self.e.shape} and "
+                f"{self.contact.shape}"
             )
+        if np.unique(self.electrodes).size != self.electrodes.size:
+            raise SchemaError("two electrodes share a cell")
         size = math.prod(self.grid)
-        if self.cells.size and not (0 <= self.cells.min() and self.cells.max() < size):
+        cells = np.concatenate([self.electrodes, self.contact])
+        if cells.size and not (0 <= cells.min() and cells.max() < size):
             raise SchemaError(f"cell index outside a grid of {size} cells")
-
-    @classmethod
-    def from_dense(cls, x: np.ndarray) -> "VoxelCells":
-        """The non-zero cells of a dense (N,) + grid array, in flat-index order
-        per sample. Rows with fewer of them are padded with zero values at
-        cell 0. A zero is not stored, so -0.0 comes back as 0.0."""
-        x = np.asarray(x, dtype=float)
-        flat = x.reshape(x.shape[0], math.prod(x.shape[1:]))
-        rows, cols = np.nonzero(flat)
-        counts = np.bincount(rows, minlength=len(flat))
-        # position of each non-zero within its row
-        pos = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        cells = np.zeros((len(flat), counts.max(initial=0)), dtype=np.intp)
-        values = np.zeros(cells.shape)
-        cells[rows, pos] = cols
-        values[rows, pos] = flat[rows, cols]
-        return cls(cells, values, x.shape[1:])
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return (len(self.cells),) + self.grid
+        return (len(self.e),) + self.grid
 
     @property
     def ndim(self) -> int:
@@ -204,21 +198,21 @@ class VoxelCells:
 
     @property
     def nbytes(self) -> int:
-        return self.cells.nbytes + self.values.nbytes
+        return self.e.nbytes + self.contact.nbytes + self.electrodes.nbytes
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.e)
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             return np.asarray(self[[key]])[0]
         if isinstance(key, tuple):
             return np.asarray(self)[key]
-        return VoxelCells(self.cells[key], self.values[key], self.grid)
+        return VoxelInputs(self.e[key], self.contact[key], self.electrodes, self.grid)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        n, size = self.shape[0], math.prod(self.grid)
-        flat = (np.arange(n)[:, None] * size + self.cells).ravel()
-        dense = np.bincount(flat, weights=self.values.ravel(), minlength=n * size)
-        # bincount of no cells at all comes back as int
+        n = len(self)
+        dense = np.zeros((n, math.prod(self.grid)))
+        dense[:, self.electrodes] = self.e
+        dense[np.arange(n), self.contact] += 1.0
         return dense.astype(float if dtype is None else dtype, copy=False).reshape(self.shape)

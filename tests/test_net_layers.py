@@ -1,7 +1,9 @@
 """Finite-difference gradient checks for every layer type, a hand-unrolled
-convolution oracle that the dense and the sparse first-layer convolution
-are both held to, on dense grids and on cell lists, and the plain
-LayerNorm and ReLU that the in-place ones are held to bit for bit."""
+convolution oracle that the dense convolution and the first layer on
+featurized voxel inputs are both held to, and the plain LayerNorm and ReLU
+that the in-place ones are held to bit for bit."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tactile_force.dataset import SampleRecord, featurize_voxel
 from tactile_force.errors import SchemaError
 from tactile_force.net import NetworkConfig, build_mlp_net, build_voxel_net
 from tactile_force.net.layers import (
@@ -19,9 +22,12 @@ from tactile_force.net.layers import (
     Flatten,
     LayerNorm,
     ReLU,
-    SparseConv3d,
+    VoxelConv3d,
 )
-from tactile_force.voxel import VoxelCells
+from tactile_force.sensor import (
+    N_ELECTRODES, ElectrodeLayout, SurfaceGeometry, default_electrode_layout,
+)
+from tactile_force.voxel import GridSpec
 
 FD_STEP = 1e-6
 FD_TOL = 1e-5
@@ -60,8 +66,15 @@ def fd_layer_check(layer, x, seed=7, n_checks=40):
 
     for p in layer.parameters():
         probe(p.value, p.grad)
-    probe(x, grad_x)
+    if grad_x is not None:  # a first layer computes no input gradient
+        probe(x, grad_x)
     return worst
+
+
+def voxel_records(points, rng):
+    return [SampleRecord(trial_id=f"t{i}", source_tag="rigid_ft", e=rng.normal(size=N_ELECTRODES),
+                         s_c=p, s_n=[0.0, 0.0, 1.0], f_3d=[0.0, 0.0, 1.0], r_wb=np.eye(3))
+            for i, p in enumerate(points)]
 
 
 def _window_cell(window, offset, k):
@@ -161,6 +174,19 @@ class TestGradients:
         rng = np.random.default_rng(8)
         assert fd_layer_check(Flatten(), rng.normal(size=(3, 2, 4))) < FD_TOL
 
+    def test_voxel_conv3d_on_featurized_inputs(self):
+        """Weight and bias through the VoxelInputs path, on a grid whose
+        windows cover every electrode cell."""
+        rng = np.random.default_rng(9)
+        geometry = SurfaceGeometry()
+        spec = GridSpec.for_geometry(geometry, dims=(8, 8, 4))
+        points = rng.uniform(spec.bounds_min, spec.bounds_max, size=(4, 3))
+        inputs = featurize_voxel(voxel_records(points, rng), default_electrode_layout(geometry),
+                                 spec).inputs
+        layer = VoxelConv3d(2, 3, 2, rng)
+        layer.bias.value = rng.normal(size=3)
+        assert fd_layer_check(layer, inputs, n_checks=100) < FD_TOL
+
 
 class TestConvForward:
     def test_hand_unrolled_conv_oracle(self):
@@ -199,7 +225,7 @@ class TestConvForward:
     def test_shape_errors_name_layer(self):
         rng = np.random.default_rng(12)
         for layer in (Conv3d(2, 3, 2, rng, name="conv3d_0"),
-                      SparseConv3d(2, 3, 2, rng, name="conv3d_0")):
+                      VoxelConv3d(2, 3, 2, rng, name="conv3d_0")):
             with pytest.raises(SchemaError, match="conv3d_0"):
                 layer.forward(rng.normal(size=(1, 3, 4, 4, 4)))
             with pytest.raises(SchemaError, match="too small"):
@@ -207,114 +233,50 @@ class TestConvForward:
 
 
 @st.composite
-def voxel_batches(draw):
-    """Random inputs for the first convolution: sparse grids with several
-    non-zeros in one window, values in the uncovered last slice of an odd
-    axis and all-zero samples, and dense normal grids."""
-    n = draw(st.integers(1, 3))
-    c = draw(st.integers(1, 2))
-    dims = tuple(draw(st.integers(2, 5)) for _ in range(3))
+def featurized_batches(draw):
+    """featurize_voxel inputs on a random grid, odd axes included, with a
+    random collision-free electrode layout (electrodes at the centres of
+    distinct cells) and random contacts, the grid's max corner among them:
+    electrodes and contacts fall in the uncovered last slice of odd axes."""
+    dims = tuple(draw(st.integers(3, 7)) for _ in range(3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
-    x = rng.normal(size=(n, c) + dims) * (rng.random((n, c) + dims) < density)
-    if draw(st.booleans()):  # a full window of non-zeros
-        x[0, :, :2, :2, :2] = rng.normal(size=(c, 2, 2, 2))
-    for axis, d in enumerate(dims):
-        if d % 2 and draw(st.booleans()):  # a value in the dropped last slice
-            cell = [rng.integers(0, m) for m in dims]
-            cell[axis] = d - 1
-            x[(rng.integers(0, n), rng.integers(0, c)) + tuple(cell)] = rng.normal()
-    x[rng.random(n) < draw(st.sampled_from([0.0, 0.5]))] = 0.0  # all-zero samples
-    return x, draw(st.integers(1, 3)), rng
+    spec = GridSpec(dims, np.zeros(3), rng.uniform(0.5, 2.0, size=3))
+    cells = rng.choice(math.prod(dims), N_ELECTRODES, replace=False)
+    layout = ElectrodeLayout(
+        positions=[spec.cell_center(np.unravel_index(i, dims)) for i in cells],
+        normals=np.tile([0.0, 0.0, 1.0], (N_ELECTRODES, 1)),
+    )
+    points = rng.uniform(spec.bounds_min, spec.bounds_max, size=(draw(st.integers(1, 4)), 3))
+    if draw(st.booleans()):
+        points[0] = spec.bounds_max
+    inputs = featurize_voxel(voxel_records(points, rng), layout, spec).inputs
+    return inputs, draw(st.integers(1, 3)), rng
 
 
-@st.composite
-def cell_lists(draw, ordered):
-    """Random VoxelCells inputs for the first convolution: the same number of
-    cells per sample, about one in five of them zero-valued, and cells in
-    the uncovered last slice of an odd axis weighted up. With `ordered`,
-    each sample's cells are distinct and in flat-index order, as
-    featurize_voxel lists them; otherwise they come in any order and may
-    repeat."""
-    c = draw(st.integers(1, 2))
-    grid = (c,) + tuple(draw(st.integers(2, 5)) for _ in range(3))
-    size = int(np.prod(grid))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, k = draw(st.integers(1, 3)), draw(st.integers(0, min(size, 12)))
-    _, *pos = np.unravel_index(np.arange(size), grid)
-    uncovered = np.any([p >= d - d % 2 for p, d in zip(pos, grid[1:])], axis=0)
-    weights = np.where(uncovered, 5.0, 1.0)
-    if ordered:
-        cells = np.sort([rng.choice(size, k, replace=False, p=weights / weights.sum())
-                         for _ in range(n)], axis=1)
-    else:
-        cells = rng.integers(0, size, (n, k))
-        if k > 1 and draw(st.booleans()):
-            cells[:, -1] = cells[:, 0]
-    values = rng.normal(size=(n, k)) * (rng.random((n, k)) < 0.8)
-    return VoxelCells(np.reshape(cells, (n, k)), values, grid), draw(st.integers(1, 3)), rng
-
-
-class TestSparseConv3d:
-    @settings(max_examples=60, deadline=None)
-    @given(cell_lists(ordered=False))
-    def test_cell_lists_match_dense_conv_and_loop_oracle(self, batch):
-        cells, out_ch, rng = batch
-        x = np.asarray(cells)
+class TestVoxelConv3d:
+    @settings(max_examples=100, deadline=None)
+    @given(featurized_batches())
+    def test_featurized_inputs_match_dense_conv_and_loop_oracle(self, batch):
+        inputs, out_ch, rng = batch
+        x = np.asarray(inputs)
         seed = int(rng.integers(2**32))
         dense = Conv3d(x.shape[1], out_ch, 2, np.random.default_rng(seed))
-        sparse = SparseConv3d(x.shape[1], out_ch, 2, np.random.default_rng(seed))
-        sparse.bias.value = dense.bias.value = rng.normal(size=out_ch)
+        voxel = VoxelConv3d(x.shape[1], out_ch, 2, np.random.default_rng(seed))
+        voxel.bias.value = dense.bias.value = rng.normal(size=out_ch)
 
-        out = sparse.forward(cells)
+        out = voxel.forward(inputs)
         grad_out = rng.normal(size=out.shape)
-        assert sparse.backward(grad_out) is None
+        assert voxel.backward(grad_out) is None
         dense.forward(x)
-        dense.backward(grad_out)
-        w, b = sparse.weight.value, sparse.bias.value
+        grad_x = dense.backward(grad_out)
+        w, b = voxel.weight.value, voxel.bias.value
         for expected in (dense.forward(x), loop_conv(x, w, b)):
             np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
         for grad in (dense.weight.grad, loop_conv_weight_grad(x, w, grad_out)):
-            np.testing.assert_allclose(sparse.weight.grad, grad, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(sparse.bias.grad, dense.bias.grad, rtol=0, atol=1e-12)
-
-    @settings(max_examples=60, deadline=None)
-    @given(cell_lists(ordered=True))
-    def test_cell_list_and_its_dense_array_are_bit_equal(self, batch):
-        cells, out_ch, rng = batch
-        seed = int(rng.integers(2**32))
-        layers = [SparseConv3d(cells.shape[1], out_ch, 2, np.random.default_rng(seed))
-                  for _ in range(2)]
-        outs = [layer.forward(x) for layer, x in zip(layers, (cells, np.asarray(cells)))]
-        grad_out = rng.normal(size=outs[0].shape)
-        for layer in layers:
-            layer.backward(grad_out)
-        a, b = layers
-        assert outs[0].tobytes() == outs[1].tobytes()
-        assert a.weight.grad.tobytes() == b.weight.grad.tobytes()
-        assert a.bias.grad.tobytes() == b.bias.grad.tobytes()
-
-    @settings(max_examples=60, deadline=None)
-    @given(voxel_batches())
-    def test_matches_dense_conv_and_loop_oracle(self, batch):
-        x, out_ch, rng = batch
-        seed = int(rng.integers(2**32))
-        dense = Conv3d(x.shape[1], out_ch, 2, np.random.default_rng(seed))
-        sparse = SparseConv3d(x.shape[1], out_ch, 2, np.random.default_rng(seed))
-        sparse.bias.value = dense.bias.value = rng.normal(size=out_ch)
-        np.testing.assert_array_equal(sparse.weight.value, dense.weight.value)
-
-        out = sparse.forward(x)
-        grad_out = rng.normal(size=out.shape)
-        assert sparse.backward(grad_out) is None
-        np.testing.assert_allclose(out, dense.forward(x), rtol=0, atol=1e-12)
-        grad_x = dense.backward(grad_out)
-        w = sparse.weight.value
-        np.testing.assert_allclose(out, loop_conv(x, w, sparse.bias.value), rtol=0, atol=1e-12)
-        for grad in (dense.weight.grad, loop_conv_weight_grad(x, w, grad_out)):
-            np.testing.assert_allclose(sparse.weight.grad, grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(voxel.weight.grad, grad, rtol=0, atol=1e-12)
         for grad in (dense.bias.grad, grad_out.sum(axis=(0, 2, 3, 4))):
-            np.testing.assert_allclose(sparse.bias.grad, grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(voxel.bias.grad, grad, rtol=0, atol=1e-12)
+        # the dense path's input gradient, which a VoxelInputs batch skips
         np.testing.assert_allclose(grad_x, loop_conv_input_grad(x, w, grad_out),
                                    rtol=0, atol=1e-12)
         assert_uncovered_cells_have_zero_gradient(grad_x, 2)

@@ -71,6 +71,32 @@ class TestForward:
             net.forward(np.zeros((1, 3, 4, 4, 4)))
 
 
+    @pytest.mark.parametrize("kind, poisoned", [
+        ("voxel", "ln_fc_0"), ("voxel", "relu_fc_0"), ("voxel", "fc_out"),
+        ("mlp", "ln_fc_1"), ("mlp", "relu_fc_1"), ("mlp", "fc_out"),
+    ])
+    def test_non_finite_output_names_first_non_finite_layer(self, kind, poisoned):
+        """A layer that puts one +inf in its output, after which no layer
+        norm and ReLU turns it back into finite numbers, is named, not the
+        layer the network output comes from."""
+        rng = np.random.default_rng(8)
+        net = {"voxel": lambda: tiny_net(seed=2)[1],
+               "mlp": lambda: build_mlp_net(6, (5, 4), seed=2)}[kind]()
+        x = rng.normal(size=(3, 2, 4, 4, 4) if kind == "voxel" else (3, 6))
+        layer = next(layer for layer in net.layers if layer.name == poisoned)
+        forward = layer.forward
+
+        def poisoned_forward(x, forward=forward):
+            out = forward(x).copy()
+            out[np.unravel_index(rng.integers(out.size), out.shape)] = np.inf
+            return out
+
+        layer.forward = poisoned_forward
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as info:
+            net.forward(x)
+        assert str(info.value) == f"non-finite network output, first from layer {poisoned}"
+
+
 class TestBackward:
     def test_gradient_linear_in_loss_scale(self):
         _, net = tiny_net(seed=3)
@@ -125,8 +151,7 @@ class TestBackward:
         build = {"voxel": lambda: tiny_net(seed=1)[1],
                  "mlp": lambda: build_mlp_net(6, (5, 4), seed=1)}[kind]
         x = rng.normal(size=(3, 2, 4, 4, 4) if kind == "voxel" else (3, 6))
-        first = 1 if kind == "voxel" else 0  # a voxel net's first layer returns no gradient
-        for i in range(first, len(build().layers)):
+        for i in range(len(build().layers)):
             net = build()
             layer = net.layers[i]
             backward = layer.backward

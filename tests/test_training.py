@@ -147,6 +147,21 @@ class TestTrain:
             "epoch 0 iteration 0: non-finite gradient flowing out of layer ln_fc_0"
         )
 
+    def test_non_finite_output_names_epoch_iteration_and_layer(self):
+        rng = np.random.default_rng(3)
+        forces = rng.normal(size=(20, 3)) + 2.0
+        samples = make_samples(forces, forces)
+        model = build_mlp_net(3, (4,), seed=0)
+        model.layers[-1].weight.value[0, 0] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
+            train(
+                model, samples.take(np.arange(15)), samples.take(np.arange(15, 20)),
+                LossConfig(), TrainingConfig(max_epochs=2, batch_size=8),
+            )
+        assert str(info.value) == (
+            "epoch 0 iteration 0: non-finite network output, first from layer fc_out"
+        )
+
     def test_best_parameters_restored(self):
         rng = np.random.default_rng(4)
         forces = rng.normal(size=(60, 3)) + np.array([0.0, 0.0, 2.0])

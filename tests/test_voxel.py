@@ -13,7 +13,7 @@ from tactile_force.voxel import (
     CHANNEL_ELECTRODES,
     DEFAULT_DIMS,
     GridSpec,
-    VoxelCells,
+    VoxelInputs,
     encode,
     voxel_index,
 )
@@ -185,26 +185,25 @@ class TestFeaturizeVoxel:
         corners = [spec.bounds_max, spec.bounds_min, spec.cell_center((1, 2, 3)) - spec.cell_size / 2]
         points = rng.uniform(spec.bounds_min, spec.bounds_max, size=(n, 3))
         points[: len(corners)] = corners[:n]
-        records = [record(f"t{i}", rng.normal(size=19), p) for i, p in enumerate(points)]
+        e = rng.normal(size=(n, 19))
+        e[0, 0] = -0.0  # kept, as encode keeps it
+        records = [record(f"t{i}", e[i], p) for i, p in enumerate(points)]
         expected = np.stack([encode(r.e, r.s_c, layout, spec) for r in records])
-        cells = featurize_voxel(records, layout, spec).inputs
-        inputs = np.asarray(cells)
+        inputs = np.asarray(featurize_voxel(records, layout, spec).inputs)
         assert inputs.dtype == expected.dtype and inputs.shape == expected.shape
         assert inputs.tobytes() == expected.tobytes()
-        # the order a scan of the dense grid visits them in, which fixes the
-        # first layer's summation order
-        np.testing.assert_array_equal(cells.cells, VoxelCells.from_dense(expected).cells)
 
     @pytest.mark.parametrize("dims", [DEFAULT_DIMS, (13, 13, 9)])
     def test_stores_twenty_cells_per_sample(self, geometry, layout, dims):
-        """19 electrode cells and one contact cell, each an index and a value
-        of 8 bytes: a return to dense grids would show here."""
+        """19 electrode values and one contact cell index of 8 bytes each per
+        sample, and the 19 electrode cell indices once: a return to dense
+        grids or to per-sample electrode cells would show here."""
         spec = GridSpec.for_geometry(geometry, dims=dims)
         records = [record(f"t{i}", np.arange(19.0) + i, spec.cell_center((1, 2, 3)))
                    for i in range(5)]
         inputs = featurize_voxel(records, layout, spec).inputs
         assert inputs.shape == (5, 2) + dims
-        assert inputs.nbytes == 5 * 20 * 16
+        assert inputs.nbytes == 5 * 20 * 8 + 19 * 8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0])
     def test_bad_contact_point_names_trial(self, layout, spec, bad):
@@ -222,67 +221,48 @@ class TestFeaturizeVoxel:
 
 
 @st.composite
-def dense_batches(draw):
-    """Dense (N,) + grid arrays: sparse random grids, fully dense ones and
-    all-zero samples, with any number of grid axes."""
+def featurized_batches(draw):
+    """featurize_voxel inputs of one to five samples at random contact
+    points, on two grids, and the stacked `encode` of the same records."""
+    geometry = SurfaceGeometry()
+    layout = default_electrode_layout(geometry)
+    spec = GridSpec.for_geometry(geometry, dims=draw(st.sampled_from([DEFAULT_DIMS, (13, 13, 9)])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (draw(st.integers(0, 4)),) + tuple(draw(st.lists(st.integers(1, 5), min_size=1,
-                                                              max_size=4)))
-    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
-    x = rng.normal(size=shape) * (rng.random(shape) < density)
-    x[rng.random(shape[0]) < 0.3] = 0.0  # all-zero samples
-    return x + 0.0, rng  # + 0.0: a stored -0.0 would come back as 0.0
+    points = rng.uniform(spec.bounds_min, spec.bounds_max, size=(draw(st.integers(1, 5)), 3))
+    records = [record(f"t{i}", rng.normal(size=19), p) for i, p in enumerate(points)]
+    dense = np.stack([encode(r.e, r.s_c, layout, spec) for r in records])
+    return featurize_voxel(records, layout, spec).inputs, dense, rng
 
 
 class TestVoxelCells:
     @settings(max_examples=80, deadline=None)
-    @given(dense_batches())
-    def test_from_dense_round_trips(self, batch):
-        x, _ = batch
-        cells = VoxelCells.from_dense(x)
-        dense = np.asarray(cells)
-        assert dense.dtype == x.dtype and dense.shape == x.shape
-        assert dense.tobytes() == x.tobytes()
-        assert cells.values.shape[1] == max([np.count_nonzero(row) for row in x], default=0)
-
-    def test_negative_zero_is_not_stored(self):
-        x = np.array([[-0.0, 2.0, 0.0]])
-        cells = VoxelCells.from_dense(x)
-        np.testing.assert_array_equal(cells.cells, [[1]])
-        assert np.asarray(cells).tobytes() == np.array([[0.0, 2.0, 0.0]]).tobytes()
-
-    @settings(max_examples=80, deadline=None)
-    @given(dense_batches(), st.data())
+    @given(featurized_batches(), st.data())
     def test_row_selection_equals_dense_indexing(self, batch, data):
-        x, rng = batch
-        cells = VoxelCells.from_dense(x)
+        inputs, x, rng = batch
         n = x.shape[0]
         start, stop = sorted(data.draw(st.lists(st.integers(-n - 1, n + 1), min_size=2,
                                                 max_size=2)))
         step = data.draw(st.sampled_from([None, 1, 2, -1]))
-        keys = [slice(start, stop, step), rng.integers(-n, n, size=3) if n else
-                np.zeros(0, dtype=int), rng.random(n) < 0.5]
+        keys = [slice(start, stop, step), rng.integers(-n, n, size=3), np.zeros(0, dtype=int),
+                rng.random(n) < 0.5]
         for key in keys:
-            picked = cells[key]
-            assert isinstance(picked, VoxelCells)
+            picked = inputs[key]
+            assert isinstance(picked, VoxelInputs)
             assert np.asarray(picked).tobytes() == x[key].tobytes()
             assert picked.shape == x[key].shape
-        if n:
-            i = int(rng.integers(-n, n))
-            assert np.asarray(cells[i]).tobytes() == x[i].tobytes()
+        i = int(rng.integers(-n, n))
+        assert np.asarray(inputs[i]).tobytes() == x[i].tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(dense_batches(), st.data())
+    @given(featurized_batches(), st.data())
     def test_tuple_key_equals_dense_indexing(self, batch, data):
-        x, _ = batch
-        cells = VoxelCells.from_dense(x)
+        inputs, x, _ = batch
         key = (slice(None),) + tuple(
             slice(None, data.draw(st.integers(0, d))) for d in x.shape[1:]
         )
-        np.testing.assert_array_equal(cells[key], x[key])
-        if x.shape[0]:
-            point = tuple(data.draw(st.integers(0, d - 1)) for d in x.shape)
-            assert cells[point] == x[point]
+        np.testing.assert_array_equal(inputs[key], x[key])
+        point = tuple(data.draw(st.integers(0, d - 1)) for d in x.shape)
+        assert inputs[point] == x[point]
 
     def test_perfbench_crop_of_featurized_inputs(self, layout, spec):
         """The 5-D crop the benchmark takes to count the first layer's
@@ -296,24 +276,21 @@ class TestVoxelCells:
         assert np.count_nonzero(inputs) == np.count_nonzero(dense)
 
     @settings(max_examples=60, deadline=None)
-    @given(dense_batches())
+    @given(featurized_batches())
     def test_shape_size_and_nbytes(self, batch):
-        x, _ = batch
-        cells = VoxelCells.from_dense(x)
-        assert cells.shape == x.shape and cells.ndim == x.ndim and cells.size == x.size
-        assert len(cells) == len(x)
-        assert cells.nbytes == 16 * cells.cells.size
-
-    def test_listed_twice_is_summed(self):
-        cells = VoxelCells(np.array([[3, 1, 3]]), np.array([[1.0, 2.0, 0.5]]), (2, 2))
-        np.testing.assert_array_equal(np.asarray(cells), [[[0.0, 2.0], [0.0, 1.5]]])
+        inputs, x, _ = batch
+        assert inputs.shape == x.shape and inputs.ndim == x.ndim and inputs.size == x.size
+        assert len(inputs) == len(x)
+        assert inputs.nbytes == 8 * (20 * len(x) + 19)
 
     @pytest.mark.parametrize("cells, values", [
-        (np.array([[0, 4]]), np.array([[1.0, 1.0]])),
-        (np.array([[-1]]), np.array([[1.0]])),
-        (np.array([[0, 1]]), np.array([[1.0]])),
-        (np.array([0, 1]), np.array([1.0, 1.0])),
+        ((np.array([0, 1]), np.array([4])), np.ones((1, 2))),  # contact outside the grid
+        ((np.array([-1, 1]), np.array([3])), np.ones((1, 2))),  # electrode outside the grid
+        ((np.array([0, 1]), np.array([3])), np.ones((1, 1))),  # one value, two electrodes
+        ((np.array([0, 0]), np.array([3])), np.ones((1, 2))),  # two electrodes in one cell
+        ((np.array([0, 1]), np.array([3, 3])), np.ones((1, 2))),  # two contacts, one sample
     ])
     def test_malformed_cells_rejected(self, cells, values):
+        electrodes, contact = cells
         with pytest.raises(SchemaError):
-            VoxelCells(cells, values, (2, 2))
+            VoxelInputs(values, contact, electrodes, (2, 2))
