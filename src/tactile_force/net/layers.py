@@ -8,8 +8,9 @@ A layer owns its parameter arrays until a Model packs them into its flat
 value and gradient buffers; from then on each Parameter.value and .grad is
 a view of its slice there, so layers only ever write them in place.
 All math is float64 numpy. Convolutions are "valid" (no padding) with
-kernel = stride, so their windows never overlap: a dense convolution is a
-crop, a space-to-depth reshape and one matmul.
+kernel = stride, on inputs whose spatial dims are multiples of the kernel,
+so their windows never overlap and cover every cell: a dense convolution is
+a space-to-depth reshape and one matmul.
 """
 
 from __future__ import annotations
@@ -88,13 +89,11 @@ class Dense(Layer):
 class _ConvNd(Layer):
     """Valid N-D convolution with kernel = stride, as one matmul.
 
-    Windows do not overlap, so the input cropped to the region they cover
-    reshapes (space-to-depth) into one row of in_ch * k^ndim values per
-    sample and window, ordered like the weight's (in_ch, dx, dy, ...) axes.
-    Forward multiplies the rows by the weight matrix and backward takes two
-    more matmuls. The input gradient is the inverse reshape written into
-    zeros, so the last, uncovered slice of an axis gets a zero gradient.
-    Subclasses set ndim.
+    Windows do not overlap and tile the input, so it reshapes
+    (space-to-depth) into one row of in_ch * k^ndim values per sample and
+    window, ordered like the weight's (in_ch, dx, dy, ...) axes. Forward
+    multiplies the rows by the weight matrix and backward takes two more
+    matmuls. The input gradient is the inverse reshape. Subclasses set ndim.
     """
 
     def __init__(
@@ -128,26 +127,19 @@ class _ConvNd(Layer):
                 f"{self.ndim} spatial dims), got {shape}"
             )
         k = self.kernel
-        out_spatial = tuple(d // k for d in shape[2:])
-        if min(out_spatial) < 1:
+        if any(d < 1 or d % k for d in shape[2:]):
             raise SchemaError(
-                f"layer {self.name}: spatial dims {shape[2:]} too small for kernel {k}"
+                f"layer {self.name}: spatial dims {shape[2:]} are not positive "
+                f"multiples of kernel {k}"
             )
-        return out_spatial
+        return tuple(d // k for d in shape[2:])
 
-    def _crop(self, x):
-        """The region of x that the windows cover, as a view, and the output
-        spatial dims, after checking x's shape."""
-        out_spatial = self._out_spatial(x.shape)
-        covered = x[(slice(None), slice(None)) + tuple(slice(self.kernel * o) for o in out_spatial)]
-        return covered, out_spatial
-
-    def _space_to_depth(self, covered):
-        """A view of the covered input with axes (b, o_1, ..., o_ndim, in_ch,
-        k, ..., k): each window's values, ordered like the weight's axes."""
-        b, c, *dims = covered.shape
+    def _space_to_depth(self, x):
+        """A view of x with axes (b, o_1, ..., o_ndim, in_ch, k, ..., k):
+        each window's values, ordered like the weight's axes."""
+        b, c, *dims = x.shape
         k = self.kernel
-        split = covered.reshape(b, c, *(n for d in dims for n in (d // k, k)))
+        split = x.reshape(b, c, *(n for d in dims for n in (d // k, k)))
         return split.transpose(0, *range(2, split.ndim, 2), 1, *range(3, split.ndim, 2))
 
     def _weight_matrix(self):
@@ -155,9 +147,9 @@ class _ConvNd(Layer):
         return self.weight.value.reshape(self.out_channels, -1)
 
     def forward(self, x):
-        covered, out_spatial = self._crop(x)
+        out_spatial = self._out_spatial(x.shape)
         w = self._weight_matrix()
-        self._rows = self._space_to_depth(covered).reshape(-1, w.shape[1])
+        self._rows = self._space_to_depth(x).reshape(-1, w.shape[1])
         self._in_shape = x.shape
         out = self._rows @ w.T + self.bias.value
         return np.moveaxis(out.reshape((x.shape[0],) + out_spatial + (self.out_channels,)), -1, 1)
@@ -166,9 +158,9 @@ class _ConvNd(Layer):
         g = np.moveaxis(grad_out, 1, -1).reshape(-1, self.out_channels)  # (b * windows, out_ch)
         self.weight.grad += (g.T @ self._rows).reshape(self.weight.value.shape)
         self.bias.grad += g.sum(axis=0)
-        grad_x = np.zeros(self._in_shape)
-        # reshapes that only split axes, and transposes, are views: this writes into grad_x
-        windows = self._space_to_depth(self._crop(grad_x)[0])
+        grad_x = np.empty(self._in_shape)
+        # reshapes that only split axes, and transposes, are views: this fills grad_x
+        windows = self._space_to_depth(grad_x)
         windows[...] = (g @ self._weight_matrix()).reshape(windows.shape)
         return grad_x
 
@@ -190,38 +182,35 @@ class VoxelConv3d(Conv3d):
     electrode's weight column at its window; the contact part adds the
     contact cell's column at its window. The weight gradient gathers
     e.T @ grad_out at the electrode windows and grad_out at the contact
-    windows. Cells in the last, uncovered slice of an axis fall in no window
-    and are dropped, as in the dense convolution. backward returns None:
-    the input is data, so no input gradient is computed.
+    windows. backward returns None: the input is data, so no input gradient
+    is computed.
     """
 
     def _windows(self, cells, grid, out_spatial):
-        """The positions in `cells`, flat indices into `grid`, of the cells a
-        window covers, and each one's window and weight column."""
+        """The window and weight column of each of `cells`, flat indices
+        into `grid`."""
         k = self.kernel
         c, *pos = np.unravel_index(cells, grid)
-        kept = np.flatnonzero(np.all([p < k * o for p, o in zip(pos, out_spatial)], axis=0))
-        pos = [p[kept] for p in pos]
         window = np.ravel_multi_index([p // k for p in pos], out_spatial)
-        column = np.ravel_multi_index([c[kept]] + [p % k for p in pos],
+        column = np.ravel_multi_index([c] + [p % k for p in pos],
                                       (self.in_channels,) + (k,) * self.ndim)
-        return kept, window, column
+        return window, column
 
     def forward(self, x):
         if not isinstance(x, VoxelInputs):
             self._cells = None
             return super().forward(x)
         out_spatial = self._out_spatial(x.shape)
-        b, w = len(x), self._weight_matrix()
-        electrode, e_window, e_column = self._windows(x.electrodes, x.grid, out_spatial)
-        sample, window, column = self._windows(x.contact, x.grid, out_spatial)
-        a = np.zeros((electrode.size, self.out_channels, math.prod(out_spatial)))
-        a[np.arange(electrode.size), :, e_window] = w[:, e_column].T
-        e = x.e[:, electrode]
-        out = (e @ a.reshape(electrode.size, -1)).reshape(b, self.out_channels, -1)
+        b, n, w = len(x), x.electrodes.size, self._weight_matrix()
+        e_window, e_column = self._windows(x.electrodes, x.grid, out_spatial)
+        window, column = self._windows(x.contact, x.grid, out_spatial)
+        a = np.zeros((n, self.out_channels, math.prod(out_spatial)))
+        a[np.arange(n), :, e_window] = w[:, e_column].T
+        out = (x.e @ a.reshape(n, -1)).reshape(b, self.out_channels, -1)
         out += self.bias.value[:, None]
+        sample = np.arange(b)
         out[sample, :, window] += w[:, column].T  # one contact, so one window, per sample
-        self._cells = (e, e_window, e_column, sample, window, column)
+        self._cells = (x.e, e_window, e_column, sample, window, column)
         return out.reshape((b, self.out_channels) + out_spatial)
 
     def backward(self, grad_out):
@@ -298,9 +287,10 @@ class LayerNorm(Layer):
 
 
 class ReLU(Layer):
-    """max(0, x), with NaN mapped to 0; the subgradient at exactly zero is
-    taken as zero. A non-finite gradient arriving where the mask is off
-    stays non-finite (0 * inf is NaN), so it is not silently dropped."""
+    """max(0, x); a NaN input stays NaN, so a non-finite value inside a net
+    reaches its output. The subgradient at exactly zero is taken as zero. A
+    non-finite gradient arriving where the mask is off stays non-finite
+    (0 * inf is NaN), so it is not silently dropped."""
 
     def __init__(self, name: str = "relu"):
         self.name = name
@@ -308,7 +298,7 @@ class ReLU(Layer):
 
     def forward(self, x):
         self._mask = x > 0
-        return np.fmax(x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_out):
         return grad_out * self._mask

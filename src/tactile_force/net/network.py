@@ -4,9 +4,7 @@ The voxel model follows the fixed pattern: a stack of 3-D convolutions, the
 depth axis folded into channels, one 2-D convolution, then fully connected
 layers down to the 3-vector force output, with layer norm and ReLU after
 every convolutional and fully connected layer except the output. All
-convolutions use kernel = stride = 2; on inputs whose spatial extent has
-already shrunk below the kernel, the 2-D stage uses kernel = stride = 1
-instead, so reduced test configurations stay differentiable end to end.
+convolutions use kernel = stride = 2.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ConfigError, NumericalError, config_from_dict
-from ..voxel import DEFAULT_DIMS, N_CHANNELS, VoxelInputs
+from ..voxel import VoxelInputs
 from .layers import (
     LAYER_NORM_EPS, CollapseDepth, Conv2d, Conv3d, Dense, Flatten, Layer, LayerNorm, Parameter,
     ReLU, VoxelConv3d,
@@ -128,12 +126,21 @@ class Model:
             p.value[...] = value
 
 
-def build_voxel_net(
-    config: NetworkConfig, input_shape: tuple[int, int, int, int] = (N_CHANNELS, *DEFAULT_DIMS)
-) -> Model:
-    """Assemble the voxel force network for a given input grid shape."""
-    rng = np.random.default_rng(config.seed)
+def build_voxel_net(config: NetworkConfig, input_shape: tuple[int, int, int, int]) -> Model:
+    """Assemble the voxel force network for an input of shape (channels, x,
+    y, z). Every convolution must tile its input exactly, so that each cell
+    reaches the output: with n 3-D convolutions, x and y must be positive
+    multiples of 2^(n+1) (the 2-D one halves them once more) and z of 2^n;
+    any other grid is a ConfigError."""
     c, sx, sy, sz = input_shape
+    n = len(config.conv3d_channels)
+    xy, z = KERNEL ** (n + 1), KERNEL ** n
+    if min(sx, sy, sz) < 1 or sx % xy or sy % xy or sz % z:
+        raise ConfigError(
+            f"voxel grid {sx}x{sy}x{sz} is not tiled by the net's convolutions: with {n} 3-D "
+            f"convolutions x and y must be positive multiples of {xy} and z of {z}"
+        )
+    rng = np.random.default_rng(config.seed)
     layers: list[Layer] = []
     for i, out_ch in enumerate(config.conv3d_channels):
         # the first layer reads the voxel inputs, whose gradient nothing needs
@@ -142,16 +149,13 @@ def build_voxel_net(
         else:
             layers.append(Conv3d(c, out_ch, KERNEL, rng, name=f"conv3d_{i}"))
         sx, sy, sz = sx // KERNEL, sy // KERNEL, sz // KERNEL
-        if min(sx, sy, sz) < 1:
-            raise ConfigError(f"conv3d_{i} output collapses below 1 voxel for input {input_shape}")
         c = out_ch
         layers.append(LayerNorm((c, sx, sy, sz), config.layer_norm_eps, name=f"ln_conv3d_{i}"))
         layers.append(ReLU(name=f"relu_conv3d_{i}"))
     layers.append(CollapseDepth())
     c, sz = c * sz, 1
-    k2d = min(KERNEL, sx, sy)  # clamp for degenerate small test grids
-    layers.append(Conv2d(c, config.conv2d_channels, k2d, rng, name="conv2d"))
-    sx, sy = sx // k2d, sy // k2d
+    layers.append(Conv2d(c, config.conv2d_channels, KERNEL, rng, name="conv2d"))
+    sx, sy = sx // KERNEL, sy // KERNEL
     c = config.conv2d_channels
     layers.append(LayerNorm((c, sx, sy), config.layer_norm_eps, name="ln_conv2d"))
     layers.append(ReLU(name="relu_conv2d"))

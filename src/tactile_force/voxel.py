@@ -18,7 +18,7 @@ import numpy as np
 from .errors import LayoutCollisionError, OutOfBoundsError, SchemaError
 from .sensor import N_ELECTRODES, ElectrodeLayout, SurfaceGeometry
 
-DEFAULT_DIMS = (15, 15, 7)
+DEFAULT_DIMS = (8, 8, 4)
 
 CHANNEL_ELECTRODES = 0
 CHANNEL_CONTACT = 1

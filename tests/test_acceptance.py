@@ -146,9 +146,9 @@ class TestCriterion3GradientCorrectness:
         config = NetworkConfig(
             conv3d_channels=(2, 2), conv2d_channels=2, fc_widths=(4,), seed=0
         )
-        model = build_voxel_net(config, input_shape=(2, 4, 4, 4))
+        model = build_voxel_net(config, input_shape=(2, 8, 8, 4))
         rng = np.random.default_rng(100)
-        x = rng.normal(size=(3, 2, 4, 4, 4))
+        x = rng.normal(size=(3, 2, 8, 8, 4))
 
         # the check point must be kink-free: no ReLU input within reach of h
         margin = math.inf

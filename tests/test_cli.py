@@ -12,7 +12,7 @@ from tactile_force import __version__, cli
 from tactile_force.baselines import LinearModel, linear_predict
 from tactile_force.cli import main
 from solver_oracles import _solve_grid
-from tactile_force.dataset import featurize_voxel, load_manifest_splits
+from tactile_force.dataset import featurization_record, featurize_voxel, load_manifest_splits
 from tactile_force.errors import (
     ConfigError,
     DataIntegrityError,
@@ -25,10 +25,12 @@ from tactile_force.errors import (
 )
 from tactile_force.mechanics import ParticleGrid, PlanarMotion, PushParams, force_targets
 from tactile_force.metrics import evaluate_pairs, summarize
-from tactile_force.net import load_checkpoint
+from tactile_force.net import build_voxel_net, load_checkpoint
 from tactile_force.net.losses import MAGNITUDE_FLOOR_N
 from tactile_force.sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
-from tactile_force.voxel import GridSpec
+from tactile_force.voxel import N_CHANNELS, GridSpec
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(args):
@@ -495,7 +497,7 @@ class TestSelfDescribingModels:
         return code, out
 
     def test_other_grid_dims_need_no_config_at_eval(self, sim_dir, tmp_path):
-        spec = GridSpec.for_geometry(SurfaceGeometry(), dims=(13, 13, 9))
+        spec = GridSpec.for_geometry(SurfaceGeometry(), dims=(16, 16, 8))
         model_dir = self.train(sim_dir, tmp_path, "dims", {"grid": spec.to_config()})
         code, eval_dir = self.evaluate(sim_dir, tmp_path, model_dir / "checkpoint.npz")
         assert code == 0
@@ -506,8 +508,10 @@ class TestSelfDescribingModels:
     def test_eval_scores_features_on_the_trained_grid(self, sim_dir, tmp_path):
         geometry = SurfaceGeometry()
         default = GridSpec.for_geometry(geometry)
-        margin = default.cell_size / 2  # same dims, other bounds
-        spec = GridSpec(default.dims, default.bounds_min - margin, default.bounds_max + margin)
+        # same dims, bounds shifted half a cell along y (widening them makes two electrodes
+        # share a cell)
+        shift = default.cell_size * [0.0, 0.5, 0.0]
+        spec = GridSpec(default.dims, default.bounds_min + shift, default.bounds_max + shift)
         model_dir = self.train(sim_dir, tmp_path, "bounds", {"grid": spec.to_config()})
         code, eval_dir = self.evaluate(sim_dir, tmp_path, model_dir / "checkpoint.npz")
         assert code == 0
@@ -561,16 +565,30 @@ class TestSelfDescribingModels:
     def test_checkpoint_without_featurization_exits_2(self, sim_dir, tmp_path, capsys):
         model_dir = self.train(sim_dir, tmp_path, "mlp", {}, "--model", "mlp-baseline")
         path = model_dir / "checkpoint.npz"
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        del meta["featurization"]
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+        rewrite_checkpoint_meta(path, lambda meta: meta.pop("featurization"))
         code, _ = self.evaluate(sim_dir, tmp_path, path)
         assert code == 2
         assert "'featurization'" in capsys.readouterr().err
+
+    def test_checkpoint_on_a_grid_the_net_does_not_tile_exits_2(self, sim_dir, tmp_path, capsys):
+        """A checkpoint recording the former default 15x15x7 grid is not
+        scored: its net never saw most of the grid."""
+        model_dir = self.train(sim_dir, tmp_path, "voxel", {})
+        path = model_dir / "checkpoint.npz"
+        old = GridSpec.for_geometry(SurfaceGeometry(), dims=(15, 15, 7)).to_config()
+
+        def to_old_grid(meta):
+            meta["args"]["input_shape"] = [2, 15, 15, 7]
+            meta["featurization"]["grid"] = old
+
+        rewrite_checkpoint_meta(path, to_old_grid)
+        capsys.readouterr()
+        code, eval_dir = self.evaluate(sim_dir, tmp_path, path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "x and y must be positive multiples of 8 and z of 4" in err
+        assert not eval_dir.exists()
 
     def test_linear_model_without_layout_exits_2(self, sim_dir, tmp_path, capsys):
         model_dir = self.train(sim_dir, tmp_path, "linear", {}, "--model", "linear")
@@ -579,6 +597,34 @@ class TestSelfDescribingModels:
         code, _ = self.evaluate(sim_dir, tmp_path, path, "--model-kind", "linear")
         assert code == 2
         assert "'layout'" in capsys.readouterr().err
+
+
+class TestReadme:
+    def test_train_config_example_builds_and_shows_the_defaults(self):
+        """The README's training config resolves through the calls `train`
+        makes before it reads data, and holds the defaults it says it shows."""
+        block = re.search(r"```json\n(.*?)```", README.read_text(), flags=re.S).group(1)
+        config = json.loads(block)
+        configs = cli._train_configs(config, 0)
+        layout, geometry = cli._layout_and_geometry(config, README)
+        featurization = featurization_record(True, layout, geometry, config["grid"])
+        build_voxel_net(configs[0], (N_CHANNELS, *featurization["grid"]["dims"]))
+        assert [c.to_dict() for c in configs] == [c.to_dict() for c in cli._train_configs({}, 0)]
+        shown, default = GridSpec.from_config(config["grid"]), GridSpec.for_geometry(geometry)
+        assert shown.dims == default.dims
+        np.testing.assert_allclose(shown.bounds_min, default.bounds_min, rtol=1e-12)
+        np.testing.assert_allclose(shown.bounds_max, default.bounds_max, rtol=1e-12)
+
+
+def rewrite_checkpoint_meta(path, edit):
+    """Apply edit, in place, to the metadata blob of the checkpoint at path."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    edit(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def with_value(config: dict, dotted: str, value) -> dict:
@@ -649,6 +695,16 @@ class TestFeaturizationErrors:
     def test_grid_without_bounds_exits_2(self, sim_dir, tmp_path, capsys):
         assert self.train(sim_dir, tmp_path, {"grid": {"dims": [15, 15, 7]}}) == 2
         assert "'bounds'" in capsys.readouterr().err
+
+    def test_grid_the_net_does_not_tile_exits_2(self, sim_dir, tmp_path, capsys):
+        """The former default grid: every convolution would drop its last
+        slice."""
+        grid = GridSpec.for_geometry(SurfaceGeometry(), dims=(15, 15, 7)).to_config()
+        assert self.train(sim_dir, tmp_path, {"grid": grid}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "x and y must be positive multiples of 8 and z of 4" in err
+        assert not (tmp_path / "m").exists()
 
     def test_grid_with_two_dims_exits_2(self, sim_dir, tmp_path, capsys):
         grid = GridSpec.for_geometry(SurfaceGeometry()).to_config()

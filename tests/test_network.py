@@ -1,15 +1,20 @@
 """Tests of the assembled models: shapes, determinism, and batch invariance."""
 
+import dataclasses
 import hashlib
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tactile_force.dataset import featurization_record
+from tactile_force.dataset import SampleRecord, featurization_record, featurize_voxel
 from tactile_force.errors import ConfigError, NumericalError, SchemaError
 from tactile_force.net import (
     Dense,
+    LayerNorm,
     LossConfig,
     Model,
     NetworkConfig,
@@ -22,21 +27,25 @@ from tactile_force.net import (
     save_checkpoint,
 )
 from tactile_force.net.checkpoint import KIND_MLP, KIND_VOXEL
-from tactile_force.sensor import ElectrodeLayout, SurfaceGeometry
-from tactile_force.voxel import GridSpec
+from test_net_layers import random_layout
+from tactile_force.sensor import N_ELECTRODES, SurfaceGeometry, default_electrode_layout
+from tactile_force.voxel import CHANNEL_CONTACT, DEFAULT_DIMS, N_CHANNELS, GridSpec
 
 
 def tiny_net(seed=0):
     cfg = NetworkConfig(conv3d_channels=(2, 2), conv2d_channels=2, fc_widths=(4,), seed=seed)
-    return cfg, build_voxel_net(cfg, input_shape=(2, 4, 4, 4))
+    return cfg, build_voxel_net(cfg, input_shape=(2, 8, 8, 4))
 
 
 class TestForward:
     def test_default_shapes(self):
-        net = build_voxel_net(NetworkConfig(seed=0), input_shape=(2, 15, 15, 7))
-        out = net.forward(np.zeros((3, 2, 15, 15, 7)))
+        net = build_voxel_net(NetworkConfig(seed=0), input_shape=(N_CHANNELS, *DEFAULT_DIMS))
+        out = net.forward(np.zeros((3, N_CHANNELS, *DEFAULT_DIMS)))
         assert out.shape == (3, 3)
         assert np.all(np.isfinite(out))
+        # the former default grid: each convolution would drop its last slice
+        with pytest.raises(ConfigError, match="multiples of 8 and z of 4"):
+            build_voxel_net(NetworkConfig(seed=0), input_shape=(N_CHANNELS, 15, 15, 7))
 
     def test_zero_weights_affine_collapse(self):
         _, net = tiny_net()
@@ -47,12 +56,12 @@ class TestForward:
                 p.value[...] = 0.0
         bias = np.array([0.3, -0.7, 1.1])
         net.layers[-1].bias.value[...] = bias
-        out = net.forward(np.zeros((2, 2, 4, 4, 4)))
+        out = net.forward(np.zeros((2, 2, 8, 8, 4)))
         np.testing.assert_allclose(out, np.tile(bias, (2, 1)), atol=1e-12)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(4, 2, 4, 4, 4))
+        x = rng.normal(size=(4, 2, 8, 8, 4))
         _, net1 = tiny_net(seed=5)
         _, net2 = tiny_net(seed=5)
         np.testing.assert_array_equal(net1.forward(x), net2.forward(x))
@@ -60,7 +69,7 @@ class TestForward:
     def test_batch_composition_invariance(self):
         _, net = tiny_net(seed=2)
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(6, 2, 4, 4, 4))
+        x = rng.normal(size=(6, 2, 8, 8, 4))
         full = net.forward(x)
         alone = net.forward(x[2:3])
         np.testing.assert_allclose(alone[0], full[2], atol=1e-12)
@@ -68,7 +77,7 @@ class TestForward:
     def test_shape_mismatch_names_layer(self):
         _, net = tiny_net()
         with pytest.raises(SchemaError, match="conv3d_0"):
-            net.forward(np.zeros((1, 3, 4, 4, 4)))
+            net.forward(np.zeros((1, 3, 8, 8, 4)))
 
 
     @pytest.mark.parametrize("kind, poisoned", [
@@ -82,7 +91,7 @@ class TestForward:
         rng = np.random.default_rng(8)
         net = {"voxel": lambda: tiny_net(seed=2)[1],
                "mlp": lambda: build_mlp_net(6, (5, 4), seed=2)}[kind]()
-        x = rng.normal(size=(3, 2, 4, 4, 4) if kind == "voxel" else (3, 6))
+        x = rng.normal(size=(3, 2, 8, 8, 4) if kind == "voxel" else (3, 6))
         layer = next(layer for layer in net.layers if layer.name == poisoned)
         forward = layer.forward
 
@@ -96,12 +105,84 @@ class TestForward:
             net.forward(x)
         assert str(info.value) == f"non-finite network output, first from layer {poisoned}"
 
+    @pytest.mark.parametrize("parameter, bad", [("conv3d_1.weight", np.nan),
+                                                ("fc_0.weight", np.inf)])
+    def test_non_finite_weight_is_named_not_zeroed(self, parameter, bad):
+        """A non-finite weight before a layer norm and a ReLU makes the output
+        non-finite, naming the layer that holds it, instead of coming out as
+        finite zeros."""
+        _, net = tiny_net(seed=3)
+        next(p for p in net.parameters() if p.name == parameter).value.flat[0] = bad
+        x = np.random.default_rng(9).normal(size=(2, 2, 8, 8, 4))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as info:
+            net.forward(x)
+        layer = parameter.partition(".")[0]
+        assert str(info.value) == f"non-finite network output, first from layer {layer}"
+
+
+def contact_records(e, cells, spec):
+    """One record per cell of `cells`, flat indices into the grid, with its
+    contact point at that cell's centre and electrode values e."""
+    return [SampleRecord(trial_id=f"t{i}", source_tag="rigid_ft", e=e,
+                         s_c=spec.cell_center(np.unravel_index(cell, spec.dims)),
+                         s_n=[0.0, 0.0, 1.0], f_3d=[0.0, 0.0, 1.0], r_wb=np.eye(3))
+            for i, cell in enumerate(cells)]
+
+
+# 1-16 cells per axis, with the powers of two that tile drawn more often
+grid_axis = st.one_of(st.integers(1, 16), st.sampled_from([4, 8, 16]))
+
+
+class TestReachability:
+    @settings(max_examples=200, deadline=None)
+    @given(dims=st.tuples(grid_axis, grid_axis, grid_axis), n_conv3d=st.integers(1, 2),
+           seed=st.integers(0, 2**32 - 1))
+    @example(dims=DEFAULT_DIMS, n_conv3d=2, seed=None)  # the default layout on the default grid
+    def test_every_cell_reaches_the_output(self, dims, n_conv3d, seed):
+        """build_voxel_net rejects the grid, or raising any one electrode
+        value, and putting the contact in any sampled cell instead of none,
+        changes the output. The net's layer norms are bypassed, so that
+        nothing reaches the output through their mean and variance alone;
+        every weight and value is positive, so every ReLU passes its input
+        and whatever reaches the output raises it. seed None takes the
+        default layout on the default grid bounds, others a random layout
+        with one electrode at the centre of each of 19 distinct cells."""
+        config = NetworkConfig(conv3d_channels=(2, 3)[:n_conv3d], conv2d_channels=3,
+                               fc_widths=(4,))
+        try:
+            net = build_voxel_net(config, (N_CHANNELS, *dims))
+        except ConfigError:
+            assert seed is not None, "the default grid is rejected"
+            return
+        net.layers = [layer for layer in net.layers if not isinstance(layer, LayerNorm)]
+        rng = np.random.default_rng(seed)
+        net.values[...] = rng.uniform(0.5, 1.5, size=net.values.size)
+        geometry = SurfaceGeometry()
+        if seed is None:
+            spec, layout = GridSpec.for_geometry(geometry, dims), default_electrode_layout(geometry)
+        else:
+            spec = GridSpec(dims, np.zeros(3), rng.uniform(0.5, 2.0, size=3))
+            layout = random_layout(spec, rng)
+        e = rng.uniform(0.5, 1.5, size=N_ELECTRODES)
+        contacts = np.append(rng.choice(math.prod(dims), 24), math.prod(dims) - 1)
+
+        raised = e + np.eye(N_ELECTRODES)  # row j raises electrode j by 1
+        records = contact_records(e, contacts[:1], spec)
+        records += [dataclasses.replace(records[0], e=row) for row in raised]
+        out = net.forward(featurize_voxel(records, layout, spec).inputs)
+        assert np.all(out[1:] > out[0])
+
+        inputs = featurize_voxel(contact_records(e, contacts, spec), layout, spec).inputs
+        none = np.asarray(inputs[:1])
+        none[:, CHANNEL_CONTACT] = 0.0  # no contact, through the dense path
+        assert np.all(net.forward(inputs) > net.forward(none))
+
 
 class TestBackward:
     def test_gradient_linear_in_loss_scale(self):
         _, net = tiny_net(seed=3)
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(3, 2, 4, 4, 4))
+        x = rng.normal(size=(3, 2, 8, 8, 4))
         grad_out = rng.normal(size=(3, 3))
 
         net.zero_grad()
@@ -125,7 +206,7 @@ class TestBackward:
             else:
                 p.value[...] = 0.0
         net.layers[-1].bias.value[...] = target
-        x = np.random.default_rng(3).normal(size=(2, 2, 4, 4, 4))
+        x = np.random.default_rng(3).normal(size=(2, 2, 8, 8, 4))
         config = LossConfig(beta=0.0)
         net.zero_grad()
         pred = net.forward(x)
@@ -150,7 +231,7 @@ class TestBackward:
         rng = np.random.default_rng(5)
         build = {"voxel": lambda: tiny_net(seed=1)[1],
                  "mlp": lambda: build_mlp_net(6, (5, 4), seed=1)}[kind]
-        x = rng.normal(size=(3, 2, 4, 4, 4) if kind == "voxel" else (3, 6))
+        x = rng.normal(size=(3, 2, 8, 8, 4) if kind == "voxel" else (3, 6))
         for i in range(len(build().layers)):
             net = build()
             layer = net.layers[i]
@@ -232,26 +313,23 @@ class TestCheckpoint:
         training from a seed, and the parameter order of stored
         checkpoints, depend on."""
         digest = hashlib.sha256()
-        for p in build_voxel_net(NetworkConfig(seed=0)).parameters():
+        net = build_voxel_net(NetworkConfig(seed=0), input_shape=(N_CHANNELS, *DEFAULT_DIMS))
+        for p in net.parameters():
             digest.update(p.name.encode())
             digest.update(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
         assert digest.hexdigest() == (
-            "fd9298f41aa4e065df7ea3fa102245f9d605744596b330a36d214047b81ba0fd"
+            "09ce888a64e95e080c6e75e832dd0855b3012f1d653eebdc2d262d17dc82ba5d"
         )
 
     def test_voxel_roundtrip(self, tmp_path):
         cfg, net = tiny_net(seed=6)
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(2, 2, 4, 4, 4))
+        x = rng.normal(size=(2, 2, 8, 8, 4))
         expected = net.forward(x)
         path = tmp_path / "ckpt.npz"
         geometry = SurfaceGeometry()
-        spec = GridSpec.for_geometry(geometry, dims=(4, 4, 4))
-        # the default layout does not fit 4x4x4 cells: one electrode per cell
-        layout = ElectrodeLayout(
-            positions=[spec.cell_center(np.unravel_index(i, spec.dims)) for i in range(19)],
-            normals=np.tile([0.0, 0.0, 1.0], (19, 1)),
-        )
+        spec = GridSpec.for_geometry(geometry, dims=(8, 8, 4))
+        layout = default_electrode_layout(geometry)
         featurization = featurization_record(True, layout, geometry, spec.to_config())
         save_checkpoint(
             path, net, featurization=featurization,

@@ -144,7 +144,7 @@ class TestTrain:
                 LossConfig(), TrainingConfig(max_epochs=2, batch_size=8),
             )
         assert str(info.value) == (
-            "epoch 0 iteration 0: non-finite gradient flowing out of layer ln_fc_0"
+            "epoch 0 iteration 0: non-finite network output, first from layer fc_0"
         )
 
     def test_non_finite_output_names_epoch_iteration_and_layer(self):
@@ -249,7 +249,7 @@ class TestParameterBuffer:
     def test_parameters_view_the_buffer_after_build_load_and_train(self, tmp_path):
         voxel = build_voxel_net(
             NetworkConfig(conv3d_channels=(2, 2), conv2d_channels=2, fc_widths=(4,)),
-            input_shape=(2, 4, 4, 4),
+            input_shape=(2, 8, 8, 4),
         )
         mlp = build_mlp_net(5, (8, 4), seed=2)
         for model in (voxel, mlp):

@@ -39,10 +39,12 @@ class TestVoxelIndex:
         assert voxel_index(spec.bounds_min, spec) == (0, 0, 0)
 
     def test_max_corner_clamped_to_last_cell(self, spec):
-        assert voxel_index(spec.bounds_max, spec) == (14, 14, 6)
+        assert voxel_index(spec.bounds_max, spec) == tuple(d - 1 for d in DEFAULT_DIMS)
 
     def test_cell_center_roundtrip(self, spec):
-        for idx in [(0, 0, 0), (7, 3, 2), (14, 14, 6), (1, 13, 5)]:
+        nx, ny, nz = DEFAULT_DIMS
+        for idx in [(0, 0, 0), (nx // 2, ny // 4, nz // 2), (nx - 1, ny - 1, nz - 1),
+                    (1, ny - 2, nz - 2)]:
             assert voxel_index(spec.cell_center(idx), spec) == idx
 
     def test_out_of_bounds_rejected(self, spec):
@@ -52,7 +54,7 @@ class TestVoxelIndex:
             voxel_index(spec.bounds_min - 1e-6, spec)
 
     def test_default_dims(self, spec):
-        assert spec.dims == (15, 15, 7)
+        assert spec.dims == DEFAULT_DIMS
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_rejected(self, spec, bad):
@@ -65,7 +67,7 @@ class TestVoxelIndex:
 class TestEncode:
     def test_zero_input_no_contact(self, layout, spec):
         grid = encode(np.zeros(19), None, layout, spec)
-        assert grid.shape == (2, 15, 15, 7)
+        assert grid.shape == (2, *DEFAULT_DIMS)
         assert np.all(grid == 0.0)
 
     def test_single_electrode_single_cell(self, layout, spec):
@@ -271,7 +273,7 @@ class TestVoxelCells:
                    for i in range(spec.dims[0])]
         inputs = featurize_voxel(records, layout, spec).inputs
         dense = np.stack([encode(r.e, r.s_c, layout, spec) for r in records])
-        crop = (slice(None), slice(None), slice(14), slice(14), slice(6))
+        crop = (slice(None), slice(None)) + tuple(slice(d - 1) for d in spec.dims)
         np.testing.assert_array_equal(inputs[crop], dense[crop])
         assert np.count_nonzero(inputs) == np.count_nonzero(dense)
 
