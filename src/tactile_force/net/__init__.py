@@ -1,4 +1,4 @@
-from .layers import Conv2d, Conv3d, Dense, Flatten, CollapseDepth, LayerNorm, Parameter, ReLU
+from .layers import Conv, Dense, LayerNorm, Parameter, ReLU, VoxelConv3d
 from .network import Model, NetworkConfig, build_mlp_net, build_voxel_net
 from .losses import (
     LossConfig,
@@ -14,11 +14,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "AdamOptimizer",
-    "CollapseDepth",
-    "Conv2d",
-    "Conv3d",
+    "Conv",
     "Dense",
-    "Flatten",
     "LayerNorm",
     "LearningRateSchedule",
     "LossConfig",
@@ -28,6 +25,7 @@ __all__ = [
     "ReLU",
     "TrainReport",
     "TrainingConfig",
+    "VoxelConv3d",
     "alpha_weight",
     "batch_loss_and_grad",
     "build_mlp_net",

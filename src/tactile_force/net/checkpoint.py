@@ -58,7 +58,11 @@ def load_checkpoint(path) -> tuple[Model, dict]:
             raise ConfigError(f"checkpoint {path} missing field {field!r}")
     kind, args = meta["kind"], meta["args"]
     if kind == KIND_VOXEL:
-        model = build_voxel_net(NetworkConfig.from_dict(args["config"]), tuple(args["input_shape"]))
+        try:
+            model = build_voxel_net(NetworkConfig.from_dict(args["config"]),
+                                    tuple(args["input_shape"]))
+        except ConfigError as exc:
+            raise ConfigError(f"checkpoint {path}: {exc}") from exc
     elif kind == KIND_MLP:
         model = build_mlp_net(**args)
     else:

@@ -2,15 +2,23 @@
 
 Every layer caches what its backward pass needs during forward, accumulates
 parameter gradients into Parameter.grad, and returns the gradient with
-respect to its input; VoxelConv3d, a first layer that reads a VoxelInputs
-batch, returns None for it instead.
+respect to its input; VoxelConv3d, the first layer of a voxel net, returns
+None for it instead.
 A layer owns its parameter arrays until a Model packs them into its flat
 value and gradient buffers; from then on each Parameter.value and .grad is
 a view of its slice there, so layers only ever write them in place.
-All math is float64 numpy. Convolutions are "valid" (no padding) with
-kernel = stride, on inputs whose spatial dims are multiples of the kernel,
-so their windows never overlap and cover every cell: a dense convolution is
-a space-to-depth reshape and one matmul.
+All math is float64 numpy.
+
+Activations and their gradients are C-contiguous (batch, features) rows.
+In a voxel net the features of a grid are window-major: the cells of each
+window of the next convolution are adjacent, channels innermost, and the
+windows come in the order the convolution after that reads them
+(network.window_major_orders). Convolutions are "valid", with kernel =
+stride = KERNEL, on grids they tile, so each is a reshape of its input into
+one row per window and one matmul. Parameters keep their logical shapes
+(a LayerNorm's gain after a 3-D convolution is (channels, x, y, z)); a
+layer whose features come in another order reaches them through one fixed
+index permutation.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import numpy as np
 from ..errors import SchemaError
 from ..voxel import VoxelInputs
 
+KERNEL = 2  # kernel and stride of every convolution: windows never overlap
 LAYER_NORM_EPS = 1e-5  # the default epsilon of every LayerNorm
 
 
@@ -64,12 +73,26 @@ def _fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: in
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _row_order(order: np.ndarray | None):
+    """The index that takes a parameter's flat logical values into row
+    order, from the logical index of each row feature: a slice, so a view,
+    where the two orders agree."""
+    if order is None or np.array_equal(order, np.arange(len(order))):
+        return slice(None)
+    return np.asarray(order)
+
+
 class Dense(Layer):
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str = "dense"):
+    """x @ weight + bias; `order`, if given, is the weight row (the logical
+    input feature) of each input column."""
+
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str = "dense",
+                 order: np.ndarray | None = None):
         self.name = name
         self.in_dim, self.out_dim = in_dim, out_dim
         self.weight = Parameter(f"{name}.weight", _fan_in_uniform(rng, (in_dim, out_dim), in_dim))
         self.bias = Parameter(f"{name}.bias", np.zeros(out_dim))
+        self._order = _row_order(order)
         self._x = None
 
     def parameters(self):
@@ -78,164 +101,134 @@ class Dense(Layer):
     def forward(self, x):
         self._check_input(x, (self.in_dim,))
         self._x = x
-        return x @ self.weight.value + self.bias.value
+        return x @ self.weight.value[self._order] + self.bias.value
 
     def backward(self, grad_out):
-        self.weight.grad += self._x.T @ grad_out
+        self.weight.grad[self._order] += self._x.T @ grad_out
         self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.value.T
+        return grad_out @ self.weight.value[self._order].T
 
 
-class _ConvNd(Layer):
-    """Valid N-D convolution with kernel = stride, as one matmul.
+class Conv(Layer):
+    """Valid convolution with kernel = stride = KERNEL on window-major rows.
 
-    Windows do not overlap and tile the input, so it reshapes
-    (space-to-depth) into one row of in_ch * k^ndim values per sample and
-    window, ordered like the weight's (in_ch, dx, dy, ...) axes. Forward
-    multiplies the rows by the weight matrix and backward takes two more
-    matmuls. The input gradient is the inverse reshape. Subclasses set ndim.
+    The input holds `windows` windows of k = in_channels * depth *
+    KERNEL^ndim adjacent values each, in (dx, dy, dz or z, c) order, so one
+    reshape gives one row per window, forward is one matmul, and the output
+    is (batch, windows * out_channels), channels innermost. The weight keeps
+    its logical shape: (out_ch, in_ch, dx, dy, dz) in 3-D, and in 2-D, over
+    a grid of depth `depth` folded into the channels as c * depth + z,
+    (out_ch, in_ch * depth, dx, dy). Its matrix takes the columns in row
+    order, and its gradient is added through the same transposed view.
     """
 
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel: int,
-        rng: np.random.Generator,
-        name: str | None = None,
-    ):
-        self.name = name or f"conv{self.ndim}d"
-        self.in_channels, self.out_channels = in_channels, out_channels
-        self.kernel = kernel
-        fan_in = in_channels * kernel**self.ndim
-        self.weight = Parameter(
-            f"{self.name}.weight",
-            _fan_in_uniform(rng, (out_channels, in_channels) + (kernel,) * self.ndim, fan_in),
-        )
-        self.bias = Parameter(f"{self.name}.bias", np.zeros(out_channels))
+    def __init__(self, in_channels: int, out_channels: int, windows: int,
+                 rng: np.random.Generator, name: str, ndim: int = 3, depth: int = 1):
+        self.name = name
+        self.out_channels, self.windows = out_channels, windows
+        self.window_size = in_channels * depth * KERNEL**ndim
+        self.weight = Parameter(f"{name}.weight", _fan_in_uniform(
+            rng, (out_channels, in_channels * depth) + (KERNEL,) * ndim, self.window_size))
+        self.bias = Parameter(f"{name}.bias", np.zeros(out_channels))
+        # the weight's axes split as (out_ch, in_ch, depth, dx, dy[, dz]), then in row order
+        self._split = (out_channels, in_channels, depth) + (KERNEL,) * ndim
+        self._axes = (0, *range(3, 3 + ndim), 2, 1)
         self._rows = None
-        self._in_shape = None
 
     def parameters(self):
         return [self.weight, self.bias]
 
-    def _out_spatial(self, shape):
-        """The output spatial dims for an input of `shape`, after checking it."""
-        if len(shape) != 2 + self.ndim or shape[1] != self.in_channels:
-            raise SchemaError(
-                f"layer {self.name}: expected (batch, {self.in_channels}, "
-                f"{self.ndim} spatial dims), got {shape}"
-            )
-        k = self.kernel
-        if any(d < 1 or d % k for d in shape[2:]):
-            raise SchemaError(
-                f"layer {self.name}: spatial dims {shape[2:]} are not positive "
-                f"multiples of kernel {k}"
-            )
-        return tuple(d // k for d in shape[2:])
+    def _columns(self, array):
+        """A weight-shaped array as a view with its input axes in row order."""
+        return array.reshape(self._split).transpose(self._axes)
 
-    def _space_to_depth(self, x):
-        """A view of x with axes (b, o_1, ..., o_ndim, in_ch, k, ..., k):
-        each window's values, ordered like the weight's axes."""
-        b, c, *dims = x.shape
-        k = self.kernel
-        split = x.reshape(b, c, *(n for d in dims for n in (d // k, k)))
-        return split.transpose(0, *range(2, split.ndim, 2), 1, *range(3, split.ndim, 2))
+    def _matrix(self):
+        return self._columns(self.weight.value).reshape(self.out_channels, -1)
 
-    def _weight_matrix(self):
-        # (out_ch, in_ch * k^ndim), columns ordered like the weight's (in_ch, dx, dy, ...)
-        return self.weight.value.reshape(self.out_channels, -1)
+    def _add_grads(self, dw, grad_out):
+        """Add dw, (out_ch, window_size) in row order, to the weight's
+        gradient, and grad_out summed over samples and windows to the
+        bias's (summing whole rows first, which numpy does fastest)."""
+        columns = self._columns(self.weight.grad)
+        columns += dw.reshape(columns.shape)
+        self.bias.grad += grad_out.sum(axis=0).reshape(-1, self.out_channels).sum(axis=0)
 
     def forward(self, x):
-        out_spatial = self._out_spatial(x.shape)
-        w = self._weight_matrix()
-        self._rows = self._space_to_depth(x).reshape(-1, w.shape[1])
-        self._in_shape = x.shape
-        out = self._rows @ w.T + self.bias.value
-        return np.moveaxis(out.reshape((x.shape[0],) + out_spatial + (self.out_channels,)), -1, 1)
+        self._check_input(x, (self.windows * self.window_size,))
+        self._rows = x.reshape(-1, self.window_size)
+        out = self._rows @ self._matrix().T
+        out += self.bias.value
+        return out.reshape(len(x), -1)
 
     def backward(self, grad_out):
-        g = np.moveaxis(grad_out, 1, -1).reshape(-1, self.out_channels)  # (b * windows, out_ch)
-        self.weight.grad += (g.T @ self._rows).reshape(self.weight.value.shape)
-        self.bias.grad += g.sum(axis=0)
-        grad_x = np.empty(self._in_shape)
-        # reshapes that only split axes, and transposes, are views: this fills grad_x
-        windows = self._space_to_depth(grad_x)
-        windows[...] = (g @ self._weight_matrix()).reshape(windows.shape)
-        return grad_x
+        g = grad_out.reshape(-1, self.out_channels)  # (batch * windows, out_ch)
+        self._add_grads(g.T @ self._rows, grad_out)
+        return (g @ self._matrix()).reshape(len(grad_out), -1)
 
 
-class Conv3d(_ConvNd):
-    """Valid 3-D convolution, weight shape (out_ch, in_ch, k, k, k)."""
+class VoxelConv3d(Conv):
+    """A voxel net's first layer: a 3-D convolution of a grid of shape
+    `grid`, (channels, x, y, z), that reads a VoxelInputs batch as the
+    electrode values and one contact cell it holds.
 
-    ndim = 3
-
-
-class VoxelConv3d(Conv3d):
-    """Valid 3-D convolution with kernel = stride that reads a VoxelInputs
-    batch as the electrode values and one contact cell it holds; for a
-    network's first layer only. A dense input takes the Conv3d path.
-
-    Windows do not overlap, so each cell feeds exactly one output window
-    through one weight column (c, dx, dy, dz). The electrode cells are the
-    same for every sample, so their part is e @ A, with A holding each
-    electrode's weight column at its window; the contact part adds the
-    contact cell's column at its window. The weight gradient gathers
-    e.T @ grad_out at the electrode windows and grad_out at the contact
-    windows. backward returns None: the input is data, so no input gradient
-    is computed.
+    `cells` is the flat grid index of each row feature: every window's cells
+    adjacent in (dx, dy, dz, c) order. A dense input is gathered into rows
+    by it and takes the Conv path. For a VoxelInputs batch, windows do not
+    overlap, so each cell feeds exactly one output window through one weight
+    column. The electrode cells are the same for every sample, so their part
+    is e @ A, with A holding each electrode's weight column at its window;
+    the contact part adds the contact cell's column at its window. The weight
+    gradient gathers e.T @ grad_out at the electrode windows and grad_out at
+    the contact windows. backward returns None: the input is data, so no
+    input gradient is needed.
     """
 
-    def _windows(self, cells, grid, out_spatial):
-        """The window and weight column of each of `cells`, flat indices
-        into `grid`."""
-        k = self.kernel
-        c, *pos = np.unravel_index(cells, grid)
-        window = np.ravel_multi_index([p // k for p in pos], out_spatial)
-        column = np.ravel_multi_index([c] + [p % k for p in pos],
-                                      (self.in_channels,) + (k,) * self.ndim)
-        return window, column
+    def __init__(self, out_channels: int, grid: tuple[int, int, int, int], cells: np.ndarray,
+                 rng: np.random.Generator, name: str = "conv3d_0"):
+        c, *dims = grid
+        super().__init__(c, out_channels, math.prod(dims) // KERNEL**3, rng, name)
+        self.grid = tuple(grid)
+        self._cells = np.asarray(cells)
+        # each grid cell's window and weight column
+        self._window, self._column = np.divmod(np.argsort(self._cells), self.window_size)
+        self._inputs = None
 
     def forward(self, x):
+        self._check_input(x, self.grid)
         if not isinstance(x, VoxelInputs):
-            self._cells = None
-            return super().forward(x)
-        out_spatial = self._out_spatial(x.shape)
-        b, n, w = len(x), x.electrodes.size, self._weight_matrix()
-        e_window, e_column = self._windows(x.electrodes, x.grid, out_spatial)
-        window, column = self._windows(x.contact, x.grid, out_spatial)
-        a = np.zeros((n, self.out_channels, math.prod(out_spatial)))
-        a[np.arange(n), :, e_window] = w[:, e_column].T
-        out = (x.e @ a.reshape(n, -1)).reshape(b, self.out_channels, -1)
-        out += self.bias.value[:, None]
+            self._inputs = None
+            return super().forward(x.reshape(len(x), -1)[:, self._cells])
+        b, n, w = len(x), x.electrodes.size, self._matrix()
+        e_window, e_column = self._window[x.electrodes], self._column[x.electrodes]
+        window, column = self._window[x.contact], self._column[x.contact]
+        a = np.zeros((n, self.windows, self.out_channels))
+        a[np.arange(n), e_window] = w[:, e_column].T
+        out = (x.e @ a.reshape(n, -1)).reshape(b, self.windows, self.out_channels)
+        out += self.bias.value
         sample = np.arange(b)
-        out[sample, :, window] += w[:, column].T  # one contact, so one window, per sample
-        self._cells = (x.e, e_window, e_column, sample, window, column)
-        return out.reshape((b, self.out_channels) + out_spatial)
+        out[sample, window] += w[:, column].T  # one contact, so one window, per sample
+        self._inputs = (x.e, e_window, e_column, sample, window, column)
+        return out.reshape(b, -1)
 
     def backward(self, grad_out):
-        if self._cells is None:
-            return super().backward(grad_out)
-        e, e_window, e_column, sample, window, column = self._cells
-        g = grad_out.reshape(len(e), self.out_channels, -1)
-        at_electrodes = np.einsum("bj,boj->jo", e, g[:, :, e_window])  # e.T @ g, gathered
-        picked = np.concatenate([at_electrodes, g[sample, :, window]])
-        dw = np.zeros((self.in_channels * self.kernel**self.ndim, self.out_channels))
+        if self._inputs is None:
+            super().backward(grad_out)
+            return None
+        e, e_window, e_column, sample, window, column = self._inputs
+        g = grad_out.reshape(len(e), self.windows, self.out_channels)
+        at_electrodes = np.einsum("bj,bjo->jo", e, np.take(g, e_window, axis=1),
+                                  optimize=True)  # e.T @ g, gathered
+        picked = np.concatenate([at_electrodes, g[sample, window]])
+        dw = np.zeros((self.window_size, self.out_channels))
         np.add.at(dw, np.concatenate([e_column, column]), picked)  # columns repeat
-        self.weight.grad += dw.T.reshape(self.weight.value.shape)
-        self.bias.grad += g.sum(axis=(0, 2))
+        self._add_grads(dw.T, grad_out)
         return None
 
 
-class Conv2d(_ConvNd):
-    """Valid 2-D convolution, weight shape (out_ch, in_ch, k, k)."""
-
-    ndim = 2
-
-
 class LayerNorm(Layer):
-    """Per-sample normalization over all feature axes, with elementwise
-    gain and offset of the feature shape.
+    """Per-sample normalization over the features of (batch, features) rows,
+    with elementwise gain and offset of the logical `feature_shape`; `order`,
+    if given, is the flat logical index of each row feature.
 
     Forward allocates two full-size arrays: the centred input, scaled in
     place into xhat, and the squared deviations, whose mean is the variance
@@ -244,42 +237,42 @@ class LayerNorm(Layer):
     scratch array."""
 
     def __init__(self, feature_shape: tuple[int, ...], eps: float = LAYER_NORM_EPS,
-                 name: str = "ln"):
+                 name: str = "ln", order: np.ndarray | None = None):
         self.name = name
         self.feature_shape = tuple(feature_shape)
         self.eps = eps
         self.gain = Parameter(f"{name}.gain", np.ones(self.feature_shape))
         self.offset = Parameter(f"{name}.offset", np.zeros(self.feature_shape))
+        self._order = _row_order(order)
         self._xhat = None
         self._inv_std = None
 
     def parameters(self):
         return [self.gain, self.offset]
 
-    @property
-    def _axes(self):
-        return tuple(range(1, 1 + len(self.feature_shape)))
+    def _in_rows(self, array):
+        """A gain- or offset-shaped array as a vector in row order."""
+        return array.reshape(-1)[self._order]
 
     def forward(self, x):
-        self._check_input(x, self.feature_shape)
-        axes = self._axes
-        xhat = x - x.mean(axis=axes, keepdims=True)
+        self._check_input(x, (math.prod(self.feature_shape),))
+        xhat = x - x.mean(axis=1, keepdims=True)
         squares = np.square(xhat)
-        self._inv_std = 1.0 / np.sqrt(squares.mean(axis=axes, keepdims=True) + self.eps)
+        self._inv_std = 1.0 / np.sqrt(squares.mean(axis=1, keepdims=True) + self.eps)
         xhat *= self._inv_std
         self._xhat = xhat
-        np.multiply(self.gain.value, xhat, out=squares)
-        squares += self.offset.value
+        np.multiply(self._in_rows(self.gain.value), xhat, out=squares)
+        squares += self._in_rows(self.offset.value)
         return squares
 
     def backward(self, grad_out):
-        axes, xhat = self._axes, self._xhat
+        xhat = self._xhat
         scratch = grad_out * xhat
-        self.gain.grad += scratch.sum(axis=0)
-        self.offset.grad += grad_out.sum(axis=0)
-        g = grad_out * self.gain.value
-        mean_g = g.mean(axis=axes, keepdims=True)
-        mean_gx = np.multiply(g, xhat, out=scratch).mean(axis=axes, keepdims=True)
+        self.gain.grad.reshape(-1)[self._order] += scratch.sum(axis=0)
+        self.offset.grad.reshape(-1)[self._order] += grad_out.sum(axis=0)
+        g = grad_out * self._in_rows(self.gain.value)
+        mean_g = g.mean(axis=1, keepdims=True)
+        mean_gx = np.multiply(g, xhat, out=scratch).mean(axis=1, keepdims=True)
         g -= mean_g
         g -= np.multiply(xhat, mean_gx, out=scratch)
         g *= self._inv_std
@@ -302,35 +295,3 @@ class ReLU(Layer):
 
     def backward(self, grad_out):
         return grad_out * self._mask
-
-
-class CollapseDepth(Layer):
-    """(batch, c, x, y, z) -> (batch, c*z, x, y): fold depth into channels."""
-
-    def __init__(self, name: str = "collapse_depth"):
-        self.name = name
-        self._shape = None
-
-    def forward(self, x):
-        if x.ndim != 5:
-            raise SchemaError(f"layer {self.name}: expected a 5-D input, got shape {x.shape}")
-        self._shape = x.shape
-        b, c, sx, sy, sz = x.shape
-        return np.transpose(x, (0, 1, 4, 2, 3)).reshape(b, c * sz, sx, sy)
-
-    def backward(self, grad_out):
-        b, c, sx, sy, sz = self._shape
-        return np.transpose(grad_out.reshape(b, c, sz, sx, sy), (0, 1, 3, 4, 2))
-
-
-class Flatten(Layer):
-    def __init__(self, name: str = "flatten"):
-        self.name = name
-        self._shape = None
-
-    def forward(self, x):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_out):
-        return grad_out.reshape(self._shape)

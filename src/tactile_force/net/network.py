@@ -1,10 +1,11 @@
 """Force regression models assembled from the layer primitives.
 
-The voxel model follows the fixed pattern: a stack of 3-D convolutions, the
-depth axis folded into channels, one 2-D convolution, then fully connected
-layers down to the 3-vector force output, with layer norm and ReLU after
-every convolutional and fully connected layer except the output. All
-convolutions use kernel = stride = 2.
+The voxel model follows the fixed pattern: a stack of 3-D convolutions, one
+2-D convolution over the depth axis folded into channels, then fully
+connected layers down to the 3-vector force output, with layer norm and
+ReLU after every convolutional and fully connected layer except the output.
+All convolutions use kernel = stride = KERNEL, and every activation is a
+window-major (batch, features) array.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ import numpy as np
 from ..errors import ConfigError, NumericalError, config_from_dict
 from ..voxel import VoxelInputs
 from .layers import (
-    LAYER_NORM_EPS, CollapseDepth, Conv2d, Conv3d, Dense, Flatten, Layer, LayerNorm, Parameter,
-    ReLU, VoxelConv3d,
+    KERNEL, LAYER_NORM_EPS, Conv, Dense, Layer, LayerNorm, Parameter, ReLU, VoxelConv3d,
 )
 
 OUTPUT_DIM = 3
-KERNEL = 2  # kernel and stride of every convolution: windows never overlap
 
 KIND_VOXEL = "voxel_net"
 KIND_MLP = "mlp_net"
@@ -103,7 +102,7 @@ class Model:
     def backward(self, grad_out: np.ndarray) -> None:
         """Accumulate every parameter's gradient. The input is data: its
         gradient is not returned, and a voxel net's first layer does not
-        compute it for a VoxelInputs batch (it returns None)."""
+        return it (it returns None)."""
         grad = grad_out
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
@@ -126,6 +125,33 @@ class Model:
             p.value[...] = value
 
 
+def window_major_orders(dims: tuple[int, int, int], channels: tuple[int, ...]) -> list[np.ndarray]:
+    """The row order of every grid a voxel net on a grid of `dims` (x, y, z)
+    reads or writes, the input first and the 2-D convolution's output last:
+    for each, the flat logical (c, x, y, z) index of every row feature.
+    `channels` holds the grids' channel counts, so the net has
+    len(channels) - 2 3-D convolutions.
+
+    The 2-D convolution's output positions are in (x, y) order. Going down,
+    each position becomes the cells of the window that computed it, in
+    (dx, dy, dz) order, or (dx, dy, z) over the whole depth for the 2-D
+    convolution. Channels are innermost throughout."""
+    n = len(channels) - 2
+    sx, sy, sz = dims
+    grids = [(sx // KERNEL**i, sy // KERNEL**i, sz // KERNEL**i) for i in range(n + 1)]
+    grids.append((sx // KERNEL ** (n + 1), sy // KERNEL ** (n + 1), 1))
+    pos = np.indices(grids[-1]).reshape(3, -1)
+    orders = []
+    for level in range(n + 1, -1, -1):
+        cells = np.ravel_multi_index(pos, grids[level])
+        orders.append((cells[:, None] + cells.size * np.arange(channels[level])).ravel())
+        if level:
+            window = tuple(a // b for a, b in zip(grids[level - 1], grids[level]))
+            offsets = np.indices(window).reshape(3, 1, -1)
+            pos = (pos[:, :, None] * np.reshape(window, (3, 1, 1)) + offsets).reshape(3, -1)
+    return orders[::-1]
+
+
 def build_voxel_net(config: NetworkConfig, input_shape: tuple[int, int, int, int]) -> Model:
     """Assemble the voxel force network for an input of shape (channels, x,
     y, z). Every convolution must tile its input exactly, so that each cell
@@ -140,32 +166,33 @@ def build_voxel_net(config: NetworkConfig, input_shape: tuple[int, int, int, int
             f"voxel grid {sx}x{sy}x{sz} is not tiled by the net's convolutions: with {n} 3-D "
             f"convolutions x and y must be positive multiples of {xy} and z of {z}"
         )
+    orders = window_major_orders(
+        (sx, sy, sz), (c, *config.conv3d_channels, config.conv2d_channels))
     rng = np.random.default_rng(config.seed)
     layers: list[Layer] = []
     for i, out_ch in enumerate(config.conv3d_channels):
+        sx, sy, sz = sx // KERNEL, sy // KERNEL, sz // KERNEL
         # the first layer reads the voxel inputs, whose gradient nothing needs
         if i == 0:
-            layers.append(VoxelConv3d(c, out_ch, KERNEL, rng, name="conv3d_0"))
+            layers.append(VoxelConv3d(out_ch, input_shape, orders[0], rng))
         else:
-            layers.append(Conv3d(c, out_ch, KERNEL, rng, name=f"conv3d_{i}"))
-        sx, sy, sz = sx // KERNEL, sy // KERNEL, sz // KERNEL
+            layers.append(Conv(c, out_ch, sx * sy * sz, rng, name=f"conv3d_{i}"))
         c = out_ch
-        layers.append(LayerNorm((c, sx, sy, sz), config.layer_norm_eps, name=f"ln_conv3d_{i}"))
+        layers.append(LayerNorm((c, sx, sy, sz), config.layer_norm_eps, name=f"ln_conv3d_{i}",
+                                order=orders[i + 1]))
         layers.append(ReLU(name=f"relu_conv3d_{i}"))
-    layers.append(CollapseDepth())
-    c, sz = c * sz, 1
-    layers.append(Conv2d(c, config.conv2d_channels, KERNEL, rng, name="conv2d"))
     sx, sy = sx // KERNEL, sy // KERNEL
+    layers.append(Conv(c, config.conv2d_channels, sx * sy, rng, name="conv2d", ndim=2, depth=sz))
     c = config.conv2d_channels
-    layers.append(LayerNorm((c, sx, sy), config.layer_norm_eps, name="ln_conv2d"))
+    layers.append(LayerNorm((c, sx, sy), config.layer_norm_eps, name="ln_conv2d",
+                            order=orders[-1]))
     layers.append(ReLU(name="relu_conv2d"))
-    layers.append(Flatten())
-    dim = c * sx * sy
+    dim, order = c * sx * sy, orders[-1]  # fc_0's weight rows: the (c, x, y) flattening
     for i, width in enumerate(config.fc_widths):
-        layers.append(Dense(dim, width, rng, name=f"fc_{i}"))
+        layers.append(Dense(dim, width, rng, name=f"fc_{i}", order=order))
         layers.append(LayerNorm((width,), config.layer_norm_eps, name=f"ln_fc_{i}"))
         layers.append(ReLU(name=f"relu_fc_{i}"))
-        dim = width
+        dim, order = width, None
     layers.append(Dense(dim, OUTPUT_DIM, rng, name="fc_out"))
     args = {"config": config.to_dict(), "input_shape": list(input_shape)}
     return Model(layers, {"kind": KIND_VOXEL, "args": args})

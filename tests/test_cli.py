@@ -586,7 +586,7 @@ class TestSelfDescribingModels:
         code, eval_dir = self.evaluate(sim_dir, tmp_path, path)
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:")
+        assert err.startswith(f"config error: checkpoint {path}: voxel grid 15x15x7")
         assert "x and y must be positive multiples of 8 and z of 4" in err
         assert not eval_dir.exists()
 

@@ -1,33 +1,27 @@
 """Finite-difference gradient checks for every layer type, a hand-unrolled
-convolution oracle that the dense convolution and the first layer on
-featurized voxel inputs are both held to, and the plain LayerNorm and ReLU
-that the in-place ones are held to bit for bit."""
+convolution oracle that the first layer, on dense grids and featurized
+voxel inputs, and the reference net's logical-layout convolutions are held
+to, and the plain LayerNorm and ReLU that the in-place ones are held to bit
+for bit."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tactile_force.dataset import SampleRecord, featurize_voxel
 from tactile_force.errors import SchemaError
 from tactile_force.net import NetworkConfig, build_mlp_net, build_voxel_net
-from tactile_force.net.layers import (
-    CollapseDepth,
-    Conv2d,
-    Conv3d,
-    Dense,
-    Flatten,
-    LayerNorm,
-    ReLU,
-    VoxelConv3d,
-)
+from tactile_force.net.layers import Conv, Dense, LayerNorm, ReLU, VoxelConv3d
+from tactile_force.net.network import window_major_orders
 from tactile_force.sensor import (
     N_ELECTRODES, ElectrodeLayout, SurfaceGeometry, default_electrode_layout,
 )
 from tactile_force.voxel import GridSpec
+from reference_net import CollapseDepth, Conv3d, Flatten
 
 FD_STEP = 1e-6
 FD_TOL = 1e-5
@@ -87,6 +81,21 @@ def random_layout(spec, rng):
     )
 
 
+def first_layer(grid, out_ch, rng):
+    """The first layer of a net with one 3-D convolution on `grid`, (c, x,
+    y, z), and the row order of its output."""
+    orders = window_major_orders(grid[1:], (grid[0], out_ch, 1))
+    return VoxelConv3d(out_ch, grid, orders[0], rng), orders[1]
+
+
+def to_logical(rows, order, feature_shape):
+    """Window-major rows as the (batch,) + feature_shape array they stand
+    for; `order` is the flat logical index of each row feature."""
+    out = np.empty((len(rows), rows.shape[1]))
+    out[:, order] = rows
+    return out.reshape((len(rows),) + tuple(feature_shape))
+
+
 def _window_cell(window, offset, k):
     """Input cell index of kernel offset `offset` in output window `window`."""
     return tuple(k * p + d for p, d in zip(window, offset))
@@ -137,26 +146,21 @@ class TestGradients:
 
     def test_conv3d(self):
         rng = np.random.default_rng(1)
-        layer = Conv3d(2, 3, 2, rng)
-        assert fd_layer_check(layer, rng.normal(size=(4, 2, 6, 6, 4))) < FD_TOL
+        layer = Conv(2, 3, 9, rng, name="conv3d_1")
+        assert fd_layer_check(layer, rng.normal(size=(4, 9 * 2 * 8))) < FD_TOL
 
     def test_conv2d(self):
         rng = np.random.default_rng(3)
-        layer = Conv2d(3, 4, 2, rng)
-        assert fd_layer_check(layer, rng.normal(size=(4, 3, 6, 8))) < FD_TOL
-
-    def test_conv2d_unit_kernel(self):
-        rng = np.random.default_rng(4)
-        layer = Conv2d(3, 4, 1, rng)
-        assert fd_layer_check(layer, rng.normal(size=(4, 3, 1, 1))) < FD_TOL
+        layer = Conv(3, 4, 6, rng, name="conv2d", ndim=2, depth=2)
+        assert fd_layer_check(layer, rng.normal(size=(4, 6 * 3 * 2 * 4))) < FD_TOL
 
     def test_layer_norm(self):
         rng = np.random.default_rng(5)
-        layer = LayerNorm((3, 4))
+        layer = LayerNorm((3, 4), order=rng.permutation(12))
         # non-unit gain/offset so their gradients are exercised
         layer.gain.value = rng.normal(size=(3, 4))
         layer.offset.value = rng.normal(size=(3, 4))
-        assert fd_layer_check(layer, rng.normal(size=(5, 3, 4))) < FD_TOL
+        assert fd_layer_check(layer, rng.normal(size=(5, 12))) < FD_TOL
 
     def test_relu_away_from_kinks(self):
         rng = np.random.default_rng(6)
@@ -181,19 +185,20 @@ class TestGradients:
         points = rng.uniform(spec.bounds_min, spec.bounds_max, size=(4, 3))
         inputs = featurize_voxel(voxel_records(points, rng), default_electrode_layout(geometry),
                                  spec).inputs
-        layer = VoxelConv3d(2, 3, 2, rng)
+        layer, _ = first_layer((2, 8, 8, 4), 3, rng)
         layer.bias.value = rng.normal(size=3)
         assert fd_layer_check(layer, inputs, n_checks=100) < FD_TOL
 
 
 class TestConvForward:
     def test_hand_unrolled_conv_oracle(self):
-        """Single-channel conv on a 4x4x4 grid against explicit loops."""
+        """Single-channel first layer on a dense 4x4x4 grid against explicit
+        loops."""
         rng = np.random.default_rng(10)
-        layer = Conv3d(1, 1, 2, rng)
+        layer, order = first_layer((1, 4, 4, 4), 1, rng)
         x = np.zeros((1, 1, 4, 4, 4))
         x[0, 0, 1, 2, 3] = 2.5  # single active voxel
-        out = layer.forward(x)
+        out = to_logical(layer.forward(x), order, (1, 2, 2, 2))
         w = layer.weight.value[0, 0]
         b = layer.bias.value[0]
         expected = np.full((2, 2, 2), b)
@@ -213,48 +218,56 @@ class TestConvForward:
 
     def test_dense_random_grid_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
-        layer = Conv3d(2, 3, 2, rng)
-        x = rng.normal(size=(2, 2, 6, 4, 4))
-        out = layer.forward(x)
+        layer, order = first_layer((2, 8, 4, 4), 3, rng)
+        x = rng.normal(size=(2, 2, 8, 4, 4))
+        out = to_logical(layer.forward(x), order, (3, 4, 2, 2))
         np.testing.assert_allclose(
             out, loop_conv(x, layer.weight.value, layer.bias.value), atol=1e-12
         )
 
     def test_shape_errors_name_layer(self):
         rng = np.random.default_rng(12)
-        for layer in (Conv3d(2, 3, 2, rng, name="conv3d_0"),
-                      VoxelConv3d(2, 3, 2, rng, name="conv3d_0")):
-            with pytest.raises(SchemaError, match="conv3d_0"):
-                layer.forward(rng.normal(size=(1, 3, 4, 4, 4)))
+        layer, _ = first_layer((2, 8, 8, 4), 3, rng)
+        with pytest.raises(SchemaError, match="conv3d_0"):
+            layer.forward(rng.normal(size=(1, 3, 8, 8, 4)))
+        conv = Conv(2, 3, 4, rng, name="conv3d_1")
+        for width in (0, 63, 65, 128):
+            with pytest.raises(SchemaError, match=r"layer conv3d_1: expected input shape "
+                                                  r"\(batch, \(64,\)\)"):
+                conv.forward(np.zeros((2, width)))
 
     @pytest.mark.parametrize("layer, shape", [
-        (Conv3d, (4, 2, 7, 7, 5)), (Conv3d, (3, 2, 5, 6, 4)), (Conv3d, (1, 2, 0, 4, 4)),
-        (VoxelConv3d, (2, 2, 4, 4, 3)), (Conv2d, (2, 2, 5, 4)), (Conv2d, (2, 2, 4, 3)),
+        ("Conv3d", (4, 2, 7, 7, 5)), ("Conv3d", (3, 2, 5, 6, 4)), ("Conv3d", (1, 2, 0, 4, 4)),
+        ("VoxelConv3d", (2, 2, 4, 4, 3)), ("Conv2d", (2, 2, 5, 4)), ("Conv2d", (2, 2, 4, 3)),
     ])
     def test_untiled_dims_rejected_naming_layer(self, layer, shape):
-        """A convolution takes only inputs whose windows cover every cell:
-        dense arrays and, for the first layer, featurized inputs alike."""
+        """A convolution takes only the input it was built for: the first
+        layer its grid, as a dense array ("Conv3d") or featurized inputs
+        ("VoxelConv3d"), and a later one, here a 2-D convolution built for a
+        4x4 grid of 2 channels, rows of its width."""
         rng = np.random.default_rng(13)
-        conv = layer(2, 3, 2, rng, name="conv_x")
-        if layer is VoxelConv3d:
+        if layer == "Conv2d":
+            conv = Conv(2, 3, 4, rng, name="conv_x", ndim=2)
+            x = rng.normal(size=shape).reshape(shape[0], -1)
+        else:
+            conv = VoxelConv3d(3, (2, 8, 8, 4), window_major_orders((8, 8, 4), (2, 3, 1))[0],
+                               rng, name="conv_x")
+            x = rng.normal(size=shape)
+        if layer == "VoxelConv3d":
             spec = GridSpec(shape[2:], np.zeros(3), np.ones(3))
             x = featurize_voxel(voxel_records([spec.bounds_max] * shape[0], rng),
                                 random_layout(spec, rng), spec).inputs
-        else:
-            x = rng.normal(size=shape)
-        with pytest.raises(SchemaError, match=r"layer conv_x: spatial dims .* not positive "
-                                              r"multiples of kernel 2"):
+        with pytest.raises(SchemaError, match=r"layer conv_x: expected input shape"):
             conv.forward(x)
 
 
 @st.composite
 def featurized_batches(draw):
-    """featurize_voxel inputs on a random grid of 2-8 cells per axis, each a
-    multiple of the kernel, with a random collision-free electrode layout
-    (electrodes at the centres of distinct cells) and random contacts, the
-    grid's max corner among them."""
-    dims = tuple(2 * draw(st.integers(1, 4)) for _ in range(3))
-    assume(math.prod(dims) >= N_ELECTRODES)
+    """featurize_voxel inputs on a random grid that one 3-D convolution
+    tiles, 4 or 8 cells along x and y and 2-8 along z, with a random
+    collision-free electrode layout (electrodes at the centres of distinct
+    cells) and random contacts, the grid's max corner among them."""
+    dims = (4 * draw(st.integers(1, 2)), 4 * draw(st.integers(1, 2)), 2 * draw(st.integers(1, 4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spec = GridSpec(dims, np.zeros(3), rng.uniform(0.5, 2.0, size=3))
     layout = random_layout(spec, rng)
@@ -269,48 +282,74 @@ class TestVoxelConv3d:
     @settings(max_examples=100, deadline=None)
     @given(featurized_batches())
     def test_featurized_inputs_match_dense_conv_and_loop_oracle(self, batch):
+        """One layer on a featurized batch and on its dense grids, the
+        reference net's logical-layout convolution, and explicit loops agree
+        on the output and on the weight and bias gradients."""
         inputs, out_ch, rng = batch
         x = np.asarray(inputs)
         seed = int(rng.integers(2**32))
-        dense = Conv3d(x.shape[1], out_ch, 2, np.random.default_rng(seed))
-        voxel = VoxelConv3d(x.shape[1], out_ch, 2, np.random.default_rng(seed))
-        voxel.bias.value = dense.bias.value = rng.normal(size=out_ch)
+        voxel, order = first_layer(x.shape[1:], out_ch, np.random.default_rng(seed))
+        reference = Conv3d(x.shape[1], out_ch, np.random.default_rng(seed))
+        voxel.bias.value = reference.bias.value = rng.normal(size=out_ch)
+        w, b = reference.weight.value, reference.bias.value
+        out_shape = (out_ch,) + tuple(d // 2 for d in x.shape[2:])
+        grad_out = rng.normal(size=(len(x), math.prod(out_shape)))
+        grad_logical = to_logical(grad_out, order, out_shape)
 
-        out = voxel.forward(inputs)
-        grad_out = rng.normal(size=out.shape)
-        assert voxel.backward(grad_out) is None
-        dense.forward(x)
-        grad_x = dense.backward(grad_out)
-        w, b = voxel.weight.value, voxel.bias.value
-        for expected in (dense.forward(x), loop_conv(x, w, b)):
-            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
-        for grad in (dense.weight.grad, loop_conv_weight_grad(x, w, grad_out)):
-            np.testing.assert_allclose(voxel.weight.grad, grad, rtol=0, atol=1e-12)
-        for grad in (dense.bias.grad, grad_out.sum(axis=(0, 2, 3, 4))):
-            np.testing.assert_allclose(voxel.bias.grad, grad, rtol=0, atol=1e-12)
-        # the dense path's input gradient, which a VoxelInputs batch skips
-        np.testing.assert_allclose(grad_x, loop_conv_input_grad(x, w, grad_out),
+        outs, weight_grads, bias_grads = [], [], []
+        for batch_input in (inputs, x):
+            voxel.weight.grad[...] = voxel.bias.grad[...] = 0.0
+            outs.append(to_logical(voxel.forward(batch_input), order, out_shape))
+            assert voxel.backward(grad_out) is None
+            weight_grads.append(voxel.weight.grad.copy())
+            bias_grads.append(voxel.bias.grad.copy())
+        reference_out = reference.forward(x)
+        grad_x = reference.backward(grad_logical)
+        for out in outs:
+            for expected in (reference_out, loop_conv(x, w, b)):
+                np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+        for weight_grad in weight_grads:
+            for grad in (reference.weight.grad, loop_conv_weight_grad(x, w, grad_logical)):
+                np.testing.assert_allclose(weight_grad, grad, rtol=0, atol=1e-12)
+        for bias_grad in bias_grads:
+            for grad in (reference.bias.grad, grad_logical.sum(axis=(0, 2, 3, 4))):
+                np.testing.assert_allclose(bias_grad, grad, rtol=0, atol=1e-12)
+        # the reference's input gradient, which the first layer skips
+        np.testing.assert_allclose(grad_x, loop_conv_input_grad(x, w, grad_logical),
                                    rtol=0, atol=1e-12)
 
 
+def conv2d_rows(x, depth):
+    """A 2-D convolution's logical input, (batch, c * depth, x, y) with
+    channel c * depth + z, as its window-major rows: windows in (x, y)
+    order, each window's cells in (dx, dy, z, c) order."""
+    b, cz, sx, sy = x.shape
+    split = x.reshape(b, cz // depth, depth, sx // 2, 2, sy // 2, 2)
+    return split.transpose(0, 3, 5, 4, 6, 2, 1).reshape(b, -1)
+
+
 class TestConv2d:
-    @pytest.mark.parametrize("kernel", [1, 2])
+    @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("dims", [(4, 6), (6, 2), (2, 4)])
-    def test_matches_loop_oracles(self, kernel, dims):
+    def test_matches_loop_oracles(self, dims, depth):
+        """The 2-D convolution over a depth of 1 or 2 folded into its
+        channels, on rows built from a logical input by one transpose."""
         rng = np.random.default_rng(15)
-        layer = Conv2d(3, 4, kernel, rng)
+        windows = dims[0] // 2 * (dims[1] // 2)
+        layer = Conv(3, 4, windows, rng, name="conv2d", ndim=2, depth=depth)
         layer.bias.value = rng.normal(size=4)
-        x = rng.normal(size=(2, 3) + dims)
-        out = layer.forward(x)
+        x = rng.normal(size=(2, 3 * depth) + dims)
+        out = layer.forward(conv2d_rows(x, depth))
+        out = out.reshape(2, dims[0] // 2, dims[1] // 2, 4).transpose(0, 3, 1, 2)
         grad_out = rng.normal(size=out.shape)
-        grad_x = layer.backward(grad_out)
+        grad_x = layer.backward(np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1)).reshape(2, -1))
         w = layer.weight.value
         np.testing.assert_allclose(out, loop_conv(x, w, layer.bias.value), rtol=0, atol=1e-12)
         np.testing.assert_allclose(layer.weight.grad, loop_conv_weight_grad(x, w, grad_out),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(layer.bias.grad, grad_out.sum(axis=(0, 2, 3)),
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(grad_x, loop_conv_input_grad(x, w, grad_out),
+        np.testing.assert_allclose(grad_x, conv2d_rows(loop_conv_input_grad(x, w, grad_out), depth),
                                    rtol=0, atol=1e-12)
 
 
@@ -343,24 +382,30 @@ class TestReLU:
 
 
 class ReferenceLayerNorm(LayerNorm):
-    """LayerNorm written plainly, one fresh array per operation: the oracle
-    the in-place LayerNorm is held to bit for bit."""
+    """LayerNorm written plainly, one fresh array per operation, with gain
+    and offset gathered into row order and their gradients scattered back
+    by an explicit index: the oracle the in-place LayerNorm is held to bit
+    for bit."""
+
+    def _perm(self):
+        return np.arange(math.prod(self.feature_shape))[self._order]
 
     def forward(self, x):
-        self._check_input(x, self.feature_shape)
-        mu = x.mean(axis=self._axes, keepdims=True)
-        var = x.var(axis=self._axes, keepdims=True)
+        self._check_input(x, (math.prod(self.feature_shape),))
+        mu = x.mean(axis=1, keepdims=True)
+        var = x.var(axis=1, keepdims=True)
         self._inv_std = 1.0 / np.sqrt(var + self.eps)
         self._xhat = (x - mu) * self._inv_std
-        return self.gain.value * self._xhat + self.offset.value
+        perm = self._perm()
+        return self.gain.value.ravel()[perm] * self._xhat + self.offset.value.ravel()[perm]
 
     def backward(self, grad_out):
-        axes = self._axes
-        self.gain.grad += (grad_out * self._xhat).sum(axis=0)
-        self.offset.grad += grad_out.sum(axis=0)
-        g = grad_out * self.gain.value
-        mean_g = g.mean(axis=axes, keepdims=True)
-        mean_gx = (g * self._xhat).mean(axis=axes, keepdims=True)
+        perm = self._perm()
+        np.add.at(self.gain.grad.reshape(-1), perm, (grad_out * self._xhat).sum(axis=0))
+        np.add.at(self.offset.grad.reshape(-1), perm, grad_out.sum(axis=0))
+        g = grad_out * self.gain.value.ravel()[perm]
+        mean_g = g.mean(axis=1, keepdims=True)
+        mean_gx = (g * self._xhat).mean(axis=1, keepdims=True)
         return (g - mean_g - self._xhat * mean_gx) * self._inv_std
 
 
@@ -388,27 +433,23 @@ relu_values = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, -0.0, np.nan, 
 
 @st.composite
 def layer_norm_cases(draw):
-    """A LayerNorm input of 1-4 feature axes and batch 1-6, either
-    C-contiguous or the channels-last view a convolution returns, with
-    random gain, offset, starting gradients and output gradient."""
+    """A LayerNorm of 1-4 feature axes, its features in logical order or in
+    a random row order, on (batch, features) rows of batch 1-6, with random
+    gain, offset, starting gradients and output gradient."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(batch_shapes)
-    feature_shape = shape[1:]
+    feature_shape, rows = shape[1:], (shape[0], math.prod(shape[1:]))
     scale, shift = draw(st.sampled_from([1e-3, 1.0, 1e3])), rng.normal()
-    if draw(st.booleans()):
-        x = np.moveaxis(rng.normal(size=shape[:1] + shape[2:] + shape[1:2]), -1, 1)
-    else:
-        x = rng.normal(size=shape)
-    x *= scale  # in place, so the layout stays
-    x += shift
+    x = rng.normal(size=rows) * scale + shift
+    order = rng.permutation(rows[1]) if draw(st.booleans()) else None
     params = [rng.normal(size=feature_shape) for _ in range(4)]
-    return x, rng.normal(size=shape), params
+    return x, rng.normal(size=rows), feature_shape, order, params
 
 
-def norm_pair(feature_shape, params):
-    """A LayerNorm and a ReferenceLayerNorm with the same gain, offset and
-    starting gradients."""
-    pair = (LayerNorm(feature_shape), ReferenceLayerNorm(feature_shape))
+def norm_pair(feature_shape, order, params):
+    """A LayerNorm and a ReferenceLayerNorm with the same row order, gain,
+    offset and starting gradients."""
+    pair = (LayerNorm(feature_shape, order=order), ReferenceLayerNorm(feature_shape, order=order))
     for layer in pair:
         for p, value, grad in zip(layer.parameters(), params[:2], params[2:]):
             p.value[...], p.grad[...] = value, grad
@@ -419,8 +460,8 @@ class TestInPlaceLayersMatchReference:
     @settings(max_examples=80, deadline=None)
     @given(layer_norm_cases())
     def test_layer_norm_is_bit_equal_to_reference(self, case):
-        x, grad_out, params = case
-        layer, reference = norm_pair(x.shape[1:], params)
+        x, grad_out, feature_shape, order, params = case
+        layer, reference = norm_pair(feature_shape, order, params)
         x_before, grad_before = x.copy(), grad_out.copy()
         out, expected = layer.forward(x), reference.forward(x)
         assert np.array_equal(out, expected)
@@ -450,13 +491,12 @@ class TestInPlaceLayersMatchReference:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 2), st.integers(1, 5), st.integers(0, 2**32 - 1))
     def test_whole_net_is_bit_equal_with_reference_layers(self, n_conv3d, batch, seed):
-        """Layouts pass from layer to layer, and a reduction's summation
-        order follows its array's layout, so whole nets are compared too.
-        The grids reach a depth above one cell at CollapseDepth, whose
-        gradient then comes back transposed, into a LayerNorm whose input
-        was a channels-last convolution output."""
+        """Whole nets are compared too, on grids whose depth at the 2-D
+        convolution is above one cell and whose 2-D output is one or two
+        cells along x and y, so that the LayerNorms' row orders are
+        permutations."""
         rng = np.random.default_rng(seed)
-        # grids that tile: x and y multiples of 2^(n+1), z of 2^n, depth 2 or 3 at CollapseDepth
+        # grids that tile: x and y multiples of 2^(n+1), z of 2^n, depth 2 or 3 at the 2-D conv
         dims = (*(2 ** (n_conv3d + 1) * rng.integers(1, 3, 2)), 2**n_conv3d * rng.integers(2, 4))
         dims = tuple(int(d) for d in dims)
         config = NetworkConfig(conv3d_channels=(3, 4)[:n_conv3d], conv2d_channels=5,

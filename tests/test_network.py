@@ -27,7 +27,8 @@ from tactile_force.net import (
     save_checkpoint,
 )
 from tactile_force.net.checkpoint import KIND_MLP, KIND_VOXEL
-from test_net_layers import random_layout
+from reference_net import build_reference_voxel_net
+from test_net_layers import random_layout, voxel_records
 from tactile_force.sensor import N_ELECTRODES, SurfaceGeometry, default_electrode_layout
 from tactile_force.voxel import CHANNEL_CONTACT, DEFAULT_DIMS, N_CHANNELS, GridSpec
 
@@ -178,6 +179,91 @@ class TestReachability:
         assert np.all(net.forward(inputs) > net.forward(none))
 
 
+# the bound on |net - reference|, relative to the reference array's largest magnitude
+REFERENCE_RTOL = 1e-12
+
+
+@st.composite
+def reference_cases(draw):
+    """A voxel net of 1-3 3-D convolutions on a grid it tiles whose 2-D
+    output is 1 or 2 cells along x and along y and whose depth at the 2-D
+    convolution is 1 or 2, random parameter values, and a batch of 1-4
+    samples, featurized or dense."""
+    n = draw(st.integers(1, 3))
+    xy, z = 2 ** (n + 1), 2**n
+    dims = (xy * draw(st.integers(1, 2)), xy * draw(st.integers(1, 2)), z * draw(st.integers(1, 2)))
+    config = NetworkConfig(conv3d_channels=(3, 4, 2)[:n], conv2d_channels=5, fc_widths=(6, 4),
+                           seed=draw(st.integers(0, 99)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        spec = GridSpec(dims, np.zeros(3), rng.uniform(0.5, 2.0, size=3))
+        points = rng.uniform(spec.bounds_min, spec.bounds_max, size=(batch, 3))
+        inputs = featurize_voxel(voxel_records(points, rng), random_layout(spec, rng), spec).inputs
+    else:
+        inputs = rng.normal(size=(batch, N_CHANNELS) + dims)
+    return config, (N_CHANNELS, *dims), inputs, rng
+
+
+class TestReferenceNet:
+    @settings(max_examples=60, deadline=None)
+    @given(reference_cases())
+    def test_outputs_and_gradients_match_the_logical_layout_net(self, case):
+        """The window-major net and tests/reference_net.py's logical-layout
+        net, built from one seed, hold the same parameters in the same order,
+        and give the same outputs and parameter gradients to within
+        REFERENCE_RTOL, since only summation orders differ."""
+        config, input_shape, inputs, rng = case
+        net = build_voxel_net(config, input_shape)
+        reference = build_reference_voxel_net(config, input_shape)
+        assert [p.name for p in net.parameters()] == [p.name for p in reference.parameters()]
+        np.testing.assert_array_equal(net.values, reference.values)
+        net.values[...] = reference.values[...] = rng.normal(size=net.values.size)
+        out, expected = net.forward(inputs), reference.forward(inputs)
+        assert np.max(np.abs(out - expected)) <= REFERENCE_RTOL * np.max(np.abs(expected))
+        grad_out = rng.normal(size=out.shape)
+        net.backward(grad_out)
+        reference.backward(grad_out)
+        for p, q in zip(net.parameters(), reference.parameters()):
+            bound = REFERENCE_RTOL * np.max(np.abs(q.grad))
+            assert np.max(np.abs(p.grad - q.grad)) <= bound, p.name
+
+
+class TestLayout:
+    def test_activations_and_gradients_are_contiguous_rows(self):
+        """On a featurized batch every layer's output and input gradient is a
+        C-contiguous (batch, features) array; the first layer returns no
+        input gradient."""
+        rng = np.random.default_rng(11)
+        config = NetworkConfig(conv3d_channels=(2, 3), conv2d_channels=4, fc_widths=(5,))
+        net = build_voxel_net(config, (N_CHANNELS, 16, 8, 8))  # a 2x1 2-D output
+        spec = GridSpec((16, 8, 8), np.zeros(3), np.ones(3))
+        points = rng.uniform(spec.bounds_min, spec.bounds_max, size=(6, 3))
+        inputs = featurize_voxel(voxel_records(points, rng), random_layout(spec, rng), spec).inputs
+        seen = []
+        for layer in net.layers:
+            for name in ("forward", "backward"):
+                def record(x, call=getattr(layer, name), name=name, layer=layer):
+                    out = call(x)
+                    seen.append((layer.name, name, x, out))
+                    return out
+                setattr(layer, name, record)
+        net.backward(rng.normal(size=net.forward(inputs).shape))
+        assert len(seen) == 2 * len(net.layers)
+        for layer, name, _, out in seen:
+            if (layer, name) == ("conv3d_0", "backward"):
+                assert out is None
+            else:
+                assert out.ndim == 2 and len(out) == 6 and out.flags.c_contiguous, (layer, name)
+
+        # every layer but the ReLUs, which take any shape, checks its input's width
+        for layer, name, x, _ in seen[1 : len(net.layers)]:
+            if name == "forward" and not layer.startswith("relu"):
+                wrong = np.zeros((len(x), x.shape[1] + 1))
+                with pytest.raises(SchemaError, match=f"layer {layer}: expected input shape"):
+                    next(l for l in net.layers if l.name == layer).forward(wrong)
+
+
 class TestBackward:
     def test_gradient_linear_in_loss_scale(self):
         _, net = tiny_net(seed=3)
@@ -232,7 +318,8 @@ class TestBackward:
         build = {"voxel": lambda: tiny_net(seed=1)[1],
                  "mlp": lambda: build_mlp_net(6, (5, 4), seed=1)}[kind]
         x = rng.normal(size=(3, 2, 8, 8, 4) if kind == "voxel" else (3, 6))
-        for i in range(len(build().layers)):
+        first = 1 if kind == "voxel" else 0  # a voxel net's first layer returns no gradient
+        for i in range(first, len(build().layers)):
             net = build()
             layer = net.layers[i]
             backward = layer.backward
