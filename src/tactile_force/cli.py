@@ -34,6 +34,7 @@ from .dataset import (
     load_json,
     load_manifest_splits,
     make_dataset,
+    read_jsonl,
     write_manifest,
     write_samples_jsonl,
 )
@@ -72,6 +73,15 @@ from .voxel import N_CHANNELS
 # the SensorForwardModel fields a config's "sensor" block may set
 SENSOR_CONFIG_KEYS = ("gain", "decay_length", "normal_sensitivity", "shear_sensitivity",
                       "directional_shear_sensitivity", "noise_scale")
+# the keys of each block of a simulation config that is checked for unknown keys
+SIMULATE_CONFIG_BLOCKS = {
+    "sensor": SENSOR_CONFIG_KEYS,
+    "sources": KNOWN_SOURCES,
+    f"sources.{SOURCE_PLANAR}": ("trials", "steps", "dt", "magnitude_range"),
+    **{f"sources.{tag}": ("trials", "samples_per_trial", "force_range", "cone_angle_deg", "cap_only")
+       for tag in (SOURCE_RIGID_FT, SOURCE_BALL_FT)},
+    "split": ("train", "val"),
+}
 
 
 def resolve_sources(flag: str) -> set[str]:
@@ -111,6 +121,17 @@ def _config_value(path, config: dict, dotted: str, default):
     except ConfigError as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
     return value
+
+
+def _reject_unknown_simulate_keys(path, config: dict) -> None:
+    """A ConfigError naming the file and the dotted key for the first key of
+    a SIMULATE_CONFIG_BLOCKS block that is not among that block's keys,
+    where it would otherwise be a silently ignored setting."""
+    for dotted, known in SIMULATE_CONFIG_BLOCKS.items():
+        for key in _config_value(path, config, dotted, {}):
+            if key not in known:
+                raise ConfigError(f"config {path}: unknown key {f'{dotted}.{key}'!r}; "
+                                  f"expected one of {', '.join(known)}")
 
 
 def _resolve_seed(args, config: dict) -> int:
@@ -200,6 +221,7 @@ def cmd_simulate(args) -> tuple[Path, list[str]]:
             )
         return value
 
+    _reject_unknown_simulate_keys(config_path, config)
     seed = _resolve_seed(args, config)
     model, geometry = _sensor_model_from_config(config, config_path)
 
@@ -275,47 +297,34 @@ def cmd_simulate(args) -> tuple[Path, list[str]]:
     return out_dir, outputs
 
 
-def _read_episode_rows(path) -> list[dict]:
-    rows = []
+def _episode_step(path, n: int, row: dict, t_default: int) -> tuple[PlanarMotion, np.ndarray, float]:
+    """Motion, contact point and time of the episode row on line n, the time
+    defaulting to `t_default`; a bad row is a SchemaError naming the file,
+    the line and the field."""
     try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"episode file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"episode file {path} is not valid JSON-lines: {exc}") from exc
-    if not rows:
-        raise SchemaError(f"episode file {path} is empty")
-    return rows
-
-
-def _episode_step(path, i: int, row) -> tuple[PlanarMotion, np.ndarray, float]:
-    """Motion, contact point and time of episode row i, the time defaulting
-    to i; a bad row is a SchemaError naming the file, the row and the field."""
-    try:
-        if not isinstance(row, dict):
-            raise SchemaError(f"expected a JSON object, got {type(row).__name__}")
         motion = PlanarMotion(**{f.name: row[f.name] for f in dataclasses.fields(PlanarMotion)})
-        t = float(checked_array("t", row["t"], ())) if "t" in row else i
+        t = float(checked_array("t", row["t"], ())) if "t" in row else t_default
         return motion, checked_array("contact_point", row["contact_point"], (2,)), t
     except KeyError as exc:
-        raise SchemaError(f"episode file {path} row {i}: missing field {exc.args[0]!r}") from exc
+        raise SchemaError(f"episode file {path} line {n}: missing field {exc.args[0]!r}") from exc
     except SchemaError as exc:
-        raise SchemaError(f"episode file {path} row {i}: {exc}") from exc
+        raise SchemaError(f"episode file {path} line {n}: {exc}") from exc
 
 
 def cmd_infer(args) -> tuple[Path, list[str]]:
-    rows = _read_episode_rows(args.episode)
+    try:
+        rows = list(read_jsonl(args.episode, "episode file"))
+    except FileNotFoundError as exc:
+        raise ConfigError(f"episode file not found: {args.episode}") from exc
+    if not rows:
+        raise SchemaError(f"episode file {args.episode} is empty")
     params, half_extents = _read_push_params(f"params file {args.params}",
                                              load_json(args.params, "params"))
     grid = ParticleGrid.uniform_rectangle(half_extents, params)
 
     lines = ["step,t,fx,fy,objective,static_friction"]
-    for i, row in enumerate(rows):
-        motion, c, t = _episode_step(args.episode, i, row)
+    for i, (n, row) in enumerate(rows):
+        motion, c, t = _episode_step(args.episode, n, row, i)
         result = infer_force_with_friction(motion, c, grid, params)
         f = result.force.components
         lines.append(

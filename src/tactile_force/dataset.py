@@ -9,7 +9,7 @@ retained ("force samples").
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,13 +126,38 @@ def write_samples_jsonl(records, path) -> None:
             fh.write(json.dumps(r.to_dict()) + "\n")
 
 
+def read_jsonl(path, what: str) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSON-lines file; a
+    line that is not a JSON object is a SchemaError naming `what`, the file
+    and the line, and so is a file that is not UTF-8 text."""
+    with open(path, encoding="utf-8") as fh:
+        n = 0
+        try:
+            for n, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{what} {path} line {n}: not valid JSON: {exc}") from exc
+                if not isinstance(row, dict):
+                    raise SchemaError(
+                        f"{what} {path} line {n}: expected a JSON object, got {type(row).__name__}"
+                    )
+                yield n, row
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{what} {path}: not UTF-8 text after line {n}: {exc}") from exc
+
+
 def read_samples_jsonl(path) -> list[SampleRecord]:
+    """The records of a samples file; a malformed line is a SchemaError
+    naming the file and the line."""
     records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(SampleRecord.from_dict(json.loads(line)))
+    for n, row in read_jsonl(path, "samples file"):
+        try:
+            records.append(SampleRecord.from_dict(row))
+        except SchemaError as exc:
+            raise SchemaError(f"samples file {path} line {n}: {exc}") from exc
     return records
 
 

@@ -8,7 +8,6 @@ outward through the curved sensing face. All lengths are meters.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,16 +55,6 @@ class SurfaceGeometry:
         """Axis-aligned bounding box of the surface."""
         r, length = self.r, self.half_cylinder_length
         return np.array([-r, -r, 0.0]), np.array([r, r, length + r])
-
-    def contains(self, point: np.ndarray, tol: float = 1e-12) -> bool:
-        """True if the point is on or inside the surface volume."""
-        p = np.asarray(point, dtype=float)
-        rho = math.hypot(p[0], p[1])
-        if 0.0 - tol <= p[2] <= self.half_cylinder_length + tol:
-            return rho <= self.r + tol
-        if p[2] > self.half_cylinder_length:
-            return float(np.linalg.norm(p - self.cap_center)) <= self.r + tol
-        return False
 
     @classmethod
     def from_config(cls, config: dict) -> "SurfaceGeometry":
@@ -190,15 +179,6 @@ class ElectrodeLayout:
 
     def to_dict(self) -> dict:
         return {"positions": self.positions.tolist(), "normals": self.normals.tolist()}
-
-    @classmethod
-    def from_json(cls, path) -> "ElectrodeLayout":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
 
 
 # Synthetic default layout (real electrode coordinates are proprietary): five

@@ -50,9 +50,6 @@ class GridSpec:
     def cell_size(self) -> np.ndarray:
         return (self.bounds_max - self.bounds_min) / np.array(self.dims)
 
-    def cell_center(self, index: tuple[int, int, int]) -> np.ndarray:
-        return self.bounds_min + (np.array(index) + 0.5) * self.cell_size
-
     @classmethod
     def for_geometry(
         cls, geometry: SurfaceGeometry | None = None, dims: tuple[int, int, int] = DEFAULT_DIMS

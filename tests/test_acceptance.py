@@ -28,7 +28,6 @@ from tactile_force.net import (
     train,
 )
 from tactile_force.net.layers import ReLU
-from tactile_force.net.losses import alpha_weight, cosine_distance, loss_scaled_3d
 from tactile_force.sensor import SurfaceGeometry, default_electrode_layout
 from tactile_force.synthetic import (
     SensorForwardModel,
@@ -271,17 +270,31 @@ class TestCriterion4EndToEndLearnability:
         )
 
 
+def one_row_loss(f_3d, prediction, s_n, beta):
+    """The production batch loss of a single rigid-ft sample."""
+    loss, _, skipped = batch_loss_and_grad(
+        np.array([prediction], dtype=float), np.array([f_3d], dtype=float),
+        np.array([s_n], dtype=float), np.eye(3)[None], np.array(["rigid_ft"]),
+        LossConfig(beta=beta),
+    )
+    assert skipped == 0
+    return loss
+
+
 class TestCriterion5LossUnitValues:
     def test_loss_values_exact(self):
-        scaled = loss_scaled_3d(np.array([1.0, 2.0, 2.0]), np.array([1.0, 0.0, 0.0]))
+        # beta 0: the weight is 1, so the loss is the scaled loss alone
+        scaled = one_row_loss([1.0, 2.0, 2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.0)
         assert abs(scaled - 2.0 * math.sqrt(2.0) / 3.0) <= 1e-12
 
-        n = np.array([0.0, 0.0, 1.0])
+        # a zero prediction scales to exactly 1, leaving the weight alpha alone
+        n = [0.0, 0.0, 1.0]
         for beta in (0.5, 1.0, 2.0):
-            assert alpha_weight(n, np.array([0.0, 0.0, 4.0]), beta) == 2.0**beta
-            assert alpha_weight(n, np.array([0.0, 0.0, -4.0]), beta) == 1.0
+            assert one_row_loss([0.0, 0.0, 4.0], [0.0, 0.0, 0.0], n, beta) == 2.0**beta
+            assert one_row_loss([0.0, 0.0, -4.0], [0.0, 0.0, 0.0], n, beta) == 1.0
 
-        assert cosine_distance(n, np.array([3.0, 0.0, 0.0])) == 0.5
+        # perpendicular: cosine distance 0.5, so alpha = 2^(beta/2) at beta 1
+        assert one_row_loss([3.0, 0.0, 0.0], [0.0, 0.0, 0.0], n, 1.0) == 2.0 ** 0.5
         assert direction_error_pct(np.array([1.0, 1.0, 0.0]), np.array([-1.0, -1.0, 0.0])) == 100.0
         assert magnitude_error_pct(np.array([3.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])) == 50.0
         report(

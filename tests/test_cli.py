@@ -129,6 +129,24 @@ class TestSimulate:
         assert err.startswith("config error:") and "sources.rigid_ft.trials" in err
         assert not out.exists()  # so no episodes/ and no params.json either
 
+    @pytest.mark.parametrize("dotted", [
+        "sensor.gian",
+        "sources.rigid-ft",
+        "sources.planar_pushing.step",
+        "sources.rigid_ft.samples_per_trail",
+        "sources.ball_ft.cone_deg",
+        "split.test",
+    ])
+    def test_unknown_key_exits_2_naming_file_and_key(self, tmp_path, capsys, sim_config, dotted):
+        """A misspelt key in the sensor, sources, source or split block is an
+        error, not a setting silently left at its default."""
+        config = write_config(tmp_path / "c.json", with_value(sim_config, dotted, 5))
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(config) in err and f"'{dotted}'" in err
+        assert not out.exists()
+
     def test_no_sources_exits_2(self, tmp_path):
         config = write_config(tmp_path / "c.json", {"params": {"m": 1.0}, "sources": {}})
         assert run(["simulate", "--config", config, "--out", tmp_path / "o"]) == 2
@@ -280,7 +298,7 @@ class TestInfer:
     def test_bad_input_exits_2_or_3_naming_file_and_field(
         self, sim_dir, tmp_path, capsys, target, key, value, code
     ):
-        """A bad episode row is a data error naming the file, row and field;
+        """A bad episode row is a data error naming the file, line and field;
         a bad params file a config error naming the file and field."""
         episode = sorted((sim_dir / "episodes").glob("*.jsonl"))[0]
         rows = [json.loads(line) for line in episode.read_text().splitlines()]
@@ -298,7 +316,7 @@ class TestInfer:
         err = capsys.readouterr().err
         if target == "row":
             assert err.startswith("data error:") and str(bad_episode) in err
-            assert "row 2" in err
+            assert "line 3" in err
         else:
             assert err.startswith("config error:") and str(bad_params) in err
         if key is not None:
@@ -426,7 +444,7 @@ class TestTrainEval:
         from tactile_force.sensor import default_electrode_layout
 
         layout_path = tmp_path / "layout.json"
-        default_electrode_layout().to_json(layout_path)
+        write_config(layout_path, default_electrode_layout().to_dict())
         config = write_config(
             tmp_path / "c.json",
             {
@@ -530,8 +548,8 @@ class TestSelfDescribingModels:
         default = default_electrode_layout()
         layout = ElectrodeLayout(positions=default.positions[::-1], normals=default.normals[::-1])
         layout_path = tmp_path / "reversed_layout.json"
-        layout.to_json(layout_path)
-        layout = ElectrodeLayout.from_json(layout_path)  # contiguous, as eval reads it
+        write_config(layout_path, layout.to_dict())
+        layout = ElectrodeLayout.from_dict(json.loads(layout_path.read_text()))  # contiguous, as eval reads it
         config = {"layout_file": str(layout_path)}
         voxel_dir = self.train(sim_dir, tmp_path, "voxel", config)
         linear_dir = self.train(sim_dir, tmp_path, "linear", config, "--model", "linear")
@@ -760,6 +778,48 @@ class TestDataFileErrors:
             err = capsys.readouterr().err
             assert err.startswith("data error:")
             assert f"'{trial}'" in err and f"'{field}'" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("damage", ["truncated", "not_an_object", "short_e"])
+    def test_malformed_samples_line_exits_3_naming_file_and_line(
+        self, sim_dir, tmp_path, capsys, command, damage
+    ):
+        """A cut-off last line, a line that is not an object and a record
+        with a wrong-shape field each name the samples file and the line,
+        counting the blank lines that are skipped."""
+        manifest = sim_dir / "dataset_manifest.json"
+        samples = sim_dir / json.loads(manifest.read_text())["samples_file"]
+        lines = samples.read_text().splitlines()
+        lines.insert(2, "")
+        n = len(lines) if damage == "truncated" else 6
+        if damage == "truncated":
+            lines[n - 1] = lines[n - 1][: len(lines[n - 1]) // 2]
+        elif damage == "not_an_object":
+            lines[n - 1] = "[1, 2]"
+        else:
+            lines[n - 1] = json.dumps({**json.loads(lines[n - 1]), "e": [0.5] * 18})
+        samples.write_text("\n".join(lines))
+        out = tmp_path / "out"
+        args = {
+            "train": ["train", "--manifest", manifest, "--out", out, "--model", "linear"],
+            "eval": ["eval", "--manifest", manifest, "--model-kind", "oracle", "--out", out],
+        }[command]
+        assert exit_code(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"samples file {samples} line {n}:" in err
+        assert not out.exists()
+
+    def test_samples_file_not_utf8_exits_3_naming_it(self, sim_dir, tmp_path, capsys):
+        manifest = sim_dir / "dataset_manifest.json"
+        samples = sim_dir / json.loads(manifest.read_text())["samples_file"]
+        with open(samples, "ab") as fh:
+            fh.write(b"\xff\xfe not text\n")
+        out = tmp_path / "out"
+        assert exit_code(["eval", "--manifest", manifest, "--model-kind", "oracle",
+                          "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"samples file {samples}: not UTF-8 text" in err
+        assert not out.exists()
 
     def train(self, manifest, tmp_path):
         return exit_code(["train", "--manifest", manifest, "--out", tmp_path / "m"])

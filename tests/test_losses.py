@@ -8,18 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tactile_force.errors import ConfigError, SchemaError
-from tactile_force.net.losses import (
-    KNOWN_SOURCES,
-    LossConfig,
+from tactile_force.net.losses import KNOWN_SOURCES, PSI, LossConfig, batch_loss_and_grad
+from tactile_force.synthetic import random_rotation
+
+from loss_oracles import (
     _combined_loss_and_grad,
     alpha_weight,
-    batch_loss_and_grad,
     combined_loss,
     cosine_distance,
     loss_projected,
     loss_scaled_3d,
 )
-from tactile_force.synthetic import random_rotation
 
 XY_PLANE = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
@@ -140,7 +139,7 @@ class TestCombinedLoss:
         config = LossConfig(beta=1.0)
         value = combined_loss(f3d, f_p, s_n, np.eye(3), "planar_pushing", config)
         expected = alpha_weight(s_n, f3d, 1.0) * loss_projected(
-            f3d, f_p, np.eye(3), config.psi
+            f3d, f_p, np.eye(3), PSI
         )
         assert math.isclose(value, expected, abs_tol=1e-12)
 
@@ -216,10 +215,6 @@ class TestCombinedLoss:
         _, g2, _ = batch_loss_and_grad(pred, 2 * f3d - pred, s_n, r_wb, tags, config)
         # plain loss gradient is linear in the residual; doubling it doubles g
         np.testing.assert_allclose(g2, 2.0 * g1, atol=1e-12)
-
-    def test_psi_validation(self):
-        with pytest.raises(ConfigError):
-            LossConfig(psi=np.ones((3, 2)))
 
 
 def loop_batch_loss(pred, f3d, s_n, r_wb, tags, config):

@@ -21,6 +21,7 @@ from tactile_force.sensor import (
     N_ELECTRODES, ElectrodeLayout, SurfaceGeometry, default_electrode_layout,
 )
 from tactile_force.voxel import GridSpec
+from geometry_oracles import cell_center
 from reference_net import CollapseDepth, Conv3d, Flatten
 
 FD_STEP = 1e-6
@@ -76,7 +77,7 @@ def random_layout(spec, rng):
     its own random cell of the grid."""
     cells = rng.choice(math.prod(spec.dims), N_ELECTRODES, replace=False)
     return ElectrodeLayout(
-        positions=[spec.cell_center(np.unravel_index(i, spec.dims)) for i in cells],
+        positions=[cell_center(spec, np.unravel_index(i, spec.dims)) for i in cells],
         normals=np.tile([0.0, 0.0, 1.0], (N_ELECTRODES, 1)),
     )
 

@@ -28,6 +28,7 @@ from tactile_force.net import (
 )
 from tactile_force.net.checkpoint import KIND_MLP, KIND_VOXEL
 from reference_net import build_reference_voxel_net
+from geometry_oracles import cell_center
 from test_net_layers import random_layout, voxel_records
 from tactile_force.sensor import N_ELECTRODES, SurfaceGeometry, default_electrode_layout
 from tactile_force.voxel import CHANNEL_CONTACT, DEFAULT_DIMS, N_CHANNELS, GridSpec
@@ -125,7 +126,7 @@ def contact_records(e, cells, spec):
     """One record per cell of `cells`, flat indices into the grid, with its
     contact point at that cell's centre and electrode values e."""
     return [SampleRecord(trial_id=f"t{i}", source_tag="rigid_ft", e=e,
-                         s_c=spec.cell_center(np.unravel_index(cell, spec.dims)),
+                         s_c=cell_center(spec, np.unravel_index(cell, spec.dims)),
                          s_n=[0.0, 0.0, 1.0], f_3d=[0.0, 0.0, 1.0], r_wb=np.eye(3))
             for i, cell in enumerate(cells)]
 
@@ -370,8 +371,6 @@ class TestConfig:
         (TrainingConfig, "max_epochs", True, "max_epochs"),  # a bool is not a number
         (LossConfig, "beta", False, "beta"),
         (LossConfig, "mode", 3, "mode"),
-        (LossConfig, "psi", [[1, 0], [0, 1], [0, 0]], None),
-        (LossConfig, "psi", [[1, 0], [0, 1], [0, "a"]], "psi[2][1]"),
         (NetworkConfig, "conv3d_channels", (4, 8), None),
         (NetworkConfig, "fc_widths", 5, "fc_widths"),
         (NetworkConfig, "fc_widths", [16, None], "fc_widths[1]"),

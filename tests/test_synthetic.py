@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from solver_oracles import push_step_reference
+from geometry_oracles import contains
 from tactile_force.dataset import SampleRecord, make_dataset
 from tactile_force.errors import DataIntegrityError, NumericalError, SchemaError
 from tactile_force.mechanics import (
@@ -247,7 +248,7 @@ class TestGenerators:
         )
         assert len(records) == 60
         for r in records:
-            assert geometry.contains(r.s_c, tol=1e-9)
+            assert contains(geometry, r.s_c, tol=1e-9)
             assert r.s_c[2] > geometry.half_cylinder_length  # cap contacts only
             angle = math.degrees(
                 math.acos(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geometry_oracles import cell_center
 from tactile_force.dataset import SampleRecord, featurize_voxel
 from tactile_force.errors import LayoutCollisionError, OutOfBoundsError, SchemaError
 from tactile_force.sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
@@ -45,7 +46,7 @@ class TestVoxelIndex:
         nx, ny, nz = DEFAULT_DIMS
         for idx in [(0, 0, 0), (nx // 2, ny // 4, nz // 2), (nx - 1, ny - 1, nz - 1),
                     (1, ny - 2, nz - 2)]:
-            assert voxel_index(spec.cell_center(idx), spec) == idx
+            assert voxel_index(cell_center(spec, idx), spec) == idx
 
     def test_out_of_bounds_rejected(self, spec):
         with pytest.raises(OutOfBoundsError):
@@ -58,7 +59,7 @@ class TestVoxelIndex:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_rejected(self, spec, bad):
-        point = spec.cell_center((1, 1, 1))
+        point = cell_center(spec, (1, 1, 1))
         point[1] = bad
         with pytest.raises(OutOfBoundsError):
             voxel_index(point, spec)
@@ -184,7 +185,7 @@ class TestFeaturizeVoxel:
         layout = default_electrode_layout(geometry)
         spec = GridSpec.for_geometry(geometry, dims=dims)
         rng = np.random.default_rng(seed)
-        corners = [spec.bounds_max, spec.bounds_min, spec.cell_center((1, 2, 3)) - spec.cell_size / 2]
+        corners = [spec.bounds_max, spec.bounds_min, cell_center(spec, (1, 2, 3)) - spec.cell_size / 2]
         points = rng.uniform(spec.bounds_min, spec.bounds_max, size=(n, 3))
         points[: len(corners)] = corners[:n]
         e = rng.normal(size=(n, 19))
@@ -201,7 +202,7 @@ class TestFeaturizeVoxel:
         sample, and the 19 electrode cell indices once: a return to dense
         grids or to per-sample electrode cells would show here."""
         spec = GridSpec.for_geometry(geometry, dims=dims)
-        records = [record(f"t{i}", np.arange(19.0) + i, spec.cell_center((1, 2, 3)))
+        records = [record(f"t{i}", np.arange(19.0) + i, cell_center(spec, (1, 2, 3)))
                    for i in range(5)]
         inputs = featurize_voxel(records, layout, spec).inputs
         assert inputs.shape == (5, 2) + dims
@@ -209,15 +210,15 @@ class TestFeaturizeVoxel:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0])
     def test_bad_contact_point_names_trial(self, layout, spec, bad):
-        s_c = spec.cell_center((2, 2, 2))
+        s_c = cell_center(spec, (2, 2, 2))
         s_c[2] = bad
-        records = [record("ok", np.zeros(19), spec.cell_center((1, 1, 1))),
+        records = [record("ok", np.zeros(19), cell_center(spec, (1, 1, 1))),
                    record("trial_7", np.zeros(19), s_c)]
         with pytest.raises(OutOfBoundsError, match="'trial_7'"):
             featurize_voxel(records, layout, spec)
 
     def test_wrong_electrode_count_names_trial(self, layout, spec):
-        records = [record("short", np.zeros(18), spec.cell_center((1, 1, 1)))]
+        records = [record("short", np.zeros(18), cell_center(spec, (1, 1, 1)))]
         with pytest.raises(SchemaError, match="'short'"):
             featurize_voxel(records, layout, spec)
 
@@ -269,7 +270,7 @@ class TestVoxelCells:
     def test_perfbench_crop_of_featurized_inputs(self, layout, spec):
         """The 5-D crop the benchmark takes to count the first layer's
         covered non-zeros."""
-        records = [record(f"t{i}", np.arange(19.0) + 1, spec.cell_center((i, 2, 3)))
+        records = [record(f"t{i}", np.arange(19.0) + 1, cell_center(spec, (i, 2, 3)))
                    for i in range(spec.dims[0])]
         inputs = featurize_voxel(records, layout, spec).inputs
         dense = np.stack([encode(r.e, r.s_c, layout, spec) for r in records])
