@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import load_json
 from .errors import ConfigError, DegenerateInputError, SchemaError
 from .sensor import N_ELECTRODES, ElectrodeLayout
 
@@ -45,8 +46,9 @@ class LinearModel:
 
     @classmethod
     def from_json(cls, path) -> "LinearModel":
-        with open(path) as fh:
-            data = json.load(fh)
+        data = load_json(path, "linear model")
+        if not isinstance(data, dict):
+            raise ConfigError(f"linear model {path} must hold a JSON object")
         try:
             scale, layout = data["S"], data["layout"]
         except KeyError as exc:

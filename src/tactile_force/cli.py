@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -38,7 +37,10 @@ from .dataset import (
     write_manifest,
     write_samples_jsonl,
 )
-from .errors import ConfigError, DataIntegrityError, SchemaError, TactileForceError, check_config_value
+from .errors import (
+    ConfigError, DataIntegrityError, Positive, SchemaError, TactileForceError, check_config_value,
+    read_config,
+)
 from .mechanics import (
     ParticleGrid,
     PlanarMotion,
@@ -58,7 +60,10 @@ from .net import (
     train,
 )
 from .net.losses import KNOWN_SOURCES, SOURCE_BALL_FT, SOURCE_PLANAR, SOURCE_RIGID_FT
-from .sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
+from .sensor import (
+    DEFAULT_HALF_CYLINDER_LENGTH_M, DEFAULT_RADIUS_M, ElectrodeLayout, SurfaceGeometry,
+    default_electrode_layout,
+)
 from .synthetic import (
     DEFAULT_BOX_HALF_EXTENTS_M,
     DEFAULT_DT_S,
@@ -70,17 +75,49 @@ from .synthetic import (
 )
 from .voxel import N_CHANNELS
 
-# the SensorForwardModel fields a config's "sensor" block may set
-SENSOR_CONFIG_KEYS = ("gain", "decay_length", "normal_sensitivity", "shear_sensitivity",
-                      "directional_shear_sensitivity", "noise_scale")
-# the keys of each block of a simulation config that is checked for unknown keys
-SIMULATE_CONFIG_BLOCKS = {
-    "sensor": SENSOR_CONFIG_KEYS,
-    "sources": KNOWN_SOURCES,
-    f"sources.{SOURCE_PLANAR}": ("trials", "steps", "dt", "magnitude_range"),
-    **{f"sources.{tag}": ("trials", "samples_per_trial", "force_range", "cone_angle_deg", "cap_only")
-       for tag in (SOURCE_RIGID_FT, SOURCE_BALL_FT)},
-    "split": ("train", "val"),
+# the fields of a push's params and their defaults; "m" and "inertia" have
+# none, and _read_push_params reads them
+PUSH_PARAMS_CONFIG = {f.name: None if f.default is dataclasses.MISSING else f.default
+                      for f in dataclasses.fields(PushParams)}
+# the pushed box's half extents, two positive numbers
+BOX_HALF_EXTENTS_CONFIG = tuple(Positive(h) for h in DEFAULT_BOX_HALF_EXTENTS_M)
+# a params file, which simulate writes and infer reads
+PARAMS_FILE_CONFIG = {**PUSH_PARAMS_CONFIG, "box_half_extents": BOX_HALF_EXTENTS_CONFIG}
+# the sensor geometry, and the electrode layout file ("" for the default layout)
+GEOMETRY_CONFIG = {
+    "geometry": {"radius_m": DEFAULT_RADIUS_M, "half_cylinder_length_m": DEFAULT_HALF_CYLINDER_LENGTH_M},
+    "layout_file": "",
+}
+# every key of a simulation config, with its default
+SIMULATE_CONFIG = {
+    "seed": 0,
+    "params": PUSH_PARAMS_CONFIG,
+    "box_half_extents": BOX_HALF_EXTENTS_CONFIG,
+    **GEOMETRY_CONFIG,
+    "sensor": {name: getattr(SensorForwardModel, name) for name in (
+        "gain", "decay_length", "normal_sensitivity", "shear_sensitivity",
+        "directional_shear_sensitivity", "noise_scale")},
+    "sources": {
+        SOURCE_PLANAR: {"trials": 0, "steps": 400, "dt": Positive(DEFAULT_DT_S),
+                        "magnitude_range": DEFAULT_PUSH_MAGNITUDE_RANGE_N},
+        SOURCE_RIGID_FT: {"trials": 0, "samples_per_trial": 50, "force_range": (0.5, 10.0),
+                          "cone_angle_deg": 30.0, "cap_only": False},
+        SOURCE_BALL_FT: {"trials": 0, "samples_per_trial": 50, "force_range": (0.1, 5.0),
+                         "cone_angle_deg": 60.0, "cap_only": True},
+    },
+    "split": {"train": DEFAULT_TRAIN_FRAC, "val": DEFAULT_VAL_FRAC},
+}
+# every key of a training config, with its default; the run seed sets the
+# network's and the training's, and the grid is read by GridSpec.from_config
+TRAIN_CONFIG = {
+    "seed": 0,
+    "network": {k: v for k, v in NetworkConfig().to_dict().items() if k != "seed"},
+    "training": {k: v for k, v in TrainingConfig().to_dict().items() if k != "seed"},
+    "loss": LossConfig().to_dict(),
+    "mlp": {"hidden_widths": [64, 64]},
+    "no_voxel_widths": [64, 64, 64, 64],
+    "grid": None,
+    **GEOMETRY_CONFIG,
 }
 
 
@@ -106,93 +143,59 @@ def write_json_atomic(path: Path, obj) -> None:
     write_text_atomic(path, json.dumps(obj, indent=2) + "\n")
 
 
-def _config_value(path, config: dict, dotted: str, default):
-    """The config's value at a dotted key path ("sources.rigid_ft.trials"), or
-    `default` where it is absent; a value whose type differs from the
-    default's, as config_from_dict checks it, or a section that is not an
-    object, is a ConfigError naming the file and the field."""
-    parent, _, key = dotted.rpartition(".")
-    block = _config_value(path, config, parent, {}) if parent else config
-    if not isinstance(block, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    value = block.get(key, default)
+def _read_config(path, defaults: dict) -> dict:
+    """The config file at `path` (None for none) read over `defaults`; an
+    error names the file and the dotted key."""
+    config = {} if path is None else load_json(path, "config")
     try:
-        check_config_value(dotted, value, default)
+        return read_config(config, defaults)
     except ConfigError as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
-    return value
-
-
-def _reject_unknown_simulate_keys(path, config: dict) -> None:
-    """A ConfigError naming the file and the dotted key for the first key of
-    a SIMULATE_CONFIG_BLOCKS block that is not among that block's keys,
-    where it would otherwise be a silently ignored setting."""
-    for dotted, known in SIMULATE_CONFIG_BLOCKS.items():
-        for key in _config_value(path, config, dotted, {}):
-            if key not in known:
-                raise ConfigError(f"config {path}: unknown key {f'{dotted}.{key}'!r}; "
-                                  f"expected one of {', '.join(known)}")
 
 
 def _resolve_seed(args, config: dict) -> int:
-    """--seed, else the config's seed, which is type-checked either way. It
-    is stored back in `args`, so the run manifest records the seed used."""
-    config_seed = _config_value(args.config, config, "seed", 0)
+    """--seed, else the config's seed. It is stored back in `args`, so the
+    run manifest records the seed used."""
     if args.seed is None:
-        args.seed = config_seed
+        args.seed = config["seed"]
     return args.seed
 
 
 def _read_push_params(what: str, config) -> tuple[PushParams, tuple[float, float]]:
-    """Push params and box half extents from one object holding the
-    PushParams fields and "box_half_extents", as in the params file simulate
-    writes; an absent inertia is that of a uniform box of mass m. A bad or
-    missing field is a ConfigError naming `what` (the file) and the field."""
-    if not isinstance(config, dict):
-        raise ConfigError(f"{what} must hold a JSON object")
+    """Push params and box half extents from a params file, or from a
+    simulation config's "params" plus its "box_half_extents": "m" is
+    required, and an absent "inertia" is that of a uniform box of mass m. A
+    bad or missing field is a ConfigError naming `what` (the file) and the
+    field."""
     try:
-        value = config["box_half_extents"]
-        hx, hy = checked_array("box_half_extents", value, (2,))
-        if not (hx > 0 and hy > 0):
-            raise SchemaError(f"field 'box_half_extents' must be positive, got {value!r}")
-        half_extents = (float(hx), float(hy))
-        if "inertia" not in config and "m" in config:
-            config = {**config, "inertia": box_inertia(checked_array("m", config["m"], ()), half_extents)}
-        return PushParams.from_config(config), half_extents
-    except KeyError as exc:
-        raise ConfigError(f"{what}: missing field {exc.args[0]!r}") from exc
-    except SchemaError as exc:
+        values = read_config(config, PARAMS_FILE_CONFIG)
+        half_extents = tuple(float(h) for h in values.pop("box_half_extents"))
+        if values["m"] is None:
+            raise ConfigError("missing field 'm'")
+        check_config_value("m", values["m"], 0.0)
+        if values["inertia"] is None:
+            values["inertia"] = box_inertia(values["m"], half_extents)
+        check_config_value("inertia", values["inertia"], 0.0)
+        return PushParams(**{k: v if k == "n" else float(v) for k, v in values.items()}), half_extents
+    except (ConfigError, SchemaError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _layout_and_geometry(config: dict, path):
-    section = _config_value(path, config, "geometry", {})
-    geometry = SurfaceGeometry()
-    if "geometry" in config:
-        try:
-            geometry = SurfaceGeometry.from_config(section)
-        except (SchemaError, ConfigError) as exc:
-            raise ConfigError(f"config {path}: {exc}") from exc
-    if "layout_file" in config:
-        path = config["layout_file"]
-        try:
-            layout = ElectrodeLayout.from_dict(load_json(path, "layout"))
-        except SchemaError as exc:
-            raise ConfigError(f"layout file {path}: {exc}") from exc
-    else:
-        layout = default_electrode_layout(geometry)
-    return layout, geometry
-
-
-def _sensor_model_from_config(config: dict, path) -> tuple[SensorForwardModel, SurfaceGeometry]:
-    layout, geometry = _layout_and_geometry(config, path)
-    sensor_cfg = _config_value(path, config, "sensor", {})
-    defaults = {f.name: f.default for f in dataclasses.fields(SensorForwardModel)}
-    settings = {
-        k: float(_config_value(path, config, f"sensor.{k}", defaults[k]))
-        for k in SENSOR_CONFIG_KEYS if k in sensor_cfg
-    }
-    return SensorForwardModel(layout=layout, **settings), geometry
+    """The electrode layout and sensor geometry of a read config."""
+    shape = config["geometry"]
+    try:
+        geometry = SurfaceGeometry(r=float(shape["radius_m"]),
+                                   half_cylinder_length=float(shape["half_cylinder_length_m"]))
+    except SchemaError as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
+    layout_path = config["layout_file"]
+    if not layout_path:
+        return default_electrode_layout(geometry), geometry
+    try:
+        return ElectrodeLayout.from_dict(load_json(layout_path, "layout")), geometry
+    except SchemaError as exc:
+        raise ConfigError(f"layout file {layout_path}: {exc}") from exc
 
 
 def cmd_simulate(args) -> tuple[Path, list[str]]:
@@ -200,67 +203,48 @@ def cmd_simulate(args) -> tuple[Path, list[str]]:
     and type-checked before anything is simulated, and --out is created only
     once the dataset is complete, so an error leaves no partial output."""
     config_path = args.config
-    config = load_json(config_path, "config")
-
-    def setting(dotted, default):
-        return _config_value(config_path, config, dotted, default)
-
-    def count(dotted, default, least):
-        value = setting(dotted, default)
-        if value < least:
-            raise ConfigError(
-                f"config {config_path}: field {dotted!r} must be at least {least}, got {value!r}"
-            )
-        return value
-
-    def positive(dotted, default):
-        value = float(setting(dotted, default))
-        if not (value > 0 and math.isfinite(value)):
-            raise ConfigError(
-                f"config {config_path}: field {dotted!r} must be a positive finite number, got {value!r}"
-            )
-        return value
-
-    _reject_unknown_simulate_keys(config_path, config)
+    config = _read_config(config_path, SIMULATE_CONFIG)
     seed = _resolve_seed(args, config)
-    model, geometry = _sensor_model_from_config(config, config_path)
+    layout, geometry = _layout_and_geometry(config, config_path)
+    model = SensorForwardModel(layout=layout, **{k: float(v) for k, v in config["sensor"].items()})
+    sources = config["sources"]
 
-    planar = f"sources.{SOURCE_PLANAR}."
-    n_planar = count(planar + "trials", 0, 0)
+    def count(tag, key, least):
+        value = sources[tag][key]
+        if value < least:
+            raise ConfigError(f"config {config_path}: field {f'sources.{tag}.{key}'!r} "
+                              f"must be at least {least}, got {value!r}")
+        return value
+
+    n_planar = count(SOURCE_PLANAR, "trials", 0)
     if n_planar > 0:
         params, half_extents = _read_push_params(f"config {config_path}", {
-            **setting("params", {}),
-            "box_half_extents": config.get("box_half_extents", DEFAULT_BOX_HALF_EXTENTS_M),
-        })
+            **config["params"], "box_half_extents": config["box_half_extents"]})
+        planar = sources[SOURCE_PLANAR]
         planar_args = dict(
             n_trials=n_planar,
-            steps=count(planar + "steps", 400, 1),
+            steps=count(SOURCE_PLANAR, "steps", 1),
             seed=seed,
             params=params,
             half_extents=half_extents,
-            dt=positive(planar + "dt", DEFAULT_DT_S),
-            magnitude_range=tuple(setting(planar + "magnitude_range", DEFAULT_PUSH_MAGNITUDE_RANGE_N)),
+            dt=float(planar["dt"]),
+            magnitude_range=tuple(planar["magnitude_range"]),
         )
-    ft_defaults = {
-        SOURCE_RIGID_FT: {"force_range": (0.5, 10.0), "cap_only": False, "cone_deg": 30.0},
-        SOURCE_BALL_FT: {"force_range": (0.1, 5.0), "cap_only": True, "cone_deg": 60.0},
-    }
     ft_args = {}
-    for tag, defaults in ft_defaults.items():
-        source = f"sources.{tag}."
-        n_trials = count(source + "trials", 0, 0)
+    for offset, tag in enumerate((SOURCE_RIGID_FT, SOURCE_BALL_FT), 1):
+        n_trials = count(tag, "trials", 0)
         if n_trials > 0:
             ft_args[tag] = dict(
                 source_tag=tag,
                 n_trials=n_trials,
-                samples_per_trial=count(source + "samples_per_trial", 50, 1),
-                seed=seed + (1 if tag == SOURCE_RIGID_FT else 2),
-                force_range=tuple(setting(source + "force_range", defaults["force_range"])),
-                cone_angle_deg=float(setting(source + "cone_angle_deg", defaults["cone_deg"])),
-                cap_only=setting(source + "cap_only", defaults["cap_only"]),
+                samples_per_trial=count(tag, "samples_per_trial", 1),
+                seed=seed + offset,
+                force_range=tuple(sources[tag]["force_range"]),
+                cone_angle_deg=float(sources[tag]["cone_angle_deg"]),
+                cap_only=sources[tag]["cap_only"],
             )
-    train_frac = float(setting("split.train", DEFAULT_TRAIN_FRAC))
-    val_frac = float(setting("split.val", DEFAULT_VAL_FRAC))
+    train_frac = float(config["split"]["train"])
+    val_frac = float(config["split"]["val"])
 
     records: list[SampleRecord] = []
     if n_planar > 0:
@@ -344,26 +328,18 @@ MODEL_LINEAR = "linear"
 
 
 def _train_configs(config: dict, seed: int):
-    """The network, training and loss configs of a train config's "network",
-    "training" and "loss" sections; a bad field is a ConfigError naming the
-    section and the field."""
-    configs = []
-    for section, cls, extra in (("network", NetworkConfig, {"seed": seed}),
-                                ("training", TrainingConfig, {"seed": seed}),
-                                ("loss", LossConfig, {})):
-        block = config.get(section, {})
-        check_config_value(section, block, {})
-        try:
-            configs.append(cls.from_dict({**block, **extra}))
-        except ConfigError as exc:
-            raise ConfigError(f"section {section!r}: {exc}") from exc
-    return configs
+    """The network, training and loss configs of a train config, raw or read,
+    with the run seed."""
+    config = read_config(config, TRAIN_CONFIG)
+    return [NetworkConfig.from_dict({**config["network"], "seed": seed}),
+            TrainingConfig.from_dict({**config["training"], "seed": seed}),
+            LossConfig.from_dict(config["loss"])]
 
 
 def cmd_train(args) -> tuple[Path, list[str]]:
     """Train the chosen model into --out, which is created only once the
     data, config, layout and features have been read and checked."""
-    config = load_json(args.config, "config") if args.config else {}
+    config = _read_config(args.config, TRAIN_CONFIG)
     seed = _resolve_seed(args, config)
     sources = resolve_sources(args.sources)
     out_dir = Path(args.out)
@@ -396,14 +372,13 @@ def cmd_train(args) -> tuple[Path, list[str]]:
         return out_dir, ["linear_model.json"]
 
     voxel = args.model == MODEL_VOXEL and not args.no_voxel
-    featurization = featurization_record(voxel, layout, geometry, config.get("grid"))
+    featurization = featurization_record(voxel, layout, geometry, config["grid"])
     if args.model == MODEL_MLP_BASELINE:
-        widths = tuple(_config_value(args.config, config, "mlp.hidden_widths", (64, 64)))
+        widths = tuple(config["mlp"]["hidden_widths"])
         model = build_mlp_net(FLAT_INPUT_WIDTH, widths, seed=seed, layer_norm=False)
         loss_cfg = dataclasses.replace(loss_cfg, beta=0.0, mode="plain_l2")
     elif args.no_voxel:
-        widths = tuple(_config_value(args.config, config, "no_voxel_widths", (64, 64, 64, 64)))
-        widths += net_cfg.fc_widths
+        widths = tuple(config["no_voxel_widths"]) + net_cfg.fc_widths
         model = build_mlp_net(FLAT_INPUT_WIDTH, widths, seed=seed, layer_norm=True)
     else:
         model = build_voxel_net(net_cfg, input_shape=(N_CHANNELS, *featurization["grid"]["dims"]))

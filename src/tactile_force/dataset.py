@@ -76,19 +76,26 @@ class SampleRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SampleRecord":
-        """A samples-file record; a missing or wrong-shape field is a SchemaError."""
+        """A samples-file record; a missing, wrong-type or wrong-shape field is
+        a SchemaError."""
         try:
-            trial_id = str(d["trial_id"])
+            trial_id, source_tag = d["trial_id"], d["source_tag"]
+            in_contact = d.get("in_contact", True)
+            for name, value, kind, what in (("trial_id", trial_id, str, "a string"),
+                                            ("source_tag", source_tag, str, "a string"),
+                                            ("in_contact", in_contact, bool, "true or false")):
+                if not isinstance(value, kind):
+                    raise SchemaError(f"field {name!r} must be {what}, got {value!r}")
             arrays = {name: _array_field(d, name, trial_id) for name in RECORD_ARRAY_SHAPES}
             return cls(
                 trial_id=trial_id,
-                source_tag=str(d["source_tag"]),
+                source_tag=source_tag,
                 e=arrays["e"],
                 s_c=arrays["s_c"],
                 s_n=arrays["s_n"],
                 f_3d=arrays["f_3d"],
                 r_wb=arrays["R_wb"].reshape(3, 3),
-                in_contact=bool(d.get("in_contact", True)),
+                in_contact=in_contact,
                 motion=d.get("motion"),
             )
         except KeyError as exc:

@@ -6,7 +6,7 @@ problems (every class without its own code) exit 3, numerical failures
 exit 4.
 """
 
-import dataclasses
+import math
 import numbers
 
 
@@ -51,42 +51,67 @@ class NumericalError(TactileForceError):
     prefix = "numerical failure"
 
 
-# the value types a config field may take, tried in order against its default
+class Positive(float):
+    """A config default whose field must hold a positive number."""
+
+
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# what a config field may hold, by the type of its default, tried in order
 _KINDS = (
-    (bool, "true or false"),
-    (numbers.Integral, "an integer"),
-    (numbers.Real, "a number"),
-    (str, "a string"),
-    (dict, "an object"),
+    (bool, "true or false", lambda v: isinstance(v, bool)),
+    (numbers.Integral, "an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    (Positive, "a positive finite number", lambda v: _finite(v) and v > 0),
+    (numbers.Real, "a finite number", _finite),
+    (str, "a string", lambda v: isinstance(v, str)),
 )
 
 
 def check_config_value(name: str, value, default) -> None:
     """Raise a ConfigError naming the field unless `value` has the type of the
-    field's `default`. An int passes for a float, but a bool is not a number.
-    A sequence default takes a list whose items each pass against the
-    default's first item."""
-    for kind, what in _KINDS:
+    field's `default`. An int passes for a float, but a bool is not a number,
+    and a number must be finite (and positive for a Positive default). A
+    sequence default takes a list whose items each pass against the
+    default's first item, and a tuple default one of its length."""
+    for kind, what, accepts in _KINDS:
         if isinstance(default, kind):
-            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+            if not accepts(value):
                 raise ConfigError(f"field {name!r} must be {what}, got {value!r}")
             return
     if isinstance(value, (str, dict)) or not hasattr(value, "__len__"):
         raise ConfigError(f"field {name!r} must be a list, got {value!r}")
+    if isinstance(default, tuple) and len(value) != len(default):
+        raise ConfigError(f"field {name!r} must hold {len(default)} items, got {value!r}")
     for i, item in enumerate(value):
         check_config_value(f"{name}[{i}]", item, default[0])
 
 
+def read_config(config, defaults: dict, name: str = "") -> dict:
+    """`config`, a JSON object, read over the tree of `defaults`: an absent
+    key takes its default, a key the tree lacks is an error naming its
+    dotted key, a dict default is read the same way, a None default leaves
+    the value to its own reader, and any other value must pass
+    check_config_value against its default. Every absent key is filled in,
+    so reading the result again gives it back."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"{f'field {name!r}' if name else 'config'} must be an object, got {config!r}")
+    prefix = name + "." if name else ""
+    for key in config:
+        if key not in defaults:
+            raise ConfigError(f"unknown key {prefix + key!r}; expected one of {', '.join(defaults)}")
+    values = {}
+    for key, default in defaults.items():
+        value = config.get(key, default)
+        if isinstance(default, dict):
+            value = read_config(value, default, prefix + key)
+        elif key in config and default is not None:
+            check_config_value(prefix + key, value, default)
+        values[key] = value
+    return values
+
+
 def config_from_dict(cls, d: dict):
-    """The config dataclass `cls` from a dict: absent fields take the class
-    defaults, an unknown key is an error, not a silently ignored setting,
-    and each value is type-checked against its field's default."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(d) - set(fields))
-    if unknown:
-        raise ConfigError(f"{cls.__name__}: unknown key(s) {unknown}")
-    for name, value in d.items():
-        f = fields[name]
-        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-        check_config_value(name, value, default)
-    return cls(**d)
+    """The config dataclass `cls` from a dict read over its defaults."""
+    return cls(**read_config(d, cls().to_dict()))

@@ -10,7 +10,6 @@ force is in that planar frame.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -55,24 +54,6 @@ class PushParams:
             raise SchemaError(f"particle count must be >= 1, got {self.n}")
         if self.k <= 0:
             raise SchemaError(f"linear-loss weight must be positive, got {self.k}")
-
-    @classmethod
-    def from_config(cls, config: dict) -> "PushParams":
-        """The params a config sets; absent fields take the class defaults and
-        other keys (such as a params file's box_half_extents) are ignored."""
-        values = {}
-        for f in dataclasses.fields(cls):
-            if f.name in config:
-                value = float(checked_array(f.name, config[f.name], ()))
-                if f.type == "int":
-                    if not value.is_integer():
-                        raise SchemaError(f"field {f.name!r} must be a whole number, got {value}")
-                    value = int(value)
-                values[f.name] = value
-        for name in ("m", "inertia"):
-            if name not in values:
-                raise SchemaError(f"params config missing field {name!r}")
-        return cls(**values)
 
 
 def checked_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:

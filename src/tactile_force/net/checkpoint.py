@@ -47,9 +47,20 @@ def load_checkpoint(path) -> tuple[Model, dict]:
 
     The metadata's "featurization" entry describes the model's inputs. A
     checkpoint without a build or featurization record cannot be scored
-    safely and is rejected with a ConfigError naming the missing field.
+    safely and is rejected with a ConfigError naming the missing field, and
+    a missing file or one that is not a .npz with a ConfigError naming it.
     """
-    with np.load(path) as data:
+    try:
+        data = np.load(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"checkpoint file not found: {path}") from exc
+    except (OSError, ValueError) as exc:  # not a numpy file, or a pickle numpy will not load
+        raise ConfigError(f"checkpoint {path} is not a .npz file") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):  # a .npy array
+        raise ConfigError(f"checkpoint {path} is not a .npz file")
+    with data:
+        if "meta" not in data.files:
+            raise ConfigError(f"checkpoint {path} missing field 'meta'")
         meta = json.loads(bytes(data["meta"]).decode())
         n_params = sum(1 for k in data.files if k.startswith("param_"))
         state = [data[f"param_{i:04d}"] for i in range(n_params)]

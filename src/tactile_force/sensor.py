@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, SchemaError, check_config_value
+from .errors import DegenerateInputError, SchemaError
 
 N_ELECTRODES = 19
 
@@ -55,16 +55,6 @@ class SurfaceGeometry:
         """Axis-aligned bounding box of the surface."""
         r, length = self.r, self.half_cylinder_length
         return np.array([-r, -r, 0.0]), np.array([r, r, length + r])
-
-    @classmethod
-    def from_config(cls, config: dict) -> "SurfaceGeometry":
-        try:
-            r, length = config["radius_m"], config["half_cylinder_length_m"]
-        except KeyError as exc:
-            raise SchemaError(f"geometry config missing field {exc.args[0]!r}") from exc
-        check_config_value("geometry.radius_m", r, DEFAULT_RADIUS_M)
-        check_config_value("geometry.half_cylinder_length_m", length, DEFAULT_HALF_CYLINDER_LENGTH_M)
-        return cls(r=float(r), half_cylinder_length=float(length))
 
 
 @dataclass(frozen=True)

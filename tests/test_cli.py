@@ -22,15 +22,17 @@ from tactile_force.errors import (
     OutOfBoundsError,
     SchemaError,
     TactileForceError,
+    read_config,
 )
-from tactile_force.mechanics import ParticleGrid, PlanarMotion, PushParams, force_targets
+from tactile_force.mechanics import ParticleGrid, PlanarMotion, force_targets
 from tactile_force.metrics import evaluate_pairs, summarize
-from tactile_force.net import build_voxel_net, load_checkpoint
+from tactile_force.net import NetworkConfig, build_voxel_net, load_checkpoint
 from tactile_force.net.losses import MAGNITUDE_FLOOR_N
 from tactile_force.sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
 from tactile_force.voxel import N_CHANNELS, GridSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PERFBENCH = README.parent / "perfbench"
 
 
 def run(args):
@@ -130,6 +132,9 @@ class TestSimulate:
         assert not out.exists()  # so no episodes/ and no params.json either
 
     @pytest.mark.parametrize("dotted", [
+        "sourcs",
+        "params.mu",
+        "geometry.radius",
         "sensor.gian",
         "sources.rigid-ft",
         "sources.planar_pushing.step",
@@ -138,8 +143,8 @@ class TestSimulate:
         "split.test",
     ])
     def test_unknown_key_exits_2_naming_file_and_key(self, tmp_path, capsys, sim_config, dotted):
-        """A misspelt key in the sensor, sources, source or split block is an
-        error, not a setting silently left at its default."""
+        """A misspelt key at any level of the config is an error, not a
+        setting silently left at its default."""
         config = write_config(tmp_path / "c.json", with_value(sim_config, dotted, 5))
         out = tmp_path / "o"
         assert run(["simulate", "--config", config, "--out", out]) == 2
@@ -211,9 +216,8 @@ class TestInfer:
                     "--out", out_csv]) == 0
         with open(out_csv) as fh:
             inferred = [(float(r["fx"]), float(r["fy"])) for r in csv.DictReader(fh)]
-        config = json.loads(Path(params_path).read_text())
-        params = PushParams.from_config(config)
-        grid = ParticleGrid.uniform_rectangle(config["box_half_extents"], params)
+        params, half_extents = cli._read_push_params("params", json.loads(Path(params_path).read_text()))
+        grid = ParticleGrid.uniform_rectangle(half_extents, params)
         oracle = []
         for line in episode.read_text().splitlines():
             row = json.loads(line)
@@ -249,7 +253,7 @@ class TestInfer:
         params["mu_s"] = 0.0
         zero_mu = write_config(tmp_path / "zero_mu.json", params)
         inferred, _ = self.infer_and_grid_oracle(episode, zero_mu, tmp_path / "zero.csv")
-        p = PushParams.from_config(params)
+        p, _ = cli._read_push_params("params", params)
         oracle = []
         for line in episode.read_text().splitlines():
             row = json.loads(line)
@@ -293,6 +297,7 @@ class TestInfer:
             ("params", None, 5, 2),
             ("row", "t", "1,2", 3),
             ("row", "t", [3, 4], 3),
+            ("params", "mu", 0.0, 2),
         ],
     )
     def test_bad_input_exits_2_or_3_naming_file_and_field(
@@ -617,21 +622,56 @@ class TestSelfDescribingModels:
         assert "'layout'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("kind, content", [
+        ("checkpoint", None),
+        ("linear", None),
+        ("checkpoint", '{"S": [1, 1, 1]}'),
+        ("linear", "{not json"),
+        ("linear", "[1, 2]"),
+    ])
+    def test_unreadable_model_file_exits_2_naming_it(self, sim_dir, tmp_path, capsys, kind, content):
+        """A missing model file, a JSON file given as a checkpoint and a
+        linear model that is not a JSON object are config errors."""
+        path = tmp_path / "models" / "model"
+        if content is not None:
+            path.parent.mkdir()
+            path.write_text(content)
+        code, eval_dir = self.evaluate(sim_dir, tmp_path, path, "--model-kind", kind)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
+        assert not eval_dir.exists()
+
+
 class TestReadme:
     def test_train_config_example_builds_and_shows_the_defaults(self):
-        """The README's training config resolves through the calls `train`
-        makes before it reads data, and holds the defaults it says it shows."""
+        """The README's training config reads as `train` reads it, builds a
+        net on its grid, and holds the defaults it says it shows."""
         block = re.search(r"```json\n(.*?)```", README.read_text(), flags=re.S).group(1)
-        config = json.loads(block)
-        configs = cli._train_configs(config, 0)
-        layout, geometry = cli._layout_and_geometry(config, README)
-        featurization = featurization_record(True, layout, geometry, config["grid"])
-        build_voxel_net(configs[0], (N_CHANNELS, *featurization["grid"]["dims"]))
-        assert [c.to_dict() for c in configs] == [c.to_dict() for c in cli._train_configs({}, 0)]
+        config = read_config(json.loads(block), cli.TRAIN_CONFIG)
+        defaults = read_config({}, cli.TRAIN_CONFIG)
+        assert {**config, "grid": None} == defaults
+        geometry = SurfaceGeometry()
+        featurization = featurization_record(True, default_electrode_layout(geometry), geometry,
+                                             config["grid"])
+        build_voxel_net(NetworkConfig.from_dict(config["network"]),
+                        (N_CHANNELS, *featurization["grid"]["dims"]))
         shown, default = GridSpec.from_config(config["grid"]), GridSpec.for_geometry(geometry)
         assert shown.dims == default.dims
         np.testing.assert_allclose(shown.bounds_min, default.bounds_min, rtol=1e-12)
         np.testing.assert_allclose(shown.bounds_max, default.bounds_max, rtol=1e-12)
+
+    def test_shipped_configs_read(self):
+        """README's sim.json and the benchmark's CLI configs, which the
+        suite does not otherwise run, pass the readers simulate and train
+        use; the simulation configs' params, too."""
+        sim_json = re.search(r"cat > sim.json <<'JSON'\n(.*?)\nJSON\n", README.read_text(),
+                             flags=re.S).group(1)
+        for text in (sim_json, (PERFBENCH / "cli_simulate.json").read_text()):
+            config = read_config(json.loads(text), cli.SIMULATE_CONFIG)
+            cli._read_push_params("params", {**config["params"],
+                                             "box_half_extents": config["box_half_extents"]})
+        read_config(json.loads((PERFBENCH / "cli_train.json").read_text()), cli.TRAIN_CONFIG)
 
 
 def rewrite_checkpoint_meta(path, edit):
@@ -654,6 +694,18 @@ def with_value(config: dict, dotted: str, value) -> dict:
 
 
 class TestConfigValueTypes:
+    @pytest.mark.parametrize("dotted", ["trainig", "network.seed", "mlp.hidden_width"])
+    def test_unknown_train_key_exits_2_naming_file_and_key(self, sim_dir, tmp_path, capsys, dotted):
+        """A misspelt key at any level of a training config is an error, and
+        so is a seed inside a block, which the run seed would override."""
+        config = write_config(tmp_path / "c.json", with_value(TINY_TRAIN_CONFIG, dotted, 5))
+        out = tmp_path / "m"
+        assert run(["train", "--manifest", sim_dir / "dataset_manifest.json", "--out", out,
+                    "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(config) in err and f"'{dotted}'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, field, value", [
         ("simulate", "sources.rigid_ft.trials", "x"),
         ("simulate", "sources.planar_pushing.steps", 150.0),
@@ -666,6 +718,10 @@ class TestConfigValueTypes:
         ("train", "loss.beta", "x"),
         ("train", "loss.beta", True),
         ("train", "seed", "x"),
+        ("simulate", "sensor.gain", float("nan")),
+        ("simulate", "sources.rigid_ft.force_range", [float("nan"), 1.0]),
+        ("simulate", "split.train", float("inf")),
+        ("train", "training.base_lr", float("nan")),
     ])
     def test_wrong_type_exits_2_naming_file_and_field(
         self, sim_dir, sim_config, tmp_path, capsys, command, field, value
@@ -756,6 +812,15 @@ def tamper_train_record(sim_dir, field, value):
     return trial
 
 
+# a samples-file record's field set to a value of the wrong shape or type
+DAMAGED_FIELDS = {
+    "short_e": {"e": [0.5] * 18},
+    "in_contact_string": {"in_contact": "false"},
+    "source_tag_number": {"source_tag": 5},
+    "trial_id_list": {"trial_id": ["x"]},
+}
+
+
 class TestDataFileErrors:
     """Malformed data files end with exit 2 or 3 and a message naming the
     trial or file, never a traceback."""
@@ -780,13 +845,13 @@ class TestDataFileErrors:
             assert f"'{trial}'" in err and f"'{field}'" in err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    @pytest.mark.parametrize("damage", ["truncated", "not_an_object", "short_e"])
+    @pytest.mark.parametrize("damage", ["truncated", "not_an_object", *DAMAGED_FIELDS])
     def test_malformed_samples_line_exits_3_naming_file_and_line(
         self, sim_dir, tmp_path, capsys, command, damage
     ):
         """A cut-off last line, a line that is not an object and a record
-        with a wrong-shape field each name the samples file and the line,
-        counting the blank lines that are skipped."""
+        with a wrong-shape or wrong-type field each name the samples file
+        and the line, counting the blank lines that are skipped."""
         manifest = sim_dir / "dataset_manifest.json"
         samples = sim_dir / json.loads(manifest.read_text())["samples_file"]
         lines = samples.read_text().splitlines()
@@ -797,7 +862,7 @@ class TestDataFileErrors:
         elif damage == "not_an_object":
             lines[n - 1] = "[1, 2]"
         else:
-            lines[n - 1] = json.dumps({**json.loads(lines[n - 1]), "e": [0.5] * 18})
+            lines[n - 1] = json.dumps({**json.loads(lines[n - 1]), **DAMAGED_FIELDS[damage]})
         samples.write_text("\n".join(lines))
         out = tmp_path / "out"
         args = {

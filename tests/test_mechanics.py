@@ -17,7 +17,8 @@ from solver_oracles import (
     perp,
     rot2,
 )
-from tactile_force.errors import SchemaError
+from tactile_force.cli import _read_push_params
+from tactile_force.errors import ConfigError, SchemaError
 from tactile_force.mechanics import (
     ParticleGrid,
     PlanarMotion,
@@ -28,6 +29,7 @@ from tactile_force.mechanics import (
     friction_wrench,
     infer_force_with_friction,
 )
+from tactile_force.synthetic import DEFAULT_BOX_HALF_EXTENTS_M, box_inertia
 
 
 def four_particle_friction_oracle(positions, motion, params):
@@ -116,22 +118,30 @@ class TestParticleGrid:
         with pytest.raises(SchemaError):
             PushParams(m=1.0, inertia=0.01, k=0.0)
 
-    def test_from_config_takes_class_defaults_and_ignores_other_keys(self):
+    def test_params_reader_takes_class_defaults_and_rejects_other_keys(self):
         # a params file as simulate writes it carries the box half extents
         params = PushParams(m=0.65, inertia=0.0034, mu_s=0.2, n=16, k=5.0, g=9.8)
         blob = {**dataclasses.asdict(params), "box_half_extents": [0.1, 0.075]}
-        assert PushParams.from_config(blob) == params
-        assert PushParams.from_config({"m": 0.65, "inertia": 0.0034}) == PushParams(
-            m=0.65, inertia=0.0034
+        assert _read_push_params("params", blob) == (params, (0.1, 0.075))
+        assert _read_push_params("params", {"m": 0.65, "inertia": 0.0034}) == (
+            PushParams(m=0.65, inertia=0.0034), DEFAULT_BOX_HALF_EXTENTS_M
         )
-        for bad in (
-            {"m": "heavy", "inertia": 0.01},
-            {"m": 1.0},
-            {"m": 1.0, "inertia": None},
-            {"m": 1.0, "inertia": 0.01, "n": 80.5},
+        # an absent inertia is that of a uniform box of mass m
+        assert _read_push_params("params", {"m": 1, "box_half_extents": [0.2, 0.1]})[0] == (
+            PushParams(m=1.0, inertia=box_inertia(1.0, (0.2, 0.1)))
+        )
+        for bad, field in (
+            ({"m": "heavy", "inertia": 0.01}, "'m'"),
+            ({"inertia": 0.01}, "'m'"),
+            ({"m": 1.0, "inertia": 0.01, "n": 80.5}, "'n'"),
+            ({"m": "0.65", "inertia": True}, "'m'"),
+            ({"m": 0.65, "inertia": True}, "'inertia'"),
+            ({"m": 1.0, "mu": 0.0}, "'mu'"),
+            ({"m": float("nan")}, "'m'"),
+            ({"m": 1.0, "box_half_extents": [0.1]}, "'box_half_extents'"),
         ):
-            with pytest.raises(SchemaError):
-                PushParams.from_config(bad)
+            with pytest.raises(ConfigError, match=f"^params: .*{field}"):
+                _read_push_params("params", bad)
 
 
 class TestFriction:
