@@ -17,10 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import load_json
-from .errors import ConfigError, DegenerateInputError, SchemaError
+from .errors import DegenerateInputError, Required, SchemaError, read_config
+from .files import write_text_atomic
 from .sensor import N_ELECTRODES, ElectrodeLayout
 
 AXES = ("x", "y", "z")
+# a linear model file: the per-axis scale factors and the layout they were fitted on
+LINEAR_MODEL_RECORD = {"S": Required((0.0, 0.0, 0.0)), "layout": Required(None)}
 
 
 @dataclass(frozen=True)
@@ -30,30 +33,20 @@ class LinearModel:
     scale: np.ndarray  # (3,), per-axis factors
     layout: ElectrodeLayout
 
-    def __post_init__(self):
-        s = np.asarray(self.scale, dtype=float)
-        if s.shape != (3,):
-            raise SchemaError(f"scale must be a 3-vector, got shape {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise SchemaError("scale factors must be finite")
-        object.__setattr__(self, "scale", s)
-
     def to_json(self, path) -> None:
         """Write {"S", "layout"}: the scale factors and the layout whose
         electrode orientations they multiply."""
-        with open(path, "w") as fh:
-            json.dump({"S": self.scale.tolist(), "layout": self.layout.to_dict()}, fh)
+        write_text_atomic(path, json.dumps({"S": self.scale.tolist(), "layout": self.layout.to_dict()}))
 
     @classmethod
     def from_json(cls, path) -> "LinearModel":
-        data = load_json(path, "linear model")
-        if not isinstance(data, dict):
-            raise ConfigError(f"linear model {path} must hold a JSON object")
-        try:
-            scale, layout = data["S"], data["layout"]
-        except KeyError as exc:
-            raise ConfigError(f"linear model {path} missing field {exc.args[0]!r}") from exc
-        return cls(scale=np.array(scale, dtype=float), layout=ElectrodeLayout.from_dict(layout))
+        """The model in a linear model file; a bad file is a ConfigError naming it."""
+        def read(data):
+            values = read_config(data, LINEAR_MODEL_RECORD)
+            return cls(scale=np.array(values["S"], dtype=float),
+                       layout=ElectrodeLayout.from_dict(values["layout"], "layout"))
+
+        return load_json(path, "linear model", read)
 
 
 def electrode_features(layout: ElectrodeLayout, e: np.ndarray) -> np.ndarray:

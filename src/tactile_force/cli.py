@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -38,9 +37,10 @@ from .dataset import (
     write_samples_jsonl,
 )
 from .errors import (
-    ConfigError, DataIntegrityError, Positive, SchemaError, TactileForceError, check_config_value,
-    read_config,
+    ConfigError, DataIntegrityError, Fraction, Positive, Required, SchemaError, TactileForceError,
+    check_config_value, read_config,
 )
+from .files import write_text_atomic
 from .mechanics import (
     ParticleGrid,
     PlanarMotion,
@@ -81,8 +81,8 @@ PUSH_PARAMS_CONFIG = {f.name: None if f.default is dataclasses.MISSING else f.de
                       for f in dataclasses.fields(PushParams)}
 # the pushed box's half extents, two positive numbers
 BOX_HALF_EXTENTS_CONFIG = tuple(Positive(h) for h in DEFAULT_BOX_HALF_EXTENTS_M)
-# a params file, which simulate writes and infer reads
-PARAMS_FILE_CONFIG = {**PUSH_PARAMS_CONFIG, "box_half_extents": BOX_HALF_EXTENTS_CONFIG}
+# a params file, which simulate writes and infer reads; "m" is required
+PARAMS_FILE_CONFIG = {**PUSH_PARAMS_CONFIG, "m": Required(0.0), "box_half_extents": BOX_HALF_EXTENTS_CONFIG}
 # the sensor geometry, and the electrode layout file ("" for the default layout)
 GEOMETRY_CONFIG = {
     "geometry": {"radius_m": DEFAULT_RADIUS_M, "half_cylinder_length_m": DEFAULT_HALF_CYLINDER_LENGTH_M},
@@ -105,7 +105,7 @@ SIMULATE_CONFIG = {
         SOURCE_BALL_FT: {"trials": 0, "samples_per_trial": 50, "force_range": (0.1, 5.0),
                          "cone_angle_deg": 60.0, "cap_only": True},
     },
-    "split": {"train": DEFAULT_TRAIN_FRAC, "val": DEFAULT_VAL_FRAC},
+    "split": {"train": Fraction(DEFAULT_TRAIN_FRAC), "val": Fraction(DEFAULT_VAL_FRAC)},
 }
 # every key of a training config, with its default; the run seed sets the
 # network's and the training's, and the grid is read by GridSpec.from_config
@@ -133,12 +133,6 @@ def resolve_sources(flag: str) -> set[str]:
     )
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def write_json_atomic(path: Path, obj) -> None:
     write_text_atomic(path, json.dumps(obj, indent=2) + "\n")
 
@@ -146,11 +140,8 @@ def write_json_atomic(path: Path, obj) -> None:
 def _read_config(path, defaults: dict) -> dict:
     """The config file at `path` (None for none) read over `defaults`; an
     error names the file and the dotted key."""
-    config = {} if path is None else load_json(path, "config")
-    try:
-        return read_config(config, defaults)
-    except ConfigError as exc:
-        raise ConfigError(f"config {path}: {exc}") from exc
+    return read_config({}, defaults) if path is None else load_json(
+        path, "config", lambda config: read_config(config, defaults))
 
 
 def _resolve_seed(args, config: dict) -> int:
@@ -170,9 +161,6 @@ def _read_push_params(what: str, config) -> tuple[PushParams, tuple[float, float
     try:
         values = read_config(config, PARAMS_FILE_CONFIG)
         half_extents = tuple(float(h) for h in values.pop("box_half_extents"))
-        if values["m"] is None:
-            raise ConfigError("missing field 'm'")
-        check_config_value("m", values["m"], 0.0)
         if values["inertia"] is None:
             values["inertia"] = box_inertia(values["m"], half_extents)
         check_config_value("inertia", values["inertia"], 0.0)
@@ -192,10 +180,7 @@ def _layout_and_geometry(config: dict, path):
     layout_path = config["layout_file"]
     if not layout_path:
         return default_electrode_layout(geometry), geometry
-    try:
-        return ElectrodeLayout.from_dict(load_json(layout_path, "layout")), geometry
-    except SchemaError as exc:
-        raise ConfigError(f"layout file {layout_path}: {exc}") from exc
+    return load_json(layout_path, "layout file", ElectrodeLayout.from_dict), geometry
 
 
 def cmd_simulate(args) -> tuple[Path, list[str]]:
@@ -219,7 +204,8 @@ def cmd_simulate(args) -> tuple[Path, list[str]]:
     n_planar = count(SOURCE_PLANAR, "trials", 0)
     if n_planar > 0:
         params, half_extents = _read_push_params(f"config {config_path}", {
-            **config["params"], "box_half_extents": config["box_half_extents"]})
+            **{k: v for k, v in config["params"].items() if v is not None},
+            "box_half_extents": config["box_half_extents"]})
         planar = sources[SOURCE_PLANAR]
         planar_args = dict(
             n_trials=n_planar,
@@ -352,15 +338,15 @@ def cmd_train(args) -> tuple[Path, list[str]]:
     if not val_records:
         raise DataIntegrityError(f"no validation samples for sources {sorted(sources)}")
 
+    layout, geometry = _layout_and_geometry(config, args.config)
+    voxel = args.model == MODEL_VOXEL and not args.no_voxel
     try:
         net_cfg, train_cfg, loss_cfg = _train_configs(config, seed)
+        featurization = featurization_record(voxel, layout, geometry, config["grid"])
     except ConfigError as exc:
         raise ConfigError(f"config {args.config}: {exc}") from exc
-    use_alpha = not args.no_alpha
-    if not use_alpha:
+    if args.no_alpha:
         loss_cfg = dataclasses.replace(loss_cfg, beta=0.0)
-
-    layout, geometry = _layout_and_geometry(config, args.config)
 
     if args.model == MODEL_LINEAR:
         e_train = np.stack([r.e for r in train_records])
@@ -371,8 +357,6 @@ def cmd_train(args) -> tuple[Path, list[str]]:
         print(f"train: fitted linear model S={model.scale.tolist()} -> {out_dir}")
         return out_dir, ["linear_model.json"]
 
-    voxel = args.model == MODEL_VOXEL and not args.no_voxel
-    featurization = featurization_record(voxel, layout, geometry, config["grid"])
     if args.model == MODEL_MLP_BASELINE:
         widths = tuple(config["mlp"]["hidden_widths"])
         model = build_mlp_net(FLAT_INPUT_WIDTH, widths, seed=seed, layer_norm=False)
@@ -398,7 +382,7 @@ def cmd_train(args) -> tuple[Path, list[str]]:
         loss_config=loss_cfg,
         metadata={
             "sources": sorted(sources),
-            "ablation": {"voxel": voxel, "alpha": use_alpha},
+            "ablation": {"voxel": voxel, "alpha": loss_cfg.beta != 0},
             "model": args.model,
             "best_epoch": report.best_epoch,
             "best_val_loss": report.best_val_loss,
@@ -433,10 +417,14 @@ def _predict_records(records, model_kind, model_path):
         return preds, {"kind": "linear", "S": model.scale.tolist()}
     # checkpoint
     model, meta = load_checkpoint(model_path)
-    samples = featurizer(meta["featurization"])(records)
+    try:
+        featurize = featurizer(meta["featurization"])
+    except (ConfigError, SchemaError) as exc:
+        raise ConfigError(f"checkpoint {model_path}: {exc}") from exc
+    samples = featurize(records)
     preds = [model.forward(samples.inputs[start : start + PREDICT_CHUNK])
              for start in range(0, len(records), PREDICT_CHUNK)]
-    return np.concatenate(preds, axis=0), {"kind": meta["kind"], **meta.get("metadata", {})}
+    return np.concatenate(preds, axis=0), {"kind": meta["kind"], **(meta["metadata"] or {})}
 
 
 def cmd_eval(args) -> tuple[Path, list[str]]:

@@ -16,8 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConfigError, DataIntegrityError, LayoutCollisionError, OutOfBoundsError, SchemaError,
+    ConfigError, DataIntegrityError, LayoutCollisionError, OutOfBoundsError, Required, SchemaError,
+    read_config,
 )
+from .files import atomic_open, write_text_atomic
+from .net.losses import KNOWN_SOURCES
 from .net.training import ArraySamples
 from .sensor import N_ELECTRODES, ElectrodeLayout, SurfaceGeometry
 from .voxel import (
@@ -28,8 +31,9 @@ from .voxel import (
 SPLIT_NAMES = ("train", "val", "test")
 DEFAULT_TRAIN_FRAC = 0.8
 DEFAULT_VAL_FRAC = 0.1
-# shape of each array field of a samples-file record; R_wb is a flat row-major 3x3
-RECORD_ARRAY_SHAPES = {"e": (N_ELECTRODES,), "s_c": (3,), "s_n": (3,), "f_3d": (3,), "R_wb": (9,)}
+# a split manifest: the samples file and the trial ids of each split
+MANIFEST_RECORD = {"samples_file": Required(""), "splits": {name: Required([""]) for name in SPLIT_NAMES},
+                   "seed": None, "counts": None, "n_filtered_out": None}
 
 
 @dataclass(frozen=True)
@@ -53,11 +57,24 @@ class SampleRecord:
     motion: dict | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "e", np.asarray(self.e, dtype=float))
-        object.__setattr__(self, "s_c", np.asarray(self.s_c, dtype=float))
-        object.__setattr__(self, "s_n", np.asarray(self.s_n, dtype=float))
-        object.__setattr__(self, "f_3d", np.asarray(self.f_3d, dtype=float))
-        object.__setattr__(self, "r_wb", np.asarray(self.r_wb, dtype=float))
+        """A SchemaError names a field, by its file key, without its type or
+        shape, or a source not known; r_wb may be 9 values row-major, as in files."""
+        if not isinstance(self.trial_id, str):
+            raise SchemaError(f"field 'trial_id' must be a string, got {self.trial_id!r}")
+        if not isinstance(self.in_contact, bool):
+            raise SchemaError(f"field 'in_contact' must be true or false, got {self.in_contact!r}")
+        if self.source_tag not in KNOWN_SOURCES:
+            raise SchemaError(f"trial {self.trial_id!r}: unknown source_tag {self.source_tag!r}")
+        for name, key, shape in (("e", "e", (N_ELECTRODES,)), ("s_c", "s_c", (3,)),
+                                 ("s_n", "s_n", (3,)), ("f_3d", "f_3d", (3,)), ("r_wb", "R_wb", (3, 3))):
+            try:
+                array = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError) as exc:  # not numbers, or a ragged nesting
+                raise SchemaError(f"trial {self.trial_id!r}: field {key!r}: {exc}") from exc
+            if array.shape != shape and (name != "r_wb" or array.shape != (9,)):
+                raise SchemaError(f"trial {self.trial_id!r}: field {key!r} has shape "
+                                  f"{array.shape}, expected {shape}")
+            object.__setattr__(self, name, array.reshape(shape) if name == "r_wb" else array)
 
     def to_dict(self) -> dict:
         d = {
@@ -76,59 +93,39 @@ class SampleRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SampleRecord":
-        """A samples-file record; a missing, wrong-type or wrong-shape field is
-        a SchemaError."""
+        """A samples-file record; a missing or unknown field, or one of the
+        wrong type or shape, is a SchemaError."""
+        d = dict(d)
         try:
-            trial_id, source_tag = d["trial_id"], d["source_tag"]
-            in_contact = d.get("in_contact", True)
-            for name, value, kind, what in (("trial_id", trial_id, str, "a string"),
-                                            ("source_tag", source_tag, str, "a string"),
-                                            ("in_contact", in_contact, bool, "true or false")):
-                if not isinstance(value, kind):
-                    raise SchemaError(f"field {name!r} must be {what}, got {value!r}")
-            arrays = {name: _array_field(d, name, trial_id) for name in RECORD_ARRAY_SHAPES}
-            return cls(
-                trial_id=trial_id,
-                source_tag=source_tag,
-                e=arrays["e"],
-                s_c=arrays["s_c"],
-                s_n=arrays["s_n"],
-                f_3d=arrays["f_3d"],
-                r_wb=arrays["R_wb"].reshape(3, 3),
-                in_contact=in_contact,
-                motion=d.get("motion"),
-            )
+            record = cls(trial_id=d.pop("trial_id"), source_tag=d.pop("source_tag"), e=d.pop("e"),
+                         s_c=d.pop("s_c"), s_n=d.pop("s_n"), f_3d=d.pop("f_3d"), r_wb=d.pop("R_wb"),
+                         in_contact=d.pop("in_contact", True), motion=d.pop("motion", None))
         except KeyError as exc:
             raise SchemaError(f"sample record missing field {exc.args[0]!r}") from exc
+        if d:
+            raise SchemaError(f"trial {record.trial_id!r}: unknown key {min(d)!r}")
+        return record
 
 
-def _array_field(d: dict, name: str, trial_id: str) -> np.ndarray:
-    shape = RECORD_ARRAY_SHAPES[name]
-    try:
-        array = np.array(d[name], dtype=float)
-    except (TypeError, ValueError) as exc:  # not numbers, or a ragged nesting
-        raise SchemaError(f"trial {trial_id!r}: field {name!r}: {exc}") from exc
-    if array.shape != shape:
-        raise SchemaError(
-            f"trial {trial_id!r}: field {name!r} has shape {array.shape}, expected {shape}"
-        )
-    return array
-
-
-def load_json(path, what: str) -> dict:
-    """A JSON file's content; a missing or non-JSON file is a ConfigError
-    naming it as `what`."""
+def load_json(path, what: str, read=lambda data: data, error=ConfigError):
+    """`read` of a JSON file's content. Every error names the file as `what`:
+    a missing or non-JSON file is a ConfigError, and a ConfigError or
+    SchemaError that `read` raises an `error`."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as exc:
-        raise ConfigError(f"{what} file not found: {path}") from exc
+        raise ConfigError(f"{what} {path}: file not found") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path}: not valid JSON: {exc}") from exc
+    try:
+        return read(data)
+    except (ConfigError, SchemaError) as exc:
+        raise error(f"{what} {path}: {exc}") from exc
 
 
 def write_samples_jsonl(records, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for r in records:
             fh.write(json.dumps(r.to_dict()) + "\n")
 
@@ -248,41 +245,26 @@ def write_manifest(splits: DatasetSplits, samples_file: str, path, seed: int) ->
         "counts": {name: len(splits.split(name)) for name in SPLIT_NAMES},
         "n_filtered_out": splits.n_filtered_out,
     }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    write_text_atomic(path, json.dumps(manifest, indent=2))
 
 
 def load_manifest_splits(manifest_path) -> tuple[dict[str, list[SampleRecord]], dict]:
     """Load the samples file referenced by a manifest and group by split.
 
-    Errors name the file: a missing or non-JSON manifest is a ConfigError, a
-    malformed one a SchemaError, and a missing samples file or a trial id in
-    more than one split a DataIntegrityError.
+    Errors name the file: a missing or non-JSON manifest is a ConfigError, one
+    not a MANIFEST_RECORD a SchemaError naming the dotted key, and a missing
+    samples file or a trial id in more than one split a DataIntegrityError.
     """
     manifest_path = Path(manifest_path)
-    manifest = load_json(manifest_path, "manifest")
-    try:
-        split_ids = {name: manifest["splits"][name] for name in SPLIT_NAMES}
-        samples_file = manifest["samples_file"]
-    except KeyError as exc:
-        raise SchemaError(f"manifest {manifest_path} missing field {exc.args[0]!r}") from exc
-    except TypeError as exc:
-        raise SchemaError(
-            f"manifest {manifest_path}: 'splits' must map train/val/test to lists of trial ids"
-        ) from exc
+    manifest = load_json(manifest_path, "manifest", lambda m: read_config(m, MANIFEST_RECORD),
+                         SchemaError)
     seen: dict[str, str] = {}
-    for name, ids in split_ids.items():
-        if not isinstance(ids, list) or not all(isinstance(tid, str) for tid in ids):
-            raise SchemaError(
-                f"manifest {manifest_path}: split {name!r} must be a list of trial ids, got {ids!r}"
-            )
+    for name, ids in manifest["splits"].items():
         for tid in ids:
             if tid in seen:
-                raise DataIntegrityError(
-                    f"trial {tid!r} assigned to both {seen[tid]} and {name}"
-                )
+                raise DataIntegrityError(f"trial {tid!r} assigned to both {seen[tid]} and {name}")
             seen[tid] = name
-    samples_path = manifest_path.parent / samples_file
+    samples_path = manifest_path.parent / manifest["samples_file"]
     try:
         records = read_samples_jsonl(samples_path)
     except FileNotFoundError as exc:
@@ -333,19 +315,24 @@ def featurization_record(
     return {"kind": FEATURIZE_VOXEL, "grid": spec.to_config(), "layout": layout.to_dict()}
 
 
-def featurizer(record: dict) -> Callable[[list[SampleRecord]], ArraySamples]:
-    """The featurize call a featurization record describes."""
-    try:
-        kind = record["kind"]
-        if kind == FEATURIZE_FLAT:
-            return featurize_flat
-        if kind == FEATURIZE_VOXEL:
-            layout = ElectrodeLayout.from_dict(record["layout"])
-            spec = GridSpec.from_config(record["grid"])
-            return lambda records: featurize_voxel(records, layout, spec)
-    except KeyError as exc:
-        raise ConfigError(f"featurization record missing field {exc.args[0]!r}") from exc
-    raise ConfigError(f"unknown featurization kind {kind!r}")
+# a featurization record of each kind; the grid and layout have their own readers
+FEATURIZATION_RECORDS = {
+    FEATURIZE_FLAT: {"kind": Required("")},
+    FEATURIZE_VOXEL: {"kind": Required(""), "grid": Required(None), "layout": Required(None)},
+}
+
+
+def featurizer(record) -> Callable[[list[SampleRecord]], ArraySamples]:
+    """The featurize call a checkpoint's "featurization" record describes."""
+    kind = record.get("kind") if isinstance(record, dict) else None
+    if kind not in (None, *FEATURIZATION_RECORDS):
+        raise ConfigError(f"field 'featurization.kind' must be 'flat' or 'voxel', got {kind!r}")
+    values = read_config(record, FEATURIZATION_RECORDS[kind or FEATURIZE_FLAT], "featurization")
+    if kind == FEATURIZE_FLAT:
+        return featurize_flat
+    layout = ElectrodeLayout.from_dict(values["layout"], "featurization.layout")
+    spec = GridSpec.from_config(values["grid"], "featurization.grid")
+    return lambda records: featurize_voxel(records, layout, spec)
 
 
 def featurize_voxel(
@@ -356,12 +343,12 @@ def featurize_voxel(
     Each sample's inputs are its 19 electrode values, in layout order, and
     its contact cell; their dense array equals stacking `voxel.encode` of
     each record.
-    A record whose e or s_c has the wrong shape, or whose contact point is
-    not finite or lies outside the grid, is an error naming its trial.
+    A record whose contact point is not finite or lies outside the grid is
+    an error naming its trial.
     """
     cells = electrode_cells(layout, spec)
-    e = _stack_field(records, "e", (N_ELECTRODES,))
-    s_c = _stack_field(records, "s_c", (3,))
+    e = np.stack([r.e for r in records])
+    s_c = np.stack([r.s_c for r in records])
     bad = np.flatnonzero(outside(s_c, spec))
     if bad.size:
         r = records[bad[0]]
@@ -373,14 +360,6 @@ def featurize_voxel(
     electrodes = np.ravel_multi_index((CHANNEL_ELECTRODES,) + cells, grid)
     contact = np.ravel_multi_index((CHANNEL_CONTACT,) + tuple(cell_indices(s_c, spec).T), grid)
     return _with_context(records, VoxelInputs(e, contact, electrodes, grid))
-
-
-def _stack_field(records: list[SampleRecord], name: str, shape: tuple[int, ...]) -> np.ndarray:
-    arrays = [getattr(r, name) for r in records]
-    for r, a in zip(records, arrays):
-        if a.shape != shape:
-            raise SchemaError(f"trial {r.trial_id!r}: {name} has shape {a.shape}, expected {shape}")
-    return np.stack(arrays)
 
 
 def featurize_flat(records: list[SampleRecord]) -> ArraySamples:

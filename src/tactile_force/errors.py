@@ -55,6 +55,18 @@ class Positive(float):
     """A config default whose field must hold a positive number."""
 
 
+class Fraction(float):
+    """A config default whose field must hold a number in [0, 1]."""
+
+
+class Required:
+    """A record field that must be present, checked against `example` as
+    against a default; Required(None) only checks that it is present."""
+
+    def __init__(self, example):
+        self.example = example
+
+
 def _finite(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
@@ -64,6 +76,7 @@ _KINDS = (
     (bool, "true or false", lambda v: isinstance(v, bool)),
     (numbers.Integral, "an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
     (Positive, "a positive finite number", lambda v: _finite(v) and v > 0),
+    (Fraction, "a number in [0, 1]", lambda v: _finite(v) and 0 <= v <= 1),
     (numbers.Real, "a finite number", _finite),
     (str, "a string", lambda v: isinstance(v, str)),
 )
@@ -72,9 +85,9 @@ _KINDS = (
 def check_config_value(name: str, value, default) -> None:
     """Raise a ConfigError naming the field unless `value` has the type of the
     field's `default`. An int passes for a float, but a bool is not a number,
-    and a number must be finite (and positive for a Positive default). A
-    sequence default takes a list whose items each pass against the
-    default's first item, and a tuple default one of its length."""
+    and a number must be finite (positive for a Positive default, in [0, 1]
+    for a Fraction). A sequence default takes a list whose items each pass
+    against the default's first item, and a tuple default one of its length."""
     for kind, what, accepts in _KINDS:
         if isinstance(default, kind):
             if not accepts(value):
@@ -91,19 +104,24 @@ def check_config_value(name: str, value, default) -> None:
 def read_config(config, defaults: dict, name: str = "") -> dict:
     """`config`, a JSON object, read over the tree of `defaults`: an absent
     key takes its default, a key the tree lacks is an error naming its
-    dotted key, a dict default is read the same way, a None default leaves
-    the value to its own reader, and any other value must pass
-    check_config_value against its default. Every absent key is filled in,
-    so reading the result again gives it back."""
+    dotted key, a dict default is read the same way (an absent block as {}),
+    a None default leaves the value to its own reader, a Required default
+    must be present and is checked against its example, and any other value
+    must pass check_config_value against its default. Every absent key is
+    filled in, so reading the result again gives it back."""
     if not isinstance(config, dict):
-        raise ConfigError(f"{f'field {name!r}' if name else 'config'} must be an object, got {config!r}")
+        raise ConfigError(f"{f'field {name!r}' if name else 'the file'} must be an object, got {config!r}")
     prefix = name + "." if name else ""
     for key in config:
         if key not in defaults:
             raise ConfigError(f"unknown key {prefix + key!r}; expected one of {', '.join(defaults)}")
     values = {}
     for key, default in defaults.items():
-        value = config.get(key, default)
+        if isinstance(default, Required):
+            if key not in config:
+                raise ConfigError(f"missing field {prefix + key!r}")
+            default = default.example
+        value = config.get(key, {} if isinstance(default, dict) else default)
         if isinstance(default, dict):
             value = read_config(value, default, prefix + key)
         elif key in config and default is not None:

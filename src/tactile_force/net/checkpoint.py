@@ -10,13 +10,17 @@ ablation flags, sources).
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, Required, read_config
+from ..files import atomic_open
 from .losses import LossConfig
 from .network import KIND_MLP, KIND_VOXEL, Model, NetworkConfig, build_mlp_net, build_voxel_net
+
+# a checkpoint's metadata blob; "args" and "featurization" have their own readers
+CHECKPOINT_META = {"kind": Required(""), "args": Required(None), "featurization": Required(None),
+                   "loss_config": None, "metadata": None}
 
 
 def save_checkpoint(
@@ -35,20 +39,17 @@ def save_checkpoint(
         "metadata": metadata or {},
     }
     arrays = {f"param_{i:04d}": p.value for i, p in enumerate(model.parameters())}
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-    tmp.replace(path)
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild the model from a checkpoint; returns (model, metadata dict).
 
     The metadata's "featurization" entry describes the model's inputs. A
-    checkpoint without a build or featurization record cannot be scored
-    safely and is rejected with a ConfigError naming the missing field, and
-    a missing file or one that is not a .npz with a ConfigError naming it.
+    checkpoint whose metadata is not a CHECKPOINT_META, such as one without a
+    build or featurization record, is a ConfigError naming the file and the
+    dotted key, and so is a missing file or one that is not a .npz.
     """
     try:
         data = np.load(path)
@@ -64,19 +65,17 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         meta = json.loads(bytes(data["meta"]).decode())
         n_params = sum(1 for k in data.files if k.startswith("param_"))
         state = [data[f"param_{i:04d}"] for i in range(n_params)]
-    for field in ("kind", "args", "featurization"):
-        if field not in meta:
-            raise ConfigError(f"checkpoint {path} missing field {field!r}")
-    kind, args = meta["kind"], meta["args"]
-    if kind == KIND_VOXEL:
-        try:
+    try:
+        meta = read_config(meta, CHECKPOINT_META)
+        kind, args = meta["kind"], meta["args"]
+        if kind == KIND_VOXEL:
             model = build_voxel_net(NetworkConfig.from_dict(args["config"]),
                                     tuple(args["input_shape"]))
-        except ConfigError as exc:
-            raise ConfigError(f"checkpoint {path}: {exc}") from exc
-    elif kind == KIND_MLP:
-        model = build_mlp_net(**args)
-    else:
-        raise ConfigError(f"unknown checkpoint kind {kind!r}")
+        elif kind == KIND_MLP:
+            model = build_mlp_net(**args)
+        else:
+            raise ConfigError(f"unknown checkpoint kind {kind!r}")
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from exc
     model.set_state(state)
     return model, meta

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, SchemaError
+from .errors import DegenerateInputError, Required, SchemaError, read_config
 
 N_ELECTRODES = 19
 
@@ -25,6 +25,9 @@ CONTACT_WINDOW = 10
 
 DEFAULT_RADIUS_M = 0.007
 DEFAULT_HALF_CYLINDER_LENGTH_M = 0.015
+
+# a layout record: each electrode's position and unit normal
+LAYOUT_RECORD = {key: Required(((0.0, 0.0, 0.0),) * N_ELECTRODES) for key in ("positions", "normals")}
 
 
 @dataclass(frozen=True)
@@ -157,15 +160,10 @@ class ElectrodeLayout:
         object.__setattr__(self, "normals", nrm)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ElectrodeLayout":
-        try:
-            return cls(positions=np.array(data["positions"]), normals=np.array(data["normals"]))
-        except KeyError as exc:
-            raise SchemaError(f"layout missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(
-                f"layout must map positions and normals to {N_ELECTRODES}x3 numbers: {exc}"
-            ) from exc
+    def from_dict(cls, data, name: str = "") -> "ElectrodeLayout":
+        """The layout of a LAYOUT_RECORD at the dotted key `name` ("" for a file)."""
+        values = read_config(data, LAYOUT_RECORD, name)
+        return cls(positions=values["positions"], normals=values["normals"])
 
     def to_dict(self) -> dict:
         return {"positions": self.positions.tolist(), "normals": self.normals.tolist()}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayoutCollisionError, OutOfBoundsError, SchemaError
+from .errors import LayoutCollisionError, OutOfBoundsError, Required, SchemaError, read_config
 from .sensor import N_ELECTRODES, ElectrodeLayout, SurfaceGeometry
 
 DEFAULT_DIMS = (8, 8, 4)
@@ -23,6 +23,10 @@ DEFAULT_DIMS = (8, 8, 4)
 CHANNEL_ELECTRODES = 0
 CHANNEL_CONTACT = 1
 N_CHANNELS = 2
+
+# a grid record: its dims and the box they cover
+GRID_RECORD = {"dims": Required((0, 0, 0)),
+               "bounds": {"min": Required((0.0, 0.0, 0.0)), "max": Required((0.0, 0.0, 0.0))}}
 
 
 @dataclass(frozen=True)
@@ -65,15 +69,11 @@ class GridSpec:
         return cls(dims=dims, bounds_min=lo - margin, bounds_max=hi + margin)
 
     @classmethod
-    def from_config(cls, config: dict) -> "GridSpec":
-        try:
-            return cls(
-                dims=tuple(config["dims"]),
-                bounds_min=np.array(config["bounds"]["min"], dtype=float),
-                bounds_max=np.array(config["bounds"]["max"], dtype=float),
-            )
-        except KeyError as exc:
-            raise SchemaError(f"grid spec missing field {exc.args[0]!r}") from exc
+    def from_config(cls, config, name: str = "grid") -> "GridSpec":
+        """The grid of a GRID_RECORD at the dotted key `name`."""
+        values = read_config(config, GRID_RECORD, name)
+        return cls(dims=tuple(values["dims"]), bounds_min=values["bounds"]["min"],
+                   bounds_max=values["bounds"]["max"])
 
     def to_config(self) -> dict:
         return {

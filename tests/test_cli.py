@@ -12,7 +12,10 @@ from tactile_force import __version__, cli
 from tactile_force.baselines import LinearModel, linear_predict
 from tactile_force.cli import main
 from solver_oracles import _solve_grid
-from tactile_force.dataset import featurization_record, featurize_voxel, load_manifest_splits
+from tactile_force.dataset import (
+    FLAT_INPUT_WIDTH, DatasetSplits, featurization_record, featurize_voxel, load_manifest_splits,
+    write_manifest, write_samples_jsonl,
+)
 from tactile_force.errors import (
     ConfigError,
     DataIntegrityError,
@@ -26,9 +29,12 @@ from tactile_force.errors import (
 )
 from tactile_force.mechanics import ParticleGrid, PlanarMotion, force_targets
 from tactile_force.metrics import evaluate_pairs, summarize
-from tactile_force.net import NetworkConfig, build_voxel_net, load_checkpoint
+from tactile_force.net import (
+    NetworkConfig, build_mlp_net, build_voxel_net, load_checkpoint, save_checkpoint,
+)
 from tactile_force.net.losses import MAGNITUDE_FLOOR_N
 from tactile_force.sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
+from tactile_force.synthetic import SensorForwardModel, make_ft_samples
 from tactile_force.voxel import N_CHANNELS, GridSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -621,6 +627,62 @@ class TestSelfDescribingModels:
         assert code == 2
         assert "'layout'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("S", "abc", "field 'S'"),
+        ("layout", 5, "field 'layout'"),
+        ("S", [1.0, 2.0], "field 'S'"),
+        ("bias", 0.0, "unknown key 'bias'"),
+    ])
+    def test_malformed_linear_model_exits_2_naming_file_and_key(
+        self, sim_dir, tmp_path, capsys, field, value, named
+    ):
+        model_dir = self.train(sim_dir, tmp_path, "linear", {}, "--model", "linear")
+        path = model_dir / "linear_model.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        capsys.readouterr()
+        code, eval_dir = self.evaluate(sim_dir, tmp_path, path, "--model-kind", "linear")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: linear model {path}:") and named in err
+        assert not eval_dir.exists()
+
+    @pytest.mark.parametrize("dotted, value, named", [
+        ("featurization.grid.dims", ["8", 8, 4], "field 'featurization.grid.dims[0]'"),
+        ("featurization.layout", {"positions": []}, "field 'featurization.layout.positions'"),
+        ("featurization.kind", "dense", "field 'featurization.kind'"),
+        ("args", None, "missing field 'args'"),
+    ])
+    def test_malformed_checkpoint_record_exits_2_naming_file_and_key(
+        self, sim_dir, tmp_path, capsys, dotted, value, named
+    ):
+        model_dir = self.train(sim_dir, tmp_path, "voxel", {})
+        path = model_dir / "checkpoint.npz"
+
+        def damage(meta):
+            if value is None:
+                meta.pop(dotted)
+            else:
+                meta.update(with_value(meta, dotted, value))
+
+        rewrite_checkpoint_meta(path, damage)
+        capsys.readouterr()
+        code, eval_dir = self.evaluate(sim_dir, tmp_path, path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: checkpoint {path}:") and named in err
+        assert not eval_dir.exists()
+
+    @pytest.mark.parametrize("extra, alpha", [
+        ([], True),
+        (["--no-alpha"], False),
+        (["--model", "mlp-baseline"], False),
+    ])
+    def test_checkpoint_records_the_alpha_weight_the_loss_ran(self, sim_dir, tmp_path, extra, alpha):
+        model_dir = self.train(sim_dir, tmp_path, "m", {}, *extra)
+        meta = load_checkpoint(model_dir / "checkpoint.npz")[1]
+        assert meta["metadata"]["ablation"]["alpha"] is alpha
+        assert (meta["loss_config"]["beta"] != 0) is alpha
+
 
     @pytest.mark.parametrize("kind, content", [
         ("checkpoint", None),
@@ -722,6 +784,8 @@ class TestConfigValueTypes:
         ("simulate", "sources.rigid_ft.force_range", [float("nan"), 1.0]),
         ("simulate", "split.train", float("inf")),
         ("train", "training.base_lr", float("nan")),
+        ("simulate", "split.train", 1.5),
+        ("simulate", "split.val", -3),
     ])
     def test_wrong_type_exits_2_naming_file_and_field(
         self, sim_dir, sim_config, tmp_path, capsys, command, field, value
@@ -768,7 +832,24 @@ class TestFeaturizationErrors:
 
     def test_grid_without_bounds_exits_2(self, sim_dir, tmp_path, capsys):
         assert self.train(sim_dir, tmp_path, {"grid": {"dims": [15, 15, 7]}}) == 2
-        assert "'bounds'" in capsys.readouterr().err
+        assert "missing field 'grid.bounds.min'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dotted, value, named", [
+        ("grid", 5, "field 'grid'"),
+        ("grid", [8, 8, 4], "field 'grid'"),
+        ("grid.dims", ["8", 8, 4], "field 'grid.dims[0]'"),
+        ("grid.bounds.min", "x", "field 'grid.bounds.min'"),
+        ("grid.bounds.max", [0.1, 0.1], "field 'grid.bounds.max'"),
+        ("grid.dims", [8, 8, 0], "grid: dims must be three positive counts"),
+        ("grid.cells", 3, "unknown key 'grid.cells'"),
+    ])
+    def test_malformed_grid_exits_2_naming_config_and_key(self, sim_dir, tmp_path, capsys, dotted,
+                                                          value, named):
+        grid = {"grid": GridSpec.for_geometry(SurfaceGeometry()).to_config()}
+        assert self.train(sim_dir, tmp_path, with_value(grid, dotted, value)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {tmp_path / 'train.json'}:") and named in err
+        assert not (tmp_path / "m").exists()
 
     def test_grid_the_net_does_not_tile_exits_2(self, sim_dir, tmp_path, capsys):
         """The former default grid: every convolution would drop its last
@@ -818,6 +899,8 @@ DAMAGED_FIELDS = {
     "in_contact_string": {"in_contact": "false"},
     "source_tag_number": {"source_tag": 5},
     "trial_id_list": {"trial_id": ["x"]},
+    "source_tag_unknown": {"source_tag": "rigid-ft"},
+    "unknown_key": {"R_bw": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]},
 }
 
 
@@ -895,6 +978,15 @@ class TestDataFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(manifest) in err
 
+    def test_manifest_not_json_exits_2_naming_it(self, sim_dir, tmp_path, capsys):
+        """Only a manifest's content is data: a file that is not JSON is a
+        config error, as a missing one is."""
+        manifest = sim_dir / "dataset_manifest.json"
+        manifest.write_text("{not json")
+        assert self.train(manifest, tmp_path) == 2
+        assert capsys.readouterr().err.startswith(f"config error: manifest {manifest}: not valid JSON")
+        assert not (tmp_path / "m").exists()
+
     def test_splits_not_a_mapping_exits_3_naming_manifest(self, sim_dir, tmp_path, capsys):
         manifest = sim_dir / "dataset_manifest.json"
         data = json.loads(manifest.read_text())
@@ -913,7 +1005,29 @@ class TestDataFileErrors:
         manifest.write_text(json.dumps(data))
         assert self.train(manifest, tmp_path) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and str(manifest) in err and "'train'" in err
+        assert err.startswith("data error:") and str(manifest) in err and "'splits.train'" in err
+
+    @pytest.mark.parametrize("dotted, value, named", [
+        ("samples_file", 5, "field 'samples_file'"),
+        ("splits.val", None, "missing field 'splits.val'"),
+        ("splits.train", ["t", 3], "field 'splits.train[1]'"),
+        ("split", {}, "unknown key 'split'"),
+    ])
+    def test_malformed_manifest_exits_3_naming_it_and_key(
+        self, sim_dir, tmp_path, capsys, dotted, value, named
+    ):
+        manifest = sim_dir / "dataset_manifest.json"
+        data = with_value(json.loads(manifest.read_text()), dotted, value)
+        if value is None:
+            del data["splits"]["val"]
+        manifest.write_text(json.dumps(data))
+        for args in (["train", "--manifest", manifest, "--out", tmp_path / "m"],
+                     ["eval", "--manifest", manifest, "--model-kind", "oracle",
+                      "--out", tmp_path / "m"]):
+            assert exit_code(args) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: manifest {manifest}:") and named in err
+            assert not (tmp_path / "m").exists()
 
     def test_missing_samples_file_exits_3_naming_it(self, sim_dir, tmp_path, capsys):
         manifest = sim_dir / "dataset_manifest.json"
@@ -922,6 +1036,60 @@ class TestDataFileErrors:
         assert self.train(manifest, tmp_path) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(samples) in err
+
+
+def _failing_writes(monkeypatch):
+    """For each writer, a call that raises partway: the samples file and the
+    checkpoint after part of them is written."""
+    record = make_ft_samples(SensorForwardModel(default_electrode_layout()), SurfaceGeometry(),
+                             "rigid_ft", 1, 1, seed=0, force_range=(1.0, 2.0))[0]
+
+    class Unwritable:
+        def to_dict(self):
+            raise OSError("disk full")
+
+    def samples(path):
+        write_samples_jsonl([record, Unwritable()], path)
+
+    def manifest(path):
+        splits = DatasetSplits([], [], [], {"train": ["a"], "val": [object()], "test": []})
+        write_manifest(splits, "samples.jsonl", path, seed=0)
+
+    def linear_model(path):
+        monkeypatch.setattr(ElectrodeLayout, "to_dict", lambda self: {"positions": object()})
+        LinearModel(scale=np.ones(3), layout=default_electrode_layout()).to_json(path)
+
+    def checkpoint(path):
+        def savez(fh, **arrays):
+            fh.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez)
+        save_checkpoint(path, build_mlp_net(FLAT_INPUT_WIDTH, (4,), seed=0),
+                        featurization={"kind": "flat"})
+
+    return {"samples": samples, "manifest": manifest, "linear_model": linear_model,
+            "checkpoint": checkpoint}
+
+
+class TestAtomicWrites:
+    """Every output goes to a temporary file renamed over its target once
+    complete, so a write that raises partway leaves the target as it was
+    and no temporary file behind."""
+
+    @pytest.mark.parametrize("old", [None, "old content"])
+    @pytest.mark.parametrize("writer", ["samples", "manifest", "linear_model", "checkpoint"])
+    def test_a_failed_write_leaves_the_target_as_it_was(self, monkeypatch, tmp_path, writer, old):
+        write = _failing_writes(monkeypatch)[writer]
+        target = tmp_path / "out" / "target"
+        target.parent.mkdir()
+        if old is not None:
+            target.write_text(old)
+        with pytest.raises((OSError, TypeError)):
+            write(target)
+        assert [p.name for p in target.parent.iterdir()] == ([] if old is None else ["target"])
+        if old is not None:
+            assert target.read_text() == old
 
 
 def run_manifest(out_dir: Path) -> dict:

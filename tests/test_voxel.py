@@ -217,10 +217,11 @@ class TestFeaturizeVoxel:
         with pytest.raises(OutOfBoundsError, match="'trial_7'"):
             featurize_voxel(records, layout, spec)
 
-    def test_wrong_electrode_count_names_trial(self, layout, spec):
-        records = [record("short", np.zeros(18), cell_center(spec, (1, 1, 1)))]
+    def test_wrong_electrode_count_names_trial(self, spec):
+        """A record checks its own shapes, so featurize_voxel is never given
+        a wrong one."""
         with pytest.raises(SchemaError, match="'short'"):
-            featurize_voxel(records, layout, spec)
+            record("short", np.zeros(18), cell_center(spec, (1, 1, 1)))
 
 
 @st.composite
