@@ -37,8 +37,8 @@ from .dataset import (
     write_samples_jsonl,
 )
 from .errors import (
-    ConfigError, DataIntegrityError, Fraction, Positive, Required, SchemaError, TactileForceError,
-    check_config_value, read_config,
+    ConfigError, Count, DataIntegrityError, Fraction, Positive, PositiveCount, Required, SchemaError,
+    TactileForceError, check_config_value, read_config,
 )
 from .files import write_text_atomic
 from .mechanics import (
@@ -98,12 +98,12 @@ SIMULATE_CONFIG = {
         "gain", "decay_length", "normal_sensitivity", "shear_sensitivity",
         "directional_shear_sensitivity", "noise_scale")},
     "sources": {
-        SOURCE_PLANAR: {"trials": 0, "steps": 400, "dt": Positive(DEFAULT_DT_S),
+        SOURCE_PLANAR: {"trials": Count(0), "steps": PositiveCount(400), "dt": Positive(DEFAULT_DT_S),
                         "magnitude_range": DEFAULT_PUSH_MAGNITUDE_RANGE_N},
-        SOURCE_RIGID_FT: {"trials": 0, "samples_per_trial": 50, "force_range": (0.5, 10.0),
-                          "cone_angle_deg": 30.0, "cap_only": False},
-        SOURCE_BALL_FT: {"trials": 0, "samples_per_trial": 50, "force_range": (0.1, 5.0),
-                         "cone_angle_deg": 60.0, "cap_only": True},
+        SOURCE_RIGID_FT: {"trials": Count(0), "samples_per_trial": PositiveCount(50),
+                          "force_range": (0.5, 10.0), "cone_angle_deg": 30.0, "cap_only": False},
+        SOURCE_BALL_FT: {"trials": Count(0), "samples_per_trial": PositiveCount(50),
+                         "force_range": (0.1, 5.0), "cone_angle_deg": 60.0, "cap_only": True},
     },
     "split": {"train": Fraction(DEFAULT_TRAIN_FRAC), "val": Fraction(DEFAULT_VAL_FRAC)},
 }
@@ -111,9 +111,10 @@ SIMULATE_CONFIG = {
 # network's and the training's, and the grid is read by GridSpec.from_config
 TRAIN_CONFIG = {
     "seed": 0,
-    "network": {k: v for k, v in NetworkConfig().to_dict().items() if k != "seed"},
+    "network": {k: v for k, v in NetworkConfig().to_dict().items()
+                if k not in ("seed", "layer_norm_eps")},
     "training": {k: v for k, v in TrainingConfig().to_dict().items() if k != "seed"},
-    "loss": LossConfig().to_dict(),
+    "loss": {"beta": LossConfig.beta},
     "mlp": {"hidden_widths": [64, 64]},
     "no_voxel_widths": [64, 64, 64, 64],
     "grid": None,
@@ -185,69 +186,36 @@ def _layout_and_geometry(config: dict, path):
 
 def cmd_simulate(args) -> tuple[Path, list[str]]:
     """Simulate the configured sources into --out. Every config value is read
-    and type-checked before anything is simulated, and --out is created only
-    once the dataset is complete, so an error leaves no partial output."""
+    and checked before anything is simulated, and --out is created only once
+    the dataset is complete, so an error leaves no partial output."""
     config_path = args.config
     config = _read_config(config_path, SIMULATE_CONFIG)
     seed = _resolve_seed(args, config)
     layout, geometry = _layout_and_geometry(config, config_path)
     model = SensorForwardModel(layout=layout, **{k: float(v) for k, v in config["sensor"].items()})
-    sources = config["sources"]
-
-    def count(tag, key, least):
-        value = sources[tag][key]
-        if value < least:
-            raise ConfigError(f"config {config_path}: field {f'sources.{tag}.{key}'!r} "
-                              f"must be at least {least}, got {value!r}")
-        return value
-
-    n_planar = count(SOURCE_PLANAR, "trials", 0)
-    if n_planar > 0:
+    planar = config["sources"][SOURCE_PLANAR]
+    records: list[SampleRecord] = []
+    if planar["trials"] > 0:
         params, half_extents = _read_push_params(f"config {config_path}", {
             **{k: v for k, v in config["params"].items() if v is not None},
             "box_half_extents": config["box_half_extents"]})
-        planar = sources[SOURCE_PLANAR]
-        planar_args = dict(
-            n_trials=n_planar,
-            steps=count(SOURCE_PLANAR, "steps", 1),
-            seed=seed,
-            params=params,
-            half_extents=half_extents,
-            dt=float(planar["dt"]),
-            magnitude_range=tuple(planar["magnitude_range"]),
-        )
-    ft_args = {}
-    for offset, tag in enumerate((SOURCE_RIGID_FT, SOURCE_BALL_FT), 1):
-        n_trials = count(tag, "trials", 0)
-        if n_trials > 0:
-            ft_args[tag] = dict(
-                source_tag=tag,
-                n_trials=n_trials,
-                samples_per_trial=count(tag, "samples_per_trial", 1),
-                seed=seed + offset,
-                force_range=tuple(sources[tag]["force_range"]),
-                cone_angle_deg=float(sources[tag]["cone_angle_deg"]),
-                cap_only=sources[tag]["cap_only"],
-            )
-    train_frac = float(config["split"]["train"])
-    val_frac = float(config["split"]["val"])
-
-    records: list[SampleRecord] = []
-    if n_planar > 0:
-        episodes, records = make_planar_trials(model, geometry, **planar_args)
+        episodes, records = make_planar_trials(
+            model, geometry, planar["trials"], planar["steps"], seed, params, half_extents,
+            planar["dt"], planar["magnitude_range"])
         if not records:  # only a push can run yet label no sample
-            raise ConfigError(f"config {config_path}: source {SOURCE_PLANAR!r} ran {n_planar} trials "
-                              f"of {planar_args['steps']} steps, and no step was labelled as a contact")
-    for kwargs in ft_args.values():
-        records.extend(make_ft_samples(model, geometry, **kwargs))
+            raise ConfigError(f"config {config_path}: source {SOURCE_PLANAR!r} ran {planar['trials']} "
+                              f"trials of {planar['steps']} steps, and no step was labelled as a contact")
+    for offset, tag in enumerate((SOURCE_RIGID_FT, SOURCE_BALL_FT), 1):
+        ft = dict(config["sources"][tag])
+        records.extend(make_ft_samples(model, geometry, tag, ft.pop("trials"), seed=seed + offset, **ft))
     if not records:
         raise ConfigError("config requested no trials from any source")
-    splits = make_dataset(records, train_frac=train_frac, val_frac=val_frac, seed=seed)
+    splits = make_dataset(records, config["split"]["train"], config["split"]["val"], seed)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
-    if n_planar > 0:
+    if planar["trials"] > 0:
         episodes_dir = out_dir / "episodes"
         episodes_dir.mkdir(exist_ok=True)
         for episode in episodes:
@@ -325,6 +293,9 @@ def _train_configs(config: dict, seed: int):
 def cmd_train(args) -> tuple[Path, list[str]]:
     """Train the chosen model into --out, which is created only once the
     data, config, layout and features have been read and checked."""
+    for flag, on in (("--no-voxel", args.no_voxel), ("--no-alpha", args.no_alpha)):
+        if on and args.model != MODEL_VOXEL:
+            raise ConfigError(f"{flag} applies only to --model {MODEL_VOXEL}, not --model {args.model}")
     config = _read_config(args.config, TRAIN_CONFIG)
     seed = _resolve_seed(args, config)
     sources = resolve_sources(args.sources)
@@ -424,7 +395,7 @@ def _predict_records(records, model_kind, model_path):
     samples = featurize(records)
     preds = [model.forward(samples.inputs[start : start + PREDICT_CHUNK])
              for start in range(0, len(records), PREDICT_CHUNK)]
-    return np.concatenate(preds, axis=0), {"kind": meta["kind"], **(meta["metadata"] or {})}
+    return np.concatenate(preds, axis=0), {"kind": meta["kind"], **meta["metadata"]}
 
 
 def cmd_eval(args) -> tuple[Path, list[str]]:

@@ -165,6 +165,10 @@ def read_samples_jsonl(path) -> list[SampleRecord]:
     return records
 
 
+def is_force_sample(record: SampleRecord) -> bool:
+    return record.in_contact and float(record.f_3d @ record.f_3d) > 0.0
+
+
 @dataclass
 class DatasetSplits:
     train: list[SampleRecord]
@@ -191,9 +195,7 @@ def make_dataset(
     one trial per source; the remainder after the requested fractions goes
     to test. Deterministic for a fixed seed.
     """
-    force_samples = [
-        r for r in records if r.in_contact and float(np.linalg.norm(r.f_3d)) > 0.0
-    ]
+    force_samples = [r for r in records if is_force_sample(r)]
     n_filtered = len(records) - len(force_samples)
     trial_source: dict[str, str] = {}
     for r in force_samples:
@@ -249,7 +251,7 @@ def write_manifest(splits: DatasetSplits, samples_file: str, path, seed: int) ->
 
 
 def load_manifest_splits(manifest_path) -> tuple[dict[str, list[SampleRecord]], dict]:
-    """Load the samples file referenced by a manifest and group by split.
+    """Load the samples file a manifest references and group its force samples by split.
 
     Errors name the file: a missing or non-JSON manifest is a ConfigError, one
     not a MANIFEST_RECORD a SchemaError naming the dotted key, and a missing
@@ -274,7 +276,7 @@ def load_manifest_splits(manifest_path) -> tuple[dict[str, list[SampleRecord]], 
     splits = {name: [] for name in SPLIT_NAMES}
     for r in records:
         name = seen.get(r.trial_id)
-        if name is not None:
+        if name is not None and is_force_sample(r):
             splits[name].append(r)
     return splits, manifest
 

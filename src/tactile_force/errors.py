@@ -59,12 +59,24 @@ class Fraction(float):
     """A config default whose field must hold a number in [0, 1]."""
 
 
+class Count(int):
+    """A config default whose field must hold an integer of at least 0."""
+
+
+class PositiveCount(int):
+    """A config default whose field must hold an integer of at least 1."""
+
+
 class Required:
     """A record field that must be present, checked against `example` as
     against a default; Required(None) only checks that it is present."""
 
     def __init__(self, example):
         self.example = example
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _finite(value) -> bool:
@@ -74,7 +86,9 @@ def _finite(value) -> bool:
 # what a config field may hold, by the type of its default, tried in order
 _KINDS = (
     (bool, "true or false", lambda v: isinstance(v, bool)),
-    (numbers.Integral, "an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    (Count, "at least 0 (an integer)", lambda v: _integer(v) and v >= 0),
+    (PositiveCount, "at least 1 (an integer)", lambda v: _integer(v) and v >= 1),
+    (numbers.Integral, "an integer", _integer),
     (Positive, "a positive finite number", lambda v: _finite(v) and v > 0),
     (Fraction, "a number in [0, 1]", lambda v: _finite(v) and 0 <= v <= 1),
     (numbers.Real, "a finite number", _finite),
@@ -86,8 +100,9 @@ def check_config_value(name: str, value, default) -> None:
     """Raise a ConfigError naming the field unless `value` has the type of the
     field's `default`. An int passes for a float, but a bool is not a number,
     and a number must be finite (positive for a Positive default, in [0, 1]
-    for a Fraction). A sequence default takes a list whose items each pass
-    against the default's first item, and a tuple default one of its length."""
+    for a Fraction), and a Count or PositiveCount an integer of at least 0
+    or 1. A sequence default takes a list whose items each pass against the
+    default's first item, and a tuple default one of its length."""
     for kind, what, accepts in _KINDS:
         if isinstance(default, kind):
             if not accepts(value):

@@ -13,14 +13,20 @@ import json
 
 import numpy as np
 
-from ..errors import ConfigError, Required, read_config
+from ..errors import ConfigError, PositiveCount, Required, read_config
 from ..files import atomic_open
 from .losses import LossConfig
 from .network import KIND_MLP, KIND_VOXEL, Model, NetworkConfig, build_mlp_net, build_voxel_net
 
-# a checkpoint's metadata blob; "args" and "featurization" have their own readers
+# a checkpoint's metadata blob; "args" is read over BUILD_ARGS, "featurization" by its own reader
 CHECKPOINT_META = {"kind": Required(""), "args": Required(None), "featurization": Required(None),
-                   "loss_config": None, "metadata": None}
+                   "loss_config": None, "metadata": Required(None)}
+# the build arguments of each kind of model
+BUILD_ARGS = {
+    KIND_VOXEL: {"config": Required(NetworkConfig().to_dict()), "input_shape": Required([0])},
+    KIND_MLP: {"input_dim": Required(PositiveCount(1)), "hidden_widths": Required([PositiveCount(1)]),
+               "seed": Required(0), "layer_norm": Required(True), "layer_norm_eps": Required(0.0)},
+}
 
 
 def save_checkpoint(
@@ -47,9 +53,9 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild the model from a checkpoint; returns (model, metadata dict).
 
     The metadata's "featurization" entry describes the model's inputs. A
-    checkpoint whose metadata is not a CHECKPOINT_META, such as one without a
-    build or featurization record, is a ConfigError naming the file and the
-    dotted key, and so is a missing file or one that is not a .npz.
+    checkpoint whose metadata is not a CHECKPOINT_META, with BUILD_ARGS and
+    an object "metadata", is a ConfigError naming the file and the dotted
+    key, and so is a missing file or one that is not a .npz.
     """
     try:
         data = np.load(path)
@@ -67,14 +73,16 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         state = [data[f"param_{i:04d}"] for i in range(n_params)]
     try:
         meta = read_config(meta, CHECKPOINT_META)
-        kind, args = meta["kind"], meta["args"]
-        if kind == KIND_VOXEL:
-            model = build_voxel_net(NetworkConfig.from_dict(args["config"]),
-                                    tuple(args["input_shape"]))
-        elif kind == KIND_MLP:
-            model = build_mlp_net(**args)
-        else:
+        kind = meta["kind"]
+        if kind not in BUILD_ARGS:
             raise ConfigError(f"unknown checkpoint kind {kind!r}")
+        if not isinstance(meta["metadata"], dict):
+            raise ConfigError(f"field 'metadata' must be an object, got {meta['metadata']!r}")
+        args = read_config(meta["args"], BUILD_ARGS[kind], "args")
+        if kind == KIND_VOXEL:
+            model = build_voxel_net(NetworkConfig(**args["config"]), tuple(args["input_shape"]))
+        else:
+            model = build_mlp_net(**args)
     except ConfigError as exc:
         raise ConfigError(f"checkpoint {path}: {exc}") from exc
     model.set_state(state)

@@ -41,10 +41,10 @@ class LossConfig:
     identically 1). mode "case_by_source" picks the projected loss for
     planar-pushing samples and the scaled 3-D loss otherwise; "plain_l2" is
     an unweighted squared-error mode used by the reference MLP baseline.
+    Samples below MAGNITUDE_FLOOR_N are excluded in either mode.
     """
 
     beta: float = 1.0
-    magnitude_floor: float = MAGNITUDE_FLOOR_N
     mode: str = LOSS_MODE_CASE
 
     def __post_init__(self):
@@ -79,7 +79,7 @@ def batch_loss_and_grad(
         raise SchemaError("empty batch")
     f_3d = np.asarray(f_3d, dtype=float)
     norm = np.linalg.norm(f_3d, axis=1)
-    keep = ~(norm < config.magnitude_floor)
+    keep = ~(norm < MAGNITUDE_FLOOR_N)
     n_kept = int(np.count_nonzero(keep))
     if n_kept == 0:
         raise SchemaError("every sample in the batch fell below the magnitude floor")

@@ -45,6 +45,11 @@ DEFAULT_BOX_MASS_KG = 0.65
 DEFAULT_BOX_HALF_EXTENTS_M = (0.1, 0.075)
 DEFAULT_DT_S = 1e-3
 DEFAULT_PUSH_MAGNITUDE_RANGE_N = (0.1, 2.0)
+# a push schedule: idle steps at either end, and segments of a random length
+# in [40, 120) steps, each pushing within 45 degrees of +x
+PUSH_IDLE_STEPS = 20
+PUSH_SEGMENT_STEPS = (40, 120)
+PUSH_DIRECTION_JITTER_DEG = 45.0
 
 # Static pressure synthesized from the force magnitude; 400 units/N keeps
 # pushes in the 0.1-2 N range comfortably above the contact threshold of 10.
@@ -143,7 +148,6 @@ def simulate_push(
     applied_forces: np.ndarray,
     contact_body: np.ndarray,
     dt: float = DEFAULT_DT_S,
-    initial_pose=(0.0, 0.0, 0.0),
     initial_v=(0.0, 0.0),
     initial_omega: float = 0.0,
     trial_id: str = "trial",
@@ -152,9 +156,10 @@ def simulate_push(
 
     applied_forces is (steps, 2) in the planar frame; contact_body is the
     body-fixed contact offset from the CM, rotated by the pose each step.
-    Semi-implicit Euler: the acceleration from the current state advances the
-    velocity first, then the pose. When no force is applied and the friction
-    step would overshoot (gain energy), the body is captured at rest instead.
+    The body starts at pose (0, 0, 0). Semi-implicit Euler: the acceleration
+    from the current state advances the velocity first, then the pose. When
+    no force is applied and the friction step would overshoot (gain energy),
+    the body is captured at rest instead.
     """
     if not dt > 0:
         raise SchemaError(f"dt must be positive, got {dt}")
@@ -166,7 +171,7 @@ def simulate_push(
     grid = ParticleGrid.uniform_rectangle(half_extents, params)
     m, inertia = params.m, params.inertia
 
-    x, y, theta = map(float, initial_pose)
+    x = y = theta = 0.0
     vx, vy = map(float, initial_v)
     omega = float(initial_omega)
 
@@ -380,19 +385,16 @@ def piecewise_force_schedule(
     rng: np.random.Generator,
     steps: int,
     magnitude_range: tuple[float, float] = DEFAULT_PUSH_MAGNITUDE_RANGE_N,
-    direction_jitter_deg: float = 45.0,
-    segment_steps: tuple[int, int] = (40, 120),
-    idle_steps: int = 20,
 ) -> np.ndarray:
-    """Piecewise-constant pushes along +x with angular jitter, with idle
-    padding at both ends."""
+    """Piecewise-constant pushes along +x with angular jitter, with
+    PUSH_IDLE_STEPS of idle padding at both ends."""
     forces = np.zeros((steps, 2))
-    i = idle_steps
-    while i < steps - idle_steps:
-        seg = int(rng.integers(*segment_steps))
+    i = PUSH_IDLE_STEPS
+    while i < steps - PUSH_IDLE_STEPS:
+        seg = int(rng.integers(*PUSH_SEGMENT_STEPS))
         mag = rng.uniform(*magnitude_range)
-        ang = math.radians(rng.uniform(-direction_jitter_deg, direction_jitter_deg))
-        forces[i : min(i + seg, steps - idle_steps)] = mag * np.array(
+        ang = math.radians(rng.uniform(-PUSH_DIRECTION_JITTER_DEG, PUSH_DIRECTION_JITTER_DEG))
+        forces[i : min(i + seg, steps - PUSH_IDLE_STEPS)] = mag * np.array(
             [math.cos(ang), math.sin(ang)]
         )
         i += seg

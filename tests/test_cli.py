@@ -167,6 +167,10 @@ class TestSimulate:
         ({"rigid_ft": {"trials": 3, "samples_per_trial": 0}}, "sources.rigid_ft.samples_per_trial"),
         ({"planar_pushing": {"trials": 3, "steps": 0}}, "sources.planar_pushing.steps"),
         ({"rigid_ft": {"trials": -2}}, "sources.rigid_ft.trials"),
+        # the rule holds whether or not the source has trials
+        ({"planar_pushing": {"steps": 0}, "rigid_ft": {"trials": 3}}, "sources.planar_pushing.steps"),
+        ({"ball_ft": {"trials": 0, "samples_per_trial": -1}, "rigid_ft": {"trials": 3}},
+         "sources.ball_ft.samples_per_trial"),
         ({"planar_pushing": {"trials": 3, "dt": -0.01}}, "sources.planar_pushing.dt"),
         ({"planar_pushing": {"trials": 3, "dt": float("nan")}}, "sources.planar_pushing.dt"),
     ])
@@ -646,16 +650,23 @@ class TestSelfDescribingModels:
         assert err.startswith(f"config error: linear model {path}:") and named in err
         assert not eval_dir.exists()
 
-    @pytest.mark.parametrize("dotted, value, named", [
-        ("featurization.grid.dims", ["8", 8, 4], "field 'featurization.grid.dims[0]'"),
-        ("featurization.layout", {"positions": []}, "field 'featurization.layout.positions'"),
-        ("featurization.kind", "dense", "field 'featurization.kind'"),
-        ("args", None, "missing field 'args'"),
+    @pytest.mark.parametrize("model, dotted, value, named", [
+        ("voxel", "featurization.grid.dims", ["8", 8, 4], "field 'featurization.grid.dims[0]'"),
+        ("voxel", "featurization.layout", {"positions": []}, "field 'featurization.layout.positions'"),
+        ("voxel", "featurization.kind", "dense", "field 'featurization.kind'"),
+        ("voxel", "args", None, "missing field 'args'"),
+        ("voxel", "args", 5, "field 'args' must be an object"),
+        ("voxel", "args.config.fc_widths", "ab", "field 'args.config.fc_widths'"),
+        ("voxel", "metadata", [1], "field 'metadata' must be an object"),
+        ("mlp-baseline", "args.dropout", 0.5, "unknown key 'args.dropout'"),
+        ("mlp-baseline", "args.hidden_widths", "ab", "field 'args.hidden_widths'"),
+        ("mlp-baseline", "args.hidden_widths", [16, 0], "field 'args.hidden_widths[1]'"),
+        ("mlp-baseline", "metadata", [1], "field 'metadata' must be an object"),
     ])
     def test_malformed_checkpoint_record_exits_2_naming_file_and_key(
-        self, sim_dir, tmp_path, capsys, dotted, value, named
+        self, sim_dir, tmp_path, capsys, model, dotted, value, named
     ):
-        model_dir = self.train(sim_dir, tmp_path, "voxel", {})
+        model_dir = self.train(sim_dir, tmp_path, model, {}, "--model", model)
         path = model_dir / "checkpoint.npz"
 
         def damage(meta):
@@ -671,6 +682,18 @@ class TestSelfDescribingModels:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: checkpoint {path}:") and named in err
         assert not eval_dir.exists()
+
+    @pytest.mark.parametrize("model", ["linear", "mlp-baseline"])
+    @pytest.mark.parametrize("flag", ["--no-voxel", "--no-alpha"])
+    def test_ablation_flag_that_changes_nothing_exits_2(self, sim_dir, tmp_path, capsys, model, flag):
+        """The ablations are of the voxel net: another model would ignore
+        the flag, and its run manifest would record it as set."""
+        out = tmp_path / "m"
+        assert run(["train", "--manifest", sim_dir / "dataset_manifest.json", "--out", out,
+                    "--model", model, flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag in err and model in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra, alpha", [
         ([], True),
@@ -768,9 +791,30 @@ class TestConfigValueTypes:
         assert err.startswith("config error:") and str(config) in err and f"'{dotted}'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dotted, value", [
+        ("network.layer_norm_eps", 1e-5),
+        ("loss.magnitude_floor", 0.01),
+        ("loss.mode", "case_by_source"),
+    ])
+    def test_key_of_a_constant_exits_2_naming_file_and_key(
+        self, sim_dir, tmp_path, capsys, dotted, value
+    ):
+        """A knob the program holds constant is not a config key, even when
+        set to the constant's value."""
+        config = write_config(tmp_path / "c.json", with_value(TINY_TRAIN_CONFIG, dotted, value))
+        out = tmp_path / "m"
+        assert run(["train", "--manifest", sim_dir / "dataset_manifest.json", "--out", out,
+                    "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(config) in err
+        assert f"unknown key '{dotted}'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, field, value", [
         ("simulate", "sources.rigid_ft.trials", "x"),
         ("simulate", "sources.planar_pushing.steps", 150.0),
+        ("simulate", "sources.rigid_ft.trials", True),
+        ("simulate", "sources.ball_ft.samples_per_trial", 2.5),
         ("simulate", "sensor.gain", "x"),
         ("simulate", "geometry.radius_m", "x"),
         ("simulate", "sources.ball_ft.cap_only", 1),
@@ -1036,6 +1080,40 @@ class TestDataFileErrors:
         assert self.train(manifest, tmp_path) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(samples) in err
+
+
+class TestNonForceSamples:
+    """A record that is not a force sample (not in contact, or with zero
+    force) is dropped when a samples file is read, as make_dataset drops it
+    when the file is written, so neither train nor eval uses it."""
+
+    @pytest.mark.parametrize("field, value", [("in_contact", False), ("f_3d", [0.0, 0.0, 0.0])])
+    def test_dropped_from_train_and_eval(self, sim_dir, tmp_path, capsys, field, value):
+        manifest_path = sim_dir / "dataset_manifest.json"
+        splits = json.loads(manifest_path.read_text())["splits"]
+        samples = sim_dir / "samples.jsonl"
+        records = [json.loads(line) for line in samples.read_text().splitlines()]
+        test_records = [r for r in records if r["trial_id"] in splits["test"]]
+        # five test records, and every rigid-ft training record
+        damaged = test_records[:5] + [r for r in records if r["trial_id"] in splits["train"]
+                                      and r["source_tag"] == "rigid_ft"]
+        for r in damaged:
+            r[field] = value
+        samples.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        read = load_manifest_splits(manifest_path)[0]
+        assert sum(len(split) for split in read.values()) == len(records) - len(damaged)
+        assert all(r.in_contact and np.linalg.norm(r.f_3d) > 0 for split in read.values() for r in split)
+
+        out = tmp_path / "e"
+        assert run(["eval", "--manifest", manifest_path, "--model-kind", "oracle", "--out", out]) == 0
+        assert len(per_sample_rows(out)) == len(test_records) - 5
+        assert json.loads((out / "summary.json").read_text())["excluded_zero_vectors"] == 0
+
+        capsys.readouterr()
+        assert run(["train", "--manifest", manifest_path, "--out", tmp_path / "m",
+                    "--sources", "rigid-ft", "--model", "linear"]) == 3
+        assert "no training samples for sources ['rigid_ft']" in capsys.readouterr().err
 
 
 def _failing_writes(monkeypatch):

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tactile_force.errors import ConfigError, SchemaError
-from tactile_force.net.losses import KNOWN_SOURCES, PSI, LossConfig, batch_loss_and_grad
+from tactile_force.net.losses import (
+    KNOWN_SOURCES, MAGNITUDE_FLOOR_N, PSI, LossConfig, batch_loss_and_grad,
+)
 from tactile_force.synthetic import random_rotation
 
 from loss_oracles import (
@@ -222,7 +224,7 @@ def loop_batch_loss(pred, f3d, s_n, r_wb, tags, config):
     grads = np.zeros_like(pred)
     losses, skipped = [], 0
     for i in range(len(pred)):
-        if float(np.linalg.norm(f3d[i])) < config.magnitude_floor:
+        if float(np.linalg.norm(f3d[i])) < MAGNITUDE_FLOOR_N:
             skipped += 1
             continue
         loss, grads[i] = _combined_loss_and_grad(
