@@ -75,12 +75,19 @@ class Required:
         self.example = example
 
 
-def _integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A number, not a bool, that converts to a finite float: a JSON
+    integer too large for a float is not one."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and _finite(value)
 
 
 # what a config field may hold, by the type of its default, tried in order
@@ -99,10 +106,11 @@ _KINDS = (
 def check_config_value(name: str, value, default) -> None:
     """Raise a ConfigError naming the field unless `value` has the type of the
     field's `default`. An int passes for a float, but a bool is not a number,
-    and a number must be finite (positive for a Positive default, in [0, 1]
-    for a Fraction), and a Count or PositiveCount an integer of at least 0
-    or 1. A sequence default takes a list whose items each pass against the
-    default's first item, and a tuple default one of its length."""
+    and a number, an integer too, must convert to a finite float (positive
+    for a Positive default, in [0, 1] for a Fraction), and a Count or
+    PositiveCount be an integer of at least 0 or 1. A sequence default takes
+    a list whose items each pass against the default's first item, and a
+    tuple default one of its length."""
     for kind, what, accepts in _KINDS:
         if isinstance(default, kind):
             if not accepts(value):

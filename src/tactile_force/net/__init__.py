@@ -1,4 +1,4 @@
-from .layers import Conv, Dense, LayerNorm, Parameter, ReLU, VoxelConv3d
+from .layers import Conv, Dense, LayerNormReLU, Parameter, ReLU, VoxelConv3d
 from .network import Model, NetworkConfig, build_mlp_net, build_voxel_net
 from .losses import LossConfig, batch_loss_and_grad
 from .training import AdamOptimizer, LearningRateSchedule, TrainingConfig, TrainReport, train
@@ -8,7 +8,7 @@ __all__ = [
     "AdamOptimizer",
     "Conv",
     "Dense",
-    "LayerNorm",
+    "LayerNormReLU",
     "LearningRateSchedule",
     "LossConfig",
     "Model",

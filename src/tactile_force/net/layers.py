@@ -3,7 +3,10 @@
 Every layer caches what its backward pass needs during forward, accumulates
 parameter gradients into Parameter.grad, and returns the gradient with
 respect to its input; VoxelConv3d, the first layer of a voxel net, returns
-None for it instead.
+None for it instead. Conv, VoxelConv3d and Dense return fresh arrays and
+keep their input, not their output; LayerNormReLU, the layer norm and ReLU
+that follow each of them, works in place on those fresh arrays and keeps
+its own output, mask and scratch arrays from step to step.
 A layer owns its parameter arrays until a Model packs them into its flat
 value and gradient buffers; from then on each Parameter.value and .grad is
 a view of its slice there, so layers only ever write them in place.
@@ -16,7 +19,7 @@ windows come in the order the convolution after that reads them
 (network.window_major_orders). Convolutions are "valid", with kernel =
 stride = KERNEL, on grids they tile, so each is a reshape of its input into
 one row per window and one matmul. Parameters keep their logical shapes
-(a LayerNorm's gain after a 3-D convolution is (channels, x, y, z)); a
+(a layer norm's gain after a 3-D convolution is (channels, x, y, z)); a
 layer whose features come in another order reaches them through one fixed
 index permutation.
 """
@@ -32,7 +35,7 @@ from ..errors import SchemaError
 from ..voxel import VoxelInputs
 
 KERNEL = 2  # kernel and stride of every convolution: windows never overlap
-LAYER_NORM_EPS = 1e-5  # the default epsilon of every LayerNorm
+LAYER_NORM_EPS = 1e-5  # the default epsilon of every layer norm
 
 
 @dataclass
@@ -225,16 +228,28 @@ class VoxelConv3d(Conv):
         return None
 
 
-class LayerNorm(Layer):
-    """Per-sample normalization over the features of (batch, features) rows,
-    with elementwise gain and offset of the logical `feature_shape`; `order`,
-    if given, is the flat logical index of each row feature.
+class LayerNormReLU(Layer):
+    """relu(gain * xhat + offset), xhat the per-sample normalization of
+    (batch, features) rows, with elementwise gain and offset of the logical
+    `feature_shape`; `order`, if given, is the flat logical index of each
+    row feature. A NaN input stays NaN, so a non-finite value inside a net
+    reaches its output. The subgradient at exactly zero is taken as zero,
+    and a non-finite gradient arriving where the output is zero stays
+    non-finite (0 * inf is NaN), so it is not silently dropped.
 
-    Forward allocates two full-size arrays: the centred input, scaled in
-    place into xhat, and the squared deviations, whose mean is the variance
-    in np.var's own operation order and which then take the output.
-    Backward allocates the input gradient, updated in place, and one
-    scratch array."""
+    It works in place: forward normalizes the array it is given into xhat
+    and keeps it, and backward updates the gradient it is given and returns
+    it. That is safe because in a net it always follows a Conv, VoxelConv3d
+    or Dense and precedes a Conv or Dense. Those return a fresh array that
+    nothing else holds (they keep their input, not their output), both the
+    activation this layer gets and the input gradient of the layer after
+    it. The output, its mask and one scratch array are kept from step to
+    step and reused, as a prefix, for every batch no larger than the
+    largest each has served, so a step maps no fresh pages for them; the
+    mask and scratch are sized by backward, so evaluating batches larger
+    than the training batch allocates only the output. Row means are BLAS
+    mat-vecs and sums of squares and products einsums, so no pass makes a
+    temporary copy of the rows."""
 
     def __init__(self, feature_shape: tuple[int, ...], eps: float = LAYER_NORM_EPS,
                  name: str = "ln", order: np.ndarray | None = None):
@@ -244,8 +259,12 @@ class LayerNorm(Layer):
         self.gain = Parameter(f"{name}.gain", np.ones(self.feature_shape))
         self.offset = Parameter(f"{name}.offset", np.zeros(self.feature_shape))
         self._order = _row_order(order)
-        self._xhat = None
-        self._inv_std = None
+        n = math.prod(self.feature_shape)
+        self._mean_weights = np.full(n, 1.0 / n)  # x @ these is the row mean
+        self._xhat = self._inv_std = None
+        # the kept arrays: the output grown by forward, the mask and scratch by backward
+        self._out, self._scratch = np.empty((0, n)), np.empty((0, n))
+        self._mask = np.empty((0, n), dtype=bool)
 
     def parameters(self):
         return [self.gain, self.offset]
@@ -255,27 +274,36 @@ class LayerNorm(Layer):
         return array.reshape(-1)[self._order]
 
     def forward(self, x):
-        self._check_input(x, (math.prod(self.feature_shape),))
-        xhat = x - x.mean(axis=1, keepdims=True)
-        squares = np.square(xhat)
-        self._inv_std = 1.0 / np.sqrt(squares.mean(axis=1, keepdims=True) + self.eps)
-        xhat *= self._inv_std
-        self._xhat = xhat
-        np.multiply(self._in_rows(self.gain.value), xhat, out=squares)
-        squares += self._in_rows(self.offset.value)
-        return squares
+        self._check_input(x, self._mean_weights.shape)
+        b, n = x.shape
+        if b > len(self._out):
+            self._out = np.empty((b, n))
+        x -= (x @ self._mean_weights)[:, None]
+        inv_std = np.einsum("ij,ij->i", x, x)
+        inv_std /= n
+        inv_std += self.eps
+        np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
+        x *= inv_std[:, None]
+        self._xhat, self._inv_std = x, inv_std
+        out = np.multiply(x, self._in_rows(self.gain.value), out=self._out[:b])
+        out += self._in_rows(self.offset.value)
+        return np.maximum(out, 0.0, out=out)
 
     def backward(self, grad_out):
-        xhat = self._xhat
-        scratch = grad_out * xhat
-        self.gain.grad.reshape(-1)[self._order] += scratch.sum(axis=0)
-        self.offset.grad.reshape(-1)[self._order] += grad_out.sum(axis=0)
-        g = grad_out * self._in_rows(self.gain.value)
-        mean_g = g.mean(axis=1, keepdims=True)
-        mean_gx = np.multiply(g, xhat, out=scratch).mean(axis=1, keepdims=True)
-        g -= mean_g
-        g -= np.multiply(xhat, mean_gx, out=scratch)
-        g *= self._inv_std
+        g, xhat = grad_out, self._xhat
+        b = len(g)
+        if b > len(self._mask):
+            self._mask, self._scratch = np.empty(g.shape, dtype=bool), np.empty(g.shape)
+        g *= np.greater(self._out[:b], 0.0, out=self._mask[:b])
+        self.gain.grad.reshape(-1)[self._order] += np.einsum("ij,ij->j", g, xhat)
+        self.offset.grad.reshape(-1)[self._order] += g.sum(axis=0)
+        g *= self._in_rows(self.gain.value)
+        mean_g = g @ self._mean_weights
+        mean_gx = np.einsum("ij,ij->i", g, xhat)
+        mean_gx /= len(self._mean_weights)
+        g -= mean_g[:, None]
+        g -= np.multiply(xhat, mean_gx[:, None], out=self._scratch[:b])
+        g *= self._inv_std[:, None]
         return g
 
 

@@ -5,7 +5,10 @@ The voxel model follows the fixed pattern: a stack of 3-D convolutions, one
 connected layers down to the 3-vector force output, with layer norm and
 ReLU after every convolutional and fully connected layer except the output.
 All convolutions use kernel = stride = KERNEL, and every activation is a
-window-major (batch, features) array.
+window-major (batch, features) array. Each layer norm and its ReLU are one
+in-place LayerNormReLU, which the builders only ever put between a
+convolution or dense layer and the next one, as its in-place contract
+requires; the MLP baseline (layer_norm=False) has plain ReLUs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from ..errors import ConfigError, NumericalError, config_from_dict
 from ..voxel import VoxelInputs
 from .layers import (
-    KERNEL, LAYER_NORM_EPS, Conv, Dense, Layer, LayerNorm, Parameter, ReLU, VoxelConv3d,
+    KERNEL, LAYER_NORM_EPS, Conv, Dense, Layer, LayerNormReLU, Parameter, ReLU, VoxelConv3d,
 )
 
 OUTPUT_DIM = 3
@@ -48,6 +51,11 @@ class NetworkConfig:
                 "fc_widths": list(self.fc_widths)}
 
     from_dict = classmethod(config_from_dict)
+
+
+def _all_finite(array: np.ndarray) -> bool:
+    # min and max are NaN if any entry is, and read without writing a mask
+    return bool(np.isfinite(array.min()) and np.isfinite(array.max()))
 
 
 class Model:
@@ -100,15 +108,34 @@ class Model:
         raise NumericalError(f"non-finite network output, first from layer {layer.name}")
 
     def backward(self, grad_out: np.ndarray) -> None:
-        """Accumulate every parameter's gradient. The input is data: its
-        gradient is not returned, and a voxel net's first layer does not
-        return it (it returns None)."""
+        """Accumulate every parameter's gradient; grad_out is left as it is.
+        The input is data: its gradient is not returned, and a voxel net's
+        first layer does not return it (it returns None).
+
+        Finiteness is checked once, on the gradient buffer and the first
+        layer's returned gradient: a non-finite gradient out of any later
+        layer reaches some bias or offset gradient, which sums it over the
+        batch."""
         grad = grad_out
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-            # min and max are NaN if any entry is, and read without writing a mask
-            if grad is not None and not (np.isfinite(grad.min()) and np.isfinite(grad.max())):
-                raise NumericalError(f"non-finite gradient flowing out of layer {layer.name}")
+        with np.errstate(invalid="ignore"):  # reported below, naming the layer
+            for layer in reversed(self.layers):
+                grad = layer.backward(grad)
+        if not (_all_finite(self.grads) and (grad is None or _all_finite(grad))):
+            self._raise_non_finite_gradient(grad_out)
+
+    def _raise_non_finite_gradient(self, grad_out) -> None:
+        """Zero the gradients, walk the layers back again and name the first
+        whose returned gradient is not finite or, if every one is, the first
+        parameter whose gradient was not."""
+        bad = next((p for p in self.parameters() if not _all_finite(p.grad)), None)
+        self.zero_grad()
+        grad = grad_out
+        with np.errstate(invalid="ignore"):
+            for layer in reversed(self.layers):
+                grad = layer.backward(grad)
+                if grad is not None and not _all_finite(grad):
+                    raise NumericalError(f"non-finite gradient flowing out of layer {layer.name}")
+        raise NumericalError(f"non-finite gradient of parameter {bad.name}")
 
     def set_state(self, state: list[np.ndarray]) -> None:
         """Write one array per parameter, in parameters() order, in place."""
@@ -178,20 +205,17 @@ def build_voxel_net(config: NetworkConfig, input_shape: tuple[int, int, int, int
         else:
             layers.append(Conv(c, out_ch, sx * sy * sz, rng, name=f"conv3d_{i}"))
         c = out_ch
-        layers.append(LayerNorm((c, sx, sy, sz), config.layer_norm_eps, name=f"ln_conv3d_{i}",
-                                order=orders[i + 1]))
-        layers.append(ReLU(name=f"relu_conv3d_{i}"))
+        layers.append(LayerNormReLU((c, sx, sy, sz), config.layer_norm_eps,
+                                    name=f"ln_conv3d_{i}", order=orders[i + 1]))
     sx, sy = sx // KERNEL, sy // KERNEL
     layers.append(Conv(c, config.conv2d_channels, sx * sy, rng, name="conv2d", ndim=2, depth=sz))
     c = config.conv2d_channels
-    layers.append(LayerNorm((c, sx, sy), config.layer_norm_eps, name="ln_conv2d",
-                            order=orders[-1]))
-    layers.append(ReLU(name="relu_conv2d"))
+    layers.append(LayerNormReLU((c, sx, sy), config.layer_norm_eps, name="ln_conv2d",
+                                order=orders[-1]))
     dim, order = c * sx * sy, orders[-1]  # fc_0's weight rows: the (c, x, y) flattening
     for i, width in enumerate(config.fc_widths):
         layers.append(Dense(dim, width, rng, name=f"fc_{i}", order=order))
-        layers.append(LayerNorm((width,), config.layer_norm_eps, name=f"ln_fc_{i}"))
-        layers.append(ReLU(name=f"relu_fc_{i}"))
+        layers.append(LayerNormReLU((width,), config.layer_norm_eps, name=f"ln_fc_{i}"))
         dim, order = width, None
     layers.append(Dense(dim, OUTPUT_DIM, rng, name="fc_out"))
     args = {"config": config.to_dict(), "input_shape": list(input_shape)}
@@ -214,8 +238,9 @@ def build_mlp_net(
     for i, width in enumerate(hidden_widths):
         layers.append(Dense(dim, int(width), rng, name=f"fc_{i}"))
         if layer_norm:
-            layers.append(LayerNorm((int(width),), layer_norm_eps, name=f"ln_fc_{i}"))
-        layers.append(ReLU(name=f"relu_fc_{i}"))
+            layers.append(LayerNormReLU((int(width),), layer_norm_eps, name=f"ln_fc_{i}"))
+        else:
+            layers.append(ReLU(name=f"relu_fc_{i}"))
         dim = int(width)
     layers.append(Dense(dim, OUTPUT_DIM, rng, name="fc_out"))
     args = dict(input_dim=input_dim, hidden_widths=[int(w) for w in hidden_widths], seed=seed,

@@ -9,14 +9,26 @@ the same way; the depth is folded into the channels by a transpose, and the
 layer. Layers are built in the production net's order from the same seed,
 so both nets start from the same parameter values and list them in the
 same order.
+
+It also holds the unfused, row-order LayerNorm and ReLU that the fused
+in-place layers.LayerNormReLU is held to, and the bound on how far the
+production layers may drift from their references: REFERENCE_RTOL times
+the summed |terms| of each result.
 """
 
 from __future__ import annotations
 
+import copy
+import math
+
 import numpy as np
 
-from tactile_force.net import Dense, Model, NetworkConfig, ReLU
-from tactile_force.net.layers import KERNEL, Layer, Parameter, _fan_in_uniform
+from tactile_force.net import Conv, Dense, LayerNormReLU, Model, NetworkConfig, ReLU
+from tactile_force.net.layers import KERNEL, LAYER_NORM_EPS, Layer, Parameter, _fan_in_uniform
+
+# the bound on |net - reference|, relative to the largest magnitude of the
+# reference output, or of the summed terms of a reference gradient
+REFERENCE_RTOL = 1e-12
 
 
 class _ConvNd(Layer):
@@ -136,6 +148,109 @@ class LogicalLayerNorm(Layer):
         mean_g = g.mean(axis=axes, keepdims=True)
         mean_gx = (g * self._xhat).mean(axis=axes, keepdims=True)
         return (g - mean_g - self._xhat * mean_gx) * self._inv_std
+
+
+class ReferenceLayerNorm(Layer):
+    """LayerNorm on (batch, features) rows written plainly, one fresh array
+    per operation, with gain and offset gathered into row order and their
+    gradients scattered back by an explicit index: the norm half of the
+    unfused pair that layers.LayerNormReLU is held to. `order` is the flat
+    logical index of each row feature, as there."""
+
+    def __init__(self, feature_shape, eps=LAYER_NORM_EPS, name="ln", order=None):
+        self.name = name
+        self.eps = eps
+        self.feature_shape = tuple(feature_shape)
+        self.gain = Parameter(f"{name}.gain", np.ones(self.feature_shape))
+        self.offset = Parameter(f"{name}.offset", np.zeros(self.feature_shape))
+        n = math.prod(self.feature_shape)
+        self._perm = np.arange(n) if order is None else np.asarray(order)
+
+    def parameters(self):
+        return [self.gain, self.offset]
+
+    def forward(self, x):
+        self._check_input(x, self._perm.shape)
+        mu = x.mean(axis=1, keepdims=True)
+        var = x.var(axis=1, keepdims=True)
+        self._inv_std = 1.0 / np.sqrt(var + self.eps)
+        self._xhat = (x - mu) * self._inv_std
+        perm = self._perm
+        return self.gain.value.ravel()[perm] * self._xhat + self.offset.value.ravel()[perm]
+
+    def backward(self, grad_out):
+        perm = self._perm
+        np.add.at(self.gain.grad.reshape(-1), perm, (grad_out * self._xhat).sum(axis=0))
+        np.add.at(self.offset.grad.reshape(-1), perm, grad_out.sum(axis=0))
+        g = grad_out * self.gain.value.ravel()[perm]
+        mean_g = g.mean(axis=1, keepdims=True)
+        mean_gx = (g * self._xhat).mean(axis=1, keepdims=True)
+        return (g - mean_g - self._xhat * mean_gx) * self._inv_std
+
+
+class ReferenceReLU(ReLU):
+    """ReLU by np.where: the oracle ReLU is held to. Like ReLU, it keeps a
+    NaN input; unlike ReLU, its backward drops a non-finite gradient where
+    the mask is off."""
+
+    def forward(self, x):
+        self._mask = x > 0
+        return np.where(self._mask | np.isnan(x), x, 0.0)
+
+    def backward(self, grad_out):
+        return np.where(self._mask, grad_out, 0.0)
+
+
+def unfused(layer: LayerNormReLU) -> list[Layer]:
+    """The ReferenceLayerNorm and ReferenceReLU pair that `layer` fuses,
+    with its names, row order and epsilon and fresh parameters."""
+    order = np.arange(math.prod(layer.feature_shape))[layer._order]
+    return [ReferenceLayerNorm(layer.feature_shape, layer.eps, layer.name, order),
+            ReferenceReLU(name=layer.name.replace("ln_", "relu_", 1))]
+
+
+def with_reference_layers(model: Model) -> Model:
+    """A copy of `model` with each LayerNormReLU unfused and each plain
+    ReLU a ReferenceReLU, holding the same parameter values."""
+    layers = []
+    for layer in copy.deepcopy(model.layers):
+        if isinstance(layer, LayerNormReLU):
+            layers += unfused(layer)
+        elif type(layer) is ReLU:
+            layers.append(ReferenceReLU(name=layer.name))
+        else:
+            layers.append(layer)
+    reference = Model(layers, model.build)
+    reference.values[...] = model.values
+    return reference
+
+
+def backward_with_term_magnitudes(reference: Model, grad_out) -> dict[str, np.ndarray]:
+    """Run the reference net's backward pass for grad_out and return, by
+    parameter name, the sum of |terms| whose plain sum is each entry of that
+    parameter's gradient, in the layer's own layout: the gradient's formula
+    over the absolute values of the layer's input and of the gradient
+    reaching it. Summation-order noise scales with this, not with the
+    gradient, which can cancel to near 0."""
+    reference.zero_grad()
+    magnitudes = {}
+    grad = grad_out
+    for layer in reversed(reference.layers):
+        g = np.abs(grad)
+        if isinstance(layer, (_ConvNd, Conv)):
+            if isinstance(layer, _ConvNd):
+                g = np.moveaxis(g, 1, -1)
+            g = g.reshape(-1, layer.out_channels)  # one row per window
+            magnitudes[layer.weight.name] = g.T @ np.abs(layer._rows)
+            magnitudes[layer.bias.name] = g.sum(axis=0)
+        elif isinstance(layer, Dense):
+            magnitudes[layer.weight.name] = np.abs(layer._x).T @ g
+            magnitudes[layer.bias.name] = g.sum(axis=0)
+        elif isinstance(layer, (LogicalLayerNorm, ReferenceLayerNorm)):
+            magnitudes[layer.gain.name] = (g * np.abs(layer._xhat)).sum(axis=0)
+            magnitudes[layer.offset.name] = g.sum(axis=0)
+        grad = layer.backward(grad)
+    return magnitudes
 
 
 class DenseInput(Layer):

@@ -27,7 +27,7 @@ from tactile_force.net import (
     build_voxel_net,
     train,
 )
-from tactile_force.net.layers import ReLU
+from tactile_force.net.layers import LayerNormReLU
 from tactile_force.sensor import SurfaceGeometry, default_electrode_layout
 from tactile_force.synthetic import (
     SensorForwardModel,
@@ -149,13 +149,16 @@ class TestCriterion3GradientCorrectness:
         rng = np.random.default_rng(100)
         x = rng.normal(size=(3, 2, 8, 8, 4))
 
-        # the check point must be kink-free: no ReLU input within reach of h
+        # the check point must be kink-free: no ReLU input within reach of h,
+        # the fused layers' gain * xhat + offset
         margin = math.inf
         out = x
         for layer in model.layers:
-            if isinstance(layer, ReLU):
-                margin = min(margin, float(np.min(np.abs(out))))
             out = layer.forward(out)
+            if isinstance(layer, LayerNormReLU):
+                relu_in = layer._xhat * layer._in_rows(layer.gain.value)
+                relu_in += layer._in_rows(layer.offset.value)
+                margin = min(margin, float(np.min(np.abs(relu_in))))
         assert margin > 1e-3, f"ReLU margin {margin} too small for valid differences"
 
         f3d = rng.normal(size=(3, 3)) + np.array([0.0, 0.0, 2.0])

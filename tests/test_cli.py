@@ -830,6 +830,8 @@ class TestConfigValueTypes:
         ("train", "training.base_lr", float("nan")),
         ("simulate", "split.train", 1.5),
         ("simulate", "split.val", -3),
+        ("simulate", "sensor.gain", 10**400),  # too large for a float
+        ("simulate", "sources.rigid_ft.trials", 10**400),
     ])
     def test_wrong_type_exits_2_naming_file_and_field(
         self, sim_dir, sim_config, tmp_path, capsys, command, field, value

@@ -1,8 +1,8 @@
 """Finite-difference gradient checks for every layer type, a hand-unrolled
 convolution oracle that the first layer, on dense grids and featurized
 voxel inputs, and the reference net's logical-layout convolutions are held
-to, and the plain LayerNorm and ReLU that the in-place ones are held to bit
-for bit."""
+to, the unfused LayerNorm and ReLU that the fused in-place LayerNormReLU is
+held to, and the reference ReLU that the plain one is held to."""
 
 import math
 
@@ -15,14 +15,17 @@ from hypothesis.extra.numpy import arrays
 from tactile_force.dataset import SampleRecord, featurize_voxel
 from tactile_force.errors import SchemaError
 from tactile_force.net import NetworkConfig, build_mlp_net, build_voxel_net
-from tactile_force.net.layers import Conv, Dense, LayerNorm, ReLU, VoxelConv3d
+from tactile_force.net.layers import Conv, Dense, Layer, LayerNormReLU, ReLU, VoxelConv3d
 from tactile_force.net.network import window_major_orders
 from tactile_force.sensor import (
     N_ELECTRODES, ElectrodeLayout, SurfaceGeometry, default_electrode_layout,
 )
 from tactile_force.voxel import GridSpec
 from geometry_oracles import cell_center
-from reference_net import CollapseDepth, Conv3d, Flatten
+from reference_net import (
+    REFERENCE_RTOL, CollapseDepth, Conv3d, Flatten, ReferenceReLU, backward_with_term_magnitudes,
+    unfused, with_reference_layers,
+)
 
 FD_STEP = 1e-6
 FD_TOL = 1e-5
@@ -64,6 +67,23 @@ def fd_layer_check(layer, x, seed=7, n_checks=40):
     if grad_x is not None:  # a first layer computes no input gradient
         probe(x, grad_x)
     return worst
+
+
+class OnCopies(Layer):
+    """An in-place layer run on copies of its arguments, so that it leaves
+    them as they were, as the finite-difference check needs."""
+
+    def __init__(self, layer: Layer):
+        self.layer = layer
+
+    def parameters(self):
+        return self.layer.parameters()
+
+    def forward(self, x):
+        return self.layer.forward(x.copy()).copy()
+
+    def backward(self, grad_out):
+        return self.layer.backward(grad_out.copy())
 
 
 def voxel_records(points, rng):
@@ -155,13 +175,13 @@ class TestGradients:
         layer = Conv(3, 4, 6, rng, name="conv2d", ndim=2, depth=2)
         assert fd_layer_check(layer, rng.normal(size=(4, 6 * 3 * 2 * 4))) < FD_TOL
 
-    def test_layer_norm(self):
+    def test_layer_norm_relu(self):
         rng = np.random.default_rng(5)
-        layer = LayerNorm((3, 4), order=rng.permutation(12))
+        layer = LayerNormReLU((3, 4), order=rng.permutation(12))
         # non-unit gain/offset so their gradients are exercised
         layer.gain.value = rng.normal(size=(3, 4))
         layer.offset.value = rng.normal(size=(3, 4))
-        assert fd_layer_check(layer, rng.normal(size=(5, 12))) < FD_TOL
+        assert fd_layer_check(OnCopies(layer), rng.normal(size=(5, 12))) < FD_TOL
 
     def test_relu_away_from_kinks(self):
         rng = np.random.default_rng(6)
@@ -356,20 +376,37 @@ class TestConv2d:
 
 class TestLayerNormBehavior:
     def test_normalizes_per_sample(self):
+        """With an offset above every normalized value the ReLU passes all
+        of them: each row comes out with that mean and unit deviation."""
         rng = np.random.default_rng(13)
-        layer = LayerNorm((10,))
+        layer = LayerNormReLU((10,))
+        layer.offset.value[...] = 10.0
         x = rng.normal(loc=5.0, scale=3.0, size=(4, 10))
         out = layer.forward(x)
-        np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-9)
+        np.testing.assert_allclose(out.mean(axis=1), 10.0, atol=1e-9)
         np.testing.assert_allclose(out.std(axis=1), 1.0, atol=1e-3)
 
     def test_sample_independence(self):
         rng = np.random.default_rng(14)
-        layer = LayerNorm((6,))
+        layer = LayerNormReLU((6,))
+        layer.offset.value[...] = rng.normal(size=6)
         x = rng.normal(size=(3, 6))
-        alone = layer.forward(x[:1])
-        together = layer.forward(x)
+        alone = layer.forward(x[:1].copy()).copy()
+        together = layer.forward(x.copy())
         np.testing.assert_allclose(alone[0], together[0], atol=1e-12)
+
+    def test_normalizes_its_argument_in_place_and_keeps_its_arrays(self):
+        """forward turns its argument into the normalized rows and returns
+        an array it keeps; backward returns its argument. A smaller batch
+        reuses a prefix of the kept array."""
+        rng = np.random.default_rng(15)
+        layer = LayerNormReLU((8,))
+        x, grad = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
+        out = layer.forward(x)
+        np.testing.assert_allclose(x.mean(axis=1), 0.0, atol=1e-12)
+        assert layer.backward(grad) is grad
+        again = layer.forward(rng.normal(size=(3, 8)))
+        assert again.base is out.base
 
 
 class TestReLU:
@@ -382,95 +419,100 @@ class TestReLU:
         np.testing.assert_array_equal(grad, [[0.0, 0.0, 1.0]])
 
 
-class ReferenceLayerNorm(LayerNorm):
-    """LayerNorm written plainly, one fresh array per operation, with gain
-    and offset gathered into row order and their gradients scattered back
-    by an explicit index: the oracle the in-place LayerNorm is held to bit
-    for bit."""
-
-    def _perm(self):
-        return np.arange(math.prod(self.feature_shape))[self._order]
-
-    def forward(self, x):
-        self._check_input(x, (math.prod(self.feature_shape),))
-        mu = x.mean(axis=1, keepdims=True)
-        var = x.var(axis=1, keepdims=True)
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        self._xhat = (x - mu) * self._inv_std
-        perm = self._perm()
-        return self.gain.value.ravel()[perm] * self._xhat + self.offset.value.ravel()[perm]
-
-    def backward(self, grad_out):
-        perm = self._perm()
-        np.add.at(self.gain.grad.reshape(-1), perm, (grad_out * self._xhat).sum(axis=0))
-        np.add.at(self.offset.grad.reshape(-1), perm, grad_out.sum(axis=0))
-        g = grad_out * self.gain.value.ravel()[perm]
-        mean_g = g.mean(axis=1, keepdims=True)
-        mean_gx = (g * self._xhat).mean(axis=1, keepdims=True)
-        return (g - mean_g - self._xhat * mean_gx) * self._inv_std
-
-
-class ReferenceReLU(ReLU):
-    """ReLU by np.where: the oracle ReLU is held to. Like ReLU, it keeps a
-    NaN input; unlike ReLU, its backward drops a non-finite gradient where
-    the mask is off."""
-
-    def forward(self, x):
-        self._mask = x > 0
-        return np.where(self._mask | np.isnan(x), x, 0.0)
-
-    def backward(self, grad_out):
-        return np.where(self._mask, grad_out, 0.0)
-
-
 # batch 1-6, then 1-4 feature axes
 batch_shapes = st.tuples(
     st.integers(1, 6), st.lists(st.integers(1, 4), min_size=1, max_size=4)
 ).map(lambda t: (t[0], *t[1]))
 
-# normal values mixed with exact zeros of either sign, NaN and +-inf
-relu_values = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+# exact zeros of either sign, NaN and +-inf
+special_values = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
+
+# normal values mixed with the special ones
+relu_values = st.one_of(st.floats(-10, 10), special_values)
 
 
 @st.composite
 def layer_norm_cases(draw):
-    """A LayerNorm of 1-4 feature axes, its features in logical order or in
-    a random row order, on (batch, features) rows of batch 1-6, with random
-    gain, offset, starting gradients and output gradient."""
+    """A LayerNormReLU of 1-4 feature axes, its features in logical order or
+    in a random row order, on (batch, features) rows of batch 1-6 holding
+    up to three special values, with random gain, offset, starting
+    gradients and output gradient."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(batch_shapes)
     feature_shape, rows = shape[1:], (shape[0], math.prod(shape[1:]))
     scale, shift = draw(st.sampled_from([1e-3, 1.0, 1e3])), rng.normal()
     x = rng.normal(size=rows) * scale + shift
+    for value in draw(st.lists(special_values, max_size=3)):
+        x[rng.integers(rows[0]), rng.integers(rows[1])] = value
     order = rng.permutation(rows[1]) if draw(st.booleans()) else None
     params = [rng.normal(size=feature_shape) for _ in range(4)]
     return x, rng.normal(size=rows), feature_shape, order, params
 
 
-def norm_pair(feature_shape, order, params):
-    """A LayerNorm and a ReferenceLayerNorm with the same row order, gain,
-    offset and starting gradients."""
-    pair = (LayerNorm(feature_shape, order=order), ReferenceLayerNorm(feature_shape, order=order))
-    for layer in pair:
-        for p, value, grad in zip(layer.parameters(), params[:2], params[2:]):
-            p.value[...], p.grad[...] = value, grad
-    return pair
+def fused_and_unfused(feature_shape, order, params):
+    """A LayerNormReLU and its ReferenceLayerNorm and ReferenceReLU, with the
+    same row order, gain, offset and starting gradients."""
+    layer = LayerNormReLU(feature_shape, order=order)
+    norm, relu = unfused(layer)
+    for p, q, value, grad in zip(layer.parameters(), norm.parameters(), params[:2], params[2:]):
+        p.value[...] = q.value[...] = value
+        p.grad[...] = q.grad[...] = grad
+    return layer, norm, relu
+
+
+def fused_term_magnitudes(x, masked, norm, params):
+    """By result, the sum of |terms| each entry of the fused layer's output,
+    input gradient, and gain and offset gradients is a plain sum of, from
+    the unfused pair after its forward and backward passes, `masked` the
+    gradient its ReLU passed back: each formula over absolute values, with
+    xhat's own terms, (|x| + mean |x|) * inv_std, in place of |xhat|. The
+    parameter gradients come in their logical shape."""
+    perm, n = norm._perm, x.shape[1]
+    gain, offset = np.abs(params[0]).ravel()[perm], np.abs(params[1]).ravel()[perm]
+    xhat = (np.abs(x) + np.abs(x).mean(axis=1, keepdims=True)) * norm._inv_std
+    g = np.abs(masked)
+    gg = g * gain
+    dx = norm._inv_std * (gg + gg.mean(axis=1, keepdims=True)
+                          + xhat * (gg * xhat).mean(axis=1, keepdims=True))
+
+    def logical(rows, start):
+        out = np.empty(n)
+        out[perm] = rows
+        return (out + np.abs(start).ravel()).reshape(params[0].shape)
+
+    return {"out": gain * xhat + offset, "dx": dx,
+            "gain": logical((g * xhat).sum(axis=0), params[2]),
+            "offset": logical(g.sum(axis=0), params[3])}
+
+
+def assert_within_terms(actual, expected, magnitude):
+    """NaN where `expected` is, and elsewhere within REFERENCE_RTOL times
+    the summed |terms| of each entry."""
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert np.all(np.abs(actual - expected)[~nan] <= REFERENCE_RTOL * magnitude[~nan])
 
 
 class TestInPlaceLayersMatchReference:
     @settings(max_examples=80, deadline=None)
     @given(layer_norm_cases())
-    def test_layer_norm_is_bit_equal_to_reference(self, case):
+    def test_layer_norm_relu_matches_the_unfused_pair(self, case):
+        """The fused layer against ReferenceLayerNorm then ReferenceReLU:
+        NaN in the same places, and every other value within
+        REFERENCE_RTOL of its summed |terms|, since only summation orders
+        differ."""
         x, grad_out, feature_shape, order, params = case
-        layer, reference = norm_pair(feature_shape, order, params)
-        x_before, grad_before = x.copy(), grad_out.copy()
-        out, expected = layer.forward(x), reference.forward(x)
-        assert np.array_equal(out, expected)
-        assert np.array_equal(layer.backward(grad_out), reference.backward(grad_out))
-        assert np.array_equal(layer.gain.grad, reference.gain.grad)
-        assert np.array_equal(layer.offset.grad, reference.offset.grad)
-        # neither pass writes into its argument
-        assert np.array_equal(x, x_before) and np.array_equal(grad_out, grad_before)
+        layer, norm, relu = fused_and_unfused(feature_shape, order, params)
+        with np.errstate(invalid="ignore"):
+            out, expected = layer.forward(x.copy()), relu.forward(norm.forward(x))
+            grad = layer.backward(grad_out.copy())
+            masked = relu.backward(grad_out)
+            expected_grad = norm.backward(masked)
+            magnitudes = fused_term_magnitudes(x, masked, norm, params)
+        assert_within_terms(out, expected, magnitudes["out"])
+        assert_within_terms(grad, expected_grad, magnitudes["dx"])
+        assert_within_terms(layer.gain.grad, norm.gain.grad, magnitudes["gain"])
+        assert_within_terms(layer.offset.grad, norm.offset.grad, magnitudes["offset"])
 
     @settings(max_examples=80, deadline=None)
     @given(arrays(np.float64, batch_shapes, elements=relu_values), st.booleans())
@@ -491,11 +533,14 @@ class TestInPlaceLayersMatchReference:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 2), st.integers(1, 5), st.integers(0, 2**32 - 1))
-    def test_whole_net_is_bit_equal_with_reference_layers(self, n_conv3d, batch, seed):
-        """Whole nets are compared too, on grids whose depth at the 2-D
-        convolution is above one cell and whose 2-D output is one or two
-        cells along x and y, so that the LayerNorms' row orders are
-        permutations."""
+    def test_whole_net_matches_unfused_reference_layers(self, n_conv3d, batch, seed):
+        """Whole nets are compared too, against copies whose fused layers
+        are unfused into ReferenceLayerNorm and ReferenceReLU, on grids whose
+        depth at the 2-D convolution is above one cell and whose 2-D output
+        is one or two cells along x and y, so that the layer norms' row
+        orders are permutations. Outputs and parameter gradients are held to
+        REFERENCE_RTOL as TestReferenceNet holds them; the MLP baseline,
+        whose plain ReLUs become ReferenceReLUs, is bit-equal."""
         rng = np.random.default_rng(seed)
         # grids that tile: x and y multiples of 2^(n+1), z of 2^n, depth 2 or 3 at the 2-D conv
         dims = (*(2 ** (n_conv3d + 1) * rng.integers(1, 3, 2)), 2**n_conv3d * rng.integers(2, 4))
@@ -505,17 +550,20 @@ class TestInPlaceLayersMatchReference:
         x = rng.normal(size=(batch, 2) + dims)
         grad_out = rng.normal(size=(batch, 3))
         mlp_x = rng.normal(size=(batch, 7))
-        for build, inputs in [(lambda: build_voxel_net(config, (2,) + dims), x),
-                              (lambda: build_mlp_net(7, (8, 5), seed=seed % 100), mlp_x)]:
-            model, reference = build(), build()
-            for layer in reference.layers:
-                if type(layer) is LayerNorm:
-                    layer.__class__ = ReferenceLayerNorm
-                elif type(layer) is ReLU:
-                    layer.__class__ = ReferenceReLU
+        for model, inputs in [(build_voxel_net(config, (2,) + dims), x),
+                              (build_mlp_net(7, (8, 5), seed=seed % 100), mlp_x),
+                              (build_mlp_net(7, (8, 5), seed=seed % 100, layer_norm=False), mlp_x)]:
             model.values[...] = rng.normal(size=model.values.size)
-            reference.values[...] = model.values
-            assert np.array_equal(model.forward(inputs), reference.forward(inputs))
+            reference = with_reference_layers(model)
+            assert [p.name for p in model.parameters()] == [p.name for p in reference.parameters()]
+            out, expected = model.forward(inputs), reference.forward(inputs)
             model.backward(grad_out)
-            reference.backward(grad_out)
-            assert np.array_equal(model.grads, reference.grads)
+            magnitudes = backward_with_term_magnitudes(reference, grad_out)
+            if not any(isinstance(layer, LayerNormReLU) for layer in model.layers):
+                assert np.array_equal(out, expected)
+                assert np.array_equal(model.grads, reference.grads)
+                continue
+            assert np.max(np.abs(out - expected)) <= REFERENCE_RTOL * np.max(np.abs(expected))
+            for p, q in zip(model.parameters(), reference.parameters()):
+                bound = REFERENCE_RTOL * np.max(magnitudes[q.name])
+                assert np.max(np.abs(p.grad - q.grad)) <= bound, p.name

@@ -14,7 +14,7 @@ from tactile_force.dataset import SampleRecord, featurization_record, featurize_
 from tactile_force.errors import ConfigError, NumericalError, SchemaError
 from tactile_force.net import (
     Dense,
-    LayerNorm,
+    LayerNormReLU,
     LossConfig,
     Model,
     NetworkConfig,
@@ -27,11 +27,13 @@ from tactile_force.net import (
     save_checkpoint,
 )
 from tactile_force.net.checkpoint import KIND_MLP, KIND_VOXEL
-from reference_net import LogicalLayerNorm, _ConvNd, build_reference_voxel_net
+from reference_net import (
+    REFERENCE_RTOL, backward_with_term_magnitudes, build_reference_voxel_net,
+)
 from geometry_oracles import cell_center
 from test_net_layers import random_layout, voxel_records
 from tactile_force.sensor import N_ELECTRODES, SurfaceGeometry, default_electrode_layout
-from tactile_force.voxel import CHANNEL_CONTACT, DEFAULT_DIMS, N_CHANNELS, GridSpec
+from tactile_force.voxel import CHANNEL_CONTACT, DEFAULT_DIMS, N_CHANNELS, GridSpec, VoxelInputs
 
 
 def tiny_net(seed=0):
@@ -83,13 +85,13 @@ class TestForward:
 
 
     @pytest.mark.parametrize("kind, poisoned", [
-        ("voxel", "ln_fc_0"), ("voxel", "relu_fc_0"), ("voxel", "fc_out"),
-        ("mlp", "ln_fc_1"), ("mlp", "relu_fc_1"), ("mlp", "fc_out"),
+        ("voxel", "ln_fc_0"), ("voxel", "fc_out"),
+        ("mlp", "ln_fc_1"), ("mlp", "fc_out"),
     ])
     def test_non_finite_output_names_first_non_finite_layer(self, kind, poisoned):
-        """A layer that puts one +inf in its output, after which no layer
-        norm and ReLU turns it back into finite numbers, is named, not the
-        layer the network output comes from."""
+        """A layer that puts one +inf in its output, after which no fused
+        layer norm and ReLU turns it back into finite numbers, is named, not
+        the layer the network output comes from."""
         rng = np.random.default_rng(8)
         net = {"voxel": lambda: tiny_net(seed=2)[1],
                "mlp": lambda: build_mlp_net(6, (5, 4), seed=2)}[kind]()
@@ -143,12 +145,13 @@ class TestReachability:
     def test_every_cell_reaches_the_output(self, dims, n_conv3d, seed):
         """build_voxel_net rejects the grid, or raising any one electrode
         value, and putting the contact in any sampled cell instead of none,
-        changes the output. The net's layer norms are bypassed, so that
-        nothing reaches the output through their mean and variance alone;
-        every weight and value is positive, so every ReLU passes its input
-        and whatever reaches the output raises it. seed None takes the
-        default layout on the default grid bounds, others a random layout
-        with one electrode at the centre of each of 19 distinct cells."""
+        changes the output. The net's fused layer norms and ReLUs are
+        bypassed, so that nothing reaches the output through their mean and
+        variance alone; every weight and value is positive, so a ReLU would
+        pass its input, and whatever reaches the output raises it. seed None
+        takes the default layout on the default grid bounds, others a random
+        layout with one electrode at the centre of each of 19 distinct
+        cells."""
         config = NetworkConfig(conv3d_channels=(2, 3)[:n_conv3d], conv2d_channels=3,
                                fc_widths=(4,))
         try:
@@ -156,7 +159,7 @@ class TestReachability:
         except ConfigError:
             assert seed is not None, "the default grid is rejected"
             return
-        net.layers = [layer for layer in net.layers if not isinstance(layer, LayerNorm)]
+        net.layers = [layer for layer in net.layers if not isinstance(layer, LayerNormReLU)]
         rng = np.random.default_rng(seed)
         net.values[...] = rng.uniform(0.5, 1.5, size=net.values.size)
         geometry = SurfaceGeometry()
@@ -178,37 +181,6 @@ class TestReachability:
         none = np.asarray(inputs[:1])
         none[:, CHANNEL_CONTACT] = 0.0  # no contact, through the dense path
         assert np.all(net.forward(inputs) > net.forward(none))
-
-
-# the bound on |net - reference|, relative to the largest magnitude of the
-# reference output, or of the summed terms of a reference gradient
-REFERENCE_RTOL = 1e-12
-
-
-def backward_with_term_magnitudes(reference, grad_out) -> dict[str, np.ndarray]:
-    """Run the reference net's backward pass for grad_out and return, by
-    parameter name, the sum of |terms| whose plain sum is that parameter's
-    gradient: the gradient's formula over the absolute values of the
-    layer's input and of the gradient reaching it. Summation-order noise
-    scales with this, not with the gradient, which can cancel to near 0."""
-    reference.zero_grad()
-    magnitudes = {}
-    grad = grad_out
-    for layer in reversed(reference.layers):
-        g = np.abs(grad)
-        if isinstance(layer, _ConvNd):
-            g = np.moveaxis(g, 1, -1).reshape(-1, layer.out_channels)  # one row per window
-            magnitudes[layer.weight.name] = (g.T @ np.abs(layer._rows)).reshape(
-                layer.weight.value.shape)
-            magnitudes[layer.bias.name] = g.sum(axis=0)
-        elif isinstance(layer, Dense):
-            magnitudes[layer.weight.name] = np.abs(layer._x).T @ g
-            magnitudes[layer.bias.name] = g.sum(axis=0)
-        elif isinstance(layer, LogicalLayerNorm):
-            magnitudes[layer.gain.name] = (g * np.abs(layer._xhat)).sum(axis=0)
-            magnitudes[layer.offset.name] = g.sum(axis=0)
-        grad = layer.backward(grad)
-    return magnitudes
 
 
 @st.composite
@@ -284,9 +256,9 @@ class TestLayout:
             else:
                 assert out.ndim == 2 and len(out) == 6 and out.flags.c_contiguous, (layer, name)
 
-        # every layer but the ReLUs, which take any shape, checks its input's width
+        # every layer checks its input's width
         for layer, name, x, _ in seen[1 : len(net.layers)]:
-            if name == "forward" and not layer.startswith("relu"):
+            if name == "forward":
                 wrong = np.zeros((len(x), x.shape[1] + 1))
                 with pytest.raises(SchemaError, match=f"layer {layer}: expected input shape"):
                     next(l for l in net.layers if l.name == layer).forward(wrong)
@@ -376,6 +348,96 @@ class TestBackward:
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as info:
             net.backward(grad_out)
         assert str(info.value) == "non-finite gradient flowing out of layer relu_out"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_where_fused_mask_is_off_names_that_layer(self, bad):
+        """The fused layer norm and ReLU does the same: its output is 0
+        everywhere, and one non-finite gradient entry still comes out."""
+        rng = np.random.default_rng(6)
+        norm = LayerNormReLU((3,), name="ln_out")
+        net = Model([Dense(4, 3, rng, name="fc"), norm], {"kind": "test"})
+        norm.offset.value[...] = -10.0  # below every normalized value: the mask is off
+        assert not np.any(net.forward(rng.normal(size=(2, 4))))
+        grad_out = np.ones((2, 3))
+        grad_out[1, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as info:
+            net.backward(grad_out)
+        assert str(info.value) == "non-finite gradient flowing out of layer ln_out"
+
+    @pytest.mark.parametrize("kind", ["voxel", "mlp"])
+    def test_non_finite_parameter_gradient_alone_names_the_parameter(self, kind):
+        """A parameter gradient that is not finite while every gradient the
+        layers return is finite is an error too, naming the parameter."""
+        rng = np.random.default_rng(7)
+        if kind == "voxel":
+            net, x = tiny_net(seed=1)[1], rng.normal(size=(3, 2, 8, 8, 4))
+        else:
+            net, x = build_mlp_net(6, (5, 4), seed=1), rng.normal(size=(3, 6))
+        layer = net.layers[-3]  # the last hidden dense layer: fc_0 or fc_1
+        backward = layer.backward
+
+        def overflowing(grad_out):
+            grad = backward(grad_out)
+            layer.weight.grad.flat[-1] = np.inf
+            return grad
+
+        layer.backward = overflowing
+        net.forward(x)
+        with pytest.raises(NumericalError) as info:
+            net.backward(rng.normal(size=(3, 3)))
+        assert str(info.value) == f"non-finite gradient of parameter {layer.weight.name}"
+
+
+BUILDS = {
+    "voxel": lambda: tiny_net(seed=3)[1],
+    "mlp": lambda: build_mlp_net(6, (5, 4), seed=3),
+    "mlp_baseline": lambda: build_mlp_net(6, (5, 4), seed=3, layer_norm=False),
+}
+
+
+def held_arrays(x) -> list[np.ndarray]:
+    """The arrays a batch holds: a dense array, or a VoxelInputs' values
+    and contact cells."""
+    return [x.e, x.contact] if isinstance(x, VoxelInputs) else [x]
+
+
+class TestInPlaceContract:
+    @pytest.mark.parametrize("kind, featurized", [
+        ("voxel", True), ("voxel", False), ("mlp", False), ("mlp_baseline", False),
+    ])
+    def test_model_leaves_its_arguments_and_outputs_alone(self, kind, featurized):
+        """The fused layers work in place on arrays no caller holds: forward
+        leaves its input as it was, backward its argument, and neither a
+        later forward nor backward changes an output already returned. 12
+        inputs go in batches of 5, so the last batch of 2 reuses a prefix of
+        the arrays the layers keep, and each batch gives what a fresh model
+        gives on it alone."""
+        rng = np.random.default_rng(12)
+        net = BUILDS[kind]()
+        if kind != "voxel":
+            inputs = rng.normal(size=(12, 6))
+        elif featurized:
+            spec = GridSpec((8, 8, 4), np.zeros(3), np.ones(3))
+            points = rng.uniform(spec.bounds_min, spec.bounds_max, size=(12, 3))
+            inputs = featurize_voxel(voxel_records(points, rng), random_layout(spec, rng),
+                                     spec).inputs
+        else:
+            inputs = rng.normal(size=(12, 2, 8, 8, 4))
+        returned = []
+        for start in (0, 5, 10):
+            x = inputs[start : start + 5]
+            x_before = [a.copy() for a in held_arrays(x)]
+            out = net.forward(x)
+            np.testing.assert_array_equal(out, BUILDS[kind]().forward(x))
+            grad = rng.normal(size=out.shape)
+            grad_before = grad.copy()
+            net.backward(grad)
+            assert np.array_equal(grad, grad_before)
+            assert all(map(np.array_equal, held_arrays(x), x_before))
+            returned.append((out, out.copy()))
+        assert len(returned[-1][0]) == 2
+        for out, before in returned:
+            assert np.array_equal(out, before)
 
 
 class TestConfig:

@@ -3,10 +3,12 @@
 This suite does not collect perfbench/, so without these checks a rename or
 deletion in the package would fail only the benchmark run. The benchmark's
 own Tracer is installed on the package's modules and uninstalled again,
-which must leave every attribute as it was, and every `tf.<module>.<name>`
-that perfbench's code names must exist.
+which must leave every attribute as it was, every `tf.<module>.<name>`
+that perfbench's code names must exist, and every layer of the nets it
+trains must have a name its per-layer split lists.
 """
 
+import ast
 import importlib.util
 import os
 import re
@@ -14,6 +16,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from tactile_force.cli import TRAIN_CONFIG
+from tactile_force.dataset import FLAT_INPUT_WIDTH
+from tactile_force.net import NetworkConfig, build_mlp_net, build_voxel_net
+from tactile_force.voxel import DEFAULT_DIMS, N_CHANNELS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -63,3 +70,29 @@ def test_every_package_name_the_benchmark_reads_exists(package):
     missing = [f"{module}.{attr}" for module, attr in sorted(names)
                if not hasattr(getattr(package, module, None), attr)]
     assert missing == []
+
+
+def perfbench_layers() -> tuple[str, ...]:
+    """perfbench/measure.py's LAYERS, read from its source."""
+    tree = ast.parse((PERFBENCH / "measure.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "LAYERS")
+
+
+def test_every_layer_of_the_benchmarked_nets_is_in_the_per_layer_split():
+    """The tracer times every layer by name, but measure.py sums only the
+    names LAYERS lists, so a layer renamed away from them would drop out of
+    the per-layer split and only lower trace.attributed_pct. The CLI-default
+    net (cli_mixed) and the criterion-4 net (train_c4) must match exactly.
+    perfbench trains no --no-voxel MLP, whose six hidden layers outnumber
+    LAYERS' three fully connected ones, so its layers must only belong to
+    the families LAYERS lists (fc_<i>, ln_fc_<i>, fc_out)."""
+    layers = set(perfbench_layers())
+    grid = (N_CHANNELS, *DEFAULT_DIMS)
+    for config in (NetworkConfig(), NetworkConfig(conv2d_channels=128, fc_widths=(256, 128, 64))):
+        names = [layer.name for layer in build_voxel_net(config, grid).layers]
+        assert [name for name in names if name not in layers] == [], config
+    widths = tuple(TRAIN_CONFIG["no_voxel_widths"]) + NetworkConfig().fc_widths
+    mlp = build_mlp_net(FLAT_INPUT_WIDTH, widths, layer_norm=True)
+    families = [re.sub(r"_\d+$", "_0", layer.name) for layer in mlp.layers]
+    assert set(families) <= layers
