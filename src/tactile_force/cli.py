@@ -24,11 +24,13 @@ from .baselines import LinearModel, linear_fit, linear_predict
 from .dataset import (
     DEFAULT_TRAIN_FRAC,
     DEFAULT_VAL_FRAC,
+    FEATURIZE_VOXEL,
     FLAT_INPUT_WIDTH,
     SampleRecord,
     featurization_record,
     featurizer,
     filter_by_sources,
+    is_force_sample,
     load_json,
     load_manifest_splits,
     make_dataset,
@@ -60,6 +62,7 @@ from .net import (
     train,
 )
 from .net.losses import KNOWN_SOURCES, SOURCE_BALL_FT, SOURCE_PLANAR, SOURCE_RIGID_FT
+from .net.network import KIND_MLP, KIND_VOXEL, NETWORK_CONFIG
 from .sensor import (
     DEFAULT_HALF_CYLINDER_LENGTH_M, DEFAULT_RADIUS_M, ElectrodeLayout, SurfaceGeometry,
     default_electrode_layout,
@@ -111,12 +114,11 @@ SIMULATE_CONFIG = {
 # network's and the training's, and the grid is read by GridSpec.from_config
 TRAIN_CONFIG = {
     "seed": 0,
-    "network": {k: v for k, v in NetworkConfig().to_dict().items()
-                if k not in ("seed", "layer_norm_eps")},
+    "network": {k: v for k, v in NETWORK_CONFIG.items() if k not in ("seed", "layer_norm_eps")},
     "training": {k: v for k, v in TrainingConfig().to_dict().items() if k != "seed"},
     "loss": {"beta": LossConfig.beta},
-    "mlp": {"hidden_widths": [64, 64]},
-    "no_voxel_widths": [64, 64, 64, 64],
+    "mlp": {"hidden_widths": [PositiveCount(64)] * 2},
+    "no_voxel_widths": [PositiveCount(64)] * 4,
     "grid": None,
     **GEOMETRY_CONFIG,
 }
@@ -207,7 +209,11 @@ def cmd_simulate(args) -> tuple[Path, list[str]]:
                               f"trials of {planar['steps']} steps, and no step was labelled as a contact")
     for offset, tag in enumerate((SOURCE_RIGID_FT, SOURCE_BALL_FT), 1):
         ft = dict(config["sources"][tag])
-        records.extend(make_ft_samples(model, geometry, tag, ft.pop("trials"), seed=seed + offset, **ft))
+        samples = make_ft_samples(model, geometry, tag, ft.pop("trials"), seed=seed + offset, **ft)
+        if samples and not any(map(is_force_sample, samples)):  # make_dataset would drop them all
+            raise ConfigError(f"config {config_path}: every sample of source {tag!r} has zero force "
+                              f"(force_range {ft['force_range']})")
+        records.extend(samples)
     if not records:
         raise ConfigError("config requested no trials from any source")
     splits = make_dataset(records, config["split"]["train"], config["split"]["val"], seed)
@@ -314,6 +320,15 @@ def cmd_train(args) -> tuple[Path, list[str]]:
     try:
         net_cfg, train_cfg, loss_cfg = _train_configs(config, seed)
         featurization = featurization_record(voxel, layout, geometry, config["grid"])
+        if args.model == MODEL_MLP_BASELINE:
+            widths = tuple(config["mlp"]["hidden_widths"])
+            model = build_mlp_net(FLAT_INPUT_WIDTH, widths, seed=seed, layer_norm=False)
+            loss_cfg = dataclasses.replace(loss_cfg, beta=0.0, mode="plain_l2")
+        elif args.no_voxel:
+            widths = tuple(config["no_voxel_widths"]) + net_cfg.fc_widths
+            model = build_mlp_net(FLAT_INPUT_WIDTH, widths, seed=seed, layer_norm=True)
+        elif voxel:
+            model = build_voxel_net(net_cfg, input_shape=(N_CHANNELS, *featurization["grid"]["dims"]))
     except ConfigError as exc:
         raise ConfigError(f"config {args.config}: {exc}") from exc
     if args.no_alpha:
@@ -327,16 +342,6 @@ def cmd_train(args) -> tuple[Path, list[str]]:
         model.to_json(out_dir / "linear_model.json")
         print(f"train: fitted linear model S={model.scale.tolist()} -> {out_dir}")
         return out_dir, ["linear_model.json"]
-
-    if args.model == MODEL_MLP_BASELINE:
-        widths = tuple(config["mlp"]["hidden_widths"])
-        model = build_mlp_net(FLAT_INPUT_WIDTH, widths, seed=seed, layer_norm=False)
-        loss_cfg = dataclasses.replace(loss_cfg, beta=0.0, mode="plain_l2")
-    elif args.no_voxel:
-        widths = tuple(config["no_voxel_widths"]) + net_cfg.fc_widths
-        model = build_mlp_net(FLAT_INPUT_WIDTH, widths, seed=seed, layer_norm=True)
-    else:
-        model = build_voxel_net(net_cfg, input_shape=(N_CHANNELS, *featurization["grid"]["dims"]))
 
     featurize = featurizer(featurization)
     train_samples = featurize(train_records)
@@ -377,6 +382,22 @@ def cmd_train(args) -> tuple[Path, list[str]]:
 PREDICT_CHUNK = 512  # samples per forward pass at eval
 
 
+def _check_model_inputs(meta: dict) -> None:
+    """A checkpoint's net must read the inputs its featurization, already
+    read, builds: a voxel net those of its grid, an MLP the flat ones."""
+    featurization = meta["featurization"]
+    if featurization["kind"] == FEATURIZE_VOXEL:
+        kind, field, built = KIND_VOXEL, "input_shape", [N_CHANNELS, *featurization["grid"]["dims"]]
+    else:
+        kind, field, built = KIND_MLP, "input_dim", FLAT_INPUT_WIDTH
+    if meta["kind"] != kind:
+        raise ConfigError(f"field 'featurization.kind' is {featurization['kind']!r}, which builds "
+                          f"the inputs of a {kind}, not of a {meta['kind']}")
+    if meta["args"][field] != built:
+        raise ConfigError(f"field 'args.{field}' is {meta['args'][field]}, but the featurization "
+                          f"builds inputs of {built}")
+
+
 def _predict_records(records, model_kind, model_path):
     """Predictions for the records, with features built only from what the
     model file records about its own inputs."""
@@ -390,6 +411,7 @@ def _predict_records(records, model_kind, model_path):
     model, meta = load_checkpoint(model_path)
     try:
         featurize = featurizer(meta["featurization"])
+        _check_model_inputs(meta)
     except (ConfigError, SchemaError) as exc:
         raise ConfigError(f"checkpoint {model_path}: {exc}") from exc
     samples = featurize(records)

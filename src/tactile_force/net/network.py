@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, NumericalError, config_from_dict
+from ..errors import ConfigError, NumericalError, Positive, PositiveCount, config_from_dict
 from ..voxel import VoxelInputs
 from .layers import (
     KERNEL, LAYER_NORM_EPS, Conv, Dense, Layer, LayerNormReLU, Parameter, ReLU, VoxelConv3d,
@@ -51,6 +51,17 @@ class NetworkConfig:
                 "fc_widths": list(self.fc_widths)}
 
     from_dict = classmethod(config_from_dict)
+
+
+# a voxel net's config as a checkpoint's "args.config" holds it; a train
+# config's "network" block is this without "layer_norm_eps" and "seed"
+NETWORK_CONFIG = {
+    "conv3d_channels": [PositiveCount(c) for c in NetworkConfig.conv3d_channels],
+    "conv2d_channels": PositiveCount(NetworkConfig.conv2d_channels),
+    "fc_widths": [PositiveCount(w) for w in NetworkConfig.fc_widths],
+    "layer_norm_eps": Positive(NetworkConfig.layer_norm_eps),
+    "seed": NetworkConfig.seed,
+}
 
 
 def _all_finite(array: np.ndarray) -> bool:
@@ -231,7 +242,7 @@ def build_mlp_net(
 ) -> Model:
     """Plain fully connected force regressor on a flat feature vector."""
     if not hidden_widths:
-        raise ConfigError("at least one hidden layer is required")
+        raise ConfigError("hidden_widths must hold at least one width")
     rng = np.random.default_rng(seed)
     layers: list[Layer] = []
     dim = input_dim

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, NumericalError, config_from_dict
+from ..errors import ConfigError, Count, Fraction, NumericalError, Positive, PositiveCount, config_from_dict
 from ..voxel import VoxelInputs
 from .losses import LossConfig, batch_loss_and_grad
 from .network import Model
@@ -19,13 +19,13 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    max_epochs: int = 200
-    batch_size: int = 512
-    base_lr: float = 1e-4
+    max_epochs: int = PositiveCount(200)
+    batch_size: int = PositiveCount(512)
+    base_lr: float = Positive(1e-4)
     lr_floor: float = 1e-8
-    warmup_epochs: int = 2
-    warmup_doubling_iters: int = 50
-    decay_factor: float = 0.95
+    warmup_epochs: int = Count(2)
+    warmup_doubling_iters: int = PositiveCount(50)
+    decay_factor: float = Fraction(0.95)
     seed: int = 0
 
     def __post_init__(self):

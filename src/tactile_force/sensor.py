@@ -7,18 +7,17 @@ outward through the curved sensing face. All lengths are meters.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, Required, SchemaError, read_config
 
 N_ELECTRODES = 19
 
-# Pressure-gate defaults: in contact when p_dc stays above 10 units for the
+# The pressure gate: in contact when p_dc has stayed above 10 units for the
 # last 10 timesteps.
 CONTACT_PRESSURE_THRESHOLD = 10.0
 CONTACT_WINDOW = 10
@@ -104,38 +103,15 @@ def surface_point_and_normal(geometry: SurfaceGeometry, query: np.ndarray) -> Co
     return ContactState(s_c=np.array([geometry.r * n[0], geometry.r * n[1], z]), s_n=n)
 
 
-class ContactDetection(enum.Enum):
-    """Tri-state contact decision.
-
-    INSUFFICIENT_HISTORY flags that the window was not filled, as opposed to a
-    confident NO_CONTACT. Only CONTACT is truthy.
-    """
-
-    CONTACT = "contact"
-    NO_CONTACT = "no_contact"
-    INSUFFICIENT_HISTORY = "insufficient_history"
-
-    def __bool__(self) -> bool:
-        return self is ContactDetection.CONTACT
-
-
-def detect_contact(
-    pressure_history: Sequence[float],
-    threshold: float = CONTACT_PRESSURE_THRESHOLD,
-    window: int = CONTACT_WINDOW,
-) -> ContactDetection:
-    """Pressure-gate contact test: the last `window` p_dc values must all
-    exceed `threshold`."""
-    history = np.asarray(pressure_history, dtype=float)
-    if history.ndim != 1:
-        raise SchemaError("pressure history must be a 1-D sequence")
-    if window < 1:
-        raise SchemaError(f"window must be >= 1, got {window}")
-    if history.size < window:
-        return ContactDetection.INSUFFICIENT_HISTORY
-    if np.all(history[-window:] > threshold):
-        return ContactDetection.CONTACT
-    return ContactDetection.NO_CONTACT
+def detect_contact(pressure) -> np.ndarray:
+    """The pressure gate over a 1-D p_dc trace, one flag per step: step i is
+    in contact when it and the CONTACT_WINDOW - 1 steps before it all exceed
+    CONTACT_PRESSURE_THRESHOLD (a NaN never does), so no step of the first
+    window is."""
+    above = np.asarray(pressure, dtype=float) > CONTACT_PRESSURE_THRESHOLD
+    # after a window of steps below the threshold, the window ending at step i is row i + 1
+    padded = np.concatenate([np.zeros(CONTACT_WINDOW, dtype=bool), above])
+    return sliding_window_view(padded, CONTACT_WINDOW)[1:].all(axis=1)
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,13 @@ would be unobservable and force regression ill-posed.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import SampleRecord
-from .errors import NumericalError, SchemaError
+from .errors import NumericalError, Positive, SchemaError
 from .mechanics import (
     ParticleGrid,
     PlanarMotion,
@@ -32,8 +30,6 @@ from .mechanics import (
 )
 from .net.losses import SOURCE_PLANAR
 from .sensor import (
-    CONTACT_WINDOW,
-    ContactDetection,
     ContactState,
     ElectrodeLayout,
     SurfaceGeometry,
@@ -96,7 +92,6 @@ class PushEpisode:
     """
 
     trial_id: str
-    source_tag: str
     params: PushParams
     half_extents: tuple[float, float]
     times: np.ndarray
@@ -108,7 +103,6 @@ class PushEpisode:
     contact_points: np.ndarray
     applied_forces: np.ndarray
     static_flags: np.ndarray
-    sensor_to_object: np.ndarray = None  # R such that f_3d = R @ [f_c, 0]
 
     @property
     def n_steps(self) -> int:
@@ -123,23 +117,24 @@ class PushEpisode:
             omega_dot=float(self.omega_dot[i]),
         )
 
+    def motion_row(self, i: int) -> dict:
+        """Step i's time and motion as JSON values."""
+        return {
+            "t": float(self.times[i]),
+            "pose": self.poses[i].tolist(),
+            "v": self.v[i].tolist(),
+            "omega": float(self.omega[i]),
+            "v_dot": self.v_dot[i].tolist(),
+            "omega_dot": float(self.omega_dot[i]),
+        }
+
     def step_dicts(self) -> list[dict]:
         """Rows for the episode JSON-lines file."""
-        rows = []
-        for i in range(self.n_steps):
-            rows.append(
-                {
-                    "t": float(self.times[i]),
-                    "pose": self.poses[i].tolist(),
-                    "v": self.v[i].tolist(),
-                    "omega": float(self.omega[i]),
-                    "v_dot": self.v_dot[i].tolist(),
-                    "omega_dot": float(self.omega_dot[i]),
-                    "contact_point": self.contact_points[i].tolist(),
-                    "f_true": self.applied_forces[i].tolist(),
-                }
-            )
-        return rows
+        return [
+            {**self.motion_row(i), "contact_point": self.contact_points[i].tolist(),
+             "f_true": self.applied_forces[i].tolist()}
+            for i in range(self.n_steps)
+        ]
 
 
 def simulate_push(
@@ -210,7 +205,6 @@ def simulate_push(
 
     return PushEpisode(
         trial_id=trial_id,
-        source_tag=SOURCE_PLANAR,
         params=params,
         half_extents=(float(half_extents[0]), float(half_extents[1])),
         times=times,
@@ -268,7 +262,7 @@ class SensorForwardModel:
 
     layout: ElectrodeLayout
     gain: float = 10.0
-    decay_length: float = 0.007
+    decay_length: float = Positive(0.007)
     normal_sensitivity: float = 0.5
     shear_sensitivity: float = 0.1
     directional_shear_sensitivity: float = 0.5
@@ -416,9 +410,9 @@ def make_planar_trials(
 
     The sensor touches the box at a fixed spot per trial; its orientation is
     built so the nominal +x push direction maps near the contact's outward
-    normal (a head-on push compresses the sensing face). Contact gating uses
-    the synthesized static pressure history, so the first steps of each push
-    are dropped until the detection window fills.
+    normal (a head-on push compresses the sensing face). The contact gate runs
+    once over the trial's synthesized static pressure trace, so the first
+    steps of each push are dropped until its window fills.
     """
     master = np.random.default_rng(seed)
     episodes: list[PushEpisode] = []
@@ -443,20 +437,16 @@ def make_planar_trials(
         tilt = _cone_direction(rng, contact.s_n, math.radians(15.0))
         sensor_to_object = rotation_aligning(tilt, roll=rng.uniform(0, 2 * math.pi))
         r_wb = sensor_to_object.T  # planar frame is world-aligned
-        episode = dataclasses.replace(episode, sensor_to_object=sensor_to_object)
 
-        # detection reads only the last CONTACT_WINDOW values
-        pressure_history: deque[float] = deque(maxlen=CONTACT_WINDOW)
-        for i in range(episode.n_steps):
-            f_c = episode.applied_forces[i]
-            f_3d = sensor_to_object @ np.array([f_c[0], f_c[1], 0.0])
-            magnitude = float(np.linalg.norm(f_3d))
-            pressure_history.append(PRESSURE_UNITS_PER_NEWTON * magnitude)
-            detected = detect_contact(pressure_history)
-            if magnitude == 0.0:
-                continue
-            e = sensor_forward(model, contact, f_3d, rng=rng)
-            if detected is ContactDetection.CONTACT:
+        # one product per step: a batched one rounds some rows differently
+        f_3d = [sensor_to_object @ np.array([fx, fy, 0.0])
+                for fx, fy in episode.applied_forces.tolist()]
+        magnitudes = np.array([float(np.linalg.norm(f)) for f in f_3d])
+        in_contact = detect_contact(PRESSURE_UNITS_PER_NEWTON * magnitudes)
+        # every pushed step draws its noise, in step order; the gate picks the records
+        for i in np.flatnonzero(magnitudes):
+            e = sensor_forward(model, contact, f_3d[i], rng=rng)
+            if in_contact[i]:
                 records.append(
                     SampleRecord(
                         trial_id=trial_id,
@@ -464,16 +454,9 @@ def make_planar_trials(
                         e=e,
                         s_c=contact.s_c,
                         s_n=contact.s_n,
-                        f_3d=f_3d,
+                        f_3d=f_3d[i],
                         r_wb=r_wb,
-                        motion={
-                            "t": float(episode.times[i]),
-                            "pose": episode.poses[i].tolist(),
-                            "v": episode.v[i].tolist(),
-                            "omega": float(episode.omega[i]),
-                            "v_dot": episode.v_dot[i].tolist(),
-                            "omega_dot": float(episode.omega_dot[i]),
-                        },
+                        motion=episode.motion_row(i),
                     )
                 )
         episodes.append(episode)

@@ -38,6 +38,7 @@ from tactile_force.synthetic import SensorForwardModel, make_ft_samples
 from tactile_force.voxel import N_CHANNELS, GridSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+VOXEL_FEATURIZATION = featurization_record(True, default_electrode_layout(), SurfaceGeometry())
 PERFBENCH = README.parent / "perfbench"
 
 
@@ -198,6 +199,20 @@ class TestSimulate:
             assert err.startswith("config error:") and str(config) in err
             assert "'planar_pushing'" in err and "40 steps" in err and "no step was labelled" in err
             assert not out.exists()
+
+    def test_source_of_zero_forces_exits_2_naming_file_and_source(self, tmp_path, capsys):
+        """A source whose every sample is filtered out as forceless is not
+        dropped from the dataset in silence."""
+        config = write_config(tmp_path / "c.json", {"sources": {
+            "rigid_ft": {"trials": 3, "samples_per_trial": 5, "force_range": [0.0, 0.0]},
+            "ball_ft": {"trials": 3, "samples_per_trial": 5},
+        }})
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(config) in err
+        assert "'rigid_ft'" in err and "zero force" in err
+        assert not out.exists()
 
 
 class TestInfer:
@@ -662,6 +677,18 @@ class TestSelfDescribingModels:
         ("mlp-baseline", "args.hidden_widths", "ab", "field 'args.hidden_widths'"),
         ("mlp-baseline", "args.hidden_widths", [16, 0], "field 'args.hidden_widths[1]'"),
         ("mlp-baseline", "metadata", [1], "field 'metadata' must be an object"),
+        # build args the net divides by, sizes arrays with or unpacks
+        ("voxel", "args.config.conv2d_channels", 0, "field 'args.config.conv2d_channels'"),
+        ("voxel", "args.config.fc_widths", [-1], "field 'args.config.fc_widths[0]'"),
+        ("voxel", "args.input_shape", [2, 8, 8], "field 'args.input_shape'"),
+        ("voxel", "args.config.layer_norm_eps", -1, "field 'args.config.layer_norm_eps'"),
+        ("mlp-baseline", "args.layer_norm_eps", 0, "field 'args.layer_norm_eps'"),
+        # parameters of another shape than the build args give
+        ("voxel", "args.config.fc_widths", [17], "parameter fc_0.weight: shape"),
+        # inputs of another kind or shape than the net reads
+        ("voxel", "featurization.grid.dims", [16, 16, 8], "field 'args.input_shape'"),
+        ("voxel", "featurization", {"kind": "flat"}, "field 'featurization.kind'"),
+        ("mlp-baseline", "featurization", VOXEL_FEATURIZATION, "field 'featurization.kind'"),
     ])
     def test_malformed_checkpoint_record_exits_2_naming_file_and_key(
         self, sim_dir, tmp_path, capsys, model, dotted, value, named
@@ -681,6 +708,16 @@ class TestSelfDescribingModels:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: checkpoint {path}:") and named in err
+        assert not eval_dir.exists()
+
+    def test_mlp_of_another_width_than_the_flat_features_exits_2(self, sim_dir, tmp_path, capsys):
+        path = tmp_path / "mlp" / "checkpoint.npz"
+        path.parent.mkdir()
+        save_checkpoint(path, build_mlp_net(FLAT_INPUT_WIDTH - 1, (8,)), featurization={"kind": "flat"})
+        code, eval_dir = self.evaluate(sim_dir, tmp_path, path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: checkpoint {path}:") and "field 'args.input_dim'" in err
         assert not eval_dir.exists()
 
     @pytest.mark.parametrize("model", ["linear", "mlp-baseline"])
@@ -832,10 +869,24 @@ class TestConfigValueTypes:
         ("simulate", "split.val", -3),
         ("simulate", "sensor.gain", 10**400),  # too large for a float
         ("simulate", "sources.rigid_ft.trials", 10**400),
+        # values the code divides by, or sizes arrays with
+        ("train", "network.conv3d_channels", [0, 2]),
+        ("train", "network.conv3d_channels", [2, -1]),
+        ("train", "network.conv2d_channels", 0),
+        ("train", "network.fc_widths", [0]),
+        ("train --no-voxel", "no_voxel_widths", [0]),
+        ("train --model mlp-baseline", "mlp.hidden_widths", []),
+        ("train", "training.warmup_doubling_iters", 0),
+        ("train", "training.warmup_epochs", -1),
+        ("train", "training.batch_size", 0),
+        ("train", "training.base_lr", 0),
+        ("train", "training.decay_factor", 1.5),
+        ("simulate", "sensor.decay_length", 0),
     ])
     def test_wrong_type_exits_2_naming_file_and_field(
         self, sim_dir, sim_config, tmp_path, capsys, command, field, value
     ):
+        """`command` is the subcommand, then any flags."""
         if command == "simulate":
             if field.startswith("geometry"):
                 sim_config = {**sim_config, "geometry": {"half_cylinder_length_m": 0.015}}
@@ -844,7 +895,7 @@ class TestConfigValueTypes:
         else:
             config = write_config(tmp_path / "bad.json", with_value(TINY_TRAIN_CONFIG, field, value))
             args = ["train", "--manifest", sim_dir / "dataset_manifest.json",
-                    "--out", tmp_path / "m", "--config", config]
+                    "--out", tmp_path / "m", "--config", config, *command.split()[1:]]
         capsys.readouterr()
         assert run(args) == 2
         err = capsys.readouterr().err

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geometry_oracles import contains
 from tactile_force.dataset import load_json
 from tactile_force.errors import DegenerateInputError, SchemaError
 from tactile_force.sensor import (
-    ContactDetection,
+    CONTACT_PRESSURE_THRESHOLD,
+    CONTACT_WINDOW,
     ElectrodeLayout,
     SurfaceGeometry,
     default_electrode_layout,
@@ -117,37 +120,31 @@ class TestSurfaceProjection:
             SurfaceGeometry(half_cylinder_length=-0.1)
 
 
+T, W = CONTACT_PRESSURE_THRESHOLD, CONTACT_WINDOW
+# values the gate must count as above the threshold, and values it must not
+ABOVE = (float(np.nextafter(T, np.inf)), 2 * T, math.inf)
+NOT_ABOVE = (T, float(np.nextafter(T, -np.inf)), 0.0, -math.inf, math.nan)
+# runs of values from one side, so that whole windows above the threshold
+# are drawn as often as broken ones
+PRESSURE_TRACES = st.lists(
+    st.sampled_from((ABOVE, NOT_ABOVE)).flatmap(
+        lambda side: st.lists(st.sampled_from(side), min_size=1, max_size=2 * W)),
+    max_size=6,
+).map(lambda runs: [p for run in runs for p in run][:40])
+
+
 class TestDetectContact:
-    def test_ten_values_above_threshold(self):
-        assert detect_contact([11.0] * 10) is ContactDetection.CONTACT
-        assert bool(detect_contact([11.0] * 10))
-
-    def test_window_violated_by_last_value(self):
-        history = [50.0] * 9 + [0.0]
-        assert detect_contact(history) is ContactDetection.NO_CONTACT
-
-    def test_alternating_never_contacts(self):
-        history = [5.0, 15.0] * 10
-        assert detect_contact(history) is ContactDetection.NO_CONTACT
-
-    def test_short_history_flagged_distinctly(self):
-        result = detect_contact([100.0] * 9)
-        assert result is ContactDetection.INSUFFICIENT_HISTORY
-        assert not bool(result)
-        assert result is not ContactDetection.NO_CONTACT
-
-    def test_threshold_monotonicity(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            history = rng.uniform(0, 30, size=15)
-            low = detect_contact(history, threshold=5.0)
-            high = detect_contact(history, threshold=12.0)
-            if high is ContactDetection.CONTACT:
-                assert low is ContactDetection.CONTACT
-
-    def test_exact_threshold_is_not_contact(self):
-        # gate requires strictly exceeding the threshold
-        assert detect_contact([10.0] * 10) is ContactDetection.NO_CONTACT
+    @settings(max_examples=300, deadline=None)
+    @given(PRESSURE_TRACES)
+    def test_matches_the_window_oracle(self, trace):
+        """Step i is in contact when it and the W - 1 steps before it all
+        strictly exceed the threshold: never within the first window, never
+        on a value equal to it, and never on a NaN."""
+        flags = detect_contact(trace)
+        assert flags.dtype == bool and flags.shape == (len(trace),)
+        for i in range(len(trace)):
+            expected = i >= W - 1 and all(trace[j] > T for j in range(i - W + 1, i + 1))
+            assert flags[i] == expected, (i, trace)
 
 
 class TestElectrodeLayout:

@@ -21,13 +21,13 @@ from tactile_force.mechanics import (
 )
 from tactile_force import synthetic
 from tactile_force.sensor import (
-    CONTACT_WINDOW,
     ContactState,
     SurfaceGeometry,
     default_electrode_layout,
     detect_contact,
 )
 from tactile_force.synthetic import (
+    PRESSURE_UNITS_PER_NEWTON,
     SensorForwardModel,
     box_inertia,
     make_ft_samples,
@@ -271,24 +271,34 @@ class TestGenerators:
             f_c = episode.applied_forces[
                 int(round(r.motion["t"] / (episode.times[1] - episode.times[0])))
             ]
-            expected = episode.sensor_to_object @ np.array([f_c[0], f_c[1], 0.0])
+            expected = r.r_wb.T @ np.array([f_c[0], f_c[1], 0.0])
             np.testing.assert_allclose(r.f_3d, expected, atol=1e-9)
             # world frame recovers the planar force exactly
             back = r.r_wb @ r.f_3d
             np.testing.assert_allclose(back[2], 0.0, atol=1e-9)
             np.testing.assert_allclose(back[:2], f_c, atol=1e-9)
 
-    def test_planar_contact_detection_reads_only_its_window(self, forward_model, monkeypatch):
-        lengths = []
+    def test_planar_trial_is_gated_once_over_its_pressure_trace(self, forward_model, monkeypatch):
+        traces = []
 
-        def spy(history, *args, **kwargs):
-            lengths.append(len(history))
-            return detect_contact(history, *args, **kwargs)
+        def spy(pressure):
+            traces.append(np.array(pressure))
+            return detect_contact(pressure)
 
         monkeypatch.setattr(synthetic, "detect_contact", spy)
-        make_planar_trials(forward_model, SurfaceGeometry(), n_trials=1, steps=200, seed=11)
-        assert len(lengths) == 200
-        assert max(lengths) == CONTACT_WINDOW  # not the whole, growing history
+        episodes, records = make_planar_trials(
+            forward_model, SurfaceGeometry(), n_trials=2, steps=200, seed=11
+        )
+        assert [trace.shape for trace in traces] == [(200,), (200,)]
+        for trace, episode in zip(traces, episodes):
+            # the static pressure of each step's force, whose norm the rotation keeps
+            np.testing.assert_allclose(
+                trace, PRESSURE_UNITS_PER_NEWTON * np.linalg.norm(episode.applied_forces, axis=1),
+                rtol=1e-12,
+            )
+            # a record for every step the gate passes, and for no other
+            labelled = [r.motion["t"] for r in records if r.trial_id == episode.trial_id]
+            assert labelled == episode.times[detect_contact(trace)].tolist()
 
     def test_random_rotation_is_proper(self):
         rng = np.random.default_rng(13)
