@@ -40,7 +40,7 @@ from .dataset import (
 )
 from .errors import (
     ConfigError, Count, DataIntegrityError, Fraction, Positive, PositiveCount, Required, SchemaError,
-    TactileForceError, check_config_value, read_config,
+    TactileForceError, config_tree, read_config,
 )
 from .files import write_text_atomic
 from .mechanics import (
@@ -62,11 +62,8 @@ from .net import (
     train,
 )
 from .net.losses import KNOWN_SOURCES, SOURCE_BALL_FT, SOURCE_PLANAR, SOURCE_RIGID_FT
-from .net.network import KIND_MLP, KIND_VOXEL, NETWORK_CONFIG
-from .sensor import (
-    DEFAULT_HALF_CYLINDER_LENGTH_M, DEFAULT_RADIUS_M, ElectrodeLayout, SurfaceGeometry,
-    default_electrode_layout,
-)
+from .net.network import KIND_MLP, KIND_VOXEL
+from .sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
 from .synthetic import (
     DEFAULT_BOX_HALF_EXTENTS_M,
     DEFAULT_DT_S,
@@ -78,17 +75,18 @@ from .synthetic import (
 )
 from .voxel import N_CHANNELS
 
-# the fields of a push's params and their defaults; "m" and "inertia" have
-# none, and _read_push_params reads them
-PUSH_PARAMS_CONFIG = {f.name: None if f.default is dataclasses.MISSING else f.default
-                      for f in dataclasses.fields(PushParams)}
+# the fields of a push's params; "m" and "inertia" have no default, and an
+# absent "inertia" is that of a uniform box of mass m (_read_push_params)
+PUSH_PARAMS_CONFIG = config_tree(PushParams)
 # the pushed box's half extents, two positive numbers
 BOX_HALF_EXTENTS_CONFIG = tuple(Positive(h) for h in DEFAULT_BOX_HALF_EXTENTS_M)
 # a params file, which simulate writes and infer reads; "m" is required
-PARAMS_FILE_CONFIG = {**PUSH_PARAMS_CONFIG, "m": Required(0.0), "box_half_extents": BOX_HALF_EXTENTS_CONFIG}
+PARAMS_FILE_CONFIG = {**PUSH_PARAMS_CONFIG, "m": Required(PUSH_PARAMS_CONFIG["m"].example),
+                      "box_half_extents": BOX_HALF_EXTENTS_CONFIG}
 # the sensor geometry, and the electrode layout file ("" for the default layout)
 GEOMETRY_CONFIG = {
-    "geometry": {"radius_m": DEFAULT_RADIUS_M, "half_cylinder_length_m": DEFAULT_HALF_CYLINDER_LENGTH_M},
+    "geometry": {"radius_m": SurfaceGeometry.r,
+                 "half_cylinder_length_m": SurfaceGeometry.half_cylinder_length},
     "layout_file": "",
 }
 # every key of a simulation config, with its default
@@ -97,9 +95,7 @@ SIMULATE_CONFIG = {
     "params": PUSH_PARAMS_CONFIG,
     "box_half_extents": BOX_HALF_EXTENTS_CONFIG,
     **GEOMETRY_CONFIG,
-    "sensor": {name: getattr(SensorForwardModel, name) for name in (
-        "gain", "decay_length", "normal_sensitivity", "shear_sensitivity",
-        "directional_shear_sensitivity", "noise_scale")},
+    "sensor": config_tree(SensorForwardModel, exclude=("layout", "anisotropic_shear_sensitivity")),
     "sources": {
         SOURCE_PLANAR: {"trials": Count(0), "steps": PositiveCount(400), "dt": Positive(DEFAULT_DT_S),
                         "magnitude_range": DEFAULT_PUSH_MAGNITUDE_RANGE_N},
@@ -114,9 +110,9 @@ SIMULATE_CONFIG = {
 # network's and the training's, and the grid is read by GridSpec.from_config
 TRAIN_CONFIG = {
     "seed": 0,
-    "network": {k: v for k, v in NETWORK_CONFIG.items() if k not in ("seed", "layer_norm_eps")},
-    "training": {k: v for k, v in TrainingConfig().to_dict().items() if k != "seed"},
-    "loss": {"beta": LossConfig.beta},
+    "network": config_tree(NetworkConfig, exclude=("seed", "layer_norm_eps")),
+    "training": config_tree(TrainingConfig, exclude=("seed",)),
+    "loss": config_tree(LossConfig, exclude=("mode",)),
     "mlp": {"hidden_widths": [PositiveCount(64)] * 2},
     "no_voxel_widths": [PositiveCount(64)] * 4,
     "grid": None,
@@ -166,20 +162,16 @@ def _read_push_params(what: str, config) -> tuple[PushParams, tuple[float, float
         half_extents = tuple(float(h) for h in values.pop("box_half_extents"))
         if values["inertia"] is None:
             values["inertia"] = box_inertia(values["m"], half_extents)
-        check_config_value("inertia", values["inertia"], 0.0)
         return PushParams(**{k: v if k == "n" else float(v) for k, v in values.items()}), half_extents
-    except (ConfigError, SchemaError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _layout_and_geometry(config: dict, path):
+def _layout_and_geometry(config: dict):
     """The electrode layout and sensor geometry of a read config."""
     shape = config["geometry"]
-    try:
-        geometry = SurfaceGeometry(r=float(shape["radius_m"]),
-                                   half_cylinder_length=float(shape["half_cylinder_length_m"]))
-    except SchemaError as exc:
-        raise ConfigError(f"config {path}: {exc}") from exc
+    geometry = SurfaceGeometry(r=float(shape["radius_m"]),
+                               half_cylinder_length=float(shape["half_cylinder_length_m"]))
     layout_path = config["layout_file"]
     if not layout_path:
         return default_electrode_layout(geometry), geometry
@@ -192,8 +184,12 @@ def cmd_simulate(args) -> tuple[Path, list[str]]:
     the dataset is complete, so an error leaves no partial output."""
     config_path = args.config
     config = _read_config(config_path, SIMULATE_CONFIG)
+    split = config["split"]
+    if split["train"] + split["val"] > 1:
+        raise ConfigError(f"config {config_path}: fields 'split.train' and 'split.val' sum to "
+                          f"{split['train'] + split['val']}, above 1")
     seed = _resolve_seed(args, config)
-    layout, geometry = _layout_and_geometry(config, config_path)
+    layout, geometry = _layout_and_geometry(config)
     model = SensorForwardModel(layout=layout, **{k: float(v) for k, v in config["sensor"].items()})
     planar = config["sources"][SOURCE_PLANAR]
     records: list[SampleRecord] = []
@@ -216,7 +212,7 @@ def cmd_simulate(args) -> tuple[Path, list[str]]:
         records.extend(samples)
     if not records:
         raise ConfigError("config requested no trials from any source")
-    splits = make_dataset(records, config["split"]["train"], config["split"]["val"], seed)
+    splits = make_dataset(records, split["train"], split["val"], seed)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -291,9 +287,9 @@ def _train_configs(config: dict, seed: int):
     """The network, training and loss configs of a train config, raw or read,
     with the run seed."""
     config = read_config(config, TRAIN_CONFIG)
-    return [NetworkConfig.from_dict({**config["network"], "seed": seed}),
-            TrainingConfig.from_dict({**config["training"], "seed": seed}),
-            LossConfig.from_dict(config["loss"])]
+    return [NetworkConfig(**config["network"], seed=seed),
+            TrainingConfig(**config["training"], seed=seed),
+            LossConfig(**config["loss"])]
 
 
 def cmd_train(args) -> tuple[Path, list[str]]:
@@ -315,7 +311,7 @@ def cmd_train(args) -> tuple[Path, list[str]]:
     if not val_records:
         raise DataIntegrityError(f"no validation samples for sources {sorted(sources)}")
 
-    layout, geometry = _layout_and_geometry(config, args.config)
+    layout, geometry = _layout_and_geometry(config)
     voxel = args.model == MODEL_VOXEL and not args.no_voxel
     try:
         net_cfg, train_cfg, loss_cfg = _train_configs(config, seed)

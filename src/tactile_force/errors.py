@@ -6,6 +6,7 @@ problems (every class without its own code) exit 3, numerical failures
 exit 4.
 """
 
+import dataclasses
 import math
 import numbers
 
@@ -55,6 +56,10 @@ class Positive(float):
     """A config default whose field must hold a positive number."""
 
 
+class NonNegative(float):
+    """A config default whose field must hold a number of at least 0."""
+
+
 class Fraction(float):
     """A config default whose field must hold a number in [0, 1]."""
 
@@ -67,12 +72,23 @@ class PositiveCount(int):
     """A config default whose field must hold an integer of at least 1."""
 
 
+class Items(tuple):
+    """A dataclass default whose field may hold any number of items, each
+    passing against the default's first item; a config tree holds it as a
+    list."""
+
+
 class Required:
     """A record field that must be present, checked against `example` as
     against a default; Required(None) only checks that it is present."""
 
     def __init__(self, example):
         self.example = example
+
+
+class Optional(Required):
+    """A record field that may be absent or null, reading as None, and is
+    otherwise checked against `example` as against a default."""
 
 
 def _finite(value) -> bool:
@@ -97,6 +113,7 @@ _KINDS = (
     (PositiveCount, "at least 1 (an integer)", lambda v: _integer(v) and v >= 1),
     (numbers.Integral, "an integer", _integer),
     (Positive, "a positive finite number", lambda v: _finite(v) and v > 0),
+    (NonNegative, "a finite number of at least 0", lambda v: _finite(v) and v >= 0),
     (Fraction, "a number in [0, 1]", lambda v: _finite(v) and 0 <= v <= 1),
     (numbers.Real, "a finite number", _finite),
     (str, "a string", lambda v: isinstance(v, str)),
@@ -107,10 +124,10 @@ def check_config_value(name: str, value, default) -> None:
     """Raise a ConfigError naming the field unless `value` has the type of the
     field's `default`. An int passes for a float, but a bool is not a number,
     and a number, an integer too, must convert to a finite float (positive
-    for a Positive default, in [0, 1] for a Fraction), and a Count or
-    PositiveCount be an integer of at least 0 or 1. A sequence default takes
-    a list whose items each pass against the default's first item, and a
-    tuple default one of its length."""
+    for a Positive default, at least 0 for a NonNegative, in [0, 1] for a
+    Fraction), and a Count or PositiveCount be an integer of at least 0 or
+    1. A sequence default takes a list whose items each pass against the
+    default's first item, and a tuple default one of its length."""
     for kind, what, accepts in _KINDS:
         if isinstance(default, kind):
             if not accepts(value):
@@ -129,9 +146,10 @@ def read_config(config, defaults: dict, name: str = "") -> dict:
     key takes its default, a key the tree lacks is an error naming its
     dotted key, a dict default is read the same way (an absent block as {}),
     a None default leaves the value to its own reader, a Required default
-    must be present and is checked against its example, and any other value
-    must pass check_config_value against its default. Every absent key is
-    filled in, so reading the result again gives it back."""
+    must be present and is checked against its example, an Optional one
+    reads as None when absent or null and is otherwise checked so, and any
+    other value must pass check_config_value against its default. Every
+    absent key is filled in, so reading the result again gives it back."""
     if not isinstance(config, dict):
         raise ConfigError(f"{f'field {name!r}' if name else 'the file'} must be an object, got {config!r}")
     prefix = name + "." if name else ""
@@ -140,7 +158,9 @@ def read_config(config, defaults: dict, name: str = "") -> dict:
             raise ConfigError(f"unknown key {prefix + key!r}; expected one of {', '.join(defaults)}")
     values = {}
     for key, default in defaults.items():
-        if isinstance(default, Required):
+        if isinstance(default, Optional) and config.get(key) is None:
+            default = None
+        elif isinstance(default, Required):
             if key not in config:
                 raise ConfigError(f"missing field {prefix + key!r}")
             default = default.example
@@ -153,6 +173,27 @@ def read_config(config, defaults: dict, name: str = "") -> dict:
     return values
 
 
-def config_from_dict(cls, d: dict):
-    """The config dataclass `cls` from a dict read over its defaults."""
-    return cls(**read_config(d, cls().to_dict()))
+def _mark(f: dataclasses.Field):
+    """The mark of a dataclass field: its default, or for a field without
+    one, the "mark" of its metadata (MISSING if neither); an Items default
+    as a list."""
+    mark = f.metadata.get("mark", f.default)
+    return list(mark) if isinstance(mark, Items) else mark
+
+
+def check_fields(config) -> None:
+    """Raise a ConfigError naming the field unless every field of the
+    dataclass instance `config` that has a mark passes check_config_value
+    against it; the config dataclasses call it from __post_init__, so a
+    direct construction is checked as a config file is."""
+    for f in dataclasses.fields(config):
+        mark = _mark(f)
+        if mark is not dataclasses.MISSING:
+            check_config_value(f.name, getattr(config, f.name), mark)
+
+
+def config_tree(cls, exclude=()) -> dict:
+    """The read_config tree of the fields of the dataclass `cls` but
+    `exclude`: each field's mark, Optional for a field without a default."""
+    return {f.name: _mark(f) if f.default is not dataclasses.MISSING else Optional(_mark(f))
+            for f in dataclasses.fields(cls) if f.name not in exclude}

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import NonNegative, Positive, PositiveCount, SchemaError, check_fields
 
 STATIONARY_SPEED_TOL = 1e-9  # m/s; below this a particle contributes no friction
 
@@ -36,24 +36,14 @@ class PushParams:
     linear-acceleration residual in the force objective.
     """
 
-    m: float
-    inertia: float
-    mu_s: float = 0.1
-    n: int = 80
-    k: float = 10.0
+    m: float = field(metadata={"mark": Positive(1.0)})
+    inertia: float = field(metadata={"mark": Positive(1.0)})
+    mu_s: float = NonNegative(0.1)
+    n: int = PositiveCount(80)
+    k: float = Positive(10.0)
     g: float = 9.81
 
-    def __post_init__(self):
-        if self.m <= 0:
-            raise SchemaError(f"mass must be positive, got {self.m}")
-        if self.inertia <= 0:
-            raise SchemaError(f"inertia must be positive, got {self.inertia}")
-        if self.mu_s < 0:
-            raise SchemaError(f"friction coefficient must be >= 0, got {self.mu_s}")
-        if self.n < 1:
-            raise SchemaError(f"particle count must be >= 1, got {self.n}")
-        if self.k <= 0:
-            raise SchemaError(f"linear-loss weight must be positive, got {self.k}")
+    __post_init__ = check_fields
 
 
 def checked_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:

@@ -13,22 +13,21 @@ import json
 
 import numpy as np
 
-from ..errors import ConfigError, PositiveCount, Required, read_config
+from ..errors import ConfigError, PositiveCount, Required, config_tree, read_config
 from ..files import atomic_open
 from .losses import LossConfig
-from .network import (
-    KIND_MLP, KIND_VOXEL, NETWORK_CONFIG, Model, NetworkConfig, build_mlp_net, build_voxel_net,
-)
+from .network import KIND_MLP, KIND_VOXEL, Model, NetworkConfig, build_mlp_net, build_voxel_net
 
 # a checkpoint's metadata blob; "args" is read over BUILD_ARGS, "featurization" by its own reader
 CHECKPOINT_META = {"kind": Required(""), "args": Required(None), "featurization": Required(None),
                    "loss_config": None, "metadata": Required(None)}
 # the build arguments of each kind of model
 BUILD_ARGS = {
-    KIND_VOXEL: {"config": Required(NETWORK_CONFIG), "input_shape": Required((PositiveCount(1),) * 4)},
+    KIND_VOXEL: {"config": Required(config_tree(NetworkConfig)),
+                 "input_shape": Required((PositiveCount(1),) * 4)},
     KIND_MLP: {"input_dim": Required(PositiveCount(1)), "hidden_widths": Required([PositiveCount(1)]),
                "seed": Required(0), "layer_norm": Required(True),
-               "layer_norm_eps": Required(NETWORK_CONFIG["layer_norm_eps"])},
+               "layer_norm_eps": Required(NetworkConfig.layer_norm_eps)},
 }
 
 

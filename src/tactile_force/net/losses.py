@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, SchemaError, config_from_dict
+from ..errors import ConfigError, SchemaError, check_fields
 
 MAGNITUDE_FLOOR_N = 0.01  # samples with weaker ground truth are excluded
 
@@ -48,13 +48,12 @@ class LossConfig:
     mode: str = LOSS_MODE_CASE
 
     def __post_init__(self):
+        check_fields(self)
         if self.mode not in (LOSS_MODE_CASE, LOSS_MODE_PLAIN):
             raise ConfigError(f"unknown loss mode {self.mode!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    from_dict = classmethod(config_from_dict)
 
 
 def batch_loss_and_grad(

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, NumericalError, Positive, PositiveCount, config_from_dict
+from ..errors import ConfigError, Items, NumericalError, Positive, PositiveCount, check_fields
 from ..voxel import VoxelInputs
 from .layers import (
     KERNEL, LAYER_NORM_EPS, Conv, Dense, Layer, LayerNormReLU, Parameter, ReLU, VoxelConv3d,
@@ -34,13 +34,14 @@ class NetworkConfig:
     """Voxel network hyperparameters: channel counts and fully connected
     widths (every convolution has kernel = stride = KERNEL)."""
 
-    conv3d_channels: tuple[int, ...] = (8, 16)
-    conv2d_channels: int = 32
-    fc_widths: tuple[int, ...] = (128, 64)
-    layer_norm_eps: float = LAYER_NORM_EPS
+    conv3d_channels: tuple[int, ...] = Items((PositiveCount(8), PositiveCount(16)))
+    conv2d_channels: int = PositiveCount(32)
+    fc_widths: tuple[int, ...] = Items((PositiveCount(128), PositiveCount(64)))
+    layer_norm_eps: float = Positive(LAYER_NORM_EPS)
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if not self.conv3d_channels:
             raise ConfigError("at least one 3-D convolution layer is required")
         object.__setattr__(self, "conv3d_channels", tuple(int(c) for c in self.conv3d_channels))
@@ -49,19 +50,6 @@ class NetworkConfig:
     def to_dict(self) -> dict:
         return {**asdict(self), "conv3d_channels": list(self.conv3d_channels),
                 "fc_widths": list(self.fc_widths)}
-
-    from_dict = classmethod(config_from_dict)
-
-
-# a voxel net's config as a checkpoint's "args.config" holds it; a train
-# config's "network" block is this without "layer_norm_eps" and "seed"
-NETWORK_CONFIG = {
-    "conv3d_channels": [PositiveCount(c) for c in NetworkConfig.conv3d_channels],
-    "conv2d_channels": PositiveCount(NetworkConfig.conv2d_channels),
-    "fc_widths": [PositiveCount(w) for w in NetworkConfig.fc_widths],
-    "layer_norm_eps": Positive(NetworkConfig.layer_norm_eps),
-    "seed": NetworkConfig.seed,
-}
 
 
 def _all_finite(array: np.ndarray) -> bool:

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, Count, Fraction, NumericalError, Positive, PositiveCount, config_from_dict
+from ..errors import ConfigError, Count, Fraction, NumericalError, Positive, PositiveCount, check_fields
 from ..voxel import VoxelInputs
 from .losses import LossConfig, batch_loss_and_grad
 from .network import Model
@@ -28,18 +28,10 @@ class TrainingConfig:
     decay_factor: float = Fraction(0.95)
     seed: int = 0
 
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.base_lr <= 0:
-            raise ConfigError(f"base learning rate must be positive, got {self.base_lr}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+    __post_init__ = check_fields
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    from_dict = classmethod(config_from_dict)
 
 
 class LearningRateSchedule:

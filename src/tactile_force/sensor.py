@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateInputError, Required, SchemaError, read_config
+from .errors import (
+    DegenerateInputError, NonNegative, Positive, Required, SchemaError, check_fields, read_config,
+)
 
 N_ELECTRODES = 19
 
@@ -21,9 +23,6 @@ N_ELECTRODES = 19
 # last 10 timesteps.
 CONTACT_PRESSURE_THRESHOLD = 10.0
 CONTACT_WINDOW = 10
-
-DEFAULT_RADIUS_M = 0.007
-DEFAULT_HALF_CYLINDER_LENGTH_M = 0.015
 
 # a layout record: each electrode's position and unit normal
 LAYOUT_RECORD = {key: Required(((0.0, 0.0, 0.0),) * N_ELECTRODES) for key in ("positions", "normals")}
@@ -38,16 +37,10 @@ class SurfaceGeometry:
     with z above the cylinder end.
     """
 
-    r: float = DEFAULT_RADIUS_M
-    half_cylinder_length: float = DEFAULT_HALF_CYLINDER_LENGTH_M
+    r: float = Positive(0.007)
+    half_cylinder_length: float = NonNegative(0.015)
 
-    def __post_init__(self):
-        if self.r <= 0:
-            raise SchemaError(f"radius must be positive, got {self.r}")
-        if self.half_cylinder_length < 0:
-            raise SchemaError(
-                f"half_cylinder_length must be non-negative, got {self.half_cylinder_length}"
-            )
+    __post_init__ = check_fields
 
     @property
     def cap_center(self) -> np.ndarray:

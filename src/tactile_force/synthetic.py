@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SampleRecord
-from .errors import NumericalError, Positive, SchemaError
+from .errors import NonNegative, NumericalError, Positive, SchemaError, check_fields
 from .mechanics import (
     ParticleGrid,
     PlanarMotion,
@@ -267,11 +267,10 @@ class SensorForwardModel:
     shear_sensitivity: float = 0.1
     directional_shear_sensitivity: float = 0.5
     anisotropic_shear_sensitivity: float = 2.5
-    noise_scale: float = 0.0
+    noise_scale: float = NonNegative(0.0)
 
     def __post_init__(self):
-        if self.decay_length <= 0:
-            raise SchemaError(f"decay length must be positive, got {self.decay_length}")
+        check_fields(self)
         object.__setattr__(self, "_tangents", electrode_tangents(self.layout))
 
 

@@ -121,7 +121,7 @@ class TestSimulate:
         )
         assert run(["simulate", "--config", config, "--out", tmp_path / "o"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and str(config) in err and "'m'" in err
+        assert err.startswith("config error:") and str(config) in err and "'params.m'" in err
 
     def test_config_error_leaves_no_partial_output(self, tmp_path, capsys):
         """A bad value of a source simulated after the planar trials is
@@ -162,6 +162,24 @@ class TestSimulate:
     def test_no_sources_exits_2(self, tmp_path):
         config = write_config(tmp_path / "c.json", {"params": {"m": 1.0}, "sources": {}})
         assert run(["simulate", "--config", config, "--out", tmp_path / "o"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_split_fractions_summing_above_one_exit_2_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Fractions that leave the test split only the trial each source
+        must give it are an error naming both keys, raised before any
+        source is simulated."""
+        def simulated(*args, **kwargs):
+            raise AssertionError("simulated before the config was checked")
+
+        monkeypatch.setattr(cli, "make_ft_samples", simulated)
+        config = write_config(tmp_path / "c.json", {"sources": {"rigid_ft": {"trials": 20}},
+                                                    "split": {"train": 0.9, "val": 0.9}})
+        assert run(["simulate", "--config", config, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {config}:")
+        assert "'split.train'" in err and "'split.val'" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sources, field", [
@@ -776,7 +794,7 @@ class TestReadme:
         geometry = SurfaceGeometry()
         featurization = featurization_record(True, default_electrode_layout(geometry), geometry,
                                              config["grid"])
-        build_voxel_net(NetworkConfig.from_dict(config["network"]),
+        build_voxel_net(NetworkConfig(**config["network"]),
                         (N_CHANNELS, *featurization["grid"]["dims"]))
         shown, default = GridSpec.from_config(config["grid"]), GridSpec.for_geometry(geometry)
         assert shown.dims == default.dims
@@ -882,6 +900,11 @@ class TestConfigValueTypes:
         ("train", "training.base_lr", 0),
         ("train", "training.decay_factor", 1.5),
         ("simulate", "sensor.decay_length", 0),
+        ("simulate", "sensor.noise_scale", -0.05),
+        ("simulate", "geometry.radius_m", -1),
+        ("simulate", "geometry.half_cylinder_length_m", -0.001),
+        ("simulate", "params.mu_s", -0.1),
+        ("simulate", "params.k", 0),
     ])
     def test_wrong_type_exits_2_naming_file_and_field(
         self, sim_dir, sim_config, tmp_path, capsys, command, field, value

@@ -18,7 +18,7 @@ from solver_oracles import (
     rot2,
 )
 from tactile_force.cli import _read_push_params
-from tactile_force.errors import ConfigError, SchemaError
+from tactile_force.errors import ConfigError
 from tactile_force.mechanics import (
     ParticleGrid,
     PlanarMotion,
@@ -111,11 +111,11 @@ class TestParticleGrid:
         np.testing.assert_allclose(total, params.m * params.g, rtol=1e-9)
 
     def test_param_validation(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match="'m'"):
             PushParams(m=0.0, inertia=0.01)
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match="'mu_s'"):
             PushParams(m=1.0, inertia=0.01, mu_s=-0.1)
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match="'k'"):
             PushParams(m=1.0, inertia=0.01, k=0.0)
 
     def test_params_reader_takes_class_defaults_and_rejects_other_keys(self):

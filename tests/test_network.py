@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tactile_force.cli import TRAIN_CONFIG, _train_configs
 from tactile_force.dataset import SampleRecord, featurization_record, featurize_voxel
-from tactile_force.errors import ConfigError, NumericalError, SchemaError
+from tactile_force.errors import ConfigError, NumericalError, SchemaError, read_config
 from tactile_force.net import (
     Dense,
     LayerNormReLU,
@@ -443,16 +444,16 @@ class TestInPlaceContract:
 class TestConfig:
     def test_kernel_stride_fixed_at_two(self):
         # kernel = stride = 2 by construction, so neither is a setting
-        with pytest.raises(ConfigError, match="kernel"):
-            NetworkConfig.from_dict({"kernel": 3, "conv2d_channels": 16})
-        with pytest.raises(ConfigError, match="stride"):
-            NetworkConfig.from_dict({"stride": 1})
+        with pytest.raises(ConfigError, match="'network.kernel'"):
+            read_config({"network": {"kernel": 3, "conv2d_channels": 16}}, TRAIN_CONFIG)
+        with pytest.raises(ConfigError, match="'network.stride'"):
+            read_config({"network": {"stride": 1}}, TRAIN_CONFIG)
 
-    @pytest.mark.parametrize("cls", [NetworkConfig, TrainingConfig, LossConfig])
-    def test_from_dict_takes_dataclass_defaults_and_rejects_unknown_keys(self, cls):
-        assert cls.from_dict({}).to_dict() == cls().to_dict()
-        with pytest.raises(ConfigError, match="bogus"):
-            cls.from_dict({"bogus": 1})
+    @pytest.mark.parametrize("block", ["network", "training", "loss"])
+    def test_train_config_builds_dataclass_defaults_and_rejects_unknown_keys(self, block):
+        assert _train_configs({}, 0) == [NetworkConfig(), TrainingConfig(), LossConfig()]
+        with pytest.raises(ConfigError, match=f"'{block}.bogus'"):
+            read_config({block: {"bogus": 1}}, TRAIN_CONFIG)
 
     @pytest.mark.parametrize("cls, key, value, field", [
         (TrainingConfig, "base_lr", 1, None),  # an int passes for a float
@@ -464,16 +465,16 @@ class TestConfig:
         (NetworkConfig, "fc_widths", 5, "fc_widths"),
         (NetworkConfig, "fc_widths", [16, None], "fc_widths[1]"),
     ])
-    def test_from_dict_checks_value_types_against_defaults(self, cls, key, value, field):
+    def test_constructor_checks_value_types_against_defaults(self, cls, key, value, field):
         if field is None:
-            cls.from_dict({key: value})
+            cls(**{key: value})
         else:
             with pytest.raises(ConfigError, match=re.escape(f"field {field!r} must be")):
-                cls.from_dict({key: value})
+                cls(**{key: value})
 
     def test_config_roundtrip(self):
         cfg = NetworkConfig(conv3d_channels=(4, 8), conv2d_channels=16, fc_widths=(32,), seed=9)
-        again = NetworkConfig.from_dict(cfg.to_dict())
+        again = NetworkConfig(**cfg.to_dict())
         assert again == cfg
 
     def test_mlp_requires_hidden_layer(self):

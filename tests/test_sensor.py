@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from geometry_oracles import contains
 from tactile_force.dataset import load_json
-from tactile_force.errors import DegenerateInputError, SchemaError
+from tactile_force.errors import ConfigError, DegenerateInputError, SchemaError
 from tactile_force.sensor import (
     CONTACT_PRESSURE_THRESHOLD,
     CONTACT_WINDOW,
@@ -114,9 +114,9 @@ class TestSurfaceProjection:
             surface_point_and_normal(geo, np.array([0.0, 0.0, 0.005]))
 
     def test_geometry_validation(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match="'r'"):
             SurfaceGeometry(r=-1.0)
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match="'half_cylinder_length'"):
             SurfaceGeometry(half_cylinder_length=-0.1)
 
 
