@@ -24,9 +24,8 @@ from .baselines import LinearModel, linear_fit, linear_predict
 from .dataset import (
     DEFAULT_TRAIN_FRAC,
     DEFAULT_VAL_FRAC,
-    FEATURIZE_VOXEL,
-    FLAT_INPUT_WIDTH,
     SampleRecord,
+    check_split,
     featurization_record,
     featurizer,
     filter_by_sources,
@@ -39,8 +38,8 @@ from .dataset import (
     write_samples_jsonl,
 )
 from .errors import (
-    ConfigError, Count, DataIntegrityError, Fraction, Positive, PositiveCount, Required, SchemaError,
-    TactileForceError, config_tree, read_config,
+    ConfigError, Count, DataIntegrityError, Fraction, NonNegative, Positive, PositiveCount, Required,
+    SchemaError, TactileForceError, config_tree, read_config,
 )
 from .files import write_text_atomic
 from .mechanics import (
@@ -62,7 +61,6 @@ from .net import (
     train,
 )
 from .net.losses import KNOWN_SOURCES, SOURCE_BALL_FT, SOURCE_PLANAR, SOURCE_RIGID_FT
-from .net.network import KIND_MLP, KIND_VOXEL
 from .sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
 from .synthetic import (
     DEFAULT_BOX_HALF_EXTENTS_M,
@@ -98,11 +96,13 @@ SIMULATE_CONFIG = {
     "sensor": config_tree(SensorForwardModel, exclude=("layout", "anisotropic_shear_sensitivity")),
     "sources": {
         SOURCE_PLANAR: {"trials": Count(0), "steps": PositiveCount(400), "dt": Positive(DEFAULT_DT_S),
-                        "magnitude_range": DEFAULT_PUSH_MAGNITUDE_RANGE_N},
+                        "magnitude_range": tuple(map(NonNegative, DEFAULT_PUSH_MAGNITUDE_RANGE_N))},
         SOURCE_RIGID_FT: {"trials": Count(0), "samples_per_trial": PositiveCount(50),
-                          "force_range": (0.5, 10.0), "cone_angle_deg": 30.0, "cap_only": False},
+                          "force_range": (NonNegative(0.5), NonNegative(10.0)), "cone_angle_deg": 30.0,
+                          "cap_only": False},
         SOURCE_BALL_FT: {"trials": Count(0), "samples_per_trial": PositiveCount(50),
-                         "force_range": (0.1, 5.0), "cone_angle_deg": 60.0, "cap_only": True},
+                         "force_range": (NonNegative(0.1), NonNegative(5.0)), "cone_angle_deg": 60.0,
+                         "cap_only": True},
     },
     "split": {"train": Fraction(DEFAULT_TRAIN_FRAC), "val": Fraction(DEFAULT_VAL_FRAC)},
 }
@@ -110,7 +110,7 @@ SIMULATE_CONFIG = {
 # network's and the training's, and the grid is read by GridSpec.from_config
 TRAIN_CONFIG = {
     "seed": 0,
-    "network": config_tree(NetworkConfig, exclude=("seed", "layer_norm_eps")),
+    "network": config_tree(NetworkConfig, exclude=("seed",)),
     "training": config_tree(TrainingConfig, exclude=("seed",)),
     "loss": config_tree(LossConfig, exclude=("mode",)),
     "mlp": {"hidden_widths": [PositiveCount(64)] * 2},
@@ -151,14 +151,14 @@ def _resolve_seed(args, config: dict) -> int:
     return args.seed
 
 
-def _read_push_params(what: str, config) -> tuple[PushParams, tuple[float, float]]:
+def _read_push_params(what: str, config, name: str = "") -> tuple[PushParams, tuple[float, float]]:
     """Push params and box half extents from a params file, or from a
-    simulation config's "params" plus its "box_half_extents": "m" is
-    required, and an absent "inertia" is that of a uniform box of mass m. A
-    bad or missing field is a ConfigError naming `what` (the file) and the
-    field."""
+    simulation config's "params" block (`name`) plus its "box_half_extents":
+    "m" is required, and an absent "inertia" is that of a uniform box of
+    mass m. A bad or missing field is a ConfigError naming `what` (the file)
+    and the dotted key."""
     try:
-        values = read_config(config, PARAMS_FILE_CONFIG)
+        values = read_config(config, PARAMS_FILE_CONFIG, name)
         half_extents = tuple(float(h) for h in values.pop("box_half_extents"))
         if values["inertia"] is None:
             values["inertia"] = box_inertia(values["m"], half_extents)
@@ -185,9 +185,10 @@ def cmd_simulate(args) -> tuple[Path, list[str]]:
     config_path = args.config
     config = _read_config(config_path, SIMULATE_CONFIG)
     split = config["split"]
-    if split["train"] + split["val"] > 1:
-        raise ConfigError(f"config {config_path}: fields 'split.train' and 'split.val' sum to "
-                          f"{split['train'] + split['val']}, above 1")
+    try:
+        check_split(split["train"], split["val"])
+    except ConfigError as exc:
+        raise ConfigError(f"config {config_path}: {exc}") from exc
     seed = _resolve_seed(args, config)
     layout, geometry = _layout_and_geometry(config)
     model = SensorForwardModel(layout=layout, **{k: float(v) for k, v in config["sensor"].items()})
@@ -196,7 +197,7 @@ def cmd_simulate(args) -> tuple[Path, list[str]]:
     if planar["trials"] > 0:
         params, half_extents = _read_push_params(f"config {config_path}", {
             **{k: v for k, v in config["params"].items() if v is not None},
-            "box_half_extents": config["box_half_extents"]})
+            "box_half_extents": config["box_half_extents"]}, "params")
         episodes, records = make_planar_trials(
             model, geometry, planar["trials"], planar["steps"], seed, params, half_extents,
             planar["dt"], planar["magnitude_range"])
@@ -315,14 +316,13 @@ def cmd_train(args) -> tuple[Path, list[str]]:
     voxel = args.model == MODEL_VOXEL and not args.no_voxel
     try:
         net_cfg, train_cfg, loss_cfg = _train_configs(config, seed)
-        featurization = featurization_record(voxel, layout, geometry, config["grid"])
+        featurization = featurization_record(layout, geometry, config["grid"]) if voxel else None
         if args.model == MODEL_MLP_BASELINE:
-            widths = tuple(config["mlp"]["hidden_widths"])
-            model = build_mlp_net(FLAT_INPUT_WIDTH, widths, seed=seed, layer_norm=False)
+            model = build_mlp_net(tuple(config["mlp"]["hidden_widths"]), seed=seed, layer_norm=False)
             loss_cfg = dataclasses.replace(loss_cfg, beta=0.0, mode="plain_l2")
         elif args.no_voxel:
             widths = tuple(config["no_voxel_widths"]) + net_cfg.fc_widths
-            model = build_mlp_net(FLAT_INPUT_WIDTH, widths, seed=seed, layer_norm=True)
+            model = build_mlp_net(widths, seed=seed, layer_norm=True)
         elif voxel:
             model = build_voxel_net(net_cfg, input_shape=(N_CHANNELS, *featurization["grid"]["dims"]))
     except ConfigError as exc:
@@ -378,22 +378,6 @@ def cmd_train(args) -> tuple[Path, list[str]]:
 PREDICT_CHUNK = 512  # samples per forward pass at eval
 
 
-def _check_model_inputs(meta: dict) -> None:
-    """A checkpoint's net must read the inputs its featurization, already
-    read, builds: a voxel net those of its grid, an MLP the flat ones."""
-    featurization = meta["featurization"]
-    if featurization["kind"] == FEATURIZE_VOXEL:
-        kind, field, built = KIND_VOXEL, "input_shape", [N_CHANNELS, *featurization["grid"]["dims"]]
-    else:
-        kind, field, built = KIND_MLP, "input_dim", FLAT_INPUT_WIDTH
-    if meta["kind"] != kind:
-        raise ConfigError(f"field 'featurization.kind' is {featurization['kind']!r}, which builds "
-                          f"the inputs of a {kind}, not of a {meta['kind']}")
-    if meta["args"][field] != built:
-        raise ConfigError(f"field 'args.{field}' is {meta['args'][field]}, but the featurization "
-                          f"builds inputs of {built}")
-
-
 def _predict_records(records, model_kind, model_path):
     """Predictions for the records, with features built only from what the
     model file records about its own inputs."""
@@ -406,8 +390,7 @@ def _predict_records(records, model_kind, model_path):
     # checkpoint
     model, meta = load_checkpoint(model_path)
     try:
-        featurize = featurizer(meta["featurization"])
-        _check_model_inputs(meta)
+        featurize = featurizer(meta.get("featurization"))
     except (ConfigError, SchemaError) as exc:
         raise ConfigError(f"checkpoint {model_path}: {exc}") from exc
     samples = featurize(records)

@@ -169,6 +169,14 @@ def is_force_sample(record: SampleRecord) -> bool:
     return record.in_contact and float(record.f_3d @ record.f_3d) > 0.0
 
 
+def check_split(train_frac: float, val_frac: float) -> None:
+    """Raise a ConfigError unless the train and val trial fractions leave
+    some trials for test: they must sum to at most 1."""
+    if train_frac + val_frac > 1:
+        raise ConfigError(f"fields 'split.train' and 'split.val' sum to {train_frac + val_frac}, "
+                          f"above 1")
+
+
 @dataclass
 class DatasetSplits:
     train: list[SampleRecord]
@@ -193,8 +201,10 @@ def make_dataset(
     apportioned independently, so every split contains every source (needed
     for per-source training runs). Validation and test each receive at least
     one trial per source; the remainder after the requested fractions goes
-    to test. Deterministic for a fixed seed.
+    to test. Deterministic for a fixed seed. Fractions summing to more than
+    1 are a ConfigError (check_split).
     """
+    check_split(train_frac, val_frac)
     force_samples = [r for r in records if is_force_sample(r)]
     n_filtered = len(records) - len(force_samples)
     trial_source: dict[str, str] = {}
@@ -285,28 +295,18 @@ def filter_by_sources(records: list[SampleRecord], sources: set[str]) -> list[Sa
     return [r for r in records if r.source_tag in sources]
 
 
-FEATURIZE_VOXEL = "voxel"
-FEATURIZE_FLAT = "flat"
-FLAT_INPUT_WIDTH = N_ELECTRODES + 3  # (e, s_c)
-
-
 def featurization_record(
-    voxel: bool,
     layout: ElectrodeLayout,
     geometry: SurfaceGeometry,
     grid: dict | None = None,
 ) -> dict:
-    """The JSON record of how a model's inputs are built.
-
-    Flat models read (e, s_c) alone: {"kind": "flat"}. Voxel nets also need
-    the resolved grid (the `grid` config if given, else the grid covering
-    `geometry`) and the electrode layout whose cells the values fill.
-    Geometry reaches the inputs only through those two, so it is not stored.
-    A malformed grid, or one that puts an electrode out of bounds or two in
-    one cell, is a ConfigError.
+    """The JSON record of how a voxel net's inputs are built: the resolved
+    grid (the `grid` config if given, else the grid covering `geometry`)
+    and the electrode layout whose cells the values fill. Geometry reaches
+    the inputs only through those two, so it is not stored. A malformed
+    grid, or one that puts an electrode out of bounds or two in one cell, is
+    a ConfigError.
     """
-    if not voxel:
-        return {"kind": FEATURIZE_FLAT}
     try:
         spec = GridSpec.from_config(grid) if grid is not None else GridSpec.for_geometry(geometry)
         electrode_cells(layout, spec)
@@ -314,26 +314,17 @@ def featurization_record(
         raise ConfigError(f"grid: {exc}") from exc
     except (OutOfBoundsError, LayoutCollisionError) as exc:
         raise ConfigError(f"grid does not fit the electrode layout: {exc}") from exc
-    return {"kind": FEATURIZE_VOXEL, "grid": spec.to_config(), "layout": layout.to_dict()}
+    return {"grid": spec.to_config(), "layout": layout.to_dict()}
 
 
-# a featurization record of each kind; the grid and layout have their own readers
-FEATURIZATION_RECORDS = {
-    FEATURIZE_FLAT: {"kind": Required("")},
-    FEATURIZE_VOXEL: {"kind": Required(""), "grid": Required(None), "layout": Required(None)},
-}
-
-
-def featurizer(record) -> Callable[[list[SampleRecord]], ArraySamples]:
-    """The featurize call a checkpoint's "featurization" record describes."""
-    kind = record.get("kind") if isinstance(record, dict) else None
-    if kind not in (None, *FEATURIZATION_RECORDS):
-        raise ConfigError(f"field 'featurization.kind' must be 'flat' or 'voxel', got {kind!r}")
-    values = read_config(record, FEATURIZATION_RECORDS[kind or FEATURIZE_FLAT], "featurization")
-    if kind == FEATURIZE_FLAT:
+def featurizer(record: dict | None) -> Callable[[list[SampleRecord]], ArraySamples]:
+    """The featurize call of a checkpoint's featurization record, whose keys
+    load_checkpoint has read: featurize_voxel on its grid and layout, or for
+    an MLP, which has none, featurize_flat."""
+    if record is None:
         return featurize_flat
-    layout = ElectrodeLayout.from_dict(values["layout"], "featurization.layout")
-    spec = GridSpec.from_config(values["grid"], "featurization.grid")
+    layout = ElectrodeLayout.from_dict(record["layout"], "featurization.layout")
+    spec = GridSpec.from_config(record["grid"], "featurization.grid")
     return lambda records: featurize_voxel(records, layout, spec)
 
 
@@ -365,7 +356,8 @@ def featurize_voxel(
 
 
 def featurize_flat(records: list[SampleRecord]) -> ArraySamples:
-    """Concatenate (e, s_c) into flat FLAT_INPUT_WIDTH-dim model inputs."""
+    """Concatenate (e, s_c) into flat model inputs, network.FLAT_INPUT_WIDTH
+    values wide."""
     inputs = np.stack([np.concatenate([r.e, r.s_c]) for r in records])
     return _with_context(records, inputs)
 

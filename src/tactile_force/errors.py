@@ -73,9 +73,23 @@ class PositiveCount(int):
 
 
 class Items(tuple):
-    """A dataclass default whose field may hold any number of items, each
-    passing against the default's first item; a config tree holds it as a
-    list."""
+    """A dataclass default whose field may hold any number of items, but at
+    least `least`, each passing against the default's first item; a config
+    tree holds it as an ItemList."""
+
+    def __new__(cls, items, least: int = 0):
+        self = super().__new__(cls, items)
+        self.least = least
+        return self
+
+
+class ItemList(list):
+    """The config-tree form of an Items default: a list default whose
+    field must hold at least `least` items."""
+
+    def __init__(self, items, least: int):
+        super().__init__(items)
+        self.least = least
 
 
 class Required:
@@ -127,7 +141,8 @@ def check_config_value(name: str, value, default) -> None:
     for a Positive default, at least 0 for a NonNegative, in [0, 1] for a
     Fraction), and a Count or PositiveCount be an integer of at least 0 or
     1. A sequence default takes a list whose items each pass against the
-    default's first item, and a tuple default one of its length."""
+    default's first item: a list default one of any length, but at least an
+    ItemList's `least`, and a tuple default one of its length."""
     for kind, what, accepts in _KINDS:
         if isinstance(default, kind):
             if not accepts(value):
@@ -135,6 +150,8 @@ def check_config_value(name: str, value, default) -> None:
             return
     if isinstance(value, (str, dict)) or not hasattr(value, "__len__"):
         raise ConfigError(f"field {name!r} must be a list, got {value!r}")
+    if isinstance(default, ItemList) and len(value) < default.least:
+        raise ConfigError(f"field {name!r} must hold at least {default.least} item(s), got {value!r}")
     if isinstance(default, tuple) and len(value) != len(default):
         raise ConfigError(f"field {name!r} must hold {len(default)} items, got {value!r}")
     for i, item in enumerate(value):
@@ -176,9 +193,9 @@ def read_config(config, defaults: dict, name: str = "") -> dict:
 def _mark(f: dataclasses.Field):
     """The mark of a dataclass field: its default, or for a field without
     one, the "mark" of its metadata (MISSING if neither); an Items default
-    as a list."""
+    as an ItemList."""
     mark = f.metadata.get("mark", f.default)
-    return list(mark) if isinstance(mark, Items) else mark
+    return ItemList(mark, mark.least) if isinstance(mark, Items) else mark
 
 
 def check_fields(config) -> None:

@@ -2,9 +2,11 @@
 metadata blob.
 
 The blob is self-describing: the model's build record ("kind" and "args",
-enough to rebuild the layers), the featurization record that built its
-inputs, the loss config, and free-form training metadata (training stats,
-ablation flags, sources).
+enough to rebuild the layers), for a voxel net the featurization record
+that builds its inputs and whose grid gives its input shape, the loss
+config, and free-form training metadata (training stats, ablation flags,
+sources). An MLP reads the flat (e, s_c) vector, so it has no
+featurization record.
 """
 
 from __future__ import annotations
@@ -13,21 +15,21 @@ import json
 
 import numpy as np
 
-from ..errors import ConfigError, PositiveCount, Required, config_tree, read_config
+from ..errors import ConfigError, PositiveCount, Required, SchemaError, config_tree, read_config
 from ..files import atomic_open
+from ..voxel import N_CHANNELS, GridSpec
 from .losses import LossConfig
 from .network import KIND_MLP, KIND_VOXEL, Model, NetworkConfig, build_mlp_net, build_voxel_net
 
-# a checkpoint's metadata blob; "args" is read over BUILD_ARGS, "featurization" by its own reader
-CHECKPOINT_META = {"kind": Required(""), "args": Required(None), "featurization": Required(None),
-                   "loss_config": None, "metadata": Required(None)}
-# the build arguments of each kind of model
-BUILD_ARGS = {
-    KIND_VOXEL: {"config": Required(config_tree(NetworkConfig)),
-                 "input_shape": Required((PositiveCount(1),) * 4)},
-    KIND_MLP: {"input_dim": Required(PositiveCount(1)), "hidden_widths": Required([PositiveCount(1)]),
-               "seed": Required(0), "layer_norm": Required(True),
-               "layer_norm_eps": Required(NetworkConfig.layer_norm_eps)},
+# a checkpoint's metadata blob of each kind of model; the featurization's
+# grid and layout, and "metadata", have their own readers
+CHECKPOINT_META = {
+    KIND_VOXEL: {"kind": "", "args": Required({"config": Required(config_tree(NetworkConfig))}),
+                 "featurization": Required({"grid": Required(None), "layout": Required(None)}),
+                 "loss_config": None, "metadata": Required(None)},
+    KIND_MLP: {"kind": "", "args": Required({"hidden_widths": Required([PositiveCount(1)]),
+                                             "seed": Required(0), "layer_norm": Required(True)}),
+               "loss_config": None, "metadata": Required(None)},
 }
 
 
@@ -35,14 +37,19 @@ def save_checkpoint(
     path,
     model: Model,
     *,
-    featurization: dict,
+    featurization: dict | None = None,
     loss_config: LossConfig | None = None,
     metadata: dict | None = None,
 ) -> None:
-    """Write the model parameters, its build record and its featurization."""
+    """Write the model parameters, its build record and, for a voxel net,
+    the featurization record of its grid, which an MLP must not be given."""
+    grid = None if featurization is None else (N_CHANNELS, *featurization["grid"]["dims"])
+    if grid != (model.layers[0].grid if model.build["kind"] == KIND_VOXEL else None):
+        raise ValueError("a voxel net is saved with the featurization record of its grid, an MLP "
+                         "with none")
     meta = {
         **model.build,
-        "featurization": featurization,
+        **({"featurization": featurization} if grid else {}),
         "loss_config": loss_config.to_dict() if loss_config else None,
         "metadata": metadata or {},
     }
@@ -54,10 +61,11 @@ def save_checkpoint(
 def load_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild the model from a checkpoint; returns (model, metadata dict).
 
-    The metadata's "featurization" entry describes the model's inputs. A
-    checkpoint whose metadata is not a CHECKPOINT_META, with BUILD_ARGS and
-    an object "metadata", is a ConfigError naming the file and the dotted
-    key, and so is a missing file or one that is not a .npz.
+    A voxel net is rebuilt on its featurization record's grid. A checkpoint
+    whose metadata is not the CHECKPOINT_META of its kind, with an object
+    "metadata", or whose tensors do not fit the net it records, is a
+    ConfigError naming the file and the dotted key, and so is a missing
+    file or one that is not a .npz.
     """
     try:
         data = np.load(path)
@@ -74,18 +82,18 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         n_params = sum(1 for k in data.files if k.startswith("param_"))
         state = [data[f"param_{i:04d}"] for i in range(n_params)]
     try:
-        meta = read_config(meta, CHECKPOINT_META)
-        kind = meta["kind"]
-        if kind not in BUILD_ARGS:
-            raise ConfigError(f"unknown checkpoint kind {kind!r}")
+        kind = meta.get("kind") if isinstance(meta, dict) else None
+        if kind not in CHECKPOINT_META:
+            raise ConfigError(f"field 'kind' must be {KIND_VOXEL!r} or {KIND_MLP!r}, got {kind!r}")
+        meta = read_config(meta, CHECKPOINT_META[kind])
         if not isinstance(meta["metadata"], dict):
             raise ConfigError(f"field 'metadata' must be an object, got {meta['metadata']!r}")
-        args = read_config(meta["args"], BUILD_ARGS[kind], "args")
         if kind == KIND_VOXEL:
-            model = build_voxel_net(NetworkConfig(**args["config"]), tuple(args["input_shape"]))
+            spec = GridSpec.from_config(meta["featurization"]["grid"], "featurization.grid")
+            model = build_voxel_net(NetworkConfig(**meta["args"]["config"]), (N_CHANNELS, *spec.dims))
         else:
-            model = build_mlp_net(**args)
+            model = build_mlp_net(**meta["args"])
         model.set_state(state)
-    except ConfigError as exc:
+    except (ConfigError, SchemaError) as exc:  # GridSpec raises SchemaError on its dims and bounds
         raise ConfigError(f"checkpoint {path}: {exc}") from exc
     return model, meta

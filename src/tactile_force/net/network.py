@@ -17,13 +17,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, Items, NumericalError, Positive, PositiveCount, check_fields
+from ..errors import ConfigError, Items, NumericalError, PositiveCount, check_fields
+from ..sensor import N_ELECTRODES
 from ..voxel import VoxelInputs
-from .layers import (
-    KERNEL, LAYER_NORM_EPS, Conv, Dense, Layer, LayerNormReLU, Parameter, ReLU, VoxelConv3d,
-)
+from .layers import KERNEL, Conv, Dense, Layer, LayerNormReLU, Parameter, ReLU, VoxelConv3d
 
 OUTPUT_DIM = 3
+FLAT_INPUT_WIDTH = N_ELECTRODES + 3  # an MLP's input: (e, s_c)
 
 KIND_VOXEL = "voxel_net"
 KIND_MLP = "mlp_net"
@@ -34,16 +34,13 @@ class NetworkConfig:
     """Voxel network hyperparameters: channel counts and fully connected
     widths (every convolution has kernel = stride = KERNEL)."""
 
-    conv3d_channels: tuple[int, ...] = Items((PositiveCount(8), PositiveCount(16)))
+    conv3d_channels: tuple[int, ...] = Items((PositiveCount(8), PositiveCount(16)), least=1)
     conv2d_channels: int = PositiveCount(32)
     fc_widths: tuple[int, ...] = Items((PositiveCount(128), PositiveCount(64)))
-    layer_norm_eps: float = Positive(LAYER_NORM_EPS)
     seed: int = 0
 
     def __post_init__(self):
         check_fields(self)
-        if not self.conv3d_channels:
-            raise ConfigError("at least one 3-D convolution layer is required")
         object.__setattr__(self, "conv3d_channels", tuple(int(c) for c in self.conv3d_channels))
         object.__setattr__(self, "fc_widths", tuple(int(w) for w in self.fc_widths))
 
@@ -65,7 +62,8 @@ class Model:
 
     `build` is the JSON-able record that rebuilds the model: its kind
     ("voxel_net" or "mlp_net") and the arguments build_voxel_net or
-    build_mlp_net was called with.
+    build_mlp_net was called with, but a voxel net's input shape, which a
+    checkpoint takes from its featurization record.
     """
 
     def __init__(self, layers: list[Layer], build: dict):
@@ -204,44 +202,35 @@ def build_voxel_net(config: NetworkConfig, input_shape: tuple[int, int, int, int
         else:
             layers.append(Conv(c, out_ch, sx * sy * sz, rng, name=f"conv3d_{i}"))
         c = out_ch
-        layers.append(LayerNormReLU((c, sx, sy, sz), config.layer_norm_eps,
-                                    name=f"ln_conv3d_{i}", order=orders[i + 1]))
+        layers.append(LayerNormReLU((c, sx, sy, sz), name=f"ln_conv3d_{i}", order=orders[i + 1]))
     sx, sy = sx // KERNEL, sy // KERNEL
     layers.append(Conv(c, config.conv2d_channels, sx * sy, rng, name="conv2d", ndim=2, depth=sz))
     c = config.conv2d_channels
-    layers.append(LayerNormReLU((c, sx, sy), config.layer_norm_eps, name="ln_conv2d",
-                                order=orders[-1]))
+    layers.append(LayerNormReLU((c, sx, sy), name="ln_conv2d", order=orders[-1]))
     dim, order = c * sx * sy, orders[-1]  # fc_0's weight rows: the (c, x, y) flattening
     for i, width in enumerate(config.fc_widths):
         layers.append(Dense(dim, width, rng, name=f"fc_{i}", order=order))
-        layers.append(LayerNormReLU((width,), config.layer_norm_eps, name=f"ln_fc_{i}"))
+        layers.append(LayerNormReLU((width,), name=f"ln_fc_{i}"))
         dim, order = width, None
     layers.append(Dense(dim, OUTPUT_DIM, rng, name="fc_out"))
-    args = {"config": config.to_dict(), "input_shape": list(input_shape)}
-    return Model(layers, {"kind": KIND_VOXEL, "args": args})
+    return Model(layers, {"kind": KIND_VOXEL, "args": {"config": config.to_dict()}})
 
 
-def build_mlp_net(
-    input_dim: int,
-    hidden_widths: tuple[int, ...],
-    seed: int = 0,
-    layer_norm: bool = True,
-    layer_norm_eps: float = LAYER_NORM_EPS,
-) -> Model:
-    """Plain fully connected force regressor on a flat feature vector."""
+def build_mlp_net(hidden_widths: tuple[int, ...], seed: int = 0, layer_norm: bool = True) -> Model:
+    """Plain fully connected force regressor on the flat (e, s_c) vector of
+    FLAT_INPUT_WIDTH values."""
     if not hidden_widths:
         raise ConfigError("hidden_widths must hold at least one width")
     rng = np.random.default_rng(seed)
     layers: list[Layer] = []
-    dim = input_dim
+    dim = FLAT_INPUT_WIDTH
     for i, width in enumerate(hidden_widths):
         layers.append(Dense(dim, int(width), rng, name=f"fc_{i}"))
         if layer_norm:
-            layers.append(LayerNormReLU((int(width),), layer_norm_eps, name=f"ln_fc_{i}"))
+            layers.append(LayerNormReLU((int(width),), name=f"ln_fc_{i}"))
         else:
             layers.append(ReLU(name=f"relu_fc_{i}"))
         dim = int(width)
     layers.append(Dense(dim, OUTPUT_DIM, rng, name="fc_out"))
-    args = dict(input_dim=input_dim, hidden_widths=[int(w) for w in hidden_widths], seed=seed,
-                layer_norm=layer_norm, layer_norm_eps=layer_norm_eps)
+    args = dict(hidden_widths=[int(w) for w in hidden_widths], seed=seed, layer_norm=layer_norm)
     return Model(layers, {"kind": KIND_MLP, "args": args})

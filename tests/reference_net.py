@@ -270,7 +270,7 @@ def build_reference_voxel_net(config: NetworkConfig, input_shape) -> Model:
     input_shape), for grids that build accepts."""
     c, sx, sy, sz = input_shape
     rng = np.random.default_rng(config.seed)
-    eps = config.layer_norm_eps
+    eps = LAYER_NORM_EPS
     layers: list[Layer] = [DenseInput()]
     for i, out_ch in enumerate(config.conv3d_channels):
         layers.append(Conv3d(c, out_ch, rng, name=f"conv3d_{i}"))

@@ -13,8 +13,8 @@ from tactile_force.baselines import LinearModel, linear_predict
 from tactile_force.cli import main
 from solver_oracles import _solve_grid
 from tactile_force.dataset import (
-    FLAT_INPUT_WIDTH, DatasetSplits, featurization_record, featurize_voxel, load_manifest_splits,
-    write_manifest, write_samples_jsonl,
+    DatasetSplits, featurization_record, featurize_voxel, load_manifest_splits, write_manifest,
+    write_samples_jsonl,
 )
 from tactile_force.errors import (
     ConfigError,
@@ -38,7 +38,6 @@ from tactile_force.synthetic import SensorForwardModel, make_ft_samples
 from tactile_force.voxel import N_CHANNELS, GridSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-VOXEL_FEATURIZATION = featurization_record(True, default_electrode_layout(), SurfaceGeometry())
 PERFBENCH = README.parent / "perfbench"
 
 
@@ -112,7 +111,7 @@ class TestSimulate:
         )
         code = run(["simulate", "--config", config, "--out", tmp_path / "o"])
         assert code == 2
-        assert "'m'" in capsys.readouterr().err
+        assert "missing field 'params.m'" in capsys.readouterr().err
 
     def test_non_numeric_mass_exits_2_naming_field(self, tmp_path, capsys):
         config = write_config(
@@ -629,7 +628,7 @@ class TestSelfDescribingModels:
         assert code == 2
 
     def test_checkpoint_without_featurization_exits_2(self, sim_dir, tmp_path, capsys):
-        model_dir = self.train(sim_dir, tmp_path, "mlp", {}, "--model", "mlp-baseline")
+        model_dir = self.train(sim_dir, tmp_path, "voxel", {})
         path = model_dir / "checkpoint.npz"
         rewrite_checkpoint_meta(path, lambda meta: meta.pop("featurization"))
         code, _ = self.evaluate(sim_dir, tmp_path, path)
@@ -643,11 +642,7 @@ class TestSelfDescribingModels:
         path = model_dir / "checkpoint.npz"
         old = GridSpec.for_geometry(SurfaceGeometry(), dims=(15, 15, 7)).to_config()
 
-        def to_old_grid(meta):
-            meta["args"]["input_shape"] = [2, 15, 15, 7]
-            meta["featurization"]["grid"] = old
-
-        rewrite_checkpoint_meta(path, to_old_grid)
+        rewrite_checkpoint_meta(path, lambda meta: meta["featurization"].update(grid=old))
         capsys.readouterr()
         code, eval_dir = self.evaluate(sim_dir, tmp_path, path)
         assert code == 2
@@ -686,7 +681,8 @@ class TestSelfDescribingModels:
     @pytest.mark.parametrize("model, dotted, value, named", [
         ("voxel", "featurization.grid.dims", ["8", 8, 4], "field 'featurization.grid.dims[0]'"),
         ("voxel", "featurization.layout", {"positions": []}, "field 'featurization.layout.positions'"),
-        ("voxel", "featurization.kind", "dense", "field 'featurization.kind'"),
+        ("voxel", "featurization.grid.dims", [0, 8, 4], "dims must be three positive counts"),
+        ("voxel", "kind", "dense", "field 'kind'"),
         ("voxel", "args", None, "missing field 'args'"),
         ("voxel", "args", 5, "field 'args' must be an object"),
         ("voxel", "args.config.fc_widths", "ab", "field 'args.config.fc_widths'"),
@@ -698,15 +694,20 @@ class TestSelfDescribingModels:
         # build args the net divides by, sizes arrays with or unpacks
         ("voxel", "args.config.conv2d_channels", 0, "field 'args.config.conv2d_channels'"),
         ("voxel", "args.config.fc_widths", [-1], "field 'args.config.fc_widths[0]'"),
-        ("voxel", "args.input_shape", [2, 8, 8], "field 'args.input_shape'"),
-        ("voxel", "args.config.layer_norm_eps", -1, "field 'args.config.layer_norm_eps'"),
-        ("mlp-baseline", "args.layer_norm_eps", 0, "field 'args.layer_norm_eps'"),
+        ("voxel", "args.config.conv3d_channels", [], "field 'args.config.conv3d_channels'"),
         # parameters of another shape than the build args give
         ("voxel", "args.config.fc_widths", [17], "parameter fc_0.weight: shape"),
-        # inputs of another kind or shape than the net reads
-        ("voxel", "featurization.grid.dims", [16, 16, 8], "field 'args.input_shape'"),
-        ("voxel", "featurization", {"kind": "flat"}, "field 'featurization.kind'"),
-        ("mlp-baseline", "featurization", VOXEL_FEATURIZATION, "field 'featurization.kind'"),
+        # a grid that does not fit the tensors, and a net of the other kind
+        ("voxel", "featurization.grid.dims", [16, 16, 8], "parameter ln_conv3d_0.gain: shape"),
+        ("voxel", "kind", "mlp_net", "unknown key 'featurization'"),
+        ("mlp-baseline", "kind", "voxel_net", "unknown key 'args.hidden_widths'"),
+        # keys that only restated the input, and are no longer part of the record
+        ("voxel", "args.input_shape", [2, 8, 8, 4], "unknown key 'args.input_shape'"),
+        ("voxel", "featurization.kind", "voxel", "unknown key 'featurization.kind'"),
+        ("voxel", "args.config.layer_norm_eps", 1e-5, "unknown key 'args.config.layer_norm_eps'"),
+        ("mlp-baseline", "args.input_dim", 22, "unknown key 'args.input_dim'"),
+        ("mlp-baseline", "args.layer_norm_eps", 1e-5, "unknown key 'args.layer_norm_eps'"),
+        ("mlp-baseline", "featurization", {"kind": "flat"}, "unknown key 'featurization'"),
     ])
     def test_malformed_checkpoint_record_exits_2_naming_file_and_key(
         self, sim_dir, tmp_path, capsys, model, dotted, value, named
@@ -728,14 +729,46 @@ class TestSelfDescribingModels:
         assert err.startswith(f"config error: checkpoint {path}:") and named in err
         assert not eval_dir.exists()
 
-    def test_mlp_of_another_width_than_the_flat_features_exits_2(self, sim_dir, tmp_path, capsys):
-        path = tmp_path / "mlp" / "checkpoint.npz"
-        path.parent.mkdir()
-        save_checkpoint(path, build_mlp_net(FLAT_INPUT_WIDTH - 1, (8,)), featurization={"kind": "flat"})
+    @pytest.mark.parametrize("extra", [[], ["--no-voxel"], ["--model", "mlp-baseline"]])
+    def test_checkpoint_in_the_former_format_exits_2(self, sim_dir, tmp_path, capsys, extra):
+        """A checkpoint that states its input in the build args and a
+        featurization kind, as written before the featurization record
+        alone fixed a net's input, is rejected naming the first such key."""
+        path = self.train(sim_dir, tmp_path, "m", {}, *extra) / "checkpoint.npz"
+
+        def to_former_format(meta):
+            args = meta["args"]
+            if "featurization" in meta:
+                args["config"]["layer_norm_eps"] = 1e-5
+                args["input_shape"] = [N_CHANNELS, *meta["featurization"]["grid"]["dims"]]
+                meta["featurization"]["kind"] = "voxel"
+            else:
+                meta["args"] = {"input_dim": 22, **args, "layer_norm_eps": 1e-5}
+                meta["featurization"] = {"kind": "flat"}
+
+        rewrite_checkpoint_meta(path, to_former_format)
+        capsys.readouterr()
         code, eval_dir = self.evaluate(sim_dir, tmp_path, path)
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: checkpoint {path}:") and "field 'args.input_dim'" in err
+        assert err.startswith(f"config error: checkpoint {path}:")
+        assert re.search(r"unknown key '(args\.input_shape|featurization)'", err)
+        assert not eval_dir.exists()
+
+    def test_mlp_of_another_width_than_the_flat_features_exits_2(self, sim_dir, tmp_path, capsys):
+        """An MLP always reads the flat features, so a first layer of another
+        width does not fit the net its record builds."""
+        path = self.train(sim_dir, tmp_path, "mlp", {}, "--model", "mlp-baseline") / "checkpoint.npz"
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["param_0000"] = arrays["param_0000"][:-1]  # fc_0.weight, (22, width)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        code, eval_dir = self.evaluate(sim_dir, tmp_path, path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: checkpoint {path}:")
+        assert "parameter fc_0.weight: shape" in err
         assert not eval_dir.exists()
 
     @pytest.mark.parametrize("model", ["linear", "mlp-baseline"])
@@ -792,7 +825,7 @@ class TestReadme:
         defaults = read_config({}, cli.TRAIN_CONFIG)
         assert {**config, "grid": None} == defaults
         geometry = SurfaceGeometry()
-        featurization = featurization_record(True, default_electrode_layout(geometry), geometry,
+        featurization = featurization_record(default_electrode_layout(geometry), geometry,
                                              config["grid"])
         build_voxel_net(NetworkConfig(**config["network"]),
                         (N_CHANNELS, *featurization["grid"]["dims"]))
@@ -905,6 +938,11 @@ class TestConfigValueTypes:
         ("simulate", "geometry.half_cylinder_length_m", -0.001),
         ("simulate", "params.mu_s", -0.1),
         ("simulate", "params.k", 0),
+        ("train", "network.conv3d_channels", []),
+        # forces that point out of the surface
+        ("simulate", "sources.rigid_ft.force_range", [-5, -1]),
+        ("simulate", "sources.ball_ft.force_range", [0.1, -1.0]),
+        ("simulate", "sources.planar_pushing.magnitude_range", [-2.0, 1.0]),
     ])
     def test_wrong_type_exits_2_naming_file_and_field(
         self, sim_dir, sim_config, tmp_path, capsys, command, field, value
@@ -1219,8 +1257,7 @@ def _failing_writes(monkeypatch):
             raise OSError("disk full")
 
         monkeypatch.setattr(np, "savez", savez)
-        save_checkpoint(path, build_mlp_net(FLAT_INPUT_WIDTH, (4,), seed=0),
-                        featurization={"kind": "flat"})
+        save_checkpoint(path, build_mlp_net((4,), seed=0))
 
     return {"samples": samples, "manifest": manifest, "linear_model": linear_model,
             "checkpoint": checkpoint}

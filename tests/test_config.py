@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from tactile_force import cli
 from tactile_force.errors import (
-    ConfigError, Count, Fraction, NonNegative, Optional, Positive, PositiveCount, config_tree,
+    ConfigError, Count, Fraction, ItemList, NonNegative, Optional, Positive, PositiveCount,
+    config_tree,
 )
 from tactile_force.mechanics import PushParams
 from tactile_force.net import LossConfig, NetworkConfig, TrainingConfig
@@ -72,10 +73,13 @@ IDS = [f"{cls.__name__}.{name}" for cls, name, _ in MARKED]
 
 def outside(mark):
     """Values a field with this mark must refuse: for a list mark, a
-    non-list, or a list with one item outside its first item's mark."""
+    non-list, a list with one item outside its first item's mark, or a list
+    of fewer items than an ItemList's least."""
     if isinstance(mark, list):
         items = st.lists(INSIDE[type(mark[0])], max_size=3)
-        return st.one_of(st.sampled_from([5, "8", None, {"a": 1}]), st.tuples(
+        least = mark.least if isinstance(mark, ItemList) else 0
+        too_short = st.lists(INSIDE[type(mark[0])], max_size=least - 1) if least else st.nothing()
+        return st.one_of(st.sampled_from([5, "8", None, {"a": 1}]), too_short, st.tuples(
             items, OUTSIDE[type(mark[0])], items).map(lambda t: [*t[0], t[1], *t[2]]))
     return OUTSIDE[type(mark)]
 
@@ -113,17 +117,18 @@ def field_mark(f: dataclasses.Field):
 
 
 def same_mark(tree_value, f: dataclasses.Field) -> bool:
-    """A tree value holds the field's mark: the same type and value, a list
-    of the items of a tuple default, and Optional for a field without a
-    default."""
+    """A tree value holds the field's mark: the same type and value, an
+    ItemList of the items and least of an Items default, and Optional for a
+    field without a default."""
     mark = field_mark(f)
     if f.default is dataclasses.MISSING:
         if not isinstance(tree_value, Optional):
             return False
         tree_value = tree_value.example
     if isinstance(mark, tuple):
-        return isinstance(tree_value, list) and len(tree_value) == len(mark) and all(
-            type(a) is type(b) and a == b for a, b in zip(tree_value, mark))
+        return (isinstance(tree_value, ItemList) and tree_value.least == mark.least
+                and len(tree_value) == len(mark)
+                and all(type(a) is type(b) and a == b for a, b in zip(tree_value, mark)))
     return type(tree_value) is type(mark) and tree_value == mark
 
 
@@ -131,7 +136,7 @@ def same_mark(tree_value, f: dataclasses.Field) -> bool:
 # the dataclass's fields, and the fields the block does not hold
 BLOCKS = [
     (cli.TRAIN_CONFIG["training"], TrainingConfig, {}, {"seed"}),
-    (cli.TRAIN_CONFIG["network"], NetworkConfig, {}, {"seed", "layer_norm_eps"}),
+    (cli.TRAIN_CONFIG["network"], NetworkConfig, {}, {"seed"}),
     (cli.TRAIN_CONFIG["loss"], LossConfig, {}, {"mode"}),
     (cli.SIMULATE_CONFIG["sensor"], SensorForwardModel, {},
      {"layout", "anisotropic_shear_sensitivity"}),

@@ -16,7 +16,7 @@ from tactile_force.dataset import SampleRecord, featurize_voxel
 from tactile_force.errors import SchemaError
 from tactile_force.net import NetworkConfig, build_mlp_net, build_voxel_net
 from tactile_force.net.layers import Conv, Dense, Layer, LayerNormReLU, ReLU, VoxelConv3d
-from tactile_force.net.network import window_major_orders
+from tactile_force.net.network import FLAT_INPUT_WIDTH, window_major_orders
 from tactile_force.sensor import (
     N_ELECTRODES, ElectrodeLayout, SurfaceGeometry, default_electrode_layout,
 )
@@ -549,10 +549,10 @@ class TestInPlaceLayersMatchReference:
                                fc_widths=(6,), seed=seed % 100)
         x = rng.normal(size=(batch, 2) + dims)
         grad_out = rng.normal(size=(batch, 3))
-        mlp_x = rng.normal(size=(batch, 7))
+        mlp_x = rng.normal(size=(batch, FLAT_INPUT_WIDTH))
         for model, inputs in [(build_voxel_net(config, (2,) + dims), x),
-                              (build_mlp_net(7, (8, 5), seed=seed % 100), mlp_x),
-                              (build_mlp_net(7, (8, 5), seed=seed % 100, layer_norm=False), mlp_x)]:
+                              (build_mlp_net((8, 5), seed=seed % 100), mlp_x),
+                              (build_mlp_net((8, 5), seed=seed % 100, layer_norm=False), mlp_x)]:
             model.values[...] = rng.normal(size=model.values.size)
             reference = with_reference_layers(model)
             assert [p.name for p in model.parameters()] == [p.name for p in reference.parameters()]

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tactile_force.cli import TRAIN_CONFIG, _train_configs
-from tactile_force.dataset import SampleRecord, featurization_record, featurize_voxel
+from tactile_force.dataset import (
+    SampleRecord, featurization_record, featurize_flat, featurize_voxel, featurizer,
+)
 from tactile_force.errors import ConfigError, NumericalError, SchemaError, read_config
 from tactile_force.net import (
     Dense,
@@ -27,7 +29,7 @@ from tactile_force.net import (
     load_checkpoint,
     save_checkpoint,
 )
-from tactile_force.net.checkpoint import KIND_MLP, KIND_VOXEL
+from tactile_force.net.network import FLAT_INPUT_WIDTH, KIND_MLP, KIND_VOXEL
 from reference_net import (
     REFERENCE_RTOL, backward_with_term_magnitudes, build_reference_voxel_net,
 )
@@ -95,8 +97,8 @@ class TestForward:
         the layer the network output comes from."""
         rng = np.random.default_rng(8)
         net = {"voxel": lambda: tiny_net(seed=2)[1],
-               "mlp": lambda: build_mlp_net(6, (5, 4), seed=2)}[kind]()
-        x = rng.normal(size=(3, 2, 8, 8, 4) if kind == "voxel" else (3, 6))
+               "mlp": lambda: build_mlp_net((5, 4), seed=2)}[kind]()
+        x = rng.normal(size=(3, 2, 8, 8, 4) if kind == "voxel" else (3, FLAT_INPUT_WIDTH))
         layer = next(layer for layer in net.layers if layer.name == poisoned)
         forward = layer.forward
 
@@ -317,8 +319,8 @@ class TestBackward:
         random place, backward stops there and names that layer."""
         rng = np.random.default_rng(5)
         build = {"voxel": lambda: tiny_net(seed=1)[1],
-                 "mlp": lambda: build_mlp_net(6, (5, 4), seed=1)}[kind]
-        x = rng.normal(size=(3, 2, 8, 8, 4) if kind == "voxel" else (3, 6))
+                 "mlp": lambda: build_mlp_net((5, 4), seed=1)}[kind]
+        x = rng.normal(size=(3, 2, 8, 8, 4) if kind == "voxel" else (3, FLAT_INPUT_WIDTH))
         first = 1 if kind == "voxel" else 0  # a voxel net's first layer returns no gradient
         for i in range(first, len(build().layers)):
             net = build()
@@ -373,7 +375,7 @@ class TestBackward:
         if kind == "voxel":
             net, x = tiny_net(seed=1)[1], rng.normal(size=(3, 2, 8, 8, 4))
         else:
-            net, x = build_mlp_net(6, (5, 4), seed=1), rng.normal(size=(3, 6))
+            net, x = build_mlp_net((5, 4), seed=1), rng.normal(size=(3, FLAT_INPUT_WIDTH))
         layer = net.layers[-3]  # the last hidden dense layer: fc_0 or fc_1
         backward = layer.backward
 
@@ -391,8 +393,8 @@ class TestBackward:
 
 BUILDS = {
     "voxel": lambda: tiny_net(seed=3)[1],
-    "mlp": lambda: build_mlp_net(6, (5, 4), seed=3),
-    "mlp_baseline": lambda: build_mlp_net(6, (5, 4), seed=3, layer_norm=False),
+    "mlp": lambda: build_mlp_net((5, 4), seed=3),
+    "mlp_baseline": lambda: build_mlp_net((5, 4), seed=3, layer_norm=False),
 }
 
 
@@ -416,7 +418,7 @@ class TestInPlaceContract:
         rng = np.random.default_rng(12)
         net = BUILDS[kind]()
         if kind != "voxel":
-            inputs = rng.normal(size=(12, 6))
+            inputs = rng.normal(size=(12, FLAT_INPUT_WIDTH))
         elif featurized:
             spec = GridSpec((8, 8, 4), np.zeros(3), np.ones(3))
             points = rng.uniform(spec.bounds_min, spec.bounds_max, size=(12, 3))
@@ -479,7 +481,7 @@ class TestConfig:
 
     def test_mlp_requires_hidden_layer(self):
         with pytest.raises(ConfigError):
-            build_mlp_net(22, ())
+            build_mlp_net(())
 
 
 class TestCheckpoint:
@@ -506,7 +508,7 @@ class TestCheckpoint:
         geometry = SurfaceGeometry()
         spec = GridSpec.for_geometry(geometry, dims=(8, 8, 4))
         layout = default_electrode_layout(geometry)
-        featurization = featurization_record(True, layout, geometry, spec.to_config())
+        featurization = featurization_record(layout, geometry, spec.to_config())
         save_checkpoint(
             path, net, featurization=featurization,
             loss_config=LossConfig(), metadata={"best_epoch": 3},
@@ -519,14 +521,61 @@ class TestCheckpoint:
         assert loaded.build == net.build
 
     def test_mlp_roundtrip(self, tmp_path):
-        net = build_mlp_net(22, (8, 4), seed=1, layer_norm=False)
+        net = build_mlp_net((8, 4), seed=1, layer_norm=False)
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(3, 22))
+        x = rng.normal(size=(3, FLAT_INPUT_WIDTH))
         expected = net.forward(x)
         path = tmp_path / "mlp.npz"
-        save_checkpoint(path, net, featurization={"kind": "flat"})
+        save_checkpoint(path, net)
         loaded, meta = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.forward(x), expected)
         assert meta["kind"] == KIND_MLP
-        assert meta["featurization"] == {"kind": "flat"}
+        assert "featurization" not in meta
         assert loaded.build == net.build
+
+    @settings(max_examples=30, deadline=None)
+    @given(model=st.sampled_from(["voxel", "no_voxel", "mlp_baseline"]), n_conv3d=st.integers(1, 2),
+           scale=st.tuples(*[st.integers(1, 2)] * 3), seed=st.integers(0, 2**32 - 1))
+    def test_save_load_and_featurize_give_the_same_parameters_and_predictions(
+        self, tmp_path_factory, model, n_conv3d, scale, seed
+    ):
+        """Each family train writes (the voxel net on a random grid it
+        tiles, the --no-voxel MLP and the MLP baseline) loads with its
+        parameters, and on the features its checkpoint's record builds
+        predicts what it predicted on the features it was built for, bit for
+        bit."""
+        rng = np.random.default_rng(seed)
+        xy, z = 2 ** (n_conv3d + 1), 2**n_conv3d
+        spec = GridSpec((xy * scale[0], xy * scale[1], z * scale[2]), np.zeros(3),
+                        rng.uniform(0.5, 2.0, size=3))
+        layout = random_layout(spec, rng)
+        records = voxel_records(rng.uniform(spec.bounds_min, spec.bounds_max, size=(5, 3)), rng)
+        if model == "voxel":
+            config = NetworkConfig(conv3d_channels=(3, 4)[:n_conv3d], conv2d_channels=5,
+                                   fc_widths=(6,), seed=seed % 100)
+            net = build_voxel_net(config, (N_CHANNELS, *spec.dims))
+            featurization = featurization_record(layout, SurfaceGeometry(), spec.to_config())
+            inputs = featurize_voxel(records, layout, spec).inputs
+        else:
+            net = build_mlp_net((7, 5), seed=seed % 100, layer_norm=model == "no_voxel")
+            featurization, inputs = None, featurize_flat(records).inputs
+        net.values[...] = rng.normal(size=net.values.size)
+        path = tmp_path_factory.mktemp("checkpoint") / "checkpoint.npz"
+        save_checkpoint(path, net, featurization=featurization)
+        loaded, meta = load_checkpoint(path)
+        assert np.array_equal(loaded.values, net.values)
+        rebuilt = featurizer(meta.get("featurization"))(records).inputs
+        assert np.array_equal(loaded.forward(rebuilt), net.forward(inputs))
+
+    def test_a_net_is_saved_only_with_the_featurization_it_reads(self, tmp_path):
+        """A voxel net needs the record of its own grid, and an MLP, which
+        reads the flat features, takes none."""
+        _, voxel = tiny_net()
+        geometry, layout = SurfaceGeometry(), default_electrode_layout()
+        other = GridSpec.for_geometry(geometry, dims=(16, 16, 8)).to_config()
+        for net, featurization in [(voxel, None),
+                                   (voxel, featurization_record(layout, geometry, other)),
+                                   (build_mlp_net((4,)), featurization_record(layout, geometry))]:
+            with pytest.raises(ValueError, match="featurization record"):
+                save_checkpoint(tmp_path / "checkpoint.npz", net, featurization=featurization)
+        assert not (tmp_path / "checkpoint.npz").exists()

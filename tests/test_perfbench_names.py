@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from tactile_force.cli import TRAIN_CONFIG
-from tactile_force.dataset import FLAT_INPUT_WIDTH
 from tactile_force.net import NetworkConfig, build_mlp_net, build_voxel_net
 from tactile_force.voxel import DEFAULT_DIMS, N_CHANNELS
 
@@ -93,6 +92,6 @@ def test_every_layer_of_the_benchmarked_nets_is_in_the_per_layer_split():
         names = [layer.name for layer in build_voxel_net(config, grid).layers]
         assert [name for name in names if name not in layers] == [], config
     widths = tuple(TRAIN_CONFIG["no_voxel_widths"]) + NetworkConfig().fc_widths
-    mlp = build_mlp_net(FLAT_INPUT_WIDTH, widths, layer_norm=True)
+    mlp = build_mlp_net(widths, layer_norm=True)
     families = [re.sub(r"_\d+$", "_0", layer.name) for layer in mlp.layers]
     assert set(families) <= layers

@@ -13,7 +13,7 @@ import pytest
 from solver_oracles import push_step_reference
 from geometry_oracles import contains
 from tactile_force.dataset import SampleRecord, make_dataset
-from tactile_force.errors import DataIntegrityError, NumericalError, SchemaError
+from tactile_force.errors import ConfigError, DataIntegrityError, NumericalError, SchemaError
 from tactile_force.mechanics import (
     ParticleGrid,
     PushParams,
@@ -371,6 +371,11 @@ class TestMakeDataset:
         for name in ("train", "val", "test"):
             for r in splits.split(name):
                 assert r.in_contact and np.linalg.norm(r.f_3d) > 0
+
+    def test_fractions_summing_above_one_rejected(self):
+        """Train and val fractions must leave the test split some trials."""
+        with pytest.raises(ConfigError, match="'split.train' and 'split.val' sum to 1.8"):
+            make_dataset(self._records(20), 0.9, 0.9, seed=0)
 
     def test_too_few_trials_rejected(self):
         with pytest.raises(DataIntegrityError):

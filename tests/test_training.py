@@ -24,8 +24,21 @@ from tactile_force.net import (
     save_checkpoint,
     train,
 )
-from tactile_force.net.layers import Layer
+from tactile_force.net.layers import Dense, Layer, LayerNormReLU
+from tactile_force.net.network import FLAT_INPUT_WIDTH, OUTPUT_DIM
 from tactile_force.net.training import ArraySamples
+
+
+def small_mlp(input_dim, hidden_widths, seed):
+    """The layers build_mlp_net draws from `seed`, on `input_dim` inputs:
+    the tests of training run on toy inputs narrower than the flat (e, s_c)
+    vector a built MLP reads."""
+    rng = np.random.default_rng(seed)
+    layers, dim = [], input_dim
+    for i, width in enumerate(hidden_widths):
+        layers += [Dense(dim, width, rng, name=f"fc_{i}"), LayerNormReLU((width,), name=f"ln_fc_{i}")]
+        dim = width
+    return Model(layers + [Dense(dim, OUTPUT_DIM, rng, name="fc_out")], build={})
 
 
 def make_samples(inputs, f_3d):
@@ -81,7 +94,7 @@ class TestTrain:
         samples = make_samples(inputs, forces)
         train_set = samples.take(np.arange(200))
         val_set = samples.take(np.arange(200, 250))
-        model = build_mlp_net(6, (32, 16), seed=0)
+        model = small_mlp(6, (32, 16), seed=0)
         config = TrainingConfig(
             max_epochs=50, batch_size=32, base_lr=6e-3, decay_factor=0.9995, seed=0
         )
@@ -97,7 +110,7 @@ class TestTrain:
         tr, va = samples.take(np.arange(60)), samples.take(np.arange(60, 80))
 
         def run():
-            model = build_mlp_net(5, (8,), seed=3)
+            model = small_mlp(5, (8,), seed=3)
             report = train(
                 model, tr, va, LossConfig(beta=1.0),
                 TrainingConfig(max_epochs=5, batch_size=16, seed=3),
@@ -112,7 +125,7 @@ class TestTrain:
         rng = np.random.default_rng(2)
         forces = rng.normal(size=(10, 3)) + 2.0
         samples = make_samples(forces, forces)
-        model = build_mlp_net(3, (4,), seed=0)
+        model = small_mlp(3, (4,), seed=0)
         with pytest.raises(ConfigError):
             train(
                 model, samples, samples.take(np.array([], dtype=int)),
@@ -123,7 +136,7 @@ class TestTrain:
         rng = np.random.default_rng(3)
         forces = rng.normal(size=(20, 3)) + 2.0
         samples = make_samples(forces, forces)
-        model = build_mlp_net(3, (4,), seed=0)
+        model = small_mlp(3, (4,), seed=0)
         # poison one weight so the forward pass explodes
         model.parameters()[0].value[:] = 1e308
         with pytest.raises((NumericalError, FloatingPointError)):
@@ -136,7 +149,7 @@ class TestTrain:
         rng = np.random.default_rng(3)
         forces = rng.normal(size=(20, 3)) + 2.0
         samples = make_samples(forces, forces)
-        model = build_mlp_net(3, (4,), seed=0)
+        model = small_mlp(3, (4,), seed=0)
         model.parameters()[0].value[:] = 1e308
         with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
             train(
@@ -151,7 +164,7 @@ class TestTrain:
         rng = np.random.default_rng(3)
         forces = rng.normal(size=(20, 3)) + 2.0
         samples = make_samples(forces, forces)
-        model = build_mlp_net(3, (4,), seed=0)
+        model = small_mlp(3, (4,), seed=0)
         model.layers[-1].weight.value[0, 0] = np.inf
         with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
             train(
@@ -168,7 +181,7 @@ class TestTrain:
         inputs = forces @ rng.normal(size=(4, 3)).T
         samples = make_samples(inputs, forces)
         tr, va = samples.take(np.arange(45)), samples.take(np.arange(45, 60))
-        model = build_mlp_net(4, (8,), seed=1)
+        model = small_mlp(4, (8,), seed=1)
         report = train(
             model, tr, va, LossConfig(beta=0.0),
             TrainingConfig(max_epochs=8, batch_size=16, base_lr=5e-3, seed=1),
@@ -234,10 +247,10 @@ def assert_parameters_view_buffers(model):
     model.values[...], model.grads[...] = saved, 0.0
 
 
-def tiny_training_run(model, inputs_dim, seed=0):
+def tiny_training_run(model, seed=0):
     rng = np.random.default_rng(seed)
     forces = rng.normal(size=(40, 3)) + np.array([0.0, 0.0, 2.0])
-    inputs = rng.normal(size=(40, inputs_dim))
+    inputs = rng.normal(size=(40, FLAT_INPUT_WIDTH))
     samples = make_samples(inputs, forces)
     return train(
         model, samples.take(np.arange(30)), samples.take(np.arange(30, 40)), LossConfig(),
@@ -251,25 +264,25 @@ class TestParameterBuffer:
             NetworkConfig(conv3d_channels=(2, 2), conv2d_channels=2, fc_widths=(4,)),
             input_shape=(2, 8, 8, 4),
         )
-        mlp = build_mlp_net(5, (8, 4), seed=2)
+        mlp = build_mlp_net((8, 4), seed=2)
         for model in (voxel, mlp):
             assert model.values.size == sum(p.value.size for p in model.parameters())
             assert_parameters_view_buffers(model)
         path = tmp_path / "mlp.npz"
-        save_checkpoint(path, mlp, featurization={"kind": "flat"})
+        save_checkpoint(path, mlp)
         loaded, _ = load_checkpoint(path)
         assert_parameters_view_buffers(loaded)
         np.testing.assert_array_equal(loaded.values, mlp.values)
-        tiny_training_run(loaded, 5)
+        tiny_training_run(loaded)
         assert_parameters_view_buffers(loaded)
 
     def test_loaded_model_moves_when_trained(self, tmp_path):
         path = tmp_path / "mlp.npz"
-        save_checkpoint(path, build_mlp_net(5, (8,), seed=4), featurization={"kind": "flat"})
+        save_checkpoint(path, build_mlp_net((8,), seed=4))
         model, _ = load_checkpoint(path)
-        x = np.random.default_rng(9).normal(size=(3, 5))
+        x = np.random.default_rng(9).normal(size=(3, FLAT_INPUT_WIDTH))
         before, out_before = model.values.copy(), model.forward(x)
-        tiny_training_run(model, 5, seed=1)
+        tiny_training_run(model, seed=1)
         assert np.all(np.concatenate([p.value.ravel() for p in model.parameters()]) == model.values)
         assert not np.array_equal(model.values, before)
         assert not np.array_equal(model.forward(x), out_before)
