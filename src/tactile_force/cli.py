@@ -93,7 +93,7 @@ SIMULATE_CONFIG = {
     "params": PUSH_PARAMS_CONFIG,
     "box_half_extents": BOX_HALF_EXTENTS_CONFIG,
     **GEOMETRY_CONFIG,
-    "sensor": config_tree(SensorForwardModel, exclude=("layout", "anisotropic_shear_sensitivity")),
+    "sensor": config_tree(SensorForwardModel, exclude=("layout",)),
     "sources": {
         SOURCE_PLANAR: {"trials": Count(0), "steps": PositiveCount(400), "dt": Positive(DEFAULT_DT_S),
                         "magnitude_range": tuple(map(NonNegative, DEFAULT_PUSH_MAGNITUDE_RANGE_N))},
@@ -504,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--no-alpha", action="store_true", help="disable the alignment loss weight")
     p_tr.add_argument("--config", default=None, help="training config JSON")
     p_tr.add_argument("--seed", type=int, default=None)
-    p_tr.add_argument("--log-every", type=int, default=0, help="print losses every N epochs")
+    p_tr.add_argument("--log-every", type=int, default=0, help="print losses to stderr every N epochs")
     p_tr.set_defaults(func=cmd_train)
 
     p_ev = sub.add_parser(

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NonNegative, Positive, PositiveCount, SchemaError, check_fields
 
 STATIONARY_SPEED_TOL = 1e-9  # m/s; below this a particle contributes no friction
+GRAVITY = 9.81  # m/s^2
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,6 @@ class PushParams:
     mu_s: float = NonNegative(0.1)
     n: int = PositiveCount(80)
     k: float = Positive(10.0)
-    g: float = 9.81
 
     __post_init__ = check_fields
 
@@ -148,7 +148,7 @@ class ParticleGrid:
         ys = (np.arange(ny) + 0.5) / ny * 2 * hy - hy
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         particles = np.column_stack([gx.ravel(), gy.ravel()])
-        return cls(particles=particles, per_particle_normal_force=params.m * params.g / params.n)
+        return cls(particles=particles, per_particle_normal_force=params.m * GRAVITY / params.n)
 
 
 @dataclass(frozen=True)

@@ -62,10 +62,11 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild the model from a checkpoint; returns (model, metadata dict).
 
     A voxel net is rebuilt on its featurization record's grid. A checkpoint
-    whose metadata is not the CHECKPOINT_META of its kind, with an object
-    "metadata", or whose tensors do not fit the net it records, is a
-    ConfigError naming the file and the dotted key, and so is a missing
-    file or one that is not a .npz.
+    whose metadata blob is not the JSON of the CHECKPOINT_META of its kind
+    with an object "metadata", or whose tensors are not param_0000 to
+    param_{n-1} or do not fit the net it records, is a ConfigError naming
+    the file and the dotted key, and so is a missing file or one that is
+    not a .npz.
     """
     try:
         data = np.load(path)
@@ -78,9 +79,19 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     with data:
         if "meta" not in data.files:
             raise ConfigError(f"checkpoint {path} missing field 'meta'")
-        meta = json.loads(bytes(data["meta"]).decode())
-        n_params = sum(1 for k in data.files if k.startswith("param_"))
-        state = [data[f"param_{i:04d}"] for i in range(n_params)]
+        try:
+            meta = json.loads(bytes(data["meta"]).decode())
+        except ValueError as exc:  # not UTF-8 JSON, or a pickled array
+            raise ConfigError(f"checkpoint {path}: field 'meta' is not a JSON blob: {exc}") from exc
+        names, state = [f"param_{i:04d}" for i in range(len(data.files) - 1)], []
+        for name in names:
+            if name not in data.files:
+                raise ConfigError(f"checkpoint {path}: missing tensor {name!r} of {names[0]} to "
+                                  f"{names[-1]}")
+            try:
+                state.append(data[name])
+            except ValueError as exc:  # a pickled array
+                raise ConfigError(f"checkpoint {path}: tensor {name!r}: {exc}") from exc
     try:
         kind = meta.get("kind") if isinstance(meta, dict) else None
         if kind not in CHECKPOINT_META:

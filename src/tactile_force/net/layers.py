@@ -35,7 +35,7 @@ from ..errors import SchemaError
 from ..voxel import VoxelInputs
 
 KERNEL = 2  # kernel and stride of every convolution: windows never overlap
-LAYER_NORM_EPS = 1e-5  # the default epsilon of every layer norm
+LAYER_NORM_EPS = 1e-5  # the epsilon of every layer norm
 
 
 @dataclass
@@ -251,11 +251,10 @@ class LayerNormReLU(Layer):
     mat-vecs and sums of squares and products einsums, so no pass makes a
     temporary copy of the rows."""
 
-    def __init__(self, feature_shape: tuple[int, ...], eps: float = LAYER_NORM_EPS,
-                 name: str = "ln", order: np.ndarray | None = None):
+    def __init__(self, feature_shape: tuple[int, ...], name: str = "ln",
+                 order: np.ndarray | None = None):
         self.name = name
         self.feature_shape = tuple(feature_shape)
-        self.eps = eps
         self.gain = Parameter(f"{name}.gain", np.ones(self.feature_shape))
         self.offset = Parameter(f"{name}.offset", np.zeros(self.feature_shape))
         self._order = _row_order(order)
@@ -281,7 +280,7 @@ class LayerNormReLU(Layer):
         x -= (x @ self._mean_weights)[:, None]
         inv_std = np.einsum("ij,ij->i", x, x)
         inv_std /= n
-        inv_std += self.eps
+        inv_std += LAYER_NORM_EPS
         np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
         x *= inv_std[:, None]
         self._xhat, self._inv_std = x, inv_std

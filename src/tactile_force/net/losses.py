@@ -91,8 +91,6 @@ def batch_loss_and_grad(
         known = np.isin(tags, KNOWN_SOURCES)
         if not known.all():
             raise ConfigError(f"unknown source tag {str(tags[~known][0])!r}")
-        if np.any(norm == 0.0):
-            raise SchemaError("loss undefined for zero ground-truth force")
         losses, grads = _case_loss_and_grad(
             f, diff, norm, np.asarray(s_n, dtype=float)[keep],
             np.asarray(r_wb, dtype=float)[keep], tags == SOURCE_PLANAR, config,

@@ -4,17 +4,21 @@ parameter keeping."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, Count, Fraction, NumericalError, Positive, PositiveCount, check_fields
+from ..errors import ConfigError, Fraction, NumericalError, Positive, PositiveCount, check_fields
 from ..voxel import VoxelInputs
 from .losses import LossConfig, batch_loss_and_grad
 from .network import Model
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba)
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# the learning-rate schedule's shape: epochs of warm-up, iterations per
+# doubling during it, and the floor of the decay after it
+WARMUP_EPOCHS, WARMUP_DOUBLING_ITERS, LR_FLOOR = 2, 50, 1e-8
 
 
 @dataclass(frozen=True)
@@ -22,24 +26,18 @@ class TrainingConfig:
     max_epochs: int = PositiveCount(200)
     batch_size: int = PositiveCount(512)
     base_lr: float = Positive(1e-4)
-    lr_floor: float = 1e-8
-    warmup_epochs: int = Count(2)
-    warmup_doubling_iters: int = PositiveCount(50)
     decay_factor: float = Fraction(0.95)
     seed: int = 0
 
     __post_init__ = check_fields
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 class LearningRateSchedule:
     """Warm-up then geometric decay.
 
-    While epoch < warmup_epochs the rate is base_lr * 2^ceil(i / 50) with i
-    the global iteration count; afterwards the running rate is multiplied by
-    0.95 every iteration, floored at lr_floor.
+    While epoch < WARMUP_EPOCHS the rate is base_lr * 2^ceil(i /
+    WARMUP_DOUBLING_ITERS) with i the global iteration count; afterwards the
+    rate is multiplied by decay_factor every iteration, floored at LR_FLOOR.
     """
 
     def __init__(self, config: TrainingConfig):
@@ -51,12 +49,10 @@ class LearningRateSchedule:
         """Advance one iteration and return the rate to use for it."""
         self._iteration += 1
         cfg = self.config
-        if epoch < cfg.warmup_epochs:
-            self._rate = cfg.base_lr * 2.0 ** math.ceil(
-                self._iteration / cfg.warmup_doubling_iters
-            )
+        if epoch < WARMUP_EPOCHS:
+            self._rate = cfg.base_lr * 2.0 ** math.ceil(self._iteration / WARMUP_DOUBLING_ITERS)
         else:
-            self._rate = max(self._rate * cfg.decay_factor, cfg.lr_floor)
+            self._rate = max(self._rate * cfg.decay_factor, LR_FLOOR)
         return self._rate
 
     @property
@@ -205,7 +201,7 @@ def train(
             print(
                 f"epoch {epoch + 1}/{config.max_epochs} "
                 f"train {report.train_losses[-1]:.5f} val {val_loss:.5f} "
-                f"lr {schedule.rate:.2e}"
+                f"lr {schedule.rate:.2e}", file=sys.stderr
             )
 
     model.values[...] = best

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SampleRecord
-from .errors import NonNegative, NumericalError, Positive, SchemaError, check_fields
+from .errors import NonNegative, NumericalError, SchemaError, check_fields
 from .mechanics import (
     ParticleGrid,
     PlanarMotion,
@@ -261,17 +261,18 @@ class SensorForwardModel:
     """
 
     layout: ElectrodeLayout
-    gain: float = 10.0
-    decay_length: float = Positive(0.007)
-    normal_sensitivity: float = 0.5
-    shear_sensitivity: float = 0.1
-    directional_shear_sensitivity: float = 0.5
-    anisotropic_shear_sensitivity: float = 2.5
     noise_scale: float = NonNegative(0.0)
 
     def __post_init__(self):
         check_fields(self)
         object.__setattr__(self, "_tangents", electrode_tangents(self.layout))
+
+
+# The stand-in sensor's response, fixed like the hardware it stands for: the
+# gain, the kernel's decay length (m) and the weights of the four features
+SENSOR_GAIN, DECAY_LENGTH_M = 10.0, 0.007
+NORMAL_SENSITIVITY, SHEAR_SENSITIVITY = 0.5, 0.1
+DIRECTIONAL_SHEAR_SENSITIVITY, ANISOTROPIC_SHEAR_SENSITIVITY = 0.5, 2.5
 
 
 def sensor_forward(
@@ -284,7 +285,7 @@ def sensor_forward(
     f = np.asarray(f_3d, dtype=float)
     n = contact.s_n
     offsets = model.layout.positions - contact.s_c[None, :]
-    weights = np.exp(-np.sum(offsets**2, axis=1) / model.decay_length**2)
+    weights = np.exp(-np.sum(offsets**2, axis=1) / DECAY_LENGTH_M**2)
 
     normal_feat = -float(f @ n)
     shear_vec = f - float(f @ n) * n
@@ -295,11 +296,11 @@ def sensor_forward(
     t_hat = np.zeros_like(tangential)
     t_hat[safe] = tangential[safe] / t_norms[safe, None]
 
-    e = model.gain * weights * (
-        model.normal_sensitivity * normal_feat
-        + model.shear_sensitivity * shear_mag
-        + model.directional_shear_sensitivity * (t_hat @ shear_vec)
-        + model.anisotropic_shear_sensitivity * (model._tangents @ shear_vec)
+    e = SENSOR_GAIN * weights * (
+        NORMAL_SENSITIVITY * normal_feat
+        + SHEAR_SENSITIVITY * shear_mag
+        + DIRECTIONAL_SHEAR_SENSITIVITY * (t_hat @ shear_vec)
+        + ANISOTROPIC_SHEAR_SENSITIVITY * (model._tangents @ shear_vec)
     )
     if rng is not None and model.noise_scale > 0:
         e = e + rng.normal(scale=model.noise_scale, size=e.shape)

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayoutCollisionError, OutOfBoundsError, Required, SchemaError, read_config
+from .errors import (
+    LayoutCollisionError, OutOfBoundsError, PositiveCount, Required, SchemaError, read_config,
+)
 from .sensor import N_ELECTRODES, ElectrodeLayout, SurfaceGeometry
 
 DEFAULT_DIMS = (8, 8, 4)
@@ -25,7 +27,7 @@ CHANNEL_CONTACT = 1
 N_CHANNELS = 2
 
 # a grid record: its dims and the box they cover
-GRID_RECORD = {"dims": Required((0, 0, 0)),
+GRID_RECORD = {"dims": Required(tuple(map(PositiveCount, DEFAULT_DIMS))),
                "bounds": {"min": Required((0.0, 0.0, 0.0)), "max": Required((0.0, 0.0, 0.0))}}
 
 

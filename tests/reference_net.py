@@ -203,9 +203,9 @@ class ReferenceReLU(ReLU):
 
 def unfused(layer: LayerNormReLU) -> list[Layer]:
     """The ReferenceLayerNorm and ReferenceReLU pair that `layer` fuses,
-    with its names, row order and epsilon and fresh parameters."""
+    with its names and row order, LAYER_NORM_EPS and fresh parameters."""
     order = np.arange(math.prod(layer.feature_shape))[layer._order]
-    return [ReferenceLayerNorm(layer.feature_shape, layer.eps, layer.name, order),
+    return [ReferenceLayerNorm(layer.feature_shape, LAYER_NORM_EPS, layer.name, order),
             ReferenceReLU(name=layer.name.replace("ln_", "relu_", 1))]
 
 

@@ -12,6 +12,7 @@ from solver_oracles import _solve_grid, _solve_iterative
 from tactile_force.baselines import linear_fit, linear_predict
 from tactile_force.dataset import make_dataset, featurize_voxel, SampleRecord
 from tactile_force.mechanics import (
+    GRAVITY,
     ParticleGrid,
     PushParams,
     force_targets,
@@ -321,7 +322,7 @@ class TestCriterion6FrictionSymmetries:
         assert abs(n_trans) < 1e-9
 
         rng = np.random.default_rng(606)
-        limit = params.mu_s * params.m * params.g
+        limit = params.mu_s * params.m * GRAVITY
         worst = 0.0
         for _ in range(10_000):
             motion = PlanarMotion(

@@ -142,6 +142,8 @@ class TestSimulate:
         "params.mu",
         "geometry.radius",
         "sensor.gian",
+        "sensor.gain",
+        "params.g",
         "sources.rigid-ft",
         "sources.planar_pushing.step",
         "sources.rigid_ft.samples_per_trail",
@@ -340,6 +342,7 @@ class TestInfer:
             ("row", "t", "1,2", 3),
             ("row", "t", [3, 4], 3),
             ("params", "mu", 0.0, 2),
+            ("params", "g", 9.81, 2),
         ],
     )
     def test_bad_input_exits_2_or_3_naming_file_and_field(
@@ -486,6 +489,49 @@ class TestTrainEval:
         summary = json.loads((eval_dir / "summary.json").read_text())
         assert summary["overall"]["direction_pct"]["median"] == 0.0
         assert summary["overall"]["magnitude_pct"]["median"] == 0.0
+
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--model-kind", "oracle", "--sources", "rigid-ft"], 0, ""),
+        (["--model-kind", "oracle", "--split", "holdout"], 2, "config error: unknown split 'holdout'"),
+        (["--model-kind", "oracle", "--sources", "ball-ft"], 3,
+         "data error: no samples in split 'test' for ball-ft"),
+        (["--model-kind", "linear"], 2, "config error: --model is required for --model-kind linear"),
+    ])
+    def test_eval_scores_one_source_and_rejects_what_it_cannot_score(
+        self, sim_dir, tmp_path, capsys, flags, code, message
+    ):
+        """--sources scores one source alone; an unknown split, a source the
+        split holds no sample of, and a model kind without its --model are
+        errors that write nothing. The test split here has no ball trials."""
+        manifest = sim_dir / "dataset_manifest.json"
+        data = json.loads(manifest.read_text())
+        data["splits"]["test"] = [t for t in data["splits"]["test"] if not t.startswith("ball_ft")]
+        manifest.write_text(json.dumps(data))
+        eval_dir = tmp_path / "e"
+        capsys.readouterr()
+        assert exit_code(["eval", "--manifest", manifest, *flags, "--out", eval_dir]) == code
+        assert capsys.readouterr().err.startswith(message)
+        if code:
+            assert not eval_dir.exists()
+            return
+        rigid = [r for r in load_manifest_splits(manifest)[0]["test"] if r.source_tag == "rigid_ft"]
+        assert per_sample_rows(eval_dir) == scored_rows(rigid, np.stack([r.f_3d for r in rigid]))
+        assert list(json.loads((eval_dir / "summary.json").read_text())["per_source"]) == ["rigid_ft"]
+
+    def test_log_every_prints_progress_to_stderr(self, sim_dir, tmp_path, capsys):
+        """Each logged epoch is a line on stderr; stdout keeps only the
+        closing line."""
+        config = write_config(tmp_path / "train.json", TINY_TRAIN_CONFIG)
+        capsys.readouterr()
+        assert run(["train", "--manifest", sim_dir / "dataset_manifest.json", "--out", tmp_path / "m",
+                    "--config", config, "--log-every", "1"]) == 0
+        captured = capsys.readouterr()
+        epochs = TINY_TRAIN_CONFIG["training"]["max_epochs"]
+        progress = captured.err.splitlines()
+        assert len(progress) == epochs
+        for i, line in enumerate(progress, 1):
+            assert re.fullmatch(rf"epoch {i}/{epochs} train \S+ val \S+ lr \S+", line), line
+        assert len(captured.out.splitlines()) == 1 and captured.out.startswith("train: best val loss")
 
     def test_custom_layout_file(self, tmp_path):
         from tactile_force.sensor import default_electrode_layout
@@ -681,7 +727,7 @@ class TestSelfDescribingModels:
     @pytest.mark.parametrize("model, dotted, value, named", [
         ("voxel", "featurization.grid.dims", ["8", 8, 4], "field 'featurization.grid.dims[0]'"),
         ("voxel", "featurization.layout", {"positions": []}, "field 'featurization.layout.positions'"),
-        ("voxel", "featurization.grid.dims", [0, 8, 4], "dims must be three positive counts"),
+        ("voxel", "featurization.grid.dims", [0, 8, 4], "field 'featurization.grid.dims[0]'"),
         ("voxel", "kind", "dense", "field 'kind'"),
         ("voxel", "args", None, "missing field 'args'"),
         ("voxel", "args", 5, "field 'args' must be an object"),
@@ -708,6 +754,12 @@ class TestSelfDescribingModels:
         ("mlp-baseline", "args.input_dim", 22, "unknown key 'args.input_dim'"),
         ("mlp-baseline", "args.layer_norm_eps", 1e-5, "unknown key 'args.layer_norm_eps'"),
         ("mlp-baseline", "featurization", {"kind": "flat"}, "unknown key 'featurization'"),
+        # entries of the archive ("npz:"): the blob itself, and a tensor
+        ("voxel", "npz:meta", np.frombuffer(b"{not json", np.uint8),
+         "field 'meta' is not a JSON blob"),
+        ("mlp-baseline", "npz:param_0001", None, "missing tensor 'param_0001'"),
+        ("mlp-baseline", "npz:param_0001", np.array([{}], dtype=object),
+         "tensor 'param_0001': Object arrays cannot be loaded"),
     ])
     def test_malformed_checkpoint_record_exits_2_naming_file_and_key(
         self, sim_dir, tmp_path, capsys, model, dotted, value, named
@@ -721,7 +773,17 @@ class TestSelfDescribingModels:
             else:
                 meta.update(with_value(meta, dotted, value))
 
-        rewrite_checkpoint_meta(path, damage)
+        def damage_archive(arrays):
+            name = dotted.removeprefix("npz:")
+            if value is None:
+                arrays.pop(name)
+            else:
+                arrays[name] = value
+
+        if dotted.startswith("npz:"):
+            rewrite_checkpoint(path, damage_archive)
+        else:
+            rewrite_checkpoint_meta(path, damage)
         capsys.readouterr()
         code, eval_dir = self.evaluate(sim_dir, tmp_path, path)
         assert code == 2
@@ -847,15 +909,23 @@ class TestReadme:
         read_config(json.loads((PERFBENCH / "cli_train.json").read_text()), cli.TRAIN_CONFIG)
 
 
-def rewrite_checkpoint_meta(path, edit):
-    """Apply edit, in place, to the metadata blob of the checkpoint at path."""
+def rewrite_checkpoint(path, edit):
+    """Apply edit, in place, to the arrays of the checkpoint at path, by name."""
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    edit(meta)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    edit(arrays)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+def rewrite_checkpoint_meta(path, edit):
+    """Apply edit, in place, to the metadata blob of the checkpoint at path."""
+    def edit_blob(arrays):
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        edit(meta)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+    rewrite_checkpoint(path, edit_blob)
 
 
 def with_value(config: dict, dotted: str, value) -> dict:
@@ -882,6 +952,7 @@ class TestConfigValueTypes:
     @pytest.mark.parametrize("dotted, value", [
         ("network.layer_norm_eps", 1e-5),
         ("loss.magnitude_floor", 0.01),
+        ("training.warmup_epochs", 2),
         ("loss.mode", "case_by_source"),
     ])
     def test_key_of_a_constant_exits_2_naming_file_and_key(
@@ -903,7 +974,7 @@ class TestConfigValueTypes:
         ("simulate", "sources.planar_pushing.steps", 150.0),
         ("simulate", "sources.rigid_ft.trials", True),
         ("simulate", "sources.ball_ft.samples_per_trial", 2.5),
-        ("simulate", "sensor.gain", "x"),
+        ("simulate", "sensor.noise_scale", "x"),
         ("simulate", "geometry.radius_m", "x"),
         ("simulate", "sources.ball_ft.cap_only", 1),
         ("train", "training.batch_size", "x"),
@@ -912,13 +983,13 @@ class TestConfigValueTypes:
         ("train", "loss.beta", "x"),
         ("train", "loss.beta", True),
         ("train", "seed", "x"),
-        ("simulate", "sensor.gain", float("nan")),
+        ("simulate", "sensor.noise_scale", float("nan")),
         ("simulate", "sources.rigid_ft.force_range", [float("nan"), 1.0]),
         ("simulate", "split.train", float("inf")),
         ("train", "training.base_lr", float("nan")),
         ("simulate", "split.train", 1.5),
         ("simulate", "split.val", -3),
-        ("simulate", "sensor.gain", 10**400),  # too large for a float
+        ("simulate", "sensor.noise_scale", 10**400),  # too large for a float
         ("simulate", "sources.rigid_ft.trials", 10**400),
         # values the code divides by, or sizes arrays with
         ("train", "network.conv3d_channels", [0, 2]),
@@ -927,12 +998,9 @@ class TestConfigValueTypes:
         ("train", "network.fc_widths", [0]),
         ("train --no-voxel", "no_voxel_widths", [0]),
         ("train --model mlp-baseline", "mlp.hidden_widths", []),
-        ("train", "training.warmup_doubling_iters", 0),
-        ("train", "training.warmup_epochs", -1),
         ("train", "training.batch_size", 0),
         ("train", "training.base_lr", 0),
         ("train", "training.decay_factor", 1.5),
-        ("simulate", "sensor.decay_length", 0),
         ("simulate", "sensor.noise_scale", -0.05),
         ("simulate", "geometry.radius_m", -1),
         ("simulate", "geometry.half_cylinder_length_m", -0.001),
@@ -998,7 +1066,7 @@ class TestFeaturizationErrors:
         ("grid.dims", ["8", 8, 4], "field 'grid.dims[0]'"),
         ("grid.bounds.min", "x", "field 'grid.bounds.min'"),
         ("grid.bounds.max", [0.1, 0.1], "field 'grid.bounds.max'"),
-        ("grid.dims", [8, 8, 0], "grid: dims must be three positive counts"),
+        ("grid.dims", [8, 8, 0], "field 'grid.dims[2]'"),
         ("grid.cells", 3, "unknown key 'grid.cells'"),
     ])
     def test_malformed_grid_exits_2_naming_config_and_key(self, sim_dir, tmp_path, capsys, dotted,

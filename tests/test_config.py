@@ -138,8 +138,7 @@ BLOCKS = [
     (cli.TRAIN_CONFIG["training"], TrainingConfig, {}, {"seed"}),
     (cli.TRAIN_CONFIG["network"], NetworkConfig, {}, {"seed"}),
     (cli.TRAIN_CONFIG["loss"], LossConfig, {}, {"mode"}),
-    (cli.SIMULATE_CONFIG["sensor"], SensorForwardModel, {},
-     {"layout", "anisotropic_shear_sensitivity"}),
+    (cli.SIMULATE_CONFIG["sensor"], SensorForwardModel, {}, {"layout"}),
     (cli.SIMULATE_CONFIG["params"], PushParams, {}, set()),
     (cli.SIMULATE_CONFIG["geometry"], SurfaceGeometry,
      {"r": "radius_m", "half_cylinder_length": "half_cylinder_length_m"}, set()),

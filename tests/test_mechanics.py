@@ -20,6 +20,7 @@ from solver_oracles import (
 from tactile_force.cli import _read_push_params
 from tactile_force.errors import ConfigError
 from tactile_force.mechanics import (
+    GRAVITY,
     ParticleGrid,
     PlanarMotion,
     PushParams,
@@ -34,7 +35,7 @@ from tactile_force.synthetic import DEFAULT_BOX_HALF_EXTENTS_M, box_inertia
 
 def four_particle_friction_oracle(positions, motion, params):
     """Direct per-particle summation of the friction force and moment."""
-    scale = params.mu_s * params.m * params.g / len(positions)
+    scale = params.mu_s * params.m * GRAVITY / len(positions)
     c, s = math.cos(motion.theta), math.sin(motion.theta)
     force = np.zeros(2)
     moment = 0.0
@@ -108,7 +109,7 @@ class TestParticleGrid:
         params = PushParams(m=0.65, inertia=0.005, n=80)
         grid = ParticleGrid.uniform_rectangle((0.1, 0.075), params)
         total = grid.per_particle_normal_force * grid.n
-        np.testing.assert_allclose(total, params.m * params.g, rtol=1e-9)
+        np.testing.assert_allclose(total, params.m * GRAVITY, rtol=1e-9)
 
     def test_param_validation(self):
         with pytest.raises(ConfigError, match="'m'"):
@@ -120,7 +121,7 @@ class TestParticleGrid:
 
     def test_params_reader_takes_class_defaults_and_rejects_other_keys(self):
         # a params file as simulate writes it carries the box half extents
-        params = PushParams(m=0.65, inertia=0.0034, mu_s=0.2, n=16, k=5.0, g=9.8)
+        params = PushParams(m=0.65, inertia=0.0034, mu_s=0.2, n=16, k=5.0)
         blob = {**dataclasses.asdict(params), "box_half_extents": [0.1, 0.075]}
         assert _read_push_params("params", blob) == (params, (0.1, 0.075))
         assert _read_push_params("params", {"m": 0.65, "inertia": 0.0034}) == (
@@ -137,6 +138,7 @@ class TestParticleGrid:
             ({"m": "0.65", "inertia": True}, "'m'"),
             ({"m": 0.65, "inertia": True}, "'inertia'"),
             ({"m": 1.0, "mu": 0.0}, "'mu'"),
+            ({"m": 1.0, "g": 9.81}, "unknown key 'g'"),
             ({"m": float("nan")}, "'m'"),
             ({"m": 1.0, "box_half_extents": [0.1]}, "'box_half_extents'"),
         ):
@@ -202,7 +204,7 @@ class TestFriction:
         rng = np.random.default_rng(5)
         params = PushParams(m=0.8, inertia=0.004, mu_s=0.25, n=36)
         grid = ParticleGrid.uniform_rectangle((0.09, 0.05), params)
-        limit = params.mu_s * params.m * params.g
+        limit = params.mu_s * params.m * GRAVITY
         for _ in range(200):
             motion = make_motion(
                 v=rng.normal(size=2), omega=rng.normal(), theta=rng.normal()
@@ -240,7 +242,7 @@ def grid_and_params(draw):
     cells = draw(st.lists(st.tuples(st.integers(-150, 150), st.integers(-150, 150)),
                           min_size=n, max_size=n))
     grid = ParticleGrid(particles=1e-3 * np.array(cells, dtype=float),
-                        per_particle_normal_force=params.m * params.g / n)
+                        per_particle_normal_force=params.m * GRAVITY / n)
     return grid, params
 
 
@@ -252,7 +254,7 @@ class TestComplexKernel:
     def assert_matches_reference(grid, motion, params):
         got = friction_wrench(grid, motion, params)
         want = friction_wrench_reference(grid, motion, params)
-        tol = 1e-12 * params.mu_s * params.m * params.g
+        tol = 1e-12 * params.mu_s * params.m * GRAVITY
         assert got.static == want.static
         assert np.abs(got.force - want.force).max() <= tol
         assert abs(got.moment - want.moment) <= tol

@@ -26,7 +26,7 @@ from tactile_force.net import (
 )
 from tactile_force.net.layers import Dense, Layer, LayerNormReLU
 from tactile_force.net.network import FLAT_INPUT_WIDTH, OUTPUT_DIM
-from tactile_force.net.training import ArraySamples
+from tactile_force.net.training import LR_FLOOR, ArraySamples
 
 
 def small_mlp(input_dim, hidden_widths, seed):
@@ -77,11 +77,11 @@ class TestSchedule:
         assert math.isclose(second, rate_end * 0.95**2)
 
     def test_floor(self):
-        sched = LearningRateSchedule(TrainingConfig(base_lr=1e-4, lr_floor=1e-8))
+        sched = LearningRateSchedule(TrainingConfig(base_lr=1e-4))
         sched.step(epoch=0)
         for _ in range(600):
             rate = sched.step(epoch=5)
-        assert rate == 1e-8
+        assert rate == LR_FLOOR
 
 
 class TestTrain:
