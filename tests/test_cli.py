@@ -143,6 +143,11 @@ class TestSimulate:
         "geometry.radius",
         "sensor.gian",
         "sensor.gain",
+        "sensor.decay_length",
+        "sensor.normal_sensitivity",
+        "sensor.shear_sensitivity",
+        "sensor.directional_shear_sensitivity",
+        "sensor.anisotropic_shear_sensitivity",
         "params.g",
         "sources.rigid-ft",
         "sources.planar_pushing.step",
@@ -953,6 +958,8 @@ class TestConfigValueTypes:
         ("network.layer_norm_eps", 1e-5),
         ("loss.magnitude_floor", 0.01),
         ("training.warmup_epochs", 2),
+        ("training.warmup_doubling_iters", 50),
+        ("training.lr_floor", 1e-8),
         ("loss.mode", "case_by_source"),
     ])
     def test_key_of_a_constant_exits_2_naming_file_and_key(

@@ -164,7 +164,57 @@ class TestSimulatePush:
         assert episode.static_flags.any() and not episode.static_flags.all()
 
 
+# the stand-in sensor's response constants, each read by sensor_forward
+RESPONSE = ("SENSOR_GAIN", "DECAY_LENGTH_M", "NORMAL_SENSITIVITY", "SHEAR_SENSITIVITY",
+            "DIRECTIONAL_SHEAR_SENSITIVITY", "ANISOTROPIC_SHEAR_SENSITIVITY")
+
+
+def reading_by_electrode(layout, contact, f, response):
+    """SensorForwardModel's documented map, one electrode at a time, with
+    the response values in `response` (keyed by RESPONSE's names)."""
+    n = contact.s_n
+    normal = -float(f @ n)
+    shear = f - float(f @ n) * n
+    e = np.zeros(len(layout.positions))
+    for i, (p, axis) in enumerate(zip(layout.positions, synthetic.electrode_tangents(layout))):
+        offset = p - contact.s_c
+        tangential = offset - float(offset @ n) * n
+        length = np.linalg.norm(tangential)
+        toward = tangential / length if length > 1e-12 else np.zeros(3)
+        kernel = math.exp(-float(offset @ offset) / response["DECAY_LENGTH_M"] ** 2)
+        e[i] = response["SENSOR_GAIN"] * kernel * (
+            response["NORMAL_SENSITIVITY"] * normal
+            + response["SHEAR_SENSITIVITY"] * np.linalg.norm(shear)
+            + response["DIRECTIONAL_SHEAR_SENSITIVITY"] * float(toward @ shear)
+            + response["ANISOTROPIC_SHEAR_SENSITIVITY"] * float(axis @ shear)
+        )
+    return e
+
+
 class TestSensorForward:
+    @pytest.mark.parametrize("name", RESPONSE)
+    def test_each_response_constant_weights_its_own_term(self, forward_model, monkeypatch, name):
+        """The reading follows the documented map at the module's response
+        constants, and still does with any one of them changed: each
+        constant is read in its own place, and each one matters."""
+        layout = forward_model.layout
+        response = {key: getattr(synthetic, key) for key in RESPONSE}
+        changed = {**response, name: 1.7 * response[name]}
+        rng = np.random.default_rng(31)
+        for idx in (0, 6, 13):
+            contact = ContactState(s_c=layout.positions[idx] + 1e-3 * rng.normal(size=3),
+                                   s_n=layout.normals[idx])
+            f = -contact.s_n + 0.6 * rng.normal(size=3)
+            before = sensor_forward(forward_model, contact, f)
+            np.testing.assert_allclose(
+                before, reading_by_electrode(layout, contact, f, response), rtol=1e-12, atol=1e-15)
+            with monkeypatch.context() as patch:
+                patch.setattr(synthetic, name, changed[name])
+                after = sensor_forward(forward_model, contact, f)
+            np.testing.assert_allclose(
+                after, reading_by_electrode(layout, contact, f, changed), rtol=1e-12, atol=1e-15)
+            assert np.abs(after - before).max() > 1e-6
+
     def test_zero_force_zero_reading(self, forward_model):
         contact = ContactState(
             s_c=np.array([0.007, 0.0, 0.0075]), s_n=np.array([1.0, 0.0, 0.0])

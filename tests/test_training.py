@@ -26,7 +26,9 @@ from tactile_force.net import (
 )
 from tactile_force.net.layers import Dense, Layer, LayerNormReLU
 from tactile_force.net.network import FLAT_INPUT_WIDTH, OUTPUT_DIM
-from tactile_force.net.training import LR_FLOOR, ArraySamples
+from tactile_force.net.training import (
+    LR_FLOOR, WARMUP_DOUBLING_ITERS, WARMUP_EPOCHS, ArraySamples,
+)
 
 
 def small_mlp(input_dim, hidden_widths, seed):
@@ -75,6 +77,21 @@ class TestSchedule:
         second = sched.step(epoch=2)
         assert math.isclose(first, rate_end * 0.95)
         assert math.isclose(second, rate_end * 0.95**2)
+
+    @pytest.mark.parametrize("epoch", range(WARMUP_EPOCHS + 1))
+    def test_warmup_lasts_warmup_epochs(self, epoch):
+        """Every epoch before WARMUP_EPOCHS doubles the rate each
+        WARMUP_DOUBLING_ITERS iterations; the first one after decays it."""
+        config = TrainingConfig(base_lr=1e-4, decay_factor=0.9)
+        sched = LearningRateSchedule(config)
+        for _ in range(WARMUP_DOUBLING_ITERS + 1):
+            previous = sched.step(epoch=0)
+        rate = sched.step(epoch=epoch)
+        if epoch < WARMUP_EPOCHS:
+            assert math.isclose(rate, config.base_lr * 2.0 ** math.ceil(
+                (WARMUP_DOUBLING_ITERS + 2) / WARMUP_DOUBLING_ITERS))
+        else:
+            assert math.isclose(rate, previous * config.decay_factor)
 
     def test_floor(self):
         sched = LearningRateSchedule(TrainingConfig(base_lr=1e-4))
