@@ -1,12 +1,12 @@
-"""Reference models: the per-axis linear electrode model and an MLP baseline.
+"""The per-axis linear electrode model, the reference the learned models
+are compared against.
 
 The linear model predicts each force axis as a scale factor times the
 electrode-weighted sum of electrode orientations along that axis; the scale
-factors are fit by per-axis least squares through the origin. The MLP
-baseline stands in for earlier feed-forward approaches whose exact internals
-are not published; it is a plain fully connected regressor on (e, s_c)
-trained with an unweighted squared-error loss and is labeled "MLP-baseline"
-in reports.
+factors are fit by per-axis least squares through the origin. The other
+baseline, the MLP that stands in for earlier feed-forward approaches, is a
+network: net.network.build_mlp_net builds it, and `train --model
+mlp-baseline` trains it with an unweighted squared-error loss.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def linear_fit(
     e_samples = np.asarray(e_samples, dtype=float)
     f_samples = np.asarray(f_samples, dtype=float)
     if e_samples.ndim != 2 or f_samples.shape != (e_samples.shape[0], 3):
-        raise SchemaError("expected (n, 19) electrode samples and (n, 3) forces")
+        raise SchemaError(f"expected (n, {N_ELECTRODES}) electrode samples and (n, 3) forces")
     if e_samples.shape[0] < 3:
         raise DegenerateInputError(
             f"need at least 3 samples to fit, got {e_samples.shape[0]}"

@@ -38,8 +38,8 @@ from .dataset import (
     write_samples_jsonl,
 )
 from .errors import (
-    ConfigError, Count, DataIntegrityError, Fraction, NonNegative, Positive, PositiveCount, Required,
-    SchemaError, TactileForceError, config_tree, read_config,
+    ConfigError, Count, DataIntegrityError, Fraction, Items, NonNegative, Positive, PositiveCount,
+    Required, SchemaError, TactileForceError, config_tree, read_config,
 )
 from .files import write_text_atomic
 from .mechanics import (
@@ -61,6 +61,7 @@ from .net import (
     train,
 )
 from .net.losses import KNOWN_SOURCES, SOURCE_BALL_FT, SOURCE_PLANAR, SOURCE_RIGID_FT
+from .net.training import FORWARD_BATCH_SIZE
 from .sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
 from .synthetic import (
     DEFAULT_BOX_HALF_EXTENTS_M,
@@ -113,8 +114,8 @@ TRAIN_CONFIG = {
     "network": config_tree(NetworkConfig, exclude=("seed",)),
     "training": config_tree(TrainingConfig, exclude=("seed",)),
     "loss": config_tree(LossConfig, exclude=("mode",)),
-    "mlp": {"hidden_widths": [PositiveCount(64)] * 2},
-    "no_voxel_widths": [PositiveCount(64)] * 4,
+    "mlp": {"hidden_widths": Items((PositiveCount(64),) * 2)},
+    "no_voxel_widths": Items((PositiveCount(64),) * 4),
     "grid": None,
     **GEOMETRY_CONFIG,
 }
@@ -317,6 +318,7 @@ def cmd_train(args) -> tuple[Path, list[str]]:
     try:
         net_cfg, train_cfg, loss_cfg = _train_configs(config, seed)
         featurization = featurization_record(layout, geometry, config["grid"]) if voxel else None
+        featurize = featurizer(featurization)
         if args.model == MODEL_MLP_BASELINE:
             model = build_mlp_net(tuple(config["mlp"]["hidden_widths"]), seed=seed, layer_norm=False)
             loss_cfg = dataclasses.replace(loss_cfg, beta=0.0, mode="plain_l2")
@@ -339,7 +341,6 @@ def cmd_train(args) -> tuple[Path, list[str]]:
         print(f"train: fitted linear model S={model.scale.tolist()} -> {out_dir}")
         return out_dir, ["linear_model.json"]
 
-    featurize = featurizer(featurization)
     train_samples = featurize(train_records)
     val_samples = featurize(val_records)
     report = train(model, train_samples, val_samples, loss_cfg, train_cfg,
@@ -375,9 +376,6 @@ def cmd_train(args) -> tuple[Path, list[str]]:
     return out_dir, ["checkpoint.npz", "curves.csv"]
 
 
-PREDICT_CHUNK = 512  # samples per forward pass at eval
-
-
 def _predict_records(records, model_kind, model_path):
     """Predictions for the records, with features built only from what the
     model file records about its own inputs."""
@@ -394,8 +392,8 @@ def _predict_records(records, model_kind, model_path):
     except (ConfigError, SchemaError) as exc:
         raise ConfigError(f"checkpoint {model_path}: {exc}") from exc
     samples = featurize(records)
-    preds = [model.forward(samples.inputs[start : start + PREDICT_CHUNK])
-             for start in range(0, len(records), PREDICT_CHUNK)]
+    preds = [model.forward(samples.inputs[start : start + FORWARD_BATCH_SIZE])
+             for start in range(0, len(records), FORWARD_BATCH_SIZE)]
     return np.concatenate(preds, axis=0), {"kind": meta["kind"], **meta["metadata"]}
 
 

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConfigError, DataIntegrityError, LayoutCollisionError, OutOfBoundsError, Required, SchemaError,
-    read_config,
+    ConfigError, DataIntegrityError, Items, LayoutCollisionError, OutOfBoundsError, Required,
+    SchemaError, read_config,
 )
 from .files import atomic_open, write_text_atomic
 from .net.losses import KNOWN_SOURCES
@@ -32,7 +32,8 @@ SPLIT_NAMES = ("train", "val", "test")
 DEFAULT_TRAIN_FRAC = 0.8
 DEFAULT_VAL_FRAC = 0.1
 # a split manifest: the samples file and the trial ids of each split
-MANIFEST_RECORD = {"samples_file": Required(""), "splits": {name: Required([""]) for name in SPLIT_NAMES},
+MANIFEST_RECORD = {"samples_file": Required(""),
+                   "splits": {name: Required(Items(("",))) for name in SPLIT_NAMES},
                    "seed": None, "counts": None, "n_filtered_out": None}
 
 
@@ -304,27 +305,29 @@ def featurization_record(
     grid (the `grid` config if given, else the grid covering `geometry`)
     and the electrode layout whose cells the values fill. Geometry reaches
     the inputs only through those two, so it is not stored. A malformed
-    grid, or one that puts an electrode out of bounds or two in one cell, is
-    a ConfigError.
+    grid is a ConfigError; whether the layout fits it is featurizer's check.
     """
     try:
         spec = GridSpec.from_config(grid) if grid is not None else GridSpec.for_geometry(geometry)
-        electrode_cells(layout, spec)
     except SchemaError as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    except (OutOfBoundsError, LayoutCollisionError) as exc:
-        raise ConfigError(f"grid does not fit the electrode layout: {exc}") from exc
     return {"grid": spec.to_config(), "layout": layout.to_dict()}
 
 
 def featurizer(record: dict | None) -> Callable[[list[SampleRecord]], ArraySamples]:
-    """The featurize call of a checkpoint's featurization record, whose keys
-    load_checkpoint has read: featurize_voxel on its grid and layout, or for
-    an MLP, which has none, featurize_flat."""
+    """The featurize call of a featurization record, whose keys
+    featurization_record wrote or load_checkpoint has read: featurize_voxel
+    on its grid and layout, or for an MLP, which has none, featurize_flat.
+    A grid that puts an electrode out of bounds or two in one cell is a
+    ConfigError."""
     if record is None:
         return featurize_flat
     layout = ElectrodeLayout.from_dict(record["layout"], "featurization.layout")
     spec = GridSpec.from_config(record["grid"], "featurization.grid")
+    try:
+        electrode_cells(layout, spec)
+    except (OutOfBoundsError, LayoutCollisionError) as exc:
+        raise ConfigError(f"grid does not fit the electrode layout: {exc}") from exc
     return lambda records: featurize_voxel(records, layout, spec)
 
 

@@ -73,23 +73,13 @@ class PositiveCount(int):
 
 
 class Items(tuple):
-    """A dataclass default whose field may hold any number of items, but at
-    least `least`, each passing against the default's first item; a config
-    tree holds it as an ItemList."""
+    """A default whose field may hold any number of items, but at least
+    `least`, each passing against the default's first item."""
 
     def __new__(cls, items, least: int = 0):
         self = super().__new__(cls, items)
         self.least = least
         return self
-
-
-class ItemList(list):
-    """The config-tree form of an Items default: a list default whose
-    field must hold at least `least` items."""
-
-    def __init__(self, items, least: int):
-        super().__init__(items)
-        self.least = least
 
 
 class Required:
@@ -141,8 +131,8 @@ def check_config_value(name: str, value, default) -> None:
     for a Positive default, at least 0 for a NonNegative, in [0, 1] for a
     Fraction), and a Count or PositiveCount be an integer of at least 0 or
     1. A sequence default takes a list whose items each pass against the
-    default's first item: a list default one of any length, but at least an
-    ItemList's `least`, and a tuple default one of its length."""
+    default's first item: an Items default one of any length, but at least
+    its `least`, and any other one of the default's length."""
     for kind, what, accepts in _KINDS:
         if isinstance(default, kind):
             if not accepts(value):
@@ -150,9 +140,10 @@ def check_config_value(name: str, value, default) -> None:
             return
     if isinstance(value, (str, dict)) or not hasattr(value, "__len__"):
         raise ConfigError(f"field {name!r} must be a list, got {value!r}")
-    if isinstance(default, ItemList) and len(value) < default.least:
-        raise ConfigError(f"field {name!r} must hold at least {default.least} item(s), got {value!r}")
-    if isinstance(default, tuple) and len(value) != len(default):
+    if isinstance(default, Items):
+        if len(value) < default.least:
+            raise ConfigError(f"field {name!r} must hold at least {default.least} item(s), got {value!r}")
+    elif len(value) != len(default):
         raise ConfigError(f"field {name!r} must hold {len(default)} items, got {value!r}")
     for i, item in enumerate(value):
         check_config_value(f"{name}[{i}]", item, default[0])
@@ -192,10 +183,8 @@ def read_config(config, defaults: dict, name: str = "") -> dict:
 
 def _mark(f: dataclasses.Field):
     """The mark of a dataclass field: its default, or for a field without
-    one, the "mark" of its metadata (MISSING if neither); an Items default
-    as an ItemList."""
-    mark = f.metadata.get("mark", f.default)
-    return ItemList(mark, mark.least) if isinstance(mark, Items) else mark
+    one, the "mark" of its metadata (MISSING if neither)."""
+    return f.metadata.get("mark", f.default)
 
 
 def check_fields(config) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,16 +50,6 @@ class ErrorSummary:
     whisker_low: float
     whisker_high: float
     n_samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "median": self.median,
-            "q1": self.q1,
-            "q3": self.q3,
-            "whisker_low": self.whisker_low,
-            "whisker_high": self.whisker_high,
-            "n_samples": self.n_samples,
-        }
 
 
 def summarize(values) -> ErrorSummary:
@@ -114,8 +104,8 @@ def evaluate_pairs(
 def summarize_rows(rows: list[EvaluationRow]) -> dict:
     """Summary dict per metric over a list of evaluation rows."""
     return {
-        "direction_pct": summarize([r.direction_pct for r in rows]).to_dict(),
-        "magnitude_pct": summarize([r.magnitude_pct for r in rows]).to_dict(),
-        "magnitude_l1": summarize([r.magnitude_l1 for r in rows]).to_dict(),
+        "direction_pct": asdict(summarize([r.direction_pct for r in rows])),
+        "magnitude_pct": asdict(summarize([r.magnitude_pct for r in rows])),
+        "magnitude_l1": asdict(summarize([r.magnitude_l1 for r in rows])),
         "n_samples": len(rows),
     }

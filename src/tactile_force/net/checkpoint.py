@@ -12,10 +12,11 @@ featurization record.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
-from ..errors import ConfigError, PositiveCount, Required, SchemaError, config_tree, read_config
+from ..errors import ConfigError, Items, PositiveCount, Required, SchemaError, config_tree, read_config
 from ..files import atomic_open
 from ..voxel import N_CHANNELS, GridSpec
 from .losses import LossConfig
@@ -27,7 +28,7 @@ CHECKPOINT_META = {
     KIND_VOXEL: {"kind": "", "args": Required({"config": Required(config_tree(NetworkConfig))}),
                  "featurization": Required({"grid": Required(None), "layout": Required(None)}),
                  "loss_config": None, "metadata": Required(None)},
-    KIND_MLP: {"kind": "", "args": Required({"hidden_widths": Required([PositiveCount(1)]),
+    KIND_MLP: {"kind": "", "args": Required({"hidden_widths": Required(Items((PositiveCount(1),))),
                                              "seed": Required(0), "layer_norm": Required(True)}),
                "loss_config": None, "metadata": Required(None)},
 }
@@ -50,7 +51,7 @@ def save_checkpoint(
     meta = {
         **model.build,
         **({"featurization": featurization} if grid else {}),
-        "loss_config": loss_config.to_dict() if loss_config else None,
+        "loss_config": asdict(loss_config) if loss_config else None,
         "metadata": metadata or {},
     }
     arrays = {f"param_{i:04d}": p.value for i, p in enumerate(model.parameters())}
@@ -73,12 +74,12 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     except FileNotFoundError as exc:
         raise ConfigError(f"checkpoint file not found: {path}") from exc
     except (OSError, ValueError) as exc:  # not a numpy file, or a pickle numpy will not load
-        raise ConfigError(f"checkpoint {path} is not a .npz file") from exc
+        raise ConfigError(f"checkpoint {path}: not a .npz file") from exc
     if not isinstance(data, np.lib.npyio.NpzFile):  # a .npy array
-        raise ConfigError(f"checkpoint {path} is not a .npz file")
+        raise ConfigError(f"checkpoint {path}: not a .npz file")
     with data:
         if "meta" not in data.files:
-            raise ConfigError(f"checkpoint {path} missing field 'meta'")
+            raise ConfigError(f"checkpoint {path}: missing field 'meta'")
         try:
             meta = json.loads(bytes(data["meta"]).decode())
         except ValueError as exc:  # not UTF-8 JSON, or a pickled array

@@ -12,7 +12,7 @@ the surface normal, where D is the normalized angular distance.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class LossConfig:
         if self.mode not in (LOSS_MODE_CASE, LOSS_MODE_PLAIN):
             raise ConfigError(f"unknown loss mode {self.mode!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def batch_loss_and_grad(
     predictions: np.ndarray,
@@ -68,7 +65,8 @@ def batch_loss_and_grad(
 
     Samples whose ground-truth magnitude falls below the floor are excluded
     and counted. Returns (mean loss, gradient w.r.t. predictions, n_skipped);
-    the gradient rows of skipped samples are zero. One vectorized pass over
+    the gradient rows of skipped samples are zero, and a batch whose every
+    sample is skipped has loss 0 and a zero gradient. One vectorized pass over
     the batch, checked against the per-sample oracle in
     tests/loss_oracles.py.
     """
@@ -81,7 +79,7 @@ def batch_loss_and_grad(
     keep = ~(norm < MAGNITUDE_FLOOR_N)
     n_kept = int(np.count_nonzero(keep))
     if n_kept == 0:
-        raise SchemaError("every sample in the batch fell below the magnitude floor")
+        return 0.0, np.zeros_like(predictions), n
     f, norm = f_3d[keep], norm[keep]
     diff = predictions[keep] - f
     if config.mode == LOSS_MODE_PLAIN:

@@ -44,10 +44,6 @@ class NetworkConfig:
         object.__setattr__(self, "conv3d_channels", tuple(int(c) for c in self.conv3d_channels))
         object.__setattr__(self, "fc_widths", tuple(int(w) for w in self.fc_widths))
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "conv3d_channels": list(self.conv3d_channels),
-                "fc_widths": list(self.fc_widths)}
-
 
 def _all_finite(array: np.ndarray) -> bool:
     # min and max are NaN if any entry is, and read without writing a mask
@@ -207,13 +203,9 @@ def build_voxel_net(config: NetworkConfig, input_shape: tuple[int, int, int, int
     layers.append(Conv(c, config.conv2d_channels, sx * sy, rng, name="conv2d", ndim=2, depth=sz))
     c = config.conv2d_channels
     layers.append(LayerNormReLU((c, sx, sy), name="ln_conv2d", order=orders[-1]))
-    dim, order = c * sx * sy, orders[-1]  # fc_0's weight rows: the (c, x, y) flattening
-    for i, width in enumerate(config.fc_widths):
-        layers.append(Dense(dim, width, rng, name=f"fc_{i}", order=order))
-        layers.append(LayerNormReLU((width,), name=f"ln_fc_{i}"))
-        dim, order = width, None
-    layers.append(Dense(dim, OUTPUT_DIM, rng, name="fc_out"))
-    return Model(layers, {"kind": KIND_VOXEL, "args": {"config": config.to_dict()}})
+    # fc_0's weight rows are the (c, x, y) flattening, read in ln_conv2d's row order
+    layers += _dense_tail(c * sx * sy, config.fc_widths, rng, layer_norm=True, order=orders[-1])
+    return Model(layers, {"kind": KIND_VOXEL, "args": {"config": asdict(config)}})
 
 
 def build_mlp_net(hidden_widths: tuple[int, ...], seed: int = 0, layer_norm: bool = True) -> Model:
@@ -221,16 +213,21 @@ def build_mlp_net(hidden_widths: tuple[int, ...], seed: int = 0, layer_norm: boo
     FLAT_INPUT_WIDTH values."""
     if not hidden_widths:
         raise ConfigError("hidden_widths must hold at least one width")
-    rng = np.random.default_rng(seed)
+    widths = [int(w) for w in hidden_widths]
+    layers = _dense_tail(FLAT_INPUT_WIDTH, widths, np.random.default_rng(seed), layer_norm)
+    return Model(layers, {"kind": KIND_MLP,
+                          "args": dict(hidden_widths=widths, seed=seed, layer_norm=layer_norm)})
+
+
+def _dense_tail(dim: int, widths, rng: np.random.Generator, layer_norm: bool,
+                order: np.ndarray | None = None) -> list[Layer]:
+    """A Dense layer per width on `dim` inputs, each followed by its
+    LayerNormReLU (a plain ReLU without layer_norm), then the fc_out layer;
+    `order` is fc_0's weight row order."""
     layers: list[Layer] = []
-    dim = FLAT_INPUT_WIDTH
-    for i, width in enumerate(hidden_widths):
-        layers.append(Dense(dim, int(width), rng, name=f"fc_{i}"))
-        if layer_norm:
-            layers.append(LayerNormReLU((int(width),), name=f"ln_fc_{i}"))
-        else:
-            layers.append(ReLU(name=f"relu_fc_{i}"))
-        dim = int(width)
-    layers.append(Dense(dim, OUTPUT_DIM, rng, name="fc_out"))
-    args = dict(hidden_widths=[int(w) for w in hidden_widths], seed=seed, layer_norm=layer_norm)
-    return Model(layers, {"kind": KIND_MLP, "args": args})
+    for i, width in enumerate(widths):
+        layers.append(Dense(dim, width, rng, name=f"fc_{i}", order=order))
+        layers.append(LayerNormReLU((width,), name=f"ln_fc_{i}") if layer_norm
+                      else ReLU(name=f"relu_fc_{i}"))
+        dim, order = width, None
+    return layers + [Dense(dim, OUTPUT_DIM, rng, name="fc_out")]

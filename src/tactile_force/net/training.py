@@ -9,9 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, Fraction, NumericalError, Positive, PositiveCount, check_fields
+from ..errors import (
+    ConfigError, DataIntegrityError, Fraction, NumericalError, Positive, PositiveCount, check_fields,
+)
 from ..voxel import VoxelInputs
-from .losses import LossConfig, batch_loss_and_grad
+from .losses import MAGNITUDE_FLOOR_N, LossConfig, batch_loss_and_grad
 from .network import Model
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba)
@@ -19,6 +21,11 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # the learning-rate schedule's shape: epochs of warm-up, iterations per
 # doubling during it, and the floor of the decay after it
 WARMUP_EPOCHS, WARMUP_DOUBLING_ITERS, LR_FLOOR = 2, 50, 1e-8
+# samples per pass of a forward-only run of a model: a loss evaluation or
+# eval's predictions
+FORWARD_BATCH_SIZE = 512
+# the error of a sample set whose every sample is below the floor
+BELOW_FLOOR = f"no sample above the magnitude floor of {MAGNITUDE_FLOOR_N} N"
 
 
 @dataclass(frozen=True)
@@ -120,9 +127,12 @@ class TrainReport:
 
 
 def evaluate_loss(
-    model: Model, samples: ArraySamples, loss_config: LossConfig, batch_size: int = 512
+    model: Model, samples: ArraySamples, loss_config: LossConfig,
+    batch_size: int = FORWARD_BATCH_SIZE,
 ) -> tuple[float, int]:
-    """Mean loss over a sample set, batched; returns (loss, n_skipped)."""
+    """Mean loss over the samples of a set above the magnitude floor,
+    batched; returns (loss, n_skipped). A set with none is a
+    DataIntegrityError."""
     total, count, skipped = 0.0, 0, 0
     for start in range(0, len(samples), batch_size):
         batch = samples.take(slice(start, start + batch_size))
@@ -135,7 +145,7 @@ def evaluate_loss(
         count += included
         skipped += n_skip
     if count == 0:
-        raise ConfigError("no usable samples above the magnitude floor")
+        raise DataIntegrityError(BELOW_FLOOR)
     return total / count, skipped
 
 
@@ -149,9 +159,14 @@ def train(
 ) -> TrainReport:
     """Optimize the model, keeping the parameters with the best validation loss.
 
-    The model is left holding the best-validation parameters. Raises
-    NumericalError if the validation loss or, prefixed "epoch E iteration
-    I:" (from 0, I within the epoch), a training step goes non-finite.
+    The model is left holding the best-validation parameters. A batch
+    whose every sample is below the magnitude floor is skipped: its samples
+    are counted in skipped_train, and it takes no optimizer step, so
+    `iterations` counts the steps taken. Raises NumericalError if the
+    validation loss or, prefixed "epoch E iteration I:" (from 0, I within
+    the epoch), a training step goes non-finite, and DataIntegrityError
+    naming the set if the training or validation set has no sample above
+    the floor.
     """
     if len(val_samples) == 0:
         raise ConfigError("validation set is empty")
@@ -174,6 +189,9 @@ def train(
                 loss, grad, n_skip = batch_loss_and_grad(
                     pred, batch.f_3d, batch.s_n, batch.r_wb, batch.source_tags, loss_config
                 )
+                report.skipped_train += n_skip
+                if n_skip == len(batch):
+                    continue
                 model.backward(grad)
             except NumericalError as exc:
                 raise NumericalError(f"epoch {epoch} iteration {i}: {exc}") from exc
@@ -181,11 +199,15 @@ def train(
             included = len(batch) - n_skip
             epoch_loss += loss * included
             epoch_count += included
-            report.skipped_train += n_skip
             report.iterations += 1
-        report.train_losses.append(epoch_loss / max(epoch_count, 1))
+        if epoch_count == 0:
+            raise DataIntegrityError(f"training set: {BELOW_FLOOR}")
+        report.train_losses.append(epoch_loss / epoch_count)
 
-        val_loss, val_skip = evaluate_loss(model, val_samples, loss_config, config.batch_size)
+        try:
+            val_loss, val_skip = evaluate_loss(model, val_samples, loss_config, config.batch_size)
+        except DataIntegrityError as exc:
+            raise DataIntegrityError(f"validation set: {exc}") from exc
         report.skipped_val = val_skip
         if not math.isfinite(val_loss):
             raise NumericalError(

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,26 @@ class TestInfer:
                           *flag, "--out", tmp_path / "x.csv"])
         assert code == 2
 
+    @pytest.mark.parametrize("content, code, message", [
+        (None, 2, "config error: episode file not found: "),
+        ("", 3, "data error: episode file "),
+        ("\n\n", 3, "data error: episode file "),
+    ])
+    def test_missing_or_empty_episode_file_exits_naming_it(
+        self, sim_dir, tmp_path, capsys, content, code, message
+    ):
+        """A missing episode file is a usage error, and one without a row
+        (blank lines are skipped) a data error."""
+        episode = tmp_path / "episode.jsonl"
+        if content is not None:
+            episode.write_text(content)
+        out = tmp_path / "inferred"
+        assert run(["infer", "--episode", episode, "--params", sim_dir / "params.json",
+                    "--out", out / "x.csv"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and str(episode) in err
+        assert not out.exists()
+
     def test_missing_motion_field_exits_3(self, sim_dir, tmp_path):
         broken = tmp_path / "broken.jsonl"
         rows = [json.loads(line) for line in
@@ -454,6 +475,45 @@ class TestTrainEval:
         )
         assert ckpt_meta["metadata"]["sources"] == ["rigid_ft"]
 
+    def test_source_without_validation_samples_exits_3(self, sim_dir, tmp_path, capsys):
+        """A hand-edited manifest whose val split holds no trial of the
+        chosen source."""
+        manifest = sim_dir / "dataset_manifest.json"
+        data = json.loads(manifest.read_text())
+        rigid = [t for t in data["splits"]["val"] if t.startswith("rigid_ft")]
+        assert rigid
+        data["splits"]["train"] += rigid
+        data["splits"]["val"] = [t for t in data["splits"]["val"] if t not in rigid]
+        manifest.write_text(json.dumps(data))
+        out = tmp_path / "m"
+        capsys.readouterr()
+        assert run(["train", "--manifest", manifest, "--out", out, "--sources", "rigid-ft"]) == 3
+        assert capsys.readouterr().err == "data error: no validation samples for sources ['rigid_ft']\n"
+        assert not out.exists()
+
+    def test_batches_below_the_magnitude_floor_are_skipped(self, tmp_path):
+        """Forces of at most 0.0105 N leave one train sample above the 0.01
+        N floor, so every batch but the one holding it has none: each such
+        batch is skipped and counted, whatever the seed's shuffle."""
+        sim = write_config(tmp_path / "sim.json", {"seed": 5, "sources": {"rigid_ft": {
+            "trials": 4, "samples_per_trial": 20, "force_range": [0.0, 0.0105]}}})
+        data_dir = tmp_path / "data"
+        assert run(["simulate", "--config", sim, "--out", data_dir]) == 0
+        splits, _ = load_manifest_splits(data_dir / "dataset_manifest.json")
+        below = {name: sum(np.linalg.norm(r.f_3d) < MAGNITUDE_FLOOR_N for r in splits[name])
+                 for name in ("train", "val")}
+        assert len(splits["train"]) - below["train"] == 1
+        training = {"max_epochs": 5, "batch_size": 12}
+        config = write_config(tmp_path / "train.json", {"training": training})
+        for seed in (1, 2, 3):
+            out = tmp_path / f"m{seed}"
+            assert run(["train", "--manifest", data_dir / "dataset_manifest.json", "--out", out,
+                        "--config", config, "--seed", seed]) == 0
+            metadata = load_checkpoint(out / "checkpoint.npz")[1]["metadata"]
+            assert metadata["iterations"] == training["max_epochs"]
+            assert metadata["skipped_train"] == training["max_epochs"] * below["train"]
+            assert metadata["skipped_val"] == below["val"]
+
     def test_unknown_source_exits_2(self, sim_dir, tmp_path):
         code = run(
             ["train", "--manifest", sim_dir / "dataset_manifest.json",
@@ -564,7 +624,7 @@ class TestTrainEval:
             rows = list(csv.DictReader(fh))
         summary = json.loads((eval_dir / "summary.json").read_text())
         for metric in ("direction_pct", "magnitude_pct", "magnitude_l1"):
-            recomputed = summarize([float(r[metric]) for r in rows]).to_dict()
+            recomputed = asdict(summarize([float(r[metric]) for r in rows]))
             assert summary["overall"][metric] == recomputed
 
 
@@ -590,6 +650,26 @@ def scored_rows(records, preds):
         np.stack([r.f_3d for r in records]), preds, [r.source_tag for r in records]
     )
     return [(r.direction_pct, r.magnitude_pct, r.magnitude_l1, r.source_tag) for r in rows]
+
+
+def value_id(value):
+    """The test id of a parameter pytest would otherwise name by its row's
+    position: a list of scalars by its items, any other list, dict or array
+    by its type; None leaves a scalar to pytest."""
+    if isinstance(value, list) and not any(isinstance(v, (list, dict)) for v in value):
+        return f"[{','.join(map(str, value))}]"
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype}-array"
+    if isinstance(value, (list, dict)):
+        return type(value).__name__
+    return None
+
+
+# the trained electrode positions, with electrode 0 moved outside the grid,
+# and onto electrode 1's cell
+POSITIONS = default_electrode_layout().positions.tolist()
+OUTSIDE_GRID = [[1.0, 1.0, 1.0], *POSITIONS[1:]]
+SHARED_CELL = [POSITIONS[1], *POSITIONS[1:]]
 
 
 class TestSelfDescribingModels:
@@ -751,6 +831,11 @@ class TestSelfDescribingModels:
         # a grid that does not fit the tensors, and a net of the other kind
         ("voxel", "featurization.grid.dims", [16, 16, 8], "parameter ln_conv3d_0.gain: shape"),
         ("voxel", "kind", "mlp_net", "unknown key 'featurization'"),
+        # a layout the grid does not fit
+        ("voxel", "featurization.layout.positions", OUTSIDE_GRID,
+         "grid does not fit the electrode layout: electrode 0 at [1.0, 1.0, 1.0] outside bounds"),
+        ("voxel", "featurization.layout.positions", SHARED_CELL,
+         "grid does not fit the electrode layout: electrodes 0 and 1 both bin to voxel"),
         ("mlp-baseline", "kind", "voxel_net", "unknown key 'args.hidden_widths'"),
         # keys that only restated the input, and are no longer part of the record
         ("voxel", "args.input_shape", [2, 8, 8, 4], "unknown key 'args.input_shape'"),
@@ -765,7 +850,11 @@ class TestSelfDescribingModels:
         ("mlp-baseline", "npz:param_0001", None, "missing tensor 'param_0001'"),
         ("mlp-baseline", "npz:param_0001", np.array([{}], dtype=object),
          "tensor 'param_0001': Object arrays cannot be loaded"),
-    ])
+        ("voxel", "npz:meta", None, "missing field 'meta'"),
+        ("voxel", "npz:param_0017", None, "state has 17 tensors, model has 18 parameters"),
+        # a lone array where the archive should be
+        ("voxel", "npy", np.zeros(3), "not a .npz file"),
+    ], ids=value_id)
     def test_malformed_checkpoint_record_exits_2_naming_file_and_key(
         self, sim_dir, tmp_path, capsys, model, dotted, value, named
     ):
@@ -785,7 +874,10 @@ class TestSelfDescribingModels:
             else:
                 arrays[name] = value
 
-        if dotted.startswith("npz:"):
+        if dotted == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, value)
+        elif dotted.startswith("npz:"):
             rewrite_checkpoint(path, damage_archive)
         else:
             rewrite_checkpoint_meta(path, damage)
@@ -890,7 +982,8 @@ class TestReadme:
         block = re.search(r"```json\n(.*?)```", README.read_text(), flags=re.S).group(1)
         config = read_config(json.loads(block), cli.TRAIN_CONFIG)
         defaults = read_config({}, cli.TRAIN_CONFIG)
-        assert {**config, "grid": None} == defaults
+        # compared as JSON: a default list is a tuple, a list read from a file a list
+        assert json.dumps({**config, "grid": None}) == json.dumps(defaults)
         geometry = SurfaceGeometry()
         featurization = featurization_record(default_electrode_layout(geometry), geometry,
                                              config["grid"])
@@ -1018,7 +1111,7 @@ class TestConfigValueTypes:
         ("simulate", "sources.rigid_ft.force_range", [-5, -1]),
         ("simulate", "sources.ball_ft.force_range", [0.1, -1.0]),
         ("simulate", "sources.planar_pushing.magnitude_range", [-2.0, 1.0]),
-    ])
+    ], ids=value_id)
     def test_wrong_type_exits_2_naming_file_and_field(
         self, sim_dir, sim_config, tmp_path, capsys, command, field, value
     ):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from tactile_force import cli
 from tactile_force.errors import (
-    ConfigError, Count, Fraction, ItemList, NonNegative, Optional, Positive, PositiveCount,
-    config_tree,
+    ConfigError, Count, Fraction, Items, NonNegative, Optional, Positive, PositiveCount, config_tree,
 )
 from tactile_force.mechanics import PushParams
 from tactile_force.net import LossConfig, NetworkConfig, TrainingConfig
@@ -60,7 +59,7 @@ INSIDE = {
 
 
 def marked_fields():
-    """(dataclass, field name, mark) for every field with a mark, a list
+    """(dataclass, field name, mark) for every field with a mark, an Items
     mark for a field that may hold any number of items."""
     for cls in CONFIGS:
         for name, mark in config_tree(cls, exclude=("layout",)).items():
@@ -72,12 +71,12 @@ IDS = [f"{cls.__name__}.{name}" for cls, name, _ in MARKED]
 
 
 def outside(mark):
-    """Values a field with this mark must refuse: for a list mark, a
+    """Values a field with this mark must refuse: for an Items mark, a
     non-list, a list with one item outside its first item's mark, or a list
-    of fewer items than an ItemList's least."""
-    if isinstance(mark, list):
+    of fewer items than its least."""
+    if isinstance(mark, Items):
         items = st.lists(INSIDE[type(mark[0])], max_size=3)
-        least = mark.least if isinstance(mark, ItemList) else 0
+        least = mark.least
         too_short = st.lists(INSIDE[type(mark[0])], max_size=least - 1) if least else st.nothing()
         return st.one_of(st.sampled_from([5, "8", None, {"a": 1}]), too_short, st.tuples(
             items, OUTSIDE[type(mark[0])], items).map(lambda t: [*t[0], t[1], *t[2]]))
@@ -117,19 +116,13 @@ def field_mark(f: dataclasses.Field):
 
 
 def same_mark(tree_value, f: dataclasses.Field) -> bool:
-    """A tree value holds the field's mark: the same type and value, an
-    ItemList of the items and least of an Items default, and Optional for a
+    """A tree value is the field's mark itself, held in an Optional for a
     field without a default."""
-    mark = field_mark(f)
     if f.default is dataclasses.MISSING:
         if not isinstance(tree_value, Optional):
             return False
         tree_value = tree_value.example
-    if isinstance(mark, tuple):
-        return (isinstance(tree_value, ItemList) and tree_value.least == mark.least
-                and len(tree_value) == len(mark)
-                and all(type(a) is type(b) and a == b for a, b in zip(tree_value, mark)))
-    return type(tree_value) is type(mark) and tree_value == mark
+    return tree_value is field_mark(f)
 
 
 # each CLI tree block, the dataclass it is read into, its key of each of

@@ -1,6 +1,7 @@
 """Tests for the error metrics and box-plot summaries."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -123,5 +124,5 @@ class TestEvaluatePairs:
         rows, _ = evaluate_pairs(f3d, preds, ["ball_ft"] * 40)
         summary = summarize_rows(rows)
         expected = summarize([r.direction_pct for r in rows])
-        assert summary["direction_pct"] == expected.to_dict()
+        assert summary["direction_pct"] == asdict(expected)
         assert summary["n_samples"] == 40

@@ -476,7 +476,7 @@ class TestConfig:
 
     def test_config_roundtrip(self):
         cfg = NetworkConfig(conv3d_channels=(4, 8), conv2d_channels=16, fc_widths=(32,), seed=9)
-        again = NetworkConfig(**cfg.to_dict())
+        again = NetworkConfig(**dataclasses.asdict(cfg))
         assert again == cfg
 
     def test_mlp_requires_hidden_layer(self):

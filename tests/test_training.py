@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
-from tactile_force.errors import ConfigError, NumericalError
+from tactile_force.errors import ConfigError, DataIntegrityError, NumericalError
 from tactile_force.net import (
     AdamOptimizer,
     LossConfig,
@@ -27,7 +27,7 @@ from tactile_force.net import (
 from tactile_force.net.layers import Dense, Layer, LayerNormReLU
 from tactile_force.net.network import FLAT_INPUT_WIDTH, OUTPUT_DIM
 from tactile_force.net.training import (
-    LR_FLOOR, WARMUP_DOUBLING_ITERS, WARMUP_EPOCHS, ArraySamples,
+    LR_FLOOR, WARMUP_DOUBLING_ITERS, WARMUP_EPOCHS, ArraySamples, evaluate_loss,
 )
 
 
@@ -203,8 +203,6 @@ class TestTrain:
             model, tr, va, LossConfig(beta=0.0),
             TrainingConfig(max_epochs=8, batch_size=16, base_lr=5e-3, seed=1),
         )
-        from tactile_force.net.training import evaluate_loss
-
         final_val, _ = evaluate_loss(model, va, LossConfig(beta=0.0))
         assert math.isclose(final_val, report.best_val_loss, rel_tol=1e-12)
 
@@ -213,6 +211,51 @@ class TestTrain:
             TrainingConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainingConfig(base_lr=-1.0)
+
+
+def floor_samples(n, below=()):
+    """n samples of forces near (2, 2, 2) N, those at the indices `below`
+    at 1e-3 N, under the magnitude floor."""
+    forces = np.random.default_rng(5).normal(size=(n, 3)) + 2.0
+    forces[list(below)] = 1e-3
+    return make_samples(forces, forces)
+
+
+class TestBelowFloorBatches:
+    """A batch whose every sample is below the magnitude floor is skipped
+    whatever the shuffle puts in it, and a set with no sample above the
+    floor fails naming the set."""
+
+    def test_a_batch_all_below_the_floor_takes_no_step_at_any_seed(self):
+        """9 samples at batch 4: the lone sample of the last batch is the one
+        below the floor in the epochs whose shuffle puts it last."""
+        epochs, skipped_batches = 3, 0
+        for seed in range(10):
+            config = TrainingConfig(max_epochs=epochs, batch_size=4, seed=seed)
+            report = train(small_mlp(3, (4,), seed=0), floor_samples(9, [4]), floor_samples(5),
+                           LossConfig(), config)
+            rng = np.random.default_rng(seed)  # train's shuffle
+            lone = sum(rng.permutation(9)[-1] == 4 for _ in range(epochs))
+            assert report.skipped_train == epochs
+            assert report.iterations == 3 * epochs - lone
+            assert all(map(math.isfinite, report.train_losses + report.val_losses))
+            skipped_batches += lone
+        assert skipped_batches > 0
+
+    def test_evaluate_loss_skips_a_batch_all_below_the_floor(self):
+        samples, model = floor_samples(5, [4]), small_mlp(3, (4,), seed=0)
+        loss, skipped = evaluate_loss(model, samples, LossConfig(), batch_size=4)
+        assert skipped == 1
+        assert loss == evaluate_loss(model, samples.take(np.arange(4)), LossConfig())[0]
+
+    @pytest.mark.parametrize("name", ["training", "validation"])
+    def test_a_set_with_no_sample_above_the_floor_is_named(self, name):
+        usable, below = floor_samples(6), floor_samples(6, range(6))
+        sets = (below, usable) if name == "training" else (usable, below)
+        with pytest.raises(DataIntegrityError,
+                           match=f"^{name} set: no sample above the magnitude floor of 0.01 N$"):
+            train(small_mlp(3, (4,), seed=0), *sets, LossConfig(),
+                  TrainingConfig(max_epochs=2, batch_size=4))
 
 
 class ReferenceAdam:
