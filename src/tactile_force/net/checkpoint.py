@@ -6,7 +6,9 @@ enough to rebuild the layers), for a voxel net the featurization record
 that builds its inputs and whose grid gives its input shape, the loss
 config, and free-form training metadata (training stats, ablation flags,
 sources). An MLP reads the flat (e, s_c) vector, so it has no
-featurization record.
+featurization record. The tensors are of the dtype the model was built in,
+float32 or float64, and it is rebuilt in theirs, which the blob does not
+restate.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ from ..errors import ConfigError, Items, PositiveCount, Required, SchemaError, c
 from ..files import atomic_open
 from ..voxel import N_CHANNELS, GridSpec
 from .losses import LossConfig
+from .layers import DEFAULT_DTYPE
 from .network import KIND_MLP, KIND_VOXEL, Model, NetworkConfig, build_mlp_net, build_voxel_net
+
+# the dtypes a model is saved in; all its tensors share one
+TENSOR_DTYPES = (np.float32, np.float64)
 
 # a checkpoint's metadata blob of each kind of model; the featurization's
 # grid and layout, and "metadata", have their own readers
@@ -62,12 +68,13 @@ def save_checkpoint(
 def load_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild the model from a checkpoint; returns (model, metadata dict).
 
-    A voxel net is rebuilt on its featurization record's grid. A checkpoint
-    whose metadata blob is not the JSON of the CHECKPOINT_META of its kind
-    with an object "metadata", or whose tensors are not param_0000 to
-    param_{n-1} or do not fit the net it records, is a ConfigError naming
-    the file and the dotted key, and so is a missing file or one that is
-    not a .npz.
+    A voxel net is rebuilt on its featurization record's grid, and any
+    model in the dtype of its tensors. A checkpoint whose metadata blob is
+    not the JSON of the CHECKPOINT_META of its kind with an object
+    "metadata", or whose tensors are not param_0000 to param_{n-1}, all
+    float32 or all float64, or do not fit the net it records, is a
+    ConfigError naming the file and the dotted key or tensor, and so is a
+    missing file or one that is not a .npz.
     """
     try:
         data = np.load(path)
@@ -93,6 +100,11 @@ def load_checkpoint(path) -> tuple[Model, dict]:
                 state.append(data[name])
             except ValueError as exc:  # a pickled array
                 raise ConfigError(f"checkpoint {path}: tensor {name!r}: {exc}") from exc
+            if state[-1].dtype not in TENSOR_DTYPES or state[-1].dtype != state[0].dtype:
+                raise ConfigError(f"checkpoint {path}: tensor {name!r} has dtype {state[-1].dtype}: "
+                                  "a checkpoint's tensors are all float32 or all float64 "
+                                  f"({names[0]} is {state[0].dtype})")
+    dtype = state[0].dtype if state else DEFAULT_DTYPE
     try:
         kind = meta.get("kind") if isinstance(meta, dict) else None
         if kind not in CHECKPOINT_META:
@@ -102,9 +114,10 @@ def load_checkpoint(path) -> tuple[Model, dict]:
             raise ConfigError(f"field 'metadata' must be an object, got {meta['metadata']!r}")
         if kind == KIND_VOXEL:
             spec = GridSpec.from_config(meta["featurization"]["grid"], "featurization.grid")
-            model = build_voxel_net(NetworkConfig(**meta["args"]["config"]), (N_CHANNELS, *spec.dims))
+            config = NetworkConfig(**meta["args"]["config"])
+            model = build_voxel_net(config, (N_CHANNELS, *spec.dims), dtype)
         else:
-            model = build_mlp_net(**meta["args"])
+            model = build_mlp_net(**meta["args"], dtype=dtype)
         model.set_state(state)
     except (ConfigError, SchemaError) as exc:  # GridSpec raises SchemaError on its dims and bounds
         raise ConfigError(f"checkpoint {path}: {exc}") from exc

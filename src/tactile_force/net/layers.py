@@ -10,7 +10,10 @@ its own output, mask and scratch arrays from step to step.
 A layer owns its parameter arrays until a Model packs them into its flat
 value and gradient buffers; from then on each Parameter.value and .grad is
 a view of its slice there, so layers only ever write them in place.
-All math is float64 numpy.
+A layer is built in one floating dtype, float32 unless its builder is given
+another: its parameters are drawn in float64 and cast to it, and every
+array it makes, activations, gradients and kept buffers, is of the dtype of
+its parameters. A layer does not cast its input; a Model casts it once.
 
 Activations and their gradients are C-contiguous (batch, features) rows.
 In a voxel net the features of a grid are window-major: the cells of each
@@ -36,6 +39,7 @@ from ..voxel import VoxelInputs
 
 KERNEL = 2  # kernel and stride of every convolution: windows never overlap
 LAYER_NORM_EPS = 1e-5  # the epsilon of every layer norm
+DEFAULT_DTYPE = np.float32  # the dtype a layer, and a net, is built in unless given another
 
 
 @dataclass
@@ -45,7 +49,7 @@ class Parameter:
     grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=float)
+        self.value = np.asarray(self.value)
         self.grad = np.zeros_like(self.value)
 
 
@@ -71,9 +75,12 @@ class Layer:
             )
 
 
-def _fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+def _fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
+                    dtype=np.float64) -> np.ndarray:
+    """Drawn in float64 whatever the dtype, so a net's parameters in any
+    dtype are its float64 ones cast to it."""
     limit = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=shape).astype(dtype, copy=False)
 
 
 def _row_order(order: np.ndarray | None):
@@ -90,11 +97,12 @@ class Dense(Layer):
     input feature) of each input column."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str = "dense",
-                 order: np.ndarray | None = None):
+                 order: np.ndarray | None = None, dtype=DEFAULT_DTYPE):
         self.name = name
         self.in_dim, self.out_dim = in_dim, out_dim
-        self.weight = Parameter(f"{name}.weight", _fan_in_uniform(rng, (in_dim, out_dim), in_dim))
-        self.bias = Parameter(f"{name}.bias", np.zeros(out_dim))
+        self.weight = Parameter(f"{name}.weight",
+                                _fan_in_uniform(rng, (in_dim, out_dim), in_dim, dtype))
+        self.bias = Parameter(f"{name}.bias", np.zeros(out_dim, dtype))
         self._order = _row_order(order)
         self._x = None
 
@@ -126,13 +134,14 @@ class Conv(Layer):
     """
 
     def __init__(self, in_channels: int, out_channels: int, windows: int,
-                 rng: np.random.Generator, name: str, ndim: int = 3, depth: int = 1):
+                 rng: np.random.Generator, name: str, ndim: int = 3, depth: int = 1,
+                 dtype=DEFAULT_DTYPE):
         self.name = name
         self.out_channels, self.windows = out_channels, windows
         self.window_size = in_channels * depth * KERNEL**ndim
         self.weight = Parameter(f"{name}.weight", _fan_in_uniform(
-            rng, (out_channels, in_channels * depth) + (KERNEL,) * ndim, self.window_size))
-        self.bias = Parameter(f"{name}.bias", np.zeros(out_channels))
+            rng, (out_channels, in_channels * depth) + (KERNEL,) * ndim, self.window_size, dtype))
+        self.bias = Parameter(f"{name}.bias", np.zeros(out_channels, dtype))
         # the weight's axes split as (out_ch, in_ch, depth, dx, dy[, dz]), then in row order
         self._split = (out_channels, in_channels, depth) + (KERNEL,) * ndim
         self._axes = (0, *range(3, 3 + ndim), 2, 1)
@@ -183,13 +192,14 @@ class VoxelConv3d(Conv):
     the contact part adds the contact cell's column at its window. The weight
     gradient gathers e.T @ grad_out at the electrode windows and grad_out at
     the contact windows. backward returns None: the input is data, so no
-    input gradient is needed.
+    input gradient is needed. A batch's e, which VoxelInputs holds in
+    float64, is cast to the layer's dtype.
     """
 
     def __init__(self, out_channels: int, grid: tuple[int, int, int, int], cells: np.ndarray,
-                 rng: np.random.Generator, name: str = "conv3d_0"):
+                 rng: np.random.Generator, name: str = "conv3d_0", dtype=DEFAULT_DTYPE):
         c, *dims = grid
-        super().__init__(c, out_channels, math.prod(dims) // KERNEL**3, rng, name)
+        super().__init__(c, out_channels, math.prod(dims) // KERNEL**3, rng, name, dtype=dtype)
         self.grid = tuple(grid)
         self._cells = np.asarray(cells)
         # each grid cell's window and weight column
@@ -202,15 +212,16 @@ class VoxelConv3d(Conv):
             self._inputs = None
             return super().forward(x.reshape(len(x), -1)[:, self._cells])
         b, n, w = len(x), x.electrodes.size, self._matrix()
+        e = x.e.astype(w.dtype, copy=False)
         e_window, e_column = self._window[x.electrodes], self._column[x.electrodes]
         window, column = self._window[x.contact], self._column[x.contact]
-        a = np.zeros((n, self.windows, self.out_channels))
+        a = np.zeros((n, self.windows, self.out_channels), w.dtype)
         a[np.arange(n), e_window] = w[:, e_column].T
-        out = (x.e @ a.reshape(n, -1)).reshape(b, self.windows, self.out_channels)
+        out = (e @ a.reshape(n, -1)).reshape(b, self.windows, self.out_channels)
         out += self.bias.value
         sample = np.arange(b)
         out[sample, window] += w[:, column].T  # one contact, so one window, per sample
-        self._inputs = (x.e, e_window, e_column, sample, window, column)
+        self._inputs = (e, e_window, e_column, sample, window, column)
         return out.reshape(b, -1)
 
     def backward(self, grad_out):
@@ -222,7 +233,7 @@ class VoxelConv3d(Conv):
         at_electrodes = np.einsum("bj,bjo->jo", e, np.take(g, e_window, axis=1),
                                   optimize=True)  # e.T @ g, gathered
         picked = np.concatenate([at_electrodes, g[sample, window]])
-        dw = np.zeros((self.window_size, self.out_channels))
+        dw = np.zeros((self.window_size, self.out_channels), g.dtype)
         np.add.at(dw, np.concatenate([e_column, column]), picked)  # columns repeat
         self._add_grads(dw.T, grad_out)
         return None
@@ -252,17 +263,17 @@ class LayerNormReLU(Layer):
     temporary copy of the rows."""
 
     def __init__(self, feature_shape: tuple[int, ...], name: str = "ln",
-                 order: np.ndarray | None = None):
+                 order: np.ndarray | None = None, dtype=DEFAULT_DTYPE):
         self.name = name
         self.feature_shape = tuple(feature_shape)
-        self.gain = Parameter(f"{name}.gain", np.ones(self.feature_shape))
-        self.offset = Parameter(f"{name}.offset", np.zeros(self.feature_shape))
+        self.gain = Parameter(f"{name}.gain", np.ones(self.feature_shape, dtype))
+        self.offset = Parameter(f"{name}.offset", np.zeros(self.feature_shape, dtype))
         self._order = _row_order(order)
         n = math.prod(self.feature_shape)
-        self._mean_weights = np.full(n, 1.0 / n)  # x @ these is the row mean
+        self._mean_weights = np.full(n, 1.0 / n, dtype)  # x @ these is the row mean
         self._xhat = self._inv_std = None
         # the kept arrays: the output grown by forward, the mask and scratch by backward
-        self._out, self._scratch = np.empty((0, n)), np.empty((0, n))
+        self._out, self._scratch = np.empty((0, n), dtype), np.empty((0, n), dtype)
         self._mask = np.empty((0, n), dtype=bool)
 
     def parameters(self):
@@ -276,7 +287,7 @@ class LayerNormReLU(Layer):
         self._check_input(x, self._mean_weights.shape)
         b, n = x.shape
         if b > len(self._out):
-            self._out = np.empty((b, n))
+            self._out = np.empty((b, n), self._out.dtype)
         x -= (x @ self._mean_weights)[:, None]
         inv_std = np.einsum("ij,ij->i", x, x)
         inv_std /= n
@@ -292,7 +303,8 @@ class LayerNormReLU(Layer):
         g, xhat = grad_out, self._xhat
         b = len(g)
         if b > len(self._mask):
-            self._mask, self._scratch = np.empty(g.shape, dtype=bool), np.empty(g.shape)
+            self._mask = np.empty(g.shape, dtype=bool)
+            self._scratch = np.empty(g.shape, self._scratch.dtype)
         g *= np.greater(self._out[:b], 0.0, out=self._mask[:b])
         self.gain.grad.reshape(-1)[self._order] += np.einsum("ij,ij->j", g, xhat)
         self.offset.grad.reshape(-1)[self._order] += g.sum(axis=0)

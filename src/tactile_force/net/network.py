@@ -9,6 +9,10 @@ window-major (batch, features) array. Each layer norm and its ReLU are one
 in-place LayerNormReLU, which the builders only ever put between a
 convolution or dense layer and the next one, as its in-place contract
 requires; the MLP baseline (layer_norm=False) has plain ReLUs.
+
+A net is built in one dtype, float32 unless the builder is given another,
+which the builder gives every layer. The loss and metrics stay float64:
+they cast a net's predictions when they read them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ import numpy as np
 from ..errors import ConfigError, Items, NumericalError, PositiveCount, check_fields
 from ..sensor import N_ELECTRODES
 from ..voxel import VoxelInputs
-from .layers import KERNEL, Conv, Dense, Layer, LayerNormReLU, Parameter, ReLU, VoxelConv3d
+from .layers import (
+    DEFAULT_DTYPE, KERNEL, Conv, Dense, Layer, LayerNormReLU, Parameter, ReLU, VoxelConv3d,
+)
 
 OUTPUT_DIM = 3
 FLAT_INPUT_WIDTH = N_ELECTRODES + 3  # an MLP's input: (e, s_c)
@@ -52,14 +58,18 @@ def _all_finite(array: np.ndarray) -> bool:
 
 class Model:
     """Sequential container over layers whose parameters live in two flat
-    float64 buffers, `values` and `grads`: each Parameter's value and grad
-    are reshaped views of one slice, in parameters() order (the order of
-    checkpoints). Write a parameter in place; rebinding it detaches it.
+    buffers, `values` and `grads`, of the dtype the layers were built in:
+    each Parameter's value and grad are reshaped views of one slice, in
+    parameters() order (the order of checkpoints). Write a parameter in
+    place; rebinding it detaches it. forward casts a dense input, and
+    backward the gradient it is given, to that dtype, once each; a
+    VoxelInputs batch is passed on as it is, and the first layer casts its e.
 
     `build` is the JSON-able record that rebuilds the model: its kind
     ("voxel_net" or "mlp_net") and the arguments build_voxel_net or
     build_mlp_net was called with, but a voxel net's input shape, which a
-    checkpoint takes from its featurization record.
+    checkpoint takes from its featurization record, and the dtype, which it
+    takes from its tensors.
     """
 
     def __init__(self, layers: list[Layer], build: dict):
@@ -82,7 +92,7 @@ class Model:
         self.grads.fill(0.0)
 
     def forward(self, x: np.ndarray | VoxelInputs) -> np.ndarray:
-        x = x if isinstance(x, VoxelInputs) else np.asarray(x, dtype=float)
+        x = x if isinstance(x, VoxelInputs) else np.asarray(x, dtype=self.values.dtype)
         out = x
         for layer in self.layers:
             out = layer.forward(out)
@@ -109,7 +119,7 @@ class Model:
         layer's returned gradient: a non-finite gradient out of any later
         layer reaches some bias or offset gradient, which sums it over the
         batch."""
-        grad = grad_out
+        grad = grad_out = np.asarray(grad_out, dtype=self.values.dtype)
         with np.errstate(invalid="ignore"):  # reported below, naming the layer
             for layer in reversed(self.layers):
                 grad = layer.backward(grad)
@@ -172,12 +182,13 @@ def window_major_orders(dims: tuple[int, int, int], channels: tuple[int, ...]) -
     return orders[::-1]
 
 
-def build_voxel_net(config: NetworkConfig, input_shape: tuple[int, int, int, int]) -> Model:
+def build_voxel_net(config: NetworkConfig, input_shape: tuple[int, int, int, int],
+                    dtype=DEFAULT_DTYPE) -> Model:
     """Assemble the voxel force network for an input of shape (channels, x,
-    y, z). Every convolution must tile its input exactly, so that each cell
-    reaches the output: with n 3-D convolutions, x and y must be positive
-    multiples of 2^(n+1) (the 2-D one halves them once more) and z of 2^n;
-    any other grid is a ConfigError."""
+    y, z), in `dtype`. Every convolution must tile its input exactly, so
+    that each cell reaches the output: with n 3-D convolutions, x and y
+    must be positive multiples of 2^(n+1) (the 2-D one halves them once
+    more) and z of 2^n; any other grid is a ConfigError."""
     c, sx, sy, sz = input_shape
     n = len(config.conv3d_channels)
     xy, z = KERNEL ** (n + 1), KERNEL ** n
@@ -194,40 +205,44 @@ def build_voxel_net(config: NetworkConfig, input_shape: tuple[int, int, int, int
         sx, sy, sz = sx // KERNEL, sy // KERNEL, sz // KERNEL
         # the first layer reads the voxel inputs, whose gradient nothing needs
         if i == 0:
-            layers.append(VoxelConv3d(out_ch, input_shape, orders[0], rng))
+            layers.append(VoxelConv3d(out_ch, input_shape, orders[0], rng, dtype=dtype))
         else:
-            layers.append(Conv(c, out_ch, sx * sy * sz, rng, name=f"conv3d_{i}"))
+            layers.append(Conv(c, out_ch, sx * sy * sz, rng, name=f"conv3d_{i}", dtype=dtype))
         c = out_ch
-        layers.append(LayerNormReLU((c, sx, sy, sz), name=f"ln_conv3d_{i}", order=orders[i + 1]))
+        layers.append(LayerNormReLU((c, sx, sy, sz), name=f"ln_conv3d_{i}", order=orders[i + 1],
+                                    dtype=dtype))
     sx, sy = sx // KERNEL, sy // KERNEL
-    layers.append(Conv(c, config.conv2d_channels, sx * sy, rng, name="conv2d", ndim=2, depth=sz))
+    layers.append(Conv(c, config.conv2d_channels, sx * sy, rng, name="conv2d", ndim=2, depth=sz,
+                       dtype=dtype))
     c = config.conv2d_channels
-    layers.append(LayerNormReLU((c, sx, sy), name="ln_conv2d", order=orders[-1]))
+    layers.append(LayerNormReLU((c, sx, sy), name="ln_conv2d", order=orders[-1], dtype=dtype))
     # fc_0's weight rows are the (c, x, y) flattening, read in ln_conv2d's row order
-    layers += _dense_tail(c * sx * sy, config.fc_widths, rng, layer_norm=True, order=orders[-1])
+    layers += _dense_tail(c * sx * sy, config.fc_widths, rng, layer_norm=True, dtype=dtype,
+                          order=orders[-1])
     return Model(layers, {"kind": KIND_VOXEL, "args": {"config": asdict(config)}})
 
 
-def build_mlp_net(hidden_widths: tuple[int, ...], seed: int = 0, layer_norm: bool = True) -> Model:
+def build_mlp_net(hidden_widths: tuple[int, ...], seed: int = 0, layer_norm: bool = True,
+                  dtype=DEFAULT_DTYPE) -> Model:
     """Plain fully connected force regressor on the flat (e, s_c) vector of
-    FLAT_INPUT_WIDTH values."""
+    FLAT_INPUT_WIDTH values, in `dtype`."""
     if not hidden_widths:
         raise ConfigError("hidden_widths must hold at least one width")
     widths = [int(w) for w in hidden_widths]
-    layers = _dense_tail(FLAT_INPUT_WIDTH, widths, np.random.default_rng(seed), layer_norm)
+    layers = _dense_tail(FLAT_INPUT_WIDTH, widths, np.random.default_rng(seed), layer_norm, dtype)
     return Model(layers, {"kind": KIND_MLP,
                           "args": dict(hidden_widths=widths, seed=seed, layer_norm=layer_norm)})
 
 
-def _dense_tail(dim: int, widths, rng: np.random.Generator, layer_norm: bool,
+def _dense_tail(dim: int, widths, rng: np.random.Generator, layer_norm: bool, dtype,
                 order: np.ndarray | None = None) -> list[Layer]:
     """A Dense layer per width on `dim` inputs, each followed by its
     LayerNormReLU (a plain ReLU without layer_norm), then the fc_out layer;
     `order` is fc_0's weight row order."""
     layers: list[Layer] = []
     for i, width in enumerate(widths):
-        layers.append(Dense(dim, width, rng, name=f"fc_{i}", order=order))
-        layers.append(LayerNormReLU((width,), name=f"ln_fc_{i}") if layer_norm
+        layers.append(Dense(dim, width, rng, name=f"fc_{i}", order=order, dtype=dtype))
+        layers.append(LayerNormReLU((width,), name=f"ln_fc_{i}", dtype=dtype) if layer_norm
                       else ReLU(name=f"relu_fc_{i}"))
         dim, order = width, None
-    return layers + [Dense(dim, OUTPUT_DIM, rng, name="fc_out")]
+    return layers + [Dense(dim, OUTPUT_DIM, rng, name="fc_out", dtype=dtype)]

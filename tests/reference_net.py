@@ -266,8 +266,9 @@ class DenseInput(Layer):
 
 
 def build_reference_voxel_net(config: NetworkConfig, input_shape) -> Model:
-    """The logical-layout twin of network.build_voxel_net(config,
-    input_shape), for grids that build accepts."""
+    """The logical-layout twin, in float64, of
+    network.build_voxel_net(config, input_shape, np.float64), for grids that
+    build accepts."""
     c, sx, sy, sz = input_shape
     rng = np.random.default_rng(config.seed)
     eps = LAYER_NORM_EPS
@@ -285,9 +286,9 @@ def build_reference_voxel_net(config: NetworkConfig, input_shape) -> Model:
     layers.append(Flatten())
     dim = c * sx * sy
     for i, width in enumerate(config.fc_widths):
-        layers.append(Dense(dim, width, rng, name=f"fc_{i}"))
+        layers.append(Dense(dim, width, rng, name=f"fc_{i}", dtype=np.float64))
         layers.append(LogicalLayerNorm((width,), eps, name=f"ln_fc_{i}"))
         layers.append(ReLU(name=f"relu_fc_{i}"))
         dim = width
-    layers.append(Dense(dim, 3, rng, name="fc_out"))
+    layers.append(Dense(dim, 3, rng, name="fc_out", dtype=np.float64))
     return Model(layers, {"kind": "reference_voxel_net"})

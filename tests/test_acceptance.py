@@ -146,7 +146,7 @@ class TestCriterion3GradientCorrectness:
         config = NetworkConfig(
             conv3d_channels=(2, 2), conv2d_channels=2, fc_widths=(4,), seed=0
         )
-        model = build_voxel_net(config, input_shape=(2, 8, 8, 4))
+        model = build_voxel_net(config, input_shape=(2, 8, 8, 4), dtype=np.float64)
         rng = np.random.default_rng(100)
         x = rng.normal(size=(3, 2, 8, 8, 4))
 

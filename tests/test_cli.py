@@ -655,11 +655,13 @@ def scored_rows(records, preds):
 def value_id(value):
     """The test id of a parameter pytest would otherwise name by its row's
     position: a list of scalars by its items, any other list, dict or array
-    by its type; None leaves a scalar to pytest."""
+    by its type, and a type by its name; None leaves a scalar to pytest."""
     if isinstance(value, list) and not any(isinstance(v, (list, dict)) for v in value):
         return f"[{','.join(map(str, value))}]"
     if isinstance(value, np.ndarray):
         return f"{value.dtype}-array"
+    if isinstance(value, type):
+        return value.__name__
     if isinstance(value, (list, dict)):
         return type(value).__name__
     return None
@@ -852,6 +854,15 @@ class TestSelfDescribingModels:
          "tensor 'param_0001': Object arrays cannot be loaded"),
         ("voxel", "npz:meta", None, "missing field 'meta'"),
         ("voxel", "npz:param_0017", None, "state has 17 tensors, model has 18 parameters"),
+        # a tensor cast to another dtype ("npz:" with a dtype): neither cast
+        # on load nor loaded with its imaginary part dropped
+        ("mlp-baseline", "npz:param_0001", np.int64, "tensor 'param_0001' has dtype int64"),
+        ("voxel", "npz:param_0002", np.float16, "tensor 'param_0002' has dtype float16"),
+        ("voxel", "npz:param_0000", np.complex128, "tensor 'param_0000' has dtype complex128"),
+        # a float64 tensor among float32 ones
+        ("mlp-baseline", "npz:param_0003", np.float64,
+         "tensor 'param_0003' has dtype float64: a checkpoint's tensors are all float32 or all "
+         "float64 (param_0000 is float32)"),
         # a lone array where the archive should be
         ("voxel", "npy", np.zeros(3), "not a .npz file"),
     ], ids=value_id)
@@ -871,6 +882,8 @@ class TestSelfDescribingModels:
             name = dotted.removeprefix("npz:")
             if value is None:
                 arrays.pop(name)
+            elif isinstance(value, type):
+                arrays[name] = arrays[name].astype(value)
             else:
                 arrays[name] = value
 

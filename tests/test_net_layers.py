@@ -103,10 +103,10 @@ def random_layout(spec, rng):
 
 
 def first_layer(grid, out_ch, rng):
-    """The first layer of a net with one 3-D convolution on `grid`, (c, x,
-    y, z), and the row order of its output."""
+    """The first layer, in float64, of a net with one 3-D convolution on
+    `grid`, (c, x, y, z), and the row order of its output."""
     orders = window_major_orders(grid[1:], (grid[0], out_ch, 1))
-    return VoxelConv3d(out_ch, grid, orders[0], rng), orders[1]
+    return VoxelConv3d(out_ch, grid, orders[0], rng, dtype=np.float64), orders[1]
 
 
 def to_logical(rows, order, feature_shape):
@@ -162,22 +162,22 @@ def loop_conv_input_grad(x, w, grad_out):
 class TestGradients:
     def test_dense(self):
         rng = np.random.default_rng(0)
-        layer = Dense(6, 4, rng)
+        layer = Dense(6, 4, rng, dtype=np.float64)
         assert fd_layer_check(layer, rng.normal(size=(5, 6))) < FD_TOL
 
     def test_conv3d(self):
         rng = np.random.default_rng(1)
-        layer = Conv(2, 3, 9, rng, name="conv3d_1")
+        layer = Conv(2, 3, 9, rng, name="conv3d_1", dtype=np.float64)
         assert fd_layer_check(layer, rng.normal(size=(4, 9 * 2 * 8))) < FD_TOL
 
     def test_conv2d(self):
         rng = np.random.default_rng(3)
-        layer = Conv(3, 4, 6, rng, name="conv2d", ndim=2, depth=2)
+        layer = Conv(3, 4, 6, rng, name="conv2d", ndim=2, depth=2, dtype=np.float64)
         assert fd_layer_check(layer, rng.normal(size=(4, 6 * 3 * 2 * 4))) < FD_TOL
 
     def test_layer_norm_relu(self):
         rng = np.random.default_rng(5)
-        layer = LayerNormReLU((3, 4), order=rng.permutation(12))
+        layer = LayerNormReLU((3, 4), order=rng.permutation(12), dtype=np.float64)
         # non-unit gain/offset so their gradients are exercised
         layer.gain.value = rng.normal(size=(3, 4))
         layer.offset.value = rng.normal(size=(3, 4))
@@ -357,7 +357,7 @@ class TestConv2d:
         channels, on rows built from a logical input by one transpose."""
         rng = np.random.default_rng(15)
         windows = dims[0] // 2 * (dims[1] // 2)
-        layer = Conv(3, 4, windows, rng, name="conv2d", ndim=2, depth=depth)
+        layer = Conv(3, 4, windows, rng, name="conv2d", ndim=2, depth=depth, dtype=np.float64)
         layer.bias.value = rng.normal(size=4)
         x = rng.normal(size=(2, 3 * depth) + dims)
         out = layer.forward(conv2d_rows(x, depth))
@@ -451,8 +451,8 @@ def layer_norm_cases(draw):
 
 def fused_and_unfused(feature_shape, order, params):
     """A LayerNormReLU and its ReferenceLayerNorm and ReferenceReLU, with the
-    same row order, gain, offset and starting gradients."""
-    layer = LayerNormReLU(feature_shape, order=order)
+    same row order, gain, offset and starting gradients, in float64."""
+    layer = LayerNormReLU(feature_shape, order=order, dtype=np.float64)
     norm, relu = unfused(layer)
     for p, q, value, grad in zip(layer.parameters(), norm.parameters(), params[:2], params[2:]):
         p.value[...] = q.value[...] = value
@@ -550,9 +550,11 @@ class TestInPlaceLayersMatchReference:
         x = rng.normal(size=(batch, 2) + dims)
         grad_out = rng.normal(size=(batch, 3))
         mlp_x = rng.normal(size=(batch, FLAT_INPUT_WIDTH))
-        for model, inputs in [(build_voxel_net(config, (2,) + dims), x),
-                              (build_mlp_net((8, 5), seed=seed % 100), mlp_x),
-                              (build_mlp_net((8, 5), seed=seed % 100, layer_norm=False), mlp_x)]:
+        f64 = {"dtype": np.float64}
+        for model, inputs in [(build_voxel_net(config, (2,) + dims, **f64), x),
+                              (build_mlp_net((8, 5), seed=seed % 100, **f64), mlp_x),
+                              (build_mlp_net((8, 5), seed=seed % 100, layer_norm=False, **f64),
+                               mlp_x)]:
             model.values[...] = rng.normal(size=model.values.size)
             reference = with_reference_layers(model)
             assert [p.name for p in model.parameters()] == [p.name for p in reference.parameters()]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import re
 
@@ -29,6 +30,7 @@ from tactile_force.net import (
     load_checkpoint,
     save_checkpoint,
 )
+from tactile_force.net.layers import Layer
 from tactile_force.net.network import FLAT_INPUT_WIDTH, KIND_MLP, KIND_VOXEL
 from reference_net import (
     REFERENCE_RTOL, backward_with_term_magnitudes, build_reference_voxel_net,
@@ -217,7 +219,7 @@ class TestReferenceNet:
         and give the same outputs and parameter gradients to within
         REFERENCE_RTOL, since only summation orders differ."""
         config, input_shape, inputs, rng = case
-        net = build_voxel_net(config, input_shape)
+        net = build_voxel_net(config, input_shape, np.float64)
         reference = build_reference_voxel_net(config, input_shape)
         assert [p.name for p in net.parameters()] == [p.name for p in reference.parameters()]
         np.testing.assert_array_equal(net.values, reference.values)
@@ -443,6 +445,70 @@ class TestInPlaceContract:
             assert np.array_equal(out, before)
 
 
+class Returns(Layer):
+    """Runs `layer` and notes, in `returned`, the dtype of each array its
+    forward and backward return."""
+
+    def __init__(self, layer: Layer, returned: list):
+        self.layer, self.name, self.returned = layer, layer.name, returned
+
+    def parameters(self):
+        return self.layer.parameters()
+
+    def forward(self, x):
+        out = self.layer.forward(x)
+        self.returned.append((self.name, "forward", out.dtype))
+        return out
+
+    def backward(self, grad_out):
+        grad = self.layer.backward(grad_out)
+        if grad is not None:  # a voxel net's first layer returns none
+            self.returned.append((self.name, "backward", grad.dtype))
+        return grad
+
+
+class TestDtype:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["voxel_featurized", "voxel_dense", "mlp", "mlp_baseline"]),
+           batch=st.integers(1, 9), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_array_a_layer_returns_is_in_the_model_dtype(self, kind, batch, dtype, seed):
+        """On float64 inputs (a VoxelInputs batch, its dense grids, or flat
+        rows) and the float64 loss gradient, every layer's output and
+        returned gradient, and every parameter gradient, is in the dtype the
+        net was built in: no layer upcasts a float32 net to float64, and
+        the loss stays float64."""
+        rng = np.random.default_rng(seed)
+        if kind.startswith("voxel"):
+            config = NetworkConfig(conv3d_channels=(2, 3), conv2d_channels=4, fc_widths=(5,),
+                                   seed=seed % 100)
+            net = build_voxel_net(config, (N_CHANNELS, 8, 8, 4), dtype)
+            spec = GridSpec((8, 8, 4), np.zeros(3), np.ones(3))
+            points = rng.uniform(spec.bounds_min, spec.bounds_max, size=(batch, 3))
+            inputs = featurize_voxel(voxel_records(points, rng), random_layout(spec, rng),
+                                     spec).inputs
+            inputs = np.asarray(inputs) if kind == "voxel_dense" else inputs
+        else:
+            net = build_mlp_net((6, 4), seed=seed % 100, layer_norm=kind == "mlp", dtype=dtype)
+            inputs = rng.normal(size=(batch, FLAT_INPUT_WIDTH))
+        returned = []
+        n_layers = len(net.layers)
+        net.layers = [Returns(layer, returned) for layer in net.layers]
+        out = net.forward(inputs)
+        f_3d = rng.normal(size=(batch, 3)) + [0.0, 0.0, 2.0]
+        _, grad, _ = batch_loss_and_grad(out, f_3d, np.tile([0.0, 0.0, 1.0], (batch, 1)),
+                                         np.tile(np.eye(3), (batch, 1, 1)),
+                                         np.array(["rigid_ft"] * batch), LossConfig())
+        assert grad.dtype == np.float64
+        net.backward(grad)
+        assert len(returned) == 2 * n_layers - kind.startswith("voxel")
+        assert all(returned_dtype == dtype for *_, returned_dtype in returned), returned
+        assert net.values.dtype == net.grads.dtype == dtype
+        for p in net.parameters():
+            assert p.value.dtype == p.grad.dtype == dtype
+            assert np.shares_memory(p.grad, net.grads), p.name
+
+
 class TestConfig:
     def test_kernel_stride_fixed_at_two(self):
         # kernel = stride = 2 by construction, so neither is a setting
@@ -489,15 +555,29 @@ class TestCheckpoint:
         """Names, order and seed-0 values of the default voxel net's
         parameters: a layer rewrite must keep the RNG draw order that
         training from a seed, and the parameter order of stored
-        checkpoints, depend on."""
+        checkpoints, depend on. Pinned in float64, the dtype they are drawn
+        in; a float32 build is these cast (the next test)."""
         digest = hashlib.sha256()
-        net = build_voxel_net(NetworkConfig(seed=0), input_shape=(N_CHANNELS, *DEFAULT_DIMS))
+        net = build_voxel_net(NetworkConfig(seed=0), (N_CHANNELS, *DEFAULT_DIMS), np.float64)
         for p in net.parameters():
             digest.update(p.name.encode())
             digest.update(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
         assert digest.hexdigest() == (
             "09ce888a64e95e080c6e75e832dd0855b3012f1d653eebdc2d262d17dc82ba5d"
         )
+
+    @pytest.mark.parametrize("build", [
+        lambda **dtype: build_voxel_net(NetworkConfig(seed=0), (N_CHANNELS, *DEFAULT_DIMS), **dtype),
+        lambda **dtype: build_mlp_net((8, 4), seed=1, **dtype),
+        lambda **dtype: build_mlp_net((8, 4), seed=1, layer_norm=False, **dtype),
+    ], ids=["voxel", "mlp", "mlp_baseline"])
+    def test_a_float32_build_is_the_float64_build_cast(self, build):
+        """A net is built in float32 unless given another dtype, from the
+        values it draws in float64, cast exactly."""
+        single, double = build(), build(dtype=np.float64)
+        assert single.values.dtype == single.grads.dtype == np.float32
+        assert double.values.dtype == double.grads.dtype == np.float64
+        assert np.array_equal(single.values, double.values.astype(np.float32))
 
     def test_voxel_roundtrip(self, tmp_path):
         cfg, net = tiny_net(seed=6)
@@ -535,15 +615,16 @@ class TestCheckpoint:
 
     @settings(max_examples=30, deadline=None)
     @given(model=st.sampled_from(["voxel", "no_voxel", "mlp_baseline"]), n_conv3d=st.integers(1, 2),
-           scale=st.tuples(*[st.integers(1, 2)] * 3), seed=st.integers(0, 2**32 - 1))
+           scale=st.tuples(*[st.integers(1, 2)] * 3), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]))
     def test_save_load_and_featurize_give_the_same_parameters_and_predictions(
-        self, tmp_path_factory, model, n_conv3d, scale, seed
+        self, tmp_path_factory, model, n_conv3d, scale, seed, dtype
     ):
         """Each family train writes (the voxel net on a random grid it
-        tiles, the --no-voxel MLP and the MLP baseline) loads with its
-        parameters, and on the features its checkpoint's record builds
-        predicts what it predicted on the features it was built for, bit for
-        bit."""
+        tiles, the --no-voxel MLP and the MLP baseline), in float32 or
+        float64, loads in its dtype with its parameters, and on the features
+        its checkpoint's record builds predicts what it predicted on the
+        features it was built for, bit for bit."""
         rng = np.random.default_rng(seed)
         xy, z = 2 ** (n_conv3d + 1), 2**n_conv3d
         spec = GridSpec((xy * scale[0], xy * scale[1], z * scale[2]), np.zeros(3),
@@ -553,16 +634,17 @@ class TestCheckpoint:
         if model == "voxel":
             config = NetworkConfig(conv3d_channels=(3, 4)[:n_conv3d], conv2d_channels=5,
                                    fc_widths=(6,), seed=seed % 100)
-            net = build_voxel_net(config, (N_CHANNELS, *spec.dims))
+            net = build_voxel_net(config, (N_CHANNELS, *spec.dims), dtype)
             featurization = featurization_record(layout, SurfaceGeometry(), spec.to_config())
             inputs = featurize_voxel(records, layout, spec).inputs
         else:
-            net = build_mlp_net((7, 5), seed=seed % 100, layer_norm=model == "no_voxel")
+            net = build_mlp_net((7, 5), seed=seed % 100, layer_norm=model == "no_voxel", dtype=dtype)
             featurization, inputs = None, featurize_flat(records).inputs
         net.values[...] = rng.normal(size=net.values.size)
         path = tmp_path_factory.mktemp("checkpoint") / "checkpoint.npz"
         save_checkpoint(path, net, featurization=featurization)
         loaded, meta = load_checkpoint(path)
+        assert loaded.values.dtype == dtype and "dtype" not in json.dumps(meta)
         assert np.array_equal(loaded.values, net.values)
         rebuilt = featurizer(meta.get("featurization"))(records).inputs
         assert np.array_equal(loaded.forward(rebuilt), net.forward(inputs))
