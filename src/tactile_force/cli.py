@@ -90,7 +90,7 @@ GEOMETRY_CONFIG = {
 }
 # every key of a simulation config, with its default
 SIMULATE_CONFIG = {
-    "seed": 0,
+    "seed": Count(0),
     "params": PUSH_PARAMS_CONFIG,
     "box_half_extents": BOX_HALF_EXTENTS_CONFIG,
     **GEOMETRY_CONFIG,
@@ -110,7 +110,7 @@ SIMULATE_CONFIG = {
 # every key of a training config, with its default; the run seed sets the
 # network's and the training's, and the grid is read by GridSpec.from_config
 TRAIN_CONFIG = {
-    "seed": 0,
+    "seed": Count(0),
     "network": config_tree(NetworkConfig, exclude=("seed",)),
     "training": config_tree(TrainingConfig, exclude=("seed",)),
     "loss": config_tree(LossConfig, exclude=("mode",)),
@@ -145,10 +145,12 @@ def _read_config(path, defaults: dict) -> dict:
 
 
 def _resolve_seed(args, config: dict) -> int:
-    """--seed, else the config's seed. It is stored back in `args`, so the
-    run manifest records the seed used."""
+    """--seed, which must be at least 0, else the config's seed. It is stored
+    back in `args`, so the run manifest records the seed used."""
     if args.seed is None:
         args.seed = config["seed"]
+    elif args.seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
     return args.seed
 
 

@@ -36,6 +36,10 @@ MANIFEST_RECORD = {"samples_file": Required(""),
                    "splits": {name: Required(Items(("",))) for name in SPLIT_NAMES},
                    "seed": None, "counts": None, "n_filtered_out": None}
 
+# a record's array fields: attribute, file key and shape
+_ARRAY_FIELDS = (("e", "e", (N_ELECTRODES,)), ("s_c", "s_c", (3,)), ("s_n", "s_n", (3,)),
+                 ("f_3d", "f_3d", (3,)), ("r_wb", "R_wb", (3, 3)))
+
 
 @dataclass(frozen=True)
 class SampleRecord:
@@ -43,8 +47,8 @@ class SampleRecord:
 
     s_c / s_n are the sensor-frame contact point and outward normal, f_3d the
     sensor-frame ground-truth force, r_wb the rotation taking sensor-frame
-    vectors to the world frame. motion optionally carries the planar source
-    state the sample was derived from.
+    vectors to the world frame. step, for a planar sample only, is its row
+    in its trial's episode file.
     """
 
     trial_id: str
@@ -55,27 +59,37 @@ class SampleRecord:
     f_3d: np.ndarray
     r_wb: np.ndarray
     in_contact: bool = True
-    motion: dict | None = None
+    step: int | None = None
 
     def __post_init__(self):
-        """A SchemaError names a field, by its file key, without its type or
-        shape, or a source not known; r_wb may be 9 values row-major, as in files."""
+        """A SchemaError names a field, by its file key, that lacks its type
+        or shape or holds a number that is not finite, or a source not known;
+        r_wb may be 9 values row-major, as in files."""
         if not isinstance(self.trial_id, str):
             raise SchemaError(f"field 'trial_id' must be a string, got {self.trial_id!r}")
         if not isinstance(self.in_contact, bool):
             raise SchemaError(f"field 'in_contact' must be true or false, got {self.in_contact!r}")
         if self.source_tag not in KNOWN_SOURCES:
             raise SchemaError(f"trial {self.trial_id!r}: unknown source_tag {self.source_tag!r}")
-        for name, key, shape in (("e", "e", (N_ELECTRODES,)), ("s_c", "s_c", (3,)),
-                                 ("s_n", "s_n", (3,)), ("f_3d", "f_3d", (3,)), ("r_wb", "R_wb", (3, 3))):
+        if self.step is not None and (type(self.step) is not int or self.step < 0):
+            raise SchemaError(f"trial {self.trial_id!r}: field 'step' must be an integer of at "
+                              f"least 0, got {self.step!r}")
+        for name, key, shape in _ARRAY_FIELDS:
             try:
                 array = np.asarray(getattr(self, name), dtype=float)
-            except (TypeError, ValueError) as exc:  # not numbers, or a ragged nesting
+            except (TypeError, ValueError, OverflowError) as exc:  # not numbers, ragged, too large
                 raise SchemaError(f"trial {self.trial_id!r}: field {key!r}: {exc}") from exc
             if array.shape != shape and (name != "r_wb" or array.shape != (9,)):
                 raise SchemaError(f"trial {self.trial_id!r}: field {key!r} has shape "
                                   f"{array.shape}, expected {shape}")
             object.__setattr__(self, name, array.reshape(shape) if name == "r_wb" else array)
+        # one check over every number; the field is looked for only on failure
+        if not np.isfinite(np.concatenate((self.e, self.s_c, self.s_n, self.f_3d, self.r_wb),
+                                          axis=None)).all():
+            key = next(key for name, key, _ in _ARRAY_FIELDS
+                       if not np.isfinite(getattr(self, name)).all())
+            raise SchemaError(f"trial {self.trial_id!r}: field {key!r} holds a number that is not "
+                              "finite")
 
     def to_dict(self) -> dict:
         d = {
@@ -88,19 +102,19 @@ class SampleRecord:
             "R_wb": self.r_wb.ravel().tolist(),
             "in_contact": self.in_contact,
         }
-        if self.motion is not None:
-            d["motion"] = self.motion
+        if self.step is not None:
+            d["step"] = self.step
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SampleRecord":
         """A samples-file record; a missing or unknown field, or one of the
-        wrong type or shape, is a SchemaError."""
+        wrong type or shape or not finite, is a SchemaError."""
         d = dict(d)
         try:
             record = cls(trial_id=d.pop("trial_id"), source_tag=d.pop("source_tag"), e=d.pop("e"),
                          s_c=d.pop("s_c"), s_n=d.pop("s_n"), f_3d=d.pop("f_3d"), r_wb=d.pop("R_wb"),
-                         in_contact=d.pop("in_contact", True), motion=d.pop("motion", None))
+                         in_contact=d.pop("in_contact", True), step=d.pop("step", None))
         except KeyError as exc:
             raise SchemaError(f"sample record missing field {exc.args[0]!r}") from exc
         if d:
@@ -339,8 +353,8 @@ def featurize_voxel(
     Each sample's inputs are its 19 electrode values, in layout order, and
     its contact cell; their dense array equals stacking `voxel.encode` of
     each record.
-    A record whose contact point is not finite or lies outside the grid is
-    an error naming its trial.
+    A record whose contact point lies outside the grid is an error naming
+    its trial; a record's numbers are all finite.
     """
     cells = electrode_cells(layout, spec)
     e = np.stack([r.e for r in records])
@@ -349,8 +363,7 @@ def featurize_voxel(
     if bad.size:
         r = records[bad[0]]
         raise OutOfBoundsError(
-            f"trial {r.trial_id!r}: contact point {r.s_c.tolist()} is not a finite point "
-            f"within the grid bounds"
+            f"trial {r.trial_id!r}: contact point {r.s_c.tolist()} is not within the grid bounds"
         )
     grid = (N_CHANNELS,) + spec.dims
     electrodes = np.ravel_multi_index((CHANNEL_ELECTRODES,) + cells, grid)

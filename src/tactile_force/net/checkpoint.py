@@ -18,7 +18,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from ..errors import ConfigError, Items, PositiveCount, Required, SchemaError, config_tree, read_config
+from ..errors import (
+    ConfigError, Count, Items, PositiveCount, Required, SchemaError, config_tree, read_config,
+)
 from ..files import atomic_open
 from ..voxel import N_CHANNELS, GridSpec
 from .losses import LossConfig
@@ -35,7 +37,7 @@ CHECKPOINT_META = {
                  "featurization": Required({"grid": Required(None), "layout": Required(None)}),
                  "loss_config": None, "metadata": Required(None)},
     KIND_MLP: {"kind": "", "args": Required({"hidden_widths": Required(Items((PositiveCount(1),))),
-                                             "seed": Required(0), "layer_norm": Required(True)}),
+                                             "seed": Required(Count(0)), "layer_norm": Required(True)}),
                "loss_config": None, "metadata": Required(None)},
 }
 

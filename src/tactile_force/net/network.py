@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, Items, NumericalError, PositiveCount, check_fields
+from ..errors import ConfigError, Count, Items, NumericalError, PositiveCount, check_fields
 from ..sensor import N_ELECTRODES
 from ..voxel import VoxelInputs
 from .layers import (
@@ -43,7 +43,7 @@ class NetworkConfig:
     conv3d_channels: tuple[int, ...] = Items((PositiveCount(8), PositiveCount(16)), least=1)
     conv2d_channels: int = PositiveCount(32)
     fc_widths: tuple[int, ...] = Items((PositiveCount(128), PositiveCount(64)))
-    seed: int = 0
+    seed: int = Count(0)
 
     def __post_init__(self):
         check_fields(self)

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import (
-    ConfigError, DataIntegrityError, Fraction, NumericalError, Positive, PositiveCount, check_fields,
+    ConfigError, Count, DataIntegrityError, Fraction, NumericalError, Positive, PositiveCount,
+    check_fields,
 )
 from ..voxel import VoxelInputs
 from .losses import MAGNITUDE_FLOOR_N, LossConfig, batch_loss_and_grad
@@ -34,7 +35,7 @@ class TrainingConfig:
     batch_size: int = PositiveCount(512)
     base_lr: float = Positive(1e-4)
     decay_factor: float = Fraction(0.95)
-    seed: int = 0
+    seed: int = Count(0)
 
     __post_init__ = check_fields
 

@@ -117,21 +117,13 @@ class PushEpisode:
             omega_dot=float(self.omega_dot[i]),
         )
 
-    def motion_row(self, i: int) -> dict:
-        """Step i's time and motion as JSON values."""
-        return {
-            "t": float(self.times[i]),
-            "pose": self.poses[i].tolist(),
-            "v": self.v[i].tolist(),
-            "omega": float(self.omega[i]),
-            "v_dot": self.v_dot[i].tolist(),
-            "omega_dot": float(self.omega_dot[i]),
-        }
-
     def step_dicts(self) -> list[dict]:
-        """Rows for the episode JSON-lines file."""
+        """Rows for the episode JSON-lines file: each step's time, motion,
+        contact point and applied force, as JSON values."""
         return [
-            {**self.motion_row(i), "contact_point": self.contact_points[i].tolist(),
+            {"t": float(self.times[i]), "pose": self.poses[i].tolist(), "v": self.v[i].tolist(),
+             "omega": float(self.omega[i]), "v_dot": self.v_dot[i].tolist(),
+             "omega_dot": float(self.omega_dot[i]), "contact_point": self.contact_points[i].tolist(),
              "f_true": self.applied_forces[i].tolist()}
             for i in range(self.n_steps)
         ]
@@ -409,10 +401,13 @@ def make_planar_trials(
     """Simulate pushing trials and derive sensor samples from each step.
 
     The sensor touches the box at a fixed spot per trial; its orientation is
-    built so the nominal +x push direction maps near the contact's outward
-    normal (a head-on push compresses the sensing face). The contact gate runs
-    once over the trial's synthesized static pressure trace, so the first
-    steps of each push are dropped until its window fills.
+    built so the nominal +x push direction maps within 15 degrees of the
+    contact's outward normal. Each sample's f_3d is the force on the box,
+    rotated into the sensor frame, so a head-on push labels a force that
+    points out of the sensing face, not into it as an F/T sample's does.
+    The contact gate runs once over the trial's synthesized static pressure
+    trace, so the first steps of each push are dropped until its window
+    fills. Each sample's step is its row in the trial's episode file.
     """
     master = np.random.default_rng(seed)
     episodes: list[PushEpisode] = []
@@ -444,7 +439,7 @@ def make_planar_trials(
         magnitudes = np.array([float(np.linalg.norm(f)) for f in f_3d])
         in_contact = detect_contact(PRESSURE_UNITS_PER_NEWTON * magnitudes)
         # every pushed step draws its noise, in step order; the gate picks the records
-        for i in np.flatnonzero(magnitudes):
+        for i in np.flatnonzero(magnitudes).tolist():
             e = sensor_forward(model, contact, f_3d[i], rng=rng)
             if in_contact[i]:
                 records.append(
@@ -456,7 +451,7 @@ def make_planar_trials(
                         s_n=contact.s_n,
                         f_3d=f_3d[i],
                         r_wb=r_wb,
-                        motion=episode.motion_row(i),
+                        step=i,
                     )
                 )
         episodes.append(episode)

@@ -105,6 +105,22 @@ class TestSimulate:
             ep_b = out_b / "episodes" / ep_a.name
             assert ep_a.read_bytes() == ep_b.read_bytes()
 
+    def test_planar_sample_step_names_its_episode_row(self, sim_dir):
+        """A planar line's step is the row of its episode file whose applied
+        force, rotated into the sensor frame, is the line's f_3d; an F/T
+        line has no step."""
+        lines = [json.loads(line) for line in (sim_dir / "samples.jsonl").read_text().splitlines()]
+        planar = [d for d in lines if d["source_tag"] == "planar_pushing"]
+        assert planar and all("step" not in d for d in lines if d not in planar)
+        episodes = {}
+        for d in planar:
+            if d["trial_id"] not in episodes:
+                path = sim_dir / "episodes" / f"{d['trial_id']}.jsonl"
+                episodes[d["trial_id"]] = [json.loads(row) for row in path.read_text().splitlines()]
+            f_true = episodes[d["trial_id"]][d["step"]]["f_true"]
+            r_wb = np.array(d["R_wb"]).reshape(3, 3)
+            np.testing.assert_allclose(d["f_3d"], r_wb.T @ [*f_true, 0.0], rtol=0, atol=1e-9)
+
     def test_missing_mass_exits_2_naming_field(self, tmp_path, capsys):
         config = write_config(
             tmp_path / "c.json",
@@ -824,6 +840,9 @@ class TestSelfDescribingModels:
         ("mlp-baseline", "args.hidden_widths", "ab", "field 'args.hidden_widths'"),
         ("mlp-baseline", "args.hidden_widths", [16, 0], "field 'args.hidden_widths[1]'"),
         ("mlp-baseline", "metadata", [1], "field 'metadata' must be an object"),
+        # a seed the generator rejects
+        ("mlp-baseline", "args.seed", -1, "field 'args.seed' must be at least 0"),
+        ("voxel", "args.config.seed", -1, "field 'args.config.seed' must be at least 0"),
         # build args the net divides by, sizes arrays with or unpacks
         ("voxel", "args.config.conv2d_channels", 0, "field 'args.config.conv2d_channels'"),
         ("voxel", "args.config.fc_widths", [-1], "field 'args.config.fc_widths[0]'"),
@@ -1082,6 +1101,17 @@ class TestConfigValueTypes:
         assert f"unknown key '{dotted}'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_negative_seed_flag_exits_2_naming_it(self, sim_dir, sim_config, tmp_path, capsys,
+                                                  command):
+        out = tmp_path / "o"
+        args = {"simulate": ["simulate", "--config", write_config(tmp_path / "c.json", sim_config)],
+                "train": ["train", "--manifest", sim_dir / "dataset_manifest.json"]}[command]
+        capsys.readouterr()
+        assert run([*args, "--out", out, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: --seed must be at least 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, field, value", [
         ("simulate", "sources.rigid_ft.trials", "x"),
         ("simulate", "sources.planar_pushing.steps", 150.0),
@@ -1096,6 +1126,8 @@ class TestConfigValueTypes:
         ("train", "loss.beta", "x"),
         ("train", "loss.beta", True),
         ("train", "seed", "x"),
+        ("simulate", "seed", -5),
+        ("train", "seed", -1),
         ("simulate", "sensor.noise_scale", float("nan")),
         ("simulate", "sources.rigid_ft.force_range", [float("nan"), 1.0]),
         ("simulate", "split.train", float("inf")),
@@ -1232,7 +1264,8 @@ def tamper_train_record(sim_dir, field, value):
     return trial
 
 
-# a samples-file record's field set to a value of the wrong shape or type
+# a samples-file record's field set to a value of the wrong shape, type or
+# range, or a key no record has
 DAMAGED_FIELDS = {
     "short_e": {"e": [0.5] * 18},
     "in_contact_string": {"in_contact": "false"},
@@ -1240,6 +1273,12 @@ DAMAGED_FIELDS = {
     "trial_id_list": {"trial_id": ["x"]},
     "source_tag_unknown": {"source_tag": "rigid-ft"},
     "unknown_key": {"R_bw": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]},
+    "step_negative": {"step": -1},
+    "step_fraction": {"step": 1.5},
+    "step_bool": {"step": True},
+    "former_motion_key": {"motion": {"t": 0.0}},
+    "e_nan": {"e": [float("nan")] + [0.5] * 18},
+    "f_3d_infinity": {"f_3d": [float("inf"), 0.0, 0.0]},
 }
 
 
@@ -1265,6 +1304,26 @@ class TestDataFileErrors:
             err = capsys.readouterr().err
             assert err.startswith("data error:")
             assert f"'{trial}'" in err and f"'{field}'" in err
+
+    @pytest.mark.parametrize("field, value", [("e", [float("nan")] + [0.5] * 18),
+                                              ("f_3d", [0.0, float("inf"), 0.0]),
+                                              ("R_wb", [float("nan")] * 9)])
+    def test_non_finite_record_field_exits_3_naming_trial(
+        self, sim_dir, tmp_path, capsys, field, value
+    ):
+        """A NaN or infinity is read from a samples file as JSON allows, and
+        then rejected: the linear fit would give NaN scales, the voxel net a
+        NaN output, and eval would drop a sample of NaN force unscored."""
+        trial = tamper_train_record(sim_dir, field, value)
+        manifest = sim_dir / "dataset_manifest.json"
+        for args in (
+            ["train", "--manifest", manifest, "--out", tmp_path / "m", "--model", "linear"],
+            ["eval", "--manifest", manifest, "--model-kind", "oracle", "--out", tmp_path / "e"],
+        ):
+            assert exit_code(args) == 3
+            err = capsys.readouterr().err
+            assert f"'{trial}': field '{field}' holds a number that is not finite" in err
+        assert not (tmp_path / "m" / "linear_model.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("damage", ["truncated", "not_an_object", *DAMAGED_FIELDS])

@@ -318,9 +318,7 @@ class TestGenerators:
         for r in records[:50]:
             episode = by_trial[r.trial_id]
             # sensor-frame ground truth is the rotated planar force
-            f_c = episode.applied_forces[
-                int(round(r.motion["t"] / (episode.times[1] - episode.times[0])))
-            ]
+            f_c = episode.applied_forces[r.step]
             expected = r.r_wb.T @ np.array([f_c[0], f_c[1], 0.0])
             np.testing.assert_allclose(r.f_3d, expected, atol=1e-9)
             # world frame recovers the planar force exactly
@@ -347,8 +345,8 @@ class TestGenerators:
                 rtol=1e-12,
             )
             # a record for every step the gate passes, and for no other
-            labelled = [r.motion["t"] for r in records if r.trial_id == episode.trial_id]
-            assert labelled == episode.times[detect_contact(trace)].tolist()
+            labelled = [r.step for r in records if r.trial_id == episode.trial_id]
+            assert labelled == np.flatnonzero(detect_contact(trace)).tolist()
 
     def test_random_rotation_is_proper(self):
         rng = np.random.default_rng(13)

@@ -208,14 +208,22 @@ class TestFeaturizeVoxel:
         assert inputs.shape == (5, 2) + dims
         assert inputs.nbytes == 5 * 20 * 8 + 19 * 8
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0])
-    def test_bad_contact_point_names_trial(self, layout, spec, bad):
+    def test_contact_point_outside_the_grid_names_trial(self, layout, spec):
         s_c = cell_center(spec, (2, 2, 2))
-        s_c[2] = bad
+        s_c[2] = 1.0
         records = [record("ok", np.zeros(19), cell_center(spec, (1, 1, 1))),
                    record("trial_7", np.zeros(19), s_c)]
         with pytest.raises(OutOfBoundsError, match="'trial_7'"):
             featurize_voxel(records, layout, spec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_contact_point_names_trial(self, spec, bad):
+        """A record checks that its numbers are finite, so featurize_voxel
+        is never given a non-finite contact point."""
+        s_c = cell_center(spec, (2, 2, 2))
+        s_c[2] = bad
+        with pytest.raises(SchemaError, match="'trial_7': field 's_c' holds a number that is not finite"):
+            record("trial_7", np.zeros(19), s_c)
 
     def test_wrong_electrode_count_names_trial(self, spec):
         """A record checks its own shapes, so featurize_voxel is never given
