@@ -37,7 +37,8 @@ CHECKPOINT_META = {
                  "featurization": Required({"grid": Required(None), "layout": Required(None)}),
                  "loss_config": None, "metadata": Required(None)},
     KIND_MLP: {"kind": "", "args": Required({"hidden_widths": Required(Items((PositiveCount(1),))),
-                                             "seed": Required(Count(0)), "layer_norm": Required(True)}),
+                                             "seed": Required(Count(0)),
+                                             "layer_norm": Required(True)}),
                "loss_config": None, "metadata": Required(None)},
 }
 

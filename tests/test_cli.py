@@ -1279,6 +1279,7 @@ DAMAGED_FIELDS = {
     "former_motion_key": {"motion": {"t": 0.0}},
     "e_nan": {"e": [float("nan")] + [0.5] * 18},
     "f_3d_infinity": {"f_3d": [float("inf"), 0.0, 0.0]},
+    "s_c_integer_too_large_for_a_float": {"s_c": [10**400, 0, 0]},
 }
 
 
@@ -1305,16 +1306,16 @@ class TestDataFileErrors:
             assert err.startswith("data error:")
             assert f"'{trial}'" in err and f"'{field}'" in err
 
-    @pytest.mark.parametrize("field, value", [("e", [float("nan")] + [0.5] * 18),
-                                              ("f_3d", [0.0, float("inf"), 0.0]),
-                                              ("R_wb", [float("nan")] * 9)])
+    @pytest.mark.parametrize("field, size, bad", [("e", 19, float("nan")),
+                                                  ("f_3d", 3, float("inf")),
+                                                  ("R_wb", 9, float("nan"))])
     def test_non_finite_record_field_exits_3_naming_trial(
-        self, sim_dir, tmp_path, capsys, field, value
+        self, sim_dir, tmp_path, capsys, field, size, bad
     ):
         """A NaN or infinity is read from a samples file as JSON allows, and
         then rejected: the linear fit would give NaN scales, the voxel net a
         NaN output, and eval would drop a sample of NaN force unscored."""
-        trial = tamper_train_record(sim_dir, field, value)
+        trial = tamper_train_record(sim_dir, field, [bad] + [0.5] * (size - 1))
         manifest = sim_dir / "dataset_manifest.json"
         for args in (
             ["train", "--manifest", manifest, "--out", tmp_path / "m", "--model", "linear"],
