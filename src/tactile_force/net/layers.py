@@ -230,8 +230,8 @@ class VoxelConv3d(Conv):
             return None
         e, e_window, e_column, sample, window, column = self._inputs
         g = grad_out.reshape(len(e), self.windows, self.out_channels)
-        at_electrodes = np.einsum("bj,bjo->jo", e, np.take(g, e_window, axis=1),
-                                  optimize=True)  # e.T @ g, gathered
+        # e.T @ g, gathered: one (1, b) @ (b, out) product per electrode
+        at_electrodes = (e.T[:, None, :] @ np.take(g, e_window, axis=1).transpose(1, 0, 2))[:, 0]
         picked = np.concatenate([at_electrodes, g[sample, window]])
         dw = np.zeros((self.window_size, self.out_channels), g.dtype)
         np.add.at(dw, np.concatenate([e_column, column]), picked)  # columns repeat

@@ -7,6 +7,12 @@ which carries no out-of-plane information; note it squares the projected
 norm while the scaled loss does not). Both can be multiplied by a weight
 2^(beta * (1 - D)) that emphasizes samples whose force direction aligns with
 the surface normal, where D is the normalized angular distance.
+
+Every factor but the error prediction - ground truth depends on the ground
+truth alone: the magnitude and the floor, the weight, the source's case and
+the plane projection. `loss_targets` builds them once per sample set and
+loss config, which is also where an unknown source tag fails, before any
+step; `batch_loss_and_grad` reads a batch's slice of them.
 """
 
 from __future__ import annotations
@@ -53,66 +59,114 @@ class LossConfig:
             raise ConfigError(f"unknown loss mode {self.mode!r}")
 
 
-def batch_loss_and_grad(
-    predictions: np.ndarray,
+@dataclass
+class LossTargets:
+    """The per-sample factors of the loss that depend only on the ground
+    truth, built once per sample set by `loss_targets` and sliced for each
+    batch with `take`.
+
+    f is the ground truth, (n, 3); keep marks the samples at or above
+    MAGNITUDE_FLOOR_N, the only ones the loss counts; norm is |f|, and 1
+    below the floor so that no division there fails; weight is the
+    alignment weight (1 in plain_l2 mode); planar marks the samples that
+    take the projected loss; proj is PSI^T R_wb, (n, 2, 3), which maps a
+    sensor-frame error to its in-plane part; plain selects plain_l2.
+    """
+
+    f: np.ndarray
+    keep: np.ndarray
+    norm: np.ndarray
+    weight: np.ndarray
+    planar: np.ndarray
+    proj: np.ndarray
+    plain: bool
+
+    def __len__(self) -> int:
+        return len(self.f)
+
+    def take(self, idx) -> "LossTargets":
+        return LossTargets(self.f[idx], self.keep[idx], self.norm[idx], self.weight[idx],
+                           self.planar[idx], self.proj[idx], self.plain)
+
+
+def loss_targets(
     f_3d: np.ndarray,
     s_n: np.ndarray,
     r_wb: np.ndarray,
     source_tags: np.ndarray,
     config: LossConfig,
-) -> tuple[float, np.ndarray, int]:
-    """Mean loss over the included samples of a batch.
+) -> LossTargets:
+    """The loss targets of a sample set under `config`. Every factor is
+    computed row by row, so the targets of a slice of a set equal the
+    slice of its targets. In case_by_source mode a sample above the floor
+    whose source tag is unknown is a ConfigError naming the tag; a sample
+    below it is skipped before its tag is read."""
+    f = np.asarray(f_3d, dtype=float)
+    n = len(f)
+    norm = np.linalg.norm(f, axis=1)
+    keep = ~(norm < MAGNITUDE_FLOOR_N)
+    norm = np.where(keep, norm, 1.0)
+    proj = np.einsum("ji,njk->nik", PSI, np.asarray(r_wb, dtype=float))
+    if config.mode == LOSS_MODE_PLAIN:
+        return LossTargets(f, keep, norm, np.ones(n), np.zeros(n, dtype=bool), proj, True)
+    tags = np.asarray(source_tags)
+    unknown = keep & ~np.isin(tags, KNOWN_SOURCES)
+    if unknown.any():
+        raise ConfigError(f"unknown source tag {str(tags[unknown][0])!r}")
+    cos = np.clip(np.einsum("ni,ni->n", np.asarray(s_n, dtype=float), f) / norm, -1.0, 1.0)
+    weight = 2.0 ** (config.beta * (1.0 - np.arccos(cos) / math.pi))
+    return LossTargets(f, keep, norm, weight, tags == SOURCE_PLANAR, proj, False)
 
-    Samples whose ground-truth magnitude falls below the floor are excluded
-    and counted. Returns (mean loss, gradient w.r.t. predictions, n_skipped);
-    the gradient rows of skipped samples are zero, and a batch whose every
-    sample is skipped has loss 0 and a zero gradient. One vectorized pass over
-    the batch, checked against the per-sample oracle in
-    tests/loss_oracles.py.
+
+def batch_loss_and_grad(
+    predictions: np.ndarray, targets: LossTargets
+) -> tuple[float, np.ndarray, int]:
+    """Mean loss over the samples of a batch above the magnitude floor.
+
+    Samples below the floor are excluded and counted. Returns (mean loss,
+    gradient w.r.t. predictions, n_skipped); the gradient rows of skipped
+    samples are zero, and a batch whose every sample is skipped has loss 0
+    and a zero gradient. One vectorized pass over the batch, checked
+    against the per-sample oracle in tests/loss_oracles.py.
     """
     predictions = np.asarray(predictions, dtype=float)
     n = predictions.shape[0]
     if n == 0:
         raise SchemaError("empty batch")
-    f_3d = np.asarray(f_3d, dtype=float)
-    norm = np.linalg.norm(f_3d, axis=1)
-    keep = ~(norm < MAGNITUDE_FLOOR_N)
+    if len(targets) != n:
+        raise SchemaError(f"{n} predictions for the targets of {len(targets)} samples")
+    keep = targets.keep
     n_kept = int(np.count_nonzero(keep))
     if n_kept == 0:
         return 0.0, np.zeros_like(predictions), n
-    f, norm = f_3d[keep], norm[keep]
-    diff = predictions[keep] - f
-    if config.mode == LOSS_MODE_PLAIN:
-        losses, grads = np.einsum("ij,ij->i", diff, diff), 2.0 * diff
+    diff = predictions - targets.f
+    if targets.plain:
+        base, base_grad = np.einsum("ij,ij->i", diff, diff), 2.0 * diff
     else:
-        tags = np.asarray(source_tags)[keep]
-        known = np.isin(tags, KNOWN_SOURCES)
-        if not known.all():
-            raise ConfigError(f"unknown source tag {str(tags[~known][0])!r}")
-        losses, grads = _case_loss_and_grad(
-            f, diff, norm, np.asarray(s_n, dtype=float)[keep],
-            np.asarray(r_wb, dtype=float)[keep], tags == SOURCE_PLANAR, config,
-        )
-    out = np.zeros_like(predictions)
-    out[keep] = grads / n_kept
-    return float(np.mean(losses)), out, n - n_kept
+        base, base_grad = _case_loss_and_grad(diff, targets)
+    losses = targets.weight * base
+    grads = np.multiply(targets.weight[:, None], base_grad, out=np.zeros_like(predictions),
+                        where=keep[:, None])
+    grads /= n_kept
+    # the sum of the included rows alone, so the mean rounds as their np.mean
+    return float(losses[keep].sum() / n_kept), grads, n - n_kept
 
 
-def _case_loss_and_grad(f, diff, norm, s_n, r_wb, planar, config):
-    """Per-row weighted loss and gradient of the case-by-source mode, with
-    diff = prediction - ground truth and norm = |ground truth| > 0."""
+def _case_loss_and_grad(diff, targets):
+    """Per-row unweighted loss and gradient of the case-by-source mode, with
+    diff = prediction - ground truth."""
+    norm = targets.norm
     # scaled 3-D loss |diff| / |f|; at an exact fit the norm kink, subgradient 0
     dist = np.linalg.norm(diff, axis=1)
     fit = dist < 1e-300
-    scaled = np.where(fit, 0.0, dist / norm)
-    scaled_grad = diff / (np.where(fit, 1.0, dist) * norm)[:, None]
-    scaled_grad[fit] = 0.0
-    # projected loss |PSI^T R_wb diff|^2 / |f|
-    u = np.einsum("nij,nj->ni", r_wb, diff) @ PSI
-    projected = np.einsum("ni,ni->n", u, u) / norm
-    projected_grad = 2.0 * np.einsum("nji,nj->ni", r_wb, u @ PSI.T) / norm[:, None]
-    cos = np.clip(np.einsum("ni,ni->n", s_n, f) / norm, -1.0, 1.0)
-    weight = 2.0 ** (config.beta * (1.0 - np.arccos(cos) / math.pi))
-    losses = weight * np.where(planar, projected, scaled)
-    grads = weight[:, None] * np.where(planar[:, None], projected_grad, scaled_grad)
+    losses = np.where(fit, 0.0, dist / norm)
+    grads = diff / (np.where(fit, 1.0, dist) * norm)[:, None]
+    grads[fit] = 0.0
+    # projected loss |PSI^T R_wb diff|^2 / |f|, on the planar rows alone
+    rows = np.flatnonzero(targets.planar)
+    if rows.size:
+        norm, proj = norm[rows], targets.proj[rows]
+        u = np.einsum("nij,nj->ni", proj, diff[rows])
+        losses[rows] = np.einsum("ni,ni->n", u, u) / norm
+        grads[rows] = 2.0 * np.einsum("nji,nj->ni", proj, u) / norm[:, None]
     return losses, grads

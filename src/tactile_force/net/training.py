@@ -14,7 +14,9 @@ from ..errors import (
     check_fields,
 )
 from ..voxel import VoxelInputs
-from .losses import MAGNITUDE_FLOOR_N, LossConfig, batch_loss_and_grad
+from .losses import (
+    MAGNITUDE_FLOOR_N, LossConfig, LossTargets, batch_loss_and_grad, loss_targets,
+)
 from .network import Model
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba)
@@ -95,7 +97,8 @@ class AdamOptimizer:
 
 @dataclass
 class ArraySamples:
-    """Featurized samples ready for the model: inputs plus loss context."""
+    """Featurized samples ready for the model: inputs plus loss context.
+    A slice of them is a view; an index array gathers copies."""
 
     inputs: np.ndarray | VoxelInputs
     f_3d: np.ndarray
@@ -115,6 +118,9 @@ class ArraySamples:
             source_tags=self.source_tags[idx],
         )
 
+    def loss_targets(self, config: LossConfig) -> LossTargets:
+        return loss_targets(self.f_3d, self.s_n, self.r_wb, self.source_tags, config)
+
 
 @dataclass
 class TrainReport:
@@ -129,18 +135,20 @@ class TrainReport:
 
 def evaluate_loss(
     model: Model, samples: ArraySamples, loss_config: LossConfig,
-    batch_size: int = FORWARD_BATCH_SIZE,
+    batch_size: int = FORWARD_BATCH_SIZE, targets: LossTargets | None = None,
 ) -> tuple[float, int]:
     """Mean loss over the samples of a set above the magnitude floor,
     batched; returns (loss, n_skipped). A set with none is a
-    DataIntegrityError."""
+    DataIntegrityError. `targets` are the set's loss targets under
+    loss_config, built here if not given."""
+    if targets is None:
+        targets = samples.loss_targets(loss_config)
     total, count, skipped = 0.0, 0, 0
     for start in range(0, len(samples), batch_size):
-        batch = samples.take(slice(start, start + batch_size))
+        rows = slice(start, start + batch_size)
+        batch = samples.take(rows)
         pred = model.forward(batch.inputs)
-        loss, _, n_skip = batch_loss_and_grad(
-            pred, batch.f_3d, batch.s_n, batch.r_wb, batch.source_tags, loss_config
-        )
+        loss, _, n_skip = batch_loss_and_grad(pred, targets.take(rows))
         included = len(batch) - n_skip
         total += loss * included
         count += included
@@ -167,12 +175,16 @@ def train(
     validation loss or, prefixed "epoch E iteration I:" (from 0, I within
     the epoch), a training step goes non-finite, and DataIntegrityError
     naming the set if the training or validation set has no sample above
-    the floor.
+    the floor. Both sets' loss targets are built before the first step,
+    so a sample with an unknown source tag fails there; each epoch gathers
+    its shuffle of the training set once, and each batch is a slice of it.
     """
     if len(val_samples) == 0:
         raise ConfigError("validation set is empty")
     if len(train_samples) == 0:
         raise ConfigError("training set is empty")
+    train_targets = train_samples.loss_targets(loss_config)
+    val_targets = val_samples.loss_targets(loss_config)
     rng = np.random.default_rng(config.seed)
     optimizer = AdamOptimizer(model)
     schedule = LearningRateSchedule(config)
@@ -181,15 +193,16 @@ def train(
 
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(train_samples))
+        batch = shuffled = shuffled_targets = None  # one epoch's copy at a time
+        shuffled, shuffled_targets = train_samples.take(order), train_targets.take(order)
         epoch_loss, epoch_count = 0.0, 0
         for i, start in enumerate(range(0, len(order), config.batch_size)):
-            batch = train_samples.take(order[start : start + config.batch_size])
+            rows = slice(start, start + config.batch_size)
+            batch = shuffled.take(rows)
             model.zero_grad()
             try:
                 pred = model.forward(batch.inputs)
-                loss, grad, n_skip = batch_loss_and_grad(
-                    pred, batch.f_3d, batch.s_n, batch.r_wb, batch.source_tags, loss_config
-                )
+                loss, grad, n_skip = batch_loss_and_grad(pred, shuffled_targets.take(rows))
                 report.skipped_train += n_skip
                 if n_skip == len(batch):
                     continue
@@ -206,7 +219,9 @@ def train(
         report.train_losses.append(epoch_loss / epoch_count)
 
         try:
-            val_loss, val_skip = evaluate_loss(model, val_samples, loss_config, config.batch_size)
+            val_loss, val_skip = evaluate_loss(
+                model, val_samples, loss_config, config.batch_size, val_targets
+            )
         except DataIntegrityError as exc:
             raise DataIntegrityError(f"validation set: {exc}") from exc
         report.skipped_val = val_skip

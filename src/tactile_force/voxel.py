@@ -10,6 +10,7 @@ the electrode cells held once; it becomes a dense array only on request.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -156,10 +157,10 @@ class VoxelInputs:
     same for every sample and held once. Every other cell is zero.
 
     It stands in for the dense (N,) + grid array. A slice or a 1-D index
-    array selects samples and gives a VoxelInputs; `shape`, `ndim` and
-    `size` are the dense array's, `nbytes` counts the bytes held; np.asarray
-    gives the dense array, and any other key (a tuple or an integer) indexes
-    it.
+    array selects samples and gives a VoxelInputs, which for a slice views
+    this one's arrays; `shape`, `ndim` and `size` are the dense array's,
+    `nbytes` counts the bytes held; np.asarray gives the dense array, and
+    any other key (a tuple or an integer) indexes it.
     """
 
     def __init__(self, e: np.ndarray, contact: np.ndarray, electrodes: np.ndarray,
@@ -207,6 +208,10 @@ class VoxelInputs:
             return np.asarray(self[[key]])[0]
         if isinstance(key, tuple):
             return np.asarray(self)[key]
+        if isinstance(key, slice):  # a run of checked samples needs no new check
+            out = copy.copy(self)
+            out.e, out.contact = self.e[key], self.contact[key]
+            return out
         return VoxelInputs(self.e[key], self.contact[key], self.electrodes, self.grid)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Per-sample force-regression losses, kept as the oracle of the batch loss.
 
 `net.losses.batch_loss_and_grad` computes the loss and gradient of a whole
-batch in one vectorized pass. The functions here compute them one sample at
-a time, term by term as the loss is defined: the scaled 3-D loss, the
-projected in-plane loss over the support plane `PSI`, the cosine distance
-and the alignment weight, and their source-dependent combination.
+batch in one vectorized pass, on loss targets built once per sample set.
+The functions here compute them one sample at a time, term by term as the
+loss is defined: the scaled 3-D loss, the projected in-plane loss over the
+support plane `PSI`, the cosine distance and the alignment weight, and
+their source-dependent combination. `batch_loss` runs the production loss
+on a batch given as arrays.
 """
 
 from __future__ import annotations
@@ -15,8 +17,15 @@ import numpy as np
 
 from tactile_force.errors import ConfigError, SchemaError
 from tactile_force.net.losses import (
-    KNOWN_SOURCES, LOSS_MODE_PLAIN, PSI, SOURCE_PLANAR, LossConfig,
+    KNOWN_SOURCES, LOSS_MODE_PLAIN, PSI, SOURCE_PLANAR, LossConfig, batch_loss_and_grad,
+    loss_targets,
 )
+
+
+def batch_loss(pred, f_3d, s_n, r_wb, source_tags, config):
+    """batch_loss_and_grad of one batch, on loss targets built from that
+    batch alone: (mean loss, gradient, n_skipped)."""
+    return batch_loss_and_grad(pred, loss_targets(f_3d, s_n, r_wb, source_tags, config))
 
 
 def loss_scaled_3d(f_3d: np.ndarray, f_p: np.ndarray) -> float:

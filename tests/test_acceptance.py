@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+from loss_oracles import batch_loss
 from solver_oracles import _solve_grid, _solve_iterative
 from tactile_force.baselines import linear_fit, linear_predict
 from tactile_force.dataset import make_dataset, featurize_voxel, SampleRecord
@@ -24,7 +25,6 @@ from tactile_force.net import (
     LossConfig,
     NetworkConfig,
     TrainingConfig,
-    batch_loss_and_grad,
     build_voxel_net,
     train,
 )
@@ -170,11 +170,11 @@ class TestCriterion3GradientCorrectness:
 
         def loss_at():
             pred = model.forward(x)
-            return batch_loss_and_grad(pred, f3d, s_n, r_wb, tags, loss_config)[0]
+            return batch_loss(pred, f3d, s_n, r_wb, tags, loss_config)[0]
 
         model.zero_grad()
         pred = model.forward(x)
-        _, grad, _ = batch_loss_and_grad(pred, f3d, s_n, r_wb, tags, loss_config)
+        _, grad, _ = batch_loss(pred, f3d, s_n, r_wb, tags, loss_config)
         model.backward(grad)
 
         h = 1e-5
@@ -276,7 +276,7 @@ class TestCriterion4EndToEndLearnability:
 
 def one_row_loss(f_3d, prediction, s_n, beta):
     """The production batch loss of a single rigid-ft sample."""
-    loss, _, skipped = batch_loss_and_grad(
+    loss, _, skipped = batch_loss(
         np.array([prediction], dtype=float), np.array([f_3d], dtype=float),
         np.array([s_n], dtype=float), np.eye(3)[None], np.array(["rigid_ft"]),
         LossConfig(beta=beta),

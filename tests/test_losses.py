@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from tactile_force.errors import ConfigError, SchemaError
 from tactile_force.net.losses import (
-    KNOWN_SOURCES, MAGNITUDE_FLOOR_N, PSI, LossConfig, batch_loss_and_grad,
+    KNOWN_SOURCES, MAGNITUDE_FLOOR_N, PSI, LossConfig, batch_loss_and_grad, loss_targets,
 )
 from tactile_force.synthetic import random_rotation
 
 from loss_oracles import (
+    batch_loss,
     _combined_loss_and_grad,
     alpha_weight,
     combined_loss,
@@ -165,7 +166,7 @@ class TestCombinedLoss:
                 for i in range(3)
             ]
         )
-        loss, _, skipped = batch_loss_and_grad(preds, f3d, s_n, r_wb, tags, config)
+        loss, _, skipped = batch_loss(preds, f3d, s_n, r_wb, tags, config)
         assert skipped == 0
         assert math.isclose(loss, expected, abs_tol=1e-12)
 
@@ -176,7 +177,7 @@ class TestCombinedLoss:
         s_n = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         r_wb = np.stack([np.eye(3)] * 2)
         tags = np.array(["rigid_ft", "rigid_ft"])
-        loss, grads, skipped = batch_loss_and_grad(preds, f3d, s_n, r_wb, tags, config)
+        loss, grads, skipped = batch_loss(preds, f3d, s_n, r_wb, tags, config)
         assert skipped == 1
         assert math.isclose(loss, 1.0, abs_tol=1e-12)
         np.testing.assert_array_equal(grads[1], 0.0)
@@ -190,7 +191,7 @@ class TestCombinedLoss:
             s_n = rng.normal(size=3)
             s_n /= np.linalg.norm(s_n)
             r_wb = random_rotation(rng)
-            _, grads, _ = batch_loss_and_grad(
+            _, grads, _ = batch_loss(
                 pred[None], f3d[None], s_n[None], r_wb[None], np.array([tag]), config
             )
             h = 1e-7
@@ -213,8 +214,8 @@ class TestCombinedLoss:
         s_n = np.tile(np.array([1.0, 0.0, 0.0]), (4, 1))
         r_wb = np.stack([np.eye(3)] * 4)
         tags = np.array(["rigid_ft"] * 4)
-        _, g1, _ = batch_loss_and_grad(pred, f3d, s_n, r_wb, tags, config)
-        _, g2, _ = batch_loss_and_grad(pred, 2 * f3d - pred, s_n, r_wb, tags, config)
+        _, g1, _ = batch_loss(pred, f3d, s_n, r_wb, tags, config)
+        _, g2, _ = batch_loss(pred, 2 * f3d - pred, s_n, r_wb, tags, config)
         # plain loss gradient is linear in the residual; doubling it doubles g
         np.testing.assert_allclose(g2, 2.0 * g1, atol=1e-12)
 
@@ -237,10 +238,10 @@ def loop_batch_loss(pred, f3d, s_n, r_wb, tags, config):
 
 
 @st.composite
-def loss_batches(draw):
+def loss_batches(draw, max_size=8):
     """Batches over all three sources, with samples below the magnitude floor
     and exact fits, for the case-by-source mode (beta 0 and 1) and plain_l2."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_size))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = np.array([draw(st.sampled_from([0.003, 0.5, 1.0, 5.0])) for _ in range(n)])
     f3d = rng.normal(size=(n, 3)) * scale[:, None]
@@ -261,26 +262,56 @@ class TestBatchLossMatchesPerSampleLoop:
     @given(loss_batches())
     def test_loss_gradient_and_skipped_count(self, batch):
         expected = loop_batch_loss(*batch)
-        loss, grads, skipped = batch_loss_and_grad(*batch)
+        loss, grads, skipped = batch_loss(*batch)
         assert skipped == expected[2]
         assert abs(loss - expected[0]) <= 1e-12
         np.testing.assert_allclose(grads, expected[1], rtol=0, atol=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(loss_batches(max_size=24), st.data())
+    def test_targets_built_once_then_sliced(self, batch, data):
+        """Targets built once on a whole set, gathered in a shuffled order and
+        cut into batches as train() does, give on every batch the per-sample
+        oracle's result and, bit for bit, that of targets built on the batch
+        alone."""
+        pred, f3d, s_n, r_wb, tags, config = batch
+        n = len(pred)
+        order = np.array(data.draw(st.permutations(range(n))), dtype=int)
+        size = data.draw(st.integers(1, n))
+        shuffled = loss_targets(f3d, s_n, r_wb, tags, config).take(order)
+        for start in range(0, n, size):
+            rows = order[start : start + size]
+            got = batch_loss_and_grad(pred[rows], shuffled.take(slice(start, start + size)))
+            arrays = (pred[rows], f3d[rows], s_n[rows], r_wb[rows], tags[rows], config)
+            alone, expected = batch_loss(*arrays), loop_batch_loss(*arrays)
+            assert got[0] == alone[0] and got[2] == alone[2] == expected[2]
+            np.testing.assert_array_equal(got[1], alone[1])
+            assert abs(got[0] - expected[0]) <= 1e-12
+            np.testing.assert_allclose(got[1], expected[1], rtol=0, atol=1e-12)
+
     def test_unknown_tag_named_unless_skipped(self):
+        """Building the targets names an unknown tag, before any loss is
+        computed; a sample below the floor is skipped before its tag is
+        read."""
         f3d = np.array([[1.0, 0.0, 0.0], [0.001, 0.0, 0.0], [0.0, 2.0, 0.0]])
-        args = (np.zeros((3, 3)), f3d, np.tile([0.0, 0.0, 1.0], (3, 1)), np.stack([np.eye(3)] * 3))
-        with pytest.raises(ConfigError, match="'mystery'"):
-            batch_loss_and_grad(*args, np.array(["rigid_ft", "ball_ft", "mystery"]), LossConfig())
-        # a sample below the floor is skipped before its tag is read
-        _, _, skipped = batch_loss_and_grad(
-            *args, np.array(["rigid_ft", "mystery", "ball_ft"]), LossConfig())
+        args = (f3d, np.tile([0.0, 0.0, 1.0], (3, 1)), np.stack([np.eye(3)] * 3))
+        with pytest.raises(ConfigError, match="^unknown source tag 'mystery'$"):
+            loss_targets(*args, np.array(["rigid_ft", "ball_ft", "mystery"]), LossConfig())
+        targets = loss_targets(*args, np.array(["rigid_ft", "mystery", "ball_ft"]), LossConfig())
+        _, _, skipped = batch_loss_and_grad(np.zeros((3, 3)), targets)
         assert skipped == 1
+
+    def test_predictions_and_targets_must_match_in_length(self):
+        targets = loss_targets(np.ones((3, 3)), np.ones((3, 3)), np.stack([np.eye(3)] * 3),
+                               np.array(["rigid_ft"] * 3), LossConfig())
+        with pytest.raises(SchemaError, match="^2 predictions for the targets of 3 samples$"):
+            batch_loss_and_grad(np.zeros((2, 3)), targets)
 
     def test_all_below_floor_skips_every_sample(self):
         """A batch with no sample above the floor has loss 0 and a zero
         gradient, and counts every sample as skipped."""
         f3d = np.full((4, 3), 1e-3)
-        loss, grads, skipped = batch_loss_and_grad(
+        loss, grads, skipped = batch_loss(
             np.ones((4, 3)), f3d, np.tile([0.0, 0.0, 1.0], (4, 1)),
             np.stack([np.eye(3)] * 4), np.array(["rigid_ft"] * 4), LossConfig(),
         )

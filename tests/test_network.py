@@ -24,7 +24,6 @@ from tactile_force.net import (
     NetworkConfig,
     ReLU,
     TrainingConfig,
-    batch_loss_and_grad,
     build_mlp_net,
     build_voxel_net,
     load_checkpoint,
@@ -32,6 +31,7 @@ from tactile_force.net import (
 )
 from tactile_force.net.layers import Layer
 from tactile_force.net.network import FLAT_INPUT_WIDTH, KIND_MLP, KIND_VOXEL
+from loss_oracles import batch_loss
 from reference_net import (
     REFERENCE_RTOL, backward_with_term_magnitudes, build_reference_voxel_net,
 )
@@ -301,7 +301,7 @@ class TestBackward:
         config = LossConfig(beta=0.0)
         net.zero_grad()
         pred = net.forward(x)
-        loss, grad, _ = batch_loss_and_grad(
+        loss, grad, _ = batch_loss(
             pred,
             np.tile(target, (2, 1)),
             np.tile(np.array([0.0, 0.0, 1.0]), (2, 1)),
@@ -496,9 +496,9 @@ class TestDtype:
         net.layers = [Returns(layer, returned) for layer in net.layers]
         out = net.forward(inputs)
         f_3d = rng.normal(size=(batch, 3)) + [0.0, 0.0, 2.0]
-        _, grad, _ = batch_loss_and_grad(out, f_3d, np.tile([0.0, 0.0, 1.0], (batch, 1)),
-                                         np.tile(np.eye(3), (batch, 1, 1)),
-                                         np.array(["rigid_ft"] * batch), LossConfig())
+        _, grad, _ = batch_loss(out, f_3d, np.tile([0.0, 0.0, 1.0], (batch, 1)),
+                                np.tile(np.eye(3), (batch, 1, 1)),
+                                np.array(["rigid_ft"] * batch), LossConfig())
         assert grad.dtype == np.float64
         net.backward(grad)
         assert len(returned) == 2 * n_layers - kind.startswith("voxel")

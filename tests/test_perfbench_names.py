@@ -4,8 +4,9 @@ This suite does not collect perfbench/, so without these checks a rename or
 deletion in the package would fail only the benchmark run. The benchmark's
 own Tracer is installed on the package's modules and uninstalled again,
 which must leave every attribute as it was, every `tf.<module>.<name>`
-that perfbench's code names must exist, and every layer of the nets it
-trains must have a name its per-layer split lists.
+that perfbench's code names must exist, every layer of the nets it
+trains must have a name its per-layer split lists, and the spans it times
+each training step by must fire on every step.
 """
 
 import ast
@@ -15,10 +16,14 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tactile_force.cli import TRAIN_CONFIG
-from tactile_force.net import NetworkConfig, build_mlp_net, build_voxel_net
+from tactile_force.net import (
+    LossConfig, NetworkConfig, TrainingConfig, build_mlp_net, build_voxel_net,
+)
+from tactile_force.net.network import FLAT_INPUT_WIDTH
 from tactile_force.voxel import DEFAULT_DIMS, N_CHANNELS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -95,3 +100,32 @@ def test_every_layer_of_the_benchmarked_nets_is_in_the_per_layer_split():
     mlp = build_mlp_net(widths, layer_norm=True)
     families = [re.sub(r"_\d+$", "_0", layer.name) for layer in mlp.layers]
     assert set(families) <= layers
+
+
+def test_every_training_step_has_its_take_and_loss_spans(package):
+    """measure.py divides the time of the batch_take and batch_loss_and_grad
+    spans in train()'s context by the steps taken. A traced train() of 2
+    epochs of 3 batches must record one loss span per step and one take per
+    step plus one per epoch, the gather of its shuffle, so that neither
+    per-step metric silently reads zero."""
+    tracing = load("tracing")
+    rng = np.random.default_rng(0)
+    forces = rng.normal(size=(30, 3)) + [0.0, 0.0, 2.0]
+    samples = package.training.ArraySamples(
+        inputs=rng.normal(size=(30, FLAT_INPUT_WIDTH)), f_3d=forces,
+        s_n=forces / np.linalg.norm(forces, axis=1, keepdims=True),
+        r_wb=np.tile(np.eye(3), (30, 1, 1)), source_tags=np.array(["rigid_ft"] * 30),
+    )
+    train_set, val_set = samples.take(np.arange(24)), samples.take(np.arange(24, 30))
+    tracer = tracing.Tracer()
+    tracer.install(package)
+    try:
+        report = package.training.train(
+            build_mlp_net((4,), seed=0), train_set, val_set, LossConfig(),
+            TrainingConfig(max_epochs=2, batch_size=8),
+        )
+    finally:
+        tracer.uninstall()
+    assert report.iterations == 6
+    assert tracer.total("net.losses.batch_loss_and_grad", tracing.TRAIN_CTX)[0] == 6
+    assert tracer.total("net.training.batch_take", tracing.TRAIN_CTX)[0] == 6 + 2

@@ -24,10 +24,12 @@ from tactile_force.net import (
     save_checkpoint,
     train,
 )
+from tactile_force.net import training as training_module
 from tactile_force.net.layers import DEFAULT_DTYPE, Dense, Layer, LayerNormReLU
 from tactile_force.net.network import FLAT_INPUT_WIDTH, OUTPUT_DIM
 from tactile_force.net.training import (
-    LR_FLOOR, WARMUP_DOUBLING_ITERS, WARMUP_EPOCHS, ArraySamples, evaluate_loss,
+    LR_FLOOR, WARMUP_DOUBLING_ITERS, WARMUP_EPOCHS, ArraySamples, batch_loss_and_grad,
+    evaluate_loss,
 )
 
 
@@ -276,6 +278,52 @@ class TestBelowFloorBatches:
                            match=f"^{name} set: no sample above the magnitude floor of 0.01 N$"):
             train(small_mlp(3, (4,), seed=0), *sets, LossConfig(),
                   TrainingConfig(max_epochs=2, batch_size=4))
+
+
+class TestBatches:
+    """train() builds the loss targets of both sets once, before its first
+    step, and cuts each epoch's shuffle of the training set into batches."""
+
+    def test_batch_k_of_epoch_j_is_a_slice_of_the_seeds_jth_permutation(self, monkeypatch):
+        """Seen through a spy on batch_loss_and_grad's targets and on the
+        model's inputs, which here are the forces themselves: batch k of
+        epoch j holds the rows order_j[k*b:(k+1)*b] of the j-th permutation
+        of np.random.default_rng(seed), and each epoch's validation reads
+        its set in order."""
+        n, batch_size, epochs, seed = 21, 4, 3, 7
+        tr, va = floor_samples(n, [5]), floor_samples(6)
+        seen, inputs = [], []
+
+        def spy(predictions, targets):
+            seen.append(targets.f.copy())
+            return batch_loss_and_grad(predictions, targets)
+
+        monkeypatch.setattr(training_module, "batch_loss_and_grad", spy)
+        model = small_mlp(3, (4,), seed=0)
+        forward = model.forward
+        model.forward = lambda x: (inputs.append(np.array(x)), forward(x))[1]
+        train(model, tr, va, LossConfig(),
+              TrainingConfig(max_epochs=epochs, batch_size=batch_size, seed=seed))
+        rng, expected = np.random.default_rng(seed), []
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            expected += [tr.f_3d[order[k : k + batch_size]] for k in range(0, n, batch_size)]
+            expected += [va.f_3d[k : k + batch_size] for k in range(0, len(va), batch_size)]
+        assert len(seen) == len(inputs) == len(expected)
+        for got, x, want in zip(seen, inputs, expected):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(x, want)
+
+    @pytest.mark.parametrize("name", ["training", "validation"])
+    def test_an_unknown_tag_fails_before_the_first_step(self, name):
+        usable, odd = floor_samples(6), floor_samples(6)
+        odd.source_tags = np.array(["rigid_ft", "ball_ft", "mystery"] * 2)
+        sets = (odd, usable) if name == "training" else (usable, odd)
+        model = small_mlp(3, (4,), seed=0)
+        before = model.values.copy()
+        with pytest.raises(ConfigError, match="^unknown source tag 'mystery'$"):
+            train(model, *sets, LossConfig(), TrainingConfig(max_epochs=2, batch_size=4))
+        np.testing.assert_array_equal(model.values, before)
 
 
 class ReferenceAdam:
