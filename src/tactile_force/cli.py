@@ -38,8 +38,8 @@ from .dataset import (
     write_samples_jsonl,
 )
 from .errors import (
-    ConfigError, Count, DataIntegrityError, Fraction, Items, NonNegative, Positive, PositiveCount,
-    Required, SchemaError, TactileForceError, config_tree, read_config,
+    Between, ConfigError, Count, DataIntegrityError, Fraction, Items, NonNegative, Positive,
+    PositiveCount, Range, Required, SchemaError, TactileForceError, config_tree, read_config,
 )
 from .files import write_text_atomic
 from .mechanics import (
@@ -97,13 +97,13 @@ SIMULATE_CONFIG = {
     "sensor": config_tree(SensorForwardModel, exclude=("layout",)),
     "sources": {
         SOURCE_PLANAR: {"trials": Count(0), "steps": PositiveCount(400), "dt": Positive(DEFAULT_DT_S),
-                        "magnitude_range": tuple(map(NonNegative, DEFAULT_PUSH_MAGNITUDE_RANGE_N))},
+                        "magnitude_range": Range(map(NonNegative, DEFAULT_PUSH_MAGNITUDE_RANGE_N))},
         SOURCE_RIGID_FT: {"trials": Count(0), "samples_per_trial": PositiveCount(50),
-                          "force_range": (NonNegative(0.5), NonNegative(10.0)), "cone_angle_deg": 30.0,
-                          "cap_only": False},
+                          "force_range": Range((NonNegative(0.5), NonNegative(10.0))),
+                          "cone_angle_deg": Between(30.0, 0.0, 90.0), "cap_only": False},
         SOURCE_BALL_FT: {"trials": Count(0), "samples_per_trial": PositiveCount(50),
-                         "force_range": (NonNegative(0.1), NonNegative(5.0)), "cone_angle_deg": 60.0,
-                         "cap_only": True},
+                         "force_range": Range((NonNegative(0.1), NonNegative(5.0))),
+                         "cone_angle_deg": Between(60.0, 0.0, 90.0), "cap_only": True},
     },
     "split": {"train": Fraction(DEFAULT_TRAIN_FRAC), "val": Fraction(DEFAULT_VAL_FRAC)},
 }
@@ -436,8 +436,10 @@ def cmd_eval(args) -> tuple[Path, list[str]]:
         },
     }
     write_json_atomic(out_dir / "summary.json", summary)
-    med = summary["overall"]["direction_pct"]["median"]
-    print(f"eval: {len(rows)} samples, median direction error {med:.3f}% -> {out_dir}")
+    overall = summary["overall"]
+    print(f"eval: {len(rows)} samples, median direction error "
+          f"{overall['direction_pct']['median']:.3f}% ({overall['direction_median_deg']:.3f} deg)"
+          f" -> {out_dir}")
     return out_dir, ["per_sample.csv", "summary.json"]
 
 
@@ -515,7 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
             "per_sample.csv columns: direction_pct (angular error, % of a "
             "half turn), magnitude_pct (symmetric absolute percentage "
             "magnitude error), magnitude_l1 (absolute magnitude error, N), "
-            "source_tag (rigid_ft / ball_ft / planar_pushing)."
+            "source_tag (rigid_ft / ball_ft / planar_pushing). summary.json "
+            "gives each metric's box-plot statistics overall and per source, "
+            "and the direction median in degrees (direction_median_deg)."
         ),
     )
     p_ev.add_argument("--manifest", required=True, help="dataset manifest JSON")

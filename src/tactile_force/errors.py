@@ -60,8 +60,20 @@ class NonNegative(float):
     """A config default whose field must hold a number of at least 0."""
 
 
-class Fraction(float):
+class Between(float):
+    """A config default whose field must hold a number in [low, high]."""
+
+    def __new__(cls, value, low: float, high: float):
+        self = super().__new__(cls, value)
+        self.low, self.high = low, high
+        return self
+
+
+class Fraction(Between):
     """A config default whose field must hold a number in [0, 1]."""
+
+    def __new__(cls, value):
+        return super().__new__(cls, value, 0.0, 1.0)
 
 
 class Count(int):
@@ -70,6 +82,11 @@ class Count(int):
 
 class PositiveCount(int):
     """A config default whose field must hold an integer of at least 1."""
+
+
+class Range(tuple):
+    """A (low, high) default whose field must hold two items, each passing
+    against low, with the low end not above the high end."""
 
 
 class Items(tuple):
@@ -118,7 +135,6 @@ _KINDS = (
     (numbers.Integral, "an integer", _integer),
     (Positive, "a positive finite number", lambda v: _finite(v) and v > 0),
     (NonNegative, "a finite number of at least 0", lambda v: _finite(v) and v >= 0),
-    (Fraction, "a number in [0, 1]", lambda v: _finite(v) and 0 <= v <= 1),
     (numbers.Real, "a finite number", _finite),
     (str, "a string", lambda v: isinstance(v, str)),
 )
@@ -128,11 +144,17 @@ def check_config_value(name: str, value, default) -> None:
     """Raise a ConfigError naming the field unless `value` has the type of the
     field's `default`. An int passes for a float, but a bool is not a number,
     and a number, an integer too, must convert to a finite float (positive
-    for a Positive default, at least 0 for a NonNegative, in [0, 1] for a
-    Fraction), and a Count or PositiveCount be an integer of at least 0 or
-    1. A sequence default takes a list whose items each pass against the
-    default's first item: an Items default one of any length, but at least
-    its `least`, and any other one of the default's length."""
+    for a Positive default, at least 0 for a NonNegative, in [low, high] for
+    a Between such as a Fraction), and a Count or PositiveCount be an integer
+    of at least 0 or 1. A sequence default takes a list whose items each
+    pass against the default's first item: an Items default one of any
+    length, but at least its `least`, and any other one of the default's
+    length, a Range one whose first item is not above its second."""
+    if isinstance(default, Between):
+        if not (_finite(value) and default.low <= value <= default.high):
+            raise ConfigError(f"field {name!r} must be a number in "
+                              f"[{default.low:g}, {default.high:g}], got {value!r}")
+        return
     for kind, what, accepts in _KINDS:
         if isinstance(default, kind):
             if not accepts(value):
@@ -147,6 +169,9 @@ def check_config_value(name: str, value, default) -> None:
         raise ConfigError(f"field {name!r} must hold {len(default)} items, got {value!r}")
     for i, item in enumerate(value):
         check_config_value(f"{name}[{i}]", item, default[0])
+    if isinstance(default, Range) and value[0] > value[1]:
+        raise ConfigError(f"field {name!r} must not have its low end above its high end, "
+                          f"got {value!r}")
 
 
 def read_config(config, defaults: dict, name: str = "") -> dict:

@@ -101,10 +101,17 @@ def evaluate_pairs(
     return rows, excluded
 
 
+# a direction error of 100 % is a half turn, 180 degrees
+DEGREES_PER_DIRECTION_PCT = 1.8
+
+
 def summarize_rows(rows: list[EvaluationRow]) -> dict:
-    """Summary dict per metric over a list of evaluation rows."""
+    """Summary dict per metric over a list of evaluation rows, with the
+    median direction error also in degrees, the paper's unit."""
+    direction = summarize([r.direction_pct for r in rows])
     return {
-        "direction_pct": asdict(summarize([r.direction_pct for r in rows])),
+        "direction_pct": asdict(direction),
+        "direction_median_deg": DEGREES_PER_DIRECTION_PCT * direction.median,
         "magnitude_pct": asdict(summarize([r.magnitude_pct for r in rows])),
         "magnitude_l1": asdict(summarize([r.magnitude_l1 for r in rows])),
         "n_samples": len(rows),

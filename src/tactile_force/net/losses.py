@@ -68,16 +68,17 @@ class LossTargets:
     f is the ground truth, (n, 3); keep marks the samples at or above
     MAGNITUDE_FLOOR_N, the only ones the loss counts; norm is |f|, and 1
     below the floor so that no division there fails; weight is the
-    alignment weight (1 in plain_l2 mode); planar marks the samples that
-    take the projected loss; proj is PSI^T R_wb, (n, 2, 3), which maps a
-    sensor-frame error to its in-plane part; plain selects plain_l2.
+    alignment weight (1 in plain_l2 mode); proj holds PSI^T R_wb, (2, 3),
+    which maps a sensor-frame error to its in-plane part, for the samples
+    that take the projected loss alone, and proj_row is each sample's row
+    of proj, -1 for the others; plain selects plain_l2. `take` shares proj.
     """
 
     f: np.ndarray
     keep: np.ndarray
     norm: np.ndarray
     weight: np.ndarray
-    planar: np.ndarray
+    proj_row: np.ndarray
     proj: np.ndarray
     plain: bool
 
@@ -86,7 +87,7 @@ class LossTargets:
 
     def take(self, idx) -> "LossTargets":
         return LossTargets(self.f[idx], self.keep[idx], self.norm[idx], self.weight[idx],
-                           self.planar[idx], self.proj[idx], self.plain)
+                           self.proj_row[idx], self.proj, self.plain)
 
 
 def loss_targets(
@@ -106,16 +107,19 @@ def loss_targets(
     norm = np.linalg.norm(f, axis=1)
     keep = ~(norm < MAGNITUDE_FLOOR_N)
     norm = np.where(keep, norm, 1.0)
-    proj = np.einsum("ji,njk->nik", PSI, np.asarray(r_wb, dtype=float))
+    proj_row = np.full(n, -1)
     if config.mode == LOSS_MODE_PLAIN:
-        return LossTargets(f, keep, norm, np.ones(n), np.zeros(n, dtype=bool), proj, True)
+        return LossTargets(f, keep, norm, np.ones(n), proj_row, np.empty((0, 2, 3)), True)
     tags = np.asarray(source_tags)
     unknown = keep & ~np.isin(tags, KNOWN_SOURCES)
     if unknown.any():
         raise ConfigError(f"unknown source tag {str(tags[unknown][0])!r}")
     cos = np.clip(np.einsum("ni,ni->n", np.asarray(s_n, dtype=float), f) / norm, -1.0, 1.0)
     weight = 2.0 ** (config.beta * (1.0 - np.arccos(cos) / math.pi))
-    return LossTargets(f, keep, norm, weight, tags == SOURCE_PLANAR, proj, False)
+    planar = tags == SOURCE_PLANAR
+    proj_row[planar] = np.arange(np.count_nonzero(planar))
+    proj = np.einsum("ji,njk->nik", PSI, np.asarray(r_wb, dtype=float)[planar])
+    return LossTargets(f, keep, norm, weight, proj_row, proj, False)
 
 
 def batch_loss_and_grad(
@@ -163,9 +167,9 @@ def _case_loss_and_grad(diff, targets):
     grads = diff / (np.where(fit, 1.0, dist) * norm)[:, None]
     grads[fit] = 0.0
     # projected loss |PSI^T R_wb diff|^2 / |f|, on the planar rows alone
-    rows = np.flatnonzero(targets.planar)
+    rows = np.flatnonzero(targets.proj_row >= 0)
     if rows.size:
-        norm, proj = norm[rows], targets.proj[rows]
+        norm, proj = norm[rows], targets.proj[targets.proj_row[rows]]
         u = np.einsum("nij,nj->ni", proj, diff[rows])
         losses[rows] = np.einsum("ni,ni->n", u, u) / norm
         grads[rows] = 2.0 * np.einsum("nji,nj->ni", proj, u) / norm[:, None]

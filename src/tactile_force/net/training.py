@@ -97,26 +97,22 @@ class AdamOptimizer:
 
 @dataclass
 class ArraySamples:
-    """Featurized samples ready for the model: inputs plus loss context.
-    A slice of them is a view; an index array gathers copies."""
+    """Featurized samples ready for the model: inputs plus the ground truth
+    and loss context, which a set of inputs alone leaves None. A slice of
+    them is a view; an index array gathers copies of what they hold."""
 
     inputs: np.ndarray | VoxelInputs
-    f_3d: np.ndarray
-    s_n: np.ndarray
-    r_wb: np.ndarray
-    source_tags: np.ndarray
+    f_3d: np.ndarray | None = None
+    s_n: np.ndarray | None = None
+    r_wb: np.ndarray | None = None
+    source_tags: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def take(self, idx: np.ndarray) -> "ArraySamples":
-        return ArraySamples(
-            inputs=self.inputs[idx],
-            f_3d=self.f_3d[idx],
-            s_n=self.s_n[idx],
-            r_wb=self.r_wb[idx],
-            source_tags=self.source_tags[idx],
-        )
+    def take(self, idx) -> "ArraySamples":
+        return ArraySamples(*(None if a is None else a[idx] for a in (
+            self.inputs, self.f_3d, self.s_n, self.r_wb, self.source_tags)))
 
     def loss_targets(self, config: LossConfig) -> LossTargets:
         return loss_targets(self.f_3d, self.s_n, self.r_wb, self.source_tags, config)
@@ -177,7 +173,8 @@ def train(
     naming the set if the training or validation set has no sample above
     the floor. Both sets' loss targets are built before the first step,
     so a sample with an unknown source tag fails there; each epoch gathers
-    its shuffle of the training set once, and each batch is a slice of it.
+    its shuffle of the training inputs and targets once, and each batch is
+    a slice of it.
     """
     if len(val_samples) == 0:
         raise ConfigError("validation set is empty")
@@ -194,7 +191,9 @@ def train(
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(train_samples))
         batch = shuffled = shuffled_targets = None  # one epoch's copy at a time
-        shuffled, shuffled_targets = train_samples.take(order), train_targets.take(order)
+        # a step reads the inputs and the loss targets alone
+        shuffled = ArraySamples(train_samples.inputs).take(order)
+        shuffled_targets = train_targets.take(order)
         epoch_loss, epoch_count = 0.0, 0
         for i, start in enumerate(range(0, len(order), config.batch_size)):
             rows = slice(start, start + config.batch_size)

@@ -54,7 +54,9 @@ class SurfaceGeometry:
 
 @dataclass(frozen=True)
 class ContactState:
-    """Contact point and outward unit normal on the sensor surface, frame B."""
+    """Contact points and outward unit normals on the sensor surface, frame
+    B, one row per contact: s_c and s_n are (n, 3); a single contact is one
+    row."""
 
     s_c: np.ndarray
     s_n: np.ndarray
@@ -62,38 +64,48 @@ class ContactState:
     def __post_init__(self):
         object.__setattr__(self, "s_c", np.asarray(self.s_c, dtype=float))
         object.__setattr__(self, "s_n", np.asarray(self.s_n, dtype=float))
-        if self.s_c.shape != (3,) or self.s_n.shape != (3,):
-            raise SchemaError("contact point and normal must be 3-vectors")
+        if self.s_c.ndim != 2 or self.s_c.shape[1] != 3 or self.s_n.shape != self.s_c.shape:
+            raise SchemaError("contact points and normals must be (n, 3) arrays of one shape, got "
+                              f"{self.s_c.shape} and {self.s_n.shape}")
+
+    def __len__(self) -> int:
+        return len(self.s_c)
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The norm of each row of an (n, k) array, as an (n, 1) column, rounded
+    as np.linalg.norm rounds a single vector (the square root of its dot
+    product with itself)."""
+    return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
 
 
 def surface_point_and_normal(geometry: SurfaceGeometry, query: np.ndarray) -> ContactState:
-    """Project a query point onto the sensing surface.
+    """Project each row of an (n, 3) array of query points onto the sensing
+    surface.
 
-    Returns the closest surface point and the outward normal there: radial
+    Returns the closest surface points and the outward normals there: radial
     from the axis on the cylinder wall, radial from the cap center on the
-    spherical cap. Queries on the axis have no defined normal and raise
-    DegenerateInputError. Projection is idempotent: surface points map to
-    themselves.
+    spherical cap (a query above the cylinder end). A query on the axis has
+    no defined normal and raises DegenerateInputError naming its row.
+    Projection is idempotent: surface points map to themselves.
     """
     q = np.asarray(query, dtype=float)
-    if q.shape != (3,):
-        raise SchemaError(f"query must be a 3-vector, got shape {q.shape}")
+    if q.ndim != 2 or q.shape[1] != 3:
+        raise SchemaError(f"queries must be an (n, 3) array, got shape {q.shape}")
     length = geometry.half_cylinder_length
-
-    if q[2] > length:
-        d = q - geometry.cap_center
-        dist = float(np.linalg.norm(d))
-        if dist < 1e-15:
-            raise DegenerateInputError("query coincides with the cap center; normal undefined")
-        n = d / dist
-        return ContactState(s_c=geometry.cap_center + geometry.r * n, s_n=n)
-
-    rho = math.hypot(q[0], q[1])
-    if rho < 1e-15:
-        raise DegenerateInputError("query lies on the cylinder axis; normal undefined")
-    n = np.array([q[0] / rho, q[1] / rho, 0.0])
-    z = min(max(q[2], 0.0), length)
-    return ContactState(s_c=np.array([geometry.r * n[0], geometry.r * n[1], z]), s_n=n)
+    cap = q[:, 2] > length
+    # from the cap center on the cap, from the axis at the query's height on the wall
+    d = q - geometry.cap_center
+    d[~cap, 2] = 0.0
+    dist = np.where(cap[:, None], row_norms(d), np.hypot(d[:, :1], d[:, 1:2]))
+    on_axis = np.flatnonzero(dist < 1e-15)
+    if on_axis.size:
+        raise DegenerateInputError(f"query {on_axis[0]} lies on the surface's axis; normal undefined")
+    n = d / dist
+    s_c = geometry.r * n
+    s_c[cap] += geometry.cap_center
+    s_c[~cap, 2] = np.clip(q[~cap, 2], 0.0, length)
+    return ContactState(s_c=s_c, s_n=n)
 
 
 def detect_contact(pressure) -> np.ndarray:

@@ -11,6 +11,14 @@ force component, the shear magnitude, and the shear component along the
 electrode-specific tangential direction. The directional term is what makes
 distinct forces produce distinct readings; without it the shear direction
 would be unobservable and force regression ill-posed.
+
+A seed fixes every sample. An F/T trial draws its wrist pose, then five
+uniform numbers per sample, in sample order: the contact's azimuth, its
+polar angle on the cap (cap_only) or its height on the cylinder, the
+force's angle from the inward normal and its azimuth about it, and its
+magnitude; a noisy sensor then draws the noise of the trial's readings,
+sample by sample. The trial's contacts, forces and readings are then
+computed as (n, .) arrays, with one sensor_forward call per trial.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .sensor import (
     ElectrodeLayout,
     SurfaceGeometry,
     detect_contact,
+    row_norms,
     surface_point_and_normal,
 )
 
@@ -71,16 +80,18 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def rotation_aligning(target_x: np.ndarray, roll: float = 0.0) -> np.ndarray:
-    """Rotation whose first column is target_x, with a roll about it."""
+def rotation_aligning(target_x: np.ndarray, roll=0.0) -> np.ndarray:
+    """Rotations whose first columns are the rows of target_x, (n, 3), each
+    with its roll about that axis (one per row, or one for all): (n, 3, 3)."""
     c1 = np.asarray(target_x, dtype=float)
-    c1 = c1 / np.linalg.norm(c1)
-    helper = np.array([0.0, 0.0, 1.0]) if abs(c1[2]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    c1 = c1 / row_norms(c1)
+    helper = np.where(np.abs(c1[:, 2:]) < 0.9, [0.0, 0.0, 1.0], [0.0, 1.0, 0.0])
     c2 = np.cross(helper, c1)
-    c2 /= np.linalg.norm(c2)
+    c2 /= row_norms(c2)
     c3 = np.cross(c1, c2)
-    cr, sr = math.cos(roll), math.sin(roll)
-    return np.column_stack([c1, cr * c2 + sr * c3, -sr * c2 + cr * c3])
+    roll = np.reshape(roll, (-1, 1))
+    cr, sr = np.cos(roll), np.sin(roll)
+    return np.stack([c1, cr * c2 + sr * c3, -sr * c2 + cr * c3], axis=2)
 
 
 @dataclass(frozen=True)
@@ -273,60 +284,77 @@ def sensor_forward(
     f_3d: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Electrode readings for a contact and sensor-frame force."""
+    """Electrode readings, (n, 19), for n contacts and their sensor-frame
+    forces, (n, 3). With an rng and a positive noise_scale, the noise of
+    all n readings is drawn after the caller's other draws, row by row."""
     f = np.asarray(f_3d, dtype=float)
-    n = contact.s_n
-    offsets = model.layout.positions - contact.s_c[None, :]
-    weights = np.exp(-np.sum(offsets**2, axis=1) / DECAY_LENGTH_M**2)
+    if f.shape != contact.s_n.shape:
+        raise SchemaError(f"{len(contact)} contacts for forces of shape {f.shape}")
+    # every product is a batched matmul, which rounds each row as a single
+    # contact's vector products do
+    n, n_col = contact.s_n, contact.s_n[:, :, None]
+    offsets = model.layout.positions - contact.s_c[:, None, :]
+    weights = np.exp(-np.sum(offsets**2, axis=2) / DECAY_LENGTH_M**2)
 
-    normal_feat = -float(f @ n)
-    shear_vec = f - float(f @ n) * n
-    shear_mag = float(np.linalg.norm(shear_vec))
-    tangential = offsets - (offsets @ n)[:, None] * n[None, :]
-    t_norms = np.linalg.norm(tangential, axis=1)
-    safe = t_norms > 1e-12
-    t_hat = np.zeros_like(tangential)
-    t_hat[safe] = tangential[safe] / t_norms[safe, None]
+    f_n = (f[:, None, :] @ n_col)[:, 0]
+    shear_vec = f - f_n * n
+    shear_col = shear_vec[:, :, None]
+    shear_mag = row_norms(shear_vec)
+    tangential = offsets - (offsets @ n_col) * n[:, None, :]
+    t_norms = np.linalg.norm(tangential, axis=2, keepdims=True)
+    t_hat = np.divide(tangential, t_norms, out=np.zeros_like(tangential), where=t_norms > 1e-12)
 
     e = SENSOR_GAIN * weights * (
-        NORMAL_SENSITIVITY * normal_feat
-        + SHEAR_SENSITIVITY * shear_mag
-        + DIRECTIONAL_SHEAR_SENSITIVITY * (t_hat @ shear_vec)
-        + ANISOTROPIC_SHEAR_SENSITIVITY * (model._tangents @ shear_vec)
+        (NORMAL_SENSITIVITY * -f_n + SHEAR_SENSITIVITY * shear_mag)
+        + DIRECTIONAL_SHEAR_SENSITIVITY * (t_hat @ shear_col)[:, :, 0]
+        + ANISOTROPIC_SHEAR_SENSITIVITY * (model._tangents @ shear_col)[:, :, 0]
     )
     if rng is not None and model.noise_scale > 0:
         e = e + rng.normal(scale=model.noise_scale, size=e.shape)
     return e
 
 
-def _cone_direction(rng: np.random.Generator, axis: np.ndarray, max_angle: float) -> np.ndarray:
-    """Random unit vector within max_angle (radians) of axis."""
-    phi = rng.uniform(0.0, max_angle)
-    azim = rng.uniform(0.0, 2 * math.pi)
-    frame = rotation_aligning(axis)
-    local = np.array([math.cos(phi), math.sin(phi) * math.cos(azim), math.sin(phi) * math.sin(azim)])
-    return frame @ local
+# A sample's five uniform draws, in the order a seed fixes: the contact's
+# azimuth (within 75 degrees of +x), its polar angle from the cap center or
+# its height as a fraction of the cylinder, the force direction's angle from
+# the cone axis and its azimuth about it, and a last draw (an F/T sample's
+# magnitude, a planar trial's roll)
+CONTACT_AZIMUTH_RANGE = (math.radians(-75), math.radians(75))
+CAP_POLAR_RANGE = (math.radians(5), math.radians(70))
+HEIGHT_FRACTION_RANGE = (0.05, 0.95)
 
 
-def _surface_contact(
-    geometry: SurfaceGeometry, rng: np.random.Generator, cap_only: bool
-) -> ContactState:
-    """Random contact on the sensing side of the surface (azimuth within
-    75 degrees of +x)."""
-    azim = rng.uniform(math.radians(-75), math.radians(75))
+def _draw(rng, size, cap_only: bool, cone_angle_deg: float, last_range) -> np.ndarray:
+    """The five draws of `size` samples, one row each, in the order above,
+    returned one draw per row."""
+    polar_or_height = CAP_POLAR_RANGE if cap_only else HEIGHT_FRACTION_RANGE
+    lows = (CONTACT_AZIMUTH_RANGE[0], polar_or_height[0], 0.0, 0.0, last_range[0])
+    highs = (CONTACT_AZIMUTH_RANGE[1], polar_or_height[1], math.radians(cone_angle_deg),
+             2 * math.pi, last_range[1])
+    return rng.uniform(lows, highs, size=(size, 5)).T
+
+
+def _surface_contacts(geometry: SurfaceGeometry, azim, polar_or_height, cap_only: bool
+                      ) -> ContactState:
+    """Contacts on the sensing side of the surface at the drawn azimuths and
+    polar angles on the cap, or height fractions on the cylinder."""
     if cap_only:
-        polar = rng.uniform(math.radians(5), math.radians(70))
-        query = geometry.cap_center + np.array(
-            [
-                math.sin(polar) * math.cos(azim),
-                math.sin(polar) * math.sin(azim),
-                math.cos(polar),
-            ]
+        polar = polar_or_height
+        query = geometry.cap_center + np.stack(
+            [np.sin(polar) * np.cos(azim), np.sin(polar) * np.sin(azim), np.cos(polar)], axis=1
         )
     else:
-        z = rng.uniform(0.05, 0.95) * geometry.half_cylinder_length
-        query = np.array([math.cos(azim), math.sin(azim), 0.0]) + np.array([0.0, 0.0, z])
+        z = polar_or_height * geometry.half_cylinder_length
+        query = np.stack([np.cos(azim), np.sin(azim), z], axis=1)
     return surface_point_and_normal(geometry, query)
+
+
+def _cone_directions(axes: np.ndarray, angle, azim) -> np.ndarray:
+    """Unit vectors at the drawn angles (radians) from the rows of axes and
+    azimuths about them."""
+    local = np.stack([np.cos(angle), np.sin(angle) * np.cos(azim), np.sin(angle) * np.sin(azim)],
+                     axis=1)
+    return (rotation_aligning(axes) @ local[:, :, None])[:, :, 0]
 
 
 def make_ft_samples(
@@ -341,30 +369,29 @@ def make_ft_samples(
     cap_only: bool = False,
 ) -> list[SampleRecord]:
     """Force-torque style samples: random surface contacts with forces drawn
-    within a cone of the inward normal, one sensor pose per trial."""
+    within a cone of the inward normal, one sensor pose per trial.
+
+    Each trial draws its wrist pose, then every sample's five draws in
+    sample order, then the noise of all its readings, and computes its
+    contacts, forces and readings as arrays, in one sensor_forward call."""
     rng = np.random.default_rng(seed)
-    records: list[SampleRecord] = []
+    trials = []
     for trial in range(n_trials):
-        trial_id = f"{source_tag}_{trial:04d}"
         r_wb = random_rotation(rng)  # one wrist pose per trial
-        for _ in range(samples_per_trial):
-            contact = _surface_contact(geometry, rng, cap_only=cap_only)
-            direction = _cone_direction(rng, -contact.s_n, math.radians(cone_angle_deg))
-            magnitude = rng.uniform(*force_range)
-            f_3d = magnitude * direction
-            e = sensor_forward(model, contact, f_3d, rng=rng)
-            records.append(
-                SampleRecord(
-                    trial_id=trial_id,
-                    source_tag=source_tag,
-                    e=e,
-                    s_c=contact.s_c,
-                    s_n=contact.s_n,
-                    f_3d=f_3d,
-                    r_wb=r_wb,
-                )
-            )
-    return records
+        azim, polar_or_height, angle, cone_azim, magnitude = _draw(
+            rng, samples_per_trial, cap_only, cone_angle_deg, force_range)
+        contacts = _surface_contacts(geometry, azim, polar_or_height, cap_only)
+        f_3d = magnitude[:, None] * _cone_directions(-contacts.s_n, angle, cone_azim)
+        e = sensor_forward(model, contacts, f_3d, rng=rng)
+        trials.append((f"{source_tag}_{trial:04d}", r_wb, contacts, f_3d, e))
+    # records built trial by trial, among each trial's temporaries, keep the
+    # allocator from returning their memory once they are freed
+    return [
+        SampleRecord(trial_id=trial_id, source_tag=source_tag, e=e[i], s_c=contacts.s_c[i],
+                     s_n=contacts.s_n[i], f_3d=f_3d[i], r_wb=r_wb)
+        for trial_id, r_wb, contacts, f_3d, e in trials
+        for i in range(samples_per_trial)
+    ]
 
 
 def piecewise_force_schedule(
@@ -428,9 +455,10 @@ def make_planar_trials(
             trial_params, half_extents, forces, contact_body, dt=dt, trial_id=trial_id
         )
 
-        contact = _surface_contact(geometry, rng, cap_only=False)
-        tilt = _cone_direction(rng, contact.s_n, math.radians(15.0))
-        sensor_to_object = rotation_aligning(tilt, roll=rng.uniform(0, 2 * math.pi))
+        azim, height, angle, cone_azim, roll = _draw(rng, 1, False, 15.0, (0.0, 2 * math.pi))
+        contact = _surface_contacts(geometry, azim, height, cap_only=False)
+        tilt = _cone_directions(contact.s_n, angle, cone_azim)
+        sensor_to_object = rotation_aligning(tilt, roll)[0]
         r_wb = sensor_to_object.T  # planar frame is world-aligned
 
         # one product per step: a batched one rounds some rows differently
@@ -440,15 +468,15 @@ def make_planar_trials(
         in_contact = detect_contact(PRESSURE_UNITS_PER_NEWTON * magnitudes)
         # every pushed step draws its noise, in step order; the gate picks the records
         for i in np.flatnonzero(magnitudes).tolist():
-            e = sensor_forward(model, contact, f_3d[i], rng=rng)
+            e = sensor_forward(model, contact, f_3d[i][None], rng=rng)
             if in_contact[i]:
                 records.append(
                     SampleRecord(
                         trial_id=trial_id,
                         source_tag=SOURCE_PLANAR,
-                        e=e,
-                        s_c=contact.s_c,
-                        s_n=contact.s_n,
+                        e=e[0],
+                        s_c=contact.s_c[0],
+                        s_n=contact.s_n[0],
                         f_3d=f_3d[i],
                         r_wb=r_wb,
                         step=i,

@@ -642,6 +642,8 @@ class TestTrainEval:
         for metric in ("direction_pct", "magnitude_pct", "magnitude_l1"):
             recomputed = asdict(summarize([float(r[metric]) for r in rows]))
             assert summary["overall"][metric] == recomputed
+        for block in (summary["overall"], *summary["per_source"].values()):
+            assert block["direction_median_deg"] == 1.8 * block["direction_pct"]["median"]
 
 
 def exit_code(args):
@@ -1156,6 +1158,13 @@ class TestConfigValueTypes:
         ("simulate", "sources.rigid_ft.force_range", [-5, -1]),
         ("simulate", "sources.ball_ft.force_range", [0.1, -1.0]),
         ("simulate", "sources.planar_pushing.magnitude_range", [-2.0, 1.0]),
+        # ranges whose low end is above the high end, cones beyond the tangent plane
+        ("simulate", "sources.rigid_ft.force_range", [5, 1]),
+        ("simulate", "sources.ball_ft.force_range", [0.2, 0.1]),
+        ("simulate", "sources.planar_pushing.magnitude_range", [2.0, 0.1]),
+        ("simulate", "sources.rigid_ft.cone_angle_deg", -10),
+        ("simulate", "sources.ball_ft.cone_angle_deg", 120),
+        ("simulate", "sources.rigid_ft.cone_angle_deg", 90.000001),
     ], ids=value_id)
     def test_wrong_type_exits_2_naming_file_and_field(
         self, sim_dir, sim_config, tmp_path, capsys, command, field, value

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from tactile_force import cli
 from tactile_force.errors import (
-    ConfigError, Count, Fraction, Items, NonNegative, Optional, Positive, PositiveCount, config_tree,
+    Between, ConfigError, Count, Fraction, Items, NonNegative, Optional, Positive, PositiveCount,
+    Range, check_config_value, config_tree,
 )
 from tactile_force.mechanics import PushParams
 from tactile_force.net import LossConfig, NetworkConfig, TrainingConfig
@@ -145,3 +146,23 @@ def test_cli_tree_blocks_take_defaults_and_marks_from_their_dataclass(block, cls
     assert sorted(block) == sorted(keys.get(f.name, f.name) for f in fields)
     for f in fields:
         assert same_mark(block[keys.get(f.name, f.name)], f), f.name
+
+
+@given(st.floats(0.0, 1e3), st.floats(0.0, 1e3))
+def test_range_refuses_a_low_end_above_its_high_end(low, high):
+    default = Range((NonNegative(0.5), NonNegative(10.0)))
+    if low > high:
+        with pytest.raises(ConfigError, match="'r' must not have its low end above its high end"):
+            check_config_value("r", [low, high], default)
+    else:
+        check_config_value("r", [low, high], default)
+
+
+@given(st.one_of(st.floats(), NOT_NUMBERS))
+def test_between_takes_a_finite_number_in_its_closed_interval(value):
+    default = Between(30.0, 0.0, 90.0)
+    if isinstance(value, float) and 0.0 <= value <= 90.0:
+        check_config_value("a", value, default)
+    else:
+        with pytest.raises(ConfigError, match=re.escape("'a' must be a number in [0, 90]")):
+            check_config_value("a", value, default)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from tactile_force.errors import ConfigError, SchemaError
 from tactile_force.net.losses import (
-    KNOWN_SOURCES, MAGNITUDE_FLOOR_N, PSI, LossConfig, batch_loss_and_grad, loss_targets,
+    KNOWN_SOURCES, MAGNITUDE_FLOOR_N, PSI, SOURCE_PLANAR, LossConfig, batch_loss_and_grad,
+    loss_targets,
 )
 from tactile_force.synthetic import random_rotation
 
@@ -288,6 +289,19 @@ class TestBatchLossMatchesPerSampleLoop:
             np.testing.assert_array_equal(got[1], alone[1])
             assert abs(got[0] - expected[0]) <= 1e-12
             np.testing.assert_allclose(got[1], expected[1], rtol=0, atol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(loss_batches(max_size=24))
+    def test_projections_held_for_the_planar_rows_alone(self, batch):
+        """Only a planar sample in case_by_source mode reads a projection, so
+        the targets hold one for each such sample and for no other."""
+        _, f3d, s_n, r_wb, tags, config = batch
+        targets = loss_targets(f3d, s_n, r_wb, tags, config)
+        planar = (tags == SOURCE_PLANAR) & (config.mode == "case_by_source")
+        assert targets.proj.shape == (np.count_nonzero(planar), 2, 3)
+        np.testing.assert_array_equal(targets.proj_row >= 0, planar)
+        np.testing.assert_allclose(targets.proj[targets.proj_row[planar]],
+                                   PSI.T @ r_wb[planar], rtol=0, atol=1e-15)
 
     def test_unknown_tag_named_unless_skipped(self):
         """Building the targets names an unknown tag, before any loss is

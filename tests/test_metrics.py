@@ -126,3 +126,14 @@ class TestEvaluatePairs:
         expected = summarize([r.direction_pct for r in rows])
         assert summary["direction_pct"] == asdict(expected)
         assert summary["n_samples"] == 40
+
+    def test_direction_median_in_degrees_is_1_8_times_the_percentage(self):
+        """A 100 % direction error is a half turn, so the summary's degree
+        median is 1.8 times its percentage median, and reads the angle
+        between the forces in degrees."""
+        angles = np.radians([3.0, 10.0, 25.0, 40.0, 90.0])
+        f3d = np.tile([1.0, 0.0, 0.0], (5, 1))
+        preds = np.stack([np.cos(angles), np.sin(angles), np.zeros(5)], axis=1)
+        summary = summarize_rows(evaluate_pairs(f3d, preds, ["rigid_ft"] * 5)[0])
+        assert summary["direction_median_deg"] == 1.8 * summary["direction_pct"]["median"]
+        assert math.isclose(summary["direction_median_deg"], 25.0, rel_tol=1e-12)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synthetic_oracles
 from geometry_oracles import contains
 from tactile_force.dataset import load_json
 from tactile_force.errors import ConfigError, DegenerateInputError, SchemaError
@@ -43,19 +44,22 @@ def sample_surface_points(geometry, n_phi=180, n_z=120, n_cap=120):
 
 
 class TestSurfaceProjection:
+    """surface_point_and_normal projects the rows of an (n, 3) array; a
+    single query is a one-row call."""
+
     def test_point_on_cylinder_wall_is_fixed(self):
         geo = SurfaceGeometry()
-        q = np.array([geo.r, 0.0, geo.half_cylinder_length / 2])
+        q = np.array([[geo.r, 0.0, geo.half_cylinder_length / 2]])
         state = surface_point_and_normal(geo, q)
         np.testing.assert_allclose(state.s_c, q, atol=1e-12)
-        np.testing.assert_allclose(state.s_n, [1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(state.s_n, [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_radial_projection_from_outside(self):
         geo = SurfaceGeometry()
-        q = np.array([2 * geo.r, 0.0, geo.half_cylinder_length / 2])
+        q = np.array([[2 * geo.r, 0.0, geo.half_cylinder_length / 2]])
         state = surface_point_and_normal(geo, q)
-        np.testing.assert_allclose(state.s_c, [geo.r, 0.0, q[2]], atol=1e-12)
-        np.testing.assert_allclose(state.s_n, [1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(state.s_c, [[geo.r, 0.0, q[0, 2]]], atol=1e-12)
+        np.testing.assert_allclose(state.s_n, [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_closest_point_matches_dense_sampling_oracle(self):
         geo = SurfaceGeometry()
@@ -63,22 +67,20 @@ class TestSurfaceProjection:
         rng = np.random.default_rng(7)
         # sampling resolution bounds how much the oracle distance can undershoot
         resolution = geo.r * 2 * math.pi / 180 + geo.r * math.pi / 2 / 60
-        for _ in range(25):
-            q = rng.uniform([-2 * geo.r, -2 * geo.r, -0.005], [2 * geo.r, 2 * geo.r, 0.03])
-            if math.hypot(q[0], q[1]) < 1e-6:
-                continue
-            state = surface_point_and_normal(geo, q)
-            projected_dist = np.linalg.norm(q - state.s_c)
-            oracle_dist = np.min(np.linalg.norm(surface - q[None, :], axis=1))
+        q = rng.uniform([-2 * geo.r, -2 * geo.r, -0.005], [2 * geo.r, 2 * geo.r, 0.03], size=(25, 3))
+        state = surface_point_and_normal(geo, q)
+        for query, s_c in zip(q, state.s_c):
+            projected_dist = np.linalg.norm(query - s_c)
+            oracle_dist = np.min(np.linalg.norm(surface - query[None, :], axis=1))
             assert projected_dist <= oracle_dist + resolution
-            assert contains(geo, state.s_c, tol=1e-9)
+            assert contains(geo, s_c, tol=1e-9)
 
     def test_cap_projection_radial_from_cap_center(self):
         geo = SurfaceGeometry()
-        q = geo.cap_center + np.array([0.001, 0.002, 0.004])
+        q = geo.cap_center + np.array([[0.001, 0.002, 0.004]])
         state = surface_point_and_normal(geo, q)
         np.testing.assert_allclose(
-            np.linalg.norm(state.s_c - geo.cap_center), geo.r, rtol=1e-12
+            np.linalg.norm(state.s_c - geo.cap_center, axis=1), geo.r, rtol=1e-12
         )
         d = q - geo.cap_center
         np.testing.assert_allclose(state.s_n, d / np.linalg.norm(d), atol=1e-12)
@@ -86,32 +88,49 @@ class TestSurfaceProjection:
     def test_idempotent(self):
         geo = SurfaceGeometry()
         rng = np.random.default_rng(13)
-        for _ in range(50):
-            q = rng.uniform([-0.02, -0.02, -0.01], [0.02, 0.02, 0.03])
-            if math.hypot(q[0], q[1]) < 1e-6:
-                continue
-            first = surface_point_and_normal(geo, q)
-            second = surface_point_and_normal(geo, first.s_c)
-            np.testing.assert_allclose(second.s_c, first.s_c, atol=1e-9)
-            np.testing.assert_allclose(second.s_n, first.s_n, atol=1e-9)
+        q = rng.uniform([-0.02, -0.02, -0.01], [0.02, 0.02, 0.03], size=(50, 3))
+        first = surface_point_and_normal(geo, q)
+        second = surface_point_and_normal(geo, first.s_c)
+        np.testing.assert_allclose(second.s_c, first.s_c, atol=1e-9)
+        np.testing.assert_allclose(second.s_n, first.s_n, atol=1e-9)
 
     def test_normals_unit_and_outward(self):
         geo = SurfaceGeometry()
         rng = np.random.default_rng(17)
-        for _ in range(100):
-            q = rng.uniform([-0.03, -0.03, -0.01], [0.03, 0.03, 0.04])
-            if math.hypot(q[0], q[1]) < 1e-6:
-                continue
-            state = surface_point_and_normal(geo, q)
-            assert math.isclose(np.linalg.norm(state.s_n), 1.0, abs_tol=1e-9)
-            if state.s_c[2] <= geo.half_cylinder_length:  # cylinder body
-                foot = np.array([0.0, 0.0, state.s_c[2]])
-                assert float(state.s_n @ (state.s_c - foot)) > 0.0
+        state = surface_point_and_normal(
+            geo, rng.uniform([-0.03, -0.03, -0.01], [0.03, 0.03, 0.04], size=(100, 3)))
+        np.testing.assert_allclose(np.linalg.norm(state.s_n, axis=1), 1.0, atol=1e-9)
+        body = state.s_c[:, 2] <= geo.half_cylinder_length  # cylinder body
+        feet = state.s_c[body] * [0.0, 0.0, 1.0]
+        assert (np.einsum("ni,ni->n", state.s_n[body], state.s_c[body] - feet) > 0.0).all()
 
-    def test_on_axis_query_degenerate(self):
+    @given(st.lists(st.tuples(*[st.floats(-0.03, 0.04, allow_subnormal=False)] * 3),
+                    min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_the_single_point_oracle(self, queries):
+        """Each row projects as the single-point oracle projects it, within
+        an ulp of the radius."""
         geo = SurfaceGeometry()
-        with pytest.raises(DegenerateInputError):
-            surface_point_and_normal(geo, np.array([0.0, 0.0, 0.005]))
+        q = np.array(queries)
+        q = q[np.hypot(q[:, 0], q[:, 1]) > 1e-9]
+        if q.size == 0:
+            return
+        state = surface_point_and_normal(geo, q)
+        for query, s_c, s_n in zip(q, state.s_c, state.s_n):
+            o_c, o_n = synthetic_oracles.surface_point_and_normal(geo, query)
+            np.testing.assert_allclose(s_c, o_c, rtol=0, atol=1e-15 * geo.r)
+            np.testing.assert_allclose(s_n, o_n, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("query", [[0.0, 0.0, 0.005], [0.0, 0.0, 0.015 + 1e-17]])
+    def test_on_axis_query_degenerate_naming_its_row(self, query):
+        geo = SurfaceGeometry()
+        with pytest.raises(DegenerateInputError, match="query 1 "):
+            surface_point_and_normal(geo, np.array([[0.007, 0.0, 0.005], query]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 3, 1)])
+    def test_query_not_rows_of_three_is_a_schema_error(self, shape):
+        with pytest.raises(SchemaError, match="queries must be an"):
+            surface_point_and_normal(SurfaceGeometry(), np.ones(shape))
 
     def test_geometry_validation(self):
         with pytest.raises(ConfigError, match="'r'"):

@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import synthetic_oracles
 from solver_oracles import push_step_reference
-from geometry_oracles import contains
 from tactile_force.dataset import SampleRecord, make_dataset
 from tactile_force.errors import ConfigError, DataIntegrityError, NumericalError, SchemaError
 from tactile_force.mechanics import (
@@ -169,16 +171,16 @@ RESPONSE = ("SENSOR_GAIN", "DECAY_LENGTH_M", "NORMAL_SENSITIVITY", "SHEAR_SENSIT
             "DIRECTIONAL_SHEAR_SENSITIVITY", "ANISOTROPIC_SHEAR_SENSITIVITY")
 
 
-def reading_by_electrode(layout, contact, f, response):
-    """SensorForwardModel's documented map, one electrode at a time, with
-    the response values in `response` (keyed by RESPONSE's names)."""
-    n = contact.s_n
-    normal = -float(f @ n)
-    shear = f - float(f @ n) * n
+def reading_by_electrode(layout, s_c, s_n, f, response):
+    """SensorForwardModel's documented map for one contact, one electrode at
+    a time, with the response values in `response` (keyed by RESPONSE's
+    names)."""
+    normal = -float(f @ s_n)
+    shear = f - float(f @ s_n) * s_n
     e = np.zeros(len(layout.positions))
     for i, (p, axis) in enumerate(zip(layout.positions, synthetic.electrode_tangents(layout))):
-        offset = p - contact.s_c
-        tangential = offset - float(offset @ n) * n
+        offset = p - s_c
+        tangential = offset - float(offset @ s_n) * s_n
         length = np.linalg.norm(tangential)
         toward = tangential / length if length > 1e-12 else np.zeros(3)
         kernel = math.exp(-float(offset @ offset) / response["DECAY_LENGTH_M"] ** 2)
@@ -191,7 +193,15 @@ def reading_by_electrode(layout, contact, f, response):
     return e
 
 
+def one_contact(s_c, s_n) -> ContactState:
+    """A single contact: a one-row ContactState."""
+    return ContactState(s_c=[s_c], s_n=[s_n])
+
+
 class TestSensorForward:
+    """sensor_forward reads n contacts and n forces as rows; a single
+    contact is a one-row call."""
+
     @pytest.mark.parametrize("name", RESPONSE)
     def test_each_response_constant_weights_its_own_term(self, forward_model, monkeypatch, name):
         """The reading follows the documented map at the module's response
@@ -201,52 +211,63 @@ class TestSensorForward:
         response = {key: getattr(synthetic, key) for key in RESPONSE}
         changed = {**response, name: 1.7 * response[name]}
         rng = np.random.default_rng(31)
-        for idx in (0, 6, 13):
-            contact = ContactState(s_c=layout.positions[idx] + 1e-3 * rng.normal(size=3),
-                                   s_n=layout.normals[idx])
-            f = -contact.s_n + 0.6 * rng.normal(size=3)
-            before = sensor_forward(forward_model, contact, f)
-            np.testing.assert_allclose(
-                before, reading_by_electrode(layout, contact, f, response), rtol=1e-12, atol=1e-15)
-            with monkeypatch.context() as patch:
-                patch.setattr(synthetic, name, changed[name])
-                after = sensor_forward(forward_model, contact, f)
-            np.testing.assert_allclose(
-                after, reading_by_electrode(layout, contact, f, changed), rtol=1e-12, atol=1e-15)
-            assert np.abs(after - before).max() > 1e-6
+        idx = [0, 6, 13]
+        contacts = ContactState(s_c=layout.positions[idx] + 1e-3 * rng.normal(size=(3, 3)),
+                                s_n=layout.normals[idx])
+        f = -contacts.s_n + 0.6 * rng.normal(size=(3, 3))
+        before = sensor_forward(forward_model, contacts, f)
+        with monkeypatch.context() as patch:
+            patch.setattr(synthetic, name, changed[name])
+            after = sensor_forward(forward_model, contacts, f)
+        for row, (s_c, s_n) in enumerate(zip(contacts.s_c, contacts.s_n)):
+            np.testing.assert_allclose(before[row], reading_by_electrode(
+                layout, s_c, s_n, f[row], response), rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(after[row], reading_by_electrode(
+                layout, s_c, s_n, f[row], changed), rtol=1e-12, atol=1e-15)
+            assert np.abs(after[row] - before[row]).max() > 1e-6
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    @settings(max_examples=50, deadline=None)
+    def test_rows_match_the_single_contact_oracle(self, seed, n):
+        """Each row reads as the single-contact oracle reads its contact and
+        force alone, within 1e-15 of the largest reading."""
+        forward_model = SensorForwardModel(layout=default_electrode_layout())
+        rng = np.random.default_rng(seed)
+        layout = forward_model.layout
+        idx = rng.integers(0, 19, size=n)
+        contacts = ContactState(s_c=layout.positions[idx] + 1e-3 * rng.normal(size=(n, 3)),
+                                s_n=layout.normals[idx])
+        f = rng.normal(size=(n, 3))
+        e = sensor_forward(forward_model, contacts, f)
+        expected = np.stack([synthetic_oracles.sensor_forward(forward_model, s_c, s_n, force)
+                             for s_c, s_n, force in zip(contacts.s_c, contacts.s_n, f)])
+        assert e.shape == (n, 19)
+        np.testing.assert_allclose(e, expected, rtol=0, atol=1e-15 * np.abs(expected).max())
 
     def test_zero_force_zero_reading(self, forward_model):
-        contact = ContactState(
-            s_c=np.array([0.007, 0.0, 0.0075]), s_n=np.array([1.0, 0.0, 0.0])
-        )
+        contact = one_contact([0.007, 0.0, 0.0075], [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(
-            sensor_forward(forward_model, contact, np.zeros(3)), np.zeros(19)
+            sensor_forward(forward_model, contact, np.zeros((1, 3))), np.zeros((1, 19))
         )
 
     def test_doubling_force_doubles_reading(self, forward_model):
-        contact = ContactState(
-            s_c=np.array([0.007, 0.0, 0.0075]), s_n=np.array([1.0, 0.0, 0.0])
-        )
+        contact = one_contact([0.007, 0.0, 0.0075], [1.0, 0.0, 0.0])
         rng = np.random.default_rng(23)
-        f = rng.normal(size=3)
+        f = rng.normal(size=(1, 3))
         e1 = sensor_forward(forward_model, contact, f)
         e2 = sensor_forward(forward_model, contact, 2.0 * f)
         np.testing.assert_allclose(e2, 2.0 * e1, atol=1e-12)
 
     def test_nearest_electrode_strongest_for_pure_normal_force(self, forward_model):
         layout = forward_model.layout
-        for idx in (1, 7, 16):
-            contact = ContactState(s_c=layout.positions[idx], s_n=layout.normals[idx])
-            f = -2.0 * contact.s_n  # pure press along the inward normal
-            e = sensor_forward(forward_model, contact, f)
-            dists = np.linalg.norm(layout.positions - contact.s_c[None, :], axis=1)
-            assert np.argmax(np.abs(e)) == np.argmin(dists) == idx
+        idx = [1, 7, 16]
+        contacts = ContactState(s_c=layout.positions[idx], s_n=layout.normals[idx])
+        e = sensor_forward(forward_model, contacts, -2.0 * contacts.s_n)  # pure presses
+        assert np.argmax(np.abs(e), axis=1).tolist() == idx
 
     def test_deterministic_without_rng(self, forward_model):
-        contact = ContactState(
-            s_c=np.array([0.005, 0.002, 0.01]), s_n=np.array([0.8, 0.6, 0.0])
-        )
-        f = np.array([0.5, -0.2, 1.0])
+        contact = one_contact([0.005, 0.002, 0.01], [0.8, 0.6, 0.0])
+        f = np.array([[0.5, -0.2, 1.0]])
         np.testing.assert_array_equal(
             sensor_forward(forward_model, contact, f),
             sensor_forward(forward_model, contact, f),
@@ -255,12 +276,9 @@ class TestSensorForward:
     def test_injective_on_coarse_grid(self, forward_model):
         """Distinct (contact, force) pairs give separated readings."""
         layout = forward_model.layout
-        geometry = SurfaceGeometry()
-        readings = []
-        rng = np.random.default_rng(29)
+        s_c, s_n, forces = [], [], []
         for idx in (0, 5, 10, 16):
-            contact = ContactState(s_c=layout.positions[idx], s_n=layout.normals[idx])
-            n = contact.s_n
+            n = layout.normals[idx]
             tangent = np.cross(n, [0.0, 0.0, 1.0])
             if np.linalg.norm(tangent) < 1e-6:
                 tangent = np.cross(n, [0.0, 1.0, 0.0])
@@ -269,44 +287,129 @@ class TestSensorForward:
             for a in (-1.0, 0.0, 1.0):
                 for b in (-1.0, 0.0, 1.0):
                     for c in (1.0, 2.0):
-                        f = -c * n + a * tangent + b * bitangent
-                        readings.append(sensor_forward(forward_model, contact, f))
-        readings = np.array(readings)
+                        s_c.append(layout.positions[idx])
+                        s_n.append(n)
+                        forces.append(-c * n + a * tangent + b * bitangent)
+        readings = sensor_forward(forward_model, ContactState(s_c=s_c, s_n=s_n), np.array(forces))
         for i in range(len(readings)):
             for j in range(i + 1, len(readings)):
                 assert np.linalg.norm(readings[i] - readings[j]) > 1e-6
 
     def test_noise_requires_rng_and_is_seeded(self):
         model = SensorForwardModel(layout=default_electrode_layout(), noise_scale=0.1)
-        contact = ContactState(
-            s_c=np.array([0.007, 0.0, 0.0075]), s_n=np.array([1.0, 0.0, 0.0])
-        )
-        f = np.array([-1.0, 0.0, 0.0])
+        contact = one_contact([0.007, 0.0, 0.0075], [1.0, 0.0, 0.0])
+        f = np.array([[-1.0, 0.0, 0.0]])
         clean = sensor_forward(model, contact, f)
         noisy_a = sensor_forward(model, contact, f, rng=np.random.default_rng(5))
         noisy_b = sensor_forward(model, contact, f, rng=np.random.default_rng(5))
         assert not np.array_equal(clean, noisy_a)
         np.testing.assert_array_equal(noisy_a, noisy_b)
+        # the noise of n rows is drawn row by row, after any other draw
+        np.testing.assert_array_equal(
+            noisy_a, clean + np.random.default_rng(5).normal(scale=0.1, size=(1, 19)))
+
+    @pytest.mark.parametrize("f_shape", [(3,), (2, 3), (1, 2)])
+    def test_forces_not_one_row_per_contact_is_a_schema_error(self, forward_model, f_shape):
+        contact = one_contact([0.007, 0.0, 0.0075], [1.0, 0.0, 0.0])
+        with pytest.raises(SchemaError, match="1 contacts for forces of shape"):
+            sensor_forward(forward_model, contact, np.ones(f_shape))
 
 
 class TestGenerators:
-    def test_ft_samples_live_on_surface_within_cone(self, forward_model):
+    @given(seed=st.integers(0, 2**32 - 1), n_trials=st.integers(1, 3),
+           samples_per_trial=st.integers(1, 30), cap_only=st.booleans(),
+           cone_angle_deg=st.floats(0.0, 90.0), low=st.floats(0.01, 10.0),
+           width=st.floats(0.0, 10.0), noise_scale=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_every_ft_sample_presses_into_the_surface(
+        self, seed, n_trials, samples_per_trial, cap_only, cone_angle_deg, low, width, noise_scale
+    ):
+        """Every F/T record lies on the surface (on the cap for cap_only, on
+        the cylinder wall otherwise), its force points into the surface,
+        within its cone of the inward normal and its force range."""
         geometry = SurfaceGeometry()
-        records = make_ft_samples(
-            forward_model, geometry, "ball_ft", n_trials=3, samples_per_trial=20,
-            seed=7, force_range=(0.1, 5.0), cone_angle_deg=60.0, cap_only=True,
-        )
-        assert len(records) == 60
-        for r in records:
-            assert contains(geometry, r.s_c, tol=1e-9)
-            assert r.s_c[2] > geometry.half_cylinder_length  # cap contacts only
-            angle = math.degrees(
-                math.acos(
-                    np.clip(r.f_3d @ (-r.s_n) / np.linalg.norm(r.f_3d), -1.0, 1.0)
-                )
-            )
-            assert angle <= 60.0 + 1e-9
-            assert 0.1 <= np.linalg.norm(r.f_3d) <= 5.0
+        model = SensorForwardModel(layout=default_electrode_layout(), noise_scale=noise_scale)
+        force_range = (low, low + width)
+        records = make_ft_samples(model, geometry, "ball_ft", n_trials, samples_per_trial, seed,
+                                  force_range, cone_angle_deg, cap_only)
+        assert len(records) == n_trials * samples_per_trial
+        s_c = np.stack([r.s_c for r in records])
+        s_n = np.stack([r.s_n for r in records])
+        f = np.stack([r.f_3d for r in records])
+        r, length = geometry.r, geometry.half_cylinder_length
+        if cap_only:
+            assert (s_c[:, 2] > length).all()
+            np.testing.assert_allclose(np.linalg.norm(s_c - geometry.cap_center, axis=1), r,
+                                       rtol=1e-12)
+        else:
+            assert ((0.0 <= s_c[:, 2]) & (s_c[:, 2] <= length)).all()
+            np.testing.assert_allclose(np.hypot(s_c[:, 0], s_c[:, 1]), r, rtol=1e-12)
+        magnitude = np.linalg.norm(f, axis=1)
+        pressing = -np.einsum("ni,ni->n", f, s_n)
+        assert (pressing > 0.0).all()
+        angle = np.degrees(np.arctan2(np.linalg.norm(np.cross(f, s_n), axis=1), pressing))
+        assert (angle <= cone_angle_deg + 1e-9).all()
+        assert ((magnitude >= low * (1 - 1e-12)) & (magnitude <= (low + width) * (1 + 1e-12))).all()
+
+    @given(seed=st.integers(0, 2**32 - 1), n_trials=st.integers(0, 3),
+           samples_per_trial=st.integers(0, 25), cap_only=st.booleans(),
+           cone_angle_deg=st.floats(0.0, 90.0),
+           force_range=st.one_of(st.just((0.0, 0.0)), st.tuples(st.floats(0.0, 5.0),
+                                                                   st.floats(5.0, 10.0))))
+    @settings(max_examples=60, deadline=None)
+    def test_ft_samples_match_the_per_sample_oracle(
+        self, seed, n_trials, samples_per_trial, cap_only, cone_angle_deg, force_range
+    ):
+        """The array generator gives the per-sample oracle's records in its
+        order and trials: r_wb bit-equal, every other field within 1e-15 of
+        the field's largest magnitude, also for trials of no sample and a
+        [0, 0] force range."""
+        geometry = SurfaceGeometry()
+        model = SensorForwardModel(layout=default_electrode_layout())
+        args = (model, geometry, "rigid_ft", n_trials, samples_per_trial, seed, force_range,
+                cone_angle_deg, cap_only)
+        records, expected = make_ft_samples(*args), synthetic_oracles.make_ft_samples(*args)
+        assert [r.trial_id for r in records] == [r.trial_id for r in expected]
+        assert [r.source_tag for r in records] == [r.source_tag for r in expected]
+        if not expected:
+            return
+        for name in ("e", "s_c", "s_n", "f_3d", "r_wb"):
+            got = np.stack([getattr(r, name) for r in records])
+            want = np.stack([getattr(r, name) for r in expected])
+            if name == "r_wb":
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max(),
+                                           err_msg=name)
+
+    def test_one_sensor_forward_call_per_ft_trial(self, forward_model, monkeypatch):
+        calls = []
+
+        def counted(model, contact, f_3d, rng=None):
+            calls.append(len(contact))
+            return sensor_forward(model, contact, f_3d, rng)
+
+        monkeypatch.setattr(synthetic, "sensor_forward", counted)
+        records = make_ft_samples(forward_model, SurfaceGeometry(), "rigid_ft", n_trials=4,
+                                  samples_per_trial=7, seed=2, force_range=(0.5, 5.0))
+        assert len(records) == 28 and calls == [7, 7, 7, 7]
+
+    def test_noise_is_drawn_after_each_trials_uniform_draws(self):
+        """A noisy trial draws its pose, its samples' uniform draws, then the
+        noise of its readings row by row, added to the clean readings."""
+        geometry, layout = SurfaceGeometry(), default_electrode_layout()
+        records = make_ft_samples(SensorForwardModel(layout=layout, noise_scale=0.05), geometry,
+                                  "rigid_ft", 2, 6, 9, (0.5, 5.0))
+        clean_model = SensorForwardModel(layout=layout)
+        rng = np.random.default_rng(9)
+        for trial in (records[:6], records[6:]):
+            r_wb = synthetic.random_rotation(rng)
+            rng.uniform(size=(6, 5))
+            noise = rng.normal(scale=0.05, size=(6, 19))
+            contacts = ContactState(s_c=[r.s_c for r in trial], s_n=[r.s_n for r in trial])
+            clean = sensor_forward(clean_model, contacts, np.stack([r.f_3d for r in trial]))
+            np.testing.assert_array_equal(np.stack([r.e for r in trial]), clean + noise)
+            np.testing.assert_array_equal(trial[0].r_wb, r_wb)
 
     def test_planar_trials_consistent_forces(self, forward_model):
         geometry = SurfaceGeometry()

@@ -441,3 +441,27 @@ class TestParameterBuffer:
             assert p.value.dtype == expected.dtype == model.values.dtype == dtype
             assert optimizer.m.dtype == optimizer.v.dtype == dtype
             np.testing.assert_array_equal(p.value, expected)
+
+
+def test_an_epoch_gathers_the_inputs_and_targets_alone(monkeypatch):
+    """A training step reads a batch's inputs and loss targets, so each
+    epoch's gather of its shuffle copies the inputs and no other field."""
+    gathered = []
+    take = ArraySamples.take
+
+    def spy(self, idx):
+        taken = take(self, idx)
+        if not isinstance(idx, slice):
+            gathered.append(taken)
+        return taken
+
+    rng = np.random.default_rng(3)
+    samples = make_samples(rng.normal(size=(40, 6)), rng.normal(size=(40, 3)) + 2.0)
+    train_set, val_set = samples.take(np.arange(30)), samples.take(np.arange(30, 40))
+    monkeypatch.setattr(ArraySamples, "take", spy)
+    train(small_mlp(6, (4,), seed=0), train_set, val_set, LossConfig(),
+          TrainingConfig(max_epochs=3, batch_size=8))
+    assert len(gathered) == 3
+    for epoch in gathered:
+        assert epoch.inputs.shape == (30, 6)
+        assert (epoch.f_3d, epoch.s_n, epoch.r_wb, epoch.source_tags) == (None,) * 4
