@@ -24,12 +24,11 @@ from .baselines import LinearModel, linear_fit, linear_predict
 from .dataset import (
     DEFAULT_TRAIN_FRAC,
     DEFAULT_VAL_FRAC,
-    SampleRecord,
+    SampleSet,
     check_split,
     featurization_record,
     featurizer,
     filter_by_sources,
-    is_force_sample,
     load_json,
     load_manifest_splits,
     make_dataset,
@@ -38,8 +37,8 @@ from .dataset import (
     write_samples_jsonl,
 )
 from .errors import (
-    Between, ConfigError, Count, DataIntegrityError, Fraction, Items, NonNegative, Positive,
-    PositiveCount, Range, Required, SchemaError, TactileForceError, config_tree, read_config,
+    ConfigError, Count, DataIntegrityError, Fraction, Items, Positive, PositiveCount, Required,
+    SchemaError, TactileForceError, config_tree, read_config,
 )
 from .files import write_text_atomic
 from .mechanics import (
@@ -69,6 +68,8 @@ from .synthetic import (
     DEFAULT_PUSH_MAGNITUDE_RANGE_N,
     SensorForwardModel,
     box_inertia,
+    cone_angle_mark,
+    force_range_mark,
     make_ft_samples,
     make_planar_trials,
 )
@@ -97,13 +98,13 @@ SIMULATE_CONFIG = {
     "sensor": config_tree(SensorForwardModel, exclude=("layout",)),
     "sources": {
         SOURCE_PLANAR: {"trials": Count(0), "steps": PositiveCount(400), "dt": Positive(DEFAULT_DT_S),
-                        "magnitude_range": Range(map(NonNegative, DEFAULT_PUSH_MAGNITUDE_RANGE_N))},
+                        "magnitude_range": force_range_mark(*DEFAULT_PUSH_MAGNITUDE_RANGE_N)},
         SOURCE_RIGID_FT: {"trials": Count(0), "samples_per_trial": PositiveCount(50),
-                          "force_range": Range((NonNegative(0.5), NonNegative(10.0))),
-                          "cone_angle_deg": Between(30.0, 0.0, 90.0), "cap_only": False},
+                          "force_range": force_range_mark(0.5, 10.0),
+                          "cone_angle_deg": cone_angle_mark(30.0), "cap_only": False},
         SOURCE_BALL_FT: {"trials": Count(0), "samples_per_trial": PositiveCount(50),
-                         "force_range": Range((NonNegative(0.1), NonNegative(5.0))),
-                         "cone_angle_deg": Between(60.0, 0.0, 90.0), "cap_only": True},
+                         "force_range": force_range_mark(0.1, 5.0),
+                         "cone_angle_deg": cone_angle_mark(60.0), "cap_only": True},
     },
     "split": {"train": Fraction(DEFAULT_TRAIN_FRAC), "val": Fraction(DEFAULT_VAL_FRAC)},
 }
@@ -196,25 +197,27 @@ def cmd_simulate(args) -> tuple[Path, list[str]]:
     layout, geometry = _layout_and_geometry(config)
     model = SensorForwardModel(layout=layout, **{k: float(v) for k, v in config["sensor"].items()})
     planar = config["sources"][SOURCE_PLANAR]
-    records: list[SampleRecord] = []
+    parts: list[SampleSet] = []
     if planar["trials"] > 0:
         params, half_extents = _read_push_params(f"config {config_path}", {
             **{k: v for k, v in config["params"].items() if v is not None},
             "box_half_extents": config["box_half_extents"]}, "params")
-        episodes, records = make_planar_trials(
+        episodes, samples = make_planar_trials(
             model, geometry, planar["trials"], planar["steps"], seed, params, half_extents,
             planar["dt"], planar["magnitude_range"])
-        if not records:  # only a push can run yet label no sample
+        if not len(samples):  # only a push can run yet label no sample
             raise ConfigError(f"config {config_path}: source {SOURCE_PLANAR!r} ran {planar['trials']} "
                               f"trials of {planar['steps']} steps, and no step was labelled as a contact")
+        parts.append(samples)
     for offset, tag in enumerate((SOURCE_RIGID_FT, SOURCE_BALL_FT), 1):
         ft = dict(config["sources"][tag])
         samples = make_ft_samples(model, geometry, tag, ft.pop("trials"), seed=seed + offset, **ft)
-        if samples and not any(map(is_force_sample, samples)):  # make_dataset would drop them all
+        if len(samples) and not samples.is_force().any():  # make_dataset would drop them all
             raise ConfigError(f"config {config_path}: every sample of source {tag!r} has zero force "
                               f"(force_range {ft['force_range']})")
-        records.extend(samples)
-    if not records:
+        parts.append(samples)
+    records = SampleSet.concatenate(parts)
+    if not len(records):
         raise ConfigError("config requested no trials from any source")
     splits = make_dataset(records, split["train"], split["val"], seed)
 
@@ -310,9 +313,9 @@ def cmd_train(args) -> tuple[Path, list[str]]:
     splits, _ = load_manifest_splits(args.manifest)
     train_records = filter_by_sources(splits["train"], sources)
     val_records = filter_by_sources(splits["val"], sources)
-    if not train_records:
+    if not len(train_records):
         raise DataIntegrityError(f"no training samples for sources {sorted(sources)}")
-    if not val_records:
+    if not len(val_records):
         raise DataIntegrityError(f"no validation samples for sources {sorted(sources)}")
 
     layout, geometry = _layout_and_geometry(config)
@@ -335,9 +338,7 @@ def cmd_train(args) -> tuple[Path, list[str]]:
         loss_cfg = dataclasses.replace(loss_cfg, beta=0.0)
 
     if args.model == MODEL_LINEAR:
-        e_train = np.stack([r.e for r in train_records])
-        f_train = np.stack([r.f_3d for r in train_records])
-        model = linear_fit(e_train, f_train, layout)
+        model = linear_fit(train_records.e, train_records.f_3d, layout)
         out_dir.mkdir(parents=True, exist_ok=True)
         model.to_json(out_dir / "linear_model.json")
         print(f"train: fitted linear model S={model.scale.tolist()} -> {out_dir}")
@@ -378,14 +379,15 @@ def cmd_train(args) -> tuple[Path, list[str]]:
     return out_dir, ["checkpoint.npz", "curves.csv"]
 
 
-def _predict_records(records, model_kind, model_path):
+def _predict_records(records: SampleSet, model_kind, model_path):
     """Predictions for the records, with features built only from what the
     model file records about its own inputs."""
     if model_kind == "oracle":
-        return np.stack([r.f_3d for r in records]), {"kind": "oracle"}
+        return records.f_3d, {"kind": "oracle"}
     if model_kind == "linear":
         model = LinearModel.from_json(model_path)
-        preds = np.stack([linear_predict(model, r.e) for r in records])
+        # one product per sample: a batched one rounds some rows differently
+        preds = np.stack([linear_predict(model, e) for e in records.e])
         return preds, {"kind": "linear", "S": model.scale.tolist()}
     # checkpoint
     model, meta = load_checkpoint(model_path)
@@ -406,15 +408,13 @@ def cmd_eval(args) -> tuple[Path, list[str]]:
     records = splits[args.split]
     if args.sources != "mixed":
         records = filter_by_sources(records, resolve_sources(args.sources))
-    if not records:
+    if not len(records):
         raise DataIntegrityError(f"no samples in split {args.split!r} for {args.sources}")
     if args.model_kind != "oracle" and args.model is None:
         raise ConfigError(f"--model is required for --model-kind {args.model_kind}")
 
     preds, model_info = _predict_records(records, args.model_kind, args.model)
-    f_true = np.stack([r.f_3d for r in records])
-    tags = [r.source_tag for r in records]
-    rows, excluded = evaluate_pairs(f_true, preds, tags)
+    rows, excluded = evaluate_pairs(records.f_3d, preds, records.source_tag.tolist())
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,23 +1,26 @@
-"""Sample records, trial-level dataset splits, and file formats.
+"""Sample sets, trial-level dataset splits, and file formats.
 
-Samples are stored as JSON-lines, one record per line; a split manifest maps
-each of train/val/test to a list of whole trial ids. Splitting never divides
-a trial across splits, and only in-contact samples with nonzero force are
-retained ("force samples").
+A SampleSet holds its samples as columns, one array per field, checked once
+per column when the set is built. Samples are stored as JSON-lines, one
+sample per line; a split manifest maps each of train/val/test to a list of
+whole trial ids. Splitting never divides a trial across splits, and only
+in-contact samples with nonzero force are retained ("force samples").
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
-    ConfigError, DataIntegrityError, Items, LayoutCollisionError, OutOfBoundsError, Required,
-    SchemaError, read_config,
+    ConfigError, Count, DataIntegrityError, Items, LayoutCollisionError, Optional, OutOfBoundsError,
+    Required, SchemaError, read_config,
 )
 from .files import atomic_open, write_text_atomic
 from .net.losses import KNOWN_SOURCES
@@ -31,95 +34,236 @@ from .voxel import (
 SPLIT_NAMES = ("train", "val", "test")
 DEFAULT_TRAIN_FRAC = 0.8
 DEFAULT_VAL_FRAC = 0.1
-# a split manifest: the samples file and the trial ids of each split
+# a split manifest: the samples file, the trial ids of each split and, if
+# given, the force samples each split holds
 MANIFEST_RECORD = {"samples_file": Required(""),
                    "splits": {name: Required(Items(("",))) for name in SPLIT_NAMES},
-                   "seed": None, "counts": None, "n_filtered_out": None}
+                   "seed": None,
+                   "counts": Optional({name: Required(Count(0)) for name in SPLIT_NAMES}),
+                   "n_filtered_out": None}
 
-# a record's array fields: attribute, file key and shape
+# a set's columns, in the order of a samples line's keys
+COLUMNS = ("trial_id", "source_tag", "e", "s_c", "s_n", "f_3d", "r_wb", "in_contact", "step")
+# the number columns: attribute, file key and the shape of one row
 _ARRAY_FIELDS = (("e", "e", (N_ELECTRODES,)), ("s_c", "s_c", (3,)), ("s_n", "s_n", (3,)),
                  ("f_3d", "f_3d", (3,)), ("r_wb", "R_wb", (3, 3)))
+# a samples line's keys: the file key of each column, and the value an absent
+# optional key reads as
+_FILE_KEYS = {"R_wb" if name == "r_wb" else name: name for name in COLUMNS}
+_REQUIRED_KEYS = tuple(_FILE_KEYS)[:7]
+_ABSENT = {"in_contact": True, "step": None}
+
+# one sample of a set: its columns' values at one row, unchecked
+SampleRow = namedtuple("SampleRow", COLUMNS)
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One force sample: tared electrode values plus contact and ground truth.
+class SampleError(SchemaError):
+    """A set column that fails its check: the message of its first bad row, `row`."""
 
-    s_c / s_n are the sensor-frame contact point and outward normal, f_3d the
-    sensor-frame ground-truth force, r_wb the rotation taking sensor-frame
-    vectors to the world frame. step, for a planar sample only, is its row
-    in its trial's episode file.
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _scalar(value):
+    """A column's value as the Python value a samples line holds."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _first(bad) -> int | None:
+    """The first row whose entry of a bool array is true, or None."""
+    i = int(np.argmax(bad)) if len(bad) else 0
+    return i if len(bad) and bad[i] else None
+
+
+@dataclass(frozen=True, eq=False)
+class SampleSet:
+    """Force samples as columns: tared electrode values plus contact and
+    ground truth, one row per sample.
+
+    trial_id and source_tag are strings; e is (n, 19), s_c, s_n and f_3d
+    (n, 3), r_wb (n, 3, 3), all float64: the sensor-frame contact point and
+    outward normal, the sensor-frame ground-truth force, and the rotation
+    taking sensor-frame vectors to the world frame. in_contact is bool (all
+    true if None), and step, for a planar sample only, is its row in its
+    trial's episode file, -1 where a sample has none (step None is -1 for
+    all; in a list, None is -1).
+
+    Building a set checks each column once, with the rules and messages of
+    one sample at a time: a SampleError names the first bad row's trial and
+    the field by its file key when a field lacks its type or shape (r_wb may
+    hold 9 values row-major, as in files), holds a number that is not
+    finite, or names a source not known. A set's slices, masks and joins
+    are sets of checked rows, and are not checked again.
     """
 
-    trial_id: str
-    source_tag: str
+    trial_id: np.ndarray
+    source_tag: np.ndarray
     e: np.ndarray
     s_c: np.ndarray
     s_n: np.ndarray
     f_3d: np.ndarray
     r_wb: np.ndarray
-    in_contact: bool = True
-    step: int | None = None
+    in_contact: np.ndarray | None = None
+    step: np.ndarray | None = None
 
     def __post_init__(self):
-        """A SchemaError names a field, by its file key, that lacks its type
-        or shape or holds a number that is not finite, or a source not known;
-        r_wb may be 9 values row-major, as in files."""
-        if not isinstance(self.trial_id, str):
-            raise SchemaError(f"field 'trial_id' must be a string, got {self.trial_id!r}")
-        if not isinstance(self.in_contact, bool):
-            raise SchemaError(f"field 'in_contact' must be true or false, got {self.in_contact!r}")
-        if self.source_tag not in KNOWN_SOURCES:
-            raise SchemaError(f"trial {self.trial_id!r}: unknown source_tag {self.source_tag!r}")
-        if self.step is not None and (type(self.step) is not int or self.step < 0):
-            raise SchemaError(f"trial {self.trial_id!r}: field 'step' must be an integer of at "
-                              f"least 0, got {self.step!r}")
-        for name, key, shape in _ARRAY_FIELDS:
-            try:
-                array = np.asarray(getattr(self, name), dtype=float)
-            except (TypeError, ValueError, OverflowError) as exc:  # not numbers, ragged, too large
-                raise SchemaError(f"trial {self.trial_id!r}: field {key!r}: {exc}") from exc
-            if array.shape != shape and (name != "r_wb" or array.shape != (9,)):
-                raise SchemaError(f"trial {self.trial_id!r}: field {key!r} has shape "
-                                  f"{array.shape}, expected {shape}")
-            object.__setattr__(self, name, array.reshape(shape) if name == "r_wb" else array)
-        # one check over every number; the field is looked for only on failure
-        if not np.isfinite(np.concatenate((self.e, self.s_c, self.s_n, self.f_3d, self.r_wb),
-                                          axis=None)).all():
-            key = next(key for name, key, _ in _ARRAY_FIELDS
-                       if not np.isfinite(getattr(self, name)).all())
-            raise SchemaError(f"trial {self.trial_id!r}: field {key!r} holds a number that is not "
-                              "finite")
+        n = len(self.trial_id)
+        for name in COLUMNS:
+            values = getattr(self, name)
+            if values is not None and len(values) != n:
+                raise SchemaError(f"field {name!r} has {len(values)} rows for {n} trial ids")
+        ids = self.trial_id
 
-    def to_dict(self) -> dict:
-        d = {
-            "trial_id": self.trial_id,
-            "source_tag": self.source_tag,
-            "e": self.e.tolist(),
-            "s_c": self.s_c.tolist(),
-            "s_n": self.s_n.tolist(),
-            "f_3d": self.f_3d.tolist(),
-            "R_wb": self.r_wb.ravel().tolist(),
-            "in_contact": self.in_contact,
+        def trial(row: int) -> str:
+            return f"trial {_scalar(ids[row])!r}"
+
+        # each column checked, in the order a sample's fields were: its
+        # values and the first bad row and its message, if any
+        checked = {
+            "trial_id": _strings(ids, lambda v: isinstance(v, str),
+                                 lambda row, v: f"field 'trial_id' must be a string, got {v!r}"),
+            "in_contact": _bools(self.in_contact, n),
+            "source_tag": _strings(self.source_tag, lambda v: v in KNOWN_SOURCES,
+                                   lambda row, v: f"{trial(row)}: unknown source_tag {v!r}",
+                                   KNOWN_SOURCES),
+            "step": _steps(self.step, n, trial),
+            **{name: _numbers(name, key, shape, getattr(self, name), n, trial)
+               for name, key, shape in _ARRAY_FIELDS},
         }
-        if self.step is not None:
-            d["step"] = self.step
-        return d
+        columns = {name: column for name, (column, _) in checked.items()}
+        failures = [(failure[0], check, failure[1])  # (row, check, message)
+                    for check, (_, failure) in enumerate(checked.values()) if failure is not None]
+        # one check over every number: the first row with one that is not
+        # finite names the first such field of its own
+        first = {key: _first(~np.isfinite(columns[name]).all(axis=tuple(range(1, len(shape) + 1))))
+                 for name, key, shape in _ARRAY_FIELDS}
+        rows = [row for row in first.values() if row is not None]
+        if rows:
+            row = min(rows)
+            key = next(key for key, r in first.items() if r == row)
+            failures.append((row, len(COLUMNS), f"{trial(row)}: field {key!r} holds a number "
+                                                 "that is not finite"))
+        if failures:
+            row, _, message = min(failures)
+            raise SampleError(row, message)
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.trial_id)
+
+    def __iter__(self):
+        """The rows, as SampleRow views of the columns."""
+        return map(tuple.__new__, repeat(SampleRow), zip(*(getattr(self, c) for c in COLUMNS)))
+
+    def __getitem__(self, key):
+        """The row at an integer; the set of the rows a slice, a bool mask or
+        an index array selects."""
+        if isinstance(key, (int, np.integer)):
+            return SampleRow(*(getattr(self, c)[key] for c in COLUMNS))
+        return self._of({c: getattr(self, c)[key] for c in COLUMNS})
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SampleRecord":
-        """A samples-file record; a missing or unknown field, or one of the
-        wrong type or shape or not finite, is a SchemaError."""
-        d = dict(d)
+    def _of(cls, columns: dict) -> "SampleSet":
+        """A set of columns of checked rows, not checked again."""
+        samples = object.__new__(cls)
+        for name, column in columns.items():
+            object.__setattr__(samples, name, column)
+        return samples
+
+    @classmethod
+    def concatenate(cls, sets) -> "SampleSet":
+        """The rows of the sets, in order; there must be at least one."""
+        return cls._of({c: np.concatenate([getattr(s, c) for s in sets]) for c in COLUMNS})
+
+    def is_force(self) -> np.ndarray:
+        """Which rows are force samples: in contact, with a nonzero force."""
+        return self.in_contact & (np.einsum("ni,ni->n", self.f_3d, self.f_3d) > 0.0)
+
+
+# A column check returns (column, failure): the checked column, and None or
+# the first bad row and its message. A column given as a numpy array of its
+# own type is checked as a whole, one given as a sequence of Python values
+# (as a samples file gives it) value by value.
+
+
+def _strings(values, accepts, message, known=None):
+    """A string column, every entry of which `accepts` (is in `known`, for
+    an array)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "U":
+        bad = None if known is None else _first(~np.isin(values, known))
+        return values, None if bad is None else (bad, message(bad, _scalar(values[bad])))
+    bad = next((i for i, v in enumerate(values) if not accepts(v)), None)
+    if bad is not None:
+        return None, (bad, message(bad, values[bad]))
+    column = np.array(values, dtype=str)
+    if column.tolist() != list(values):  # a numpy string drops a trailing NUL; Python's keep it
+        column = np.array(values, dtype=object)
+    return column, None
+
+
+def _bools(values, n: int):
+    """The in_contact column: true or false, all true if None."""
+    if values is None:
+        return np.ones(n, dtype=bool), None
+    if isinstance(values, np.ndarray) and values.dtype == bool:
+        return values, None
+    bad = next((i for i, v in enumerate(values) if not isinstance(v, bool)), None)
+    if bad is not None:
+        return None, (bad, f"field 'in_contact' must be true or false, got {values[bad]!r}")
+    return np.array(values, dtype=bool), None
+
+
+# a step must fit a 64-bit integer
+_STEP_LIMIT = 2**63
+
+
+def _steps(values, n: int, trial):
+    """The step column: integers of at least 0, or where a sample has none
+    -1 in an array and None in a sequence; all -1 if None."""
+    if values is None:
+        return np.full(n, -1), None
+    array = isinstance(values, np.ndarray) and values.dtype.kind == "i"
+    if array:
+        bad = _first(values < -1)
+    else:
+        bad = next((i for i, v in enumerate(values) if v is not None and (
+            type(v) is not int or not 0 <= v < _STEP_LIMIT)), None)
+    if bad is not None:
+        v = _scalar(values[bad])
+        rule = "below 2**63" if type(v) is int and v > 0 else "of at least 0"
+        return None, (bad, f"{trial(bad)}: field 'step' must be an integer {rule}, got {v!r}")
+    if array:
+        return values.astype(np.int64, copy=False), None
+    return np.array([-1 if v is None else v for v in values], dtype=np.int64), None
+
+
+def _numbers(name: str, key: str, shape: tuple, values, n: int, trial):
+    """A float column of rows of `shape`; with a failure, the rows before
+    the first bad one, which the finite check still reads."""
+    try:
+        column = np.asarray(values, dtype=float)
+        if name == "r_wb" and column.shape == (n, 9):
+            column = column.reshape(n, 3, 3)
+        if column.shape == (n,) + shape:
+            return column, None
+    except (TypeError, ValueError, OverflowError):
+        pass
+    rows = []
+    for i, value in enumerate(values):
         try:
-            record = cls(trial_id=d.pop("trial_id"), source_tag=d.pop("source_tag"), e=d.pop("e"),
-                         s_c=d.pop("s_c"), s_n=d.pop("s_n"), f_3d=d.pop("f_3d"), r_wb=d.pop("R_wb"),
-                         in_contact=d.pop("in_contact", True), step=d.pop("step", None))
-        except KeyError as exc:
-            raise SchemaError(f"sample record missing field {exc.args[0]!r}") from exc
-        if d:
-            raise SchemaError(f"trial {record.trial_id!r}: unknown key {min(d)!r}")
-        return record
+            row = np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:  # not numbers, ragged, too large
+            failure = (i, f"{trial(i)}: field {key!r}: {exc}")
+            break
+        if row.shape != shape and (name != "r_wb" or row.shape != (9,)):
+            failure = (i, f"{trial(i)}: field {key!r} has shape {row.shape}, expected {shape}")
+            break
+        rows.append(row.reshape(shape))
+    else:
+        failure = None
+    return np.array(rows, dtype=float).reshape((len(rows),) + shape), failure
 
 
 def load_json(path, what: str, read=lambda data: data, error=ConfigError):
@@ -139,10 +283,17 @@ def load_json(path, what: str, read=lambda data: data, error=ConfigError):
         raise error(f"{what} {path}: {exc}") from exc
 
 
-def write_samples_jsonl(records, path) -> None:
+def write_samples_jsonl(samples: SampleSet, path) -> None:
+    """One line per sample, its keys in column order; a planar sample's
+    line alone has a step."""
     with atomic_open(path) as fh:
-        for r in records:
-            fh.write(json.dumps(r.to_dict()) + "\n")
+        for values in zip(*(column.tolist() for column in (
+                samples.trial_id, samples.source_tag, samples.e, samples.s_c, samples.s_n,
+                samples.f_3d, samples.r_wb.reshape(-1, 9), samples.in_contact, samples.step))):
+            line = dict(zip(_FILE_KEYS, values))
+            if line["step"] < 0:
+                del line["step"]
+            fh.write(json.dumps(line) + "\n")
 
 
 def read_jsonl(path, what: str) -> Iterator[tuple[int, dict]]:
@@ -168,20 +319,37 @@ def read_jsonl(path, what: str) -> Iterator[tuple[int, dict]]:
             raise SchemaError(f"{what} {path}: not UTF-8 text after line {n}: {exc}") from exc
 
 
-def read_samples_jsonl(path) -> list[SampleRecord]:
-    """The records of a samples file; a malformed line is a SchemaError
-    naming the file and the line."""
-    records = []
-    for n, row in read_jsonl(path, "samples file"):
-        try:
-            records.append(SampleRecord.from_dict(row))
-        except SchemaError as exc:
-            raise SchemaError(f"samples file {path} line {n}: {exc}") from exc
-    return records
-
-
-def is_force_sample(record: SampleRecord) -> bool:
-    return record.in_contact and float(record.f_3d @ record.f_3d) > 0.0
+def read_samples_jsonl(path) -> SampleSet:
+    """The samples of a samples file. A malformed line is a SchemaError
+    naming the file and the line: one missing a field or holding a key no
+    sample has, or one the set check rejects. As when lines were checked
+    one at a time, the first bad line is named."""
+    columns = {name: [] for name in COLUMNS}
+    lines, error = [], None
+    try:
+        for n, row in read_jsonl(path, "samples file"):
+            missing = next((key for key in _REQUIRED_KEYS if key not in row), None)
+            if missing is not None:
+                error = SchemaError(f"samples file {path} line {n}: sample record missing field "
+                                    f"{missing!r}")
+                break
+            lines.append(n)
+            for key, name in _FILE_KEYS.items():
+                columns[name].append(row.get(key, _ABSENT.get(name)))
+            unknown = row.keys() - _FILE_KEYS.keys()
+            if unknown:  # named once the line's fields are checked
+                error = SchemaError(f"samples file {path} line {n}: trial {row['trial_id']!r}: "
+                                    f"unknown key {min(unknown)!r}")
+                break
+    except SchemaError as exc:  # a line that is not a JSON object, after the lines before it
+        error = exc
+    try:
+        samples = SampleSet(**columns)
+    except SampleError as exc:
+        raise SchemaError(f"samples file {path} line {lines[exc.row]}: {exc}") from exc
+    if error is not None:
+        raise error
+    return samples
 
 
 def check_split(train_frac: float, val_frac: float) -> None:
@@ -194,18 +362,26 @@ def check_split(train_frac: float, val_frac: float) -> None:
 
 @dataclass
 class DatasetSplits:
-    train: list[SampleRecord]
-    val: list[SampleRecord]
-    test: list[SampleRecord]
+    train: SampleSet
+    val: SampleSet
+    test: SampleSet
     trial_assignment: dict[str, list[str]] = field(default_factory=dict)
     n_filtered_out: int = 0
 
-    def split(self, name: str) -> list[SampleRecord]:
+    def split(self, name: str) -> SampleSet:
         return getattr(self, name)
 
 
+def _by_split(samples: SampleSet, assignment: dict[str, list[str]]) -> dict[str, SampleSet]:
+    """The samples of each split's trials, looked up once per trial."""
+    split_of = {tid: i for i, name in enumerate(SPLIT_NAMES) for tid in assignment[name]}
+    trials, inverse = np.unique(samples.trial_id, return_inverse=True)
+    code = np.array([split_of.get(tid, -1) for tid in trials.tolist()], dtype=int)[inverse]
+    return {name: samples[code == i] for i, name in enumerate(SPLIT_NAMES)}
+
+
 def make_dataset(
-    records: list[SampleRecord],
+    samples: SampleSet,
     train_frac: float = DEFAULT_TRAIN_FRAC,
     val_frac: float = DEFAULT_VAL_FRAC,
     seed: int = 0,
@@ -220,18 +396,17 @@ def make_dataset(
     1 are a ConfigError (check_split).
     """
     check_split(train_frac, val_frac)
-    force_samples = [r for r in records if is_force_sample(r)]
-    n_filtered = len(records) - len(force_samples)
-    trial_source: dict[str, str] = {}
-    for r in force_samples:
-        previous = trial_source.setdefault(r.trial_id, r.source_tag)
-        if previous != r.source_tag:
-            raise DataIntegrityError(
-                f"trial {r.trial_id!r} mixes sources {previous} and {r.source_tag}"
-            )
+    force = samples.is_force()
+    force = samples if force.all() else samples[force]
+    trials, first, inverse = np.unique(force.trial_id, return_index=True, return_inverse=True)
+    sources = force.source_tag[first]
+    mixed = _first(force.source_tag != sources[inverse])
+    if mixed is not None:
+        raise DataIntegrityError(f"trial {force.trial_id[mixed].item()!r} mixes sources "
+                                 f"{sources[inverse[mixed]]} and {force.source_tag[mixed]}")
     by_source: dict[str, list[str]] = {}
-    for tid in sorted(trial_source):
-        by_source.setdefault(trial_source[tid], []).append(tid)
+    for tid, source in zip(trials.tolist(), sources.tolist()):
+        by_source.setdefault(source, []).append(tid)
 
     rng = np.random.default_rng(seed)
     assignment = {name: [] for name in SPLIT_NAMES}
@@ -254,13 +429,10 @@ def make_dataset(
         assignment["val"].extend(order[n_train : n_train + n_val])
         assignment["test"].extend(order[n_train + n_val :])
     assignment = {name: sorted(ids) for name, ids in assignment.items()}
-    by_split = {name: set(ids) for name, ids in assignment.items()}
     return DatasetSplits(
-        train=[r for r in force_samples if r.trial_id in by_split["train"]],
-        val=[r for r in force_samples if r.trial_id in by_split["val"]],
-        test=[r for r in force_samples if r.trial_id in by_split["test"]],
+        **_by_split(force, assignment),
         trial_assignment=assignment,
-        n_filtered_out=n_filtered,
+        n_filtered_out=len(samples) - len(force),
     )
 
 
@@ -275,12 +447,13 @@ def write_manifest(splits: DatasetSplits, samples_file: str, path, seed: int) ->
     write_text_atomic(path, json.dumps(manifest, indent=2))
 
 
-def load_manifest_splits(manifest_path) -> tuple[dict[str, list[SampleRecord]], dict]:
+def load_manifest_splits(manifest_path) -> tuple[dict[str, SampleSet], dict]:
     """Load the samples file a manifest references and group its force samples by split.
 
     Errors name the file: a missing or non-JSON manifest is a ConfigError, one
     not a MANIFEST_RECORD a SchemaError naming the dotted key, and a missing
-    samples file or a trial id in more than one split a DataIntegrityError.
+    samples file, a trial id in more than one split or a split whose force
+    samples are not as many as the manifest's counts say a DataIntegrityError.
     """
     manifest_path = Path(manifest_path)
     manifest = load_json(manifest_path, "manifest", lambda m: read_config(m, MANIFEST_RECORD),
@@ -293,21 +466,24 @@ def load_manifest_splits(manifest_path) -> tuple[dict[str, list[SampleRecord]], 
             seen[tid] = name
     samples_path = manifest_path.parent / manifest["samples_file"]
     try:
-        records = read_samples_jsonl(samples_path)
+        samples = read_samples_jsonl(samples_path)
     except FileNotFoundError as exc:
         raise DataIntegrityError(
             f"manifest {manifest_path}: samples file not found: {samples_path}"
         ) from exc
-    splits = {name: [] for name in SPLIT_NAMES}
-    for r in records:
-        name = seen.get(r.trial_id)
-        if name is not None and is_force_sample(r):
-            splits[name].append(r)
+    splits = _by_split(samples[samples.is_force()], manifest["splits"])
+    counts = manifest["counts"]
+    for name, split in splits.items():
+        if counts is not None and len(split) != counts[name]:
+            raise DataIntegrityError(
+                f"manifest {manifest_path}: split {name!r} has {len(split)} force samples in "
+                f"{samples_path}, but the manifest counts {counts[name]}"
+            )
     return splits, manifest
 
 
-def filter_by_sources(records: list[SampleRecord], sources: set[str]) -> list[SampleRecord]:
-    return [r for r in records if r.source_tag in sources]
+def filter_by_sources(samples: SampleSet, sources: set[str]) -> SampleSet:
+    return samples[np.isin(samples.source_tag, sorted(sources))]
 
 
 def featurization_record(
@@ -328,7 +504,7 @@ def featurization_record(
     return {"grid": spec.to_config(), "layout": layout.to_dict()}
 
 
-def featurizer(record: dict | None) -> Callable[[list[SampleRecord]], ArraySamples]:
+def featurizer(record: dict | None) -> Callable[[SampleSet], ArraySamples]:
     """The featurize call of a featurization record, whose keys
     featurization_record wrote or load_checkpoint has read: featurize_voxel
     on its grid and layout, or for an MLP, which has none, featurize_flat.
@@ -342,47 +518,36 @@ def featurizer(record: dict | None) -> Callable[[list[SampleRecord]], ArraySampl
         electrode_cells(layout, spec)
     except (OutOfBoundsError, LayoutCollisionError) as exc:
         raise ConfigError(f"grid does not fit the electrode layout: {exc}") from exc
-    return lambda records: featurize_voxel(records, layout, spec)
+    return lambda samples: featurize_voxel(samples, layout, spec)
 
 
-def featurize_voxel(
-    records: list[SampleRecord], layout: ElectrodeLayout, spec: GridSpec
-) -> ArraySamples:
-    """Encode records into voxel-grid model inputs plus loss context arrays.
+def featurize_voxel(samples: SampleSet, layout: ElectrodeLayout, spec: GridSpec) -> ArraySamples:
+    """Encode samples into voxel-grid model inputs plus loss context arrays.
 
     Each sample's inputs are its 19 electrode values, in layout order, and
     its contact cell; their dense array equals stacking `voxel.encode` of
-    each record.
-    A record whose contact point lies outside the grid is an error naming
-    its trial; a record's numbers are all finite.
+    each sample.
+    A sample whose contact point lies outside the grid is an error naming
+    its trial; a set's numbers are all finite.
     """
     cells = electrode_cells(layout, spec)
-    e = np.stack([r.e for r in records])
-    s_c = np.stack([r.s_c for r in records])
-    bad = np.flatnonzero(outside(s_c, spec))
-    if bad.size:
-        r = records[bad[0]]
-        raise OutOfBoundsError(
-            f"trial {r.trial_id!r}: contact point {r.s_c.tolist()} is not within the grid bounds"
-        )
+    bad = _first(outside(samples.s_c, spec))
+    if bad is not None:
+        raise OutOfBoundsError(f"trial {samples.trial_id[bad].item()!r}: contact point "
+                               f"{samples.s_c[bad].tolist()} is not within the grid bounds")
     grid = (N_CHANNELS,) + spec.dims
     electrodes = np.ravel_multi_index((CHANNEL_ELECTRODES,) + cells, grid)
-    contact = np.ravel_multi_index((CHANNEL_CONTACT,) + tuple(cell_indices(s_c, spec).T), grid)
-    return _with_context(records, VoxelInputs(e, contact, electrodes, grid))
+    contact = np.ravel_multi_index((CHANNEL_CONTACT,) + tuple(cell_indices(samples.s_c, spec).T),
+                                   grid)
+    return _with_context(samples, VoxelInputs(samples.e, contact, electrodes, grid))
 
 
-def featurize_flat(records: list[SampleRecord]) -> ArraySamples:
+def featurize_flat(samples: SampleSet) -> ArraySamples:
     """Concatenate (e, s_c) into flat model inputs, network.FLAT_INPUT_WIDTH
     values wide."""
-    inputs = np.stack([np.concatenate([r.e, r.s_c]) for r in records])
-    return _with_context(records, inputs)
+    return _with_context(samples, np.concatenate([samples.e, samples.s_c], axis=1))
 
 
-def _with_context(records: list[SampleRecord], inputs: np.ndarray | VoxelInputs) -> ArraySamples:
-    return ArraySamples(
-        inputs=inputs,
-        f_3d=np.stack([r.f_3d for r in records]),
-        s_n=np.stack([r.s_n for r in records]),
-        r_wb=np.stack([r.r_wb for r in records]),
-        source_tags=np.array([r.source_tag for r in records]),
-    )
+def _with_context(samples: SampleSet, inputs: np.ndarray | VoxelInputs) -> ArraySamples:
+    return ArraySamples(inputs=inputs, f_3d=samples.f_3d, s_n=samples.s_n, r_wb=samples.r_wb,
+                        source_tags=samples.source_tag)

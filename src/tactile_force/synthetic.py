@@ -18,7 +18,8 @@ polar angle on the cap (cap_only) or its height on the cylinder, the
 force's angle from the inward normal and its azimuth about it, and its
 magnitude; a noisy sensor then draws the noise of the trial's readings,
 sample by sample. The trial's contacts, forces and readings are then
-computed as (n, .) arrays, with one sensor_forward call per trial.
+computed as (n, .) arrays, with one sensor_forward call per trial, into the
+columns of the generator's one SampleSet.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SampleRecord
-from .errors import NonNegative, NumericalError, SchemaError, check_fields
+from .dataset import SampleSet
+from .errors import (
+    Between, NonNegative, NumericalError, Range, SchemaError, check_config_value, check_fields,
+)
 from .mechanics import (
     ParticleGrid,
     PlanarMotion,
@@ -38,6 +41,7 @@ from .mechanics import (
 )
 from .net.losses import SOURCE_PLANAR
 from .sensor import (
+    N_ELECTRODES,
     ContactState,
     ElectrodeLayout,
     SurfaceGeometry,
@@ -55,6 +59,19 @@ DEFAULT_PUSH_MAGNITUDE_RANGE_N = (0.1, 2.0)
 PUSH_IDLE_STEPS = 20
 PUSH_SEGMENT_STEPS = (40, 120)
 PUSH_DIRECTION_JITTER_DEG = 45.0
+
+
+def force_range_mark(low: float, high: float) -> Range:
+    """The mark of a force range defaulting to [low, high] N: two forces of
+    at least 0 N, the low end not above the high end."""
+    return Range((NonNegative(low), NonNegative(high)))
+
+
+def cone_angle_mark(degrees: float) -> Between:
+    """The mark of a force cone's half angle defaulting to `degrees`: at
+    most a right angle from the inward normal, so that every force presses."""
+    return Between(degrees, 0.0, 90.0)
+
 
 # Static pressure synthesized from the force magnitude; 400 units/N keeps
 # pushes in the 0.1-2 N range comfortably above the contact threshold of 10.
@@ -367,31 +384,33 @@ def make_ft_samples(
     force_range: tuple[float, float],
     cone_angle_deg: float = 60.0,
     cap_only: bool = False,
-) -> list[SampleRecord]:
+) -> SampleSet:
     """Force-torque style samples: random surface contacts with forces drawn
     within a cone of the inward normal, one sensor pose per trial.
 
     Each trial draws its wrist pose, then every sample's five draws in
     sample order, then the noise of all its readings, and computes its
-    contacts, forces and readings as arrays, in one sensor_forward call."""
+    contacts, forces and readings as arrays, in one sensor_forward call.
+    A force_range or cone_angle_deg off its mark is a ConfigError naming it."""
+    check_config_value("force_range", force_range, force_range_mark(0.0, 0.0))
+    check_config_value("cone_angle_deg", cone_angle_deg, cone_angle_mark(0.0))
     rng = np.random.default_rng(seed)
-    trials = []
+    n = n_trials * samples_per_trial
+    e, s_c, s_n, f_3d = (np.empty((n, width)) for width in (N_ELECTRODES, 3, 3, 3))
+    r_wb = np.empty((n_trials, 3, 3))
     for trial in range(n_trials):
-        r_wb = random_rotation(rng)  # one wrist pose per trial
+        rows = slice(trial * samples_per_trial, (trial + 1) * samples_per_trial)
+        r_wb[trial] = random_rotation(rng)  # one wrist pose per trial
         azim, polar_or_height, angle, cone_azim, magnitude = _draw(
             rng, samples_per_trial, cap_only, cone_angle_deg, force_range)
         contacts = _surface_contacts(geometry, azim, polar_or_height, cap_only)
-        f_3d = magnitude[:, None] * _cone_directions(-contacts.s_n, angle, cone_azim)
-        e = sensor_forward(model, contacts, f_3d, rng=rng)
-        trials.append((f"{source_tag}_{trial:04d}", r_wb, contacts, f_3d, e))
-    # records built trial by trial, among each trial's temporaries, keep the
-    # allocator from returning their memory once they are freed
-    return [
-        SampleRecord(trial_id=trial_id, source_tag=source_tag, e=e[i], s_c=contacts.s_c[i],
-                     s_n=contacts.s_n[i], f_3d=f_3d[i], r_wb=r_wb)
-        for trial_id, r_wb, contacts, f_3d, e in trials
-        for i in range(samples_per_trial)
-    ]
+        s_c[rows], s_n[rows] = contacts.s_c, contacts.s_n
+        f_3d[rows] = magnitude[:, None] * _cone_directions(-contacts.s_n, angle, cone_azim)
+        e[rows] = sensor_forward(model, contacts, f_3d[rows], rng=rng)
+    trial_ids = [f"{source_tag}_{trial:04d}" for trial in range(n_trials)]
+    return SampleSet(trial_id=np.repeat(np.array(trial_ids, dtype=str), samples_per_trial),
+                     source_tag=np.full(n, source_tag), e=e, s_c=s_c, s_n=s_n, f_3d=f_3d,
+                     r_wb=np.repeat(r_wb, samples_per_trial, axis=0))
 
 
 def piecewise_force_schedule(
@@ -424,7 +443,7 @@ def make_planar_trials(
     half_extents=DEFAULT_BOX_HALF_EXTENTS_M,
     dt: float = DEFAULT_DT_S,
     magnitude_range: tuple[float, float] = DEFAULT_PUSH_MAGNITUDE_RANGE_N,
-) -> tuple[list[PushEpisode], list[SampleRecord]]:
+) -> tuple[list[PushEpisode], SampleSet]:
     """Simulate pushing trials and derive sensor samples from each step.
 
     The sensor touches the box at a fixed spot per trial; its orientation is
@@ -434,11 +453,15 @@ def make_planar_trials(
     points out of the sensing face, not into it as an F/T sample's does.
     The contact gate runs once over the trial's synthesized static pressure
     trace, so the first steps of each push are dropped until its window
-    fills. Each sample's step is its row in the trial's episode file.
+    fills. Each sample's step is its row in the trial's episode file. A
+    magnitude_range off its mark is a ConfigError naming it.
     """
+    check_config_value("magnitude_range", magnitude_range, force_range_mark(0.0, 0.0))
     master = np.random.default_rng(seed)
     episodes: list[PushEpisode] = []
-    records: list[SampleRecord] = []
+    # each trial's id, pose, contact point and normal, and number of samples;
+    # each sample's readings, force and step
+    ids, poses, points, normals, counts, e_rows, f_rows, labelled = ([] for _ in range(8))
     for trial in range(n_trials):
         rng = np.random.default_rng(master.integers(2**63))
         trial_id = f"{SOURCE_PLANAR}_{trial:04d}"
@@ -466,22 +489,29 @@ def make_planar_trials(
                 for fx, fy in episode.applied_forces.tolist()]
         magnitudes = np.array([float(np.linalg.norm(f)) for f in f_3d])
         in_contact = detect_contact(PRESSURE_UNITS_PER_NEWTON * magnitudes)
-        # every pushed step draws its noise, in step order; the gate picks the records
+        # every pushed step draws its noise, in step order; the gate picks the samples
+        before = len(labelled)
         for i in np.flatnonzero(magnitudes).tolist():
             e = sensor_forward(model, contact, f_3d[i][None], rng=rng)
             if in_contact[i]:
-                records.append(
-                    SampleRecord(
-                        trial_id=trial_id,
-                        source_tag=SOURCE_PLANAR,
-                        e=e[0],
-                        s_c=contact.s_c[0],
-                        s_n=contact.s_n[0],
-                        f_3d=f_3d[i],
-                        r_wb=r_wb,
-                        step=i,
-                    )
-                )
+                e_rows.append(e)
+                f_rows.append(f_3d[i])
+                labelled.append(i)
+        ids.append(trial_id)
+        poses.append(r_wb)
+        points.append(contact.s_c[0])
+        normals.append(contact.s_n[0])
+        counts.append(len(labelled) - before)
         episodes.append(episode)
-    return episodes, records
+    n = len(labelled)
+
+    def per_sample(rows, shape):  # each trial's row, once for each of its samples
+        return np.repeat(np.array(rows, dtype=float).reshape((-1,) + shape), counts, axis=0)
+
+    return episodes, SampleSet(
+        trial_id=np.repeat(np.array(ids, dtype=str), counts), source_tag=np.full(n, SOURCE_PLANAR),
+        e=np.array(e_rows).reshape(n, N_ELECTRODES), s_c=per_sample(points, (3,)),
+        s_n=per_sample(normals, (3,)), f_3d=np.array(f_rows).reshape(n, 3),
+        r_wb=per_sample(poses, (3, 3)), step=np.array(labelled, dtype=np.int64),
+    )
 

@@ -15,9 +15,9 @@ import math
 import numpy as np
 
 from tactile_force import synthetic
-from tactile_force.dataset import SampleRecord
 from tactile_force.errors import DegenerateInputError
 from tactile_force.sensor import SurfaceGeometry
+from sample_oracles import SampleRecord
 
 
 def surface_point_and_normal(geometry: SurfaceGeometry, q) -> tuple[np.ndarray, np.ndarray]:

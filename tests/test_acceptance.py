@@ -11,7 +11,8 @@ import numpy as np
 from loss_oracles import batch_loss
 from solver_oracles import _solve_grid, _solve_iterative
 from tactile_force.baselines import linear_fit, linear_predict
-from tactile_force.dataset import make_dataset, featurize_voxel, SampleRecord
+from tactile_force.dataset import SampleSet, make_dataset, featurize_voxel
+from sample_oracles import sample_set
 from tactile_force.mechanics import (
     GRAVITY,
     ParticleGrid,
@@ -349,24 +350,19 @@ class TestCriterion8DatasetIntegrity:
             model, geometry, "rigid_ft", n_trials=8, samples_per_trial=12,
             seed=1, force_range=(0.5, 5.0), cone_angle_deg=30.0,
         )
-        records += make_ft_samples(
+        ball = make_ft_samples(
             model, geometry, "ball_ft", n_trials=8, samples_per_trial=12,
             seed=2, force_range=(0.1, 3.0), cone_angle_deg=60.0, cap_only=True,
         )
         # adversarial rows the filter must drop
-        records.append(
-            SampleRecord(
-                trial_id="rigid_ft_0000", source_tag="rigid_ft", e=np.zeros(19),
-                s_c=records[0].s_c, s_n=records[0].s_n, f_3d=np.zeros(3), r_wb=np.eye(3),
-            )
-        )
-        records.append(
-            SampleRecord(
-                trial_id="ball_ft_0000", source_tag="ball_ft", e=np.zeros(19),
-                s_c=records[0].s_c, s_n=records[0].s_n, f_3d=np.ones(3),
-                r_wb=np.eye(3), in_contact=False,
-            )
-        )
+        adversarial = sample_set([
+            dict(trial_id="rigid_ft_0000", source_tag="rigid_ft", e=np.zeros(19),
+                 s_c=records.s_c[0], s_n=records.s_n[0], f_3d=np.zeros(3), r_wb=np.eye(3)),
+            dict(trial_id="ball_ft_0000", source_tag="ball_ft", e=np.zeros(19),
+                 s_c=records.s_c[0], s_n=records.s_n[0], f_3d=np.ones(3), r_wb=np.eye(3),
+                 in_contact=False),
+        ])
+        records = SampleSet.concatenate([records, ball, adversarial])
         splits_a = make_dataset(records, seed=77)
         splits_b = make_dataset(records, seed=77)
         assert splits_a.trial_assignment == splits_b.trial_assignment
@@ -378,8 +374,8 @@ class TestCriterion8DatasetIntegrity:
             for b in ids:
                 if a != b:
                     assert not (ids[a] & ids[b]), f"trial leak between {a} and {b}"
-        kept = splits_a.train + splits_a.val + splits_a.test
-        assert all(r.in_contact and np.linalg.norm(r.f_3d) > 0 for r in kept)
+        kept = SampleSet.concatenate([splits_a.train, splits_a.val, splits_a.test])
+        assert kept.in_contact.all() and (np.linalg.norm(kept.f_3d, axis=1) > 0).all()
         assert splits_a.n_filtered_out == 2
         report(
             "criterion 8 (dataset integrity)",

@@ -500,6 +500,7 @@ class TestTrainEval:
         assert rigid
         data["splits"]["train"] += rigid
         data["splits"]["val"] = [t for t in data["splits"]["val"] if t not in rigid]
+        del data["counts"]  # which the edit makes stale
         manifest.write_text(json.dumps(data))
         out = tmp_path / "m"
         capsys.readouterr()
@@ -587,6 +588,7 @@ class TestTrainEval:
         manifest = sim_dir / "dataset_manifest.json"
         data = json.loads(manifest.read_text())
         data["splits"]["test"] = [t for t in data["splits"]["test"] if not t.startswith("ball_ft")]
+        del data["counts"]  # which the edit makes stale
         manifest.write_text(json.dumps(data))
         eval_dir = tmp_path / "e"
         capsys.readouterr()
@@ -1420,6 +1422,8 @@ class TestDataFileErrors:
         ("splits.val", None, "missing field 'splits.val'"),
         ("splits.train", ["t", 3], "field 'splits.train[1]'"),
         ("split", {}, "unknown key 'split'"),
+        ("counts.val", "many", "field 'counts.val'"),
+        ("counts", [1, 2, 3], "field 'counts'"),
     ])
     def test_malformed_manifest_exits_3_naming_it_and_key(
         self, sim_dir, tmp_path, capsys, dotted, value, named
@@ -1437,6 +1441,32 @@ class TestDataFileErrors:
             assert err.startswith(f"data error: manifest {manifest}:") and named in err
             assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_samples_file_short_of_the_manifest_counts_exits_3(
+        self, sim_dir, tmp_path, capsys, command
+    ):
+        """A samples file that lost its last lines still reads, but its
+        splits hold fewer force samples than the manifest counts: an error
+        naming the split and both counts, and no output."""
+        manifest = sim_dir / "dataset_manifest.json"
+        samples = sim_dir / "samples.jsonl"
+        lines = samples.read_text().splitlines(keepends=True)
+        samples.write_text("".join(lines[: len(lines) * 3 // 4]))
+        out = tmp_path / "out"
+        args = {
+            "train": ["train", "--manifest", manifest, "--out", out, "--model", "linear"],
+            "eval": ["eval", "--manifest", manifest, "--model-kind", "oracle", "--out", out],
+        }[command]
+        assert exit_code(args) == 3
+        err = capsys.readouterr().err
+        found = re.fullmatch(rf"data error: manifest {re.escape(str(manifest))}: split '(\w+)' has "
+                             rf"(\d+) force samples in {re.escape(str(samples))}, but the manifest "
+                             r"counts (\d+)\n", err)
+        assert found, err
+        split, n, counted = found[1], int(found[2]), int(found[3])
+        assert counted == json.loads(manifest.read_text())["counts"][split] > n
+        assert not out.exists()
+
     def test_missing_samples_file_exits_3_naming_it(self, sim_dir, tmp_path, capsys):
         manifest = sim_dir / "dataset_manifest.json"
         samples = sim_dir / json.loads(manifest.read_text())["samples_file"]
@@ -1447,9 +1477,10 @@ class TestDataFileErrors:
 
 
 class TestNonForceSamples:
-    """A record that is not a force sample (not in contact, or with zero
+    """A sample that is not a force sample (not in contact, or with zero
     force) is dropped when a samples file is read, as make_dataset drops it
-    when the file is written, so neither train nor eval uses it."""
+    when the file is written, so neither train nor eval uses it. The
+    manifest here has no counts, which the damage would make stale."""
 
     @pytest.mark.parametrize("field, value", [("in_contact", False), ("f_3d", [0.0, 0.0, 0.0])])
     def test_dropped_from_train_and_eval(self, sim_dir, tmp_path, capsys, field, value):
@@ -1464,6 +1495,8 @@ class TestNonForceSamples:
         for r in damaged:
             r[field] = value
         samples.write_text("".join(json.dumps(r) + "\n" for r in records))
+        manifest_path.write_text(json.dumps({
+            k: v for k, v in json.loads(manifest_path.read_text()).items() if k != "counts"}))
 
         read = load_manifest_splits(manifest_path)[0]
         assert sum(len(split) for split in read.values()) == len(records) - len(damaged)
@@ -1483,15 +1516,19 @@ class TestNonForceSamples:
 def _failing_writes(monkeypatch):
     """For each writer, a call that raises partway: the samples file and the
     checkpoint after part of them is written."""
-    record = make_ft_samples(SensorForwardModel(default_electrode_layout()), SurfaceGeometry(),
-                             "rigid_ft", 1, 1, seed=0, force_range=(1.0, 2.0))[0]
-
-    class Unwritable:
-        def to_dict(self):
-            raise OSError("disk full")
-
     def samples(path):
-        write_samples_jsonl([record, Unwritable()], path)
+        lines = []
+
+        def dumps(line):  # the disk fills after the first line
+            if lines:
+                raise OSError("disk full")
+            lines.append(line)
+            return "{}"
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        write_samples_jsonl(make_ft_samples(
+            SensorForwardModel(default_electrode_layout()), SurfaceGeometry(), "rigid_ft", 1, 2,
+            seed=0, force_range=(1.0, 2.0)), path)
 
     def manifest(path):
         splits = DatasetSplits([], [], [], {"train": ["a"], "val": [object()], "test": []})

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tactile_force.dataset import SampleRecord, featurize_voxel
+from tactile_force.dataset import featurize_voxel
 from tactile_force.errors import SchemaError
 from tactile_force.net import NetworkConfig, build_mlp_net, build_voxel_net
 from tactile_force.net.layers import Conv, Dense, Layer, LayerNormReLU, ReLU, VoxelConv3d
@@ -22,6 +22,7 @@ from tactile_force.sensor import (
 )
 from tactile_force.voxel import GridSpec
 from geometry_oracles import cell_center
+from sample_oracles import sample_set
 from reference_net import (
     REFERENCE_RTOL, CollapseDepth, Conv3d, Flatten, ReferenceReLU, backward_with_term_magnitudes,
     unfused, with_reference_layers,
@@ -87,9 +88,9 @@ class OnCopies(Layer):
 
 
 def voxel_records(points, rng):
-    return [SampleRecord(trial_id=f"t{i}", source_tag="rigid_ft", e=rng.normal(size=N_ELECTRODES),
-                         s_c=p, s_n=[0.0, 0.0, 1.0], f_3d=[0.0, 0.0, 1.0], r_wb=np.eye(3))
-            for i, p in enumerate(points)]
+    return sample_set(dict(trial_id=f"t{i}", source_tag="rigid_ft", e=rng.normal(size=N_ELECTRODES),
+                           s_c=p, s_n=[0.0, 0.0, 1.0], f_3d=[0.0, 0.0, 1.0], r_wb=np.eye(3))
+                      for i, p in enumerate(points))
 
 
 def random_layout(spec, rng):

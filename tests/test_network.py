@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from tactile_force.cli import TRAIN_CONFIG, _train_configs
 from tactile_force.dataset import (
-    SampleRecord, featurization_record, featurize_flat, featurize_voxel, featurizer,
+    featurization_record, featurize_flat, featurize_voxel, featurizer,
 )
 from tactile_force.errors import ConfigError, NumericalError, SchemaError, read_config
 from tactile_force.net import (
@@ -36,6 +36,7 @@ from reference_net import (
     REFERENCE_RTOL, backward_with_term_magnitudes, build_reference_voxel_net,
 )
 from geometry_oracles import cell_center
+from sample_oracles import sample_set
 from test_net_layers import random_layout, voxel_records
 from tactile_force.sensor import N_ELECTRODES, SurfaceGeometry, default_electrode_layout
 from tactile_force.voxel import CHANNEL_CONTACT, DEFAULT_DIMS, N_CHANNELS, GridSpec, VoxelInputs
@@ -130,12 +131,14 @@ class TestForward:
 
 
 def contact_records(e, cells, spec):
-    """One record per cell of `cells`, flat indices into the grid, with its
-    contact point at that cell's centre and electrode values e."""
-    return [SampleRecord(trial_id=f"t{i}", source_tag="rigid_ft", e=e,
-                         s_c=cell_center(spec, np.unravel_index(cell, spec.dims)),
-                         s_n=[0.0, 0.0, 1.0], f_3d=[0.0, 0.0, 1.0], r_wb=np.eye(3))
-            for i, cell in enumerate(cells)]
+    """One sample per cell of `cells`, flat indices into the grid, with its
+    contact point at that cell's centre and electrode values e (one row, or
+    one row per cell)."""
+    e = np.broadcast_to(e, (len(cells), N_ELECTRODES))
+    return sample_set(dict(trial_id=f"t{i}", source_tag="rigid_ft", e=e[i],
+                           s_c=cell_center(spec, np.unravel_index(cell, spec.dims)),
+                           s_n=[0.0, 0.0, 1.0], f_3d=[0.0, 0.0, 1.0], r_wb=np.eye(3))
+                      for i, cell in enumerate(cells))
 
 
 # 1-16 cells per axis, with the powers of two that tile drawn more often
@@ -177,8 +180,8 @@ class TestReachability:
         contacts = np.append(rng.choice(math.prod(dims), 24), math.prod(dims) - 1)
 
         raised = e + np.eye(N_ELECTRODES)  # row j raises electrode j by 1
-        records = contact_records(e, contacts[:1], spec)
-        records += [dataclasses.replace(records[0], e=row) for row in raised]
+        records = contact_records(np.vstack([e, raised]), contacts[:1].repeat(1 + N_ELECTRODES),
+                                  spec)
         out = net.forward(featurize_voxel(records, layout, spec).inputs)
         assert np.all(out[1:] > out[0])
 

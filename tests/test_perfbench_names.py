@@ -33,6 +33,7 @@ def load(name: str):
     """perfbench/<name>.py as a module, without putting perfbench on the path."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where a dataclass looks its module up
     spec.loader.exec_module(module)
     return module
 
@@ -129,3 +130,30 @@ def test_every_training_step_has_its_take_and_loss_spans(package):
     assert report.iterations == 6
     assert tracer.total("net.losses.batch_loss_and_grad", tracing.TRAIN_CTX)[0] == 6
     assert tracer.total("net.training.batch_take", tracing.TRAIN_CTX)[0] == 6 + 2
+
+
+@pytest.mark.parametrize("name", ["train_c4", "label_planar", "cli_mixed"])
+def test_each_workload_sets_up_and_passes_in_process(package, tmp_path, name):
+    """The benchmark reads more of the package than names: len() of what
+    the generators and the samples-file functions take or return, a split's
+    samples by split(name), and rows' .e. Each workload, at its smoke size,
+    must set up, run one pass with every check passing (an ok_ratio of 1),
+    and compute its traced-run counts."""
+    path = list(sys.path)
+    sys.path.insert(0, str(PERFBENCH))  # workloads imports tracing by its name
+    try:
+        workloads = load("workloads")
+    finally:
+        sys.path[:] = path
+    workload = workloads.WORKLOADS[name](package, seed=3, smoke=True, work_dir=tmp_path)
+    clock = workloads.StepClock(package.training) if workload.uses_steps else None
+    try:
+        workload.setup()
+        result = workload.run_pass(0, clock)
+        computed = workload.computed()
+    finally:
+        if clock:
+            clock.close()
+        workload.close()
+    assert result.attempted > 0 and result.failed == 0 and result.ops
+    assert all(np.isfinite(value) for value in computed.values())

@@ -6,6 +6,7 @@ the least-squares recovery against the integrator as an independent oracle.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import synthetic_oracles
 from solver_oracles import push_step_reference
-from tactile_force.dataset import SampleRecord, make_dataset
+from sample_oracles import sample_set
+from tactile_force.dataset import make_dataset
 from tactile_force.errors import ConfigError, DataIntegrityError, NumericalError, SchemaError
 from tactile_force.mechanics import (
     ParticleGrid,
@@ -333,9 +335,7 @@ class TestGenerators:
         records = make_ft_samples(model, geometry, "ball_ft", n_trials, samples_per_trial, seed,
                                   force_range, cone_angle_deg, cap_only)
         assert len(records) == n_trials * samples_per_trial
-        s_c = np.stack([r.s_c for r in records])
-        s_n = np.stack([r.s_n for r in records])
-        f = np.stack([r.f_3d for r in records])
+        s_c, s_n, f = records.s_c, records.s_n, records.f_3d
         r, length = geometry.r, geometry.half_cylinder_length
         if cap_only:
             assert (s_c[:, 2] > length).all()
@@ -369,12 +369,12 @@ class TestGenerators:
         args = (model, geometry, "rigid_ft", n_trials, samples_per_trial, seed, force_range,
                 cone_angle_deg, cap_only)
         records, expected = make_ft_samples(*args), synthetic_oracles.make_ft_samples(*args)
-        assert [r.trial_id for r in records] == [r.trial_id for r in expected]
-        assert [r.source_tag for r in records] == [r.source_tag for r in expected]
+        assert records.trial_id.tolist() == [r.trial_id for r in expected]
+        assert records.source_tag.tolist() == [r.source_tag for r in expected]
         if not expected:
             return
         for name in ("e", "s_c", "s_n", "f_3d", "r_wb"):
-            got = np.stack([getattr(r, name) for r in records])
+            got = getattr(records, name)
             want = np.stack([getattr(r, name) for r in expected])
             if name == "r_wb":
                 np.testing.assert_array_equal(got, want)
@@ -406,10 +406,10 @@ class TestGenerators:
             r_wb = synthetic.random_rotation(rng)
             rng.uniform(size=(6, 5))
             noise = rng.normal(scale=0.05, size=(6, 19))
-            contacts = ContactState(s_c=[r.s_c for r in trial], s_n=[r.s_n for r in trial])
-            clean = sensor_forward(clean_model, contacts, np.stack([r.f_3d for r in trial]))
-            np.testing.assert_array_equal(np.stack([r.e for r in trial]), clean + noise)
-            np.testing.assert_array_equal(trial[0].r_wb, r_wb)
+            contacts = ContactState(s_c=trial.s_c, s_n=trial.s_n)
+            clean = sensor_forward(clean_model, contacts, trial.f_3d)
+            np.testing.assert_array_equal(trial.e, clean + noise)
+            np.testing.assert_array_equal(trial.r_wb, np.broadcast_to(r_wb, (6, 3, 3)))
 
     def test_planar_trials_consistent_forces(self, forward_model):
         geometry = SurfaceGeometry()
@@ -447,9 +447,40 @@ class TestGenerators:
                 trace, PRESSURE_UNITS_PER_NEWTON * np.linalg.norm(episode.applied_forces, axis=1),
                 rtol=1e-12,
             )
-            # a record for every step the gate passes, and for no other
-            labelled = [r.step for r in records if r.trial_id == episode.trial_id]
+            # a sample for every step the gate passes, and for no other
+            labelled = records.step[records.trial_id == episode.trial_id].tolist()
             assert labelled == np.flatnonzero(detect_contact(trace)).tolist()
+
+    @pytest.mark.parametrize("argument, value, named", [
+        ("force_range", (5.0, 1.0), "'force_range' must not have its low end above its high end"),
+        ("force_range", (-1.0, 1.0), "'force_range[0]' must be a finite number of at least 0"),
+        ("force_range", (1.0, math.inf), "'force_range[1]' must be a finite number of at least 0"),
+        ("force_range", (1.0,), "'force_range' must hold 2 items"),
+        ("cone_angle_deg", 120.0, "'cone_angle_deg' must be a number in [0, 90]"),
+        ("cone_angle_deg", -5.0, "'cone_angle_deg' must be a number in [0, 90]"),
+        ("cone_angle_deg", math.nan, "'cone_angle_deg' must be a number in [0, 90]"),
+    ])
+    def test_ft_argument_off_its_mark_is_a_config_error_naming_it(
+        self, forward_model, argument, value, named
+    ):
+        """A force range must be two forces of at least 0 N, low to high,
+        and a cone at most a right angle, past which forces pull the skin."""
+        args = {"force_range": (0.5, 5.0), "cone_angle_deg": 45.0, argument: value}
+        with pytest.raises(ConfigError, match=re.escape(f"field {named}")):
+            make_ft_samples(forward_model, SurfaceGeometry(), "rigid_ft", n_trials=2,
+                            samples_per_trial=5, seed=0, **args)
+
+    @pytest.mark.parametrize("value, named", [
+        ((2.0, 0.1), "'magnitude_range' must not have its low end above its high end"),
+        ((-0.5, 1.0), "'magnitude_range[0]' must be a finite number of at least 0"),
+        ((0.1, 2.0, 3.0), "'magnitude_range' must hold 2 items"),
+    ])
+    def test_planar_magnitude_range_off_its_mark_is_a_config_error_naming_it(
+        self, forward_model, value, named
+    ):
+        with pytest.raises(ConfigError, match=re.escape(f"field {named}")):
+            make_planar_trials(forward_model, SurfaceGeometry(), n_trials=1, steps=100, seed=0,
+                               magnitude_range=value)
 
     def test_random_rotation_is_proper(self):
         rng = np.random.default_rng(13)
@@ -460,23 +491,14 @@ class TestGenerators:
 
 
 class TestMakeDataset:
-    def _records(self, n_trials, per_trial=1):
+    def _records(self, n_trials, per_trial=1, extra=()):
+        """per_trial samples of each of n_trials trials, then the rows of `extra`."""
         rng = np.random.default_rng(17)
-        records = []
-        for t in range(n_trials):
-            for _ in range(per_trial):
-                records.append(
-                    SampleRecord(
-                        trial_id=f"trial_{t:03d}",
-                        source_tag="rigid_ft",
-                        e=rng.normal(size=19),
-                        s_c=np.zeros(3),
-                        s_n=np.array([1.0, 0.0, 0.0]),
-                        f_3d=rng.normal(size=3) + 2.0,
-                        r_wb=np.eye(3),
-                    )
-                )
-        return records
+        rows = [dict(trial_id=f"trial_{t:03d}", source_tag="rigid_ft", e=rng.normal(size=19),
+                     s_c=np.zeros(3), s_n=np.array([1.0, 0.0, 0.0]),
+                     f_3d=rng.normal(size=3) + 2.0, r_wb=np.eye(3))
+                for t in range(n_trials) for _ in range(per_trial)]
+        return sample_set(rows + list(extra))
 
     def test_ten_single_sample_trials_split_8_1_1(self):
         splits = make_dataset(self._records(10), seed=0)
@@ -500,21 +522,12 @@ class TestMakeDataset:
         assert a.trial_assignment == b.trial_assignment
 
     def test_filters_non_force_samples(self):
-        records = self._records(5, per_trial=2)
-        records.append(
-            SampleRecord(
-                trial_id="trial_000", source_tag="rigid_ft", e=np.zeros(19),
-                s_c=np.zeros(3), s_n=np.array([1.0, 0.0, 0.0]),
-                f_3d=np.zeros(3), r_wb=np.eye(3),
-            )
-        )
-        records.append(
-            SampleRecord(
-                trial_id="trial_001", source_tag="rigid_ft", e=np.zeros(19),
-                s_c=np.zeros(3), s_n=np.array([1.0, 0.0, 0.0]),
-                f_3d=np.ones(3), r_wb=np.eye(3), in_contact=False,
-            )
-        )
+        non_force = dict(source_tag="rigid_ft", e=np.zeros(19), s_c=np.zeros(3),
+                         s_n=np.array([1.0, 0.0, 0.0]), r_wb=np.eye(3))
+        records = self._records(5, per_trial=2, extra=[
+            {**non_force, "trial_id": "trial_000", "f_3d": np.zeros(3)},
+            {**non_force, "trial_id": "trial_001", "f_3d": np.ones(3), "in_contact": False},
+        ])
         splits = make_dataset(records, seed=3)
         assert splits.n_filtered_out == 2
         total = len(splits.train) + len(splits.val) + len(splits.test)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geometry_oracles import cell_center
-from tactile_force.dataset import SampleRecord, featurize_voxel
+from sample_oracles import sample_set
+from tactile_force.dataset import featurize_voxel
 from tactile_force.errors import LayoutCollisionError, OutOfBoundsError, SchemaError
 from tactile_force.sensor import ElectrodeLayout, SurfaceGeometry, default_electrode_layout
 from tactile_force.voxel import (
@@ -172,8 +173,8 @@ class TestGridSpec:
 
 
 def record(trial_id, e, s_c):
-    return SampleRecord(trial_id=trial_id, source_tag="rigid_ft", e=e, s_c=s_c,
-                        s_n=[0.0, 0.0, 1.0], f_3d=[0.0, 0.0, 1.0], r_wb=np.eye(3))
+    return dict(trial_id=trial_id, source_tag="rigid_ft", e=e, s_c=s_c, s_n=[0.0, 0.0, 1.0],
+                f_3d=[0.0, 0.0, 1.0], r_wb=np.eye(3))
 
 
 class TestFeaturizeVoxel:
@@ -190,7 +191,7 @@ class TestFeaturizeVoxel:
         points[: len(corners)] = corners[:n]
         e = rng.normal(size=(n, 19))
         e[0, 0] = -0.0  # kept, as encode keeps it
-        records = [record(f"t{i}", e[i], p) for i, p in enumerate(points)]
+        records = sample_set(record(f"t{i}", e[i], p) for i, p in enumerate(points))
         expected = np.stack([encode(r.e, r.s_c, layout, spec) for r in records])
         inputs = np.asarray(featurize_voxel(records, layout, spec).inputs)
         assert inputs.dtype == expected.dtype and inputs.shape == expected.shape
@@ -202,8 +203,8 @@ class TestFeaturizeVoxel:
         sample, and the 19 electrode cell indices once: a return to dense
         grids or to per-sample electrode cells would show here."""
         spec = GridSpec.for_geometry(geometry, dims=dims)
-        records = [record(f"t{i}", np.arange(19.0) + i, cell_center(spec, (1, 2, 3)))
-                   for i in range(5)]
+        records = sample_set(record(f"t{i}", np.arange(19.0) + i, cell_center(spec, (1, 2, 3)))
+                             for i in range(5))
         inputs = featurize_voxel(records, layout, spec).inputs
         assert inputs.shape == (5, 2) + dims
         assert inputs.nbytes == 5 * 20 * 8 + 19 * 8
@@ -211,25 +212,26 @@ class TestFeaturizeVoxel:
     def test_contact_point_outside_the_grid_names_trial(self, layout, spec):
         s_c = cell_center(spec, (2, 2, 2))
         s_c[2] = 1.0
-        records = [record("ok", np.zeros(19), cell_center(spec, (1, 1, 1))),
-                   record("trial_7", np.zeros(19), s_c)]
+        records = sample_set([record("ok", np.zeros(19), cell_center(spec, (1, 1, 1))),
+                              record("trial_7", np.zeros(19), s_c)])
         with pytest.raises(OutOfBoundsError, match="'trial_7'"):
             featurize_voxel(records, layout, spec)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_contact_point_names_trial(self, spec, bad):
-        """A record checks that its numbers are finite, so featurize_voxel
+        """A set checks that its numbers are finite, so featurize_voxel
         is never given a non-finite contact point."""
         s_c = cell_center(spec, (2, 2, 2))
         s_c[2] = bad
         with pytest.raises(SchemaError, match="'trial_7': field 's_c' holds a number that is not finite"):
-            record("trial_7", np.zeros(19), s_c)
+            sample_set([record("ok", np.zeros(19), cell_center(spec, (1, 1, 1))),
+                        record("trial_7", np.zeros(19), s_c)])
 
     def test_wrong_electrode_count_names_trial(self, spec):
-        """A record checks its own shapes, so featurize_voxel is never given
-        a wrong one."""
+        """A set checks its shapes, so featurize_voxel is never given a
+        wrong one."""
         with pytest.raises(SchemaError, match="'short'"):
-            record("short", np.zeros(18), cell_center(spec, (1, 1, 1)))
+            sample_set([record("short", np.zeros(18), cell_center(spec, (1, 1, 1)))])
 
 
 @st.composite
@@ -241,7 +243,7 @@ def featurized_batches(draw):
     spec = GridSpec.for_geometry(geometry, dims=draw(st.sampled_from([DEFAULT_DIMS, (13, 13, 9)])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     points = rng.uniform(spec.bounds_min, spec.bounds_max, size=(draw(st.integers(1, 5)), 3))
-    records = [record(f"t{i}", rng.normal(size=19), p) for i, p in enumerate(points)]
+    records = sample_set(record(f"t{i}", rng.normal(size=19), p) for i, p in enumerate(points))
     dense = np.stack([encode(r.e, r.s_c, layout, spec) for r in records])
     return featurize_voxel(records, layout, spec).inputs, dense, rng
 
@@ -279,8 +281,8 @@ class TestVoxelCells:
     def test_perfbench_crop_of_featurized_inputs(self, layout, spec):
         """The 5-D crop the benchmark takes to count the first layer's
         covered non-zeros."""
-        records = [record(f"t{i}", np.arange(19.0) + 1, cell_center(spec, (i, 2, 3)))
-                   for i in range(spec.dims[0])]
+        records = sample_set(record(f"t{i}", np.arange(19.0) + 1, cell_center(spec, (i, 2, 3)))
+                             for i in range(spec.dims[0]))
         inputs = featurize_voxel(records, layout, spec).inputs
         dense = np.stack([encode(r.e, r.s_c, layout, spec) for r in records])
         crop = (slice(None), slice(None)) + tuple(slice(d - 1) for d in spec.dims)
