@@ -145,13 +145,19 @@ def _read_config(path, defaults: dict) -> dict:
         path, "config", lambda config: read_config(config, defaults))
 
 
+def _check_count_flag(flag: str, value: int) -> None:
+    """Raise a ConfigError naming the flag unless its value is at least 0."""
+    if value < 0:
+        raise ConfigError(f"{flag} must be at least 0, got {value}")
+
+
 def _resolve_seed(args, config: dict) -> int:
     """--seed, which must be at least 0, else the config's seed. It is stored
     back in `args`, so the run manifest records the seed used."""
     if args.seed is None:
         args.seed = config["seed"]
-    elif args.seed < 0:
-        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
+    else:
+        _check_count_flag("--seed", args.seed)
     return args.seed
 
 
@@ -218,7 +224,7 @@ def cmd_simulate(args) -> tuple[Path, list[str]]:
         parts.append(samples)
     records = SampleSet.concatenate(parts)
     if not len(records):
-        raise ConfigError("config requested no trials from any source")
+        raise ConfigError(f"config {config_path}: requested no trials from any source")
     splits = make_dataset(records, split["train"], split["val"], seed)
 
     out_dir = Path(args.out)
@@ -259,10 +265,7 @@ def _episode_step(path, n: int, row: dict, t_default: int) -> tuple[PlanarMotion
 
 
 def cmd_infer(args) -> tuple[Path, list[str]]:
-    try:
-        rows = list(read_jsonl(args.episode, "episode file"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"episode file not found: {args.episode}") from exc
+    rows = list(read_jsonl(args.episode, "episode file", ConfigError))
     if not rows:
         raise SchemaError(f"episode file {args.episode} is empty")
     params, half_extents = _read_push_params(f"params file {args.params}",
@@ -302,6 +305,7 @@ def _train_configs(config: dict, seed: int):
 def cmd_train(args) -> tuple[Path, list[str]]:
     """Train the chosen model into --out, which is created only once the
     data, config, layout and features have been read and checked."""
+    _check_count_flag("--log-every", args.log_every)
     for flag, on in (("--no-voxel", args.no_voxel), ("--no-alpha", args.no_alpha)):
         if on and args.model != MODEL_VOXEL:
             raise ConfigError(f"{flag} applies only to --model {MODEL_VOXEL}, not --model {args.model}")

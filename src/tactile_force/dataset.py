@@ -1,10 +1,13 @@
 """Sample sets, trial-level dataset splits, and file formats.
 
-A SampleSet holds its samples as columns, one array per field, checked once
-per column when the set is built. Samples are stored as JSON-lines, one
-sample per line; a split manifest maps each of train/val/test to a list of
-whole trial ids. Splitting never divides a trial across splits, and only
-in-contact samples with nonzero force are retained ("force samples").
+A SampleSet holds its samples as columns, one array per field. Building one
+converts each column to its type and checks it as an array; only a set that
+fails is read row by row, by the one statement of a sample's rules, to name
+its first bad row. Samples are stored as JSON-lines, one sample per line,
+read and written a block of lines at a time; a split manifest maps each of
+train/val/test to a list of whole trial ids. Splitting never divides a trial
+across splits, and only in-contact samples with nonzero force are retained
+("force samples").
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ from .errors import (
     ConfigError, Count, DataIntegrityError, Items, LayoutCollisionError, Optional, OutOfBoundsError,
     Required, SchemaError, read_config,
 )
-from .files import atomic_open, write_text_atomic
+from .files import atomic_open, open_input, write_text_atomic
 from .net.losses import KNOWN_SOURCES
 from .net.training import ArraySamples
 from .sensor import N_ELECTRODES, ElectrodeLayout, SurfaceGeometry
@@ -52,6 +55,10 @@ _ARRAY_FIELDS = (("e", "e", (N_ELECTRODES,)), ("s_c", "s_c", (3,)), ("s_n", "s_n
 _FILE_KEYS = {"R_wb" if name == "r_wb" else name: name for name in COLUMNS}
 _REQUIRED_KEYS = tuple(_FILE_KEYS)[:7]
 _ABSENT = {"in_contact": True, "step": None}
+# a step must fit a 64-bit integer
+_STEP_LIMIT = 2**63
+# the lines of a samples file read, checked or written at a time
+_BLOCK_LINES = 512
 
 # one sample of a set: its columns' values at one row, unchecked
 SampleRow = namedtuple("SampleRow", COLUMNS)
@@ -65,15 +72,41 @@ class SampleError(SchemaError):
         self.row = row
 
 
-def _scalar(value):
-    """A column's value as the Python value a samples line holds."""
-    return value.item() if isinstance(value, np.generic) else value
-
-
 def _first(bad) -> int | None:
     """The first row whose entry of a bool array is true, or None."""
     i = int(np.argmax(bad)) if len(bad) else 0
     return i if len(bad) and bad[i] else None
+
+
+def sample_error(row: SampleRow) -> str | None:
+    """The message of the first rule a sample breaks, or None: the one
+    statement of a sample's rules. `row` holds Python values, step None
+    where it has none. A field that lacks its type or shape is named by its
+    file key, and so is one holding a number that is not finite; r_wb may
+    hold 9 values row-major, as in files."""
+    if not isinstance(row.trial_id, str):
+        return f"field 'trial_id' must be a string, got {row.trial_id!r}"
+    if not isinstance(row.in_contact, bool):
+        return f"field 'in_contact' must be true or false, got {row.in_contact!r}"
+    trial = f"trial {row.trial_id!r}"
+    if row.source_tag not in KNOWN_SOURCES:
+        return f"{trial}: unknown source_tag {row.source_tag!r}"
+    step = row.step
+    if step is not None and (type(step) is not int or not 0 <= step < _STEP_LIMIT):
+        rule = "below 2**63" if type(step) is int and step > 0 else "of at least 0"
+        return f"{trial}: field 'step' must be an integer {rule}, got {step!r}"
+    not_finite = None
+    for name, key, shape in _ARRAY_FIELDS:
+        try:
+            array = np.asarray(getattr(row, name), dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:  # not numbers, ragged, too large
+            return f"{trial}: field {key!r}: {exc}"
+        if array.shape != shape and (name != "r_wb" or array.shape != (9,)):
+            return f"{trial}: field {key!r} has shape {array.shape}, expected {shape}"
+        if not_finite is None and not np.isfinite(array).all():
+            not_finite = key
+    return None if not_finite is None else (f"{trial}: field {not_finite!r} holds a number "
+                                            "that is not finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,14 +120,15 @@ class SampleSet:
     taking sensor-frame vectors to the world frame. in_contact is bool (all
     true if None), and step, for a planar sample only, is its row in its
     trial's episode file, -1 where a sample has none (step None is -1 for
-    all; in a list, None is -1).
+    all; an array of any integer dtype holds -1, and a sequence None).
 
-    Building a set checks each column once, with the rules and messages of
-    one sample at a time: a SampleError names the first bad row's trial and
-    the field by its file key when a field lacks its type or shape (r_wb may
-    hold 9 values row-major, as in files), holds a number that is not
-    finite, or names a source not known. A set's slices, masks and joins
-    are sets of checked rows, and are not checked again.
+    Building a set converts each column to its type, r_wb from 9 values
+    row-major too, as in files, and checks three rules as arrays: every
+    source is known, every step at least -1, every number finite. A column
+    that does not convert or breaks a rule is read row by row with
+    `sample_error`, and the SampleError names the first bad row's trial and
+    the field by its file key with that row's message. A set's slices,
+    masks and joins are sets of checked rows, and are not checked again.
     """
 
     trial_id: np.ndarray
@@ -109,43 +143,27 @@ class SampleSet:
 
     def __post_init__(self):
         n = len(self.trial_id)
+        given = {}
         for name in COLUMNS:
             values = getattr(self, name)
-            if values is not None and len(values) != n:
+            if values is None:  # in_contact all true, or no step
+                values = np.full(n, True if name == "in_contact" else -1)
+            elif len(values) != n:
                 raise SchemaError(f"field {name!r} has {len(values)} rows for {n} trial ids")
-        ids = self.trial_id
-
-        def trial(row: int) -> str:
-            return f"trial {_scalar(ids[row])!r}"
-
-        # each column checked, in the order a sample's fields were: its
-        # values and the first bad row and its message, if any
-        checked = {
-            "trial_id": _strings(ids, lambda v: isinstance(v, str),
-                                 lambda row, v: f"field 'trial_id' must be a string, got {v!r}"),
-            "in_contact": _bools(self.in_contact, n),
-            "source_tag": _strings(self.source_tag, lambda v: v in KNOWN_SOURCES,
-                                   lambda row, v: f"{trial(row)}: unknown source_tag {v!r}",
-                                   KNOWN_SOURCES),
-            "step": _steps(self.step, n, trial),
-            **{name: _numbers(name, key, shape, getattr(self, name), n, trial)
-               for name, key, shape in _ARRAY_FIELDS},
-        }
-        columns = {name: column for name, (column, _) in checked.items()}
-        failures = [(failure[0], check, failure[1])  # (row, check, message)
-                    for check, (_, failure) in enumerate(checked.values()) if failure is not None]
-        # one check over every number: the first row with one that is not
-        # finite names the first such field of its own
-        first = {key: _first(~np.isfinite(columns[name]).all(axis=tuple(range(1, len(shape) + 1))))
-                 for name, key, shape in _ARRAY_FIELDS}
-        rows = [row for row in first.values() if row is not None]
-        if rows:
-            row = min(rows)
-            key = next(key for key, r in first.items() if r == row)
-            failures.append((row, len(COLUMNS), f"{trial(row)}: field {key!r} holds a number "
-                                                 "that is not finite"))
-        if failures:
-            row, _, message = min(failures)
+            elif isinstance(values, np.ndarray) and values.dtype == object:
+                values = values.tolist()  # read as the sequence of its values
+            given[name] = values
+        columns = {"trial_id": _typed(given["trial_id"], str),
+                   "source_tag": _typed(given["source_tag"], str),
+                   "in_contact": _typed(given["in_contact"], bool), "step": _steps(given["step"]),
+                   **{name: _numbers(given[name], n, shape) for name, _, shape in _ARRAY_FIELDS}}
+        if (any(column is None for column in columns.values())
+                or not np.isin(columns["source_tag"], KNOWN_SOURCES).all()
+                or (columns["step"] < -1).any()
+                or not all(np.isfinite(columns[name]).all() for name, _, _ in _ARRAY_FIELDS)):
+            # a column that does not convert or breaks a rule has a row that breaks one
+            messages = map(sample_error, _rows(given))
+            row, message = next((row, m) for row, m in enumerate(messages) if m is not None)
             raise SampleError(row, message)
         for name, column in columns.items():
             object.__setattr__(self, name, column)
@@ -182,101 +200,72 @@ class SampleSet:
         return self.in_contact & (np.einsum("ni,ni->n", self.f_3d, self.f_3d) > 0.0)
 
 
-# A column check returns (column, failure): the checked column, and None or
-# the first bad row and its message. A column given as a numpy array of its
-# own type is checked as a whole, one given as a sequence of Python values
-# (as a samples file gives it) value by value.
+def _rows(given: dict):
+    """The rows of the given columns as SampleRows of Python values; a step
+    of -1 in an integer array is None."""
+    lists = {name: values.tolist() if isinstance(values, np.ndarray) else values
+             for name, values in given.items()}
+    if isinstance(given["step"], np.ndarray) and given["step"].dtype.kind in "iu":
+        lists["step"] = [None if v == -1 else v for v in lists["step"]]
+    return map(SampleRow._make, zip(*lists.values()))
 
 
-def _strings(values, accepts, message, known=None):
-    """A string column, every entry of which `accepts` (is in `known`, for
-    an array)."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "U":
-        bad = None if known is None else _first(~np.isin(values, known))
-        return values, None if bad is None else (bad, message(bad, _scalar(values[bad])))
-    bad = next((i for i, v in enumerate(values) if not accepts(v)), None)
-    if bad is not None:
-        return None, (bad, message(bad, values[bad]))
-    column = np.array(values, dtype=str)
+def _typed(values, kind: type):
+    """A column of strings or of bools (`kind`), or None unless every value
+    is one."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == np.dtype(kind).kind:
+        return values if values.ndim == 1 else None
+    if not all(issubclass(t, kind) for t in set(map(type, values))):
+        return None
+    column = np.array(values, dtype=kind)
     if column.tolist() != list(values):  # a numpy string drops a trailing NUL; Python's keep it
         column = np.array(values, dtype=object)
-    return column, None
+    return column
 
 
-def _bools(values, n: int):
-    """The in_contact column: true or false, all true if None."""
-    if values is None:
-        return np.ones(n, dtype=bool), None
-    if isinstance(values, np.ndarray) and values.dtype == bool:
-        return values, None
-    bad = next((i for i, v in enumerate(values) if not isinstance(v, bool)), None)
-    if bad is not None:
-        return None, (bad, f"field 'in_contact' must be true or false, got {values[bad]!r}")
-    return np.array(values, dtype=bool), None
-
-
-# a step must fit a 64-bit integer
-_STEP_LIMIT = 2**63
-
-
-def _steps(values, n: int, trial):
-    """The step column: integers of at least 0, or where a sample has none
-    -1 in an array and None in a sequence; all -1 if None."""
-    if values is None:
-        return np.full(n, -1), None
-    array = isinstance(values, np.ndarray) and values.dtype.kind == "i"
-    if array:
-        bad = _first(values < -1)
-    else:
-        bad = next((i for i, v in enumerate(values) if v is not None and (
-            type(v) is not int or not 0 <= v < _STEP_LIMIT)), None)
-    if bad is not None:
-        v = _scalar(values[bad])
-        rule = "below 2**63" if type(v) is int and v > 0 else "of at least 0"
-        return None, (bad, f"{trial(bad)}: field 'step' must be an integer {rule}, got {v!r}")
-    if array:
-        return values.astype(np.int64, copy=False), None
-    return np.array([-1 if v is None else v for v in values], dtype=np.int64), None
-
-
-def _numbers(name: str, key: str, shape: tuple, values, n: int, trial):
-    """A float column of rows of `shape`; with a failure, the rows before
-    the first bad one, which the finite check still reads."""
+def _steps(values):
+    """The step column as int64, or None: an array of any integer dtype,
+    whose values must fit, or a sequence of integers and None, where a
+    sample has no step."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        fits = values.ndim == 1 and (values < _STEP_LIMIT).all()
+        return values.astype(np.int64) if fits else None
+    # a sequence marks a sample without a step by None, never by -1
+    if not set(map(type, values)) <= {int, type(None)} or -1 in values:
+        return None
     try:
-        column = np.asarray(values, dtype=float)
-        if name == "r_wb" and column.shape == (n, 9):
-            column = column.reshape(n, 3, 3)
-        if column.shape == (n,) + shape:
-            return column, None
-    except (TypeError, ValueError, OverflowError):
-        pass
-    rows = []
-    for i, value in enumerate(values):
+        return np.array([-1 if v is None else v for v in values], dtype=np.int64)
+    except OverflowError:  # at or above 2**63, or far below 0
+        return None
+
+
+def _numbers(values, n: int, shape: tuple):
+    """A float column of rows of `shape`, or None. r_wb rows may hold 9
+    values row-major, and in a sequence rows of both forms may mix."""
+    try:
         try:
-            row = np.asarray(value, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:  # not numbers, ragged, too large
-            failure = (i, f"{trial(i)}: field {key!r}: {exc}")
-            break
-        if row.shape != shape and (name != "r_wb" or row.shape != (9,)):
-            failure = (i, f"{trial(i)}: field {key!r} has shape {row.shape}, expected {shape}")
-            break
-        rows.append(row.reshape(shape))
-    else:
-        failure = None
-    return np.array(rows, dtype=float).reshape((len(rows),) + shape), failure
+            column = np.asarray(values, dtype=float)
+        except ValueError:
+            if shape != (3, 3):
+                raise
+            rows = (np.asarray(row, dtype=float) for row in values)  # ragged: rows of both forms
+            column = np.array([row.reshape(9) if row.shape == shape else row for row in rows])
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if shape == (3, 3) and column.shape == (n, 9) or not n:
+        column = column.reshape((n,) + shape)
+    return column if column.shape == (n,) + shape else None
 
 
 def load_json(path, what: str, read=lambda data: data, error=ConfigError):
     """`read` of a JSON file's content. Every error names the file as `what`:
-    a missing or non-JSON file is a ConfigError, and a ConfigError or
-    SchemaError that `read` raises an `error`."""
-    try:
-        with open(path) as fh:
+    a file that cannot be opened or is not JSON is a ConfigError, and a
+    ConfigError or SchemaError that `read` raises an `error`."""
+    with open_input(path, what, ConfigError) as fh:
+        try:
             data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{what} {path}: file not found") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path}: not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{what} {path}: not valid JSON: {exc}") from exc
     try:
         return read(data)
     except (ConfigError, SchemaError) as exc:
@@ -287,20 +276,23 @@ def write_samples_jsonl(samples: SampleSet, path) -> None:
     """One line per sample, its keys in column order; a planar sample's
     line alone has a step."""
     with atomic_open(path) as fh:
-        for values in zip(*(column.tolist() for column in (
-                samples.trial_id, samples.source_tag, samples.e, samples.s_c, samples.s_n,
-                samples.f_3d, samples.r_wb.reshape(-1, 9), samples.in_contact, samples.step))):
-            line = dict(zip(_FILE_KEYS, values))
-            if line["step"] < 0:
-                del line["step"]
-            fh.write(json.dumps(line) + "\n")
+        for start in range(0, len(samples), _BLOCK_LINES):
+            block = samples[start : start + _BLOCK_LINES]
+            for values in zip(*(column.tolist() for column in (
+                    block.trial_id, block.source_tag, block.e, block.s_c, block.s_n, block.f_3d,
+                    block.r_wb.reshape(-1, 9), block.in_contact, block.step))):
+                line = dict(zip(_FILE_KEYS, values))
+                if line["step"] < 0:
+                    del line["step"]
+                fh.write(json.dumps(line) + "\n")
 
 
-def read_jsonl(path, what: str) -> Iterator[tuple[int, dict]]:
+def read_jsonl(path, what: str, error: type[Exception]) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSON-lines file; a
-    line that is not a JSON object is a SchemaError naming `what`, the file
-    and the line, and so is a file that is not UTF-8 text."""
-    with open(path, encoding="utf-8") as fh:
+    file that cannot be opened is an `error` naming `what` and the file, and
+    a line that is not a JSON object a SchemaError naming them and the line,
+    as is a file that is not UTF-8 text."""
+    with open_input(path, what, error, encoding="utf-8") as fh:
         n = 0
         try:
             for n, line in enumerate(fh, 1):
@@ -320,33 +312,46 @@ def read_jsonl(path, what: str) -> Iterator[tuple[int, dict]]:
 
 
 def read_samples_jsonl(path) -> SampleSet:
-    """The samples of a samples file. A malformed line is a SchemaError
-    naming the file and the line: one missing a field or holding a key no
-    sample has, or one the set check rejects. As when lines were checked
-    one at a time, the first bad line is named."""
-    columns = {name: [] for name in COLUMNS}
-    lines, error = [], None
+    """The samples of a samples file, read and checked a block of lines at
+    a time. A file that cannot be opened is a DataIntegrityError naming it,
+    and a malformed line a SchemaError naming the file and the line: one
+    missing a field or holding a key no sample has, or one the set check
+    rejects. As when lines were checked one at a time, the first bad line
+    is named."""
+    lines = read_jsonl(path, "samples file", DataIntegrityError)
+    blocks = [_samples_block(path, lines)]
+    while len(blocks[-1]) == _BLOCK_LINES:
+        blocks.append(_samples_block(path, lines))
+    return SampleSet.concatenate(blocks)
+
+
+def _samples_block(path, lines: Iterator[tuple[int, dict]]) -> SampleSet:
+    """The samples of the next block of lines. A line missing a field or
+    holding an unknown key, or one that is not a JSON object, is raised
+    once the lines before it, and the fields of a line with an unknown key,
+    pass the set check."""
+    columns, numbers, error = {name: [] for name in COLUMNS}, [], None
     try:
-        for n, row in read_jsonl(path, "samples file"):
+        for n, row in islice(lines, _BLOCK_LINES):
             missing = next((key for key in _REQUIRED_KEYS if key not in row), None)
             if missing is not None:
                 error = SchemaError(f"samples file {path} line {n}: sample record missing field "
                                     f"{missing!r}")
                 break
-            lines.append(n)
+            numbers.append(n)
             for key, name in _FILE_KEYS.items():
                 columns[name].append(row.get(key, _ABSENT.get(name)))
             unknown = row.keys() - _FILE_KEYS.keys()
-            if unknown:  # named once the line's fields are checked
+            if unknown:
                 error = SchemaError(f"samples file {path} line {n}: trial {row['trial_id']!r}: "
                                     f"unknown key {min(unknown)!r}")
                 break
-    except SchemaError as exc:  # a line that is not a JSON object, after the lines before it
+    except SchemaError as exc:
         error = exc
     try:
         samples = SampleSet(**columns)
     except SampleError as exc:
-        raise SchemaError(f"samples file {path} line {lines[exc.row]}: {exc}") from exc
+        raise SchemaError(f"samples file {path} line {numbers[exc.row]}: {exc}") from exc
     if error is not None:
         raise error
     return samples
@@ -465,12 +470,7 @@ def load_manifest_splits(manifest_path) -> tuple[dict[str, SampleSet], dict]:
                 raise DataIntegrityError(f"trial {tid!r} assigned to both {seen[tid]} and {name}")
             seen[tid] = name
     samples_path = manifest_path.parent / manifest["samples_file"]
-    try:
-        samples = read_samples_jsonl(samples_path)
-    except FileNotFoundError as exc:
-        raise DataIntegrityError(
-            f"manifest {manifest_path}: samples file not found: {samples_path}"
-        ) from exc
+    samples = read_samples_jsonl(samples_path)
     splits = _by_split(samples[samples.is_force()], manifest["splits"])
     counts = manifest["counts"]
     for name, split in splits.items():

@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import (
     ConfigError, Count, Items, PositiveCount, Required, SchemaError, config_tree, read_config,
 )
-from ..files import atomic_open
+from ..files import atomic_open, open_input
 from ..voxel import N_CHANNELS, GridSpec
 from .losses import LossConfig
 from .layers import DEFAULT_DTYPE
@@ -77,36 +77,36 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     "metadata", or whose tensors are not param_0000 to param_{n-1}, all
     float32 or all float64, or do not fit the net it records, is a
     ConfigError naming the file and the dotted key or tensor, and so is a
-    missing file or one that is not a .npz.
+    file that cannot be opened or is not a .npz.
     """
-    try:
-        data = np.load(path)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"checkpoint file not found: {path}") from exc
-    except (OSError, ValueError) as exc:  # not a numpy file, or a pickle numpy will not load
-        raise ConfigError(f"checkpoint {path}: not a .npz file") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):  # a .npy array
-        raise ConfigError(f"checkpoint {path}: not a .npz file")
-    with data:
-        if "meta" not in data.files:
-            raise ConfigError(f"checkpoint {path}: missing field 'meta'")
+    with open_input(path, "checkpoint", ConfigError, "rb") as fh:
         try:
-            meta = json.loads(bytes(data["meta"]).decode())
-        except ValueError as exc:  # not UTF-8 JSON, or a pickled array
-            raise ConfigError(f"checkpoint {path}: field 'meta' is not a JSON blob: {exc}") from exc
-        names, state = [f"param_{i:04d}" for i in range(len(data.files) - 1)], []
-        for name in names:
-            if name not in data.files:
-                raise ConfigError(f"checkpoint {path}: missing tensor {name!r} of {names[0]} to "
-                                  f"{names[-1]}")
+            data = np.load(fh)
+        except (OSError, ValueError, EOFError) as exc:  # not a numpy file, a pickle, empty
+            raise ConfigError(f"checkpoint {path}: not a .npz file") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):  # a .npy array
+            raise ConfigError(f"checkpoint {path}: not a .npz file")
+        with data:
+            if "meta" not in data.files:
+                raise ConfigError(f"checkpoint {path}: missing field 'meta'")
             try:
-                state.append(data[name])
-            except ValueError as exc:  # a pickled array
-                raise ConfigError(f"checkpoint {path}: tensor {name!r}: {exc}") from exc
-            if state[-1].dtype not in TENSOR_DTYPES or state[-1].dtype != state[0].dtype:
-                raise ConfigError(f"checkpoint {path}: tensor {name!r} has dtype {state[-1].dtype}: "
-                                  "a checkpoint's tensors are all float32 or all float64 "
-                                  f"({names[0]} is {state[0].dtype})")
+                meta = json.loads(bytes(data["meta"]).decode())
+            except ValueError as exc:  # not UTF-8 JSON, or a pickled array
+                raise ConfigError(f"checkpoint {path}: field 'meta' is not a JSON blob: "
+                                  f"{exc}") from exc
+            names, state = [f"param_{i:04d}" for i in range(len(data.files) - 1)], []
+            for name in names:
+                if name not in data.files:
+                    raise ConfigError(f"checkpoint {path}: missing tensor {name!r} of "
+                                      f"{names[0]} to {names[-1]}")
+                try:
+                    state.append(data[name])
+                except ValueError as exc:  # a pickled array
+                    raise ConfigError(f"checkpoint {path}: tensor {name!r}: {exc}") from exc
+                if state[-1].dtype not in TENSOR_DTYPES or state[-1].dtype != state[0].dtype:
+                    raise ConfigError(f"checkpoint {path}: tensor {name!r} has dtype "
+                                      f"{state[-1].dtype}: a checkpoint's tensors are all "
+                                      f"float32 or all float64 ({names[0]} is {state[0].dtype})")
     dtype = state[0].dtype if state else DEFAULT_DTYPE
     try:
         kind = meta.get("kind") if isinstance(meta, dict) else None

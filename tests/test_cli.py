@@ -1,5 +1,6 @@
 """End-to-end CLI tests: file outputs, determinism, exit codes, cross-checks."""
 
+import argparse
 import csv
 import json
 import re
@@ -1663,4 +1664,133 @@ def test_main_exits_with_the_error_class_code_and_prefix(tmp_path, capsys, monke
     assert run(["eval", "--manifest", tmp_path / "m.json", "--model-kind", "oracle",
                 "--out", out]) == code
     assert capsys.readouterr().err == f"{prefix}: it broke\n"
+    assert not out.exists()
+
+
+class RunInputs:
+    """The input files of a simulated run, and `blocked`, a directory beside
+    them to give where a file is read."""
+
+    def __init__(self, sim_dir: Path, sim_config: dict, tmp_path: Path):
+        self.sim_dir, self.sim_config, self.tmp_path = sim_dir, sim_config, tmp_path
+        self.manifest = sim_dir / "dataset_manifest.json"
+        self.blocked = sim_dir / "blocked"
+        self.blocked.mkdir()
+
+    def config(self, name: str, config: dict) -> Path:
+        return write_config(self.tmp_path / name, config)
+
+    def episode(self) -> Path:
+        return sorted((self.sim_dir / "episodes").glob("*.jsonl"))[0]
+
+    def manifest_of_blocked_samples(self) -> Path:
+        manifest = json.loads(self.manifest.read_text())
+        return write_config(self.sim_dir / "blocked_manifest.json",
+                            {**manifest, "samples_file": self.blocked.name})
+
+
+# each input file the CLI reads, by the command and the flag or file key
+# that names it: the exit code of a file that cannot be opened there (3 for
+# a samples file, 2 for any other), and the command line that gives
+# `blocked` as that file
+UNREADABLE_INPUTS = {
+    "simulate --config": (2, lambda i: ["simulate", "--config", i.blocked]),
+    "simulate layout_file": (2, lambda i: [
+        "simulate",
+        "--config", i.config("s.json", {**i.sim_config, "layout_file": str(i.blocked)})]),
+    "infer --episode": (2, lambda i: ["infer", "--episode", i.blocked,
+                                      "--params", i.sim_dir / "params.json"]),
+    "infer --params": (2, lambda i: ["infer", "--episode", i.episode(), "--params", i.blocked]),
+    "train --manifest": (2, lambda i: ["train", "--manifest", i.blocked]),
+    "train --config": (2, lambda i: ["train", "--manifest", i.manifest, "--config", i.blocked]),
+    "train layout_file": (2, lambda i: [
+        "train", "--manifest", i.manifest,
+        "--config", i.config("t.json", {"layout_file": str(i.blocked)})]),
+    "train samples_file": (3, lambda i: ["train", "--manifest", i.manifest_of_blocked_samples()]),
+    "eval --manifest": (2, lambda i: ["eval", "--manifest", i.blocked, "--model-kind", "oracle"]),
+    "eval samples_file": (3, lambda i: ["eval", "--manifest", i.manifest_of_blocked_samples(),
+                                        "--model-kind", "oracle"]),
+    "eval --model": (2, lambda i: ["eval", "--manifest", i.manifest, "--model", i.blocked]),
+    "eval --model-kind linear --model": (2, lambda i: [
+        "eval", "--manifest", i.manifest, "--model-kind", "linear", "--model", i.blocked]),
+}
+# the flags of each command that name no input file
+OTHER_FLAGS = {
+    "simulate": {"--out", "--seed"},
+    "infer": {"--out"},
+    "train": {"--out", "--sources", "--model", "--no-voxel", "--no-alpha", "--seed", "--log-every"},
+    "eval": {"--out", "--model-kind", "--split", "--sources"},
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_INPUTS))
+def test_an_input_that_cannot_be_opened_exits_naming_it(sim_dir, sim_config, tmp_path, capsys,
+                                                        case):
+    """A directory where an input file is read exits as a missing file
+    does, naming the path, and writes no output. An input that cannot be
+    read for want of permission is not tried: root, as these tests run,
+    reads any file."""
+    code, argv = UNREADABLE_INPUTS[case]
+    inputs = RunInputs(sim_dir, sim_config, tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv(inputs), "--out", out / "o"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith({2: "config error: ", 3: "data error: "}[code])
+    assert err.endswith(f" cannot be read (Is a directory): {inputs.blocked}\n"), err
+    assert not out.exists()
+
+
+def test_every_input_path_flag_has_a_row():
+    """A flag added to a command is either an input file, with a row of
+    its own above, or one of OTHER_FLAGS."""
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert set(commands) == set(OTHER_FLAGS)
+    for command, parser in commands.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings} - {
+            "-h", "--help"}
+        rows = {case.split()[-1] for case in UNREADABLE_INPUTS
+                if case.startswith(f"{command} --")}
+        assert flags - OTHER_FLAGS[command] == rows, command
+
+
+@pytest.mark.parametrize("case", ["log_every", "no_trials"])
+def test_a_value_no_run_can_take_exits_2_naming_it(sim_dir, tmp_path, capsys, case):
+    """A negative --log-every is rejected as a negative --seed is, and a
+    config that asks no source for a trial names its file."""
+    config = write_config(tmp_path / "c.json", {"params": {"m": 1.0}, "sources": {}})
+    argv, message = {
+        "log_every": (["train", "--manifest", sim_dir / "dataset_manifest.json",
+                       "--log-every", "-1"], "--log-every must be at least 0, got -1"),
+        "no_trials": (["simulate", "--config", config],
+                      f"config {config}: requested no trials from any source"),
+    }[case]
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["empty_checkpoint", "binary_config", "binary_manifest"])
+def test_an_input_that_opens_but_cannot_be_parsed_exits_2_naming_it(sim_dir, tmp_path, capsys,
+                                                                    case):
+    """An empty checkpoint is not a .npz file, and a JSON input that is not
+    UTF-8 text is not JSON."""
+    path = tmp_path / "input"
+    path.write_bytes(b"" if case == "empty_checkpoint" else b"\x8d\xff{}")
+    manifest = sim_dir / "dataset_manifest.json"
+    argv, message = {
+        "empty_checkpoint": (["eval", "--manifest", manifest, "--model", path],
+                             f"checkpoint {path}: not a .npz file"),
+        "binary_config": (["train", "--manifest", manifest, "--config", path],
+                          f"config {path}: not valid JSON: "),
+        "binary_manifest": (["eval", "--manifest", path, "--model-kind", "oracle"],
+                            f"manifest {path}: not valid JSON: "),
+    }[case]
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not out.exists()

@@ -4,6 +4,8 @@ and its samples file."""
 import itertools
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sample_oracles import SampleRecord, first_bad_row, sample_set
+from tactile_force import dataset
 from tactile_force.dataset import (
     COLUMNS, SampleError, SampleSet, read_samples_jsonl, write_samples_jsonl,
 )
@@ -45,7 +48,8 @@ def malformed_numbers(draw, value, shape):
     try:
         flat = np.ravel(np.asarray(value, dtype=float)).tolist()
     except (TypeError, ValueError, OverflowError):  # a value already malformed
-        flat = [0.0] * math.prod(shape)
+        flat = []
+    flat = flat or [0.0] * math.prod(shape)  # an empty value has no number to damage
     kind = draw(st.sampled_from(["not_finite", "not_a_number", "shape", "row"]))
     if kind == "row":
         return draw(st.sampled_from([None, "x", {}, 1.5]))
@@ -164,6 +168,143 @@ class TestSetCheck:
                       r_wb=np.zeros((2, 3, 3)))
 
 
+# a valid row without a step
+PLANAR_ROW = dict(trial_id="t", source_tag="planar_pushing", e=[0.0] * 19, s_c=[0.0] * 3,
+                  s_n=[0.0, 0.0, 1.0], f_3d=[1.0] * 3, r_wb=np.eye(3).tolist())
+# every numpy integer dtype, each once
+INTEGER_DTYPES = sorted({np.dtype(c) for c in np.typecodes["AllInteger"]},
+                        key=lambda d: (d.itemsize, d.kind))
+
+
+def damage(draw, rows):
+    """One value of a random row and field made malformed, in place."""
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    name = draw(st.sampled_from(COLUMNS))
+    row[name] = (malformed_numbers(draw, row[name], NUMBER_FIELDS[name])
+                 if name in NUMBER_FIELDS else draw(MALFORMED[name]))
+
+
+def objects(values) -> np.ndarray:
+    """A one-dimensional object array of the values, lists among them."""
+    array = np.empty(len(values), dtype=object)
+    for i, value in enumerate(values):
+        array[i] = value
+    return array
+
+
+def column_form(draw, name: str, values: list) -> tuple:
+    """The column as a list, an array of its own dtype, or an array of
+    another dtype: an integer one for step, an object one otherwise, or an
+    integer one of the values rounded for numbers; and the values of its
+    rows. An array form is drawn only where it holds the values the list
+    holds; for step, -1 in an integer array is None, so a list holding -1
+    stays a list."""
+    form = draw(st.sampled_from(["list", "own", "other"]))
+    if form == "list":
+        return values, values
+    if name in NUMBER_FIELDS:
+        shape = NUMBER_FIELDS[name]
+        if form == "other" and draw(st.booleans()):
+            return objects(values), values
+        try:
+            array = np.array(values, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            return values, values
+        if array.shape[1:] != shape and (name != "r_wb" or array.shape[1:] != (9,)):
+            return values, values
+        if form == "other" and (abs(array) < 2**53).all():  # finite, and whole ones exact
+            array = np.rint(array).astype(np.int64)
+            return array, array.tolist()
+        return array, values
+    if name == "step":
+        if not all(v is None or type(v) is int and v != -1 for v in values):
+            return values, values
+        steps = [-1 if v is None else v for v in values]
+        dtype = np.dtype(np.int64) if form == "own" else draw(st.sampled_from(INTEGER_DTYPES))
+        info = np.iinfo(dtype)
+        fits = all(info.min <= v <= info.max for v in steps)
+        return (np.array(steps, dtype=dtype) if fits else values), values
+    if form == "other":
+        return objects(values), values
+    kind = bool if name == "in_contact" else str
+    if not all(type(v) is kind for v in values):
+        return values, values
+    array = np.array(values, dtype=kind)
+    # a numpy string drops a trailing NUL
+    return (array if array.tolist() == values else values), values
+
+
+def assert_records_columns(samples: SampleSet, records: list) -> None:
+    """The set's columns are the records' fields, stacked."""
+    assert len(samples) == len(records)
+    assert samples.trial_id.tolist() == [r.trial_id for r in records]
+    assert samples.source_tag.tolist() == [r.source_tag for r in records]
+    assert samples.in_contact.dtype == bool
+    assert samples.in_contact.tolist() == [r.in_contact for r in records]
+    assert samples.step.dtype == np.int64
+    assert samples.step.tolist() == [-1 if r.step is None else r.step for r in records]
+    for name, shape in NUMBER_FIELDS.items():
+        column = getattr(samples, name)
+        assert column.dtype == float and column.shape == (len(records),) + shape
+        np.testing.assert_array_equal(
+            column, np.array([getattr(r, name) for r in records]).reshape(column.shape))
+
+
+class TestColumnForms:
+    @settings(max_examples=200, deadline=None)
+    @given(rows(min_size=0), st.data())
+    def test_the_set_is_built_exactly_when_the_record_accepts_every_row(self, good, data):
+        """Valid rows, some with malformed values, each column given as a
+        list or as an array of its own or another dtype: the set is built
+        exactly when the per-sample record accepts every row, with the
+        records' columns; otherwise it raises the record's message for the
+        first bad row, and no other exception. An integer number column
+        holds the rows' numbers rounded, and the record reads those."""
+        rows = [dict(row) for row in good]
+        for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
+            damage(data.draw, rows)
+        columns = {}
+        for name in COLUMNS:
+            columns[name], values = column_form(data.draw, name, [row[name] for row in rows])
+            for row, value in zip(rows, values):
+                row[name] = value
+        expected = first_bad_row(rows)
+        if expected is None:
+            assert_records_columns(SampleSet(**columns), [SampleRecord(**row) for row in rows])
+            return
+        with pytest.raises(SampleError) as info:
+            SampleSet(**columns)
+        assert (info.value.row, str(info.value)) == expected
+
+    @pytest.mark.parametrize("dtype", INTEGER_DTYPES, ids=str)
+    def test_a_step_column_may_be_any_integer_array(self, dtype):
+        """-1 is a sample without a step, and every other step must be at
+        least 0 and below 2**63, whatever the array's integer dtype."""
+        base = sample_set([PLANAR_ROW] * 3)
+        columns = {name: getattr(base, name) for name in COLUMNS if name != "step"}
+        info = np.iinfo(dtype)
+        steps = [-1 if info.min else 0, 0, min(info.max, 2**63 - 1)]
+        samples = SampleSet(**columns, step=np.array(steps, dtype=dtype))
+        assert samples.step.dtype == np.int64 and samples.step.tolist() == steps
+        if dtype.kind == "i":
+            bad, rule = info.min, "of at least 0"
+        elif info.max >= 2**63:
+            bad, rule = info.max, "below 2**63"
+        else:  # every value of the dtype is a step
+            return
+        with pytest.raises(SampleError, match=rf"trial 't': field 'step' must be an integer "
+                                              rf"{re.escape(rule)}, got {bad}$") as raised:
+            SampleSet(**columns, step=np.array([3, bad, 4], dtype=dtype))
+        assert raised.value.row == 1
+
+    def test_a_sequence_marks_a_sample_without_a_step_by_none_not_by_minus_one(self):
+        assert sample_set([PLANAR_ROW, {**PLANAR_ROW, "step": 2}]).step.tolist() == [-1, 2]
+        with pytest.raises(SampleError, match="field 'step' must be an integer of at least 0, "
+                                              "got -1$") as raised:
+            sample_set([PLANAR_ROW, {**PLANAR_ROW, "step": -1}])
+        assert raised.value.row == 1
+
+
 def make_rows(n: int) -> list[dict]:
     rng = np.random.default_rng(n)
     return [dict(trial_id=f"t{i // 2}", source_tag=KNOWN_SOURCES[i % 3], e=rng.normal(size=19),
@@ -247,3 +388,41 @@ class TestSamplesFile:
         with pytest.raises(SchemaError) as info:
             read_samples_jsonl(path)
         assert str(info.value) == f"samples file {path} line {expected[0] + 1}: {expected[1]}"
+
+
+@pytest.fixture(scope="class", params=[1, 2, 3])
+def small_blocks(request):
+    """Samples files read and written in blocks of 1, 2 or 3 lines."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "_BLOCK_LINES", request.param)
+        yield request.param
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestSamplesFileInSmallBlocks:
+    """The samples file properties with blocks so small that the lines,
+    and the bad ones among them, fall on either side of a block's end."""
+
+    test_written_read_and_written_again_is_the_same = (
+        TestSamplesFile.test_written_read_and_written_again_is_the_same)
+    test_the_first_bad_line_is_named_as_the_record_names_it = (
+        TestSamplesFile.test_the_first_bad_line_is_named_as_the_record_names_it)
+
+
+def test_reading_and_writing_hold_a_block_of_lines_at_a_time(tmp_path):
+    """Reading 4,000 lines peaks below 3 times the bytes of the columns
+    it returns, and writing them below half the file's size."""
+    samples = sample_set(make_rows(4000))
+    path = tmp_path / "samples.jsonl"
+    tracemalloc.start()
+    try:
+        write_samples_jsonl(samples, path)
+        writing = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        read = read_samples_jsonl(path)
+        reading = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(getattr(read, name).nbytes for name in COLUMNS)
+    assert reading < 3 * columns, (reading, columns)
+    assert writing < path.stat().st_size / 2, (writing, path.stat().st_size)
